@@ -61,7 +61,10 @@ func TestRunSmoke(t *testing.T) {
 	if rep.OriginPulls == 0 {
 		t.Fatal("no origin pulls during steady state: fetchers idle")
 	}
-	for _, tier := range []string{"ra-status-miss", "ra-status-hit", "cdn-edge-root"} {
+	if c := rep.StatusCache; c.Hits+c.Misses < int64(rep.StatusTier.Count) || c.Entries == 0 || c.Bytes == 0 {
+		t.Fatalf("status-cache counters do not cover the status tier's %d lookups: %+v", rep.StatusTier.Count, c)
+	}
+	for _, tier := range []string{"ra-status-miss", "ra-status-miss-mapped", "ra-status-hit", "cdn-edge-root"} {
 		if _, ok := rep.AllocsPerOp[tier]; !ok {
 			t.Fatalf("missing allocs/op tier %q: %v", tier, rep.AllocsPerOp)
 		}

@@ -67,6 +67,18 @@ func (r *Report) Records() []Record {
 			"refreshes":        float64(r.Refreshes),
 		},
 	})
+	recs = append(recs, Record{
+		Name:       "LoadgenStatusCache",
+		Iterations: r.StatusCache.Hits + r.StatusCache.Misses,
+		Metrics: map[string]float64{
+			"hit-rate":   r.StatusCache.HitRate(),
+			"evictions":  float64(r.StatusCache.Evictions),
+			"promotions": float64(r.StatusCache.Promotions),
+			"entries":    float64(r.StatusCache.Entries),
+			"probation":  float64(r.StatusCache.Probation),
+			"bytes":      float64(r.StatusCache.Bytes),
+		},
+	})
 	tiers := make([]string, 0, len(r.AllocsPerOp))
 	for tier := range r.AllocsPerOp {
 		tiers = append(tiers, tier)
@@ -111,12 +123,15 @@ func (r *Report) WriteSummary(w io.Writer) {
 	fmt.Fprintf(w, "  control      origin %.2f pulls/s (%d total), hit rate region %.1f%% pop %.1f%%, collapsed %d\n",
 		r.OriginPullsPerSec, r.OriginPulls, 100*r.RegionHitRate, 100*r.PoPHitRate, r.CollapsedPulls)
 	fmt.Fprintf(w, "  churn        %d keys across %d refreshes\n", r.ChurnedKeys, r.Refreshes)
+	c := r.StatusCache
+	fmt.Fprintf(w, "  status cache hit rate %.1f%%, %d entries (%d on probation, %.1f MB), %d promotions, %d evictions\n",
+		100*c.HitRate(), c.Entries, c.Probation, float64(c.Bytes)/(1<<20), c.Promotions, c.Evictions)
 	tiers := make([]string, 0, len(r.AllocsPerOp))
 	for tier := range r.AllocsPerOp {
 		tiers = append(tiers, tier)
 	}
 	sort.Strings(tiers)
 	for _, tier := range tiers {
-		fmt.Fprintf(w, "  allocs/op    %-16s %.1f\n", tier, r.AllocsPerOp[tier])
+		fmt.Fprintf(w, "  allocs/op    %-22s %.1f\n", tier, r.AllocsPerOp[tier])
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ritm/internal/netsim"
+	"ritm/internal/ra"
 	"ritm/internal/serial"
 )
 
@@ -98,8 +99,13 @@ type Report struct {
 	ChurnedKeys int `json:"churned_keys"`
 	Refreshes   int `json:"refreshes"`
 
+	// StatusCache sums the agents' status-cache counters at the end of
+	// the steady-state window.
+	StatusCache ra.CacheStats `json:"status_cache"`
+
 	// AllocsPerOp holds the per-tier allocation samplers, keyed by tier
-	// name (ra-status-miss, ra-status-hit, cdn-edge-root).
+	// name (ra-status-miss, ra-status-miss-mapped, ra-status-hit,
+	// cdn-edge-root).
 	AllocsPerOp map[string]float64 `json:"allocs_per_op"`
 }
 
@@ -377,22 +383,40 @@ func Run(opts Options) (*Report, error) {
 		rep.StatusTier = stRec.summarize(opts.StatusRate, steadyWindow)
 	}
 
+	for _, agent := range stack.Agents {
+		st := agent.CacheStats()
+		rep.StatusCache.Hits += st.Hits
+		rep.StatusCache.Misses += st.Misses
+		rep.StatusCache.Evictions += st.Evictions
+		rep.StatusCache.Promotions += st.Promotions
+		rep.StatusCache.Entries += st.Entries
+		rep.StatusCache.Probation += st.Probation
+		rep.StatusCache.Bytes += st.Bytes
+	}
+
 	// Per-tier allocs/op, sampled on the quiesced stack. The miss
 	// sampler is the status-encode hot path end to end: prove + encode +
-	// cache fill on a never-seen serial.
+	// cache fill on a never-seen serial. It runs once per serving path —
+	// the two are different code, not one number: a heap writer proves in
+	// 6 allocations, a shared reader copies every serial and level
+	// descriptor off the mapping first (it may be unmapped while the
+	// cached status lives on) and needs 8 (sorted) to 13 (forest).
 	sampleAgent := stack.Writers[0]
-	if len(stack.Readers) > 0 {
-		sampleAgent = stack.Readers[0]
-	}
 	missGen := serial.NewGenerator(uint64(opts.Seed)+0x315513, loadDist)
-	missProbes := missGen.NextN(opts.AllocRuns + 2)
+	missProbes := missGen.NextN(2*opts.AllocRuns + 3)
 	missIdx := 0
-	rep.AllocsPerOp["ra-status-miss"] = allocsPerRun(opts.AllocRuns, func() {
-		if _, _, err := sampleAgent.StatusEncoded(caID, missProbes[missIdx]); err != nil {
-			panic(fmt.Sprintf("loadgen alloc sampler: %v", err))
-		}
-		missIdx++
-	})
+	sampleMiss := func(agent *ra.RA) float64 {
+		return allocsPerRun(opts.AllocRuns, func() {
+			if _, _, err := agent.StatusEncoded(caID, missProbes[missIdx]); err != nil {
+				panic(fmt.Sprintf("loadgen alloc sampler: %v", err))
+			}
+			missIdx++
+		})
+	}
+	rep.AllocsPerOp["ra-status-miss"] = sampleMiss(sampleAgent)
+	if len(stack.Readers) > 0 {
+		rep.AllocsPerOp["ra-status-miss-mapped"] = sampleMiss(stack.Readers[0])
+	}
 	hit := missProbes[len(missProbes)-1]
 	if _, _, err := sampleAgent.StatusEncoded(caID, hit); err != nil {
 		return nil, err

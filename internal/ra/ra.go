@@ -174,7 +174,7 @@ func (ra *RA) syncCA(ca dictionary.CAID) error {
 	// Shared-mode dictionaries sync against the writer's durable state,
 	// not the network: one stamp poll, a re-map when the writer moved.
 	if d, ok := ra.store.sharedFor(ca); ok {
-		return d.refresh()
+		return ra.store.refreshShared(d)
 	}
 	replica, err := ra.store.Replica(ca)
 	if err != nil {

@@ -318,9 +318,9 @@ func (s *Store) applyUpdate(ca dictionary.CAID, replica *dictionary.Replica, msg
 	if err := replica.UpdateWithBounds(msg, bounds); err != nil {
 		return err
 	}
-	if cl == nil || replica.Snapshot().Generation() == gen {
-		// No backend, a removed CA, or a verified no-op (re-delivered
-		// root): nothing to persist.
+	if !s.releaseSuperseded(ca, replica, gen) || cl == nil {
+		// A verified no-op (re-delivered root), no backend, or a removed
+		// CA: nothing to persist.
 		return nil
 	}
 	rec := dictionary.UpdateRecord{Msg: msg, Bounds: bounds}
@@ -332,6 +332,19 @@ func (s *Store) applyUpdate(ca dictionary.CAID, replica *dictionary.Replica, msg
 		return nil
 	}
 	return s.checkpointLocked(ca, cl)
+}
+
+// releaseSuperseded reports whether src published a new snapshot since it
+// was at generation before and, if so, releases the CA's cached statuses
+// of the superseded generations: they can never be served again, and left
+// alone they stay reachable until the cache happens to evict them.
+func (s *Store) releaseSuperseded(ca dictionary.CAID, src cacheSource, before uint64) bool {
+	now := src.CurrentGeneration()
+	if now == before {
+		return false
+	}
+	s.cache.release(ca, src, now)
+	return true
 }
 
 // checkpointLocked snapshots the CA's replica into its log, in the
@@ -371,7 +384,7 @@ func (s *Store) applyFreshness(ca dictionary.CAID, replica *dictionary.Replica, 
 	if err := replica.ApplyFreshness(stmt, now); err != nil {
 		return err
 	}
-	if cl == nil || replica.Snapshot().Generation() == gen {
+	if !s.releaseSuperseded(ca, replica, gen) || cl == nil {
 		return nil
 	}
 	rec := dictionary.FreshnessRecord{Value: stmt.Value}
@@ -435,7 +448,7 @@ func (s *Store) Remove(ca dictionary.CAID) {
 		delete(next.shared, ca)
 		next.rebuildCAs()
 		s.view.Store(next)
-		s.cache.purgeCA(ca)
+		s.cache.release(ca, nil, 0)
 		d.close() //nolint:errcheck // release the mappings; the files belong to the writer
 		return
 	}
@@ -446,7 +459,7 @@ func (s *Store) Remove(ca dictionary.CAID) {
 	delete(next.replicas, ca)
 	next.rebuildCAs()
 	s.view.Store(next)
-	s.cache.purgeCA(ca)
+	s.cache.release(ca, nil, 0)
 	// Reclaim the durable state too: removal is the §VIII storage-reclaim
 	// path, and a shard that expired will never be pulled again.
 	s.pmu.Lock()
@@ -510,7 +523,7 @@ func (s *Store) ReplaceReplica(ca dictionary.CAID, r *dictionary.Replica) error 
 	next.replicas[ca] = r
 	next.rebuildCAs()
 	s.view.Store(next)
-	s.cache.purgeCA(ca)
+	s.cache.release(ca, nil, 0)
 	// A replaced replica's history diverges from whatever the WAL holds
 	// (that is the point of a resync); checkpoint the new state now so a
 	// crash never replays old-history records onto it.
@@ -559,11 +572,20 @@ func (s *Store) sharedFor(ca dictionary.CAID) (*sharedDict, bool) {
 func (s *Store) Refresh() error {
 	var firstErr error
 	for _, d := range s.view.Load().shared {
-		if err := d.refresh(); err != nil && firstErr == nil {
+		if err := s.refreshShared(d); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
+}
+
+// refreshShared re-maps one shared dictionary if its writer moved and
+// releases the cached statuses the re-map superseded.
+func (s *Store) refreshShared(d *sharedDict) error {
+	gen := d.CurrentGeneration()
+	err := d.refresh()
+	s.releaseSuperseded(d.ca, d, gen)
+	return err
 }
 
 // CAs lists the replicated CAs, sorted. The returned slice is shared and
@@ -616,55 +638,58 @@ func (s *Store) Prove(ca dictionary.CAID, sn serial.Number) (*dictionary.Status,
 // callers must treat it, and the encoded bytes, as immutable.
 func (s *Store) Status(ca dictionary.CAID, sn serial.Number) (*dictionary.Status, []byte, error) {
 	v := s.view.Load()
-	var (
-		source cacheSource
-		gen    uint64
-		prove  func(serial.Number) (*dictionary.Status, error)
-	)
+	var source cacheSource
 	if d, ok := v.shared[ca]; ok {
-		ss := d.load()
-		if ss == nil {
-			return nil, nil, fmt.Errorf("ra: shared dictionary %s has no state yet", ca)
-		}
-		// gen and snapshot are published together, so the cached entry's
-		// generation always labels the snapshot it was computed from.
-		source, gen, prove = d, ss.gen, ss.snap.Prove
+		source = d
 	} else if r, ok := v.replicas[ca]; ok {
-		snap := r.Snapshot()
-		source, gen, prove = r, snap.Generation(), snap.Prove
+		source = r
 	} else {
 		return nil, nil, fmt.Errorf("%w: %s", ErrNoDictionary, ca)
 	}
-	key := cacheKeyFor(ca, sn)
-	if e, ok := s.cache.get(key, source, gen); ok {
-		return e.status, e.encoded, nil
+	// The lookup key aliases a stack copy of the serial (get does not
+	// retain it); only a miss builds the heap string the map keeps.
+	if e, ok := s.cache.get(cacheKey{ca: ca, sn: string(sn.Raw())}, source, source.CurrentGeneration()); ok {
+		return &e.status, e.encoded, nil
+	}
+	// Take the snapshot to prove from only now: the lookup can wait on a
+	// shard lock, and a shared snapshot's mapping is retired a few re-maps
+	// after it is superseded. gen and snapshot are published together, so
+	// the entry's generation labels the snapshot it was computed from.
+	var (
+		gen   uint64
+		prove func(serial.Number) (*dictionary.Status, error)
+	)
+	switch src := source.(type) {
+	case *sharedDict:
+		ss := src.load()
+		if ss == nil {
+			return nil, nil, fmt.Errorf("ra: shared dictionary %s has no state yet", ca)
+		}
+		gen, prove = ss.gen, ss.snap.Prove
+	case *dictionary.Replica:
+		snap := src.Snapshot()
+		gen, prove = snap.Generation(), snap.Prove
 	}
 	st, err := prove(sn)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ra: prove %v against %s: %w", sn, ca, err)
 	}
-	st.Subject = sn
-	e := &cacheEntry{source: source, gen: gen, status: st, encoded: st.Encode()}
+	e := &cacheEntry{source: source, gen: gen, status: *st}
+	e.status.Subject = sn
+	e.encoded = e.status.Encode()
+	key := cacheKey{ca: ca, sn: string(sn.Raw())}
 	s.cache.put(key, e)
-	// A concurrent Remove may have purged this CA between our view load
-	// and the put, in which case the entry just stored aliases a removed
-	// dictionary: unservable (the source check in get fails) but pinning
-	// the dead dictionary's arrays until it is evicted. Re-check the
-	// current view and purge again if we raced; one of the two purges
-	// necessarily observes the entry.
-	cur := s.view.Load()
-	if curR, ok := cur.replicas[ca]; ok {
-		if cacheSource(curR) != source {
-			s.cache.purgeCA(ca)
-		}
-	} else if curD, ok := cur.shared[ca]; ok {
-		if cacheSource(curD) != source {
-			s.cache.purgeCA(ca)
-		}
-	} else {
-		s.cache.purgeCA(ca)
+	// A concurrent Remove, ReplaceReplica or snapshot swap may have
+	// released this CA's entries between our loads and the put, in which
+	// case the entry just stored is unservable (the source and generation
+	// checks in get fail) but pins the dead dictionary until it falls off
+	// its probation ring. Re-check and take it back out if we raced (any
+	// view change counts; they are rare): either the release or this
+	// check necessarily observes the entry.
+	if s.view.Load() != v || source.CurrentGeneration() != gen {
+		s.cache.drop(key, e)
 	}
-	return e.status, e.encoded, nil
+	return &e.status, e.encoded, nil
 }
 
 // CacheStats reports the status cache's hit/miss counters.
