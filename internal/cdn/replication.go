@@ -194,7 +194,7 @@ func (dp *DistributionPoint) ApplyReplicated(ca dictionary.CAID, payload []byte)
 func (dp *DistributionPoint) AdoptReplicatedState(ca dictionary.CAID, state []byte) error {
 	st, err := dictionary.DecodePersistentState(state)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrReplicationDiverged, err)
+		return fmt.Errorf("%w: %w", ErrReplicationDiverged, err)
 	}
 	dp.mu.RLock()
 	r, ok := dp.dicts[ca]

@@ -6,17 +6,17 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 
 	"ritm/internal/cryptoutil"
 	"ritm/internal/serial"
 )
 
-// Checkpoint format v2: an offset-indexed encoding of one dictionary's
-// committed state that is traversable WITHOUT deserialization. Where the
-// v1 encoding (PersistentState.Encode) persists the issuance log and makes
-// recovery replay it — O(n) hashing to rebuild the commitment structure —
-// v2 persists the structure itself in fixed-width, offset-computable
-// records, so that:
+// Checkpoint format v2, the only checkpoint format: an offset-indexed
+// encoding of one dictionary's committed state that is traversable WITHOUT
+// deserialization. It persists the commitment structure itself (not just
+// the issuance log, which would make recovery replay it — O(n) hashing) in
+// fixed-width, offset-computable records, so that:
 //
 //   - a restart materializes the heap tree by copying arrays instead of
 //     rehashing them (map-don't-replay), and
@@ -68,11 +68,12 @@ import (
 // CRC-valid but wrong can only produce proofs that FAIL client
 // verification — a self-advertising outage, never an accepted forgery.
 // The CA-side restore path keeps full replay verification (see
-// RestoreAuthority); v2 only changes what replicas and mapped readers do.
+// RestoreAuthority), as does a follower adopting a leader's snapshot; only
+// a replica's own restart and mapped readers trust the arrays this way.
 
-// stateV2Magic opens every v2 checkpoint payload. The first byte ('R')
-// is distinct from v1's leading version byte 0x01 and from a WAL record's
-// leading bool byte (0x00/0x01), so all three dispatch on one byte.
+// stateV2Magic opens every checkpoint payload. The first byte ('R') is
+// distinct from a WAL record's leading bool byte (0x00/0x01) and from the
+// retired v1 encoding's version byte 0x01.
 var stateV2Magic = []byte("RITMDV2\x00")
 
 // v2 section identifiers.
@@ -95,9 +96,10 @@ const (
 	v2HeaderLen     = 16 // magic + count + reserved
 )
 
-// ErrBadCheckpoint reports a v2 checkpoint that fails structural
-// validation (framing, CRC, ordering, or tiling invariants). Callers treat
-// it like any other corruption: refuse loudly, never degrade silently.
+// ErrBadCheckpoint reports a checkpoint payload that is not in format v2
+// or fails structural validation (framing, CRC, ordering, or tiling
+// invariants). Callers treat it like any other corruption: refuse loudly,
+// never degrade silently — and never read it as empty state.
 var ErrBadCheckpoint = errors.New("dictionary: malformed v2 checkpoint")
 
 // IsStateV2 reports whether buf begins with the v2 checkpoint magic.
@@ -105,31 +107,15 @@ func IsStateV2(buf []byte) bool {
 	return len(buf) >= len(stateV2Magic) && bytes.Equal(buf[:len(stateV2Magic)], stateV2Magic)
 }
 
-// levelSizesFor returns the node count of every level of a tree over n
-// leaves, level 0 first: n, ⌈n/2⌉, …, 1. Nil for n == 0. This is the shape
-// contract shared with buildLevels, which is what lets the mapped reader
-// derive every level offset from the leaf count alone.
-func levelSizesFor(n int) []int {
-	if n <= 0 {
-		return nil
-	}
-	sizes := make([]int, 1, 2+bitsLen(n))
-	sizes[0] = n
-	for n > 1 {
-		n = (n + 1) / 2
-		sizes = append(sizes, n)
-	}
-	return sizes
-}
-
 // totalLevelNodes returns the total node count over all levels of a tree
-// with n leaves (level 0 included).
+// with n leaves (level 0 included): n, ⌈n/2⌉, …, 1 — the shape contract
+// shared with buildLevels, which is what lets a mapped run derive every
+// level offset from the leaf count alone.
 func totalLevelNodes(n int) int {
-	total := 0
-	for _, s := range levelSizesFor(n) {
-		total += s
+	if n <= 0 {
+		return 0
 	}
-	return total
+	return n + upperOffset(n, bits.Len(uint(n-1))+1)
 }
 
 // interiorLevelBytes returns the encoded size of levels ≥ 1 of a tree with
@@ -242,7 +228,7 @@ func encodeStateV2(layout LayoutKind, view LayoutView, bounds []uint64, root *Si
 	le.PutUint32(header, uint32(layout))
 
 	switch v := view.(type) {
-	case sortedView:
+	case *sortedView:
 		le.PutUint64(header[8:], uint64(len(v.leaves)))
 		secs = []v2Section{
 			{v2SecHeader, header},
@@ -252,7 +238,7 @@ func encodeStateV2(layout LayoutKind, view LayoutView, bounds []uint64, root *Si
 			{v2SecRoot, encodeRootSection(v.Root(), freshness, root, seed)},
 		}
 
-	case forestView:
+	case *forestView:
 		count := 0
 		for _, b := range v.buckets {
 			count += len(b.tree.leaves)
@@ -294,14 +280,13 @@ func encodeStateV2(layout LayoutKind, view LayoutView, bounds []uint64, root *Si
 			{v2SecLevels, leafHashes},
 			{v2SecBucketDir, dir},
 			{v2SecBucketLevels, blob},
-			{v2SecSpine, encodeHashLevels(v.spine)},
+			{v2SecSpine, encodeHashLevels(v.spine.levels)},
 			{v2SecBatches, batches},
 			{v2SecRoot, encodeRootSection(v.Root(), freshness, root, seed)},
 		}
 
 	default:
-		// Unknown view implementation: fall back to an empty structure of
-		// the layout. Unreachable for the layouts this package defines.
+		// Unreachable for the layouts this package defines.
 		panic(fmt.Sprintf("dictionary: encodeStateV2 over unknown view %T", view))
 	}
 	return encodeV2Sections(secs)
@@ -309,8 +294,8 @@ func encodeStateV2(layout LayoutKind, view LayoutView, bounds []uint64, root *Si
 
 // PersistentStateV2 exports the replica's current committed state encoded
 // in checkpoint format v2. Like PersistentState it reads one published
-// snapshot, so log, root, and freshness are mutually consistent; unlike
-// v1 it persists the commitment structure itself, making the checkpoint
+// snapshot, so log, root, and freshness are mutually consistent; it
+// persists the commitment structure itself, making the checkpoint
 // mappable (MappedSnapshot) and the restart replay-free.
 func (r *Replica) PersistentStateV2() []byte {
 	snap := r.Snapshot()
@@ -328,8 +313,8 @@ func (a *Authority) PersistentStateV2() []byte {
 
 // MappedState is a validated, zero-copy view of one v2 checkpoint payload.
 // Every accessor is pointer arithmetic over the underlying buffer; nothing
-// is deserialized up front except the (small) signed-root section and the
-// per-level offset tables. The buffer typically aliases an mmap'd file —
+// is deserialized up front except the (small) signed-root section. The
+// buffer typically aliases an mmap'd file —
 // the caller owns its lifetime and must keep it valid for the life of the
 // MappedState and everything derived from it.
 type MappedState struct {
@@ -339,17 +324,11 @@ type MappedState struct {
 	leaves []byte // section 2: count × 32 B records
 	levels []byte // section 3: global hash array(s)
 
-	// Sorted layout: byte offset of each level inside levels.
-	levelOffs  []int
-	levelSizes []int
-
 	// Forest layout.
-	nb        int
-	dir       []byte // section 4
-	blob      []byte // section 5
-	spine     []byte // section 6
-	spineOffs []int
-	spineSize []int
+	nb    int
+	dir   []byte // section 4
+	blob  []byte // section 5
+	spine []byte // section 6
 
 	bounds []byte // section 7: nBatches × u64
 
@@ -392,169 +371,23 @@ func (st *MappedState) Batches() []uint64 {
 	return out
 }
 
-// leafRaw returns the serial bytes and revocation number of sorted leaf i
-// without copying or validating; the serial aliases the mapped buffer.
-func (st *MappedState) leafRaw(i int) ([]byte, uint64) {
-	rec := st.leaves[i*v2LeafRecSize : (i+1)*v2LeafRecSize]
-	return rec[12 : 12+rec[8]], binary.LittleEndian.Uint64(rec)
+// levelsRun returns the leafless run over a section that stores every
+// level of a tree with n level-0 nodes, level 0 first.
+func levelsRun(section []byte, n int) run {
+	return run{level0: section[:n*cryptoutil.HashSize], upper: section[n*cryptoutil.HashSize:]}
 }
 
-// leafAt materializes sorted leaf i as a Leaf (the serial is copied).
-func (st *MappedState) leafAt(i int) (Leaf, error) {
-	raw, num := st.leafRaw(i)
-	s, err := serial.New(raw)
-	if err != nil {
-		return Leaf{}, fmt.Errorf("%w: leaf %d: %v", ErrBadCheckpoint, i, err)
-	}
-	return Leaf{Serial: s, Num: num}, nil
+// sortedRun returns the whole dictionary as the sorted layout's one run.
+func (st *MappedState) sortedRun() run {
+	r := levelsRun(st.levels, st.count)
+	r.recs = st.leaves
+	return r
 }
 
-// hashAt reads the 20-byte hash at index idx of a hash region.
-func hashAt(region []byte, base, idx int) cryptoutil.Hash {
-	var h cryptoutil.Hash
-	copy(h[:], region[base+idx*cryptoutil.HashSize:])
-	return h
-}
-
-// compareRaw orders two canonical serial encodings the way serial.Number
-// does: by length, then lexicographically — numeric order for minimal
-// big-endian encodings.
-func compareRaw(a, b []byte) int {
-	if d := len(a) - len(b); d != 0 {
-		if d < 0 {
-			return -1
-		}
-		return 1
-	}
-	return bytes.Compare(a, b)
-}
-
-// searchLeaf returns the index of the first leaf with serial ≥ s over the
-// global sorted leaf array — binary search, two loads per probe.
-func (st *MappedState) searchLeaf(s serial.Number) int {
-	raw := s.Raw()
-	lo, hi := 0, st.count
-	for lo < hi {
-		mid := (lo + hi) / 2
-		leaf, _ := st.leafRaw(mid)
-		if compareRaw(leaf, raw) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// mlev is one hash level of a mapped structure: a region, a base offset,
-// and a node count. appendMappedPath walks a []mlev the way pathAt walks
-// heap levels, so mapped and heap proofs are byte-identical.
-type mlev struct {
-	region []byte
-	base   int
-	size   int
-}
-
-// appendMappedPath is appendHeapPath over a mapped level structure: the
-// pathOver walk writing into the arena's shared path array.
-func (a *proofArena) appendMappedPath(levels []mlev, idx int) []cryptoutil.Hash {
-	if len(levels) == 0 || idx < 0 || idx >= levels[0].size {
-		return nil
-	}
-	start := len(a.paths)
-	for lvl := 0; lvl < len(levels)-1; lvl++ {
-		sib := idx ^ 1
-		if sib < levels[lvl].size {
-			a.paths = append(a.paths, hashAt(levels[lvl].region, levels[lvl].base, sib))
-		}
-		idx /= 2
-	}
-	return a.paths[start:len(a.paths):len(a.paths)]
-}
-
-// fillMappedLeaf populates the arena's next inline ProofLeaf from mapped
-// leaf leafStart+idx. The serial is copied off the map (leafAt) — the
-// checkpoint may be unmapped while a cached Status still holds the proof.
-func (a *proofArena) fillMappedLeaf(st *MappedState, leafStart, idx int, levels []mlev) *ProofLeaf {
-	lf, err := st.leafAt(leafStart + idx)
-	if err != nil {
-		// OpenMappedState validated every leaf record; see mustLeaf.
-		panic(err)
-	}
-	pl := &a.leaves[a.nleaf]
-	a.nleaf++
-	pl.Serial = lf.Serial
-	pl.Num = lf.Num
-	pl.Index = uint64(idx)
-	pl.Path = a.appendMappedPath(levels, idx)
-	return pl
-}
-
-// proveRun is proveLocal over a mapped leaf run: the sorted layout's whole
-// leaf array (leafStart 0) or one forest bucket. lo is the caller's search
-// result (first index in the run with serial ≥ s). The spine path, when sp
-// is non-nil, comes from heapSpine (overlay-rebuilt) or mappedSpine
-// (pure-mapped), whichever is non-nil. levels is hoisted here so the
-// []mlev structure is built once per proof rather than once per leaf.
-func (st *MappedState) proveRun(s serial.Number, leafStart, count, lo int, levels []mlev, sp *SpineSegment, heapSpine [][]cryptoutil.Hash, mappedSpine []mlev, spineIdx int) *Proof {
-	kind := ProofAbsence
-	li, ri := -1, -1
-	equal := false
-	if lo < count {
-		raw, _ := st.leafRaw(leafStart + lo)
-		equal = compareRaw(raw, s.Raw()) == 0
-	}
-	switch {
-	case equal:
-		kind, li = ProofPresence, lo
-	case lo == 0:
-		ri = 0
-	case lo == count:
-		li = count - 1
-	default:
-		li, ri = lo-1, lo
-	}
-	perLeaf := len(levels) - 1
-	pathCap := 0
-	if li >= 0 {
-		pathCap += perLeaf
-	}
-	if ri >= 0 {
-		pathCap += perLeaf
-	}
-	if sp != nil {
-		if heapSpine != nil {
-			pathCap += len(heapSpine) - 1
-		} else if len(mappedSpine) > 0 {
-			pathCap += len(mappedSpine) - 1
-		}
-	}
-	a := newProofArena(kind, pathCap)
-	if li >= 0 {
-		a.proof.Left = a.fillMappedLeaf(st, leafStart, li, levels)
-	}
-	if ri >= 0 {
-		a.proof.Right = a.fillMappedLeaf(st, leafStart, ri, levels)
-	}
-	if sp != nil {
-		a.spine = *sp
-		if heapSpine != nil {
-			a.spine.Path = a.appendHeapPath(heapSpine, spineIdx)
-		} else {
-			a.spine.Path = a.appendMappedPath(mappedSpine, spineIdx)
-		}
-		a.proof.Spine = &a.spine
-	}
-	return &a.proof
-}
-
-// sortedLevels returns the mapped level structure of the sorted layout.
-func (st *MappedState) sortedLevels() []mlev {
-	out := make([]mlev, len(st.levelSizes))
-	for i := range out {
-		out[i] = mlev{region: st.levels, base: st.levelOffs[i], size: st.levelSizes[i]}
-	}
-	return out
+// allLeaves returns the global sorted leaf array of either layout as a run
+// whose levels stop at level 0.
+func (st *MappedState) allLeaves() run {
+	return run{recs: st.leaves, level0: st.levels[:st.count*cryptoutil.HashSize]}
 }
 
 // bucketRec returns the raw 96-byte directory record of bucket bi.
@@ -562,96 +395,74 @@ func (st *MappedState) bucketRec(bi int) []byte {
 	return st.dir[bi*v2BucketRecSize : (bi+1)*v2BucketRecSize]
 }
 
-// bucketMeta decodes the directory entry of bucket bi.
-type bucketMeta struct {
-	leafStart, leafCount int
-	levelsOff            int
-	lo, hi               []byte // canonical serial bytes; empty = unbounded
-	node                 cryptoutil.Hash
+// bucketLo returns bucket bi's lower bound (empty = unbounded), aliasing
+// the directory.
+func (st *MappedState) bucketLo(bi int) []byte {
+	rec := st.bucketRec(bi)
+	return rec[32 : 32+rec[24]]
 }
 
-func (st *MappedState) bucketMeta(bi int) bucketMeta {
+// bucket decodes directory entry bi into a mapped-backed bucket: level 0 is
+// the bucket's slice of the global leaf-hash array, the rest live in the
+// blob. The bounds are copied; the tree aliases the checkpoint.
+func (st *MappedState) bucket(bi int) forestBucket {
 	rec := st.bucketRec(bi)
 	le := binary.LittleEndian
-	var m bucketMeta
-	m.leafStart = int(le.Uint64(rec))
-	m.leafCount = int(le.Uint64(rec[8:]))
-	m.levelsOff = int(le.Uint64(rec[16:]))
-	m.lo = rec[32 : 32+rec[24]]
-	m.hi = rec[52 : 52+rec[25]]
-	copy(m.node[:], rec[72:])
-	return m
+	start, end := int(le.Uint64(rec)), int(le.Uint64(rec)+le.Uint64(rec[8:]))
+	b := forestBucket{
+		lo: mustNumber(st.bucketLo(bi)),
+		hi: mustNumber(rec[52 : 52+rec[25]]),
+		tree: run{
+			recs:   st.leaves[start*v2LeafRecSize : end*v2LeafRecSize],
+			level0: st.levels[start*cryptoutil.HashSize : end*cryptoutil.HashSize],
+			upper:  st.blob[le.Uint64(rec[16:]):],
+		},
+	}
+	copy(b.node[:], rec[72:])
+	return b
 }
 
-// bucketFor returns the bucket whose committed range contains s — the
-// mapped analog of forestView.bucketFor, a binary search over the
-// directory's lo bounds.
-func (st *MappedState) bucketFor(s serial.Number) int {
-	raw := s.Raw()
-	lo, hi := 0, st.nb
-	for lo < hi {
-		mid := (lo + hi) / 2
-		rec := st.bucketRec(mid)
-		bLo := rec[32 : 32+rec[24]]
-		// First bucket with a bounded lo strictly above s.
-		if len(bLo) != 0 && compareRaw(bLo, raw) > 0 {
-			hi = mid
-		} else {
-			lo = mid + 1
+// view returns the LayoutView proving straight off the checkpoint bytes.
+func (st *MappedState) view() LayoutView {
+	if st.layout.base() == LayoutForest {
+		return &forestView{dir: st, spine: levelsRun(st.spine, st.nb), root: st.treeRoot}
+	}
+	return &sortedView{st.sortedRun()}
+}
+
+// heapLayout returns a mutable layout holding the checkpoint's state, built
+// by copying arrays — ZERO rehashing. The sorted layout is copied whole (an
+// insert rewrites everything right of the insertion point, so there is no
+// smaller unit); a forest copies its spine and keeps every bucket
+// mapped-backed until an insert lands in it, so its heap cost is
+// O(#buckets), not O(n).
+func (st *MappedState) heapLayout() Layout {
+	if st.layout.base() != LayoutForest {
+		mapped := st.sortedRun()
+		r := mapped.heap()
+		l := &sortedLayout{leaves: r.leaves, levels: r.levels}
+		if len(r.levels) > 0 {
+			l.leafHashes = r.levels[0]
 		}
+		return l
 	}
-	return lo - 1
-}
-
-// bucketLevels returns the mapped level structure of bucket bi: level 0 is
-// its slice of the global leaf-hash array, the rest live in the blob.
-func (st *MappedState) bucketLevels(m bucketMeta) []mlev {
-	sizes := levelSizesFor(m.leafCount)
-	out := make([]mlev, len(sizes))
-	out[0] = mlev{region: st.levels, base: m.leafStart * cryptoutil.HashSize, size: sizes[0]}
-	off := m.levelsOff
-	for i := 1; i < len(sizes); i++ {
-		out[i] = mlev{region: st.blob, base: off, size: sizes[i]}
-		off += sizes[i] * cryptoutil.HashSize
+	f := newForestLayout(st.layout)
+	f.buckets = make([]*forestBucket, st.nb)
+	for bi := range f.buckets {
+		b := st.bucket(bi)
+		f.buckets[bi] = &b
 	}
-	return out
-}
-
-// bucketSearch returns the first bucket-local leaf index with serial ≥ s.
-func (st *MappedState) bucketSearch(m bucketMeta, s serial.Number) int {
-	raw := s.Raw()
-	lo, hi := 0, m.leafCount
-	for lo < hi {
-		mid := (lo + hi) / 2
-		leaf, _ := st.leafRaw(m.leafStart + mid)
-		if compareRaw(leaf, raw) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// spineLevels returns the mapped spine structure.
-func (st *MappedState) spineLevels() []mlev {
-	out := make([]mlev, len(st.spineSize))
-	for i := range out {
-		out[i] = mlev{region: st.spine, base: st.spineOffs[i], size: st.spineSize[i]}
-	}
-	return out
-}
-
-// spineNode returns spine level-0 node bi (== bucket bi's commitment).
-func (st *MappedState) spineNode(bi int) cryptoutil.Hash {
-	return hashAt(st.spine, 0, bi)
+	spine := levelsRun(st.spine, st.nb)
+	f.spine = spine.heap().levels
+	f.root = st.treeRoot
+	return f
 }
 
 // sectionTable maps section ids to payload slices after bounds and CRC
 // validation.
 func sectionTable(buf []byte) (map[uint32][]byte, error) {
 	if !IsStateV2(buf) {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadCheckpoint)
+		return nil, fmt.Errorf("%w: payload does not open with the format-v2 magic (v1 checkpoints are no longer read: wipe the store, or open it once with a build that still migrates them)", ErrBadCheckpoint)
 	}
 	le := binary.LittleEndian
 	if len(buf) < v2HeaderLen {
@@ -702,9 +513,10 @@ func OpenMappedState(buf []byte) (*MappedState, error) {
 		return nil, fmt.Errorf("%w: missing or misshapen header section", ErrBadCheckpoint)
 	}
 	st := &MappedState{layout: LayoutKind(le.Uint32(header))}
-	switch st.layout.base() {
-	case LayoutSorted, LayoutForest:
-	default:
+	// Only descriptors a writer can hold: an unknown kind, stray bits on a
+	// sorted descriptor and a forest capacity LayoutForestWithCap would have
+	// clamped or normalized all fail the comparison.
+	if st.layout != LayoutSorted && st.layout != LayoutForestWithCap(st.layout.ForestCap()) {
 		return nil, fmt.Errorf("%w: unknown layout %v", ErrBadCheckpoint, st.layout)
 	}
 	count := le.Uint64(header[8:])
@@ -747,17 +559,8 @@ func OpenMappedState(buf []byte) (*MappedState, error) {
 		if err := st.openForest(secs); err != nil {
 			return nil, err
 		}
-	} else {
-		st.levelSizes = levelSizesFor(st.count)
-		if len(st.levels) != totalLevelNodes(st.count)*cryptoutil.HashSize {
-			return nil, fmt.Errorf("%w: levels section holds %d bytes, want %d", ErrBadCheckpoint, len(st.levels), totalLevelNodes(st.count)*cryptoutil.HashSize)
-		}
-		st.levelOffs = make([]int, len(st.levelSizes))
-		off := 0
-		for i, s := range st.levelSizes {
-			st.levelOffs[i] = off
-			off += s * cryptoutil.HashSize
-		}
+	} else if len(st.levels) != totalLevelNodes(st.count)*cryptoutil.HashSize {
+		return nil, fmt.Errorf("%w: levels section holds %d bytes, want %d", ErrBadCheckpoint, len(st.levels), totalLevelNodes(st.count)*cryptoutil.HashSize)
 	}
 
 	st.bounds, ok = secs[v2SecBatches]
@@ -817,6 +620,7 @@ func (st *MappedState) openForest(secs map[uint32][]byte) error {
 		return fmt.Errorf("%w: %d leaves but no buckets", ErrBadCheckpoint, st.count)
 	}
 	cap := st.layout.ForestCap()
+	all := st.allLeaves()
 	leafStart, levelsOff := 0, 0
 	var prevHi []byte
 	for bi := 0; bi < st.nb; bi++ {
@@ -850,12 +654,10 @@ func (st *MappedState) openForest(secs map[uint32][]byte) error {
 		// Boundary containment: the bucket's first and last leaves must fall
 		// in [lo, hi). Interior leaves are sorted (validated globally), so
 		// the two checks cover the bucket.
-		first, _ := st.leafRaw(leafStart)
-		last, _ := st.leafRaw(leafStart + n - 1)
-		if loLen != 0 && compareRaw(lo, first) > 0 {
+		if loLen != 0 && compareRaw(all.serial(leafStart), lo) < 0 {
 			return fmt.Errorf("%w: bucket %d leaf below range", ErrBadCheckpoint, bi)
 		}
-		if hiLen != 0 && compareRaw(last, hi) >= 0 {
+		if hiLen != 0 && compareRaw(all.serial(leafStart+n-1), hi) >= 0 {
 			return fmt.Errorf("%w: bucket %d leaf at/above range", ErrBadCheckpoint, bi)
 		}
 		leafStart += n
@@ -864,19 +666,12 @@ func (st *MappedState) openForest(secs map[uint32][]byte) error {
 	if leafStart != st.count || levelsOff != len(st.blob) {
 		return fmt.Errorf("%w: buckets cover %d leaves / %d level bytes, want %d / %d", ErrBadCheckpoint, leafStart, levelsOff, st.count, len(st.blob))
 	}
-	st.spineSize = levelSizesFor(st.nb)
 	if len(st.spine) != totalLevelNodes(st.nb)*cryptoutil.HashSize {
 		return fmt.Errorf("%w: spine section holds %d bytes, want %d", ErrBadCheckpoint, len(st.spine), totalLevelNodes(st.nb)*cryptoutil.HashSize)
 	}
-	st.spineOffs = make([]int, len(st.spineSize))
-	off := 0
-	for i, s := range st.spineSize {
-		st.spineOffs[i] = off
-		off += s * cryptoutil.HashSize
-	}
 	// The spine's level 0 must be the bucket commitments.
 	for bi := 0; bi < st.nb; bi++ {
-		if !st.spineNode(bi).Equal(st.bucketMeta(bi).node) {
+		if !bytes.Equal(st.spine[bi*cryptoutil.HashSize:(bi+1)*cryptoutil.HashSize], st.bucketRec(bi)[72:72+cryptoutil.HashSize]) {
 			return fmt.Errorf("%w: spine[0][%d] does not match bucket node", ErrBadCheckpoint, bi)
 		}
 	}
@@ -925,10 +720,11 @@ func (st *MappedState) openRoot(secs map[uint32][]byte) error {
 	case st.count == 0:
 		computed = EmptyRoot
 	case st.layout.base() == LayoutForest:
-		top := hashAt(st.spine, st.spineOffs[len(st.spineOffs)-1], 0)
-		computed = cryptoutil.HashForestRoot(uint64(st.nb), top)
+		spine := levelsRun(st.spine, st.nb)
+		computed = cryptoutil.HashForestRoot(uint64(st.nb), spine.root())
 	default:
-		computed = hashAt(st.levels, st.levelOffs[len(st.levelOffs)-1], 0)
+		sorted := st.sortedRun()
+		computed = sorted.root()
 	}
 	if !computed.Equal(st.treeRoot) {
 		return fmt.Errorf("%w: recorded root does not match stored structure", ErrBadCheckpoint)
@@ -950,35 +746,13 @@ func (st *MappedState) openRoot(secs map[uint32][]byte) error {
 // the permutation check deferred by OpenMappedState.
 func (st *MappedState) materializeLog() ([]serial.Number, error) {
 	log := make([]serial.Number, st.count)
-	for i := 0; i < st.count; i++ {
-		lf, err := st.leafAt(i)
-		if err != nil {
-			return nil, err
-		}
-		slot := lf.Num - 1
-		if !log[slot].IsZero() {
+	all := st.allLeaves()
+	for i := range log {
+		lf := all.leaf(i)
+		if !log[lf.Num-1].IsZero() {
 			return nil, fmt.Errorf("%w: duplicate revocation number %d", ErrBadCheckpoint, lf.Num)
 		}
-		log[slot] = lf.Serial
+		log[lf.Num-1] = lf.Serial
 	}
 	return log, nil
-}
-
-// toPersistent materializes the v2 checkpoint into the v1 in-memory
-// PersistentState (log + batches + root), the form full-replay restores
-// consume. The CA-side recovery path uses it so its replay verification
-// is unchanged by the format bump.
-func (st *MappedState) toPersistent() (*PersistentState, error) {
-	log, err := st.materializeLog()
-	if err != nil {
-		return nil, err
-	}
-	return &PersistentState{
-		Layout:    st.layout,
-		Log:       log,
-		Batches:   st.Batches(),
-		Root:      st.root,
-		Freshness: st.freshness,
-		ChainSeed: st.seed,
-	}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"testing"
 
 	"ritm/internal/cryptoutil"
@@ -254,13 +255,13 @@ func TestPersistentStateV2RoundTrip(t *testing.T) {
 			batches := fixtureBatches(0x5EED, []int{90, 210, 40})
 			a, r, _ := mappedFixture(t, kind, batches, now)
 
-			// Replica state: decoding the v2 payload must reproduce the v1
-			// PersistentState byte for byte.
+			// Replica state: decoding the checkpoint must reproduce the
+			// in-memory PersistentState exactly.
 			st, err := DecodePersistentState(r.PersistentStateV2())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(st.Encode(), r.PersistentState().Encode()) {
+			if !reflect.DeepEqual(st, r.PersistentState()) {
 				t.Fatal("v2 round trip differs from PersistentState for replica")
 			}
 
@@ -269,7 +270,7 @@ func TestPersistentStateV2RoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(ast.Encode(), a.PersistentState().Encode()) {
+			if !reflect.DeepEqual(ast, a.PersistentState()) {
 				t.Fatal("v2 round trip differs from PersistentState for authority")
 			}
 			if ast.ChainSeed == nil {
@@ -282,93 +283,93 @@ func TestPersistentStateV2RoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(est.Encode(), empty.PersistentState().Encode()) {
+			if want := empty.PersistentState(); est.Layout != want.Layout || len(est.Log) != 0 || len(est.Batches) != 0 || est.Root != nil {
 				t.Fatal("v2 round trip differs for empty replica")
 			}
 		})
 	}
 }
 
-func TestRecoverReplicaLogMigratesV1(t *testing.T) {
+// v1ShapedPayload is what the retired wire-style checkpoint encoding looked
+// like for an empty sorted dictionary: version byte 0x01, layout u32, zero
+// log entries, zero batches, no root, a zero freshness value, no seed.
+var v1ShapedPayload = append([]byte{0x01, 0, 0, 0, 0, 0, 0, 0}, make([]byte, cryptoutil.HashSize+1)...)
+
+// TestRecoverReplicaLog: checkpoint + WAL suffix (updates and an adopted
+// freshness statement) recover to the heap reference without touching the
+// log; a log with no checkpoint yet recovers from its WAL alone; and a
+// checkpoint that is not format v2 is refused, never read as empty.
+func TestRecoverReplicaLog(t *testing.T) {
 	now := int64(1_700_000_000)
 	for _, kind := range layoutKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			batches := fixtureBatches(0x91, []int{100, 260, 55, 140})
 			a, full, msgs := mappedFixture(t, kind, batches, now)
 			heap := full.Snapshot()
-
-			part := NewReplicaWithLayout(a.CA(), a.PublicKey(), kind)
-			for _, msg := range msgs[:2] {
-				if err := part.Update(msg); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			backend := storage.NewMemory()
-			lg, err := backend.Open("d")
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Seed the log the way a pre-v2 store would have: a v1
-			// checkpoint plus WAL records for the remaining updates and an
-			// adopted freshness statement.
-			if err := lg.Checkpoint(part.PersistentState().Encode()); err != nil {
-				t.Fatal(err)
-			}
-			for _, msg := range msgs[2:] {
-				if err := lg.Append((&UpdateRecord{Msg: msg}).Encode()); err != nil {
-					t.Fatal(err)
-				}
-			}
 			later := now + int64(testDelta.Seconds())
 			stmt, err := a.Statement(later)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := lg.Append((&FreshnessRecord{Value: stmt.Value}).Encode()); err != nil {
-				t.Fatal(err)
+
+			for _, ckptAfter := range []int{0, 2} {
+				lg, err := storage.NewMemory().Open("d")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ckptAfter > 0 {
+					part := NewReplicaWithLayout(a.CA(), a.PublicKey(), kind)
+					for _, msg := range msgs[:ckptAfter] {
+						if err := part.Update(msg); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := lg.Checkpoint(part.PersistentStateV2()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, msg := range msgs[ckptAfter:] {
+					if err := lg.Append((&UpdateRecord{Msg: msg}).Encode()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := lg.Append((&FreshnessRecord{Value: stmt.Value}).Encode()); err != nil {
+					t.Fatal(err)
+				}
+				ckpt, wal, err := lg.Load()
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				r, err := RecoverReplicaLog(lg, a.CA(), a.PublicKey(), kind, later)
+				if err != nil {
+					t.Fatal(err)
+				}
+				snap := r.Snapshot()
+				if snap.Count() != heap.Count() || !snap.RootHash().Equal(heap.RootHash()) {
+					t.Fatalf("checkpoint after %d batches: recovered replica differs from heap reference", ckptAfter)
+				}
+				if !snap.Freshness().Equal(stmt.Value) {
+					t.Fatal("recovered replica dropped the WAL freshness record")
+				}
+				ckpt2, wal2, err := lg.Load()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(ckpt, ckpt2) || len(wal2) != len(wal) {
+					t.Fatal("recovery rewrote the log")
+				}
 			}
 
-			r, err := RecoverReplicaLog(lg, a.CA(), a.PublicKey(), kind, later)
+			lg, err := storage.NewMemory().Open("d")
 			if err != nil {
 				t.Fatal(err)
 			}
-			snap := r.Snapshot()
-			if snap.Count() != heap.Count() || !snap.RootHash().Equal(heap.RootHash()) {
-				t.Fatal("recovered replica differs from heap reference")
-			}
-			if !snap.Freshness().Equal(stmt.Value) {
-				t.Fatal("recovered replica dropped the WAL freshness record")
-			}
-
-			// The recovery must have rewritten the v1 checkpoint as v2 and
-			// truncated the WAL it covers.
-			ckpt, wal, err := lg.Load()
-			if err != nil {
+			if err := lg.Checkpoint(v1ShapedPayload); err != nil {
 				t.Fatal(err)
 			}
-			if !IsStateV2(ckpt) {
-				t.Fatal("v1 checkpoint was not rewritten as v2")
-			}
-			if len(wal) != 0 {
-				t.Fatalf("%d WAL records survived the migration checkpoint", len(wal))
-			}
-
-			// A second recovery takes the v2 fast path and lands on the
-			// same state; the checkpoint is not rewritten again.
-			r2, err := RecoverReplicaLog(lg, a.CA(), a.PublicKey(), kind, later)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !r2.Snapshot().RootHash().Equal(heap.RootHash()) {
-				t.Fatal("v2 recovery differs from heap reference")
-			}
-			ckpt2, _, err := lg.Load()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(ckpt, ckpt2) {
-				t.Fatal("v2 fast-path recovery rewrote the checkpoint")
+			if _, err := RecoverReplicaLog(lg, a.CA(), a.PublicKey(), kind, later); !errors.Is(err, ErrBadCheckpoint) {
+				t.Fatalf("v1-shaped checkpoint: err = %v, want ErrBadCheckpoint", err)
 			}
 		})
 	}
@@ -517,5 +518,30 @@ func TestFreshnessAdoptionToleratesLag(t *testing.T) {
 	}
 	if ms2.Freshness().Equal(bogus) {
 		t.Fatal("mapped reader adopted an off-chain freshness value")
+	}
+}
+
+// TestUpperOffsetMatchesLevelShape checks the closed form a mapped run
+// locates its levels with against the ceil-halving walk buildLevels does.
+func TestUpperOffsetMatchesLevelShape(t *testing.T) {
+	for n := 1; n <= 5000; n++ {
+		r := run{level0: make([]byte, n*cryptoutil.HashSize)}
+		off, lvl := 0, 1
+		for width := (n + 1) / 2; ; width, lvl = (width+1)/2, lvl+1 {
+			if n == 1 {
+				lvl = 0
+				break
+			}
+			if got := upperOffset(n, lvl); got != off {
+				t.Fatalf("upperOffset(%d, %d) = %d, want %d", n, lvl, got, off)
+			}
+			off += width
+			if width == 1 {
+				break
+			}
+		}
+		if r.depth() != lvl+1 || totalLevelNodes(n) != n+off {
+			t.Fatalf("n=%d: depth %d total %d, want %d and %d", n, r.depth(), totalLevelNodes(n), lvl+1, n+off)
+		}
 	}
 }

@@ -1,7 +1,10 @@
 package dictionary
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -211,26 +214,106 @@ func newLayout(kind LayoutKind) Layout {
 	}
 }
 
-// miniTree is the shared (sorted leaves, interior levels) proving core used
-// by the sorted layout for the whole dictionary and by the forest layout per
-// bucket. levels[0] is the leaf-hash array; levels[len-1][0] is the root.
-// A miniTree is immutable once built.
-type miniTree struct {
+// run is the one read-only accessor every proof is built through: a sorted
+// leaf run plus the hash levels over it. It is backed either by heap slices
+// (a layout's arrays; levels[0] is the leaf-hash array) or by the bytes of a
+// v2 checkpoint (32-byte leaf records, the level-0 hash array, and levels
+// ≥ 1 concatenated — see ckptv2.go), so the sorted layout is one run and a
+// forest is a bucket directory, a run per bucket and a leafless run for the
+// spine, whatever mix of heap and mapped storage holds them. Both forms have
+// the same shape — level l holds ⌈n/2ˡ⌉ nodes up to the single root, the
+// contract buildLevels and the checkpoint writer share — and answer with
+// the same bytes, which is what makes heap, mapped and overlay proofs
+// identical. A run is immutable once handed to a view.
+type run struct {
 	leaves []Leaf
 	levels [][]cryptoutil.Hash
+
+	recs   []byte // mapped leaf records; nil for a spine
+	level0 []byte // mapped level 0; non-nil selects the mapped form
+	upper  []byte // mapped levels ≥ 1, level 1 first
 }
 
-// root returns the tree root; callers guarantee at least one leaf.
-func (m miniTree) root() cryptoutil.Hash {
-	return m.levels[len(m.levels)-1][0]
+func (r *run) mapped() bool { return r.level0 != nil }
+
+// count returns the width of level 0: the number of leaves (of bucket
+// commitments, for a spine).
+func (r *run) count() int {
+	switch {
+	case r.mapped():
+		return len(r.level0) / cryptoutil.HashSize
+	case len(r.levels) == 0:
+		return 0
+	}
+	return len(r.levels[0])
 }
 
-// searchLeaf returns the index of the first leaf with Serial >= s.
-func (m miniTree) searchLeaf(s serial.Number) int {
-	lo, hi := 0, len(m.leaves)
+// depth returns the number of levels, root level included (0 when empty).
+func (r *run) depth() int {
+	if n := r.count(); r.mapped() && n > 0 {
+		return bits.Len(uint(n-1)) + 1
+	}
+	return len(r.levels)
+}
+
+// upperOffset returns how many nodes levels 1..lvl-1 of a tree over n ≥ 1
+// leaves hold, i.e. where level lvl ≥ 1 starts inside the concatenated
+// upper levels. Level j holds ⌈n/2ʲ⌉ = ((n-1)>>j)+1 nodes, and for any m,
+// Σ_{j≥1} m>>j = m − popcount(m); cutting that sum off after k = lvl−1
+// terms subtracts the same identity applied to m>>k.
+func upperOffset(n, lvl int) int {
+	m, k := uint(n-1), lvl-1
+	return k + int(m) - bits.OnesCount(m) - int(m>>k) + bits.OnesCount(m>>k)
+}
+
+// node returns node idx of level lvl. (The mapped arm is split off, and
+// serial below kept to slicing, so that both inline into the walker's
+// loops: the heap path pays for the accessor with a predictable branch.)
+func (r *run) node(lvl, idx int) cryptoutil.Hash {
+	if !r.mapped() {
+		return r.levels[lvl][idx]
+	}
+	return r.mappedNode(lvl, idx)
+}
+
+func (r *run) mappedNode(lvl, idx int) (h cryptoutil.Hash) {
+	if lvl == 0 {
+		copy(h[:], r.level0[idx*cryptoutil.HashSize:])
+	} else {
+		copy(h[:], r.upper[(upperOffset(r.count(), lvl)+idx)*cryptoutil.HashSize:])
+	}
+	return h
+}
+
+// root returns the run's root; callers guarantee at least one leaf.
+func (r *run) root() cryptoutil.Hash { return r.node(r.depth()-1, 0) }
+
+// serial returns leaf i's canonical serial bytes for comparison with
+// compareRaw, without copying: a mapped leaf's alias the checkpoint.
+func (r *run) serial(i int) []byte {
+	if !r.mapped() {
+		return r.leaves[i].Serial.Raw()
+	}
+	rec := r.recs[i*v2LeafRecSize : (i+1)*v2LeafRecSize]
+	return rec[12 : 12+rec[8]]
+}
+
+// leaf copies leaf i out. Nothing in the result aliases checkpoint bytes:
+// a mapping may be released while a cached Status still holds the proof.
+func (r *run) leaf(i int) Leaf {
+	if !r.mapped() {
+		return r.leaves[i]
+	}
+	return Leaf{Serial: mustNumber(r.serial(i)), Num: binary.LittleEndian.Uint64(r.recs[i*v2LeafRecSize:])}
+}
+
+// search returns the index of the first leaf with serial ≥ s.
+func (r *run) search(s serial.Number) int {
+	raw := s.Raw()
+	lo, hi := 0, r.count()
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if m.leaves[mid].Serial.Compare(s) < 0 {
+		if compareRaw(r.serial(mid), raw) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -239,47 +322,62 @@ func (m miniTree) searchLeaf(s serial.Number) int {
 	return lo
 }
 
-// revoked reports whether s is a leaf, by binary search.
-func (m miniTree) revoked(s serial.Number) (uint64, bool) {
-	lo := m.searchLeaf(s)
-	if lo < len(m.leaves) && m.leaves[lo].Serial.Equal(s) {
-		return m.leaves[lo].Num, true
+// revoked reports whether s is a leaf, and its revocation number.
+func (r *run) revoked(s serial.Number) (uint64, bool) {
+	if lo := r.search(s); lo < r.count() && bytes.Equal(r.serial(lo), s.Raw()) {
+		return r.leaf(lo).Num, true
 	}
 	return 0, false
 }
 
-// path returns the audit path for the leaf at index idx.
-func (m miniTree) path(idx int) []cryptoutil.Hash {
-	return pathAt(m.levels, idx)
-}
-
-// proofLeaf builds the ProofLeaf for index idx.
-func (m miniTree) proofLeaf(idx int) *ProofLeaf {
-	return &ProofLeaf{
-		Serial: m.leaves[idx].Serial,
-		Num:    m.leaves[idx].Num,
-		Index:  uint64(idx),
-		Path:   m.path(idx),
+// heap returns the run as heap slices: r itself when it already is, else a
+// copy of every leaf and node off the checkpoint — no hashing, and nothing
+// in the result aliases the checkpoint bytes.
+func (r *run) heap() run {
+	if !r.mapped() {
+		return *r
 	}
-}
-
-// pathAt returns the audit path for position idx of a level structure (the
-// same walk for dictionary leaves and for spine positions over buckets).
-func pathAt(levels [][]cryptoutil.Hash, idx int) []cryptoutil.Hash {
-	if len(levels) == 0 || idx < 0 || idx >= len(levels[0]) {
-		return nil
-	}
-	path := make([]cryptoutil.Hash, 0, len(levels))
-	for lvl := 0; lvl < len(levels)-1; lvl++ {
-		nodes := levels[lvl]
-		sib := idx ^ 1
-		if sib < len(nodes) {
-			path = append(path, nodes[sib])
+	out := run{levels: make([][]cryptoutil.Hash, r.depth())}
+	if r.recs != nil {
+		out.leaves = make([]Leaf, r.count())
+		for i := range out.leaves {
+			out.leaves[i] = r.leaf(i)
 		}
-		// Odd rightmost node has no sibling: promoted, no path element.
-		idx /= 2
 	}
-	return path
+	for lvl, width := 0, r.count(); lvl < len(out.levels); lvl, width = lvl+1, (width+1)/2 {
+		out.levels[lvl] = make([]cryptoutil.Hash, width)
+		for i := range out.levels[lvl] {
+			out.levels[lvl][i] = r.node(lvl, i)
+		}
+	}
+	return out
+}
+
+// compareRaw orders two canonical serial encodings the way serial.Number
+// does: by length, then lexicographically — numeric order for minimal
+// big-endian encodings.
+func compareRaw(a, b []byte) int {
+	if d := len(a) - len(b); d != 0 {
+		if d < 0 {
+			return -1
+		}
+		return 1
+	}
+	return bytes.Compare(a, b)
+}
+
+// mustNumber copies canonical serial bytes (empty = an unbounded bucket
+// bound) into a serial.Number. Heap serials were validated on insert and
+// OpenMappedState validated every mapped one, so failure is a bug.
+func mustNumber(raw []byte) serial.Number {
+	if len(raw) == 0 {
+		return serial.Number{}
+	}
+	s, err := serial.New(raw)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 // proofArena bundles a Proof with its leaf structs, spine segment, and a
@@ -296,57 +394,46 @@ type proofArena struct {
 	paths  []cryptoutil.Hash
 }
 
-func newProofArena(kind ProofKind, pathCap int) *proofArena {
-	a := &proofArena{}
-	a.proof.Kind = kind
-	if pathCap > 0 {
-		a.paths = make([]cryptoutil.Hash, 0, pathCap)
-	}
-	return a
-}
-
-// appendHeapPath appends the audit path for position idx of a heap level
-// structure (the pathAt walk) to the shared array and returns the capped
-// segment holding it.
-func (a *proofArena) appendHeapPath(levels [][]cryptoutil.Hash, idx int) []cryptoutil.Hash {
-	if len(levels) == 0 || idx < 0 || idx >= len(levels[0]) {
+// appendPath appends the audit path for position idx of r's level 0 — a
+// dictionary leaf, or a bucket's position in a spine — to the shared array
+// and returns the capped segment holding it.
+func (a *proofArena) appendPath(r *run, idx int) []cryptoutil.Hash {
+	width := r.count()
+	if idx < 0 || idx >= width {
 		return nil
 	}
 	start := len(a.paths)
-	for lvl := 0; lvl < len(levels)-1; lvl++ {
-		nodes := levels[lvl]
-		sib := idx ^ 1
-		if sib < len(nodes) {
-			a.paths = append(a.paths, nodes[sib])
+	for lvl := 0; width > 1; lvl, width = lvl+1, (width+1)/2 {
+		if sib := idx ^ 1; sib < width {
+			a.paths = append(a.paths, r.node(lvl, sib))
 		}
+		// Odd rightmost node has no sibling: promoted, no path element.
 		idx /= 2
 	}
 	return a.paths[start:len(a.paths):len(a.paths)]
 }
 
-// fillLeaf populates the arena's next inline ProofLeaf from tree index idx.
-func (a *proofArena) fillLeaf(m miniTree, idx int) *ProofLeaf {
+// fillLeaf populates the arena's next inline ProofLeaf from leaf idx of r.
+func (a *proofArena) fillLeaf(r *run, idx int) *ProofLeaf {
 	pl := &a.leaves[a.nleaf]
 	a.nleaf++
-	pl.Serial = m.leaves[idx].Serial
-	pl.Num = m.leaves[idx].Num
-	pl.Index = uint64(idx)
-	pl.Path = a.appendHeapPath(m.levels, idx)
+	lf := r.leaf(idx)
+	pl.Serial, pl.Num, pl.Index = lf.Serial, lf.Num, uint64(idx)
+	pl.Path = a.appendPath(r, idx)
 	return pl
 }
 
-// proveLocal runs the shared presence/absence switch over the tree's
-// leaves — the same boundary cases as the pre-arena Prove implementations
-// — building the whole proof in one arena. sp, when non-nil, is the spine
-// segment metadata (Path unset); spineLevels/spineIdx locate the bucket's
-// audit path. Callers guarantee at least one leaf.
-func (m miniTree) proveLocal(s serial.Number, sp *SpineSegment, spineLevels [][]cryptoutil.Hash, spineIdx int) *Proof {
-	n := len(m.leaves)
-	lo := m.searchLeaf(s)
+// prove runs the presence/absence switch for s over the leaves of r,
+// building the whole proof in one arena. sp, when non-nil, is the spine
+// segment metadata of the forest bucket r is (Path unset), and position
+// spineIdx of spine is that bucket. Callers guarantee at least one leaf.
+func prove(r *run, s serial.Number, sp *SpineSegment, spine *run, spineIdx int) *Proof {
+	n := r.count()
+	lo := r.search(s)
 	kind := ProofAbsence
 	li, ri := -1, -1
 	switch {
-	case lo < n && m.leaves[lo].Serial.Equal(s):
+	case lo < n && bytes.Equal(r.serial(lo), s.Raw()):
 		kind, li = ProofPresence, lo
 	case lo == 0:
 		// s precedes every leaf: the first leaf bounds it from above.
@@ -358,7 +445,7 @@ func (m miniTree) proveLocal(s serial.Number, sp *SpineSegment, spineLevels [][]
 		// s falls strictly between two adjacent leaves.
 		li, ri = lo-1, lo
 	}
-	perLeaf := len(m.levels) - 1
+	perLeaf := r.depth() - 1
 	pathCap := 0
 	if li >= 0 {
 		pathCap += perLeaf
@@ -366,19 +453,23 @@ func (m miniTree) proveLocal(s serial.Number, sp *SpineSegment, spineLevels [][]
 	if ri >= 0 {
 		pathCap += perLeaf
 	}
-	if sp != nil && len(spineLevels) > 0 {
-		pathCap += len(spineLevels) - 1
+	if sp != nil && spine.depth() > 0 {
+		pathCap += spine.depth() - 1
 	}
-	a := newProofArena(kind, pathCap)
+	a := &proofArena{}
+	a.proof.Kind = kind
+	if pathCap > 0 {
+		a.paths = make([]cryptoutil.Hash, 0, pathCap)
+	}
 	if li >= 0 {
-		a.proof.Left = a.fillLeaf(m, li)
+		a.proof.Left = a.fillLeaf(r, li)
 	}
 	if ri >= 0 {
-		a.proof.Right = a.fillLeaf(m, ri)
+		a.proof.Right = a.fillLeaf(r, ri)
 	}
 	if sp != nil {
 		a.spine = *sp
-		a.spine.Path = a.appendHeapPath(spineLevels, spineIdx)
+		a.spine.Path = a.appendPath(spine, spineIdx)
 		a.proof.Spine = &a.spine
 	}
 	return &a.proof

@@ -25,16 +25,18 @@ import (
 // contiguously (buckets[i].hi == buckets[i+1].lo), so every serial — present
 // or absent — belongs to exactly one bucket, which is what makes absence
 // proofs local to a single bucket. Buckets are immutable once built: inserts
-// replace the bucket, never mutate it.
+// replace the bucket, never mutate it. The tree of a bucket an overlay has
+// not touched is still backed by the checkpoint's bytes.
 type forestBucket struct {
 	lo, hi serial.Number // [lo, hi); zero = unbounded
-	tree   miniTree
+	tree   run
 	node   cryptoutil.Hash // HashBucket(lo, hi, count, tree root)
 	// private marks the bucket as scratch: built since the last
 	// view/checkpoint with backing arrays shared by no other bucket, so a
 	// later insert of the same private window may extend them in place.
 	// Buckets cut by chunkBuckets are never private (their leaf arrays are
-	// sub-slices of one shared run). expose clears the flag.
+	// sub-slices of one shared run), nor are mapped-backed ones (their bytes
+	// are read-only pages). expose clears the flag.
 	private bool
 }
 
@@ -132,13 +134,14 @@ func (f *forestLayout) insert(batch []Leaf) {
 				next = append(next, b)
 				continue
 			}
-			merged, mergedHashes, firstChanged, leafOps := mergeLeaves(b.tree.leaves, b.leafHashes(), sub)
+			old := b.tree.heap() // copies a mapped-backed bucket out
+			merged, mergedHashes, firstChanged, leafOps := mergeLeaves(old.leaves, old.levels[0], sub)
 			f.hashed += leafOps
 			if len(merged) <= f.cap {
 				if structFrom < 0 {
 					dirty = append(dirty, len(next))
 				}
-				nb := f.buildBucket(b.lo, b.hi, merged, mergedHashes, b.tree.levels, firstChanged)
+				nb := f.buildBucket(b.lo, b.hi, merged, mergedHashes, old.levels, firstChanged)
 				nb.private = true
 				next = append(next, nb)
 			} else {
@@ -159,7 +162,7 @@ func (f *forestLayout) insert(batch []Leaf) {
 func (f *forestLayout) buildBucket(lo, hi serial.Number, leaves []Leaf, hashes []cryptoutil.Hash, oldLevels [][]cryptoutil.Hash, firstChanged int) *forestBucket {
 	levels, ops := buildLevels(hashes, oldLevels, firstChanged)
 	f.hashed += ops
-	b := &forestBucket{lo: lo, hi: hi, tree: miniTree{leaves: leaves, levels: levels}}
+	b := &forestBucket{lo: lo, hi: hi, tree: run{leaves: leaves, levels: levels}}
 	b.node = cryptoutil.HashBucket(lo.Raw(), hi.Raw(), uint64(len(leaves)), b.tree.root())
 	f.hashed++
 	return b
@@ -288,7 +291,7 @@ func rebuildSpineDirtyInPlace(spine [][]cryptoutil.Hash, dirty []int, hashed *ui
 
 func (f *forestLayout) view() LayoutView {
 	f.expose()
-	return forestView{buckets: f.buckets, spine: f.spine, root: f.root}
+	return &forestView{buckets: f.buckets, spine: run{levels: f.spine}, root: f.root}
 }
 
 func (f *forestLayout) rootHash() cryptoutil.Hash {
@@ -347,15 +350,39 @@ func (f *forestLayout) restore(st layoutState) {
 	f.spineOwned = false
 }
 
-// forestView is one immutable version of the forest's proving state.
+// forestView is one immutable version of the forest's proving state: a
+// bucket directory, a run per bucket and the spine over the bucket
+// commitments. The directory is either a bucket list (heap layouts, and
+// overlays whose untouched buckets are still mapped-backed) or, for a
+// checkpoint served as is, the mapped directory section itself, which costs
+// no heap at all.
 type forestView struct {
 	buckets []*forestBucket
-	spine   [][]cryptoutil.Hash
+	dir     *MappedState // the directory when buckets is nil
+	spine   run
 	root    cryptoutil.Hash
 }
 
-func (v forestView) Root() cryptoutil.Hash {
-	if len(v.buckets) == 0 {
+func (v *forestView) numBuckets() int {
+	if v.dir != nil {
+		return v.dir.nb
+	}
+	return len(v.buckets)
+}
+
+// bucket returns bucket i, decoding a mapped directory entry into scratch
+// (the caller's stack). Bounds read off a mapped directory are copied: they
+// end up in proofs, which outlive the mapping.
+func (v *forestView) bucket(i int, scratch *forestBucket) *forestBucket {
+	if v.dir == nil {
+		return v.buckets[i]
+	}
+	*scratch = v.dir.bucket(i)
+	return scratch
+}
+
+func (v *forestView) Root() cryptoutil.Hash {
+	if v.numBuckets() == 0 {
 		return EmptyRoot
 	}
 	return v.root
@@ -363,17 +390,25 @@ func (v forestView) Root() cryptoutil.Hash {
 
 // bucketFor returns the index of the bucket whose range contains s; the
 // tiling invariant guarantees exactly one does.
-func (v forestView) bucketFor(s serial.Number) int {
-	return sort.Search(len(v.buckets), func(i int) bool {
-		return !v.buckets[i].lo.IsZero() && v.buckets[i].lo.Compare(s) > 0
+func (v *forestView) bucketFor(s serial.Number) int {
+	raw := s.Raw()
+	return sort.Search(v.numBuckets(), func(i int) bool {
+		var lo []byte
+		if v.dir != nil {
+			lo = v.dir.bucketLo(i)
+		} else {
+			lo = v.buckets[i].lo.Raw()
+		}
+		return len(lo) != 0 && compareRaw(lo, raw) > 0
 	}) - 1
 }
 
-func (v forestView) Revoked(s serial.Number) (uint64, bool) {
-	if len(v.buckets) == 0 {
+func (v *forestView) Revoked(s serial.Number) (uint64, bool) {
+	if v.numBuckets() == 0 {
 		return 0, false
 	}
-	return v.buckets[v.bucketFor(s)].tree.revoked(s)
+	var scratch forestBucket
+	return v.bucket(v.bucketFor(s), &scratch).tree.revoked(s)
 }
 
 // Prove produces a presence or absence proof local to the bucket whose
@@ -381,18 +416,19 @@ func (v forestView) Revoked(s serial.Number) (uint64, bool) {
 // Absence never crosses buckets: the committed range [lo, hi) proves that
 // no other bucket could hold s, so the in-bucket neighbors (or boundary
 // leaves) suffice.
-func (v forestView) Prove(s serial.Number) *Proof {
-	if len(v.buckets) == 0 {
+func (v *forestView) Prove(s serial.Number) *Proof {
+	if v.numBuckets() == 0 {
 		return &Proof{Kind: ProofAbsenceEmpty}
 	}
 	bi := v.bucketFor(s)
-	b := v.buckets[bi]
+	var scratch forestBucket
+	b := v.bucket(bi, &scratch)
 	sp := SpineSegment{
 		BucketIndex: uint64(bi),
-		NumBuckets:  uint64(len(v.buckets)),
-		LeafCount:   uint64(len(b.tree.leaves)),
+		NumBuckets:  uint64(v.numBuckets()),
+		LeafCount:   uint64(b.tree.count()),
 		Lo:          b.lo,
 		Hi:          b.hi,
 	}
-	return b.tree.proveLocal(s, &sp, v.spine, bi)
+	return prove(&b.tree, s, &sp, &v.spine, bi)
 }

@@ -51,7 +51,7 @@ func (l *sortedLayout) insert(batch []Leaf) {
 
 func (l *sortedLayout) view() LayoutView {
 	l.owned = false
-	return sortedView{miniTree{leaves: l.leaves, levels: l.levels}}
+	return &sortedView{run{leaves: l.leaves, levels: l.levels}}
 }
 
 func (l *sortedLayout) rootHash() cryptoutil.Hash {
@@ -101,27 +101,28 @@ func (l *sortedLayout) restore(st layoutState) {
 	l.owned = false
 }
 
-// sortedView is one immutable version of the sorted layout's proving state.
+// sortedView is one immutable version of the sorted layout's proving
+// state: the whole dictionary as one run, heap or mapped.
 type sortedView struct {
-	miniTree
+	run
 }
 
-func (v sortedView) Root() cryptoutil.Hash {
-	if len(v.leaves) == 0 {
+func (v *sortedView) Root() cryptoutil.Hash {
+	if v.count() == 0 {
 		return EmptyRoot
 	}
-	return v.miniTree.root()
+	return v.run.root()
 }
 
-func (v sortedView) Revoked(s serial.Number) (uint64, bool) {
+func (v *sortedView) Revoked(s serial.Number) (uint64, bool) {
 	return v.revoked(s)
 }
 
 // Prove produces a presence or absence proof for s. The proof verifies
 // against Root() and the leaf count.
-func (v sortedView) Prove(s serial.Number) *Proof {
-	if len(v.leaves) == 0 {
+func (v *sortedView) Prove(s serial.Number) *Proof {
+	if v.count() == 0 {
 		return &Proof{Kind: ProofAbsenceEmpty}
 	}
-	return v.miniTree.proveLocal(s, nil, nil, 0)
+	return prove(&v.run, s, nil, nil, 0)
 }

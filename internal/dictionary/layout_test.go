@@ -244,25 +244,16 @@ func TestForestProofTampering(t *testing.T) {
 	b2 := f.buckets[2]
 	victim := b2.tree.leaves[len(b2.tree.leaves)/2].Serial
 
+	// The genuine presence proof of bucket 1's last leaf carries exactly the
+	// right-boundary absence machinery of that bucket: its last leaf with
+	// its audit path, and the bucket's spine segment.
+	b1 := f.buckets[1]
+	boundary := tree.Prove(b1.tree.leaves[len(b1.tree.leaves)-1].Serial)
+
 	t.Run("absence from another bucket rejected by range", func(t *testing.T) {
-		// Genuine right-boundary absence machinery of bucket 1, replayed as
-		// an absence claim for the victim (which lives in bucket 2): the
-		// committed range check must catch it.
-		b1 := f.buckets[1]
-		view := tree.view().(forestView)
-		last := len(b1.tree.leaves) - 1
-		forged := &Proof{
-			Kind: ProofAbsence,
-			Left: b1.tree.proofLeaf(last),
-			Spine: &SpineSegment{
-				BucketIndex: 1,
-				NumBuckets:  uint64(len(f.buckets)),
-				LeafCount:   uint64(len(b1.tree.leaves)),
-				Lo:          b1.lo,
-				Hi:          b1.hi,
-				Path:        pathAt(view.spine, 1),
-			},
-		}
+		// Replayed as an absence claim for the victim (which lives in
+		// bucket 2): the committed range check must catch it.
+		forged := &Proof{Kind: ProofAbsence, Left: boundary.Left, Spine: boundary.Spine}
 		if _, err := forged.Verify(victim, root, n); !errors.Is(err, ErrBadProof) {
 			t.Errorf("cross-bucket absence accepted: err = %v", err)
 		}
@@ -272,20 +263,9 @@ func TestForestProofTampering(t *testing.T) {
 		// Same forgery but lying about the bucket's range so the range check
 		// passes: the bucket commitment hash then differs, so the spine walk
 		// cannot reach the signed root.
-		b1 := f.buckets[1]
-		view := tree.view().(forestView)
-		forged := &Proof{
-			Kind: ProofAbsence,
-			Left: b1.tree.proofLeaf(len(b1.tree.leaves) - 1),
-			Spine: &SpineSegment{
-				BucketIndex: 1,
-				NumBuckets:  uint64(len(f.buckets)),
-				LeafCount:   uint64(len(b1.tree.leaves)),
-				Lo:          b1.lo,
-				Hi:          serial.Number{}, // lie: pretend unbounded above
-				Path:        pathAt(view.spine, 1),
-			},
-		}
+		spine := *boundary.Spine
+		spine.Hi = serial.Number{} // lie: pretend unbounded above
+		forged := &Proof{Kind: ProofAbsence, Left: boundary.Left, Spine: &spine}
 		if _, err := forged.Verify(victim, root, n); !errors.Is(err, ErrBadProof) {
 			t.Errorf("range-widened absence accepted: err = %v", err)
 		}

@@ -3,409 +3,36 @@ package dictionary
 import (
 	"crypto/ed25519"
 	"fmt"
-	"sort"
 
 	"ritm/internal/cryptoutil"
 	"ritm/internal/serial"
 )
 
-// Mapped serving: LayoutView implementations that prove directly over a v2
-// checkpoint's bytes (typically an mmap'd file), plus MappedSnapshot — the
-// read side of the Snapshot contract for processes that share one
-// checkpoint directory instead of owning a heap replica.
-//
-// The mapped views produce proofs BYTE-IDENTICAL to their heap
-// counterparts: the binary searches, audit-path walks, and boundary cases
-// below mirror sortedView.Prove / forestView.Prove line for line, only
-// reading leaves and hashes out of the mapped arrays instead of Go slices.
-// The cross-layout property suite pins this equivalence.
+// Mapped serving: MappedSnapshot is the read side of the Snapshot contract
+// for processes that share one checkpoint directory instead of owning a heap
+// replica. It proves through the same views and the same walker as a heap
+// snapshot — only the runs behind them read leaves and hashes out of a v2
+// checkpoint's bytes (typically an mmap'd file) instead of Go slices — so
+// mapped proofs are BYTE-IDENTICAL to heap ones; the cross-layout property
+// suite pins the equivalence.
 //
 // WAL overlay. A checkpoint lags the WAL by up to CheckpointEvery records.
-// A MappedSnapshot therefore applies the WAL suffix as a small in-heap
-// delta on top of the mapped base:
+// A MappedSnapshot therefore applies the WAL suffix to a heap layout built
+// over the mapped base (MappedState.heapLayout):
 //
-//   - forest: only the buckets an overlaid batch touches are materialized
-//     onto the heap (≤ cap leaves each); untouched buckets keep serving
-//     from the map. The spine is rebuilt in heap over all bucket nodes —
-//     O(#buckets), and deterministic, so the recomputed root must equal
-//     each record's CA-signed root, which is verified loudly.
-//   - sorted: the whole structure is materialized first (a sorted-layout
-//     insert rewrites the arrays to the right of the insertion point, so
-//     there is no small delta to isolate — the documented O(n) overlay
-//     cost; deployments that co-locate RAs are expected to run the forest
+//   - forest: only the buckets an overlaid batch touches are copied onto
+//     the heap (≤ cap leaves each); untouched buckets keep serving from the
+//     map. The spine is copied to the heap — O(#buckets) — and maintained
+//     by the ordinary forest insert, so the recomputed root must equal each
+//     record's CA-signed root, which is verified loudly.
+//   - sorted: the whole structure is copied first (a sorted-layout insert
+//     rewrites the arrays to the right of the insertion point, so there is
+//     no small delta to isolate — the documented O(n) overlay cost;
+//     deployments that co-locate RAs are expected to run the forest
 //     layout).
 //
 // When the WAL suffix is empty — the steady state right after the writer's
 // checkpoint — the snapshot serves pure-mapped with zero dictionary heap.
-
-// mustLeaf materializes sorted leaf i; OpenMappedState validated every
-// leaf record, so failure here is impossible by construction.
-func (st *MappedState) mustLeaf(i int) Leaf {
-	lf, err := st.leafAt(i)
-	if err != nil {
-		panic(err)
-	}
-	return lf
-}
-
-// mustNumber converts validated canonical serial bytes (possibly empty =
-// unbounded bucket bound) into a serial.Number, copying.
-func mustNumber(raw []byte) serial.Number {
-	if len(raw) == 0 {
-		return serial.Number{}
-	}
-	s, err := serial.New(raw)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// mappedSortedView proves over the mapped sorted layout. It mirrors
-// sortedView.Prove exactly.
-type mappedSortedView struct {
-	st *MappedState
-}
-
-func (v mappedSortedView) Root() cryptoutil.Hash { return v.st.treeRoot }
-
-func (v mappedSortedView) Revoked(s serial.Number) (uint64, bool) {
-	lo := v.st.searchLeaf(s)
-	if lo < v.st.count {
-		if raw, num := v.st.leafRaw(lo); compareRaw(raw, s.Raw()) == 0 {
-			return num, true
-		}
-	}
-	return 0, false
-}
-
-func (v mappedSortedView) Prove(s serial.Number) *Proof {
-	st := v.st
-	if st.count == 0 {
-		return &Proof{Kind: ProofAbsenceEmpty}
-	}
-	return st.proveRun(s, 0, st.count, st.searchLeaf(s), st.sortedLevels(), nil, nil, nil, 0)
-}
-
-// mappedForestView proves over the mapped forest layout, mirroring
-// forestView.Prove.
-type mappedForestView struct {
-	st *MappedState
-}
-
-func (v mappedForestView) Root() cryptoutil.Hash { return v.st.treeRoot }
-
-func (v mappedForestView) Revoked(s serial.Number) (uint64, bool) {
-	st := v.st
-	if st.nb == 0 {
-		return 0, false
-	}
-	m := st.bucketMeta(st.bucketFor(s))
-	idx := st.bucketSearch(m, s)
-	if idx < m.leafCount {
-		if raw, num := st.leafRaw(m.leafStart + idx); compareRaw(raw, s.Raw()) == 0 {
-			return num, true
-		}
-	}
-	return 0, false
-}
-
-func (v mappedForestView) Prove(s serial.Number) *Proof {
-	st := v.st
-	if st.nb == 0 {
-		return &Proof{Kind: ProofAbsenceEmpty}
-	}
-	bi := st.bucketFor(s)
-	m := st.bucketMeta(bi)
-	sp := SpineSegment{
-		BucketIndex: uint64(bi),
-		NumBuckets:  uint64(st.nb),
-		LeafCount:   uint64(m.leafCount),
-		Lo:          mustNumber(m.lo),
-		Hi:          mustNumber(m.hi),
-	}
-	return st.proveRun(s, m.leafStart, m.leafCount, st.bucketSearch(m, s), st.bucketLevels(m), &sp, nil, st.spineLevels(), bi)
-}
-
-// mappedView returns the pure-mapped LayoutView for the checkpoint.
-func (st *MappedState) mappedView() LayoutView {
-	if st.layout.base() == LayoutForest {
-		return mappedForestView{st}
-	}
-	return mappedSortedView{st}
-}
-
-// overlay is the mutable in-heap delta a WAL suffix builds on top of a
-// mapped base. Implementations are single-threaded: a MappedSnapshot
-// constructs its overlay once and never mutates it again.
-type overlay interface {
-	insert(batch []Leaf)
-	rootHash() cryptoutil.Hash
-	layoutView() LayoutView
-	revoked(s serial.Number) bool
-}
-
-// ovSorted is the sorted layout's overlay: a full heap materialization of
-// the mapped base, then ordinary copy-on-write inserts.
-type ovSorted struct {
-	l *sortedLayout
-}
-
-func newOvSorted(st *MappedState) *ovSorted {
-	leaves := make([]Leaf, st.count)
-	for i := range leaves {
-		leaves[i] = st.mustLeaf(i)
-	}
-	levels := make([][]cryptoutil.Hash, len(st.levelSizes))
-	for li, size := range st.levelSizes {
-		lvl := make([]cryptoutil.Hash, size)
-		for i := 0; i < size; i++ {
-			lvl[i] = hashAt(st.levels, st.levelOffs[li], i)
-		}
-		levels[li] = lvl
-	}
-	l := &sortedLayout{leaves: leaves, levels: levels}
-	if len(levels) > 0 {
-		l.leafHashes = levels[0]
-	}
-	return &ovSorted{l: l}
-}
-
-func (o *ovSorted) insert(batch []Leaf)       { o.l.insert(batch) }
-func (o *ovSorted) rootHash() cryptoutil.Hash { return o.l.rootHash() }
-func (o *ovSorted) layoutView() LayoutView    { return o.l.view() }
-func (o *ovSorted) revoked(s serial.Number) bool {
-	_, ok := o.l.view().Revoked(s)
-	return ok
-}
-
-// ovBucket is one bucket of the forest overlay: either still mapped
-// (mi ≥ 0) or materialized on the heap because an overlaid batch touched
-// it. Metadata needed for routing and the spine is held inline either way.
-type ovBucket struct {
-	lo, hi serial.Number
-	count  int
-	node   cryptoutil.Hash
-	mi     int // mapped bucket-directory index; -1 when heap
-	heap   *forestBucket
-}
-
-// ovForest is the forest layout's overlay: the hybrid bucket list plus a
-// heap-rebuilt spine. Untouched buckets keep serving from the map, so the
-// heap cost is O(touched buckets · cap + #buckets), not O(n).
-type ovForest struct {
-	st          *MappedState
-	cap, target int
-	buckets     []ovBucket
-	spine       [][]cryptoutil.Hash
-	root        cryptoutil.Hash
-	stale       bool // spine/root out of date after insert
-}
-
-func newOvForest(st *MappedState) *ovForest {
-	cap := st.layout.ForestCap()
-	if cap == 0 {
-		cap = DefaultForestBucketCap
-	}
-	f := &ovForest{st: st, cap: cap, target: cap * 3 / 4, root: st.treeRoot}
-	f.buckets = make([]ovBucket, st.nb)
-	for bi := 0; bi < st.nb; bi++ {
-		m := st.bucketMeta(bi)
-		f.buckets[bi] = ovBucket{
-			lo:    mustNumber(m.lo),
-			hi:    mustNumber(m.hi),
-			count: m.leafCount,
-			node:  m.node,
-			mi:    bi,
-		}
-	}
-	if st.nb > 0 {
-		f.stale = true // spine not yet materialized; built on first ensure
-	}
-	return f
-}
-
-// materialize returns a bucket's leaves and leaf hashes, copying them out
-// of the map when the bucket has not been touched yet.
-func (f *ovForest) materialize(b ovBucket) ([]Leaf, []cryptoutil.Hash) {
-	if b.heap != nil {
-		return b.heap.tree.leaves, b.heap.leafHashes()
-	}
-	m := f.st.bucketMeta(b.mi)
-	leaves := make([]Leaf, m.leafCount)
-	hashes := make([]cryptoutil.Hash, m.leafCount)
-	for i := 0; i < m.leafCount; i++ {
-		leaves[i] = f.st.mustLeaf(m.leafStart + i)
-		hashes[i] = hashAt(f.st.levels, 0, m.leafStart+i)
-	}
-	return leaves, hashes
-}
-
-// heapOvBucket builds a heap bucket from merged leaves, exactly like
-// forestLayout.buildBucket (buildLevels is deterministic in the leaf
-// hashes, so reuse-free rebuilds produce identical nodes).
-func heapOvBucket(lo, hi serial.Number, leaves []Leaf, hashes []cryptoutil.Hash) ovBucket {
-	levels, _ := buildLevels(hashes, nil, 0)
-	fb := &forestBucket{lo: lo, hi: hi, tree: miniTree{leaves: leaves, levels: levels}}
-	fb.node = cryptoutil.HashBucket(lo.Raw(), hi.Raw(), uint64(len(leaves)), fb.tree.root())
-	return ovBucket{lo: lo, hi: hi, count: len(leaves), node: fb.node, mi: -1, heap: fb}
-}
-
-// appendChunks splits an oversized merged run exactly like
-// forestLayout.chunkBuckets, appending the resulting heap buckets to dst.
-func (f *ovForest) appendChunks(dst []ovBucket, lo, hi serial.Number, leaves []Leaf, hashes []cryptoutil.Hash) []ovBucket {
-	chunks := (len(leaves) + f.target - 1) / f.target
-	size := (len(leaves) + chunks - 1) / chunks
-	for start := 0; start < len(leaves); start += size {
-		end := min(start+size, len(leaves))
-		clo, chi := lo, hi
-		if start > 0 {
-			clo = leaves[start].Serial
-		}
-		if end < len(leaves) {
-			chi = leaves[end].Serial
-		}
-		dst = append(dst, heapOvBucket(clo, chi, leaves[start:end], hashes[start:end]))
-	}
-	return dst
-}
-
-// insert merges one sorted, numbered sub-batch — the same cursor walk,
-// merge, and split logic as forestLayout.insert, materializing only the
-// buckets the batch lands in.
-func (f *ovForest) insert(batch []Leaf) {
-	if len(batch) == 0 {
-		return
-	}
-	f.stale = true
-	if len(f.buckets) == 0 {
-		merged, mergedHashes, _, _ := mergeLeaves(nil, nil, batch)
-		f.buckets = f.appendChunks(nil, serial.Number{}, serial.Number{}, merged, mergedHashes)
-		return
-	}
-	next := make([]ovBucket, 0, len(f.buckets)+1)
-	j := 0
-	for _, b := range f.buckets {
-		start := j
-		for j < len(batch) && (b.hi.IsZero() || batch[j].Serial.Compare(b.hi) < 0) {
-			j++
-		}
-		if start == j {
-			next = append(next, b)
-			continue
-		}
-		oldLeaves, oldHashes := f.materialize(b)
-		merged, mergedHashes, _, _ := mergeLeaves(oldLeaves, oldHashes, batch[start:j])
-		if len(merged) <= f.cap {
-			next = append(next, heapOvBucket(b.lo, b.hi, merged, mergedHashes))
-		} else {
-			next = f.appendChunks(next, b.lo, b.hi, merged, mergedHashes)
-		}
-	}
-	f.buckets = next
-}
-
-// ensure rebuilds the spine and root after inserts. buildLevels over the
-// full bucket-node array is deterministic, so the result is identical to
-// the writer's incrementally maintained spine — which is what lets the
-// recomputed root be checked against each record's CA-signed root.
-func (f *ovForest) ensure() {
-	if !f.stale {
-		return
-	}
-	f.stale = false
-	if len(f.buckets) == 0 {
-		f.spine = nil
-		f.root = EmptyRoot
-		return
-	}
-	spine0 := make([]cryptoutil.Hash, len(f.buckets))
-	for i, b := range f.buckets {
-		spine0[i] = b.node
-	}
-	f.spine, _ = buildLevels(spine0, nil, 0)
-	f.root = cryptoutil.HashForestRoot(uint64(len(f.buckets)), f.spine[len(f.spine)-1][0])
-}
-
-func (f *ovForest) rootHash() cryptoutil.Hash {
-	f.ensure()
-	if len(f.buckets) == 0 {
-		return EmptyRoot
-	}
-	return f.root
-}
-
-func (f *ovForest) layoutView() LayoutView {
-	f.ensure()
-	return ovForestView{f}
-}
-
-func (f *ovForest) revoked(s serial.Number) bool {
-	_, ok := ovForestView{f}.Revoked(s)
-	return ok
-}
-
-// ovForestView is the frozen proving view of a forest overlay. The
-// overlay is never mutated after its MappedSnapshot is constructed, so
-// the view is safe for unsynchronized concurrent use like every other
-// LayoutView.
-type ovForestView struct {
-	f *ovForest
-}
-
-func (v ovForestView) Root() cryptoutil.Hash {
-	if len(v.f.buckets) == 0 {
-		return EmptyRoot
-	}
-	return v.f.root
-}
-
-func (v ovForestView) bucketFor(s serial.Number) int {
-	bs := v.f.buckets
-	return sort.Search(len(bs), func(i int) bool {
-		return !bs[i].lo.IsZero() && bs[i].lo.Compare(s) > 0
-	}) - 1
-}
-
-func (v ovForestView) Revoked(s serial.Number) (uint64, bool) {
-	if len(v.f.buckets) == 0 {
-		return 0, false
-	}
-	b := v.f.buckets[v.bucketFor(s)]
-	if b.heap != nil {
-		return b.heap.tree.revoked(s)
-	}
-	st := v.f.st
-	m := st.bucketMeta(b.mi)
-	idx := st.bucketSearch(m, s)
-	if idx < m.leafCount {
-		if raw, num := st.leafRaw(m.leafStart + idx); compareRaw(raw, s.Raw()) == 0 {
-			return num, true
-		}
-	}
-	return 0, false
-}
-
-func (v ovForestView) Prove(s serial.Number) *Proof {
-	if len(v.f.buckets) == 0 {
-		return &Proof{Kind: ProofAbsenceEmpty}
-	}
-	bi := v.bucketFor(s)
-	b := v.f.buckets[bi]
-	sp := SpineSegment{
-		BucketIndex: uint64(bi),
-		NumBuckets:  uint64(len(v.f.buckets)),
-		LeafCount:   uint64(b.count),
-		Lo:          b.lo,
-		Hi:          b.hi,
-	}
-	if b.heap == nil {
-		st := v.f.st
-		m := st.bucketMeta(b.mi)
-		return st.proveRun(s, m.leafStart, m.leafCount, st.bucketSearch(m, s), st.bucketLevels(m), &sp, v.f.spine, nil, bi)
-	}
-	return b.heap.tree.proveLocal(s, &sp, v.f.spine, bi)
-}
 
 // MappedSnapshot is one immutable version of a dictionary served from a
 // mapped v2 checkpoint plus an in-heap WAL-suffix overlay. It implements
@@ -439,11 +66,16 @@ type MappedSnapshot struct {
 
 // NewMappedSnapshot opens state (a v2 checkpoint payload, typically
 // mmap'd), overlays the WAL suffix, and returns the resulting serving
-// snapshot. pub is the trust anchor; layout must equal the persisted
+// snapshot. An empty state is a log whose writer has not checkpointed yet:
+// the base is then the empty dictionary of the configured layout, overlaid
+// like any other. pub is the trust anchor; layout must equal the persisted
 // descriptor. now is the Unix time used to evaluate freshness statements;
 // gen is the reader-assigned generation (readers bump it per re-map, which
 // preserves the strictly-increasing cache contract locally).
 func NewMappedSnapshot(ca CAID, pub ed25519.PublicKey, layout LayoutKind, state []byte, wal [][]byte, now int64, gen uint64) (*MappedSnapshot, error) {
+	if len(state) == 0 {
+		state = encodeStateV2(layout, newLayout(layout).view(), nil, nil, cryptoutil.Hash{}, nil)
+	}
 	st, err := OpenMappedState(state)
 	if err != nil {
 		return nil, err
@@ -477,7 +109,7 @@ func NewMappedSnapshot(ca CAID, pub ed25519.PublicKey, layout LayoutKind, state 
 		}
 	}
 
-	var ov overlay
+	var ov Layout // heap overlay over the mapped base; nil while nothing is overlaid
 	have := st.Count()
 	currentRoot := func() cryptoutil.Hash {
 		if ov != nil {
@@ -536,11 +168,7 @@ func NewMappedSnapshot(ca CAID, pub ed25519.PublicKey, layout LayoutKind, state 
 			}
 			serials := msg.Serials[uint64(len(msg.Serials))-missing:]
 			if ov == nil {
-				if layout.base() == LayoutForest {
-					ov = newOvForest(st)
-				} else {
-					ov = newOvSorted(st)
-				}
+				ov = st.heapLayout()
 			}
 			if err := overlayRecord(ov, serials, have, rec.Bounds); err != nil {
 				return nil, fmt.Errorf("dictionary: WAL record %d for %s: %w", i, ca, err)
@@ -562,9 +190,9 @@ func NewMappedSnapshot(ca CAID, pub ed25519.PublicKey, layout LayoutKind, state 
 		s.rootEnc = s.root.Encode()
 	}
 	if ov != nil {
-		s.view = ov.layoutView()
+		s.view = ov.view()
 	} else {
-		s.view = st.mappedView()
+		s.view = st.view()
 	}
 	return s, nil
 }
@@ -573,7 +201,7 @@ func NewMappedSnapshot(ca CAID, pub ed25519.PublicKey, layout LayoutKind, state 
 // overlay as the sub-batches delimited by bounds — mirroring
 // Replica.insertSubBatches, including the absolute-count bounds
 // semantics.
-func overlayRecord(ov overlay, serials []serial.Number, have uint64, bounds []uint64) error {
+func overlayRecord(ov Layout, serials []serial.Number, have uint64, bounds []uint64) error {
 	start := uint64(0)
 	end := have + uint64(len(serials))
 	for _, b := range bounds {
@@ -593,16 +221,17 @@ func overlayRecord(ov overlay, serials []serial.Number, have uint64, bounds []ui
 // overlay analog of Tree.InsertBatch. Duplicates are rejected loudly —
 // they would fail the signed-root check anyway, but a named error beats a
 // bare mismatch.
-func overlayBatch(ov overlay, serials []serial.Number, have uint64) error {
+func overlayBatch(ov Layout, serials []serial.Number, have uint64) error {
 	if len(serials) == 0 {
 		return nil
 	}
 	leaves := make([]Leaf, len(serials))
+	before := ov.view()
 	for i, s := range serials {
 		if s.IsZero() {
 			return fmt.Errorf("dictionary: insert of zero-value serial")
 		}
-		if ov.revoked(s) {
+		if _, dup := before.Revoked(s); dup {
 			return fmt.Errorf("%w: %v", ErrDuplicateSerial, s)
 		}
 		leaves[i] = Leaf{Serial: s, Num: have + 1 + uint64(i)}
@@ -690,64 +319,15 @@ func restoreReplicaV2(ca CAID, pub ed25519.PublicKey, st *MappedState, now int64
 	if err != nil {
 		return nil, fmt.Errorf("dictionary: restore %s: %w", ca, err)
 	}
-	bySerial := make(map[string]uint64, st.count)
-	leaves := make([]Leaf, st.count)
-	hashes := make([]cryptoutil.Hash, st.count)
-	for i := 0; i < st.count; i++ {
-		leaves[i] = st.mustLeaf(i)
-		hashes[i] = hashAt(st.levels, 0, i)
-		bySerial[string(leaves[i].Serial.Raw())] = leaves[i].Num
+	bySerial := make(map[string]uint64, len(log))
+	for i, s := range log {
+		bySerial[string(s.Raw())] = uint64(i) + 1
 	}
-
-	var commit Layout
-	if st.layout.base() == LayoutForest {
-		f := newForestLayout(st.layout)
-		f.buckets = make([]*forestBucket, st.nb)
-		for bi := 0; bi < st.nb; bi++ {
-			m := st.bucketMeta(bi)
-			sizes := levelSizesFor(m.leafCount)
-			levels := make([][]cryptoutil.Hash, len(sizes))
-			levels[0] = hashes[m.leafStart : m.leafStart+m.leafCount]
-			off := m.levelsOff
-			for li := 1; li < len(sizes); li++ {
-				lvl := make([]cryptoutil.Hash, sizes[li])
-				for k := range lvl {
-					lvl[k] = hashAt(st.blob, off, k)
-				}
-				off += sizes[li] * cryptoutil.HashSize
-				levels[li] = lvl
-			}
-			f.buckets[bi] = &forestBucket{
-				lo:   mustNumber(m.lo),
-				hi:   mustNumber(m.hi),
-				tree: miniTree{leaves: leaves[m.leafStart : m.leafStart+m.leafCount], levels: levels},
-				node: m.node,
-			}
+	commit := st.heapLayout()
+	if f, ok := commit.(*forestLayout); ok {
+		for _, b := range f.buckets {
+			b.tree = b.tree.heap()
 		}
-		f.spine = make([][]cryptoutil.Hash, len(st.spineSize))
-		for li, size := range st.spineSize {
-			lvl := make([]cryptoutil.Hash, size)
-			for k := range lvl {
-				lvl[k] = hashAt(st.spine, st.spineOffs[li], k)
-			}
-			f.spine[li] = lvl
-		}
-		f.root = st.treeRoot
-		commit = f
-	} else {
-		l := &sortedLayout{leaves: leaves, leafHashes: hashes}
-		l.levels = make([][]cryptoutil.Hash, len(st.levelSizes))
-		if len(l.levels) > 0 {
-			l.levels[0] = hashes
-		}
-		for li := 1; li < len(st.levelSizes); li++ {
-			lvl := make([]cryptoutil.Hash, st.levelSizes[li])
-			for k := range lvl {
-				lvl[k] = hashAt(st.levels, st.levelOffs[li], k)
-			}
-			l.levels[li] = lvl
-		}
-		commit = l
 	}
 
 	r.tree = &Tree{commit: commit, bySerial: bySerial, log: log, bounds: st.Batches()}

@@ -15,38 +15,32 @@ import (
 // (internal/storage) persists dictionaries through. Two artifact kinds
 // exist:
 //
-//   - PersistentState is a checkpoint: the full committed state of one
-//     dictionary side (issuance log, layout descriptor — capacity
-//     included — latest signed root, freshness, and, on the authority
-//     side, the freshness-chain seed).
+//   - a checkpoint: the full committed state of one dictionary side in the
+//     offset-indexed format v2 (ckptv2.go) — commitment structure, layout
+//     descriptor (capacity included), latest signed root, freshness, and,
+//     on the authority side, the freshness-chain seed. It is the only
+//     checkpoint format: a payload without its magic is refused with
+//     ErrBadCheckpoint at every entry point, never read as empty state.
 //   - UpdateRecord is a WAL entry: one signed ∆ update batch (the exact
 //     IssuanceMessage that crossed the dissemination network), plus the
 //     authority's chain seed when the record was written CA-side.
 //
-// Restoring NEVER trusts the stored bytes: a replica is rebuilt by
-// replaying the log through Replica.Update, which re-verifies the root
-// signature against the trust anchor and the rebuilt root against the
-// signed root — exactly the acceptance rule for a message fresh off the
-// network (Fig 2, update step 3). An authority restore additionally checks
-// that the persisted chain seed reproduces the signed anchor. Storage
-// corruption that survives the storage tier's checksums therefore
-// surfaces as a loud verification error here, never as an unverifiable
-// root being served.
+// PersistentState is the in-memory hand-off into the restores that do NOT
+// trust stored bytes (RestoreAuthority, and RestoreReplica for state
+// adopted from another origin): the log is replayed through Replica.Update,
+// which re-verifies the root signature against the trust anchor and the
+// rebuilt root against the signed root — exactly the acceptance rule for a
+// message fresh off the network (Fig 2, update step 3). An authority
+// restore additionally checks that the persisted chain seed reproduces the
+// signed anchor. Corruption that survives the storage tier's checksums
+// therefore surfaces as a loud verification error there, never as an
+// unverifiable root being served. (What a replica's own restart and a
+// mapped reader verify instead is the trust note in ckptv2.go.)
 
-// persistStateVersion versions the v1 PersistentState encoding. Two
-// checkpoint formats coexist: this wire-style v1 encoding (log + root;
-// restore replays) and the offset-indexed v2 format (see ckptv2.go;
-// restore materializes, readers may mmap). Writers emit v2; decoders
-// accept both — the v1 leading version byte 0x01 and the v2 magic's 'R'
-// disambiguate on the first byte. A v1 checkpoint is read once and
-// rewritten as v2 by RecoverReplicaLog; decoding is refused only on
-// corruption, never on version.
-const persistStateVersion = 1
-
-// PersistentState is the serializable committed state of one dictionary
-// side (checkpoint payload). The layout descriptor is persisted in full —
-// including the forest bucket capacity — so a restore can never silently
-// change proof shapes.
+// PersistentState is the committed state of one dictionary side as the
+// full-replay restores consume it. The layout descriptor is carried in
+// full — including the forest bucket capacity — so a restore can never
+// silently change proof shapes.
 type PersistentState struct {
 	// Layout is the commitment-structure descriptor the state was built
 	// with.
@@ -74,106 +68,26 @@ type PersistentState struct {
 	ChainSeed *cryptoutil.Hash
 }
 
-// Encode serializes the state.
-func (st *PersistentState) Encode() []byte {
-	e := wire.NewEncoder(256 + 8*len(st.Log))
-	e.Uint8(persistStateVersion)
-	e.Uint32(uint32(st.Layout))
-	e.Uvarint(uint64(len(st.Log)))
-	for _, s := range st.Log {
-		e.BytesField(s.Raw())
-	}
-	e.Uvarint(uint64(len(st.Batches)))
-	prev := uint64(0)
-	for _, b := range st.Batches {
-		e.Uvarint(b - prev) // ascending: delta-encoded
-		prev = b
-	}
-	if st.Root != nil {
-		e.Bool(true)
-		e.BytesField(st.Root.Encode())
-	} else {
-		e.Bool(false)
-	}
-	e.Raw(st.Freshness[:])
-	if st.ChainSeed != nil {
-		e.Bool(true)
-		e.Raw(st.ChainSeed[:])
-	} else {
-		e.Bool(false)
-	}
-	return e.Bytes()
-}
-
-// DecodePersistentState parses a checkpoint payload in either format:
-// the v1 encoding produced by Encode, or the offset-indexed v2 format —
-// materialized back into the in-memory PersistentState, so full-replay
-// restore paths (the authority's) are format-agnostic.
+// DecodePersistentState validates a checkpoint payload and materializes it
+// into the in-memory PersistentState — inverting the leaf records back into
+// the issuance log — for the full-replay restore paths.
 func DecodePersistentState(buf []byte) (*PersistentState, error) {
-	if IsStateV2(buf) {
-		st, err := OpenMappedState(buf)
-		if err != nil {
-			return nil, err
-		}
-		return st.toPersistent()
+	st, err := OpenMappedState(buf)
+	if err != nil {
+		return nil, err
 	}
-	d := wire.NewDecoder(buf)
-	if v := d.Uint8(); v != persistStateVersion {
-		if d.Err() != nil {
-			return nil, fmt.Errorf("decode persistent state: %w", d.Err())
-		}
-		return nil, fmt.Errorf("decode persistent state: unknown version %d", v)
+	log, err := st.materializeLog()
+	if err != nil {
+		return nil, err
 	}
-	var st PersistentState
-	st.Layout = LayoutKind(d.Uint32())
-	count := d.Uvarint()
-	if d.Err() != nil {
-		return nil, fmt.Errorf("decode persistent state: %w", d.Err())
-	}
-	const maxLog = 1 << 28 // sanity bound, far beyond any real dictionary
-	if count > maxLog {
-		return nil, fmt.Errorf("decode persistent state: log of %d entries exceeds limit", count)
-	}
-	st.Log = make([]serial.Number, 0, count)
-	for i := uint64(0); i < count; i++ {
-		s, err := serial.New(d.BytesField())
-		if err != nil {
-			return nil, fmt.Errorf("decode persistent state serial %d: %w", i, err)
-		}
-		st.Log = append(st.Log, s)
-	}
-	nBatches := d.Uvarint()
-	if d.Err() != nil {
-		return nil, fmt.Errorf("decode persistent state: %w", d.Err())
-	}
-	if nBatches > count {
-		return nil, fmt.Errorf("decode persistent state: %d batches for %d entries", nBatches, count)
-	}
-	prev := uint64(0)
-	for i := uint64(0); i < nBatches; i++ {
-		prev += d.Uvarint()
-		st.Batches = append(st.Batches, prev)
-	}
-	if d.Bool() {
-		root, err := DecodeSignedRoot(d.BytesField())
-		if err != nil {
-			return nil, fmt.Errorf("decode persistent state: %w", err)
-		}
-		st.Root = root
-	}
-	fresh, _ := cryptoutil.HashFromBytes(d.Raw(cryptoutil.HashSize))
-	st.Freshness = fresh
-	if d.Bool() {
-		seed, _ := cryptoutil.HashFromBytes(d.Raw(cryptoutil.HashSize))
-		st.ChainSeed = &seed
-	}
-	if d.Err() != nil {
-		return nil, fmt.Errorf("decode persistent state: %w", d.Err())
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("decode persistent state: %w", err)
-	}
-	return &st, nil
+	return &PersistentState{
+		Layout:    st.layout,
+		Log:       log,
+		Batches:   st.Batches(),
+		Root:      st.root,
+		Freshness: st.freshness,
+		ChainSeed: st.seed,
+	}, nil
 }
 
 // UpdateRecord is one WAL entry: a signed issuance batch, plus — on
@@ -241,7 +155,7 @@ func DecodeUpdateRecord(buf []byte) (*UpdateRecord, error) {
 
 // freshnessRecordTag is the first byte of a freshness WAL record. An
 // UpdateRecord's first byte is always a wire Bool (0x00 or 0x01) and a
-// v2 checkpoint opens with 'R', so the tag dispatches unambiguously.
+// checkpoint opens with 'R', so the tag dispatches unambiguously.
 const freshnessRecordTag = 0xF5
 
 // FreshnessRecord is a WAL entry recording a verified freshness-statement
@@ -279,7 +193,7 @@ func DecodeFreshnessRecord(buf []byte) (*FreshnessRecord, error) {
 }
 
 // PersistentState exports the replica's current committed state for a
-// checkpoint. It reads one published snapshot, so the log, root, and
+// full-replay restore. It reads one published snapshot, so the log, root, and
 // freshness are mutually consistent even under concurrent updates.
 func (r *Replica) PersistentState() *PersistentState {
 	snap := r.Snapshot()
@@ -383,16 +297,15 @@ func ApplyLogRecord(r *Replica, raw []byte, now int64) error {
 	return nil
 }
 
-// RecoverReplicaLog rebuilds a replica from an opened durable log. A v2
-// checkpoint takes the map-don't-replay path: the commitment structure is
+// RecoverReplicaLog rebuilds a replica from an opened durable log by the
+// map-don't-replay path: the checkpoint's commitment structure is
 // materialized straight off the encoded arrays with zero rehashing, after
 // the signed root's signature and its agreement with the stored structure
-// are verified (see the trust note in ckptv2.go). A v1 checkpoint is
-// restored the original way — full replay through RestoreReplica — and
-// then rewritten in place as v2, so the migration cost is paid exactly
-// once per store; decoding is refused only on corruption, never on
-// version. WAL records after the checkpoint are replayed via ReplayUpdate
-// (update records) or ApplyFreshness (freshness records, best-effort).
+// are verified (see the trust note in ckptv2.go). WAL records after the
+// checkpoint are replayed via ReplayUpdate (update records) or
+// ApplyFreshness (freshness records, best-effort). A log with no
+// checkpoint yet starts from the empty dictionary; a checkpoint in any
+// other format than v2 is refused with ErrBadCheckpoint.
 //
 // The persisted layout descriptor must equal layout: adopting either
 // silently would change proof shapes (or reject every future update)
@@ -406,8 +319,7 @@ func RecoverReplicaLog(lg storage.Log, ca CAID, pub ed25519.PublicKey, layout La
 		return nil, fmt.Errorf("dictionary: load durable log for %s: %w", ca, err)
 	}
 	replica := NewReplicaWithLayout(ca, pub, layout)
-	migrate := false
-	if IsStateV2(ckpt) {
+	if ckpt != nil {
 		st, err := OpenMappedState(ckpt)
 		if err != nil {
 			return nil, fmt.Errorf("dictionary: decode checkpoint for %s: %w", ca, err)
@@ -419,31 +331,10 @@ func RecoverReplicaLog(lg storage.Log, ca CAID, pub ed25519.PublicKey, layout La
 		if replica, err = restoreReplicaV2(ca, pub, st, now); err != nil {
 			return nil, err
 		}
-	} else if ckpt != nil {
-		st, err := DecodePersistentState(ckpt)
-		if err != nil {
-			return nil, fmt.Errorf("dictionary: decode checkpoint for %s: %w", ca, err)
-		}
-		if st.Layout != layout {
-			return nil, fmt.Errorf("dictionary: %s persisted with layout %v, configured for %v (the layout — bucket capacity included — is part of the committed state; wipe the data dir to change it)",
-				ca, st.Layout, layout)
-		}
-		if replica, err = RestoreReplica(ca, pub, st, now); err != nil {
-			return nil, err
-		}
-		migrate = true
 	}
 	for i, raw := range wal {
 		if err := ApplyLogRecord(replica, raw, now); err != nil {
 			return nil, fmt.Errorf("WAL record %d: %w", i, err)
-		}
-	}
-	if migrate {
-		// One-time v1 → v2 rewrite: the replayed state was just verified in
-		// full, so persisting it as v2 loses nothing — and every later
-		// restart (and mapped reader) gets the offset-indexed format.
-		if err := lg.Checkpoint(replica.PersistentStateV2()); err != nil {
-			return nil, fmt.Errorf("dictionary: rewrite v1 checkpoint for %s as v2: %w", ca, err)
 		}
 	}
 	return replica, nil
@@ -469,7 +360,7 @@ func (a *Authority) ChainSeed() cryptoutil.Hash {
 }
 
 // PersistentState exports the authority's committed state — log, signed
-// root, and chain seed — for a checkpoint.
+// root, and chain seed — for a full-replay restore.
 func (a *Authority) PersistentState() *PersistentState {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"ritm/internal/dictionary"
-	"ritm/internal/serial"
 	"ritm/internal/storage"
 )
 
@@ -24,30 +23,31 @@ import (
 // trusted the network: every signed root is re-verified on map, and
 // corruption can only cost availability, never forge a status.
 
-// servingSnapshot is the per-generation read contract the shared path
-// serves statuses from. Both dictionary.MappedSnapshot (v2 checkpoints,
-// zero-copy) and dictionary.Snapshot (the heap fallback for a writer
-// that has not rewritten its checkpoint as v2 yet) satisfy it.
-type servingSnapshot interface {
-	Prove(sn serial.Number) (*dictionary.Status, error)
-	Root() *dictionary.SignedRoot
-	Count() uint64
-}
-
-// sharedState is one published (snapshot, generation) pair. Publishing
-// them together keeps the status cache sound: a cached entry's
-// generation always labels the snapshot it was actually computed from.
+// sharedState is one published (snapshot, generation) pair together with
+// the checkpoint mapping the snapshot reads. Publishing them together keeps
+// the status cache sound: a cached entry's generation always labels the
+// snapshot it was actually computed from.
+//
+// The mapping lives exactly as long as something can still prove against
+// it: refs holds one reference for being the published state plus one per
+// acquire not yet released, and whoever drops the last one unmaps. A
+// serving goroutine descheduled across any number of re-maps therefore
+// keeps its pages (a count of retained generations, the previous rule, did
+// not: five re-maps later it faulted).
 type sharedState struct {
-	snap servingSnapshot
+	snap *dictionary.MappedSnapshot
 	gen  uint64
+	mc   *storage.MappedCheckpoint
+	refs atomic.Int64
 }
 
-// retainedMappings bounds how many superseded checkpoint mappings a
-// sharedDict keeps alive before closing the oldest. A mapping must
-// outlive every Prove that started against it; Proves are microseconds
-// and refreshes are seconds apart, so a four-generation grace is beyond
-// conservative.
-const retainedMappings = 4
+// release drops one reference, unmapping the checkpoint with the last.
+func (st *sharedState) release() error {
+	if st.refs.Add(-1) == 0 {
+		return st.mc.Close()
+	}
+	return nil
+}
 
 // sharedDict serves one CA's dictionary from another process's durable
 // log, read-only. It is the shared-mode analog of a replica: the store
@@ -61,14 +61,12 @@ type sharedDict struct {
 	name   string
 	now    func() time.Time
 
-	state atomic.Pointer[sharedState]
+	state atomic.Pointer[sharedState] // nil once closed
 
 	mu        sync.Mutex // serializes refresh and close
 	stamp     storage.Stamp
 	haveStamp bool
 	closed    bool
-	current   *storage.MappedCheckpoint   // mapping backing state's snapshot (nil for heap fallback)
-	retired   []*storage.MappedCheckpoint // superseded mappings, grace-period before close
 }
 
 // newSharedDict builds the reader for one CA and performs the initial
@@ -90,13 +88,26 @@ func (d *sharedDict) CurrentGeneration() uint64 {
 	return 0
 }
 
-// load returns the current (snapshot, generation), or nil before the
-// writer has published anything.
-func (d *sharedDict) load() *sharedState { return d.state.Load() }
+// acquire returns the current state with a reference held — the caller
+// must release it once done proving — or nil when the dictionary is closed.
+func (d *sharedDict) acquire() *sharedState {
+	for {
+		st := d.state.Load()
+		if st == nil {
+			return nil
+		}
+		// Zero references means st was superseded and fully released
+		// between the load and here; its successor is already published.
+		if n := st.refs.Load(); n > 0 && st.refs.CompareAndSwap(n, n+1) {
+			return st
+		}
+	}
+}
 
 // refresh re-maps the writer's durable state if its stamp moved,
 // publishing a new snapshot generation. It is cheap when nothing changed
-// (two stats on the file backend) and safe to call concurrently.
+// (two stats on the file backend) and safe to call concurrently. A writer
+// that has not checkpointed yet is served from its WAL alone.
 func (d *sharedDict) refresh() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -114,66 +125,36 @@ func (d *sharedDict) refresh() error {
 	if err != nil {
 		return fmt.Errorf("ra: map shared %s: %w", d.ca, err)
 	}
-	gen := d.CurrentGeneration() + 1
-	now := d.now().Unix()
-
-	var snap servingSnapshot
-	keepMapping := false
-	if mc.State != nil && dictionary.IsStateV2(mc.State) {
-		ms, err := dictionary.NewMappedSnapshot(d.ca, d.pub, d.layout, mc.State, mc.WAL, now, gen)
-		if err != nil {
-			mc.Close()
-			return fmt.Errorf("ra: open shared %s: %w", d.ca, err)
-		}
-		snap, keepMapping = ms, true
-	} else {
-		// v1 checkpoint (writer not restarted since the v2 upgrade), or no
-		// checkpoint at all yet: rebuild on the heap from a private copy.
-		// The copy lets the mapping close immediately — heap restore may
-		// retain decoded sub-slices — and costs one allocation on a path
-		// that disappears as soon as the writer checkpoints in v2.
-		state := append([]byte(nil), mc.State...)
-		wal := mc.WAL
+	next := &sharedState{gen: d.CurrentGeneration() + 1, mc: mc}
+	next.refs.Store(1)
+	next.snap, err = dictionary.NewMappedSnapshot(d.ca, d.pub, d.layout, mc.State, mc.WAL, d.now().Unix(), next.gen)
+	if err != nil {
 		mc.Close()
-		replica, err := dictionary.RecoverReplicaLog(readonlyLog{state: state, wal: wal}, d.ca, d.pub, d.layout, now)
-		if err != nil {
-			return fmt.Errorf("ra: open shared %s: %w", d.ca, err)
-		}
-		snap = replica.Snapshot()
+		return fmt.Errorf("ra: open shared %s: %w", d.ca, err)
 	}
-
-	if keepMapping {
-		if d.current != nil {
-			d.retired = append(d.retired, d.current)
-		}
-		d.current = mc
-		for len(d.retired) > retainedMappings {
-			d.retired[0].Close()
-			d.retired = d.retired[1:]
-		}
-	} else if d.current != nil {
-		d.retired = append(d.retired, d.current)
-		d.current = nil
+	if prev := d.state.Swap(next); prev != nil {
+		// A munmap failure on a superseded mapping leaks address space,
+		// nothing a refresh could act on.
+		_ = prev.release()
 	}
-	d.state.Store(&sharedState{snap: snap, gen: gen})
 	d.stamp, d.haveStamp = mc.Stamp, true
 	return nil
 }
 
-// mappedBytes reports the size of the currently mapped checkpoint (0 for
-// the heap fallback); benchmarks use it to attribute file-backed
+// mappedBytes reports the size of the currently mapped checkpoint (0 while
+// the writer has none); benchmarks use it to attribute file-backed
 // residency separately from heap.
 func (d *sharedDict) mappedBytes() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.current == nil {
-		return 0
+	if st := d.state.Load(); st != nil {
+		return len(st.mc.State)
 	}
-	return len(d.current.State)
+	return 0
 }
 
-// close releases every retained mapping. Proves in flight at close are
-// the caller's problem, as with Store.Close and the durable logs.
+// close unpublishes the state and drops its reference; the mapping goes
+// with it unless a Prove is still in flight, which then releases it.
 func (d *sharedDict) close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -181,34 +162,5 @@ func (d *sharedDict) close() error {
 		return nil
 	}
 	d.closed = true
-	var firstErr error
-	for _, mc := range d.retired {
-		if err := mc.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	d.retired = nil
-	if d.current != nil {
-		if err := d.current.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		d.current = nil
-	}
-	return firstErr
+	return d.state.Swap(nil).release()
 }
-
-// readonlyLog adapts an already-read (checkpoint, WAL) pair to the
-// storage.Log interface so RecoverReplicaLog can rebuild from it. The
-// mutating methods succeed as no-ops: recovery's v1→v2 checkpoint
-// rewrite is discarded — the files belong to the writer process, and the
-// reader's rebuilt state is equivalent either way.
-type readonlyLog struct {
-	state []byte
-	wal   [][]byte
-}
-
-func (l readonlyLog) Load() ([]byte, [][]byte, error) { return l.state, l.wal, nil }
-func (l readonlyLog) Append([]byte) error             { return nil }
-func (l readonlyLog) Checkpoint([]byte) error         { return nil }
-func (l readonlyLog) Close() error                    { return nil }
-func (l readonlyLog) Destroy() error                  { return nil }

@@ -2,11 +2,13 @@ package ra
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"ritm/internal/ca"
 	"ritm/internal/cert"
 	"ritm/internal/dictionary"
 	"ritm/internal/serial"
@@ -120,7 +122,7 @@ func TestSharedReaderTracksWriter(t *testing.T) {
 		t.Fatal("reader has no shared dictionary for CA1")
 	}
 	gen0 := d.CurrentGeneration()
-	if count := d.load().snap.Count(); count != 200 {
+	if count := d.state.Load().snap.Count(); count != 200 {
 		t.Fatalf("initial shared count = %d, want 200", count)
 	}
 
@@ -132,7 +134,7 @@ func TestSharedReaderTracksWriter(t *testing.T) {
 	if err := reader.SyncOnce(); err != nil {
 		t.Fatal(err)
 	}
-	if count := d.load().snap.Count(); count != 250 {
+	if count := d.state.Load().snap.Count(); count != 250 {
 		t.Fatalf("shared count after writer advance = %d, want 250", count)
 	}
 	gen1 := d.CurrentGeneration()
@@ -174,94 +176,161 @@ func TestSharedReaderTracksWriter(t *testing.T) {
 	}
 }
 
-// TestSharedReaderHeapFallbackFromV1: a writer that last checkpointed in
-// the v1 format (pre-upgrade binary) is still readable — the reader
-// rebuilds on the heap from a private copy instead of mapping — and the
-// reader upgrades to zero-copy serving as soon as the writer installs a
-// v2 checkpoint.
-func TestSharedReaderHeapFallbackFromV1(t *testing.T) {
-	env := newPersistEnv(t, dictionary.LayoutSorted, nil, 6, 20)
+// TestSharedReaderBeforeFirstCheckpoint: a reader attached before the
+// writer's first checkpoint serves the WAL-only state — the empty base of
+// the configured layout, overlaid — and flips to the mapping once the
+// writer installs one.
+func TestSharedReaderBeforeFirstCheckpoint(t *testing.T) {
+	for _, layout := range []dictionary.LayoutKind{dictionary.LayoutSorted, dictionary.LayoutForest} {
+		t.Run(layout.String(), func(t *testing.T) {
+			env := newPersistEnv(t, layout, nil, 6, 20)
+			backend := storage.NewFileBackend(t.TempDir(), false)
+			roots := []*cert.Certificate{env.ca.RootCertificate()}
+			writer, err := New(Config{Roots: roots, Origin: env.dp, Delta: 10 * time.Second,
+				Layout: layout, Storage: backend, CheckpointEvery: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer writer.Store().Close()
+			if err := writer.SyncOnce(); err != nil { // one WAL record, no checkpoint
+				t.Fatal(err)
+			}
+			reader, err := New(Config{Roots: roots, Delta: 10 * time.Second,
+				Layout: layout, Storage: backend, SharedData: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reader.Store().Close()
+
+			probes := append(serial.NewGenerator(0xD15C, nil).NextN(40), serial.NewGenerator(0xAB5E, nil).NextN(10)...)
+			agree := func(stage string) {
+				t.Helper()
+				for _, sn := range probes {
+					ws, err := writer.Status("CA1", sn)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rs, err := reader.Status("CA1", sn)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(ws.Encode(), rs.Encode()) {
+						t.Fatalf("%s: writer and reader statuses differ for %v", stage, sn)
+					}
+				}
+			}
+			agree("WAL only")
+			if got := reader.Store().MappedBytes(); got != 0 {
+				t.Errorf("reader reports %d mapped bytes before any checkpoint exists", got)
+			}
+
+			for i := 0; i < 2; i++ { // third WAL record: the writer checkpoints
+				env.revoke(t, 1, 20)
+				if err := writer.SyncOnce(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := reader.SyncOnce(); err != nil {
+				t.Fatal(err)
+			}
+			if got := reader.Store().MappedBytes(); got == 0 {
+				t.Error("reader did not flip to mapped serving after the writer's first checkpoint")
+			}
+			agree("mapped")
+		})
+	}
+}
+
+// TestV1CheckpointRefused: a payload in the retired v1 checkpoint encoding
+// is refused with ErrBadCheckpoint at every place checkpoint bytes enter —
+// it is never read as empty state, and nothing migrates it.
+func TestV1CheckpointRefused(t *testing.T) {
+	// The v1 encoding of an empty sorted dictionary: version byte 0x01,
+	// layout u32, no log entries, no batches, no root, a zero freshness
+	// value, no seed.
+	v1 := append([]byte{0x01, 0, 0, 0, 0, 0, 0, 0}, make([]byte, 21)...)
+	env := newPersistEnv(t, dictionary.LayoutSorted, nil, 1, 5)
+	roots := []*cert.Certificate{env.ca.RootCertificate()}
+	seeded := func(t *testing.T) storage.Backend {
+		backend := storage.NewMemory()
+		lg, err := backend.Open("CA1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lg.Checkpoint(v1); err != nil {
+			t.Fatal(err)
+		}
+		if err := lg.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return backend
+	}
+	for _, entry := range []struct {
+		name string
+		open func(t *testing.T) error
+	}{
+		{"RecoverReplicaLog", func(t *testing.T) error {
+			_, err := New(Config{Roots: roots, Origin: env.dp, Delta: 10 * time.Second, Storage: seeded(t)})
+			return err
+		}},
+		{"ca restore", func(t *testing.T) error {
+			_, err := ca.New(ca.Config{ID: "CA1", Delta: 10 * time.Second, Publisher: env.dp, Storage: seeded(t)})
+			return err
+		}},
+		{"AdoptReplicatedState", func(t *testing.T) error {
+			return env.dp.AdoptReplicatedState("CA1", v1)
+		}},
+		{"shared map", func(t *testing.T) error {
+			_, err := New(Config{Roots: roots, Delta: 10 * time.Second, Storage: seeded(t), SharedData: true})
+			return err
+		}},
+	} {
+		t.Run(entry.name, func(t *testing.T) {
+			if err := entry.open(t); !errors.Is(err, dictionary.ErrBadCheckpoint) {
+				t.Fatalf("err = %v, want ErrBadCheckpoint", err)
+			}
+		})
+	}
+}
+
+// TestSharedHeldStateSurvivesRemaps pins the mapping's lifetime to its
+// users, not to a count of re-maps: a state acquired before any number of
+// re-maps still proves afterwards (it used to fault in unmapped pages once
+// more than four generations behind).
+func TestSharedHeldStateSurvivesRemaps(t *testing.T) {
+	env := newPersistEnv(t, dictionary.LayoutForest, nil, 8, 25)
 	backend := storage.NewFileBackend(t.TempDir(), false)
+	writer, reader := newSharedPair(t, env, dictionary.LayoutForest, backend)
+	d, _ := reader.Store().sharedFor("CA1")
 
-	// Seed the directory the way an old writer would have: a v1
-	// checkpoint, no WAL suffix.
-	replica := dictionary.NewReplica("CA1", env.ca.PublicKey())
-	resp, err := env.dp.Pull("CA1", 0)
-	if err != nil {
+	held := d.acquire()
+	for i := 0; i < 10; i++ {
+		env.revoke(t, 1, 10)
+		if err := writer.SyncOnce(); err != nil {
+			t.Fatal(err)
+		}
+		if err := reader.SyncOnce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := d.CurrentGeneration(); got < held.gen+8 {
+		t.Fatalf("only %d re-maps happened, want ≥ 8", got-held.gen)
+	}
+	now := time.Now().Unix()
+	for _, sn := range append(serial.NewGenerator(0xD15C, nil).NextN(50), serial.NewGenerator(0xFA11, nil).NextN(20)...) {
+		st, err := held.snap.Prove(sn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Check(sn, env.ca.PublicKey(), now); err != nil {
+			t.Fatalf("status proved from the held state does not verify: %v", err)
+		}
+	}
+	if err := held.release(); err != nil {
 		t.Fatal(err)
 	}
-	if err := replica.UpdateWithBounds(resp.Issuance, resp.Bounds); err != nil {
-		t.Fatal(err)
-	}
-	lg, err := backend.Open("CA1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.Checkpoint(replica.PersistentState().Encode()); err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	reader, err := New(Config{
-		Roots:      []*cert.Certificate{env.ca.RootCertificate()},
-		Delta:      10 * time.Second,
-		Layout:     dictionary.LayoutSorted,
-		Storage:    backend,
-		SharedData: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reader.Store().Close()
-
-	sn := serial.NewGenerator(0xD15C, nil).Next()
-	st, err := reader.Status("CA1", sn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, err := st.Check(sn, env.ca.PublicKey(), time.Now().Unix()); err != nil || res != dictionary.CheckRevoked {
-		t.Fatalf("v1-fallback status: res=%v err=%v, want revoked", res, err)
-	}
-	if got := reader.Store().MappedBytes(); got != 0 {
-		t.Errorf("v1 fallback reports %d mapped bytes, want 0 (heap rebuild)", got)
-	}
-
-	// A (new-binary) writer opens the same directory — recovery rewrites
-	// the checkpoint as v2 — and the reader flips to mapped serving.
-	writer, err := New(Config{
-		Roots:           []*cert.Certificate{env.ca.RootCertificate()},
-		Origin:          env.dp,
-		Delta:           10 * time.Second,
-		Layout:          dictionary.LayoutSorted,
-		Storage:         backend,
-		CheckpointEvery: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer writer.Store().Close()
-	env.revoke(t, 1, 20)
-	if err := writer.SyncOnce(); err != nil {
-		t.Fatal(err)
-	}
-	if err := reader.SyncOnce(); err != nil {
-		t.Fatal(err)
-	}
-	if got := reader.Store().MappedBytes(); got == 0 {
-		t.Error("reader did not upgrade to mapped serving after the writer's v2 checkpoint")
-	}
-	ws, err := writer.Status("CA1", sn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := reader.Status("CA1", sn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ws.Encode(), rs.Encode()) {
-		t.Error("post-upgrade statuses diverge between writer and reader")
+	if held.mc.State != nil {
+		t.Error("the last release did not unmap the superseded checkpoint")
 	}
 }
 

@@ -609,11 +609,12 @@ func (s *Store) CAKey(ca dictionary.CAID) (ed25519.PublicKey, bool) {
 // constructs a fresh proof. The data path uses Status instead.
 func (s *Store) Prove(ca dictionary.CAID, sn serial.Number) (*dictionary.Status, error) {
 	if d, ok := s.sharedFor(ca); ok {
-		ss := d.load()
+		ss := d.acquire()
 		if ss == nil {
-			return nil, fmt.Errorf("ra: shared dictionary %s has no state yet", ca)
+			return nil, fmt.Errorf("ra: shared dictionary %s is closed", ca)
 		}
 		st, err := ss.snap.Prove(sn)
+		_ = ss.release() // see sharedDict.refresh
 		if err != nil {
 			return nil, fmt.Errorf("ra: prove %v against %s: %w", sn, ca, err)
 		}
@@ -651,26 +652,28 @@ func (s *Store) Status(ca dictionary.CAID, sn serial.Number) (*dictionary.Status
 	if e, ok := s.cache.get(cacheKey{ca: ca, sn: string(sn.Raw())}, source, source.CurrentGeneration()); ok {
 		return &e.status, e.encoded, nil
 	}
-	// Take the snapshot to prove from only now: the lookup can wait on a
-	// shard lock, and a shared snapshot's mapping is retired a few re-maps
-	// after it is superseded. gen and snapshot are published together, so
-	// the entry's generation labels the snapshot it was computed from.
+	// gen and snapshot are published together, so the entry's generation
+	// labels the snapshot it was computed from; a shared snapshot's mapping
+	// is held for the duration of the Prove.
 	var (
-		gen   uint64
-		prove func(serial.Number) (*dictionary.Status, error)
+		gen uint64
+		st  *dictionary.Status
+		err error
 	)
 	switch src := source.(type) {
 	case *sharedDict:
-		ss := src.load()
+		ss := src.acquire()
 		if ss == nil {
-			return nil, nil, fmt.Errorf("ra: shared dictionary %s has no state yet", ca)
+			return nil, nil, fmt.Errorf("ra: shared dictionary %s is closed", ca)
 		}
-		gen, prove = ss.gen, ss.snap.Prove
+		gen = ss.gen
+		st, err = ss.snap.Prove(sn)
+		_ = ss.release() // see sharedDict.refresh
 	case *dictionary.Replica:
 		snap := src.Snapshot()
-		gen, prove = snap.Generation(), snap.Prove
+		gen = snap.Generation()
+		st, err = snap.Prove(sn)
 	}
-	st, err := prove(sn)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ra: prove %v against %s: %w", sn, ca, err)
 	}
@@ -717,7 +720,7 @@ func (s *Store) SnapshotSwaps() uint64 {
 // checking (§III "Consistency Checking").
 func (s *Store) LatestRoot(ca dictionary.CAID) (*dictionary.SignedRoot, error) {
 	if d, ok := s.sharedFor(ca); ok {
-		if ss := d.load(); ss != nil && ss.snap.Root() != nil {
+		if ss := d.state.Load(); ss != nil && ss.snap.Root() != nil {
 			return ss.snap.Root(), nil
 		}
 		return nil, fmt.Errorf("ra: shared dictionary %s has no signed root yet", ca)

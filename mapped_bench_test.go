@@ -9,8 +9,9 @@
 //  2. BenchmarkSharedStoreRSS — every co-located reader RA beyond the
 //     first costs O(1) heap: its dictionary is the writer's checkpoint
 //     mapping, not a private deserialized copy.
-//  3. BenchmarkRestartFirstStatus — restart-to-first-Status via the v2
-//     map-don't-replay path versus full v1 checkpoint replay.
+//  3. BenchmarkRestartFirstStatus — restart-to-first-Status via the
+//     checkpoint's map-don't-replay path versus a full replay of the
+//     issuance log.
 package ritm_test
 
 import (
@@ -29,12 +30,12 @@ import (
 )
 
 // mappedEnv is an authority + caught-up replica of n revocations with
-// both checkpoint encodings captured, shared across sub-benchmarks.
+// its checkpoint captured, shared across sub-benchmarks.
 type mappedEnv struct {
 	signer  *cryptoutil.Signer
 	layout  dictionary.LayoutKind
 	replica *dictionary.Replica
-	v1, v2  []byte
+	v2      []byte
 	revoked []serial.Number // sample of revoked serials
 	absent  []serial.Number
 }
@@ -74,7 +75,6 @@ func newMappedEnv(tb testing.TB, layout dictionary.LayoutKind, n int) *mappedEnv
 		}
 	}
 	env.absent = gen.NextN(256)
-	env.v1 = r.PersistentState().Encode()
 	env.v2 = r.PersistentStateV2()
 	return env
 }
@@ -234,22 +234,31 @@ func BenchmarkSharedStoreRSS(b *testing.B) {
 	}
 }
 
-// BenchmarkRestartFirstStatus: time from opening a durable log to the
-// first served status, for the v1 checkpoint (full replay: decode +
-// re-hash the whole commitment structure) versus v2 (map-don't-replay:
-// materialize off the offset-indexed bytes, zero re-hashing), across the
-// benchmark sizes the paper's tables use plus 1M.
+// BenchmarkRestartFirstStatus: time to the first served status from the
+// replica's in-memory log (full replay: re-hash the whole commitment
+// structure, as every restart did before checkpoints persisted it) versus
+// from a durable log's checkpoint (map-don't-replay: materialize off the
+// offset-indexed bytes, zero re-hashing), across the benchmark sizes the
+// paper's tables use plus 1M.
 func BenchmarkRestartFirstStatus(b *testing.B) {
 	layout := dictionary.LayoutForest
 	for _, n := range []int{65536, workload.LargestCRLEntries, 1_000_000} {
 		env := newMappedEnv(b, layout, n)
+		pub := env.signer.Public()
+		now := time.Now().Unix()
+		state := env.replica.PersistentState()
 		for _, mode := range []struct {
-			name string
-			ckpt []byte
-		}{{"replay-v1", env.v1}, {"map-v2", env.v2}} {
+			name    string
+			restore func(lg storage.Log) (*dictionary.Replica, error)
+		}{
+			{"replay", func(storage.Log) (*dictionary.Replica, error) {
+				return dictionary.RestoreReplica("BenchCA", pub, state, now)
+			}},
+			{"map-v2", func(lg storage.Log) (*dictionary.Replica, error) {
+				return dictionary.RecoverReplicaLog(lg, "BenchCA", pub, layout, now)
+			}},
+		} {
 			b.Run(fmt.Sprintf("layout=%s/n=%d/%s", layout, n, mode.name), func(b *testing.B) {
-				pub := env.signer.Public()
-				now := time.Now().Unix()
 				probe := env.revoked[0]
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -259,11 +268,11 @@ func BenchmarkRestartFirstStatus(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if err := lg.Checkpoint(mode.ckpt); err != nil {
+					if err := lg.Checkpoint(env.v2); err != nil {
 						b.Fatal(err)
 					}
 					b.StartTimer()
-					r, err := dictionary.RecoverReplicaLog(lg, "BenchCA", pub, layout, now)
+					r, err := mode.restore(lg)
 					if err != nil {
 						b.Fatal(err)
 					}
