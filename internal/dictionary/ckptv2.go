@@ -20,8 +20,8 @@ import (
 //
 //   - a restart materializes the heap tree by copying arrays instead of
 //     rehashing them (map-don't-replay), and
-//   - a mapped view (MappedSnapshot) serves Prove/Status straight off the
-//     encoded bytes: a leaf lookup, an inclusion/absence path, and a
+//   - a co-located reader (OpenMappedReplica) serves Prove/Status straight
+//     off the encoded bytes: a leaf lookup, an inclusion/absence path, and a
 //     bucket-range probe are each O(log n) pointer arithmetic over []byte,
 //     with zero per-process heap for the dictionary.
 //
@@ -296,7 +296,7 @@ func encodeStateV2(layout LayoutKind, view LayoutView, bounds []uint64, root *Si
 // in checkpoint format v2. Like PersistentState it reads one published
 // snapshot, so log, root, and freshness are mutually consistent; it
 // persists the commitment structure itself, making the checkpoint
-// mappable (MappedSnapshot) and the restart replay-free.
+// mappable (OpenMappedReplica) and the restart replay-free.
 func (r *Replica) PersistentStateV2() []byte {
 	snap := r.Snapshot()
 	return encodeStateV2(r.layoutKind, snap.view, snap.bounds, snap.root, snap.freshness, nil)
@@ -430,32 +430,37 @@ func (st *MappedState) view() LayoutView {
 	return &sortedView{st.sortedRun()}
 }
 
-// heapLayout returns a mutable layout holding the checkpoint's state, built
-// by copying arrays — ZERO rehashing. The sorted layout is copied whole (an
-// insert rewrites everything right of the insertion point, so there is no
-// smaller unit); a forest copies its spine and keeps every bucket
-// mapped-backed until an insert lands in it, so its heap cost is
-// O(#buckets), not O(n).
-func (st *MappedState) heapLayout() Layout {
+// mutableLayout returns a mutable layout holding the checkpoint's state with
+// ZERO rehashing and, until something is inserted, zero copying: the sorted
+// layout's one run and the forest's directory keep reading the checkpoint
+// bytes, and the first insert copies out what it rewrites (the whole sorted
+// run; a forest's spine and the buckets it lands in).
+func (st *MappedState) mutableLayout() Layout {
 	if st.layout.base() != LayoutForest {
-		mapped := st.sortedRun()
-		r := mapped.heap()
-		l := &sortedLayout{leaves: r.leaves, levels: r.levels}
-		if len(r.levels) > 0 {
-			l.leafHashes = r.levels[0]
-		}
-		return l
+		return &sortedLayout{tree: st.sortedRun()}
 	}
 	f := newForestLayout(st.layout)
-	f.buckets = make([]*forestBucket, st.nb)
-	for bi := range f.buckets {
-		b := st.bucket(bi)
-		f.buckets[bi] = &b
+	if st.nb > 0 {
+		f.base, f.root = st, st.treeRoot
 	}
-	spine := levelsRun(st.spine, st.nb)
-	f.spine = spine.heap().levels
-	f.root = st.treeRoot
 	return f
+}
+
+// heapLayout is mutableLayout with every array copied out up front, for an
+// owner that does not keep the checkpoint bytes: nothing in the result
+// aliases them.
+func (st *MappedState) heapLayout() Layout {
+	l := st.mutableLayout()
+	if f, ok := l.(*forestLayout); ok {
+		f.materialize()
+		for _, b := range f.buckets {
+			b.tree = b.tree.heap()
+		}
+	} else {
+		s := l.(*sortedLayout)
+		s.tree = s.tree.heap()
+	}
+	return l
 }
 
 // sectionTable maps section ids to payload slices after bounds and CRC

@@ -49,7 +49,7 @@ func layoutKinds() []LayoutKind { return []LayoutKind{LayoutSorted, LayoutForest
 // requireSameStatus asserts that the heap and mapped paths produce
 // byte-identical Status messages for s — same proof shape, same root,
 // same freshness — which is the zero-copy tier's core contract.
-func requireSameStatus(t *testing.T, heap *Snapshot, mapped *MappedSnapshot, s serial.Number) {
+func requireSameStatus(t *testing.T, heap, mapped *Snapshot, s serial.Number) {
 	t.Helper()
 	hs, herr := heap.Prove(s)
 	ms, merr := mapped.Prove(s)
@@ -64,10 +64,33 @@ func requireSameStatus(t *testing.T, heap *Snapshot, mapped *MappedSnapshot, s s
 	}
 }
 
-func TestMappedSnapshotAgreement(t *testing.T) {
+// openMapped is the co-located reader's path: a replica over the checkpoint
+// bytes plus the WAL suffix, frozen as the snapshot it serves.
+func openMapped(t *testing.T, a *Authority, kind LayoutKind, state []byte, wal [][]byte, now int64) *Snapshot {
+	t.Helper()
+	r, err := OpenMappedReplica(a.CA(), a.PublicKey(), kind, state, wal, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.Snapshot()
+}
+
+// pureMapped reports whether a snapshot proves off checkpoint bytes alone,
+// nothing of the dictionary copied onto the heap.
+func pureMapped(s *Snapshot) bool {
+	switch v := s.view.(type) {
+	case *sortedView:
+		return v.mapped()
+	case *forestView:
+		return v.dir != nil
+	}
+	return false
+}
+
+func TestMappedReplicaAgreement(t *testing.T) {
 	now := int64(1_700_000_000)
 	sizes := []int{3, 190, 71, 256, 44, 130, 9, 280}
-	roots := make(map[LayoutKind]*MappedSnapshot)
+	roots := make(map[LayoutKind]*Snapshot)
 	queries := make(map[LayoutKind][]serial.Number)
 	for _, kind := range layoutKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -87,10 +110,7 @@ func TestMappedSnapshotAgreement(t *testing.T) {
 			}
 
 			heap := r.Snapshot()
-			ms, err := NewMappedSnapshot(a.CA(), a.PublicKey(), kind, r.PersistentStateV2(), nil, later, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ms := openMapped(t, a, kind, r.PersistentStateV2(), nil, later)
 			if ms.Count() != heap.Count() {
 				t.Fatalf("mapped count %d, heap %d", ms.Count(), heap.Count())
 			}
@@ -101,11 +121,8 @@ func TestMappedSnapshotAgreement(t *testing.T) {
 				t.Fatalf("mapped freshness (%v, %d), heap (%v, %d)",
 					ms.Freshness(), ms.FreshnessPeriod(), heap.Freshness(), heap.FreshnessPeriod())
 			}
-			if ms.Generation() != 7 {
-				t.Fatalf("generation %d, want 7", ms.Generation())
-			}
-			if ms.OverlayRecords() != 0 {
-				t.Fatalf("pure-mapped snapshot reports %d overlay records", ms.OverlayRecords())
+			if !pureMapped(ms) {
+				t.Fatal("a re-map with an empty WAL suffix copied dictionary state onto the heap")
 			}
 
 			var qs []serial.Number
@@ -158,93 +175,219 @@ func TestMappedSnapshotAgreement(t *testing.T) {
 	}
 }
 
-func TestMappedSnapshotOverlay(t *testing.T) {
-	now := int64(1_700_000_000)
-	sizes := []int{120, 256, 31, 300, 5, 77, 190}
-	for _, kind := range layoutKinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			batches := fixtureBatches(0xC0FFEE, sizes)
-			a, full, msgs := mappedFixture(t, kind, batches, now)
-			// Freshness statement for the final root; the heap reference
-			// adopts it directly, mapped readers receive it via the WAL.
-			later := now + int64(testDelta.Seconds())
-			stmt, err := a.Statement(later)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := full.ApplyFreshness(stmt, later); err != nil {
-				t.Fatal(err)
-			}
-			heap := full.Snapshot()
-
-			for _, split := range []int{0, 3, len(msgs)} {
-				// A second replica stops at the split: its state is the
-				// checkpoint, the remaining messages are the WAL suffix.
-				part := NewReplicaWithLayout(a.CA(), a.PublicKey(), kind)
-				for _, msg := range msgs[:split] {
-					if err := part.Update(msg); err != nil {
-						t.Fatal(err)
-					}
-				}
-				var wal [][]byte
-				for _, msg := range msgs[split:] {
-					wal = append(wal, (&UpdateRecord{Msg: msg}).Encode())
-				}
-				// Re-delivered last root: must be deduped, not replayed.
-				if len(msgs) > 0 {
-					wal = append(wal, (&UpdateRecord{Msg: msgs[len(msgs)-1]}).Encode())
-				}
-				wal = append(wal, (&FreshnessRecord{Value: stmt.Value}).Encode())
-
-				ms, err := NewMappedSnapshot(a.CA(), a.PublicKey(), kind, part.PersistentStateV2(), wal, later, 1)
-				if err != nil {
-					t.Fatalf("split %d: %v", split, err)
-				}
-				if got, want := ms.OverlayRecords(), len(msgs)-split; got != want {
-					t.Fatalf("split %d: %d overlay records, want %d", split, got, want)
-				}
-				if ms.Count() != heap.Count() {
-					t.Fatalf("split %d: count %d, want %d", split, ms.Count(), heap.Count())
-				}
-				if !ms.RootHash().Equal(heap.RootHash()) {
-					t.Fatalf("split %d: overlay root differs from heap", split)
-				}
-				if !ms.Freshness().Equal(stmt.Value) {
-					t.Fatalf("split %d: WAL freshness record not adopted", split)
-				}
-				for _, b := range batches {
-					for _, s := range []serial.Number{b[0], b[len(b)-1], b[len(b)/2]} {
-						requireSameStatus(t, heap, ms, s)
-					}
-				}
-				for _, s := range serial.NewGenerator(0xFACE, nil).NextN(48) {
-					requireSameStatus(t, heap, ms, s)
-				}
-			}
-		})
-	}
+// replayHistory is the honest history the conformance cases cut their WALs
+// from: one issuance message per batch, the statement of the period the
+// replay is evaluated in, one period older and three periods newer.
+type replayHistory struct {
+	msgs                  []*IssuanceMessage
+	now                   int64
+	stmt, stale, tooEarly *FreshnessStatement
 }
 
-// TestMappedSnapshotOverlayRejectsForgedRecord pins that the overlay
-// verifies each rebuilt root against the record's signed root: a record
-// whose serials disagree with its root fails loudly instead of serving a
-// state the CA never signed.
-func TestMappedSnapshotOverlayRejectsForgedRecord(t *testing.T) {
-	now := int64(1_700_000_000)
-	batches := fixtureBatches(0xBAD, []int{60, 80})
-	a, _, msgs := mappedFixture(t, LayoutSorted, batches, now)
+func updateFrame(msg *IssuanceMessage, bounds ...uint64) []byte {
+	return (&UpdateRecord{Msg: msg, Bounds: bounds}).Encode()
+}
 
-	part := NewReplicaWithLayout(a.CA(), a.PublicKey(), LayoutSorted)
-	if err := part.Update(msgs[0]); err != nil {
-		t.Fatal(err)
+func freshFrame(st *FreshnessStatement) []byte {
+	return (&FreshnessRecord{Value: st.Value}).Encode()
+}
+
+// suffix frames the honest messages from batch i on, one record each.
+func (h *replayHistory) suffix(i int) [][]byte {
+	var wal [][]byte
+	for _, msg := range h.msgs[i:] {
+		wal = append(wal, updateFrame(msg))
 	}
-	forged := *msgs[1]
-	forged.Serials = append([]serial.Number(nil), msgs[1].Serials...)
-	forged.Serials[3] = serial.NewGenerator(0xEE, nil).Next()
-	wal := [][]byte{(&UpdateRecord{Msg: &forged}).Encode()}
-	_, err := NewMappedSnapshot(a.CA(), a.PublicKey(), LayoutSorted, part.PersistentStateV2(), wal, now, 1)
-	if !errors.Is(err, ErrRootMismatch) {
-		t.Fatalf("forged WAL record: err = %v, want ErrRootMismatch", err)
+	return wal
+}
+
+// coalesced is one catch-up record covering batches i..j: their serials,
+// the root of the last, and the bounds at which the batches in between ended.
+func (h *replayHistory) coalesced(i, j int) []byte {
+	var serials []serial.Number
+	var bounds []uint64
+	for k := i; k <= j; k++ {
+		serials = append(serials, h.msgs[k].Serials...)
+		if k < j {
+			bounds = append(bounds, h.msgs[k].Root.N)
+		}
+	}
+	return updateFrame(&IssuanceMessage{Serials: serials, Root: h.msgs[j].Root}, bounds...)
+}
+
+// tampered frames batch i's genuine signed root over a rewritten batch.
+func (h *replayHistory) tampered(i int, rewrite func(serials []serial.Number)) []byte {
+	serials := append([]serial.Number(nil), h.msgs[i].Serials...)
+	rewrite(serials)
+	return updateFrame(&IssuanceMessage{Serials: serials, Root: h.msgs[i].Root})
+}
+
+// TestReplayConformance runs one table of WAL histories through the three
+// places a record is replayed — a live heap replica fed frame by frame (a
+// follower origin), RecoverReplicaLog (a restart) and OpenMappedReplica (a
+// co-located reader's re-map) — on both layouts: every engine must reach the
+// same verdict with the same error class, and an accepted history — each
+// ends in the full honest history with h.stmt adopted — must yield statuses
+// byte-identical among the three and to the reference replica's, which
+// applied every message and the statement directly. ErrCount has no row: overlap with
+// held state is trimmed before a frame is applied, so only a message straight
+// off the network can overshoot (TestReplicaRejectsReplayedOldMessage).
+func TestReplayConformance(t *testing.T) {
+	cases := []struct {
+		name string
+		ckpt int // honest batches already in the checkpoint; 0 = no checkpoint yet
+		wal  func(h *replayHistory) [][]byte
+		want error // class every engine must report; nil = accepted
+		// coalesces marks a WAL whose records are not one per batch.
+		coalesces bool
+	}{
+		{name: "WAL only, re-delivered root", ckpt: 0, wal: func(h *replayHistory) [][]byte {
+			return append(h.suffix(0), updateFrame(h.msgs[6]), freshFrame(h.stmt))
+		}},
+		{name: "checkpoint plus suffix, re-delivered root", ckpt: 3, wal: func(h *replayHistory) [][]byte {
+			return append(h.suffix(3), updateFrame(h.msgs[6]), freshFrame(h.stmt))
+		}},
+		{name: "re-delivered root keeps the adopted statement", ckpt: 7, wal: func(h *replayHistory) [][]byte {
+			return [][]byte{freshFrame(h.stmt), updateFrame(&IssuanceMessage{Root: h.msgs[6].Root})}
+		}},
+		{name: "records covered by the checkpoint", ckpt: 3, wal: func(h *replayHistory) [][]byte {
+			return append(append([][]byte{updateFrame(h.msgs[0]), updateFrame(h.msgs[2])}, h.suffix(3)...), freshFrame(h.stmt))
+		}},
+		{name: "partially covered record", ckpt: 3, coalesces: true, wal: func(h *replayHistory) [][]byte {
+			return append([][]byte{h.coalesced(1, 4)}, append(h.suffix(5), freshFrame(h.stmt))...)
+		}},
+		{name: "coalesced catch-up with bounds", ckpt: 1, coalesces: true, wal: func(h *replayHistory) [][]byte {
+			return [][]byte{h.coalesced(1, 6), freshFrame(h.stmt)}
+		}},
+		{name: "stale and future freshness records", ckpt: 5, wal: func(h *replayHistory) [][]byte {
+			return append(h.suffix(5), freshFrame(h.tooEarly), freshFrame(h.stmt), freshFrame(h.stale))
+		}},
+		{name: "forged signature", ckpt: 3, want: cryptoutil.ErrBadSignature, wal: func(h *replayHistory) [][]byte {
+			root := *h.msgs[3].Root
+			root.Time++
+			return [][]byte{updateFrame(&IssuanceMessage{Serials: h.msgs[3].Serials, Root: &root})}
+		}},
+		{name: "root over other serials", ckpt: 3, want: ErrRootMismatch, wal: func(h *replayHistory) [][]byte {
+			return [][]byte{h.tampered(3, func(s []serial.Number) { s[3] = serial.NewGenerator(0xEE, nil).Next() })}
+		}},
+		{name: "genuine root, re-listed historic serial", ckpt: 3, want: ErrDuplicateSerial, wal: func(h *replayHistory) [][]byte {
+			return [][]byte{h.tampered(3, func(s []serial.Number) { s[0] = h.msgs[1].Serials[17] })}
+		}},
+		{name: "in-batch duplicate", ckpt: 3, want: ErrDuplicateSerial, wal: func(h *replayHistory) [][]byte {
+			return [][]byte{h.tampered(3, func(s []serial.Number) { s[9] = s[200] })}
+		}},
+		{name: "gap", ckpt: 3, want: ErrDesynchronized, wal: func(h *replayHistory) [][]byte {
+			return h.suffix(4)
+		}},
+		{name: "gap before any checkpoint", ckpt: 0, want: ErrDesynchronized, wal: func(h *replayHistory) [][]byte {
+			return h.suffix(1)
+		}},
+	}
+
+	now := int64(1_700_000_000)
+	for _, kind := range layoutKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			batches := fixtureBatches(0xC0FFEE, []int{120, 256, 31, 300, 5, 77, 190})
+			a, full, msgs := mappedFixture(t, kind, batches, now)
+			statement := func(period int64) *FreshnessStatement {
+				st, err := a.Statement(now + period*int64(testDelta.Seconds()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st
+			}
+			h := &replayHistory{msgs: msgs, now: now + 2*int64(testDelta.Seconds()),
+				stale: statement(1), stmt: statement(2), tooEarly: statement(5)}
+			if err := full.ApplyFreshness(h.stmt, h.now); err != nil {
+				t.Fatal(err)
+			}
+			reference := full.Snapshot()
+			var probes []serial.Number
+			for _, b := range batches {
+				probes = append(probes, b[0], b[len(b)-1], b[len(b)/2])
+			}
+			probes = append(probes, serial.NewGenerator(0xFACE, nil).NextN(48)...)
+
+			for _, tc := range cases {
+				t.Run(tc.name, func(t *testing.T) {
+					wal := tc.wal(h)
+					// The checkpoint is a second replica stopped after tc.ckpt
+					// batches; the live engine carries on from a copy of it.
+					var state []byte
+					live := NewReplicaWithLayout(a.CA(), a.PublicKey(), kind)
+					lg, err := storage.NewMemory().Open("d")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tc.ckpt > 0 {
+						for _, msg := range msgs[:tc.ckpt] {
+							if err := live.Update(msg); err != nil {
+								t.Fatal(err)
+							}
+						}
+						state = live.PersistentStateV2()
+						if err := lg.Checkpoint(state); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for _, raw := range wal {
+						if err := lg.Append(raw); err != nil {
+							t.Fatal(err)
+						}
+					}
+
+					var liveErr error
+					for _, raw := range wal {
+						if liveErr = ApplyLogRecord(live, raw, h.now); liveErr != nil {
+							break
+						}
+					}
+					recovered, recoverErr := RecoverReplicaLog(lg, a.CA(), a.PublicKey(), kind, h.now)
+					mapped, mappedErr := OpenMappedReplica(a.CA(), a.PublicKey(), kind, state, wal, h.now)
+					for engine, err := range map[string]error{"live": liveErr, "recover": recoverErr, "mapped": mappedErr} {
+						if tc.want == nil && err != nil {
+							t.Fatalf("%s: %v", engine, err)
+						}
+						if tc.want != nil && !errors.Is(err, tc.want) {
+							t.Fatalf("%s: err = %v, want %v", engine, err, tc.want)
+						}
+					}
+					if tc.want != nil {
+						return
+					}
+
+					if got := live.Snapshot(); got.Count() != reference.Count() || !got.RootHash().Equal(reference.RootHash()) ||
+						!got.Freshness().Equal(h.stmt.Value) {
+						t.Fatalf("replayed to n=%d, freshness period %d; want the full history with the statement adopted",
+							got.Count(), got.FreshnessPeriod())
+					}
+					for engine, snap := range map[string]*Snapshot{"recover": recovered.Snapshot(), "mapped": mapped.Snapshot(), "reference": reference} {
+						for _, s := range probes {
+							hs, err := live.Snapshot().Prove(s)
+							if err != nil {
+								t.Fatal(err)
+							}
+							es, err := snap.Prove(s)
+							if err != nil {
+								t.Fatalf("%s: Prove(%v): %v", engine, s, err)
+							}
+							if !bytes.Equal(hs.Encode(), es.Encode()) {
+								t.Fatalf("%s: status for %v differs from the live replica's", engine, s)
+							}
+						}
+					}
+					// Only the batches past the checkpoint are overlaid on the
+					// mapped base, and with none the reader stays pure-mapped.
+					overlaid := len(msgs) - tc.ckpt
+					if got := len(mapped.Snapshot().bounds); !tc.coalesces && got != overlaid {
+						t.Fatalf("%d batches overlaid on the mapped base, want %d", got, overlaid)
+					}
+					if tc.ckpt > 0 && pureMapped(mapped.Snapshot()) != (overlaid == 0) {
+						t.Fatalf("pure-mapped = %v with %d batches to overlay", !(overlaid == 0), overlaid)
+					}
+				})
+			}
+		})
 	}
 }
 
@@ -479,10 +622,7 @@ func TestFreshnessAdoptionToleratesLag(t *testing.T) {
 
 	// Mapped at period 9: both records are older than {p, p−1}, and the
 	// newest must win.
-	ms, err := NewMappedSnapshot(a.CA(), a.PublicKey(), LayoutSorted, r.PersistentStateV2(), wal, period(9), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := openMapped(t, a, LayoutSorted, r.PersistentStateV2(), wal, period(9))
 	if !ms.Freshness().Equal(stmt7.Value) || ms.FreshnessPeriod() != 7 {
 		t.Fatalf("mapped freshness (%v, %d), want stmt for period 7", ms.Freshness(), ms.FreshnessPeriod())
 	}
@@ -511,11 +651,8 @@ func TestFreshnessAdoptionToleratesLag(t *testing.T) {
 	if err := r.ApplyFreshness(&FreshnessStatement{CA: r.CA(), Value: bogus}, period(9)); err == nil {
 		t.Fatal("off-chain statement accepted")
 	}
-	ms2, err := NewMappedSnapshot(a.CA(), a.PublicKey(), LayoutSorted, r.PersistentStateV2(),
-		[][]byte{(&FreshnessRecord{Value: bogus}).Encode()}, period(9), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms2 := openMapped(t, a, LayoutSorted, r.PersistentStateV2(),
+		[][]byte{(&FreshnessRecord{Value: bogus}).Encode()}, period(9))
 	if ms2.Freshness().Equal(bogus) {
 		t.Fatal("mapped reader adopted an off-chain freshness value")
 	}

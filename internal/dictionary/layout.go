@@ -144,7 +144,7 @@ func Layouts() []LayoutKind { return []LayoutKind{LayoutSorted, LayoutForest} }
 
 // Layout is the pluggable commitment structure behind a Tree: it owns the
 // hashed representation (leaves, interior nodes, roots) while the Tree keeps
-// the layout-independent state (serial index, issuance log, validation).
+// the layout-independent state (issuance log, batch bounds, validation).
 // Implementations live in this package and are selected by LayoutKind; all
 // of them follow the same copy-on-write discipline as the original sorted
 // tree — insert never writes into arrays reachable from a previously
@@ -175,6 +175,10 @@ type Layout interface {
 	// exposing the arrays — the replica's post-replay root check must not
 	// end the private window a multi-batch replay is still inside.
 	rootHash() cryptoutil.Hash
+	// revoked reports whether s is a leaf, and its revocation number, like
+	// rootHash without exposing the arrays: it is the duplicate check of
+	// every insert, sub-batches of one replay included.
+	revoked(s serial.Number) (uint64, bool)
 	// hashedNodes returns the cumulative number of hash computations (leaf,
 	// interior, bucket, and root hashes) performed by inserts — the cost
 	// metric BenchmarkUniformInsert compares across layouts.

@@ -63,6 +63,11 @@ type forestLayout struct {
 	// for expose: inserts always rebuild the spine, so spineOwned == false
 	// implies no private bucket exists either.
 	spineOwned bool
+	// base is the non-empty checkpoint the layout was opened over, until the
+	// first insert lists its buckets and copies its spine out: a layout that
+	// is only read costs no heap per bucket. buckets and spine are empty
+	// while base is set.
+	base *MappedState
 }
 
 // expose marks every array a view or checkpoint hands out as shared:
@@ -89,10 +94,29 @@ func newForestLayout(desc LayoutKind) *forestLayout {
 
 func (f *forestLayout) kind() LayoutKind { return f.desc }
 
+// materialize lists the base checkpoint's buckets and copies its spine onto
+// the heap — O(#buckets), no hashing. Every bucket stays mapped-backed until
+// an insert lands in it.
+func (f *forestLayout) materialize() {
+	st := f.base
+	if st == nil {
+		return
+	}
+	f.base = nil
+	f.buckets = make([]*forestBucket, st.nb)
+	for bi := range f.buckets {
+		b := st.bucket(bi)
+		f.buckets[bi] = &b
+	}
+	spine := levelsRun(st.spine, st.nb)
+	f.spine = spine.heap().levels
+}
+
 func (f *forestLayout) insert(batch []Leaf) {
 	if len(batch) == 0 {
 		return
 	}
+	f.materialize()
 	oldSpine, oldLen := f.spine, len(f.buckets)
 	structFrom := -1 // first index where the bucket list changed shape (split)
 	var dirty []int  // indices of value-changed (merged, unsplit) buckets
@@ -290,15 +314,23 @@ func rebuildSpineDirtyInPlace(spine [][]cryptoutil.Hash, dirty []int, hashed *ui
 }
 
 func (f *forestLayout) view() LayoutView {
+	if f.base != nil {
+		return f.base.view()
+	}
 	f.expose()
 	return &forestView{buckets: f.buckets, spine: run{levels: f.spine}, root: f.root}
 }
 
 func (f *forestLayout) rootHash() cryptoutil.Hash {
-	if len(f.buckets) == 0 {
+	if len(f.buckets) == 0 && f.base == nil {
 		return EmptyRoot
 	}
 	return f.root
+}
+
+func (f *forestLayout) revoked(s serial.Number) (uint64, bool) {
+	v := forestView{buckets: f.buckets, dir: f.base}
+	return v.Revoked(s)
 }
 
 func (f *forestLayout) hashedNodes() uint64 { return f.hashed }
@@ -332,6 +364,7 @@ type forestState struct {
 	buckets []*forestBucket
 	spine   [][]cryptoutil.Hash
 	root    cryptoutil.Hash
+	base    *MappedState
 }
 
 func (f *forestLayout) checkpoint() layoutState {
@@ -339,12 +372,12 @@ func (f *forestLayout) checkpoint() layoutState {
 	// arbitrarily later restore: expose them so no in-place merge rewrites
 	// what the checkpoint pinned.
 	f.expose()
-	return forestState{buckets: f.buckets, spine: f.spine, root: f.root}
+	return forestState{buckets: f.buckets, spine: f.spine, root: f.root, base: f.base}
 }
 
 func (f *forestLayout) restore(st layoutState) {
 	s := st.(forestState)
-	f.buckets, f.spine, f.root = s.buckets, s.spine, s.root
+	f.buckets, f.spine, f.root, f.base = s.buckets, s.spine, s.root, s.base
 	// The reinstated state is the checkpointed (exposed) version; the
 	// private scratch a failed replay built is dropped for the collector.
 	f.spineOwned = false

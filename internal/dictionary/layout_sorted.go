@@ -16,10 +16,12 @@ import (
 // to the right re-pairs), with the full O(n) of the paper's "insert sₓ,n
 // into the tree and rebuild it" as the worst case.
 type sortedLayout struct {
-	leaves     []Leaf            // sorted by serial
-	leafHashes []cryptoutil.Hash // parallel to leaves; == levels[0]
-	levels     [][]cryptoutil.Hash
-	hashed     uint64
+	// tree is the whole dictionary as one run: heap arrays, or the bytes of
+	// the checkpoint the layout was opened over until the first insert
+	// copies them out (an insert rewrites everything right of the insertion
+	// point, so there is no smaller unit to copy).
+	tree   run
+	hashed uint64
 	// owned marks the arrays above as private scratch: (re)built since the
 	// last view/checkpoint, so no published snapshot or captured checkpoint
 	// can reach them and insert may extend them in place (the zero-realloc
@@ -30,36 +32,39 @@ type sortedLayout struct {
 func (l *sortedLayout) kind() LayoutKind { return LayoutSorted }
 
 func (l *sortedLayout) insert(batch []Leaf) {
-	total := len(l.leaves) + len(batch)
-	if l.owned && cap(l.leaves) >= total && cap(l.leafHashes) >= total {
-		merged, mergedHashes, firstChanged, leafOps := mergeLeavesInPlace(l.leaves, l.leafHashes, batch)
-		levels, nodeOps := buildLevelsInPlace(l.levels, mergedHashes, firstChanged)
-		l.leaves = merged
-		l.leafHashes = mergedHashes
-		l.levels = levels
+	total := l.tree.count() + len(batch)
+	if l.owned && cap(l.tree.leaves) >= total && cap(l.tree.levels[0]) >= total {
+		merged, mergedHashes, firstChanged, leafOps := mergeLeavesInPlace(l.tree.leaves, l.tree.levels[0], batch)
+		levels, nodeOps := buildLevelsInPlace(l.tree.levels, mergedHashes, firstChanged)
+		l.tree = run{leaves: merged, levels: levels}
 		l.hashed += leafOps + nodeOps
 		return
 	}
-	merged, mergedHashes, firstChanged, leafOps := mergeLeaves(l.leaves, l.leafHashes, batch)
-	levels, nodeOps := buildLevels(mergedHashes, l.levels, firstChanged)
-	l.leaves = merged
-	l.leafHashes = mergedHashes
-	l.levels = levels
+	old := l.tree.heap() // copies a mapped base out
+	var oldHashes []cryptoutil.Hash
+	if len(old.levels) > 0 {
+		oldHashes = old.levels[0]
+	}
+	merged, mergedHashes, firstChanged, leafOps := mergeLeaves(old.leaves, oldHashes, batch)
+	levels, nodeOps := buildLevels(mergedHashes, old.levels, firstChanged)
+	l.tree = run{leaves: merged, levels: levels}
 	l.hashed += leafOps + nodeOps
 	l.owned = true
 }
 
 func (l *sortedLayout) view() LayoutView {
 	l.owned = false
-	return &sortedView{run{leaves: l.leaves, levels: l.levels}}
+	return &sortedView{l.tree}
 }
 
 func (l *sortedLayout) rootHash() cryptoutil.Hash {
-	if len(l.leaves) == 0 {
+	if l.tree.count() == 0 {
 		return EmptyRoot
 	}
-	return l.levels[len(l.levels)-1][0]
+	return l.tree.root()
 }
+
+func (l *sortedLayout) revoked(s serial.Number) (uint64, bool) { return l.tree.revoked(s) }
 
 func (l *sortedLayout) hashedNodes() uint64 { return l.hashed }
 
@@ -69,33 +74,26 @@ func (l *sortedLayout) memoryFootprint() int {
 		leafOverhead = 24 + 8 // slice header of serial + num
 	)
 	total := 0
-	for _, lvl := range l.levels {
+	for _, lvl := range l.tree.levels {
 		total += len(lvl) * hashBytes
 	}
-	for _, lf := range l.leaves {
+	for _, lf := range l.tree.leaves {
 		total += leafOverhead + lf.Serial.Len()
 	}
 	return total
 }
 
-// sortedState is the O(1) checkpoint of a sorted layout: because every
-// insert is copy-on-write, the slice headers of one version pin it forever.
-type sortedState struct {
-	leaves     []Leaf
-	leafHashes []cryptoutil.Hash
-	levels     [][]cryptoutil.Hash
-}
-
+// checkpoint is O(1): because every insert is copy-on-write, the slice
+// headers of one version (the run, by value) pin it forever.
 func (l *sortedLayout) checkpoint() layoutState {
 	// The captured slice headers may be held until an arbitrarily later
 	// restore: expose the arrays so no in-place merge rewrites them.
 	l.owned = false
-	return sortedState{leaves: l.leaves, leafHashes: l.leafHashes, levels: l.levels}
+	return l.tree
 }
 
 func (l *sortedLayout) restore(st layoutState) {
-	s := st.(sortedState)
-	l.leaves, l.leafHashes, l.levels = s.leaves, s.leafHashes, s.levels
+	l.tree = st.(run)
 	// The reinstated arrays are the checkpointed (exposed) version; the
 	// private scratch a failed replay built is dropped for the collector.
 	l.owned = false

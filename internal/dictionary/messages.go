@@ -227,8 +227,11 @@ func decodeIssuance(buf []byte, view bool) (*IssuanceMessage, error) {
 	if d.Err() != nil {
 		return nil, fmt.Errorf("decode issuance message: %w", d.Err())
 	}
-	const maxBatch = 1 << 24 // sanity bound on a single batch
-	if count > maxBatch {
+	// Sanity bounds on a single batch; every serial takes at least two bytes
+	// of buf, so a count beyond its length is a lie that would otherwise size
+	// the slice below.
+	const maxBatch = 1 << 24
+	if count > maxBatch || count > uint64(len(buf)) {
 		return nil, fmt.Errorf("decode issuance message: batch of %d serials exceeds limit", count)
 	}
 	msg := &IssuanceMessage{Serials: make([]serial.Number, 0, count)}

@@ -236,47 +236,38 @@ func RestoreReplica(ca CAID, pub ed25519.PublicKey, st *PersistentState, now int
 	return r, nil
 }
 
-// ReplayUpdate applies a WAL-recovered issuance message (with the batch
-// bounds it was originally applied under) to a replica. It tolerates
-// overlap with state the replica already holds (a crash between
-// checkpoint install and WAL truncation leaves records that partially
-// predate the checkpoint): already-covered serials are trimmed and a
-// fully-covered record degrades to a root-only update, which still
-// verifies the recorded root against the replica's state. Gaps — a record
-// starting beyond the replica's count — fail with ErrDesynchronized, as
-// they would coming off the network.
-func ReplayUpdate(r *Replica, msg *IssuanceMessage, bounds []uint64) error {
-	if msg == nil || msg.Root == nil {
-		return fmt.Errorf("dictionary: replay of nil issuance message")
-	}
-	have := r.Count()
-	switch {
-	case msg.Root.N < have:
-		// Entirely covered by newer state; nothing to verify against.
+// trimCovered cuts a recorded issuance message down to what a dictionary
+// holding have revocations still lacks. A crash between checkpoint install
+// and WAL truncation leaves records that predate the checkpoint: a fully
+// covered one (Root.N < have) yields nil — nothing to verify against — and a
+// partially covered one loses its covered serials, degrading to a root-only
+// message at Root.N == have, which still verifies the recorded root against
+// the state. A record too short to reach back to have is returned whole; the
+// gap is the apply step's to report.
+func trimCovered(msg *IssuanceMessage, have uint64) *IssuanceMessage {
+	if msg.Root.N < have {
 		return nil
-	case msg.Root.N == have:
-		return r.Update(&IssuanceMessage{Root: msg.Root})
-	default:
-		missing := msg.Root.N - have
-		if uint64(len(msg.Serials)) > missing {
-			msg = &IssuanceMessage{Serials: msg.Serials[uint64(len(msg.Serials))-missing:], Root: msg.Root}
-		}
-		// Bounds are absolute counts; those at or below the replica's
-		// count are skipped by the replay automatically.
-		return r.UpdateWithBounds(msg, bounds)
 	}
+	if missing := msg.Root.N - have; uint64(len(msg.Serials)) > missing {
+		return &IssuanceMessage{Serials: msg.Serials[uint64(len(msg.Serials))-missing:], Root: msg.Root}
+	}
+	return msg
 }
 
 // ApplyLogRecord applies one raw WAL payload — an update record or a
-// freshness record — to a replica, with exactly the recovery loop's
-// semantics: update records go through the overlap-tolerant ReplayUpdate
-// (signature verified, rebuilt root must match the signed root), and
-// freshness records re-verify against the chain anchor best-effort (a
-// stale statement is dropped silently, never an error). It is the shared
-// apply entry point of WAL replay and of replication: a follower origin
-// feeds the leader's shipped frames through here, so a frame a recovery
-// would reject — a forged root, a divergent history — is rejected on the
-// wire too, not mirrored. now is the Unix time used for freshness
+// freshness record — to a replica. It is the one apply entry point of
+// restart recovery, of a co-located reader's re-map and of replication (a
+// follower origin feeds the leader's shipped frames through here), so a
+// frame one of them would reject — a forged root, a divergent history — is
+// rejected by all of them, on the wire too, not mirrored.
+//
+// An update record tolerates overlap with state the replica already holds
+// (see trimCovered) and then goes through UpdateWithBounds under the bounds
+// it was first applied with: signature verified, rebuilt root equal to the
+// signed one; a record starting beyond the replica's count fails with
+// ErrDesynchronized, as it would coming off the network. A freshness record
+// re-verifies against the chain anchor best-effort: a stale statement is
+// dropped silently, never an error. now is the Unix time used for that
 // evaluation.
 func ApplyLogRecord(r *Replica, raw []byte, now int64) error {
 	if IsFreshnessRecord(raw) {
@@ -291,8 +282,10 @@ func ApplyLogRecord(r *Replica, raw []byte, now int64) error {
 	if err != nil {
 		return fmt.Errorf("dictionary: decode WAL record for %s: %w", r.CA(), err)
 	}
-	if err := ReplayUpdate(r, rec.Msg, rec.Bounds); err != nil {
-		return fmt.Errorf("dictionary: replay WAL record for %s: %w", r.CA(), err)
+	if msg := trimCovered(rec.Msg, r.Count()); msg != nil {
+		if err := r.UpdateWithBounds(msg, rec.Bounds); err != nil {
+			return fmt.Errorf("dictionary: replay WAL record for %s: %w", r.CA(), err)
+		}
 	}
 	return nil
 }
@@ -301,24 +294,47 @@ func ApplyLogRecord(r *Replica, raw []byte, now int64) error {
 // map-don't-replay path: the checkpoint's commitment structure is
 // materialized straight off the encoded arrays with zero rehashing, after
 // the signed root's signature and its agreement with the stored structure
-// are verified (see the trust note in ckptv2.go). WAL records after the
-// checkpoint are replayed via ReplayUpdate (update records) or
-// ApplyFreshness (freshness records, best-effort). A log with no
-// checkpoint yet starts from the empty dictionary; a checkpoint in any
-// other format than v2 is refused with ErrBadCheckpoint.
+// are verified (see the trust note in ckptv2.go), and the WAL records after
+// it go through ApplyLogRecord. A log with no checkpoint yet starts from the
+// empty dictionary; a checkpoint in any other format than v2 is refused with
+// ErrBadCheckpoint.
 //
 // The persisted layout descriptor must equal layout: adopting either
 // silently would change proof shapes (or reject every future update)
 // without the operator noticing, so a mismatch is an error — wipe the
 // store to change layouts. It is the shared recovery protocol of every
 // replica-holding component (the RA's store and the distribution point);
-// the caller owns the log's lifecycle.
+// the caller owns the log's lifecycle. Nothing in the returned replica
+// aliases the log's buffers.
 func RecoverReplicaLog(lg storage.Log, ca CAID, pub ed25519.PublicKey, layout LayoutKind, now int64) (*Replica, error) {
 	ckpt, wal, err := lg.Load()
 	if err != nil {
 		return nil, fmt.Errorf("dictionary: load durable log for %s: %w", ca, err)
 	}
-	replica := NewReplicaWithLayout(ca, pub, layout)
+	return openReplica(ca, pub, layout, ckpt, wal, now, false)
+}
+
+// OpenMappedReplica is RecoverReplicaLog for a co-located reader: a process
+// that serves another process's durable log — state is its newest checkpoint
+// (typically mmap'd; nil while the writer has not checkpointed), wal the
+// records after it — without owning a copy. The replica's tree sits on the
+// checkpoint bytes and reads leaves and hashes in place, so its proofs are
+// byte-identical to a heap replica's at zero dictionary heap; a WAL record
+// copies out only what its insert rewrites (the forest's spine and touched
+// buckets; the whole sorted run, which is why co-located deployments are
+// expected to run the forest layout). It verifies exactly what a restart
+// does. state must stay valid and unmodified for as long as the replica or
+// any snapshot of it is proved against.
+//
+// The result holds neither the issuance log nor the batch bounds below the
+// checkpoint's count (Log, LogSuffix and BatchBounds answer above it only),
+// so it serves statuses but cannot be checkpointed or serve catch-up.
+func OpenMappedReplica(ca CAID, pub ed25519.PublicKey, layout LayoutKind, state []byte, wal [][]byte, now int64) (*Replica, error) {
+	return openReplica(ca, pub, layout, state, wal, now, true)
+}
+
+func openReplica(ca CAID, pub ed25519.PublicKey, layout LayoutKind, ckpt []byte, wal [][]byte, now int64, mapped bool) (*Replica, error) {
+	r := NewReplicaWithLayout(ca, pub, layout)
 	if ckpt != nil {
 		st, err := OpenMappedState(ckpt)
 		if err != nil {
@@ -328,16 +344,51 @@ func RecoverReplicaLog(lg storage.Log, ca CAID, pub ed25519.PublicKey, layout La
 			return nil, fmt.Errorf("dictionary: %s persisted with layout %v, configured for %v (the layout — bucket capacity included — is part of the committed state; wipe the data dir to change it)",
 				ca, st.layout, layout)
 		}
-		if replica, err = restoreReplicaV2(ca, pub, st, now); err != nil {
-			return nil, err
+		if err := r.adoptCheckpoint(st, now, mapped); err != nil {
+			return nil, fmt.Errorf("dictionary: restore %s: %w", ca, err)
 		}
 	}
 	for i, raw := range wal {
-		if err := ApplyLogRecord(replica, raw, now); err != nil {
+		if err := ApplyLogRecord(r, raw, now); err != nil {
 			return nil, fmt.Errorf("WAL record %d: %w", i, err)
 		}
 	}
-	return replica, nil
+	return r, nil
+}
+
+// adoptCheckpoint installs a validated checkpoint into a fresh replica
+// without rehashing anything: by copying leaves, hash levels, buckets and
+// spine off it and inverting the leaf records into the log, or — mapped —
+// by reading them in place and holding no log at all. The caller is the
+// constructor, so no locking.
+func (r *Replica) adoptCheckpoint(st *MappedState, now int64, mapped bool) error {
+	if st.root == nil {
+		return nil // validated empty (openRoot enforces root-for-content)
+	}
+	if st.root.CA != r.ca {
+		return fmt.Errorf("checkpoint root names %s", st.root.CA)
+	}
+	if err := st.root.VerifySignature(r.pub); err != nil {
+		return err
+	}
+	if mapped {
+		r.tree = &Tree{commit: st.mutableLayout(), base: st.Count()}
+	} else {
+		log, err := st.materializeLog()
+		if err != nil {
+			return err
+		}
+		r.tree = &Tree{commit: st.heapLayout(), log: log, bounds: st.Batches()}
+	}
+	r.root = st.root
+	r.freshness = st.root.Anchor
+	r.publish()
+	if !st.freshness.IsZero() {
+		// Best-effort, like a freshness record: a value stale by now is
+		// dropped and the next pull replaces it.
+		_ = r.ApplyFreshness(&FreshnessStatement{CA: r.ca, Value: st.freshness}, now)
+	}
+	return nil
 }
 
 // BatchBounds returns a copy of the authority's insertion batch bounds
@@ -418,20 +469,8 @@ func (a *Authority) adoptState(st *PersistentState) error {
 	if st.Root == nil || st.ChainSeed == nil {
 		return fmt.Errorf("dictionary: restore authority %s: checkpoint missing root or chain seed", a.cfg.CA)
 	}
-	start := uint64(0)
-	for _, b := range st.Batches {
-		if b <= start || b > uint64(len(st.Log)) {
-			continue
-		}
-		if err := a.tree.InsertBatch(st.Log[start:b]); err != nil {
-			return fmt.Errorf("dictionary: restore authority %s: %w", a.cfg.CA, err)
-		}
-		start = b
-	}
-	if start < uint64(len(st.Log)) {
-		if err := a.tree.InsertBatch(st.Log[start:]); err != nil {
-			return fmt.Errorf("dictionary: restore authority %s: %w", a.cfg.CA, err)
-		}
+	if err := a.tree.extend(st.Log, uint64(len(st.Log)), st.Batches); err != nil {
+		return fmt.Errorf("dictionary: restore authority %s: %w", a.cfg.CA, err)
 	}
 	return a.install(st.Root, *st.ChainSeed)
 }
@@ -445,22 +484,14 @@ func (a *Authority) applyRecord(rec *UpdateRecord) error {
 	if rec.Seed == nil {
 		return fmt.Errorf("record carries no chain seed")
 	}
-	have := a.tree.Count()
-	root := rec.Msg.Root
-	switch {
-	case root.N < have:
+	msg := trimCovered(rec.Msg, a.tree.Count())
+	if msg == nil {
 		return nil // covered by the checkpoint
-	case root.N > have:
-		serials := rec.Msg.Serials
-		missing := root.N - have
-		if uint64(len(serials)) < missing {
-			return fmt.Errorf("%w: record covers up to %d, tree has %d, batch of %d", ErrDesynchronized, root.N, have, len(serials))
-		}
-		if err := a.tree.InsertBatch(serials[uint64(len(serials))-missing:]); err != nil {
-			return err
-		}
 	}
-	return a.install(root, *rec.Seed)
+	if err := a.tree.extend(msg.Serials, msg.Root.N, nil); err != nil {
+		return err
+	}
+	return a.install(msg.Root, *rec.Seed)
 }
 
 // install verifies (signature, root match, count, chain anchor) and adopts

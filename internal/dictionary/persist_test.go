@@ -249,13 +249,12 @@ func TestForestCoalescedCatchupNeedsBounds(t *testing.T) {
 	}
 }
 
-// TestRejectedUpdateKeepsSerialIndex pins the rollback scoping: a hostile
-// message pairing the genuine latest signed root with a fabricated suffix
-// that re-lists an already-revoked serial is rejected — and the rejection
-// must not evict that serial from the index (it was never inserted by the
-// failed update; deleting by the attacker's batch instead of the actual
-// log tail did exactly that).
-func TestRejectedUpdateKeepsSerialIndex(t *testing.T) {
+// TestRejectedUpdateKeepsRelistedSerials pins the rollback scoping: a
+// hostile message pairing the genuine latest signed root with a fabricated
+// suffix that re-lists an already-revoked serial is rejected — and the
+// rejection must leave that serial revoked (it was never inserted by the
+// failed update, so undoing the update must not take it out).
+func TestRejectedUpdateKeepsRelistedSerials(t *testing.T) {
 	a := newPersistAuthority(t, LayoutSorted)
 	gen := serial.NewGenerator(31, nil)
 	now := time.Now().Unix()
@@ -286,10 +285,10 @@ func TestRejectedUpdateKeepsSerialIndex(t *testing.T) {
 			t.Fatalf("attempt %d: err = %v, want ErrDuplicateSerial", attempt, err)
 		}
 		if !r.Revoked(victim) {
-			t.Fatal("rejected update evicted a pre-existing serial from the index")
+			t.Fatal("rejected update evicted a pre-existing serial")
 		}
 		if _, ok := r.tree.Revoked(victim); !ok {
-			t.Fatal("rejected update evicted the serial from the live tree index")
+			t.Fatal("rejected update evicted the serial from the live tree")
 		}
 		if got := r.Count(); got != 4 {
 			t.Fatalf("attempt %d: count = %d, want 4", attempt, got)
@@ -302,40 +301,6 @@ func TestRejectedUpdateKeepsSerialIndex(t *testing.T) {
 	}
 	if err := r.Update(&IssuanceMessage{Serials: sfx, Root: a.SignedRoot()}); err != nil {
 		t.Fatalf("honest suffix after hostile attempts: %v", err)
-	}
-}
-
-func TestReplayUpdateToleratesOverlap(t *testing.T) {
-	a := newPersistAuthority(t, LayoutSorted)
-	gen := serial.NewGenerator(5, nil)
-	now := time.Now().Unix()
-	msg1, err := a.Insert(gen.NextN(4), now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg2, err := a.Insert(gen.NextN(3), now)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Replica already holds msg1 (the checkpoint); replaying msg1 again
-	// (covered), then msg2 (fresh) must converge without error.
-	r := NewReplica("CA1", a.PublicKey())
-	if err := r.Update(msg1); err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []*IssuanceMessage{msg1, msg2} {
-		if err := ReplayUpdate(r, m, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if r.Count() != 7 {
-		t.Fatalf("count = %d, want 7", r.Count())
-	}
-	// A gap (record starts past our state) fails loudly.
-	r2 := NewReplica("CA1", a.PublicKey())
-	if err := ReplayUpdate(r2, msg2, nil); !errors.Is(err, ErrDesynchronized) {
-		t.Fatalf("gap replay: err = %v, want ErrDesynchronized", err)
 	}
 }
 
@@ -570,7 +535,7 @@ func FuzzOpenMappedState(f *testing.F) {
 			return
 		}
 		view := st.view()
-		overlay := st.heapLayout()
+		overlay := st.mutableLayout()
 		overlay.insert([]Leaf{{Serial: probes[35], Num: st.Count() + 1}})
 		for _, v := range []LayoutView{view, overlay.view()} {
 			v.Root()
@@ -581,6 +546,101 @@ func FuzzOpenMappedState(f *testing.F) {
 		}
 		if _, err := st.materializeLog(); err != nil && !errors.Is(err, ErrBadCheckpoint) {
 			t.Fatalf("materializeLog: %v, want ErrBadCheckpoint", err)
+		}
+	})
+}
+
+// FuzzApplyLogRecord feeds hostile bytes to the one entry point WAL replay,
+// a reader's re-map and follower replication share. A frame is applied to a
+// heap replica and to a replica over the mapped checkpoint, both opened from
+// the same state: neither may panic, they must agree, and the committed
+// state may move only under a root the trust anchor signed.
+func FuzzApplyLogRecord(f *testing.F) {
+	signer := mustSigner(f)
+	const now = 1000
+	const honestNext = 65 // count after the honest record that follows the checkpoint
+	layouts := []LayoutKind{LayoutSorted, LayoutForestWithCap(8)}
+	states := make([][]byte, len(layouts))
+	next := make([][]byte, len(layouts)) // the honest record after each checkpoint
+	gen := serial.NewGenerator(7, nil)
+	for i, layout := range layouts {
+		a, err := NewAuthority(AuthorityConfig{CA: "CA1", Signer: signer, Delta: 10 * time.Second, ChainLength: 16, Layout: layout}, now)
+		if err != nil {
+			f.Fatal(err)
+		}
+		r := NewReplicaWithLayout("CA1", a.PublicKey(), layout)
+		var frames [][]byte
+		for _, n := range []int{40, honestNext - 40, 9} {
+			msg, err := a.Insert(gen.NextN(n), now)
+			if err != nil {
+				f.Fatal(err)
+			}
+			if states[i] == nil {
+				if err := r.Update(msg); err != nil {
+					f.Fatal(err)
+				}
+				states[i] = r.PersistentStateV2()
+			}
+			// The first is covered by the checkpoint, the second extends
+			// it, the third leaves a gap; and each once more under a bound no
+			// batch ended at, which a forest must refuse.
+			frames = append(frames, (&UpdateRecord{Msg: msg}).Encode(),
+				(&UpdateRecord{Msg: msg, Bounds: []uint64{msg.Root.N - 3}}).Encode())
+		}
+		stmt, err := a.Statement(now + 10)
+		if err != nil {
+			f.Fatal(err)
+		}
+		frames = append(frames, (&FreshnessRecord{Value: stmt.Value}).Encode())
+		next[i] = frames[2]
+		for _, frame := range frames {
+			f.Add(frame)
+			f.Add(frame[:len(frame)/2])
+			f.Add(frame[:len(frame)-1])
+		}
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		for i, layout := range layouts {
+			var replicas [2]*Replica
+			var after [2]*Snapshot
+			var errs [2]error
+			agree := func(step string) {
+				t.Helper()
+				if (errs[0] == nil) != (errs[1] == nil) || after[0].Count() != after[1].Count() ||
+					!after[0].RootHash().Equal(after[1].RootHash()) || !after[0].Freshness().Equal(after[1].Freshness()) {
+					t.Fatalf("%v, %s: heap replica (n=%d, %v) and mapped-base replica (n=%d, %v) disagree",
+						layout, step, after[0].Count(), errs[0], after[1].Count(), errs[1])
+				}
+			}
+			for j, mapped := range []bool{false, true} {
+				r, err := openReplica("CA1", signer.Public(), layout, states[i], nil, now, mapped)
+				if err != nil {
+					t.Fatal(err)
+				}
+				replicas[j] = r
+				before := r.Snapshot()
+				errs[j] = ApplyLogRecord(r, frame, now+10)
+				after[j] = r.Snapshot()
+				if after[j].Count() == before.Count() && after[j].RootHash().Equal(before.RootHash()) && after[j].Root().Equal(before.Root()) {
+					continue
+				}
+				rec, err := DecodeUpdateRecord(frame)
+				if errs[j] != nil || err != nil || rec.Msg.Root.VerifySignature(signer.Public()) != nil || !after[j].Root().Equal(rec.Msg.Root) {
+					t.Fatalf("%v, mapped=%v: state moved to n=%d without a verified root (apply: %v, decode: %v)",
+						layout, mapped, after[j].Count(), errs[j], err)
+				}
+			}
+			agree("the frame")
+			// Whatever the frame did, rejected or applied, the honest history
+			// still goes on from there, on both.
+			for j := range replicas {
+				errs[j] = ApplyLogRecord(replicas[j], next[i], now+10)
+				after[j] = replicas[j].Snapshot()
+			}
+			agree("the honest record after it")
+			if after[0].Count() < honestNext {
+				t.Fatalf("%v: honest record after the frame left n=%d (%v)", layout, after[0].Count(), errs[0])
+			}
 		}
 	})
 }

@@ -139,10 +139,7 @@ func (r *Replica) UpdateWithBounds(msg *IssuanceMessage, bounds []uint64) error 
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	have := r.tree.Count()
-	want := msg.Root.N
-	switch {
-	case want == have && len(msg.Serials) == 0:
+	if have := r.tree.Count(); msg.Root.N == have && len(msg.Serials) == 0 {
 		// Root-only refresh (chain rotation with no new revocations).
 		if !msg.Root.Root.Equal(r.tree.Root()) {
 			return fmt.Errorf("%w: rotated root differs at n=%d", ErrRootMismatch, have)
@@ -156,25 +153,19 @@ func (r *Replica) UpdateWithBounds(msg *IssuanceMessage, bounds []uint64) error 
 			// current snapshot.
 			return nil
 		}
-	case want != have+uint64(len(msg.Serials)):
-		if want > have+uint64(len(msg.Serials)) {
-			return fmt.Errorf("%w: have %d revocations, message covers up to %d", ErrDesynchronized, have, want)
-		}
-		return fmt.Errorf("%w: message count %d does not extend local count %d by %d",
-			ErrCount, want, have, len(msg.Serials))
-	default:
+	} else {
+		// The checkpoint is the state of the last published snapshot, so
+		// restoring it costs O(batch).
 		cp := r.tree.checkpoint()
-		if err := r.insertSubBatches(msg.Serials, have, bounds); err != nil {
+		err := r.tree.extend(msg.Serials, msg.Root.N, bounds)
+		if err == nil && !r.tree.Root().Equal(msg.Root.Root) {
+			// The signed root does not match what an honest replay
+			// produces (update step 3).
+			err = ErrRootMismatch
+		}
+		if err != nil {
 			r.tree.rollback(cp)
 			return err
-		}
-		if !r.tree.Root().Equal(msg.Root.Root) || r.tree.Count() != want {
-			// Reject and roll back: the signed root does not match what an
-			// honest replay produces (update step 3). The checkpoint is the
-			// state of the last published snapshot, so restoring it costs
-			// O(batch) — not the full-log re-insert the old rollback paid.
-			r.tree.rollback(cp)
-			return ErrRootMismatch
 		}
 	}
 	r.root = msg.Root
@@ -184,35 +175,6 @@ func (r *Replica) UpdateWithBounds(msg *IssuanceMessage, bounds []uint64) error 
 	r.freshPer = 0
 	r.publish()
 	return nil
-}
-
-// insertSubBatches replays serials (covering counts (have, have+len])
-// into the tree as the sub-batches delimited by bounds — cumulative
-// counts, each meaningful only if strictly inside the covered range and
-// increasing; bounds outside that range are skipped. Caller holds mu and
-// owns rollback on error.
-func (r *Replica) insertSubBatches(serials []serial.Number, have uint64, bounds []uint64) error {
-	if r.layoutKind.base() == LayoutSorted {
-		// The sorted layout's root depends only on content, never on the
-		// batch structure of the insertion history — bounds exist solely to
-		// reproduce the forest's bucketization. Coalescing the whole suffix
-		// into one merge turns a lagging replica's catch-up from one O(n)
-		// rebuild per original ∆ batch into a single O(n) merge.
-		return r.tree.InsertBatch(serials)
-	}
-	start := uint64(0)
-	end := have + uint64(len(serials))
-	for _, b := range bounds {
-		if b <= have+start || b >= end {
-			continue
-		}
-		cut := b - have
-		if err := r.tree.InsertBatch(serials[start:cut]); err != nil {
-			return err
-		}
-		start = cut
-	}
-	return r.tree.InsertBatch(serials[start:])
 }
 
 // ApplyFreshness verifies a freshness statement against the chain and,

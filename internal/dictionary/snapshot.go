@@ -2,6 +2,7 @@ package dictionary
 
 import (
 	"fmt"
+	"sort"
 
 	"ritm/internal/cryptoutil"
 	"ritm/internal/serial"
@@ -15,7 +16,11 @@ import (
 // every verified update or freshness refresh; readers obtain one with
 // Replica.Snapshot and may then call Prove, Revoked, and the accessors with
 // zero locking, forever — the arrays are never written again (the layouts'
-// copy-on-write rebuild guarantees it).
+// copy-on-write rebuild guarantees it). It is the one snapshot type: the view
+// of a replica opened over a mapped checkpoint (OpenMappedReplica) reads the
+// checkpoint's bytes where an ordinary replica's reads heap arrays, with
+// byte-identical proofs, and such a snapshot is valid for as long as that
+// mapping is.
 //
 // The paper's observation that makes snapshots worthwhile (§III, §VI): a
 // revocation status is immutable for a whole ∆ window. Proof, signed root,
@@ -26,8 +31,9 @@ import (
 type Snapshot struct {
 	ca        CAID
 	view      LayoutView
-	log       []serial.Number // issuance order, length == Count(); immutable
-	bounds    []uint64        // batch structure of the history; immutable
+	base      uint64          // revocations below the log; see Tree.base
+	log       []serial.Number // issuance order above base; immutable
+	bounds    []uint64        // batch structure of the history above base; immutable
 	root      *SignedRoot     // nil until the replica's first verified update
 	rootEnc   []byte          // memoized root encoding; spliced into statuses
 	freshness cryptoutil.Hash
@@ -45,6 +51,7 @@ func newSnapshot(ca CAID, t *Tree, root *SignedRoot, freshness cryptoutil.Hash, 
 	s := &Snapshot{
 		ca:        ca,
 		view:      t.view(),
+		base:      t.base,
 		log:       t.log,
 		bounds:    t.bounds,
 		root:      root,
@@ -82,12 +89,13 @@ func (s *Snapshot) Freshness() cryptoutil.Hash { return s.freshness }
 func (s *Snapshot) FreshnessPeriod() int { return s.freshPer }
 
 // Count returns the number of revocations in the snapshot.
-func (s *Snapshot) Count() uint64 { return uint64(len(s.log)) }
+func (s *Snapshot) Count() uint64 { return s.base + uint64(len(s.log)) }
 
 // RootHash returns the tree root hash of the snapshot.
 func (s *Snapshot) RootHash() cryptoutil.Hash { return s.view.Root() }
 
-// Log returns a copy of the issuance-ordered serial log of this version.
+// Log returns a copy of the issuance-ordered serial log of this version
+// (of the part above the checkpoint, for a replica opened over a mapped one).
 func (s *Snapshot) Log() []serial.Number {
 	return append([]serial.Number(nil), s.log...)
 }
@@ -103,10 +111,7 @@ func (s *Snapshot) Log() []serial.Number {
 // past its length — so every position the suffix covers is frozen forever
 // (same contract as Tree.LogSuffix).
 func (s *Snapshot) LogSuffix(from, to uint64) ([]serial.Number, error) {
-	if from > to || to > uint64(len(s.log)) {
-		return nil, fmt.Errorf("dictionary: log suffix (%d, %d] of %d", from, to, len(s.log))
-	}
-	return s.log[from:to:to], nil
+	return logSuffix(s.log, s.base, from, to)
 }
 
 // BatchBounds returns the cumulative counts strictly inside (from, to) at
@@ -116,13 +121,13 @@ func (s *Snapshot) LogSuffix(from, to uint64) ([]serial.Number, error) {
 // bucketization (and so its root) depends on. The result is freshly
 // allocated.
 func (s *Snapshot) BatchBounds(from, to uint64) []uint64 {
-	var out []uint64
-	for _, b := range s.bounds {
-		if b > from && b < to {
-			out = append(out, b)
-		}
+	// bounds is strictly increasing: the answer is one contiguous run.
+	lo := sort.Search(len(s.bounds), func(i int) bool { return s.bounds[i] > from })
+	hi := sort.Search(len(s.bounds), func(i int) bool { return s.bounds[i] >= to })
+	if lo >= hi {
+		return nil
 	}
-	return out
+	return append([]uint64(nil), s.bounds[lo:hi]...)
 }
 
 // Batches returns the full batch-structure record of this version: the

@@ -53,13 +53,13 @@ func TestIncrementalRebuildMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		sorted := tree.commit.(*sortedLayout)
-		want := rebuildReference(sorted.leafHashes)
-		if len(sorted.levels) != len(want) {
-			t.Fatalf("batch %d: %d levels, want %d", batchNo, len(sorted.levels), len(want))
+		want := rebuildReference(sorted.tree.levels[0])
+		if len(sorted.tree.levels) != len(want) {
+			t.Fatalf("batch %d: %d levels, want %d", batchNo, len(sorted.tree.levels), len(want))
 		}
 		for lvl := range want {
 			for i := range want[lvl] {
-				if !sorted.levels[lvl][i].Equal(want[lvl][i]) {
+				if !sorted.tree.levels[lvl][i].Equal(want[lvl][i]) {
 					t.Fatalf("batch %d: level %d node %d differs from full rebuild", batchNo, lvl, i)
 				}
 			}

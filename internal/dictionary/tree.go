@@ -77,21 +77,25 @@ func (l Leaf) hash() cryptoutil.Hash {
 	return cryptoutil.HashLeafSerial(l.Serial.Raw(), l.Num)
 }
 
-// Tree is a dictionary: the layout-independent state (serial index,
-// issuance log, batch validation) over a pluggable commitment structure
-// (Layout) that owns the hashed representation. It is a mutable structure
-// owned by a single Authority or Replica; it performs no locking of its
-// own.
+// Tree is a dictionary: the layout-independent state (issuance log, batch
+// structure, batch validation) over a pluggable commitment structure
+// (Layout) that owns the hashed representation — and is the only index from
+// serial to revocation number there is. It is a mutable structure owned by a
+// single Authority or Replica; it performs no locking of its own.
 //
 // Mutations are copy-on-write: InsertBatch never writes into arrays
 // reachable from a previously taken view, so a LayoutView frozen before a
 // mutation (see Snapshot) stays valid and immutable forever.
 type Tree struct {
-	commit   Layout
-	bySerial map[string]uint64 // canonical serial bytes -> revocation number
-	log      []serial.Number   // issuance order; log[i] has Num == i+1
+	commit Layout
+	// base is the number of revocations the tree holds without their log
+	// entries or batch bounds: 0 for a tree grown from empty, the
+	// checkpoint's count for one opened over a mapped checkpoint (see
+	// OpenMappedReplica), whose history up to there is the writer's to serve.
+	base uint64
+	log  []serial.Number // issuance order; log[i] has Num == base+i+1
 	// bounds records the cumulative revocation count after each InsertBatch,
-	// strictly increasing, bounds[len-1] == Count(). It is the batch
+	// strictly increasing, the last equal to Count(). It is the batch
 	// structure of the insertion history — which the forest layout's
 	// bucketization (and therefore its root) depends on: a bucket split
 	// chunks whatever the bucket holds at that moment, so replaying the
@@ -110,7 +114,7 @@ func NewTree() *Tree {
 // NewTreeWithLayout returns an empty dictionary tree with the given
 // commitment layout.
 func NewTreeWithLayout(kind LayoutKind) *Tree {
-	return &Tree{commit: newLayout(kind), bySerial: make(map[string]uint64)}
+	return &Tree{commit: newLayout(kind)}
 }
 
 // Layout returns the tree's commitment layout.
@@ -124,7 +128,7 @@ func (t *Tree) HashedNodes() uint64 { return t.commit.hashedNodes() }
 func (t *Tree) view() LayoutView { return t.commit.view() }
 
 // Count returns n, the number of revocations in the dictionary.
-func (t *Tree) Count() uint64 { return uint64(len(t.log)) }
+func (t *Tree) Count() uint64 { return t.base + uint64(len(t.log)) }
 
 // Root returns the current root hash (EmptyRoot when the tree is empty).
 // It reads the layout's memoized root without exposing the backing arrays,
@@ -135,10 +139,7 @@ func (t *Tree) Root() cryptoutil.Hash {
 }
 
 // Revoked reports whether s is in the dictionary, and its revocation number.
-func (t *Tree) Revoked(s serial.Number) (uint64, bool) {
-	num, ok := t.bySerial[string(s.Raw())]
-	return num, ok
-}
+func (t *Tree) Revoked(s serial.Number) (uint64, bool) { return t.commit.revoked(s) }
 
 // Log returns a copy of the issuance-ordered serial log. Replaying the log
 // into an empty tree of the same layout reproduces the dictionary exactly;
@@ -163,10 +164,16 @@ func (t *Tree) Log() []serial.Number {
 // three-index slice caps capacity at the suffix length, so a caller's own
 // append cannot write into the tree's log either.
 func (t *Tree) LogSuffix(from, to uint64) ([]serial.Number, error) {
-	if from > to || to > t.Count() {
-		return nil, fmt.Errorf("dictionary: log suffix (%d, %d] of %d", from, to, t.Count())
+	return logSuffix(t.log, t.base, from, to)
+}
+
+// logSuffix slices (from, to] out of a log whose first entry is revocation
+// number base+1.
+func logSuffix(log []serial.Number, base, from, to uint64) ([]serial.Number, error) {
+	if from > to || from < base || to > base+uint64(len(log)) {
+		return nil, fmt.Errorf("dictionary: log suffix (%d, %d] of (%d, %d]", from, to, base, base+uint64(len(log)))
 	}
-	return t.log[from:to:to], nil
+	return log[from-base : to-base : to-base], nil
 }
 
 // InsertBatch revokes the given serials, assigning consecutive revocation
@@ -178,40 +185,73 @@ func (t *Tree) InsertBatch(serials []serial.Number) error {
 		return nil
 	}
 	// Validate first: no serial may repeat, within the batch or historically.
-	// Historic duplicates fall out of a bySerial lookup (no allocation);
-	// in-batch duplicates are adjacent after the sort below, so no per-batch
-	// set is needed.
+	// In-batch duplicates are adjacent after the sort, and historic ones fall
+	// out of one layout search per serial — walked in sorted order, so
+	// consecutive searches touch neighbouring leaves — without a per-batch
+	// set or a serial index to keep in step with the layout.
 	newLeaves := make([]Leaf, len(serials))
 	next := t.Count() + 1
 	for i, s := range serials {
 		if s.IsZero() {
 			return fmt.Errorf("dictionary: insert of zero-value serial")
 		}
-		if _, dup := t.bySerial[string(s.Raw())]; dup {
-			return fmt.Errorf("%w: %v", ErrDuplicateSerial, s)
-		}
 		newLeaves[i] = Leaf{Serial: s, Num: next + uint64(i)}
 	}
-	// Sort the batch by serial; equal serials land adjacent.
 	sortLeaves(newLeaves)
-	for i := 1; i < len(newLeaves); i++ {
-		if newLeaves[i].Serial.Compare(newLeaves[i-1].Serial) == 0 {
-			return fmt.Errorf("%w: %v appears twice in batch", ErrDuplicateSerial, newLeaves[i].Serial)
+	for i, lf := range newLeaves {
+		if i > 0 && lf.Serial.Compare(newLeaves[i-1].Serial) == 0 {
+			return fmt.Errorf("%w: %v appears twice in batch", ErrDuplicateSerial, lf.Serial)
+		}
+		if _, dup := t.commit.revoked(lf.Serial); dup {
+			return fmt.Errorf("%w: %v", ErrDuplicateSerial, lf.Serial)
 		}
 	}
 
-	// Commit: index and log in issuance order, then hand the sorted batch to
-	// the layout, which merges it copy-on-write: the previous version's
-	// arrays — possibly aliased by a published Snapshot — are never touched.
+	// Commit: log in issuance order, then hand the sorted batch to the
+	// layout, which merges it copy-on-write: the previous version's arrays —
+	// possibly aliased by a published Snapshot — are never touched.
 	for _, s := range serials {
 		t.log = append(t.log, s)
-	}
-	for _, lf := range newLeaves {
-		t.bySerial[string(lf.Serial.Raw())] = lf.Num
 	}
 	t.commit.insert(newLeaves)
 	t.bounds = append(t.bounds, t.Count())
 	return nil
+}
+
+// extend replays a batch recorded as ending at revocation count n. The
+// batch must continue the tree's count exactly — ErrDesynchronized when it
+// starts beyond it, ErrCount when it does not add up to n — and is inserted
+// as the sub-batches delimited by bounds: cumulative counts, each
+// meaningful only if strictly inside the covered range and increasing,
+// others skipped. On error the tree may hold a prefix of the batch; the
+// caller rolls back or discards it.
+func (t *Tree) extend(serials []serial.Number, n uint64, bounds []uint64) error {
+	have := t.Count()
+	if end := have + uint64(len(serials)); n > end {
+		return fmt.Errorf("%w: have %d revocations, batch of %d covers up to %d", ErrDesynchronized, have, len(serials), n)
+	} else if n < end {
+		return fmt.Errorf("%w: count %d does not extend local count %d by %d", ErrCount, n, have, len(serials))
+	}
+	if t.Layout().base() == LayoutSorted {
+		// The sorted layout's root depends only on content, never on the
+		// batch structure of the insertion history — bounds exist solely to
+		// reproduce the forest's bucketization. Coalescing the whole suffix
+		// into one merge turns a lagging replica's catch-up from one O(n)
+		// rebuild per original ∆ batch into a single O(n) merge.
+		return t.InsertBatch(serials)
+	}
+	start := uint64(0)
+	for _, b := range bounds {
+		if b <= have+start || b >= n {
+			continue
+		}
+		cut := b - have
+		if err := t.InsertBatch(serials[start:cut]); err != nil {
+			return err
+		}
+		start = cut
+	}
+	return t.InsertBatch(serials[start:])
 }
 
 // BatchBounds returns the cumulative counts at which the tree's insertion
@@ -239,22 +279,11 @@ func (t *Tree) checkpoint() treeCheckpoint {
 // rollback rewinds the tree to cp, undoing the InsertBatch calls (one or
 // several — a bounds-structured update replays sub-batches) made since
 // the checkpoint: the commitment structure is restored from the
-// checkpoint (O(1)), the inserted keys leave the serial index, and the
-// log and bounds are truncated. This replaces the old full RebuildFromLog
-// replay on the rejected-update path: O(inserted) instead of re-inserting
-// and re-hashing the whole log.
-//
-// The keys to delete come from the log tail — exactly what was actually
-// inserted — NOT from the failed message's batch: a hostile message can
-// pair a genuine signed root with a suffix re-listing serials revoked
-// long ago (rejected as duplicates before insertion), and deleting by
-// batch would evict those pre-existing serials from the index while they
-// remain committed.
+// checkpoint (O(1)) and the log and bounds are truncated. There is nothing
+// else to rewind — the layout is the serial index — so a hostile batch that
+// re-lists serials revoked long ago cannot evict them on its way out.
 func (t *Tree) rollback(cp treeCheckpoint) {
 	t.commit.restore(cp.state)
-	for _, s := range t.log[cp.logLen:] {
-		delete(t.bySerial, string(s.Raw()))
-	}
 	// Truncating the slice header never writes the array, so snapshots
 	// sharing the log stay intact; later appends only touch positions the
 	// failed batch wrote, which no published snapshot covers.
@@ -292,12 +321,10 @@ func (t *Tree) SerializedSize() int {
 }
 
 // MemoryFootprint estimates the resident bytes of the tree structure:
-// the layout's hashed representation, the serial index, and the log. It is
-// an analytic estimate used by the storage-overhead experiment (§VII-D).
+// the layout's hashed representation and the log. It is an analytic
+// estimate used by the storage-overhead experiment (§VII-D).
 func (t *Tree) MemoryFootprint() int {
-	const mapEntryBytes = 48 // measured approximation per map entry
 	total := t.commit.memoryFootprint()
-	total += len(t.bySerial) * mapEntryBytes
 	for _, s := range t.log {
 		total += 24 + s.Len()
 	}

@@ -15,13 +15,14 @@ import (
 // RA processes point at ONE writer's data directory. The writer is a
 // normal RA (Storage configured, fetcher running) that pulls from the
 // dissemination network, verifies, WAL-appends, and checkpoints; readers
-// (StoreOptions.SharedData) never open the logs for writing — they map
-// the current checkpoint (physical pages shared across processes via
-// mmap), overlay the WAL suffix as a small heap delta, and poll a cheap
-// stamp to learn when the writer moved. The paper's RA is an untrusted
-// prover (§V), so a reader trusts its mapping no more than the writer
-// trusted the network: every signed root is re-verified on map, and
-// corruption can only cost availability, never forge a status.
+// (StoreOptions.SharedData) never open the logs for writing — they open
+// a replica over the current checkpoint's mapping (physical pages shared
+// across processes via mmap), apply the WAL suffix to it as a small heap
+// delta, and poll a cheap stamp to learn when the writer moved. The
+// paper's RA is an untrusted prover (§V), so a reader trusts its mapping
+// no more than the writer trusted the network: every signed root is
+// re-verified on map, and corruption can only cost availability, never
+// forge a status.
 
 // sharedState is one published (snapshot, generation) pair together with
 // the checkpoint mapping the snapshot reads. Publishing them together keeps
@@ -35,15 +36,17 @@ import (
 // keeps its pages (a count of retained generations, the previous rule, did
 // not: five re-maps later it faulted).
 type sharedState struct {
-	snap *dictionary.MappedSnapshot
+	snap *dictionary.Snapshot
 	gen  uint64
 	mc   *storage.MappedCheckpoint
 	refs atomic.Int64
 }
 
-// release drops one reference, unmapping the checkpoint with the last.
+// release drops one reference, unmapping the checkpoint with the last. On
+// the nil state — what an owned replica's snapshot, all heap, is held
+// through — it does nothing.
 func (st *sharedState) release() error {
-	if st.refs.Add(-1) == 0 {
+	if st != nil && st.refs.Add(-1) == 0 {
 		return st.mc.Close()
 	}
 	return nil
@@ -125,13 +128,15 @@ func (d *sharedDict) refresh() error {
 	if err != nil {
 		return fmt.Errorf("ra: map shared %s: %w", d.ca, err)
 	}
-	next := &sharedState{gen: d.CurrentGeneration() + 1, mc: mc}
-	next.refs.Store(1)
-	next.snap, err = dictionary.NewMappedSnapshot(d.ca, d.pub, d.layout, mc.State, mc.WAL, d.now().Unix(), next.gen)
+	// The replica lives for this one snapshot: the next re-map opens a new
+	// one over the next mapping.
+	replica, err := dictionary.OpenMappedReplica(d.ca, d.pub, d.layout, mc.State, mc.WAL, d.now().Unix())
 	if err != nil {
 		mc.Close()
 		return fmt.Errorf("ra: open shared %s: %w", d.ca, err)
 	}
+	next := &sharedState{snap: replica.Snapshot(), gen: d.CurrentGeneration() + 1, mc: mc}
+	next.refs.Store(1)
 	if prev := d.state.Swap(next); prev != nil {
 		// A munmap failure on a superseded mapping leaks address space,
 		// nothing a refresh could act on.

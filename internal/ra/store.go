@@ -214,6 +214,37 @@ func (v *storeView) rebuildCAs() {
 	sort.Slice(v.cas, func(i, j int) bool { return v.cas[i] < v.cas[j] })
 }
 
+// source returns what ca's cached statuses are labelled with — the owned
+// replica or the shared reader — or nil for a CA the store does not serve.
+func (v *storeView) source(ca dictionary.CAID) cacheSource {
+	if d, ok := v.shared[ca]; ok {
+		return d
+	}
+	if r, ok := v.replicas[ca]; ok {
+		return r
+	}
+	return nil
+}
+
+// acquire returns the snapshot to prove ca's statuses from and the cache
+// generation it was published under. A shared reader's snapshot reads a
+// checkpoint mapping, which held keeps mapped until the caller releases it;
+// an owned replica's is all heap and held is nil.
+func (v *storeView) acquire(ca dictionary.CAID) (snap *dictionary.Snapshot, gen uint64, held *sharedState, err error) {
+	if d, ok := v.shared[ca]; ok {
+		if held = d.acquire(); held == nil {
+			return nil, 0, nil, fmt.Errorf("ra: shared dictionary %s is closed", ca)
+		}
+		return held.snap, held.gen, held, nil
+	}
+	r, ok := v.replicas[ca]
+	if !ok {
+		return nil, 0, nil, fmt.Errorf("%w: %s", ErrNoDictionary, ca)
+	}
+	snap = r.Snapshot()
+	return snap, snap.Generation(), nil, nil
+}
+
 // AddCA starts replicating one more CA's dictionary, trusting the given
 // self-signed root certificate (the bootstrapping manifest of §VIII).
 // With a storage backend configured, the replica warm-starts from its
@@ -608,23 +639,12 @@ func (s *Store) CAKey(ca dictionary.CAID) (ed25519.PublicKey, bool) {
 // (Fig 2, prove; Fig 3 step 4), bypassing the status cache — each call
 // constructs a fresh proof. The data path uses Status instead.
 func (s *Store) Prove(ca dictionary.CAID, sn serial.Number) (*dictionary.Status, error) {
-	if d, ok := s.sharedFor(ca); ok {
-		ss := d.acquire()
-		if ss == nil {
-			return nil, fmt.Errorf("ra: shared dictionary %s is closed", ca)
-		}
-		st, err := ss.snap.Prove(sn)
-		_ = ss.release() // see sharedDict.refresh
-		if err != nil {
-			return nil, fmt.Errorf("ra: prove %v against %s: %w", sn, ca, err)
-		}
-		return st, nil
-	}
-	r, err := s.Replica(ca)
+	snap, _, held, err := s.view.Load().acquire(ca)
 	if err != nil {
 		return nil, err
 	}
-	st, err := r.Prove(sn)
+	st, err := snap.Prove(sn)
+	_ = held.release() // see sharedDict.refresh
 	if err != nil {
 		return nil, fmt.Errorf("ra: prove %v against %s: %w", sn, ca, err)
 	}
@@ -639,12 +659,8 @@ func (s *Store) Prove(ca dictionary.CAID, sn serial.Number) (*dictionary.Status,
 // callers must treat it, and the encoded bytes, as immutable.
 func (s *Store) Status(ca dictionary.CAID, sn serial.Number) (*dictionary.Status, []byte, error) {
 	v := s.view.Load()
-	var source cacheSource
-	if d, ok := v.shared[ca]; ok {
-		source = d
-	} else if r, ok := v.replicas[ca]; ok {
-		source = r
-	} else {
+	source := v.source(ca)
+	if source == nil {
 		return nil, nil, fmt.Errorf("%w: %s", ErrNoDictionary, ca)
 	}
 	// The lookup key aliases a stack copy of the serial (get does not
@@ -653,27 +669,13 @@ func (s *Store) Status(ca dictionary.CAID, sn serial.Number) (*dictionary.Status
 		return &e.status, e.encoded, nil
 	}
 	// gen and snapshot are published together, so the entry's generation
-	// labels the snapshot it was computed from; a shared snapshot's mapping
-	// is held for the duration of the Prove.
-	var (
-		gen uint64
-		st  *dictionary.Status
-		err error
-	)
-	switch src := source.(type) {
-	case *sharedDict:
-		ss := src.acquire()
-		if ss == nil {
-			return nil, nil, fmt.Errorf("ra: shared dictionary %s is closed", ca)
-		}
-		gen = ss.gen
-		st, err = ss.snap.Prove(sn)
-		_ = ss.release() // see sharedDict.refresh
-	case *dictionary.Replica:
-		snap := src.Snapshot()
-		gen = snap.Generation()
-		st, err = snap.Prove(sn)
+	// labels the snapshot it was computed from.
+	snap, gen, held, err := v.acquire(ca)
+	if err != nil {
+		return nil, nil, err
 	}
+	st, err := snap.Prove(sn)
+	_ = held.release() // see sharedDict.refresh
 	if err != nil {
 		return nil, nil, fmt.Errorf("ra: prove %v against %s: %w", sn, ca, err)
 	}
@@ -719,19 +721,14 @@ func (s *Store) SnapshotSwaps() uint64 {
 // the monitor package's RootSource, letting RAs participate in consistency
 // checking (§III "Consistency Checking").
 func (s *Store) LatestRoot(ca dictionary.CAID) (*dictionary.SignedRoot, error) {
-	if d, ok := s.sharedFor(ca); ok {
-		if ss := d.state.Load(); ss != nil && ss.snap.Root() != nil {
-			return ss.snap.Root(), nil
-		}
-		return nil, fmt.Errorf("ra: shared dictionary %s has no signed root yet", ca)
-	}
-	r, err := s.Replica(ca)
+	snap, _, held, err := s.view.Load().acquire(ca)
 	if err != nil {
 		return nil, err
 	}
-	root := r.Root()
+	root := snap.Root() // decoded onto the heap: outlives the mapping
+	_ = held.release()
 	if root == nil {
-		return nil, fmt.Errorf("ra: replica of %s has no signed root yet", ca)
+		return nil, fmt.Errorf("ra: dictionary of %s has no signed root yet", ca)
 	}
 	return root, nil
 }

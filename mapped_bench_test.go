@@ -80,9 +80,9 @@ func newMappedEnv(tb testing.TB, layout dictionary.LayoutKind, n int) *mappedEnv
 }
 
 // mappedSnapshot installs the env's v2 checkpoint into a file backend and
-// maps it, returning the serving snapshot (and keeping the mapping alive
-// via the returned checkpoint).
-func (e *mappedEnv) mappedSnapshot(tb testing.TB, dir string) (*dictionary.MappedSnapshot, *storage.MappedCheckpoint) {
+// maps it, returning the snapshot a co-located reader serves (and keeping
+// the mapping alive via the returned checkpoint).
+func (e *mappedEnv) mappedSnapshot(tb testing.TB, dir string) (*dictionary.Snapshot, *storage.MappedCheckpoint) {
 	tb.Helper()
 	be := storage.NewFileBackend(dir, false)
 	lg, err := be.Open("BenchCA")
@@ -99,19 +99,14 @@ func (e *mappedEnv) mappedSnapshot(tb testing.TB, dir string) (*dictionary.Mappe
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ms, err := dictionary.NewMappedSnapshot("BenchCA", e.signer.Public(), e.layout, mc.State, mc.WAL, time.Now().Unix(), 1)
+	r, err := dictionary.OpenMappedReplica("BenchCA", e.signer.Public(), e.layout, mc.State, mc.WAL, time.Now().Unix())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return ms, mc
+	return r.Snapshot(), mc
 }
 
-// proveSource is the common read contract of heap and mapped snapshots.
-type proveSource interface {
-	Prove(sn serial.Number) (*dictionary.Status, error)
-}
-
-func benchProve(b *testing.B, src proveSource, serials []serial.Number, encode bool) {
+func benchProve(b *testing.B, src *dictionary.Snapshot, serials []serial.Number, encode bool) {
 	b.Helper()
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -137,7 +132,7 @@ func BenchmarkMappedProve(b *testing.B) {
 		heap := env.replica.Snapshot()
 		for _, mode := range []struct {
 			name string
-			src  proveSource
+			src  *dictionary.Snapshot
 		}{{"heap", heap}, {"mapped", ms}} {
 			for _, probe := range []struct {
 				name    string
@@ -162,7 +157,7 @@ func BenchmarkMappedStatus(b *testing.B) {
 		heap := env.replica.Snapshot()
 		for _, mode := range []struct {
 			name string
-			src  proveSource
+			src  *dictionary.Snapshot
 		}{{"heap", heap}, {"mapped", ms}} {
 			b.Run(fmt.Sprintf("layout=%s/n=%d/%s", layout, n, mode.name), func(b *testing.B) {
 				benchProve(b, mode.src, env.absent, true)
