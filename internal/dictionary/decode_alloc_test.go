@@ -77,3 +77,60 @@ func TestDecodeIssuanceAllocsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeStatusAllocsPinned pins the client-side decode arena: a proof
+// decodes into one struct block (Proof, both leaves, spine segment and their
+// serial bytes) plus one array backing every audit path, whatever its shape
+// — the largest, a forest absence proof with two leaves, two bucket bounds
+// and three paths, costs what a sorted presence proof does. The rest of the
+// budget is the Status and its signed root. Per-leaf and per-path
+// allocations (9 sorted, 15 forest before the arena) blow it.
+func TestDecodeStatusAllocsPinned(t *testing.T) {
+	batch := serial.NewGenerator(0xA110C, nil).NextN(2000)
+	absent := serial.NewGenerator(0xAB5E27, nil).Next()
+	for _, kind := range layoutKinds() {
+		a := newTestAuthorityWithLayout(t, 0, kind)
+		if _, err := a.Insert(batch, 0); err != nil {
+			t.Fatal(err)
+		}
+		st, err := a.Prove(absent, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Proof.Left == nil || st.Proof.Right == nil {
+			t.Fatalf("%v: fixture probe is not bracketed by two leaves", kind)
+		}
+		enc := st.Encode()
+		proofOnly := st.Proof.Encode()
+
+		const proofBudget = 2 // the arena block and the hash array
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := DecodeProof(proofOnly); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > proofBudget {
+			t.Errorf("%v: DecodeProof(absence) allocs/op = %.1f, want ≤ %d", kind, allocs, proofBudget)
+		}
+		const statusBudget = proofBudget + 4 // + Status, SignedRoot, its CA id and signature
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := DecodeStatus(enc); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > statusBudget {
+			t.Errorf("%v: DecodeStatus(absence) allocs/op = %.1f, want ≤ %d", kind, allocs, statusBudget)
+		}
+
+		// The decoded proof owns its bytes: clobbering the input must not
+		// reach it.
+		dec, err := DecodeStatus(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range enc {
+			enc[i] = 0xFF
+		}
+		if res, err := dec.Check(absent, a.PublicKey(), 0); err != nil || res != CheckValid {
+			t.Errorf("%v: decoded status aliases its input: Check = (%v, %v)", kind, res, err)
+		}
+	}
+}

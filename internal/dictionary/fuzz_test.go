@@ -2,8 +2,11 @@ package dictionary
 
 import (
 	"bytes"
+	"crypto/ed25519"
 	"testing"
+	"time"
 
+	"ritm/internal/cryptoutil"
 	"ritm/internal/serial"
 )
 
@@ -11,8 +14,7 @@ import (
 // bodies: truncations at every depth, bit flips, length-field lies, and
 // spine-flag abuse. The seed corpus covers every proof shape of both
 // layouts — presence, two-leaf absence, both boundary absences, the empty
-// dictionary — with and without the versioned SpineSegment extension, plus
-// classic malformations.
+// dictionary — with and without a SpineSegment, plus classic malformations.
 func FuzzDecodeProof(f *testing.F) {
 	gen := serial.NewGenerator(0xF022, nil)
 	sorted := NewTree()
@@ -31,7 +33,7 @@ func FuzzDecodeProof(f *testing.F) {
 		mustMaxSerial(),      // right boundary
 	}
 	for _, s := range probes {
-		f.Add(sorted.Prove(s).Encode()) // pre-forest encoding, no spine flag
+		f.Add(sorted.Prove(s).Encode()) // no spine flag
 		f.Add(forest.Prove(s).Encode()) // spine-flagged encoding
 	}
 	empty := NewTree().Prove(batch[0]).Encode()
@@ -63,6 +65,80 @@ func FuzzDecodeProof(f *testing.F) {
 		}
 		if !bytes.Equal(again.Encode(), enc) {
 			t.Fatalf("re-encoding unstable:\n in: %x\nout: %x", enc, again.Encode())
+		}
+	})
+}
+
+// FuzzDecodeStatus feeds ritmclient's input — the status bytes an untrusted
+// RA splices into the handshake — through DecodeStatus and Status.Check.
+// Neither may panic, and whatever the bytes, a status Check accepts for a
+// serial says about it exactly what the CA's dictionary says: the verdict
+// and the proof are the honest ones (the advisory Subject and the 2∆
+// tolerance of the freshness value are the only bytes free to move). The
+// seed corpus is every proof shape of both layouts in the one absence
+// encoding, plus truncations.
+func FuzzDecodeStatus(f *testing.F) {
+	const now = 1000
+	type verdict struct {
+		s     serial.Number
+		pub   ed25519.PublicKey
+		res   CheckResult
+		proof []byte
+	}
+	var honest []verdict
+	batch := serial.NewGenerator(0xF0225, nil).NextN(600)
+	absent := serial.NewGenerator(0xAB5E, nil)
+	for i, layout := range []LayoutKind{LayoutSorted, LayoutForestWithCap(8)} {
+		a, err := NewAuthority(AuthorityConfig{
+			CA: "CA1", Signer: cryptoutil.NewSignerFromSeed([32]byte{byte(i + 1)}),
+			Delta: 10 * time.Second, ChainLength: 16, Layout: layout,
+			// Fuzz workers are separate processes and must rebuild the very
+			// statuses the coordinator seeded the corpus with: fixed key
+			// above, fixed freshness-chain seeds here.
+			Rand: bytes.NewReader(make([]byte, 1<<10)),
+		}, now)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := a.Insert(batch, now); err != nil {
+			f.Fatal(err)
+		}
+		probes := []serial.Number{
+			batch[0], batch[300], // presence
+			absent.Next(), absent.Next(), absent.Next(), // two-leaf absence (almost surely)
+			serial.FromUint64(0), mustMaxSerial(), // both boundaries
+		}
+		for _, s := range probes {
+			st, err := a.Prove(s, now)
+			if err != nil {
+				f.Fatal(err)
+			}
+			res, err := st.Check(s, a.PublicKey(), now)
+			if err != nil {
+				f.Fatal(err)
+			}
+			honest = append(honest, verdict{s, a.PublicKey(), res, st.Proof.Encode()})
+			enc := st.Encode()
+			f.Add(enc)
+			f.Add(enc[:len(enc)/2])
+			f.Add(enc[:len(enc)-1])
+		}
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := DecodeStatus(data)
+		if err != nil {
+			return
+		}
+		for _, h := range honest {
+			res, err := st.Check(h.s, h.pub, now)
+			if err != nil {
+				continue
+			}
+			if res != h.res || !bytes.Equal(st.Proof.Encode(), h.proof) {
+				t.Fatalf("accepted a status for %v the dictionary did not produce: result %v, honest %v", h.s, res, h.res)
+			}
 		}
 	})
 }

@@ -400,30 +400,28 @@ type proofArena struct {
 
 // appendPath appends the audit path for position idx of r's level 0 — a
 // dictionary leaf, or a bucket's position in a spine — to the shared array
-// and returns the capped segment holding it.
-func (a *proofArena) appendPath(r *run, idx int) []cryptoutil.Hash {
-	width := r.count()
-	if idx < 0 || idx >= width {
-		return nil
-	}
-	start := len(a.paths)
-	for lvl := 0; width > 1; lvl, width = lvl+1, (width+1)/2 {
-		if sib := idx ^ 1; sib < width {
+// and returns the capped segment holding it: the siblings on levels
+// [0, top) except level skip; top is at most r.depth()-1, the root having
+// none.
+func (a *proofArena) appendPath(r *run, idx, skip, top int) []cryptoutil.Hash {
+	start, last := len(a.paths), r.count()-1
+	for lvl := 0; lvl < top; lvl++ {
+		if sib := idx>>lvl ^ 1; sib <= last>>lvl && lvl != skip {
 			a.paths = append(a.paths, r.node(lvl, sib))
 		}
 		// Odd rightmost node has no sibling: promoted, no path element.
-		idx /= 2
 	}
 	return a.paths[start:len(a.paths):len(a.paths)]
 }
 
-// fillLeaf populates the arena's next inline ProofLeaf from leaf idx of r.
-func (a *proofArena) fillLeaf(r *run, idx int) *ProofLeaf {
+// fillLeaf populates the arena's next inline ProofLeaf from leaf idx of r,
+// skip and top selecting its Path as in appendPath.
+func (a *proofArena) fillLeaf(r *run, idx, skip, top int) *ProofLeaf {
 	pl := &a.leaves[a.nleaf]
 	a.nleaf++
 	lf := r.leaf(idx)
 	pl.Serial, pl.Num, pl.Index = lf.Serial, lf.Num, uint64(idx)
-	pl.Path = a.appendPath(r, idx)
+	pl.Path = a.appendPath(r, idx, skip, top)
 	return pl
 }
 
@@ -449,15 +447,18 @@ func prove(r *run, s serial.Number, sp *SpineSegment, spine *run, spineIdx int) 
 		// s falls strictly between two adjacent leaves.
 		li, ri = lo-1, lo
 	}
-	perLeaf := r.depth() - 1
-	pathCap := 0
-	if li >= 0 {
-		pathCap += perLeaf
+	// A lone leaf carries its whole audit path. Two bracketing leaves share
+	// one (see pairRoot): their climbs meet above level fork — one level per
+	// trailing 1 bit of li — where the two are each other's sibling, so that
+	// level is left out; Right carries only its siblings below it, Left its
+	// own below it and the common path above.
+	top := r.depth() - 1
+	fork, pathCap := top, top
+	if li >= 0 && ri >= 0 {
+		fork = bits.TrailingZeros(^uint(li))
+		pathCap += fork - 1
 	}
-	if ri >= 0 {
-		pathCap += perLeaf
-	}
-	if sp != nil && spine.depth() > 0 {
+	if sp != nil {
 		pathCap += spine.depth() - 1
 	}
 	a := &proofArena{}
@@ -466,14 +467,14 @@ func prove(r *run, s serial.Number, sp *SpineSegment, spine *run, spineIdx int) 
 		a.paths = make([]cryptoutil.Hash, 0, pathCap)
 	}
 	if li >= 0 {
-		a.proof.Left = a.fillLeaf(r, li)
+		a.proof.Left = a.fillLeaf(r, li, fork, top)
 	}
 	if ri >= 0 {
-		a.proof.Right = a.fillLeaf(r, ri)
+		a.proof.Right = a.fillLeaf(r, ri, fork, fork)
 	}
 	if sp != nil {
 		a.spine = *sp
-		a.spine.Path = a.appendPath(spine, spineIdx)
+		a.spine.Path = a.appendPath(spine, spineIdx, -1, spine.depth()-1)
 		a.proof.Spine = &a.spine
 	}
 	return &a.proof
