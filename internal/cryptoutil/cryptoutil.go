@@ -15,6 +15,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 )
 
@@ -114,28 +115,70 @@ func HashLeaf(payload []byte) Hash {
 // HashLeafSerial computes the dictionary leaf hash directly from the
 // leaf's fields — byte-identical to HashLeaf over the leaf's wire payload
 // (length-prefixed serial bytes, then the issuance counter as a uvarint)
-// — assembling the preimage in a stack buffer. Leaf hashing dominates ∆
-// rebuilds (every RA re-hashes every churned leaf every cycle), so this
-// path must not allocate; HashLeaf + an encoder costs two heap objects
-// per call.
+// — assembling the preimage in a stack buffer: verifiers hash a leaf or two
+// per status and must not allocate. Rebuilds hash through a TreeHasher.
 func HashLeafSerial(serialRaw []byte, num uint64) Hash {
-	var buf [1 + binary.MaxVarintLen64 + 40 + binary.MaxVarintLen64]byte
-	b := append(buf[:0], domainLeaf)
-	b = binary.AppendUvarint(b, uint64(len(serialRaw)))
-	b = append(b, serialRaw...)
-	b = binary.AppendUvarint(b, num)
-	return HashBytes(b)
+	var buf [preimageMax]byte
+	return HashBytes(appendLeafSerial(buf[:0], serialRaw, num))
 }
 
-// HashNode computes the hash of an interior Merkle node from its children.
-// Like HashLeafSerial it builds the fixed-size preimage on the stack:
-// interior hashing is the other half of every rebuild's work.
+// HashNode computes the hash of an interior Merkle node from its children,
+// the fixed-size preimage on the stack like HashLeafSerial's.
 func HashNode(left, right Hash) Hash {
-	var buf [1 + 2*HashSize]byte
-	buf[0] = domainNode
-	copy(buf[1:], left[:])
-	copy(buf[1+HashSize:], right[:])
-	return HashBytes(buf[:])
+	var buf [preimageMax]byte
+	return HashBytes(appendNode(buf[:0], &left, &right))
+}
+
+// preimageMax bounds a leaf or interior-node preimage: the domain byte, two
+// uvarints and a serial of up to 40 bytes; a node's 41 bytes fit inside.
+const preimageMax = 1 + binary.MaxVarintLen64 + 40 + binary.MaxVarintLen64
+
+// appendLeafSerial and appendNode are the only places the two tree
+// preimages are assembled; the free functions above and TreeHasher share
+// them.
+func appendLeafSerial(b, serialRaw []byte, num uint64) []byte {
+	b = append(b, domainLeaf)
+	b = binary.AppendUvarint(b, uint64(len(serialRaw)))
+	b = append(b, serialRaw...)
+	return binary.AppendUvarint(b, num)
+}
+
+func appendNode(b []byte, left, right *Hash) []byte {
+	b = append(b, domainNode)
+	b = append(b, left[:]...)
+	return append(b, right[:]...)
+}
+
+// TreeHasher hashes leaves and interior nodes through one reused digest and
+// one preimage buffer. A ∆ rebuild hashes hundreds of thousands of 41-byte
+// nodes, and per node the one-shot sha256.Sum256 spends more time setting a
+// digest up and tearing it down than compressing the single block; a layout
+// owns one TreeHasher and pays that once. The zero value is ready to use;
+// it is not safe for concurrent use. Results equal HashLeafSerial/HashNode.
+type TreeHasher struct {
+	d   hash.Hash
+	buf [preimageMax]byte
+	sum [sha256.Size]byte
+}
+
+func (h *TreeHasher) hash(preimage []byte) (out Hash) {
+	if h.d == nil {
+		h.d = sha256.New()
+	}
+	h.d.Reset()
+	h.d.Write(preimage)
+	copy(out[:], h.d.Sum(h.sum[:0]))
+	return out
+}
+
+// LeafSerial is HashLeafSerial through the reused digest.
+func (h *TreeHasher) LeafSerial(serialRaw []byte, num uint64) Hash {
+	return h.hash(appendLeafSerial(h.buf[:0], serialRaw, num))
+}
+
+// Node is HashNode through the reused digest.
+func (h *TreeHasher) Node(left, right *Hash) Hash {
+	return h.hash(appendNode(h.buf[:0], left, right))
 }
 
 // HashBucket commits one bucket of a forest-layout dictionary: its

@@ -3,6 +3,7 @@ package cryptoutil
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -61,6 +62,27 @@ func TestDomainSeparation(t *testing.T) {
 			t.Errorf("domain collision between %s and %s", prev, name)
 		}
 		seen[h] = name
+	}
+}
+
+// TestTreeHasherMatchesFreeFunctions: the reused digest is an optimisation,
+// not a second hash — it must give HashNode's and HashLeafSerial's bytes
+// (what verifiers compute), whatever it hashed before, and HashLeafSerial
+// must still be HashLeaf over the wire payload.
+func TestTreeHasherMatchesFreeFunctions(t *testing.T) {
+	var h TreeHasher
+	a, b := HashBytes([]byte("a")), HashBytes([]byte("b"))
+	for i := 0; i < 3; i++ {
+		if got := h.Node(&a, &b); got != HashNode(a, b) || got != HashConcat([]byte{domainNode}, a[:], b[:]) {
+			t.Fatalf("round %d: TreeHasher.Node differs from HashNode", i)
+		}
+		for _, raw := range [][]byte{{7}, bytes.Repeat([]byte{0xEE}, 20), bytes.Repeat([]byte{1}, 40)} {
+			payload := binary.AppendUvarint(append([]byte{byte(len(raw))}, raw...), 1<<40+uint64(i))
+			if got := h.LeafSerial(raw, 1<<40+uint64(i)); got != HashLeafSerial(raw, 1<<40+uint64(i)) || got != HashLeaf(payload) {
+				t.Fatalf("round %d: TreeHasher.LeafSerial differs for a %d-byte serial", i, len(raw))
+			}
+		}
+		a = b
 	}
 }
 

@@ -126,14 +126,19 @@ func interiorLevelBytes(n int) int {
 
 func align8(n int) int { return (n + 7) &^ 7 }
 
-// v2Section is one section to lay out.
+// v2Section is one section to lay out: its encoded size, known up front,
+// and the function that writes it into its place in the payload.
 type v2Section struct {
 	id   uint32
-	data []byte
+	size int
+	fill func(dst []byte)
 }
 
-// encodeV2Sections assembles the final payload: magic, table, and
-// 8-byte-aligned CRC-framed sections.
+// encodeV2Sections assembles the payload: magic, table, and 8-byte-aligned
+// CRC-framed sections. The payload is allocated once, at its final size, and
+// every section is written and checksummed where it lies — a checkpoint is
+// the dictionary's whole image, tens of megabytes per ∆ on every writer, and
+// is not staged through per-section buffers.
 func encodeV2Sections(secs []v2Section) []byte {
 	le := binary.LittleEndian
 	off := v2HeaderLen + v2TableEntry*len(secs)
@@ -141,52 +146,46 @@ func encodeV2Sections(secs []v2Section) []byte {
 	for i, s := range secs {
 		off = align8(off)
 		offs[i] = off
-		off += len(s.data)
+		off += s.size
 	}
 	buf := make([]byte, align8(off))
 	copy(buf, stateV2Magic)
 	le.PutUint32(buf[8:], uint32(len(secs)))
 	for i, s := range secs {
+		data := buf[offs[i] : offs[i]+s.size]
+		s.fill(data)
 		e := v2HeaderLen + v2TableEntry*i
 		le.PutUint32(buf[e:], s.id)
-		le.PutUint32(buf[e+4:], crc32.ChecksumIEEE(s.data))
+		le.PutUint32(buf[e+4:], crc32.ChecksumIEEE(data))
 		le.PutUint64(buf[e+8:], uint64(offs[i]))
-		le.PutUint64(buf[e+16:], uint64(len(s.data)))
-		copy(buf[offs[i]:], s.data)
+		le.PutUint64(buf[e+16:], uint64(s.size))
 	}
 	return buf
 }
 
-// putLeafRec writes one 32-byte leaf record.
-func putLeafRec(dst []byte, lf Leaf) {
-	binary.LittleEndian.PutUint64(dst, lf.Num)
-	raw := lf.Serial.Raw()
-	dst[8] = byte(len(raw))
-	copy(dst[12:], raw)
-}
-
-// encodeLeaves writes the sorted leaf array section.
-func encodeLeaves(leaves []Leaf) []byte {
-	buf := make([]byte, len(leaves)*v2LeafRecSize)
+// putLeafRecs writes the leaves as consecutive 32-byte records into zeroed
+// dst and returns the bytes written.
+func putLeafRecs(dst []byte, leaves []Leaf) int {
 	for i, lf := range leaves {
-		putLeafRec(buf[i*v2LeafRecSize:], lf)
+		rec := dst[i*v2LeafRecSize : (i+1)*v2LeafRecSize]
+		binary.LittleEndian.PutUint64(rec, lf.Num)
+		raw := lf.Serial.Raw()
+		rec[8] = byte(len(raw))
+		copy(rec[12:], raw)
 	}
-	return buf
+	return len(leaves) * v2LeafRecSize
 }
 
-// encodeHashLevels concatenates hash levels, level 0 first.
-func encodeHashLevels(levels [][]cryptoutil.Hash) []byte {
-	total := 0
-	for _, lvl := range levels {
-		total += len(lvl)
-	}
-	buf := make([]byte, 0, total*cryptoutil.HashSize)
+// putLevels writes hash levels back to back, in the order given, and returns
+// the bytes written.
+func putLevels(dst []byte, levels ...[]cryptoutil.Hash) int {
+	n := 0
 	for _, lvl := range levels {
 		for i := range lvl {
-			buf = append(buf, lvl[i][:]...)
+			n += copy(dst[n:], lvl[i][:])
 		}
 	}
-	return buf
+	return n
 }
 
 // encodeRootSection writes the root/freshness/seed section.
@@ -217,78 +216,72 @@ func encodeRootSection(treeRoot, freshness cryptoutil.Hash, root *SignedRoot, se
 // consistent with (same publication).
 func encodeStateV2(layout LayoutKind, view LayoutView, bounds []uint64, root *SignedRoot, freshness cryptoutil.Hash, seed *cryptoutil.Hash) []byte {
 	le := binary.LittleEndian
-
-	batches := make([]byte, len(bounds)*8)
-	for i, b := range bounds {
-		le.PutUint64(batches[i*8:], b)
-	}
-
-	var secs []v2Section
-	header := make([]byte, 16)
-	le.PutUint32(header, uint32(layout))
+	count := 0 // set per layout below; sections are filled only once all are sized
+	secs := []v2Section{{v2SecHeader, 16, func(dst []byte) {
+		le.PutUint32(dst, uint32(layout))
+		le.PutUint64(dst[8:], uint64(count))
+	}}}
 
 	switch v := view.(type) {
 	case *sortedView:
-		le.PutUint64(header[8:], uint64(len(v.leaves)))
-		secs = []v2Section{
-			{v2SecHeader, header},
-			{v2SecLeaves, encodeLeaves(v.leaves)},
-			{v2SecLevels, encodeHashLevels(v.levels)},
-			{v2SecBatches, batches},
-			{v2SecRoot, encodeRootSection(v.Root(), freshness, root, seed)},
-		}
+		count = len(v.leaves)
+		secs = append(secs,
+			v2Section{v2SecLeaves, count * v2LeafRecSize, func(dst []byte) { putLeafRecs(dst, v.leaves) }},
+			v2Section{v2SecLevels, totalLevelNodes(count) * cryptoutil.HashSize, func(dst []byte) { putLevels(dst, v.levels...) }})
 
 	case *forestView:
-		count := 0
+		blobLen := 0
 		for _, b := range v.buckets {
 			count += len(b.tree.leaves)
+			blobLen += interiorLevelBytes(len(b.tree.leaves))
 		}
-		le.PutUint64(header[8:], uint64(count))
-
-		leaves := make([]byte, count*v2LeafRecSize)
-		leafHashes := make([]byte, 0, count*cryptoutil.HashSize)
-		dir := make([]byte, len(v.buckets)*v2BucketRecSize)
-		var blob []byte
-		leafStart, levelsOff := 0, 0
-		for bi, b := range v.buckets {
-			for i, lf := range b.tree.leaves {
-				putLeafRec(leaves[(leafStart+i)*v2LeafRecSize:], lf)
-			}
-			for _, h := range b.leafHashes() {
-				leafHashes = append(leafHashes, h[:]...)
-			}
-			rec := dir[bi*v2BucketRecSize:]
-			le.PutUint64(rec, uint64(leafStart))
-			le.PutUint64(rec[8:], uint64(len(b.tree.leaves)))
-			le.PutUint64(rec[16:], uint64(levelsOff))
-			lo, hi := b.lo.Raw(), b.hi.Raw()
-			rec[24], rec[25] = byte(len(lo)), byte(len(hi))
-			copy(rec[32:], lo)
-			copy(rec[52:], hi)
-			copy(rec[72:], b.node[:])
-			for _, lvl := range b.tree.levels[1:] {
-				for i := range lvl {
-					blob = append(blob, lvl[i][:]...)
+		secs = append(secs,
+			v2Section{v2SecLeaves, count * v2LeafRecSize, func(dst []byte) {
+				for _, b := range v.buckets {
+					dst = dst[putLeafRecs(dst, b.tree.leaves):]
 				}
-			}
-			leafStart += len(b.tree.leaves)
-			levelsOff += interiorLevelBytes(len(b.tree.leaves))
-		}
-		secs = []v2Section{
-			{v2SecHeader, header},
-			{v2SecLeaves, leaves},
-			{v2SecLevels, leafHashes},
-			{v2SecBucketDir, dir},
-			{v2SecBucketLevels, blob},
-			{v2SecSpine, encodeHashLevels(v.spine.levels)},
-			{v2SecBatches, batches},
-			{v2SecRoot, encodeRootSection(v.Root(), freshness, root, seed)},
-		}
+			}},
+			v2Section{v2SecLevels, count * cryptoutil.HashSize, func(dst []byte) {
+				for _, b := range v.buckets {
+					dst = dst[putLevels(dst, b.leafHashes()):]
+				}
+			}},
+			v2Section{v2SecBucketDir, len(v.buckets) * v2BucketRecSize, func(dst []byte) {
+				leafStart, levelsOff := 0, 0
+				for bi, b := range v.buckets {
+					rec := dst[bi*v2BucketRecSize:]
+					le.PutUint64(rec, uint64(leafStart))
+					le.PutUint64(rec[8:], uint64(len(b.tree.leaves)))
+					le.PutUint64(rec[16:], uint64(levelsOff))
+					lo, hi := b.lo.Raw(), b.hi.Raw()
+					rec[24], rec[25] = byte(len(lo)), byte(len(hi))
+					copy(rec[32:], lo)
+					copy(rec[52:], hi)
+					copy(rec[72:], b.node[:])
+					leafStart += len(b.tree.leaves)
+					levelsOff += interiorLevelBytes(len(b.tree.leaves))
+				}
+			}},
+			v2Section{v2SecBucketLevels, blobLen, func(dst []byte) {
+				for _, b := range v.buckets {
+					dst = dst[putLevels(dst, b.tree.levels[1:]...):]
+				}
+			}},
+			v2Section{v2SecSpine, totalLevelNodes(len(v.buckets)) * cryptoutil.HashSize, func(dst []byte) { putLevels(dst, v.spine.levels...) }})
 
 	default:
 		// Unreachable for the layouts this package defines.
 		panic(fmt.Sprintf("dictionary: encodeStateV2 over unknown view %T", view))
 	}
+
+	rootSec := encodeRootSection(view.Root(), freshness, root, seed)
+	secs = append(secs,
+		v2Section{v2SecBatches, len(bounds) * 8, func(dst []byte) {
+			for i, b := range bounds {
+				le.PutUint64(dst[i*8:], b)
+			}
+		}},
+		v2Section{v2SecRoot, len(rootSec), func(dst []byte) { copy(dst, rootSec) }})
 	return encodeV2Sections(secs)
 }
 

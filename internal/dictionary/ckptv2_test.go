@@ -2,7 +2,9 @@ package dictionary
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"testing"
@@ -430,6 +432,53 @@ func TestPersistentStateV2RoundTrip(t *testing.T) {
 				t.Fatal("v2 round trip differs for empty replica")
 			}
 		})
+	}
+}
+
+// seededReplica is a replica whose every byte is a function of the layout
+// alone: fixed signing key, chain seed, clock and serials, five uneven
+// batches (enough for a multi-bucket forest with splits).
+func seededReplica(t *testing.T, kind LayoutKind) *Replica {
+	t.Helper()
+	const now = int64(1_700_000_000)
+	a, err := NewAuthority(AuthorityConfig{
+		CA:          "GoldenCA",
+		Signer:      cryptoutil.NewSignerFromSeed([32]byte{0x60, 0x1d}),
+		Delta:       testDelta,
+		ChainLength: 16,
+		Layout:      kind,
+		Rand:        bytes.NewReader(bytes.Repeat([]byte{0xC4}, 8*cryptoutil.HashSize)),
+	}, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewReplicaWithLayout(a.CA(), a.PublicKey(), kind)
+	for i, b := range fixtureBatches(0x601D, []int{700, 31, 1200, 1, 400}) {
+		msg, err := a.Insert(b, now+int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Update(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r
+}
+
+// TestGoldenCheckpointV2Digests pins the checkpoint encoding, and with it
+// every root and interior node, across rewrites of the encoder and of the
+// rebuild kernels: the digests were produced by the encoder that staged each
+// section in its own buffer (PR 19's), over trees built by the dense level
+// builders.
+func TestGoldenCheckpointV2Digests(t *testing.T) {
+	for kind, want := range map[LayoutKind]string{
+		LayoutSorted: "7805b25653a168e71d443201770c6146e117342bb669976692f2ecf7c394724a",
+		LayoutForest: "7f8256606d62b392a363fd938389731703ccccbde199a51f5fb628f8318fddf4",
+	} {
+		sum := sha256.Sum256(seededReplica(t, kind).PersistentStateV2())
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%v checkpoint sha256 = %s, want %s", kind, got, want)
+		}
 	}
 }
 

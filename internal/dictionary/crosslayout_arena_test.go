@@ -2,7 +2,9 @@ package dictionary
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"ritm/internal/cryptoutil"
@@ -20,13 +22,10 @@ import (
 // must be indistinguishable. The tests run in CI's dictionary race suite
 // (-run 'CrossLayout|Forest|Layout' -race -count=2).
 
-// refMergeLeaves is the pre-arena element-wise merge: append one leaf at a
-// time into fresh arrays. It is the semantic reference for mergeLeaves and
-// mergeLeavesInPlace.
-func refMergeLeaves(oldLeaves []Leaf, oldHashes []cryptoutil.Hash, batch []Leaf) ([]Leaf, []cryptoutil.Hash, int) {
-	merged := make([]Leaf, 0, len(oldLeaves)+len(batch))
-	hashes := make([]cryptoutil.Hash, 0, len(oldLeaves)+len(batch))
-	firstChanged := -1
+// refMergeLeaves is the pre-arena element-wise merge: compare every old leaf,
+// append one leaf at a time into fresh arrays. It is the semantic reference
+// for mergeLeaves; at[j] is the merged index batch[j] landed on.
+func refMergeLeaves(oldLeaves []Leaf, oldHashes []cryptoutil.Hash, batch []Leaf) (merged []Leaf, hashes []cryptoutil.Hash, at []int) {
 	i := 0
 	for _, b := range batch {
 		for i < len(oldLeaves) && oldLeaves[i].Serial.Compare(b.Serial) < 0 {
@@ -34,15 +33,13 @@ func refMergeLeaves(oldLeaves []Leaf, oldHashes []cryptoutil.Hash, batch []Leaf)
 			hashes = append(hashes, oldHashes[i])
 			i++
 		}
-		if firstChanged < 0 {
-			firstChanged = len(merged)
-		}
+		at = append(at, len(merged))
 		merged = append(merged, b)
 		hashes = append(hashes, b.hash())
 	}
 	merged = append(merged, oldLeaves[i:]...)
 	hashes = append(hashes, oldHashes[i:]...)
-	return merged, hashes, firstChanged
+	return merged, hashes, at
 }
 
 // refBuildLevels is the pre-arena full rebuild: every interior node
@@ -94,86 +91,163 @@ func levelsEqual(t *testing.T, tag string, got, want [][]cryptoutil.Hash) {
 	}
 }
 
-// TestLayoutMergeBuildMatchesReference checks the four rebuild kernels —
-// copy-on-write and in-place merge, copy-on-write and in-place level build
-// — against the element-wise reference over randomized old/batch splits,
-// including repeated in-place merges into the same arena (the multi-∆
-// private-window case).
+// insertedAt inverts mergeLeaves' spans: the merged indices no span of old
+// leaves covers are where the batch landed. It also checks that the spans
+// are non-empty, ordered, disjoint and shifted by the number of batch leaves
+// before them.
+func insertedAt(t *testing.T, keep []span, total int) []int {
+	t.Helper()
+	var at []int
+	next := 0
+	for _, s := range keep {
+		if s.lo < next || s.hi <= s.lo {
+			t.Fatalf("span %+v after index %d", s, next)
+		}
+		for ; next < s.lo; next++ {
+			at = append(at, next)
+		}
+		if s.shift != len(at) {
+			t.Fatalf("span %+v follows %d inserted leaves", s, len(at))
+		}
+		next = s.hi
+	}
+	for ; next < total; next++ {
+		at = append(at, next)
+	}
+	return at
+}
+
+// TestLayoutMergeBuildMatchesReference checks the two rebuild kernels — one
+// merge, one level build, each taking its destination — against the
+// element-wise references, for batches of every shape the span rule
+// distinguishes (uniform, all left of the tree, all right of it, one dense
+// cluster inside one gap, larger than the tree, into an empty tree), on the
+// copy-on-write path, on the in-place path, and through repeated in-place
+// merges into one arena that outgrow its headroom level by level. Every level
+// must equal refBuildLevels byte for byte, the insertion positions the
+// reference merge's, and a view taken before the inserts must still prove
+// against its old root after them: the right-to-left moves write only
+// private arrays.
 func TestLayoutMergeBuildMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xA2E7A, 0xB0B))
-	gen := serial.NewGenerator(0x5EED, nil)
-	for trial := 0; trial < 40; trial++ {
-		nOld, nBatch := rng.IntN(300), 1+rng.IntN(120)
-		all := gen.NextN(nOld + nBatch)
-		oldLeaves := leavesFrom(all[:nOld], 1)
-		batch := leavesFrom(all[nOld:], uint64(nOld)+1)
-		oldHashes := make([]cryptoutil.Hash, len(oldLeaves))
-		for i, lf := range oldLeaves {
-			oldHashes[i] = lf.hash()
-		}
-		oldLevels := refBuildLevels(oldHashes)
+	const lowest, highest = 1 << 20, 1 << 40 // old leaves and uniform batches draw from [lowest, highest)
+	for _, shape := range []string{"uniform", "leftedge", "rightedge", "cluster", "larger", "empty"} {
+		for trial := 0; trial < 12; trial++ {
+			n := rng.IntN(601)
+			if shape == "empty" {
+				n = 0
+			}
+			used := make(map[uint64]bool)
+			draw := func(lo, hi uint64) uint64 {
+				for {
+					if v := lo + rng.Uint64N(hi-lo); !used[v] {
+						used[v] = true
+						return v
+					}
+				}
+			}
+			numbers := func(k int, lo, hi uint64) []serial.Number {
+				out := make([]serial.Number, k)
+				for i := range out {
+					out[i] = serial.FromUint64(draw(lo, hi))
+				}
+				return out
+			}
+			oldSerials := numbers(n, lowest, highest)
+			// nextBatch draws a batch of the trial's shape; every trial merges
+			// three, the second and third into the first's private arena, each
+			// edge batch beyond the one before.
+			edge := 0
+			nextBatch := func(have int) []serial.Number {
+				k := 1 + rng.IntN(have+50)
+				edge++
+				switch shape {
+				case "leftedge":
+					return numbers(k, lowest>>edge, lowest>>(edge-1))
+				case "rightedge":
+					return numbers(k, highest<<(edge-1), highest<<edge)
+				case "cluster":
+					at := draw(lowest, highest)
+					return numbers(k, at, at+uint64(2*k))
+				case "larger":
+					return numbers(have+1+rng.IntN(50), lowest, highest)
+				}
+				return numbers(k, lowest, highest)
+			}
 
-		wantLeaves, wantHashes, wantFirst := refMergeLeaves(oldLeaves, oldHashes, batch)
+			tree := NewTree()
+			if err := tree.InsertBatch(oldSerials); err != nil {
+				t.Fatal(err)
+			}
+			layout := tree.commit.(*sortedLayout)
+			before, rootBefore, nBefore := tree.view(), tree.Root(), tree.Count() // exposes: the next insert is copy-on-write
+			wantLeaves, wantHashes := layout.tree.leaves, []cryptoutil.Hash(nil)
+			if n > 0 {
+				wantHashes = layout.tree.levels[0]
+			}
+			levelsEqual(t, shape+": initial build", layout.tree.levels, refBuildLevels(wantHashes))
 
-		gotLeaves, gotHashes, gotFirst, _ := mergeLeaves(oldLeaves, oldHashes, batch)
-		if gotFirst != wantFirst || len(gotLeaves) != len(wantLeaves) {
-			t.Fatalf("trial %d: mergeLeaves shape (%d,%d), want (%d,%d)",
-				trial, gotFirst, len(gotLeaves), wantFirst, len(wantLeaves))
-		}
-		for i := range wantLeaves {
-			if !gotLeaves[i].Serial.Equal(wantLeaves[i].Serial) || gotLeaves[i].Num != wantLeaves[i].Num ||
-				!gotHashes[i].Equal(wantHashes[i]) {
-				t.Fatalf("trial %d: mergeLeaves leaf %d differs from reference", trial, i)
+			for round, path := range []string{"copy-on-write", "in place", "in place again"} {
+				tag := fmt.Sprintf("%s trial %d, %s", shape, trial, path)
+				serials := nextBatch(len(wantLeaves))
+				batch := leavesFrom(serials, tree.Count()+1)
+				old, oldHashes := layout.tree, wantHashes
+				var wantAt []int
+				wantLeaves, wantHashes, wantAt = refMergeLeaves(old.leaves, oldHashes, batch)
+
+				// The merge kernel alone, into fresh arrays and into a private
+				// copy of the old ones: same leaves, same insertion positions.
+				for _, inPlace := range []bool{false, true} {
+					var rb rebuilder
+					var dst run
+					src := old
+					if inPlace {
+						src = run{
+							leaves: slices.Grow(slices.Clone(old.leaves), len(batch)),
+							levels: [][]cryptoutil.Hash{slices.Grow(slices.Clone(oldHashes), len(batch))},
+						}
+						dst = src
+					}
+					gotLeaves, gotHashes, keep := rb.mergeLeaves(dst, src, batch)
+					if !slices.Equal(insertedAt(t, keep, len(gotLeaves)), wantAt) {
+						t.Fatalf("%s (merge in place %v): insertion positions differ from the reference merge", tag, inPlace)
+					}
+					if !slices.Equal(gotHashes, wantHashes) || !slices.EqualFunc(gotLeaves, wantLeaves, func(a, b Leaf) bool {
+						return a.Num == b.Num && a.Serial.Equal(b.Serial)
+					}) {
+						t.Fatalf("%s (merge in place %v): merged leaves differ from the reference merge", tag, inPlace)
+					}
+					if rb.hashed != uint64(len(batch)) {
+						t.Fatalf("%s: merge counted %d hashes for %d new leaves", tag, rb.hashed, len(batch))
+					}
+				}
+
+				// The layout's own insert: copy-on-write right after the view,
+				// in place (where the arena's headroom lasts) afterwards.
+				if layout.owned != (round > 0) {
+					t.Fatalf("%s: layout.owned = %v", tag, layout.owned)
+				}
+				if err := tree.InsertBatch(serials); err != nil {
+					t.Fatal(err)
+				}
+				levelsEqual(t, tag, layout.tree.levels, refBuildLevels(wantHashes))
+				if len(layout.tree.leaves) != len(wantLeaves) {
+					t.Fatalf("%s: %d leaves, want %d", tag, len(layout.tree.leaves), len(wantLeaves))
+				}
+			}
+
+			// The view from before the three inserts is untouched.
+			if !before.Root().Equal(rootBefore) {
+				t.Fatalf("%s trial %d: the old view's root changed", shape, trial)
+			}
+			probes := append(numbers(8, 1, highest<<3), oldSerials[:min(n, 8)]...)
+			for _, s := range probes {
+				_, present := before.Revoked(s)
+				if revoked, err := before.Prove(s).Verify(s, rootBefore, nBefore); err != nil || revoked != present {
+					t.Fatalf("%s trial %d: old view's proof for %v: revoked=%v err=%v", shape, trial, s, revoked, err)
+				}
 			}
 		}
-
-		// In-place variant over a caller-owned copy with arena capacity.
-		arena := make([]Leaf, len(oldLeaves), len(oldLeaves)+len(batch))
-		copy(arena, oldLeaves)
-		arenaHashes := make([]cryptoutil.Hash, len(oldHashes), len(oldHashes)+len(batch))
-		copy(arenaHashes, oldHashes)
-		ipLeaves, ipHashes, ipFirst, _ := mergeLeavesInPlace(arena, arenaHashes, batch)
-		if ipFirst != wantFirst || len(ipLeaves) != len(wantLeaves) {
-			t.Fatalf("trial %d: mergeLeavesInPlace shape (%d,%d), want (%d,%d)",
-				trial, ipFirst, len(ipLeaves), wantFirst, len(wantLeaves))
-		}
-		for i := range wantLeaves {
-			if !ipLeaves[i].Serial.Equal(wantLeaves[i].Serial) || !ipHashes[i].Equal(wantHashes[i]) {
-				t.Fatalf("trial %d: mergeLeavesInPlace leaf %d differs from reference", trial, i)
-			}
-		}
-
-		wantLevels := refBuildLevels(wantHashes)
-		gotLevels, _ := buildLevels(gotHashes, oldLevels, gotFirst)
-		levelsEqual(t, "buildLevels", gotLevels, wantLevels)
-
-		// In-place build over a private copy of the old level structure
-		// whose leaf level is the in-place merged hash array.
-		privLevels := make([][]cryptoutil.Hash, len(oldLevels))
-		for lvl, old := range oldLevels {
-			privLevels[lvl] = append(make([]cryptoutil.Hash, 0, len(old)+len(batch)), old...)
-		}
-		if len(privLevels) == 0 {
-			privLevels = [][]cryptoutil.Hash{nil}
-		}
-		privLevels[0] = ipHashes
-		ipLevels, _ := buildLevelsInPlace(privLevels, ipHashes, ipFirst)
-		levelsEqual(t, "buildLevelsInPlace", ipLevels, wantLevels)
-
-		// A second merge into the SAME arena (the repeated-∆ window) must
-		// still match the reference computed over the combined batch.
-		batch2 := leavesFrom(gen.NextN(1+rng.IntN(80)), uint64(nOld+nBatch)+1)
-		want2Leaves, want2Hashes, _ := refMergeLeaves(wantLeaves, wantHashes, batch2)
-		grown := append(make([]Leaf, 0, len(ipLeaves)+len(batch2)), ipLeaves...)
-		grownHashes := append(make([]cryptoutil.Hash, 0, len(ipHashes)+len(batch2)), ipHashes...)
-		ip2Leaves, ip2Hashes, ip2First, _ := mergeLeavesInPlace(grown, grownHashes, batch2)
-		for i := range want2Leaves {
-			if !ip2Leaves[i].Serial.Equal(want2Leaves[i].Serial) || !ip2Hashes[i].Equal(want2Hashes[i]) {
-				t.Fatalf("trial %d: second in-place merge leaf %d differs from reference", trial, i)
-			}
-		}
-		ip2Levels, _ := buildLevelsInPlace(ipLevels, ip2Hashes, ip2First)
-		levelsEqual(t, "buildLevelsInPlace(second)", ip2Levels, refBuildLevels(want2Hashes))
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -336,7 +338,10 @@ func (r *run) revoked(s serial.Number) (uint64, bool) {
 
 // heap returns the run as heap slices: r itself when it already is, else a
 // copy of every leaf and node off the checkpoint — no hashing, and nothing
-// in the result aliases the checkpoint bytes.
+// in the result aliases the checkpoint bytes. Levels are read the way the
+// checkpoint writer lays them out, one after the other, not node by node
+// through node's per-call offset arithmetic: this is the restart path and
+// the first insert after a map.
 func (r *run) heap() run {
 	if !r.mapped() {
 		return *r
@@ -348,10 +353,15 @@ func (r *run) heap() run {
 			out.leaves[i] = r.leaf(i)
 		}
 	}
+	src := r.level0
 	for lvl, width := 0, r.count(); lvl < len(out.levels); lvl, width = lvl+1, (width+1)/2 {
-		out.levels[lvl] = make([]cryptoutil.Hash, width)
-		for i := range out.levels[lvl] {
-			out.levels[lvl][i] = r.node(lvl, i)
+		level := make([]cryptoutil.Hash, width)
+		for i := range level {
+			copy(level[i][:], src[i*cryptoutil.HashSize:])
+		}
+		out.levels[lvl] = level
+		if src = src[width*cryptoutil.HashSize:]; lvl == 0 {
+			src = r.upper
 		}
 	}
 	return out
@@ -486,186 +496,170 @@ func prove(r *run, s serial.Number, sp *SpineSegment, spine *run, spineIdx int) 
 // it in place instead of reallocating.
 func arenaHeadroom(n int) int { return n/8 + 4 }
 
-// mergeLeaves merges a sorted batch of new leaves into the sorted existing
-// run, hashing the new leaves as it goes. It writes into fresh arrays
-// (copy-on-write): the previous version's arrays — possibly aliased by a
-// published view — are never touched. Unchanged runs between insertion
-// points are copied whole (one memmove per run, not one append per leaf),
-// and the arrays carry arenaHeadroom slack so the in-place variant below
-// can extend them on the next merge of the same private window. It returns
-// the merged arrays, the merged index of the first new leaf (-1 for an
-// empty batch), and the number of leaf hashes computed.
-func mergeLeaves(oldLeaves []Leaf, oldHashes []cryptoutil.Hash, batch []Leaf) (merged []Leaf, mergedHashes []cryptoutil.Hash, firstChanged int, hashOps uint64) {
-	total := len(oldLeaves) + len(batch)
-	merged = make([]Leaf, 0, total+arenaHeadroom(total))
-	mergedHashes = make([]cryptoutil.Hash, 0, cap(merged))
-	firstChanged = -1
-	i := 0
-	for j := 0; j < len(batch); j++ {
-		run := i
-		for run < len(oldLeaves) && oldLeaves[run].Serial.Compare(batch[j].Serial) < 0 {
-			run++
-		}
-		if run > i {
-			merged = append(merged, oldLeaves[i:run]...)
-			mergedHashes = append(mergedHashes, oldHashes[i:run]...)
-			i = run
-		}
-		if firstChanged < 0 {
-			firstChanged = len(merged)
-		}
-		merged = append(merged, batch[j])
-		mergedHashes = append(mergedHashes, batch[j].hash())
-		hashOps++
+// grow returns s resized to n: in place when its capacity allows — a private
+// arena being extended — and otherwise, always for the nil destination of a
+// copy-on-write rebuild, a fresh array with arenaHeadroom slack.
+func grow[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
 	}
-	merged = append(merged, oldLeaves[i:]...)
-	mergedHashes = append(mergedHashes, oldHashes[i:]...)
-	return merged, mergedHashes, firstChanged, hashOps
+	return make([]T, n, n+arenaHeadroom(n))
 }
 
-// mergeLeavesInPlace is mergeLeaves for arrays the caller owns privately
-// (built since the last view/checkpoint, so no snapshot can reach them):
-// the batch is merged backward into the existing backing arrays with zero
-// allocation. The caller guarantees cap(leaves) and cap(hashes) hold
-// len(leaves)+len(batch). Results are identical to mergeLeaves.
-func mergeLeavesInPlace(leaves []Leaf, hashes []cryptoutil.Hash, batch []Leaf) (merged []Leaf, mergedHashes []cryptoutil.Hash, firstChanged int, hashOps uint64) {
-	n, k := len(leaves), len(batch)
-	leaves = leaves[:n+k]
-	hashes = hashes[:n+k]
-	firstChanged = -1
-	// Backward merge: the write cursor w stays strictly ahead of the old
-	// read cursor i until the batch is exhausted, so no unread old leaf is
-	// ever overwritten; the untouched old prefix is already in place.
-	i, w := n-1, n+k-1
-	for j := k - 1; j >= 0; w-- {
-		if i >= 0 && leaves[i].Serial.Compare(batch[j].Serial) > 0 {
-			leaves[w] = leaves[i]
-			hashes[w] = hashes[i]
-			i--
-		} else {
-			leaves[w] = batch[j]
-			hashes[w] = batch[j].hash()
-			hashOps++
-			firstChanged = w
-			j--
-		}
+// moveRight copies the non-empty src[lo:hi] to dst[lo+shift:hi+shift], except where that
+// is the identity: shift 0 inside src's own array, the untouched prefix of an
+// in-place rebuild, which a right-edge batch must not pay O(n) to rewrite.
+func moveRight[T any](dst, src []T, lo, hi, shift int) {
+	if shift != 0 || &dst[lo] != &src[lo] {
+		copy(dst[lo+shift:hi+shift], src[lo:hi])
 	}
-	return leaves, hashes, firstChanged, hashOps
 }
 
-// buildLevels recomputes the interior levels over leafHashes, reusing every
-// node left of leaf index firstChanged from oldLevels: those nodes cover
-// only unchanged, unshifted leaves, so their values — including the
-// odd-promotion rule, which depends only on indices below them — are
-// identical. Fresh arrays are allocated for every level, never written
-// through oldLevels, preserving snapshot immutability. It returns the new
-// levels (levels[0] aliases leafHashes) and the number of interior hashes
-// computed.
-//
-// A negative firstChanged (no leaf changed) still rebuilds everything, as
-// does 0; callers pass the merge position of the first inserted leaf.
-func buildLevels(leafHashes []cryptoutil.Hash, oldLevels [][]cryptoutil.Hash, firstChanged int) ([][]cryptoutil.Hash, uint64) {
-	if len(leafHashes) == 0 {
-		return nil, 0
+// span says that nodes [lo, hi) of a rebuilt level are byte-identical to
+// nodes [lo-shift, hi-shift) of the level they replace. On level 0 the spans
+// are the merge's runs: between two insertion points the old leaves move
+// right by the number of batch leaves before them.
+type span struct{ lo, hi, shift int }
+
+// rebuilder is the hashing state a layout rebuilds through: one reused
+// digest, and the cumulative count of hashes computed with it.
+type rebuilder struct {
+	h      cryptoutil.TreeHasher
+	hashed uint64
+}
+
+// rebuild merges a sorted batch into the heap run old and returns the run
+// over the result. inPlace says old's arrays are private scratch (built
+// since the last view/checkpoint, so no snapshot can reach them): they are
+// then extended where their capacity allows; otherwise every array written
+// is fresh and old — possibly aliased by a published view — is only read.
+func (rb *rebuilder) rebuild(old run, batch []Leaf, inPlace bool) run {
+	var dst run
+	if inPlace {
+		dst = old
 	}
-	if firstChanged < 0 {
-		firstChanged = 0
+	leaves, hashes, keep := rb.mergeLeaves(dst, old, batch)
+	return run{leaves: leaves, levels: rb.buildLevels(dst.levels, old.levels, hashes, keep)}
+}
+
+// mergeLeaves merges a sorted batch of new leaves, carrying their final
+// revocation numbers, into the sorted leaves of old, hashing the new leaves.
+// It writes into dst's leaf and level-0 arrays where they have the capacity
+// (dst is old itself for an in-place merge) and into fresh ones where not,
+// and returns the merged arrays and, per non-empty run of old leaves between
+// two insertion points, the span it now occupies. Insertion points are searched,
+// not scanned for, and whole runs move with one memmove each — rightmost
+// first, so that in place no run lands on one not yet moved.
+func (rb *rebuilder) mergeLeaves(dst, old run, batch []Leaf) ([]Leaf, []cryptoutil.Hash, []span) {
+	var oldHashes, dstHashes []cryptoutil.Hash
+	if len(old.levels) > 0 {
+		oldHashes = old.levels[0]
 	}
-	var hashOps uint64
-	levels := make([][]cryptoutil.Hash, 1, 2+bitsLen(len(leafHashes)))
-	levels[0] = leafHashes
-	cur := leafHashes
-	dirty := firstChanged // first index of cur that differs from oldLevels
-	for lvl := 0; len(cur) > 1; lvl++ {
-		parents := (len(cur) + 1) / 2
-		next := make([]cryptoutil.Hash, parents, parents+arenaHeadroom(parents))
-		// A parent k is unchanged iff both children are below dirty, i.e.
-		// 2k+1 < dirty — and the old level must actually hold it.
-		keep := dirty / 2
-		if lvl+1 < len(oldLevels) {
-			if n := len(oldLevels[lvl+1]); keep > n {
-				keep = n
-			}
-			copy(next[:keep], oldLevels[lvl+1])
-		} else {
-			keep = 0
+	if len(dst.levels) > 0 {
+		dstHashes = dst.levels[0]
+	}
+	total := len(old.leaves) + len(batch)
+	leaves, hashes := grow(dst.leaves, total), grow(dstHashes, total)
+	keep := make([]span, 0, min(len(batch), len(old.leaves))+1)
+	carry := func(at, end, shift int) { // old leaves [at, end) move right by shift
+		if at < end {
+			moveRight(leaves, old.leaves, at, end, shift)
+			moveRight(hashes, oldHashes, at, end, shift)
+			keep = append(keep, span{at + shift, end + shift, shift})
 		}
-		for k := keep; k < parents; k++ {
-			if 2*k+1 < len(cur) {
-				next[k] = cryptoutil.HashNode(cur[2*k], cur[2*k+1])
-				hashOps++
-			} else {
-				// Odd rightmost node: promoted unchanged; the verifier
-				// reproduces the same rule from (index, size) alone.
-				next[k] = cur[len(cur)-1]
+	}
+	end := len(old.leaves)
+	for j := len(batch); j > 0; j-- {
+		lf := batch[j-1]
+		at := gallopLeft(old.leaves, end, lf.Serial)
+		carry(at, end, j)
+		leaves[at+j-1], hashes[at+j-1] = lf, rb.h.LeafSerial(lf.Serial.Raw(), lf.Num)
+		rb.hashed++
+		end = at
+	}
+	carry(0, end, 0)
+	slices.Reverse(keep)
+	return leaves, hashes, keep
+}
+
+// gallopLeft returns how many of sorted[:end] order below s, probing at
+// doubling distances left of end before bisecting: the cost is logarithmic
+// in the length of the run skipped, so a sparse batch never looks at most
+// leaves and a dense one costs no more than a linear merge.
+func gallopLeft(sorted []Leaf, end int, s serial.Number) int {
+	lo, hi := 0, end
+	for step := 1; step <= hi; step *= 2 {
+		if sorted[hi-step].Serial.Compare(s) < 0 {
+			lo = hi - step + 1
+			break
+		}
+		hi -= step
+	}
+	return lo + sort.Search(hi-lo, func(i int) bool { return sorted[lo+i].Serial.Compare(s) >= 0 })
+}
+
+// buildLevels computes the interior levels over level0, hashing only what
+// keep — the spans of level0 carried over from old[0] — does not settle.
+// A parent whose two children both lie in one span is the old parent
+// shift/2 slots to its left when shift is even: the same two children hash
+// to the same node. So each level halves the spans below it, drops the
+// odd-shifted ones, moves what is left out of the old level (rightmost
+// first, as in mergeLeaves) and hashes the gaps between. Span 0 (shift 0) is
+// the classic "everything left of the first changed leaf is unchanged";
+// for a uniform batch about a third of the interior nodes are moves. dst
+// offers arrays to extend in place (the caller's private scratch; old
+// itself for an in-place rebuild); with a nil dst every level is fresh and
+// old is only read. keep is consumed. levels[0] aliases level0.
+func (rb *rebuilder) buildLevels(dst, old [][]cryptoutil.Hash, level0 []cryptoutil.Hash, keep []span) [][]cryptoutil.Hash {
+	if len(level0) == 0 {
+		return nil
+	}
+	if dst == nil {
+		dst = make([][]cryptoutil.Hash, 0, bits.Len(uint(len(level0)-1))+1)
+	}
+	levels := append(dst[:0], level0)
+	for cur := level0; len(cur) > 1; cur = levels[len(levels)-1] {
+		lvl, width := len(levels), (len(cur)+1)/2
+		var prev, next []cryptoutil.Hash
+		if lvl < len(old) {
+			prev = old[lvl]
+		}
+		if lvl < len(dst) {
+			next = dst[lvl]
+		}
+		next = grow(next, width)
+		up := keep[:0]
+		for _, s := range keep {
+			if p := (span{(s.lo + 1) / 2, s.hi / 2, s.shift / 2}); s.shift%2 == 0 && p.lo < p.hi {
+				up = append(up, p)
 			}
 		}
+		keep = up
+		for i := len(keep) - 1; i >= 0; i-- {
+			s := keep[i]
+			moveRight(next, prev, s.lo-s.shift, s.hi-s.shift, s.shift)
+		}
+		at := 0
+		for _, s := range keep {
+			rb.hashPairs(next, cur, at, s.lo)
+			at = s.hi
+		}
+		rb.hashPairs(next, cur, at, width)
 		levels = append(levels, next)
-		cur = next
-		dirty = keep
 	}
-	return levels, hashOps
+	return levels
 }
 
-// buildLevelsInPlace is buildLevels for a level structure the caller owns
-// privately: the prefix of each level left of the dirty frontier is already
-// correct in place (same arrays, nothing shifted below firstChanged), so
-// only the dirty suffixes are recomputed, into the same backing arrays
-// where capacity allows. levels[0] must be (a possibly extended slice of)
-// the structure's leaf-hash array, passed as leafHashes with its new
-// length. Results are identical to buildLevels over the same leaf hashes.
-func buildLevelsInPlace(levels [][]cryptoutil.Hash, leafHashes []cryptoutil.Hash, firstChanged int) ([][]cryptoutil.Hash, uint64) {
-	if len(leafHashes) == 0 {
-		return nil, 0
-	}
-	if firstChanged < 0 {
-		firstChanged = 0
-	}
-	var hashOps uint64
-	out := levels[:1]
-	out[0] = leafHashes
-	cur := leafHashes
-	dirty := firstChanged
-	for lvl := 1; len(cur) > 1; lvl++ {
-		parents := (len(cur) + 1) / 2
-		keep := dirty / 2
-		var next []cryptoutil.Hash
-		if lvl < len(levels) {
-			old := levels[lvl]
-			if keep > len(old) {
-				keep = len(old)
-			}
-			if cap(old) >= parents {
-				next = old[:parents]
-			} else {
-				next = make([]cryptoutil.Hash, parents, parents+arenaHeadroom(parents))
-				copy(next[:keep], old[:keep])
-			}
+// hashPairs fills next[lo:hi] from the level below: node k hashes cur[2k]
+// and cur[2k+1], and the odd rightmost node is promoted unchanged — the
+// verifier reproduces the same rule from (index, size) alone.
+func (rb *rebuilder) hashPairs(next, cur []cryptoutil.Hash, lo, hi int) {
+	for k := lo; k < hi; k++ {
+		if 2*k+1 < len(cur) {
+			next[k] = rb.h.Node(&cur[2*k], &cur[2*k+1])
+			rb.hashed++
 		} else {
-			next = make([]cryptoutil.Hash, parents, parents+arenaHeadroom(parents))
-			keep = 0
+			next[k] = cur[2*k]
 		}
-		for k := keep; k < parents; k++ {
-			if 2*k+1 < len(cur) {
-				next[k] = cryptoutil.HashNode(cur[2*k], cur[2*k+1])
-				hashOps++
-			} else {
-				next[k] = cur[len(cur)-1]
-			}
-		}
-		out = append(out, next)
-		cur = next
-		dirty = keep
 	}
-	return out, hashOps
-}
-
-// bitsLen returns ⌈log₂(n)⌉-ish capacity hint for the level slice.
-func bitsLen(n int) int {
-	b := 0
-	for n > 1 {
-		n = (n + 1) / 2
-		b++
-	}
-	return b
 }

@@ -1,6 +1,7 @@
 package dictionary
 
 import (
+	"slices"
 	"sort"
 
 	"ritm/internal/cryptoutil"
@@ -51,13 +52,13 @@ func (b *forestBucket) leafHashes() []cryptoutil.Hash { return b.tree.levels[0] 
 // layout's O(n) for uniform batches. Copy-on-write throughout: buckets are
 // replaced, spine levels freshly allocated, so published views stay valid.
 type forestLayout struct {
+	rebuilder
 	desc    LayoutKind // full descriptor, capacity included
 	cap     int        // bucket capacity (split threshold)
 	target  int        // post-split fill: ¾ of cap, so fresh buckets have headroom
 	buckets []*forestBucket
 	spine   [][]cryptoutil.Hash // spine[0][i] == buckets[i].node
 	root    cryptoutil.Hash     // memoized forest root; EmptyRoot when empty
-	hashed  uint64
 	// spineOwned marks the spine arrays as private scratch (rebuilt since
 	// the last view/checkpoint). It doubles as the did-anything-mutate flag
 	// for expose: inserts always rebuild the spine, so spineOwned == false
@@ -122,9 +123,8 @@ func (f *forestLayout) insert(batch []Leaf) {
 	var dirty []int  // indices of value-changed (merged, unsplit) buckets
 	var next []*forestBucket
 	if oldLen == 0 {
-		merged, mergedHashes, _, leafOps := mergeLeaves(nil, nil, batch)
-		f.hashed += leafOps
-		next = f.chunkBuckets(serial.Number{}, serial.Number{}, merged, mergedHashes)
+		leaves, hashes, _ := f.mergeLeaves(run{}, run{}, batch)
+		next = f.chunkBuckets(serial.Number{}, serial.Number{}, leaves, hashes)
 		structFrom = 0
 	} else {
 		next = make([]*forestBucket, 0, oldLen+1)
@@ -139,41 +139,28 @@ func (f *forestLayout) insert(batch []Leaf) {
 				continue
 			}
 			sub := batch[start:j]
-			if newLen := len(b.tree.leaves) + len(sub); b.private && newLen <= f.cap &&
-				cap(b.tree.leaves) >= newLen && cap(b.tree.levels[0]) >= newLen {
-				// Arena path: the bucket is private scratch of this window,
-				// so the sub-batch merges into its arrays with zero
-				// reallocation and the bucket object itself is reused.
-				merged, mergedHashes, firstChanged, leafOps := mergeLeavesInPlace(b.tree.leaves, b.leafHashes(), sub)
-				f.hashed += leafOps
-				levels, nodeOps := buildLevelsInPlace(b.tree.levels, mergedHashes, firstChanged)
-				f.hashed += nodeOps
-				b.tree.leaves = merged
-				b.tree.levels = levels
-				b.node = cryptoutil.HashBucket(b.lo.Raw(), b.hi.Raw(), uint64(len(merged)), b.tree.root())
-				f.hashed++
-				if structFrom < 0 {
-					dirty = append(dirty, len(next))
-				}
-				next = append(next, b)
-				continue
-			}
 			old := b.tree.heap() // copies a mapped-backed bucket out
-			merged, mergedHashes, firstChanged, leafOps := mergeLeaves(old.leaves, old.levels[0], sub)
-			f.hashed += leafOps
-			if len(merged) <= f.cap {
-				if structFrom < 0 {
-					dirty = append(dirty, len(next))
-				}
-				nb := f.buildBucket(b.lo, b.hi, merged, mergedHashes, old.levels, firstChanged)
-				nb.private = true
-				next = append(next, nb)
-			} else {
+			if len(old.leaves)+len(sub) > f.cap {
 				if structFrom < 0 {
 					structFrom = len(next)
 				}
-				next = append(next, f.chunkBuckets(b.lo, b.hi, merged, mergedHashes)...)
+				leaves, hashes, _ := f.mergeLeaves(run{}, old, sub)
+				next = append(next, f.chunkBuckets(b.lo, b.hi, leaves, hashes)...)
+				continue
 			}
+			if structFrom < 0 {
+				dirty = append(dirty, len(next))
+			}
+			// A private bucket is scratch of this window: the sub-batch merges
+			// into its arrays and the bucket object itself is reused. Anything
+			// else is replaced by a fresh private bucket.
+			nb := b
+			if !b.private {
+				nb = &forestBucket{lo: b.lo, hi: b.hi, private: true}
+			}
+			nb.tree = f.rebuild(old, sub, b.private)
+			f.commitBucket(nb)
+			next = append(next, nb)
 		}
 	}
 	f.buckets = next
@@ -181,15 +168,10 @@ func (f *forestLayout) insert(batch []Leaf) {
 	f.spineOwned = true
 }
 
-// buildBucket assembles one bucket, reusing interior nodes left of
-// firstChanged from oldLevels (nil oldLevels = build from scratch).
-func (f *forestLayout) buildBucket(lo, hi serial.Number, leaves []Leaf, hashes []cryptoutil.Hash, oldLevels [][]cryptoutil.Hash, firstChanged int) *forestBucket {
-	levels, ops := buildLevels(hashes, oldLevels, firstChanged)
-	f.hashed += ops
-	b := &forestBucket{lo: lo, hi: hi, tree: run{leaves: leaves, levels: levels}}
-	b.node = cryptoutil.HashBucket(lo.Raw(), hi.Raw(), uint64(len(leaves)), b.tree.root())
+// commitBucket memoizes the commitment of a bucket whose tree was rebuilt.
+func (f *forestLayout) commitBucket(b *forestBucket) {
+	b.node = cryptoutil.HashBucket(b.lo.Raw(), b.hi.Raw(), uint64(len(b.tree.leaves)), b.tree.root())
 	f.hashed++
-	return b
 }
 
 // chunkBuckets splits an oversized run covering [lo, hi) into evenly sized
@@ -201,114 +183,66 @@ func (f *forestLayout) chunkBuckets(lo, hi serial.Number, leaves []Leaf, hashes 
 	out := make([]*forestBucket, 0, chunks)
 	for start := 0; start < len(leaves); start += size {
 		end := min(start+size, len(leaves))
-		clo, chi := lo, hi
+		b := &forestBucket{lo: lo, hi: hi}
 		if start > 0 {
-			clo = leaves[start].Serial
+			b.lo = leaves[start].Serial
 		}
 		if end < len(leaves) {
-			chi = leaves[end].Serial
+			b.hi = leaves[end].Serial
 		}
-		out = append(out, f.buildBucket(clo, chi, leaves[start:end], hashes[start:end], nil, 0))
+		b.tree = run{leaves: leaves[start:end], levels: f.buildLevels(nil, nil, hashes[start:end], nil)}
+		f.commitBucket(b)
+		out = append(out, b)
 	}
 	return out
 }
 
 // rebuildSpine recomputes the spine over the current buckets and memoizes
 // the forest root. When the bucket list kept its shape, only the paths above
-// the dirty buckets are rehashed (O(k·log #buckets)); a split falls back to
-// the left-prefix reuse of buildLevels from the first changed index.
+// the dirty buckets are rehashed (O(k·log #buckets)) — in the spine arrays
+// themselves while they are still private scratch of this window, in copies
+// of them otherwise; a split rebuilds the levels, keeping what lies left of
+// the first changed index.
 func (f *forestLayout) rebuildSpine(oldSpine [][]cryptoutil.Hash, oldLen, structFrom int, dirty []int) {
-	if structFrom < 0 && len(f.buckets) == oldLen && f.spineOwned {
-		// Arena path: the spine arrays are still private scratch of this
-		// window and the bucket list kept its shape, so the dirty paths are
-		// rewritten in place with zero allocation.
-		for _, idx := range dirty {
-			oldSpine[0][idx] = f.buckets[idx].node
-		}
-		rebuildSpineDirtyInPlace(oldSpine, dirty, &f.hashed)
-		f.spine = oldSpine
-		f.root = cryptoutil.HashForestRoot(uint64(len(f.buckets)), f.spine[len(f.spine)-1][0])
-		f.hashed++
-		return
-	}
-	spine0 := make([]cryptoutil.Hash, len(f.buckets))
-	for i, b := range f.buckets {
-		spine0[i] = b.node
-	}
 	if structFrom >= 0 || len(f.buckets) != oldLen {
+		spine0 := make([]cryptoutil.Hash, len(f.buckets))
+		for i, b := range f.buckets {
+			spine0[i] = b.node
+		}
 		first := structFrom
 		if len(dirty) > 0 && dirty[0] < first {
 			first = dirty[0]
 		}
-		levels, ops := buildLevels(spine0, oldSpine, first)
-		f.spine = levels
-		f.hashed += ops
+		f.spine = f.buildLevels(nil, oldSpine, spine0, []span{{0, first, 0}})
 	} else {
-		f.spine = rebuildSpineDirty(oldSpine, spine0, dirty, &f.hashed)
+		if !f.spineOwned {
+			f.spine = make([][]cryptoutil.Hash, len(oldSpine))
+			for lvl, old := range oldSpine {
+				f.spine[lvl] = slices.Clone(old)
+			}
+		}
+		for _, idx := range dirty {
+			f.spine[0][idx] = f.buckets[idx].node
+		}
+		f.rehashSpinePaths(dirty)
 	}
 	f.root = cryptoutil.HashForestRoot(uint64(len(f.buckets)), f.spine[len(f.spine)-1][0])
 	f.hashed++
 }
 
-// rebuildSpineDirty recomputes only the spine paths above the dirty bucket
-// indices (sorted ascending), copying every other node from the old spine.
-// The bucket count is unchanged, so level shapes match the old spine
-// exactly. Fresh arrays per level keep published views immutable.
-func rebuildSpineDirty(old [][]cryptoutil.Hash, spine0 []cryptoutil.Hash, dirty []int, hashed *uint64) [][]cryptoutil.Hash {
-	levels := make([][]cryptoutil.Hash, 1, len(old))
-	levels[0] = spine0
-	cur := spine0
-	for lvl := 1; len(cur) > 1; lvl++ {
-		next := append([]cryptoutil.Hash(nil), old[lvl]...)
-		parents := dirty[:0:0]
-		last := -1
-		for _, idx := range dirty {
-			k := idx / 2
-			if k == last {
-				continue
-			}
-			last = k
-			if 2*k+1 < len(cur) {
-				next[k] = cryptoutil.HashNode(cur[2*k], cur[2*k+1])
-				*hashed++
-			} else {
-				next[k] = cur[2*k] // odd rightmost node: promoted unchanged
-			}
-			parents = append(parents, k)
-		}
-		levels = append(levels, next)
-		cur = next
-		dirty = parents
-	}
-	return levels
-}
-
-// rebuildSpineDirtyInPlace is the arena variant of rebuildSpineDirty: the
-// spine arrays are private scratch, so dirty parents are written directly
-// into the existing levels. The parent work-list reuses the dirty slice's
+// rehashSpinePaths rewrites, in f.spine, the nodes above the dirty level-0
+// indices (sorted ascending). The parent work-list reuses the dirty slice's
 // backing array (parent writes trail the reads: k-th append consumes ≥ k+1
-// elements), so the whole walk allocates nothing.
-func rebuildSpineDirtyInPlace(spine [][]cryptoutil.Hash, dirty []int, hashed *uint64) {
-	cur := spine[0]
-	for lvl := 1; len(cur) > 1; lvl++ {
-		next := spine[lvl]
+// elements), so the walk allocates nothing.
+func (f *forestLayout) rehashSpinePaths(dirty []int) {
+	for lvl := 1; lvl < len(f.spine); lvl++ {
 		parents := dirty[:0]
-		last := -1
 		for _, idx := range dirty {
-			k := idx / 2
-			if k == last {
-				continue
+			if k := idx / 2; len(parents) == 0 || parents[len(parents)-1] != k {
+				f.hashPairs(f.spine[lvl], f.spine[lvl-1], k, k+1)
+				parents = append(parents, k)
 			}
-			last = k
-			if 2*k+1 < len(cur) {
-				next[k] = cryptoutil.HashNode(cur[2*k], cur[2*k+1])
-				*hashed++
-			} else {
-				next[k] = cur[2*k] // odd rightmost node: promoted unchanged
-			}
-			parents = append(parents, k)
 		}
-		cur = next
 		dirty = parents
 	}
 }

@@ -8,20 +8,21 @@ import (
 // sortedLayout is the original commitment structure: one flat sorted hash
 // tree over all leaves, with every interior level kept so audit paths are
 // produced in O(log n) without recomputation. A batch insert merges the new
-// leaves into the sorted order and recomputes interior levels incrementally:
-// every node left of the first changed leaf position is copied from the
-// previous version, and only nodes at or right of it are rehashed. A batch
-// landing at the right edge of the serial space therefore costs O(k·log n);
-// a batch landing at position p costs O(n−p) (positions shift, so everything
-// to the right re-pairs), with the full O(n) of the paper's "insert sₓ,n
-// into the tree and rebuild it" as the worst case.
+// leaves into the sorted order and rebuilds the interior levels around them
+// (rebuilder.buildLevels): every leaf right of an insertion point shifts, so
+// every array is rewritten from the first insertion point on — O(n) moved
+// bytes for a batch anywhere but the right edge, the paper's "insert sₓ,n
+// into the tree and rebuild it" — but a node is only rehashed where the shift
+// breaks its alignment. A batch landing at the right edge of the serial
+// space costs O(k·log n) hashes and moves; a uniform batch moves everything
+// and hashes about two thirds of the interior nodes.
 type sortedLayout struct {
+	rebuilder
 	// tree is the whole dictionary as one run: heap arrays, or the bytes of
 	// the checkpoint the layout was opened over until the first insert
 	// copies them out (an insert rewrites everything right of the insertion
 	// point, so there is no smaller unit to copy).
-	tree   run
-	hashed uint64
+	tree run
 	// owned marks the arrays above as private scratch: (re)built since the
 	// last view/checkpoint, so no published snapshot or captured checkpoint
 	// can reach them and insert may extend them in place (the zero-realloc
@@ -32,23 +33,7 @@ type sortedLayout struct {
 func (l *sortedLayout) kind() LayoutKind { return LayoutSorted }
 
 func (l *sortedLayout) insert(batch []Leaf) {
-	total := l.tree.count() + len(batch)
-	if l.owned && cap(l.tree.leaves) >= total && cap(l.tree.levels[0]) >= total {
-		merged, mergedHashes, firstChanged, leafOps := mergeLeavesInPlace(l.tree.leaves, l.tree.levels[0], batch)
-		levels, nodeOps := buildLevelsInPlace(l.tree.levels, mergedHashes, firstChanged)
-		l.tree = run{leaves: merged, levels: levels}
-		l.hashed += leafOps + nodeOps
-		return
-	}
-	old := l.tree.heap() // copies a mapped base out
-	var oldHashes []cryptoutil.Hash
-	if len(old.levels) > 0 {
-		oldHashes = old.levels[0]
-	}
-	merged, mergedHashes, firstChanged, leafOps := mergeLeaves(old.leaves, oldHashes, batch)
-	levels, nodeOps := buildLevels(mergedHashes, old.levels, firstChanged)
-	l.tree = run{leaves: merged, levels: levels}
-	l.hashed += leafOps + nodeOps
+	l.tree = l.rebuild(l.tree.heap(), batch, l.owned) // heap copies a mapped base out
 	l.owned = true
 }
 

@@ -1,7 +1,10 @@
 package dictionary
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"math/bits"
 	"math/rand/v2"
 	"testing"
 
@@ -439,5 +442,56 @@ func TestForestUniformInsertHashingAdvantage(t *testing.T) {
 	if perCycle[LayoutForest]*10 > perCycle[LayoutSorted] {
 		t.Errorf("forest advantage below 10x: sorted=%d forest=%d",
 			perCycle[LayoutSorted], perCycle[LayoutForest])
+	}
+}
+
+// TestUniformBatchHashedNodes pins what a ∆ rebuild hashes — a count, exact
+// and repeatable, not a time — on a published replica (every update is
+// copy-on-write): a uniform batch of k into n sorted leaves moves every node
+// but rehashes only those whose alignment the shift breaks, about two thirds
+// of n+k where the dense rebuild hashed all of them; a right-edge batch
+// still costs O(k·log n); and the forest, whose buckets and spine run
+// through the same kernel, hashes no more than it did before the kernel
+// copied shift-aligned subtrees.
+func TestUniformBatchHashedNodes(t *testing.T) {
+	const n, k = 100_000, 1_000
+	// What the forest hashed for the same three batches under the dense
+	// level builders (PR 19).
+	const forestUniformBefore, forestEdgeBefore = 59_314, 2_172
+	for _, kind := range Layouts() {
+		gen := serial.NewGenerator(0x0B5E55ED, nil)
+		a := newTestAuthorityWithLayout(t, 1, kind)
+		r := NewReplicaWithLayout(a.CA(), a.PublicKey(), kind)
+		feed := func(serials []serial.Number) uint64 {
+			t.Helper()
+			msg, err := a.Insert(serials, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := r.tree.HashedNodes()
+			if err := r.Update(msg); err != nil {
+				t.Fatal(err)
+			}
+			return r.tree.HashedNodes() - before
+		}
+		feed(gen.NextN(n))
+		uniform := feed(gen.NextN(k))
+		rightEdge := make([]serial.Number, k)
+		for i := range rightEdge {
+			raw := binary.BigEndian.AppendUint64(bytes.Repeat([]byte{0xff}, 12), uint64(i))
+			rightEdge[i] = mustNumber(raw)
+		}
+		edge := feed(rightEdge)
+		t.Logf("%v: %d hashes for a uniform batch of %d into %d, %d for a right-edge batch", kind, uniform, k, n, edge)
+		if kind == LayoutSorted {
+			if lo, hi := uint64(0.6*(n+k)), uint64(0.75*(n+k)); uniform <= lo || uniform > hi {
+				t.Errorf("sorted: uniform batch hashed %d nodes, want in (%d, %d]", uniform, lo, hi)
+			}
+			if limit := uint64(k * (bits.Len(n) + 2)); edge > limit {
+				t.Errorf("sorted: right-edge batch hashed %d nodes, want ≤ %d", edge, limit)
+			}
+		} else if uniform > forestUniformBefore || edge > forestEdgeBefore {
+			t.Errorf("forest: hashed %d (uniform) / %d (right edge), was %d / %d", uniform, edge, forestUniformBefore, forestEdgeBefore)
+		}
 	}
 }

@@ -73,7 +73,7 @@ func TestIncrementalRebuildMatchesReference(t *testing.T) {
 func TestIncrementalRebuildProofsVerify(t *testing.T) {
 	tree := NewTree()
 	// Middle, then back (pure append), then front — each exercises a
-	// different firstChanged position.
+	// different set of kept spans.
 	batches := [][]uint64{
 		{5000, 5002, 5004},
 		{9000, 9001, 9002, 9003}, // right edge: O(k·log n) path

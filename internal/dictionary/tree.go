@@ -71,8 +71,9 @@ type Leaf struct {
 
 // hash returns the domain-separated leaf hash. The preimage is the
 // canonical wire encoding (length-prefixed serial bytes, then Num as a
-// uvarint); HashLeafSerial assembles it on the stack because leaf hashing
-// runs once per leaf per rebuild and must not allocate.
+// uvarint), assembled on the stack: this is the verifier's path and must
+// not allocate. Rebuilds hash the same bytes through their layout's digest
+// (rebuilder).
 func (l Leaf) hash() cryptoutil.Hash {
 	return cryptoutil.HashLeafSerial(l.Serial.Raw(), l.Num)
 }

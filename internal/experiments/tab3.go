@@ -152,8 +152,9 @@ func DictOps(quick bool) (*Table, error) {
 		Title:   "Dictionary batch operations, 1,000 revocations (§VII-D), ms",
 		Columns: []string{"entity", "operation", "base n", "max ms", "min ms", "avg ms"},
 		Notes: []string{
-			"insert cost is dominated by the full O(n) rebuild at large n; the paper's",
-			"2.93 ms corresponds to a small base dictionary",
+			"insert cost at large n is the O(n) rebuild: every array right of the first",
+			"insertion point is rewritten and about two thirds of the interior nodes are",
+			"rehashed; the paper's 2.93 ms corresponds to a small base dictionary",
 		},
 	}
 	for _, base := range bases {
