@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math/bits"
 
 	"ritm/internal/cryptoutil"
 	"ritm/internal/serial"
@@ -16,14 +15,17 @@ import (
 // encoding of one dictionary's committed state that is traversable WITHOUT
 // deserialization. It persists the commitment structure itself (not just
 // the issuance log, which would make recovery replay it — O(n) hashing) in
-// fixed-width, offset-computable records, so that:
+// fixed-width, offset-computable records — the very byte layout a run keeps
+// in memory (layout.go) — so that:
 //
-//   - a restart materializes the heap tree by copying arrays instead of
-//     rehashing them (map-don't-replay), and
+//   - encoding is one memmove per section (per level, for hash levels) plus
+//     the CRCs, with nothing converted;
+//   - a restart keeps the checkpoint buffer as the tree it serves and
+//     inserts into (map-don't-replay), copying and rehashing nothing, and
 //   - a co-located reader (OpenMappedReplica) serves Prove/Status straight
-//     off the encoded bytes: a leaf lookup, an inclusion/absence path, and a
-//     bucket-range probe are each O(log n) pointer arithmetic over []byte,
-//     with zero per-process heap for the dictionary.
+//     off the mapped bytes: a leaf lookup, an inclusion/absence path, and a
+//     bucket-range probe are each O(log n) arithmetic over []byte, with zero
+//     per-process heap for the dictionary.
 //
 // Layout. The payload opens with an 8-byte magic, a section count, and a
 // fixed-width section table; every section is CRC-framed and starts at an
@@ -109,13 +111,30 @@ func IsStateV2(buf []byte) bool {
 
 // totalLevelNodes returns the total node count over all levels of a tree
 // with n leaves (level 0 included): n, ⌈n/2⌉, …, 1 — the shape contract
-// shared with buildLevels, which is what lets a mapped run derive every
-// level offset from the leaf count alone.
+// shared with buildLevels, which is what lets a reader cut every level out
+// of a section from the leaf count alone (splitLevels).
 func totalLevelNodes(n int) int {
-	if n <= 0 {
-		return 0
+	total := 0
+	for width := n; width > 0; width = (width + 1) / 2 {
+		total += width
+		if width == 1 {
+			break
+		}
 	}
-	return n + upperOffset(n, bits.Len(uint(n-1))+1)
+	return total
+}
+
+// splitLevels appends to levels one capacity-capped slice per level of a
+// section that stores the levels of a tree whose lowest stored level holds
+// n ≥ 1 nodes, that level first, up to the single root.
+func splitLevels(section []byte, n int, levels [][]byte) [][]byte {
+	for width := n; ; width = (width + 1) / 2 {
+		size := width * cryptoutil.HashSize
+		levels = append(levels, section[:size:size])
+		if section = section[size:]; width == 1 {
+			return levels
+		}
+	}
 }
 
 // interiorLevelBytes returns the encoded size of levels ≥ 1 of a tree with
@@ -163,27 +182,13 @@ func encodeV2Sections(secs []v2Section) []byte {
 	return buf
 }
 
-// putLeafRecs writes the leaves as consecutive 32-byte records into zeroed
-// dst and returns the bytes written.
-func putLeafRecs(dst []byte, leaves []Leaf) int {
-	for i, lf := range leaves {
-		rec := dst[i*v2LeafRecSize : (i+1)*v2LeafRecSize]
-		binary.LittleEndian.PutUint64(rec, lf.Num)
-		raw := lf.Serial.Raw()
-		rec[8] = byte(len(raw))
-		copy(rec[12:], raw)
-	}
-	return len(leaves) * v2LeafRecSize
-}
-
-// putLevels writes hash levels back to back, in the order given, and returns
-// the bytes written.
-func putLevels(dst []byte, levels ...[]cryptoutil.Hash) int {
+// putBytes copies byte runs — records or hash levels, in the layout the
+// section stores them in already — back to back into dst, one memmove each,
+// and returns the bytes written.
+func putBytes(dst []byte, runs ...[]byte) int {
 	n := 0
-	for _, lvl := range levels {
-		for i := range lvl {
-			n += copy(dst[n:], lvl[i][:])
-		}
+	for _, r := range runs {
+		n += copy(dst[n:], r)
 	}
 	return n
 }
@@ -224,26 +229,26 @@ func encodeStateV2(layout LayoutKind, view LayoutView, bounds []uint64, root *Si
 
 	switch v := view.(type) {
 	case *sortedView:
-		count = len(v.leaves)
+		count = v.count()
 		secs = append(secs,
-			v2Section{v2SecLeaves, count * v2LeafRecSize, func(dst []byte) { putLeafRecs(dst, v.leaves) }},
-			v2Section{v2SecLevels, totalLevelNodes(count) * cryptoutil.HashSize, func(dst []byte) { putLevels(dst, v.levels...) }})
+			v2Section{v2SecLeaves, len(v.recs), func(dst []byte) { copy(dst, v.recs) }},
+			v2Section{v2SecLevels, totalLevelNodes(count) * cryptoutil.HashSize, func(dst []byte) { putBytes(dst, v.levels...) }})
 
 	case *forestView:
 		blobLen := 0
 		for _, b := range v.buckets {
-			count += len(b.tree.leaves)
-			blobLen += interiorLevelBytes(len(b.tree.leaves))
+			count += b.tree.count()
+			blobLen += interiorLevelBytes(b.tree.count())
 		}
 		secs = append(secs,
 			v2Section{v2SecLeaves, count * v2LeafRecSize, func(dst []byte) {
 				for _, b := range v.buckets {
-					dst = dst[putLeafRecs(dst, b.tree.leaves):]
+					dst = dst[copy(dst, b.tree.recs):]
 				}
 			}},
 			v2Section{v2SecLevels, count * cryptoutil.HashSize, func(dst []byte) {
 				for _, b := range v.buckets {
-					dst = dst[putLevels(dst, b.leafHashes()):]
+					dst = dst[copy(dst, b.tree.levels[0]):]
 				}
 			}},
 			v2Section{v2SecBucketDir, len(v.buckets) * v2BucketRecSize, func(dst []byte) {
@@ -251,23 +256,23 @@ func encodeStateV2(layout LayoutKind, view LayoutView, bounds []uint64, root *Si
 				for bi, b := range v.buckets {
 					rec := dst[bi*v2BucketRecSize:]
 					le.PutUint64(rec, uint64(leafStart))
-					le.PutUint64(rec[8:], uint64(len(b.tree.leaves)))
+					le.PutUint64(rec[8:], uint64(b.tree.count()))
 					le.PutUint64(rec[16:], uint64(levelsOff))
 					lo, hi := b.lo.Raw(), b.hi.Raw()
 					rec[24], rec[25] = byte(len(lo)), byte(len(hi))
 					copy(rec[32:], lo)
 					copy(rec[52:], hi)
 					copy(rec[72:], b.node[:])
-					leafStart += len(b.tree.leaves)
-					levelsOff += interiorLevelBytes(len(b.tree.leaves))
+					leafStart += b.tree.count()
+					levelsOff += interiorLevelBytes(b.tree.count())
 				}
 			}},
 			v2Section{v2SecBucketLevels, blobLen, func(dst []byte) {
 				for _, b := range v.buckets {
-					dst = dst[putLevels(dst, b.tree.levels[1:]...):]
+					dst = dst[putBytes(dst, b.tree.levels[1:]...):]
 				}
 			}},
-			v2Section{v2SecSpine, totalLevelNodes(len(v.buckets)) * cryptoutil.HashSize, func(dst []byte) { putLevels(dst, v.spine.levels...) }})
+			v2Section{v2SecSpine, totalLevelNodes(len(v.buckets)) * cryptoutil.HashSize, func(dst []byte) { putBytes(dst, v.spine.levels...) }})
 
 	default:
 		// Unreachable for the layouts this package defines.
@@ -364,23 +369,21 @@ func (st *MappedState) Batches() []uint64 {
 	return out
 }
 
-// levelsRun returns the leafless run over a section that stores every
-// level of a tree with n level-0 nodes, level 0 first.
-func levelsRun(section []byte, n int) run {
-	return run{level0: section[:n*cryptoutil.HashSize], upper: section[n*cryptoutil.HashSize:]}
-}
-
-// sortedRun returns the whole dictionary as the sorted layout's one run.
+// sortedRun returns the whole dictionary as the sorted layout's one run,
+// its sections read in place.
 func (st *MappedState) sortedRun() run {
-	r := levelsRun(st.levels, st.count)
-	r.recs = st.leaves
-	return r
+	if st.count == 0 {
+		return run{}
+	}
+	return run{recs: st.leaves, levels: splitLevels(st.levels, st.count, nil)}
 }
 
-// allLeaves returns the global sorted leaf array of either layout as a run
-// whose levels stop at level 0.
-func (st *MappedState) allLeaves() run {
-	return run{recs: st.leaves, level0: st.levels[:st.count*cryptoutil.HashSize]}
+// spineRun returns the forest's spine as a leafless run, read in place.
+func (st *MappedState) spineRun() run {
+	if st.nb == 0 {
+		return run{}
+	}
+	return run{levels: splitLevels(st.spine, st.nb, nil)}
 }
 
 // bucketRec returns the raw 96-byte directory record of bucket bi.
@@ -395,21 +398,23 @@ func (st *MappedState) bucketLo(bi int) []byte {
 	return rec[32 : 32+rec[24]]
 }
 
-// bucket decodes directory entry bi into a mapped-backed bucket: level 0 is
-// the bucket's slice of the global leaf-hash array, the rest live in the
-// blob. The bounds are copied; the tree aliases the checkpoint.
-func (st *MappedState) bucket(bi int) forestBucket {
+// bucket decodes directory entry bi into a bucket that reads the
+// checkpoint in place: its records and level 0 are its slices of the global
+// sections, its levels ≥ 1 live in the blob, and its bounds alias the
+// directory. The level slice headers are appended to levels.
+func (st *MappedState) bucket(bi int, levels [][]byte) forestBucket {
 	rec := st.bucketRec(bi)
 	le := binary.LittleEndian
-	start, end := int(le.Uint64(rec)), int(le.Uint64(rec)+le.Uint64(rec[8:]))
+	start, n := int(le.Uint64(rec)), int(le.Uint64(rec[8:]))
+	end := start + n
+	levels = append(levels, st.levels[start*cryptoutil.HashSize:end*cryptoutil.HashSize:end*cryptoutil.HashSize])
+	if n > 1 {
+		levels = splitLevels(st.blob[le.Uint64(rec[16:]):], (n+1)/2, levels)
+	}
 	b := forestBucket{
-		lo: mustNumber(st.bucketLo(bi)),
-		hi: mustNumber(rec[52 : 52+rec[25]]),
-		tree: run{
-			recs:   st.leaves[start*v2LeafRecSize : end*v2LeafRecSize],
-			level0: st.levels[start*cryptoutil.HashSize : end*cryptoutil.HashSize],
-			upper:  st.blob[le.Uint64(rec[16:]):],
-		},
+		lo:   viewSerial(st.bucketLo(bi)),
+		hi:   viewSerial(rec[52 : 52+rec[25]]),
+		tree: run{recs: st.leaves[start*v2LeafRecSize : end*v2LeafRecSize : end*v2LeafRecSize], levels: levels},
 	}
 	copy(b.node[:], rec[72:])
 	return b
@@ -418,16 +423,17 @@ func (st *MappedState) bucket(bi int) forestBucket {
 // view returns the LayoutView proving straight off the checkpoint bytes.
 func (st *MappedState) view() LayoutView {
 	if st.layout.base() == LayoutForest {
-		return &forestView{dir: st, spine: levelsRun(st.spine, st.nb), root: st.treeRoot}
+		return &forestView{dir: st, spine: st.spineRun(), root: st.treeRoot}
 	}
 	return &sortedView{st.sortedRun()}
 }
 
 // mutableLayout returns a mutable layout holding the checkpoint's state with
-// ZERO rehashing and, until something is inserted, zero copying: the sorted
-// layout's one run and the forest's directory keep reading the checkpoint
-// bytes, and the first insert copies out what it rewrites (the whole sorted
-// run; a forest's spine and the buckets it lands in).
+// zero rehashing and zero copying: the sorted layout's one run and the
+// forest's directory read the checkpoint's sections as they are, and an
+// insert writes fresh arrays for what it rewrites (the sorted run; a
+// forest's spine and the buckets it lands in), reading the checkpoint like
+// any exposed version.
 func (st *MappedState) mutableLayout() Layout {
 	if st.layout.base() != LayoutForest {
 		return &sortedLayout{tree: st.sortedRun()}
@@ -437,23 +443,6 @@ func (st *MappedState) mutableLayout() Layout {
 		f.base, f.root = st, st.treeRoot
 	}
 	return f
-}
-
-// heapLayout is mutableLayout with every array copied out up front, for an
-// owner that does not keep the checkpoint bytes: nothing in the result
-// aliases them.
-func (st *MappedState) heapLayout() Layout {
-	l := st.mutableLayout()
-	if f, ok := l.(*forestLayout); ok {
-		f.materialize()
-		for _, b := range f.buckets {
-			b.tree = b.tree.heap()
-		}
-	} else {
-		s := l.(*sortedLayout)
-		s.tree = s.tree.heap()
-	}
-	return l
 }
 
 // sectionTable maps section ids to payload slices after bounds and CRC
@@ -618,7 +607,6 @@ func (st *MappedState) openForest(secs map[uint32][]byte) error {
 		return fmt.Errorf("%w: %d leaves but no buckets", ErrBadCheckpoint, st.count)
 	}
 	cap := st.layout.ForestCap()
-	all := st.allLeaves()
 	leafStart, levelsOff := 0, 0
 	var prevHi []byte
 	for bi := 0; bi < st.nb; bi++ {
@@ -652,10 +640,10 @@ func (st *MappedState) openForest(secs map[uint32][]byte) error {
 		// Boundary containment: the bucket's first and last leaves must fall
 		// in [lo, hi). Interior leaves are sorted (validated globally), so
 		// the two checks cover the bucket.
-		if loLen != 0 && compareRaw(all.serial(leafStart), lo) < 0 {
+		if loLen != 0 && compareRaw(recSerial(st.leaves, leafStart), lo) < 0 {
 			return fmt.Errorf("%w: bucket %d leaf below range", ErrBadCheckpoint, bi)
 		}
-		if hiLen != 0 && compareRaw(all.serial(leafStart+n-1), hi) >= 0 {
+		if hiLen != 0 && compareRaw(recSerial(st.leaves, leafStart+n-1), hi) >= 0 {
 			return fmt.Errorf("%w: bucket %d leaf at/above range", ErrBadCheckpoint, bi)
 		}
 		leafStart += n
@@ -712,17 +700,17 @@ func (st *MappedState) openRoot(secs map[uint32][]byte) error {
 	}
 
 	// Structural root consistency: the recorded root must be what the
-	// stored arrays commit to.
+	// stored arrays commit to — the last node of the levels (of the spine)
+	// section, which stores the root level last.
+	top := func(section []byte) cryptoutil.Hash { return *nodeAt(section, len(section)/cryptoutil.HashSize-1) }
 	var computed cryptoutil.Hash
 	switch {
 	case st.count == 0:
 		computed = EmptyRoot
 	case st.layout.base() == LayoutForest:
-		spine := levelsRun(st.spine, st.nb)
-		computed = cryptoutil.HashForestRoot(uint64(st.nb), spine.root())
+		computed = cryptoutil.HashForestRoot(uint64(st.nb), top(st.spine))
 	default:
-		sorted := st.sortedRun()
-		computed = sorted.root()
+		computed = top(st.levels)
 	}
 	if !computed.Equal(st.treeRoot) {
 		return fmt.Errorf("%w: recorded root does not match stored structure", ErrBadCheckpoint)
@@ -741,16 +729,23 @@ func (st *MappedState) openRoot(secs map[uint32][]byte) error {
 
 // materializeLog inverts the leaf records' revocation numbers back into
 // the issuance-ordered log. Filling every slot exactly once doubles as
-// the permutation check deferred by OpenMappedState.
+// the permutation check deferred by OpenMappedState. The serials are packed
+// into one arena of their own — not aliased into the checkpoint, which the
+// log would then pin whole.
 func (st *MappedState) materializeLog() ([]serial.Number, error) {
 	log := make([]serial.Number, st.count)
-	all := st.allLeaves()
+	size := 0
 	for i := range log {
-		lf := all.leaf(i)
-		if !log[lf.Num-1].IsZero() {
-			return nil, fmt.Errorf("%w: duplicate revocation number %d", ErrBadCheckpoint, lf.Num)
+		size += len(recSerial(st.leaves, i))
+	}
+	arena := make([]byte, 0, size)
+	for i := range log {
+		num, raw := recNum(st.leaves, i), recSerial(st.leaves, i)
+		if !log[num-1].IsZero() {
+			return nil, fmt.Errorf("%w: duplicate revocation number %d", ErrBadCheckpoint, num)
 		}
-		log[lf.Num-1] = lf.Serial
+		arena = append(arena, raw...)
+		log[num-1] = viewSerial(arena[len(arena)-len(raw) : len(arena) : len(arena)])
 	}
 	return log, nil
 }

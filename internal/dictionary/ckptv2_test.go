@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -78,11 +79,16 @@ func openMapped(t *testing.T, a *Authority, kind LayoutKind, state []byte, wal [
 }
 
 // pureMapped reports whether a snapshot proves off checkpoint bytes alone,
-// nothing of the dictionary copied onto the heap.
+// nothing of the dictionary rebuilt onto the heap: a sorted run whose records
+// run straight into its level 0, as the leaf and level sections of a
+// checkpoint image do (sortedRun leaves the records' capacity uncapped;
+// arrays a rebuild allocates are never adjacent), or a forest served off its
+// directory.
 func pureMapped(s *Snapshot) bool {
 	switch v := s.view.(type) {
 	case *sortedView:
-		return v.mapped()
+		recs := v.recs
+		return v.count() > 0 && len(recs) < cap(recs) && &recs[:len(recs)+1][len(recs)] == &v.levels[0][0]
 	case *forestView:
 		return v.dir != nil
 	}
@@ -440,6 +446,17 @@ func TestPersistentStateV2RoundTrip(t *testing.T) {
 // batches (enough for a multi-bucket forest with splits).
 func seededReplica(t *testing.T, kind LayoutKind) *Replica {
 	t.Helper()
+	_, r := seededFixture(t, kind)
+	return r
+}
+
+// seededBatches are the batches seededFixture inserts.
+func seededBatches() [][]serial.Number { return fixtureBatches(0x601D, []int{700, 31, 1200, 1, 400}) }
+
+// seededFixture is seededReplica with the authority that fed it, whose next
+// Insert is as deterministic as the replica.
+func seededFixture(t *testing.T, kind LayoutKind) (*Authority, *Replica) {
+	t.Helper()
 	const now = int64(1_700_000_000)
 	a, err := NewAuthority(AuthorityConfig{
 		CA:          "GoldenCA",
@@ -453,7 +470,7 @@ func seededReplica(t *testing.T, kind LayoutKind) *Replica {
 		t.Fatal(err)
 	}
 	r := NewReplicaWithLayout(a.CA(), a.PublicKey(), kind)
-	for i, b := range fixtureBatches(0x601D, []int{700, 31, 1200, 1, 400}) {
+	for i, b := range seededBatches() {
 		msg, err := a.Insert(b, now+int64(i))
 		if err != nil {
 			t.Fatal(err)
@@ -462,7 +479,108 @@ func seededReplica(t *testing.T, kind LayoutKind) *Replica {
 			t.Fatal(err)
 		}
 	}
-	return r
+	return a, r
+}
+
+// TestLayoutRunIsCheckpointImage pins that a run is its checkpoint image, on
+// both layouts: a replica restarted over checkpoint X re-encodes to X byte
+// for byte; every probe proves byte-identically off the heap-built run and
+// off X mapped from a file; one insert on the replica restarted over X and on
+// the mapped reader gives the same root and proofs as on the heap replica,
+// and the restarted one the same next checkpoint; and a snapshot taken
+// before the insert still proves against its old root, byte for byte as
+// before it.
+func TestLayoutRunIsCheckpointImage(t *testing.T) {
+	const now = int64(1_700_000_010)
+	for _, kind := range layoutKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			a, heap := seededFixture(t, kind)
+			image := heap.PersistentStateV2()
+
+			lg, err := storage.NewMemory().Open("d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := lg.Checkpoint(image); err != nil {
+				t.Fatal(err)
+			}
+			restarted, err := RecoverReplicaLog(lg, a.CA(), a.PublicKey(), kind, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(restarted.PersistentStateV2(), image) {
+				t.Fatal("the replica restarted over a checkpoint re-encodes to other bytes")
+			}
+
+			files := storage.NewFileBackend(t.TempDir(), false)
+			flg, err := files.Open("d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := flg.Checkpoint(image); err != nil {
+				t.Fatal(err)
+			}
+			mc, err := files.Map("d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mc.Close()
+			mapped, err := OpenMappedReplica(a.CA(), a.PublicKey(), kind, mc.State, nil, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			next := fixtureBatches(0x601D, []int{700, 31, 1200, 1, 400, 300})[5] // the seeded batches' stream, continued
+			probes := append(serial.NewGenerator(0xFACE, nil).NextN(48), next[0], next[299])
+			for _, b := range seededBatches() {
+				probes = append(probes, b[0], b[len(b)/2], b[len(b)-1])
+			}
+			replicas := map[string]*Replica{"restarted": restarted, "mapped": mapped}
+			for _, s := range probes {
+				for _, r := range replicas {
+					requireSameStatus(t, heap.Snapshot(), r.Snapshot(), s)
+				}
+			}
+
+			before := restarted.Snapshot()
+			beforeProofs := make([][]byte, len(probes))
+			for i, s := range probes {
+				beforeProofs[i] = before.view.Prove(s).Encode()
+			}
+			msg, err := a.Insert(next, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := heap.Update(msg); err != nil {
+				t.Fatal(err)
+			}
+			for name, r := range replicas {
+				if err := r.Update(msg); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !r.Snapshot().RootHash().Equal(heap.Snapshot().RootHash()) {
+					t.Fatalf("%s: root after the insert differs from the heap replica's", name)
+				}
+				for _, s := range probes {
+					requireSameStatus(t, heap.Snapshot(), r.Snapshot(), s)
+				}
+			}
+			if !bytes.Equal(restarted.PersistentStateV2(), heap.PersistentStateV2()) {
+				t.Fatal("the next checkpoint of the restarted replica differs from the heap replica's")
+			}
+
+			oldRoot, oldCount := before.RootHash(), before.Count()
+			for i, s := range probes {
+				p := before.view.Prove(s)
+				if !bytes.Equal(p.Encode(), beforeProofs[i]) {
+					t.Fatalf("the snapshot taken before the insert proves %v differently after it", s)
+				}
+				if _, err := p.Verify(s, oldRoot, oldCount); err != nil {
+					t.Fatalf("the snapshot taken before the insert: proof for %v: %v", s, err)
+				}
+			}
+		})
+	}
 }
 
 // TestGoldenCheckpointV2Digests pins the checkpoint encoding, and with it
@@ -707,27 +825,41 @@ func TestFreshnessAdoptionToleratesLag(t *testing.T) {
 	}
 }
 
-// TestUpperOffsetMatchesLevelShape checks the closed form a mapped run
-// locates its levels with against the ceil-halving walk buildLevels does.
-func TestUpperOffsetMatchesLevelShape(t *testing.T) {
+// TestTotalLevelNodesMatchesLevelShape checks the shape a reader cuts a
+// checkpoint's levels section into (totalLevelNodes, splitLevels) against the
+// closed form of the ceil-halving walk buildLevels does — level l of a tree
+// over n leaves holds ((n-1)>>l)+1 nodes, up to level bits.Len(n-1) — and,
+// for small n, against the levels buildLevels builds.
+func TestTotalLevelNodesMatchesLevelShape(t *testing.T) {
+	var rb rebuilder
 	for n := 1; n <= 5000; n++ {
-		r := run{level0: make([]byte, n*cryptoutil.HashSize)}
-		off, lvl := 0, 1
-		for width := (n + 1) / 2; ; width, lvl = (width+1)/2, lvl+1 {
-			if n == 1 {
-				lvl = 0
-				break
-			}
-			if got := upperOffset(n, lvl); got != off {
-				t.Fatalf("upperOffset(%d, %d) = %d, want %d", n, lvl, got, off)
-			}
-			off += width
-			if width == 1 {
-				break
+		depth := bits.Len(uint(n-1)) + 1
+		total := 0
+		for l := 0; l < depth; l++ {
+			total += (n-1)>>l + 1
+		}
+		if got := totalLevelNodes(n); got != total {
+			t.Fatalf("totalLevelNodes(%d) = %d, want %d", n, got, total)
+		}
+		levels := splitLevels(make([]byte, total*cryptoutil.HashSize), n, nil)
+		if len(levels) != depth {
+			t.Fatalf("n=%d: %d levels, want %d", n, len(levels), depth)
+		}
+		for l, level := range levels {
+			if want := ((n-1)>>l + 1) * cryptoutil.HashSize; len(level) != want || cap(level) != want {
+				t.Fatalf("n=%d: level %d len %d cap %d, want %d", n, l, len(level), cap(level), want)
 			}
 		}
-		if r.depth() != lvl+1 || totalLevelNodes(n) != n+off {
-			t.Fatalf("n=%d: depth %d total %d, want %d and %d", n, r.depth(), totalLevelNodes(n), lvl+1, n+off)
+		if n <= 130 {
+			built := rb.buildLevels(nil, nil, make([]byte, n*cryptoutil.HashSize), nil)
+			if len(built) != depth {
+				t.Fatalf("n=%d: buildLevels built %d levels, want %d", n, len(built), depth)
+			}
+			for l := range built {
+				if len(built[l]) != len(levels[l]) {
+					t.Fatalf("n=%d: buildLevels level %d holds %d bytes, want %d", n, l, len(built[l]), len(levels[l]))
+				}
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package dictionary
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -22,35 +23,47 @@ import (
 // must be indistinguishable. The tests run in CI's dictionary race suite
 // (-run 'CrossLayout|Forest|Layout' -race -count=2).
 
-// refMergeLeaves is the pre-arena element-wise merge: compare every old leaf,
-// append one leaf at a time into fresh arrays. It is the semantic reference
-// for mergeLeaves; at[j] is the merged index batch[j] landed on.
-func refMergeLeaves(oldLeaves []Leaf, oldHashes []cryptoutil.Hash, batch []Leaf) (merged []Leaf, hashes []cryptoutil.Hash, at []int) {
-	i := 0
+// refRec is the reference encoding of one leaf record: num u64 LE, serial
+// length, three zero pad bytes, the serial zero-padded to 20 bytes.
+func refRec(lf Leaf) []byte {
+	rec := make([]byte, v2LeafRecSize)
+	binary.LittleEndian.PutUint64(rec, lf.Num)
+	rec[8] = byte(lf.Serial.Len())
+	copy(rec[12:], lf.Serial.Raw())
+	return rec
+}
+
+// refMergeLeaves is the pre-arena element-wise merge over records: compare
+// every old record, append one record and one leaf hash at a time into fresh
+// arrays. It is the semantic reference for mergeLeaves; at[j] is the merged
+// index batch[j] landed on.
+func refMergeLeaves(oldRecs, oldHashes []byte, batch []Leaf) (recs, hashes []byte, at []int) {
+	const size = cryptoutil.HashSize
+	i, n := 0, len(oldHashes)/size
 	for _, b := range batch {
-		for i < len(oldLeaves) && oldLeaves[i].Serial.Compare(b.Serial) < 0 {
-			merged = append(merged, oldLeaves[i])
-			hashes = append(hashes, oldHashes[i])
+		for i < n && compareRaw(recSerial(oldRecs, i), b.Serial.Raw()) < 0 {
+			recs = append(recs, oldRecs[i*v2LeafRecSize:(i+1)*v2LeafRecSize]...)
+			hashes = append(hashes, oldHashes[i*size:(i+1)*size]...)
 			i++
 		}
-		at = append(at, len(merged))
-		merged = append(merged, b)
-		hashes = append(hashes, b.hash())
+		at = append(at, len(recs)/v2LeafRecSize)
+		h := b.hash()
+		recs = append(recs, refRec(b)...)
+		hashes = append(hashes, h[:]...)
 	}
-	merged = append(merged, oldLeaves[i:]...)
-	hashes = append(hashes, oldHashes[i:]...)
-	return merged, hashes, at
+	recs = append(recs, oldRecs[i*v2LeafRecSize:]...)
+	hashes = append(hashes, oldHashes[i*size:]...)
+	return recs, hashes, at
 }
 
 // refBuildLevels is the pre-arena full rebuild: every interior node
 // recomputed from scratch, no reuse of any kind.
-func refBuildLevels(leafHashes []cryptoutil.Hash) [][]cryptoutil.Hash {
+func refBuildLevels(leafHashes []byte) [][]byte {
 	if len(leafHashes) == 0 {
 		return nil
 	}
-	levels := [][]cryptoutil.Hash{leafHashes}
-	cur := leafHashes
-	for len(cur) > 1 {
+	levels := [][]byte{leafHashes}
+	for cur := hashLevel(leafHashes); len(cur) > 1; {
 		next := make([]cryptoutil.Hash, (len(cur)+1)/2)
 		for k := range next {
 			if 2*k+1 < len(cur) {
@@ -59,10 +72,32 @@ func refBuildLevels(leafHashes []cryptoutil.Hash) [][]cryptoutil.Hash {
 				next[k] = cur[len(cur)-1]
 			}
 		}
-		levels = append(levels, next)
+		var level []byte
+		for _, h := range next {
+			level = append(level, h[:]...)
+		}
+		levels = append(levels, level)
 		cur = next
 	}
 	return levels
+}
+
+// hashLevel copies one level of a run out as hashes.
+func hashLevel(level []byte) []cryptoutil.Hash {
+	out := make([]cryptoutil.Hash, len(level)/cryptoutil.HashSize)
+	for i := range out {
+		out[i] = *nodeAt(level, i)
+	}
+	return out
+}
+
+// runLeaves copies a run's records out as leaves.
+func runLeaves(r run) []Leaf {
+	out := make([]Leaf, r.count())
+	for i := range out {
+		out[i] = Leaf{Serial: viewSerial(bytes.Clone(r.serial(i))), Num: recNum(r.recs, i)}
+	}
+	return out
 }
 
 func leavesFrom(serials []serial.Number, startNum uint64) []Leaf {
@@ -74,19 +109,17 @@ func leavesFrom(serials []serial.Number, startNum uint64) []Leaf {
 	return out
 }
 
-func levelsEqual(t *testing.T, tag string, got, want [][]cryptoutil.Hash) {
+func levelsEqual(t *testing.T, tag string, got, want [][]byte) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d levels, want %d", tag, len(got), len(want))
 	}
 	for lvl := range want {
 		if len(got[lvl]) != len(want[lvl]) {
-			t.Fatalf("%s: level %d has %d nodes, want %d", tag, lvl, len(got[lvl]), len(want[lvl]))
+			t.Fatalf("%s: level %d has %d bytes, want %d", tag, lvl, len(got[lvl]), len(want[lvl]))
 		}
-		for k := range want[lvl] {
-			if !got[lvl][k].Equal(want[lvl][k]) {
-				t.Fatalf("%s: level %d node %d differs from reference", tag, lvl, k)
-			}
+		if !bytes.Equal(got[lvl], want[lvl]) {
+			t.Fatalf("%s: level %d differs from reference", tag, lvl)
 		}
 	}
 }
@@ -118,16 +151,17 @@ func insertedAt(t *testing.T, keep []span, total int) []int {
 }
 
 // TestLayoutMergeBuildMatchesReference checks the two rebuild kernels — one
-// merge, one level build, each taking its destination — against the
+// merge, one level build, each taking its destination and writing leaf
+// records and hash levels in the checkpoint's byte layout — against the
 // element-wise references, for batches of every shape the span rule
 // distinguishes (uniform, all left of the tree, all right of it, one dense
 // cluster inside one gap, larger than the tree, into an empty tree), on the
 // copy-on-write path, on the in-place path, and through repeated in-place
-// merges into one arena that outgrow its headroom level by level. Every level
-// must equal refBuildLevels byte for byte, the insertion positions the
-// reference merge's, and a view taken before the inserts must still prove
-// against its old root after them: the right-to-left moves write only
-// private arrays.
+// merges into one arena that outgrow its headroom level by level. The records
+// — padding included — and every level must equal the references byte for
+// byte, the insertion positions the reference merge's, and a view taken
+// before the inserts must still prove against its old root after them: the
+// right-to-left moves write only private arrays.
 func TestLayoutMergeBuildMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xA2E7A, 0xB0B))
 	const lowest, highest = 1 << 20, 1 << 40 // old leaves and uniform batches draw from [lowest, highest)
@@ -181,41 +215,42 @@ func TestLayoutMergeBuildMatchesReference(t *testing.T) {
 			}
 			layout := tree.commit.(*sortedLayout)
 			before, rootBefore, nBefore := tree.view(), tree.Root(), tree.Count() // exposes: the next insert is copy-on-write
-			wantLeaves, wantHashes := layout.tree.leaves, []cryptoutil.Hash(nil)
+			wantRecs, wantHashes := layout.tree.recs, []byte(nil)
 			if n > 0 {
 				wantHashes = layout.tree.levels[0]
 			}
 			levelsEqual(t, shape+": initial build", layout.tree.levels, refBuildLevels(wantHashes))
+			if want, _, _ := refMergeLeaves(nil, nil, leavesFrom(oldSerials, 1)); !bytes.Equal(wantRecs, want) {
+				t.Fatalf("%s trial %d: initial records differ from the reference encoding", shape, trial)
+			}
 
 			for round, path := range []string{"copy-on-write", "in place", "in place again"} {
 				tag := fmt.Sprintf("%s trial %d, %s", shape, trial, path)
-				serials := nextBatch(len(wantLeaves))
+				serials := nextBatch(len(wantRecs) / v2LeafRecSize)
 				batch := leavesFrom(serials, tree.Count()+1)
 				old, oldHashes := layout.tree, wantHashes
 				var wantAt []int
-				wantLeaves, wantHashes, wantAt = refMergeLeaves(old.leaves, oldHashes, batch)
+				wantRecs, wantHashes, wantAt = refMergeLeaves(old.recs, oldHashes, batch)
 
 				// The merge kernel alone, into fresh arrays and into a private
-				// copy of the old ones: same leaves, same insertion positions.
+				// copy of the old ones: same records, same insertion positions.
 				for _, inPlace := range []bool{false, true} {
 					var rb rebuilder
 					var dst run
 					src := old
 					if inPlace {
 						src = run{
-							leaves: slices.Grow(slices.Clone(old.leaves), len(batch)),
-							levels: [][]cryptoutil.Hash{slices.Grow(slices.Clone(oldHashes), len(batch))},
+							recs:   slices.Grow(slices.Clone(old.recs), len(batch)*v2LeafRecSize),
+							levels: [][]byte{slices.Grow(slices.Clone(oldHashes), len(batch)*cryptoutil.HashSize)},
 						}
 						dst = src
 					}
-					gotLeaves, gotHashes, keep := rb.mergeLeaves(dst, src, batch)
-					if !slices.Equal(insertedAt(t, keep, len(gotLeaves)), wantAt) {
+					gotRecs, gotHashes, keep := rb.mergeLeaves(dst, src, batch)
+					if !slices.Equal(insertedAt(t, keep, len(gotHashes)/cryptoutil.HashSize), wantAt) {
 						t.Fatalf("%s (merge in place %v): insertion positions differ from the reference merge", tag, inPlace)
 					}
-					if !slices.Equal(gotHashes, wantHashes) || !slices.EqualFunc(gotLeaves, wantLeaves, func(a, b Leaf) bool {
-						return a.Num == b.Num && a.Serial.Equal(b.Serial)
-					}) {
-						t.Fatalf("%s (merge in place %v): merged leaves differ from the reference merge", tag, inPlace)
+					if !bytes.Equal(gotHashes, wantHashes) || !bytes.Equal(gotRecs, wantRecs) {
+						t.Fatalf("%s (merge in place %v): merged records differ from the reference merge", tag, inPlace)
 					}
 					if rb.hashed != uint64(len(batch)) {
 						t.Fatalf("%s: merge counted %d hashes for %d new leaves", tag, rb.hashed, len(batch))
@@ -231,8 +266,8 @@ func TestLayoutMergeBuildMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				levelsEqual(t, tag, layout.tree.levels, refBuildLevels(wantHashes))
-				if len(layout.tree.leaves) != len(wantLeaves) {
-					t.Fatalf("%s: %d leaves, want %d", tag, len(layout.tree.leaves), len(wantLeaves))
+				if !bytes.Equal(layout.tree.recs, wantRecs) {
+					t.Fatalf("%s: records differ from the reference merge", tag)
 				}
 			}
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -220,106 +219,54 @@ func newLayout(kind LayoutKind) Layout {
 	}
 }
 
-// run is the one read-only accessor every proof is built through: a sorted
-// leaf run plus the hash levels over it. It is backed either by heap slices
-// (a layout's arrays; levels[0] is the leaf-hash array) or by the bytes of a
-// v2 checkpoint (32-byte leaf records, the level-0 hash array, and levels
-// ≥ 1 concatenated — see ckptv2.go), so the sorted layout is one run and a
+// run is the one representation of a sorted leaf run and the hash levels
+// over it, on the heap and mapped alike: its bytes are laid out as the v2
+// checkpoint lays them out (see ckptv2.go) — 32-byte leaf records {num u64
+// LE, len u8, pad[3], serial[20]} and one array of 20-byte nodes per level,
+// level 0 holding the leaf hashes — so a rebuild writes the arrays a
+// checkpoint copies section by section, and a replica opened over a
+// checkpoint reads its sections in place. The sorted layout is one run; a
 // forest is a bucket directory, a run per bucket and a leafless run for the
-// spine, whatever mix of heap and mapped storage holds them. Both forms have
-// the same shape — level l holds ⌈n/2ˡ⌉ nodes up to the single root, the
-// contract buildLevels and the checkpoint writer share — and answer with
-// the same bytes, which is what makes heap, mapped and overlay proofs
-// identical. A run is immutable once handed to a view.
+// spine. Level l holds ⌈n/2ˡ⌉ nodes up to the single root, the contract
+// buildLevels and the checkpoint writer share. A run is immutable once handed
+// to a view.
 type run struct {
-	leaves []Leaf
-	levels [][]cryptoutil.Hash
-
-	recs   []byte // mapped leaf records; nil for a spine
-	level0 []byte // mapped level 0; non-nil selects the mapped form
-	upper  []byte // mapped levels ≥ 1, level 1 first
+	recs   []byte   // count() leaf records of v2LeafRecSize bytes; nil for a spine
+	levels [][]byte // levels[l] holds ⌈n/2ˡ⌉ nodes of cryptoutil.HashSize bytes
 }
 
-func (r *run) mapped() bool { return r.level0 != nil }
-
-// count returns the width of level 0: the number of leaves (of bucket
-// commitments, for a spine).
-func (r *run) count() int {
-	switch {
-	case r.mapped():
-		return len(r.level0) / cryptoutil.HashSize
-	case len(r.levels) == 0:
-		return 0
-	}
-	return len(r.levels[0])
+// nodeAt returns node i of a level, in place.
+func nodeAt(level []byte, i int) *cryptoutil.Hash {
+	return (*cryptoutil.Hash)(level[i*cryptoutil.HashSize:])
 }
 
-// depth returns the number of levels, root level included (0 when empty).
-func (r *run) depth() int {
-	if n := r.count(); r.mapped() && n > 0 {
-		return bits.Len(uint(n-1)) + 1
-	}
-	return len(r.levels)
-}
-
-// upperOffset returns how many nodes levels 1..lvl-1 of a tree over n ≥ 1
-// leaves hold, i.e. where level lvl ≥ 1 starts inside the concatenated
-// upper levels. Level j holds ⌈n/2ʲ⌉ = ((n-1)>>j)+1 nodes, and for any m,
-// Σ_{j≥1} m>>j = m − popcount(m); cutting that sum off after k = lvl−1
-// terms subtracts the same identity applied to m>>k.
-func upperOffset(n, lvl int) int {
-	m, k := uint(n-1), lvl-1
-	return k + int(m) - bits.OnesCount(m) - int(m>>k) + bits.OnesCount(m>>k)
-}
-
-// node returns node idx of level lvl. (The mapped arm is split off, and
-// serial below kept to slicing, so that both inline into the walker's
-// loops: the heap path pays for the accessor with a predictable branch.)
-func (r *run) node(lvl, idx int) cryptoutil.Hash {
-	if !r.mapped() {
-		return r.levels[lvl][idx]
-	}
-	return r.mappedNode(lvl, idx)
-}
-
-func (r *run) mappedNode(lvl, idx int) (h cryptoutil.Hash) {
-	if lvl == 0 {
-		copy(h[:], r.level0[idx*cryptoutil.HashSize:])
-	} else {
-		copy(h[:], r.upper[(upperOffset(r.count(), lvl)+idx)*cryptoutil.HashSize:])
-	}
-	return h
-}
-
-// root returns the run's root; callers guarantee at least one leaf.
-func (r *run) root() cryptoutil.Hash { return r.node(r.depth()-1, 0) }
-
-// serial returns leaf i's canonical serial bytes for comparison with
-// compareRaw, without copying: a mapped leaf's alias the checkpoint.
-func (r *run) serial(i int) []byte {
-	if !r.mapped() {
-		return r.leaves[i].Serial.Raw()
-	}
-	rec := r.recs[i*v2LeafRecSize : (i+1)*v2LeafRecSize]
+// recSerial returns record i's canonical serial bytes, in place.
+func recSerial(recs []byte, i int) []byte {
+	rec := recs[i*v2LeafRecSize : (i+1)*v2LeafRecSize]
 	return rec[12 : 12+rec[8]]
 }
 
-// leaf copies leaf i out. Nothing in the result aliases checkpoint bytes:
-// a mapping may be released while a cached Status still holds the proof.
-func (r *run) leaf(i int) Leaf {
-	if !r.mapped() {
-		return r.leaves[i]
-	}
-	return Leaf{Serial: mustNumber(r.serial(i)), Num: binary.LittleEndian.Uint64(r.recs[i*v2LeafRecSize:])}
+// recNum returns record i's revocation number.
+func recNum(recs []byte, i int) uint64 {
+	return binary.LittleEndian.Uint64(recs[i*v2LeafRecSize:])
 }
 
-// search returns the index of the first leaf with serial ≥ s.
-func (r *run) search(s serial.Number) int {
-	raw := s.Raw()
-	lo, hi := 0, r.count()
+// putRec writes lf as the 32-byte record rec, padding included: an in-place
+// merge reuses arena bytes, and the checkpoint copies records as they are.
+func putRec(rec []byte, lf Leaf) {
+	raw := lf.Serial.Raw()
+	binary.LittleEndian.PutUint64(rec, lf.Num)
+	clear(rec[8:v2LeafRecSize])
+	rec[8] = byte(len(raw))
+	copy(rec[12:], raw)
+}
+
+// searchRecs returns the first index in [lo, hi) whose serial orders at or
+// above s, or hi.
+func searchRecs(recs []byte, lo, hi int, s []byte) int {
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if compareRaw(r.serial(mid), raw) < 0 {
+		mid := int(uint(lo+hi) >> 1)
+		if compareRaw(recSerial(recs, mid), s) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -328,43 +275,37 @@ func (r *run) search(s serial.Number) int {
 	return lo
 }
 
+// count returns the width of level 0: the number of leaves (of bucket
+// commitments, for a spine).
+func (r *run) count() int {
+	if len(r.levels) == 0 {
+		return 0
+	}
+	return len(r.levels[0]) / cryptoutil.HashSize
+}
+
+// depth returns the number of levels, root level included (0 when empty).
+func (r *run) depth() int { return len(r.levels) }
+
+// node returns node idx of level lvl.
+func (r *run) node(lvl, idx int) cryptoutil.Hash { return *nodeAt(r.levels[lvl], idx) }
+
+// root returns the run's root; callers guarantee at least one leaf.
+func (r *run) root() cryptoutil.Hash { return r.node(r.depth()-1, 0) }
+
+// serial returns leaf i's canonical serial bytes for comparison with
+// compareRaw, without copying.
+func (r *run) serial(i int) []byte { return recSerial(r.recs, i) }
+
+// search returns the index of the first leaf with serial ≥ s.
+func (r *run) search(s serial.Number) int { return searchRecs(r.recs, 0, r.count(), s.Raw()) }
+
 // revoked reports whether s is a leaf, and its revocation number.
 func (r *run) revoked(s serial.Number) (uint64, bool) {
 	if lo := r.search(s); lo < r.count() && bytes.Equal(r.serial(lo), s.Raw()) {
-		return r.leaf(lo).Num, true
+		return recNum(r.recs, lo), true
 	}
 	return 0, false
-}
-
-// heap returns the run as heap slices: r itself when it already is, else a
-// copy of every leaf and node off the checkpoint — no hashing, and nothing
-// in the result aliases the checkpoint bytes. Levels are read the way the
-// checkpoint writer lays them out, one after the other, not node by node
-// through node's per-call offset arithmetic: this is the restart path and
-// the first insert after a map.
-func (r *run) heap() run {
-	if !r.mapped() {
-		return *r
-	}
-	out := run{levels: make([][]cryptoutil.Hash, r.depth())}
-	if r.recs != nil {
-		out.leaves = make([]Leaf, r.count())
-		for i := range out.leaves {
-			out.leaves[i] = r.leaf(i)
-		}
-	}
-	src := r.level0
-	for lvl, width := 0, r.count(); lvl < len(out.levels); lvl, width = lvl+1, (width+1)/2 {
-		level := make([]cryptoutil.Hash, width)
-		for i := range level {
-			copy(level[i][:], src[i*cryptoutil.HashSize:])
-		}
-		out.levels[lvl] = level
-		if src = src[width*cryptoutil.HashSize:]; lvl == 0 {
-			src = r.upper
-		}
-	}
-	return out
 }
 
 // compareRaw orders two canonical serial encodings the way serial.Number
@@ -380,32 +321,42 @@ func compareRaw(a, b []byte) int {
 	return bytes.Compare(a, b)
 }
 
-// mustNumber copies canonical serial bytes (empty = an unbounded bucket
-// bound) into a serial.Number. Heap serials were validated on insert and
-// OpenMappedState validated every mapped one, so failure is a bug.
-func mustNumber(raw []byte) serial.Number {
+// viewSerial returns canonical serial bytes as a serial.Number aliasing
+// them (empty = an unbounded bucket bound). It is only handed serials out of
+// a run or a bucket bound, which insert or OpenMappedState validated, so
+// failure is a bug.
+func viewSerial(raw []byte) serial.Number {
 	if len(raw) == 0 {
 		return serial.Number{}
 	}
-	s, err := serial.New(raw)
+	s, err := serial.View(raw)
 	if err != nil {
 		panic(err)
 	}
 	return s
 }
 
-// proofArena bundles a Proof with its leaf structs, spine segment, and a
-// single shared backing array for every audit path in the proof. Status
-// proving is the RA's hot path — each proof used to cost one heap object
-// per struct plus one slice per path (7+ allocations for a forest
-// absence); the arena packs all of it into two (the arena itself and the
-// path array), sized exactly up front so append never reallocates.
+// proofArena bundles a Proof with its leaf structs, spine segment, the
+// bytes of every serial in it and a single shared backing array for every
+// audit path. Status proving is the RA's hot path — each proof used to cost
+// one heap object per struct plus one slice per path and serial (7+
+// allocations for a forest absence); the arena packs all of it into two (the
+// arena itself and the path array), sized exactly up front so append never
+// reallocates. Holding its own serial bytes, a proof aliases no run: a
+// mapping may be released while a cached Status still holds the proof.
 type proofArena struct {
-	proof  Proof
-	leaves [2]ProofLeaf
-	spine  SpineSegment
-	nleaf  int
-	paths  []cryptoutil.Hash
+	proof   Proof
+	leaves  [2]ProofLeaf
+	spine   SpineSegment
+	nleaf   int
+	paths   []cryptoutil.Hash
+	serials [4][serial.MaxLen]byte // two leaves, then a spine segment's bounds
+}
+
+// copySerial copies canonical serial bytes into arena slot i and returns them
+// as a serial.Number (the zero Number for an unbounded bucket bound).
+func (a *proofArena) copySerial(i int, raw []byte) serial.Number {
+	return viewSerial(a.serials[i][:copy(a.serials[i][:], raw)])
 }
 
 // appendPath appends the audit path for position idx of r's level 0 — a
@@ -428,9 +379,9 @@ func (a *proofArena) appendPath(r *run, idx, skip, top int) []cryptoutil.Hash {
 // skip and top selecting its Path as in appendPath.
 func (a *proofArena) fillLeaf(r *run, idx, skip, top int) *ProofLeaf {
 	pl := &a.leaves[a.nleaf]
+	pl.Serial = a.copySerial(a.nleaf, r.serial(idx))
 	a.nleaf++
-	lf := r.leaf(idx)
-	pl.Serial, pl.Num, pl.Index = lf.Serial, lf.Num, uint64(idx)
+	pl.Num, pl.Index = recNum(r.recs, idx), uint64(idx)
 	pl.Path = a.appendPath(r, idx, skip, top)
 	return pl
 }
@@ -483,35 +434,43 @@ func prove(r *run, s serial.Number, sp *SpineSegment, spine *run, spineIdx int) 
 		a.proof.Right = a.fillLeaf(r, ri, fork, fork)
 	}
 	if sp != nil {
-		a.spine = *sp
-		a.spine.Path = a.appendPath(spine, spineIdx, -1, spine.depth()-1)
+		a.spine = SpineSegment{
+			BucketIndex: sp.BucketIndex,
+			NumBuckets:  sp.NumBuckets,
+			LeafCount:   sp.LeafCount,
+			Lo:          a.copySerial(2, sp.Lo.Raw()),
+			Hi:          a.copySerial(3, sp.Hi.Raw()),
+			Path:        a.appendPath(spine, spineIdx, -1, spine.depth()-1),
+		}
 		a.proof.Spine = &a.spine
 	}
 	return &a.proof
 }
 
-// arenaHeadroom returns the extra capacity a fresh rebuild array carries
-// beyond its content so that follow-up merges within the same private
-// window (before the next view/checkpoint exposes the arrays) can extend
-// it in place instead of reallocating.
-func arenaHeadroom(n int) int { return n/8 + 4 }
+// arenaHeadroom returns the extra bytes a fresh rebuild array carries beyond
+// its content so that follow-up merges within the same private window
+// (before the next view/checkpoint exposes the arrays) can extend it in
+// place instead of reallocating.
+func arenaHeadroom(n int) int { return n/8 + 4*v2LeafRecSize }
 
-// grow returns s resized to n: in place when its capacity allows — a private
-// arena being extended — and otherwise, always for the nil destination of a
-// copy-on-write rebuild, a fresh array with arenaHeadroom slack.
-func grow[T any](s []T, n int) []T {
+// grow returns s resized to n bytes: in place when its capacity allows — a
+// private arena being extended — and otherwise, always for the nil
+// destination of a copy-on-write rebuild, a fresh array with arenaHeadroom
+// slack.
+func grow(s []byte, n int) []byte {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]T, n, n+arenaHeadroom(n))
+	return make([]byte, n, n+arenaHeadroom(n))
 }
 
-// moveRight copies the non-empty src[lo:hi] to dst[lo+shift:hi+shift], except where that
-// is the identity: shift 0 inside src's own array, the untouched prefix of an
+// moveRight copies the elements [lo, hi) of size bytes each, a non-empty
+// range, from src to dst shift elements further right, except where that is
+// the identity: shift 0 inside src's own array, the untouched prefix of an
 // in-place rebuild, which a right-edge batch must not pay O(n) to rewrite.
-func moveRight[T any](dst, src []T, lo, hi, shift int) {
-	if shift != 0 || &dst[lo] != &src[lo] {
-		copy(dst[lo+shift:hi+shift], src[lo:hi])
+func moveRight(dst, src []byte, lo, hi, shift, size int) {
+	if shift != 0 || &dst[lo*size] != &src[lo*size] {
+		copy(dst[(lo+shift)*size:(hi+shift)*size], src[lo*size:hi*size])
 	}
 }
 
@@ -528,74 +487,78 @@ type rebuilder struct {
 	hashed uint64
 }
 
-// rebuild merges a sorted batch into the heap run old and returns the run
-// over the result. inPlace says old's arrays are private scratch (built
-// since the last view/checkpoint, so no snapshot can reach them): they are
-// then extended where their capacity allows; otherwise every array written
-// is fresh and old — possibly aliased by a published view — is only read.
+// rebuild merges a sorted batch into the run old and returns the run over
+// the result. inPlace says old's arrays are private scratch (built since the
+// last view/checkpoint, so no snapshot can reach them): they are then
+// extended where their capacity allows; otherwise every array written is
+// fresh and old — possibly aliased by a published view, or the checkpoint
+// the layout was opened over — is only read.
 func (rb *rebuilder) rebuild(old run, batch []Leaf, inPlace bool) run {
 	var dst run
 	if inPlace {
 		dst = old
 	}
-	leaves, hashes, keep := rb.mergeLeaves(dst, old, batch)
-	return run{leaves: leaves, levels: rb.buildLevels(dst.levels, old.levels, hashes, keep)}
+	recs, hashes, keep := rb.mergeLeaves(dst, old, batch)
+	return run{recs: recs, levels: rb.buildLevels(dst.levels, old.levels, hashes, keep)}
 }
 
 // mergeLeaves merges a sorted batch of new leaves, carrying their final
 // revocation numbers, into the sorted leaves of old, hashing the new leaves.
-// It writes into dst's leaf and level-0 arrays where they have the capacity
-// (dst is old itself for an in-place merge) and into fresh ones where not,
-// and returns the merged arrays and, per non-empty run of old leaves between
-// two insertion points, the span it now occupies. Insertion points are searched,
-// not scanned for, and whole runs move with one memmove each — rightmost
-// first, so that in place no run lands on one not yet moved.
-func (rb *rebuilder) mergeLeaves(dst, old run, batch []Leaf) ([]Leaf, []cryptoutil.Hash, []span) {
-	var oldHashes, dstHashes []cryptoutil.Hash
+// It writes into dst's record and level-0 arrays where they have the
+// capacity (dst is old itself for an in-place merge) and into fresh ones
+// where not, and returns the merged arrays and, per non-empty run of old
+// leaves between two insertion points, the span it now occupies. Insertion
+// points are searched, not scanned for, and whole runs move with one memmove
+// each — rightmost first, so that in place no run lands on one not yet moved.
+func (rb *rebuilder) mergeLeaves(dst, old run, batch []Leaf) (recs, hashes []byte, keep []span) {
+	var oldHashes, dstHashes []byte
 	if len(old.levels) > 0 {
 		oldHashes = old.levels[0]
 	}
 	if len(dst.levels) > 0 {
 		dstHashes = dst.levels[0]
 	}
-	total := len(old.leaves) + len(batch)
-	leaves, hashes := grow(dst.leaves, total), grow(dstHashes, total)
-	keep := make([]span, 0, min(len(batch), len(old.leaves))+1)
+	n := old.count()
+	total := n + len(batch)
+	recs, hashes = grow(dst.recs, total*v2LeafRecSize), grow(dstHashes, total*cryptoutil.HashSize)
+	keep = make([]span, 0, min(len(batch), n)+1)
 	carry := func(at, end, shift int) { // old leaves [at, end) move right by shift
 		if at < end {
-			moveRight(leaves, old.leaves, at, end, shift)
-			moveRight(hashes, oldHashes, at, end, shift)
+			moveRight(recs, old.recs, at, end, shift, v2LeafRecSize)
+			moveRight(hashes, oldHashes, at, end, shift, cryptoutil.HashSize)
 			keep = append(keep, span{at + shift, end + shift, shift})
 		}
 	}
-	end := len(old.leaves)
+	end := n
 	for j := len(batch); j > 0; j-- {
 		lf := batch[j-1]
-		at := gallopLeft(old.leaves, end, lf.Serial)
+		at := gallopLeft(old.recs, end, lf.Serial.Raw())
 		carry(at, end, j)
-		leaves[at+j-1], hashes[at+j-1] = lf, rb.h.LeafSerial(lf.Serial.Raw(), lf.Num)
+		i := at + j - 1
+		putRec(recs[i*v2LeafRecSize:], lf)
+		*nodeAt(hashes, i) = rb.h.LeafSerial(lf.Serial.Raw(), lf.Num)
 		rb.hashed++
 		end = at
 	}
 	carry(0, end, 0)
 	slices.Reverse(keep)
-	return leaves, hashes, keep
+	return recs, hashes, keep
 }
 
-// gallopLeft returns how many of sorted[:end] order below s, probing at
-// doubling distances left of end before bisecting: the cost is logarithmic
-// in the length of the run skipped, so a sparse batch never looks at most
-// leaves and a dense one costs no more than a linear merge.
-func gallopLeft(sorted []Leaf, end int, s serial.Number) int {
+// gallopLeft returns how many of the records [0, end) order below s,
+// probing at doubling distances left of end before bisecting: the cost is
+// logarithmic in the length of the run skipped, so a sparse batch never looks
+// at most leaves and a dense one costs no more than a linear merge.
+func gallopLeft(recs []byte, end int, s []byte) int {
 	lo, hi := 0, end
 	for step := 1; step <= hi; step *= 2 {
-		if sorted[hi-step].Serial.Compare(s) < 0 {
+		if compareRaw(recSerial(recs, hi-step), s) < 0 {
 			lo = hi - step + 1
 			break
 		}
 		hi -= step
 	}
-	return lo + sort.Search(hi-lo, func(i int) bool { return sorted[lo+i].Serial.Compare(s) >= 0 })
+	return searchRecs(recs, lo, hi, s)
 }
 
 // buildLevels computes the interior levels over level0, hashing only what
@@ -610,24 +573,25 @@ func gallopLeft(sorted []Leaf, end int, s serial.Number) int {
 // offers arrays to extend in place (the caller's private scratch; old
 // itself for an in-place rebuild); with a nil dst every level is fresh and
 // old is only read. keep is consumed. levels[0] aliases level0.
-func (rb *rebuilder) buildLevels(dst, old [][]cryptoutil.Hash, level0 []cryptoutil.Hash, keep []span) [][]cryptoutil.Hash {
+func (rb *rebuilder) buildLevels(dst, old [][]byte, level0 []byte, keep []span) [][]byte {
+	const size = cryptoutil.HashSize
 	if len(level0) == 0 {
 		return nil
 	}
 	if dst == nil {
-		dst = make([][]cryptoutil.Hash, 0, bits.Len(uint(len(level0)-1))+1)
+		dst = make([][]byte, 0, bits.Len(uint(len(level0)/size-1))+1)
 	}
 	levels := append(dst[:0], level0)
-	for cur := level0; len(cur) > 1; cur = levels[len(levels)-1] {
-		lvl, width := len(levels), (len(cur)+1)/2
-		var prev, next []cryptoutil.Hash
+	for cur := level0; len(cur) > size; cur = levels[len(levels)-1] {
+		lvl, width := len(levels), (len(cur)/size+1)/2
+		var prev, next []byte
 		if lvl < len(old) {
 			prev = old[lvl]
 		}
 		if lvl < len(dst) {
 			next = dst[lvl]
 		}
-		next = grow(next, width)
+		next = grow(next, width*size)
 		up := keep[:0]
 		for _, s := range keep {
 			if p := (span{(s.lo + 1) / 2, s.hi / 2, s.shift / 2}); s.shift%2 == 0 && p.lo < p.hi {
@@ -637,7 +601,7 @@ func (rb *rebuilder) buildLevels(dst, old [][]cryptoutil.Hash, level0 []cryptout
 		keep = up
 		for i := len(keep) - 1; i >= 0; i-- {
 			s := keep[i]
-			moveRight(next, prev, s.lo-s.shift, s.hi-s.shift, s.shift)
+			moveRight(next, prev, s.lo-s.shift, s.hi-s.shift, s.shift, size)
 		}
 		at := 0
 		for _, s := range keep {
@@ -650,16 +614,17 @@ func (rb *rebuilder) buildLevels(dst, old [][]cryptoutil.Hash, level0 []cryptout
 	return levels
 }
 
-// hashPairs fills next[lo:hi] from the level below: node k hashes cur[2k]
-// and cur[2k+1], and the odd rightmost node is promoted unchanged — the
-// verifier reproduces the same rule from (index, size) alone.
-func (rb *rebuilder) hashPairs(next, cur []cryptoutil.Hash, lo, hi int) {
+// hashPairs fills nodes [lo, hi) of next from the level below: node k hashes
+// nodes 2k and 2k+1 of cur, and the odd rightmost node is promoted unchanged
+// — the verifier reproduces the same rule from (index, size) alone.
+func (rb *rebuilder) hashPairs(next, cur []byte, lo, hi int) {
+	n := len(cur) / cryptoutil.HashSize
 	for k := lo; k < hi; k++ {
-		if 2*k+1 < len(cur) {
-			next[k] = rb.h.Node(&cur[2*k], &cur[2*k+1])
+		if 2*k+1 < n {
+			*nodeAt(next, k) = rb.h.Node(nodeAt(cur, 2*k), nodeAt(cur, 2*k+1))
 			rb.hashed++
 		} else {
-			next[k] = cur[2*k]
+			*nodeAt(next, k) = *nodeAt(cur, 2*k)
 		}
 	}
 }

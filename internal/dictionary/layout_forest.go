@@ -26,8 +26,9 @@ import (
 // contiguously (buckets[i].hi == buckets[i+1].lo), so every serial — present
 // or absent — belongs to exactly one bucket, which is what makes absence
 // proofs local to a single bucket. Buckets are immutable once built: inserts
-// replace the bucket, never mutate it. The tree of a bucket an overlay has
-// not touched is still backed by the checkpoint's bytes.
+// replace the bucket, never mutate it. The tree and bounds of a bucket no
+// insert has touched since the layout was opened over a checkpoint are that
+// checkpoint's bytes.
 type forestBucket struct {
 	lo, hi serial.Number // [lo, hi); zero = unbounded
 	tree   run
@@ -35,14 +36,11 @@ type forestBucket struct {
 	// private marks the bucket as scratch: built since the last
 	// view/checkpoint with backing arrays shared by no other bucket, so a
 	// later insert of the same private window may extend them in place.
-	// Buckets cut by chunkBuckets are never private (their leaf arrays are
-	// sub-slices of one shared run), nor are mapped-backed ones (their bytes
-	// are read-only pages). expose clears the flag.
+	// Buckets cut by chunkBuckets are never private (their record arrays are
+	// sub-slices of one shared run), nor are ones read off a checkpoint (its
+	// bytes are read-only). expose clears the flag.
 	private bool
 }
-
-// leafHashes returns the bucket's leaf-hash level.
-func (b *forestBucket) leafHashes() []cryptoutil.Hash { return b.tree.levels[0] }
 
 // forestLayout is the bucketed commitment structure: an ordered slice of
 // buckets and a spine tree over their commitments, with the dictionary root
@@ -57,17 +55,16 @@ type forestLayout struct {
 	cap     int        // bucket capacity (split threshold)
 	target  int        // post-split fill: ¾ of cap, so fresh buckets have headroom
 	buckets []*forestBucket
-	spine   [][]cryptoutil.Hash // spine[0][i] == buckets[i].node
-	root    cryptoutil.Hash     // memoized forest root; EmptyRoot when empty
+	spine   [][]byte        // node i of spine[0] is buckets[i].node
+	root    cryptoutil.Hash // memoized forest root; EmptyRoot when empty
 	// spineOwned marks the spine arrays as private scratch (rebuilt since
 	// the last view/checkpoint). It doubles as the did-anything-mutate flag
 	// for expose: inserts always rebuild the spine, so spineOwned == false
 	// implies no private bucket exists either.
 	spineOwned bool
-	// base is the non-empty checkpoint the layout was opened over, until the
-	// first insert lists its buckets and copies its spine out: a layout that
-	// is only read costs no heap per bucket. buckets and spine are empty
-	// while base is set.
+	// base is the non-empty checkpoint the layout was opened over, until
+	// materialize lists its buckets: a layout that is only read costs no heap
+	// per bucket. buckets and spine are empty while base is set.
 	base *MappedState
 }
 
@@ -95,9 +92,9 @@ func newForestLayout(desc LayoutKind) *forestLayout {
 
 func (f *forestLayout) kind() LayoutKind { return f.desc }
 
-// materialize lists the base checkpoint's buckets and copies its spine onto
-// the heap — O(#buckets), no hashing. Every bucket stays mapped-backed until
-// an insert lands in it.
+// materialize lists the base checkpoint's buckets — O(#buckets), no hashing
+// and no copying: every bucket, and the spine, keep reading the checkpoint
+// until an insert rebuilds them.
 func (f *forestLayout) materialize() {
 	st := f.base
 	if st == nil {
@@ -106,11 +103,10 @@ func (f *forestLayout) materialize() {
 	f.base = nil
 	f.buckets = make([]*forestBucket, st.nb)
 	for bi := range f.buckets {
-		b := st.bucket(bi)
+		b := st.bucket(bi, nil)
 		f.buckets[bi] = &b
 	}
-	spine := levelsRun(st.spine, st.nb)
-	f.spine = spine.heap().levels
+	f.spine = st.spineRun().levels
 }
 
 func (f *forestLayout) insert(batch []Leaf) {
@@ -123,8 +119,8 @@ func (f *forestLayout) insert(batch []Leaf) {
 	var dirty []int  // indices of value-changed (merged, unsplit) buckets
 	var next []*forestBucket
 	if oldLen == 0 {
-		leaves, hashes, _ := f.mergeLeaves(run{}, run{}, batch)
-		next = f.chunkBuckets(serial.Number{}, serial.Number{}, leaves, hashes)
+		recs, hashes, _ := f.mergeLeaves(run{}, run{}, batch)
+		next = f.chunkBuckets(serial.Number{}, serial.Number{}, recs, hashes)
 		structFrom = 0
 	} else {
 		next = make([]*forestBucket, 0, oldLen+1)
@@ -139,13 +135,13 @@ func (f *forestLayout) insert(batch []Leaf) {
 				continue
 			}
 			sub := batch[start:j]
-			old := b.tree.heap() // copies a mapped-backed bucket out
-			if len(old.leaves)+len(sub) > f.cap {
+			old := b.tree
+			if old.count()+len(sub) > f.cap {
 				if structFrom < 0 {
 					structFrom = len(next)
 				}
-				leaves, hashes, _ := f.mergeLeaves(run{}, old, sub)
-				next = append(next, f.chunkBuckets(b.lo, b.hi, leaves, hashes)...)
+				recs, hashes, _ := f.mergeLeaves(run{}, old, sub)
+				next = append(next, f.chunkBuckets(b.lo, b.hi, recs, hashes)...)
 				continue
 			}
 			if structFrom < 0 {
@@ -170,27 +166,33 @@ func (f *forestLayout) insert(batch []Leaf) {
 
 // commitBucket memoizes the commitment of a bucket whose tree was rebuilt.
 func (f *forestLayout) commitBucket(b *forestBucket) {
-	b.node = cryptoutil.HashBucket(b.lo.Raw(), b.hi.Raw(), uint64(len(b.tree.leaves)), b.tree.root())
+	b.node = cryptoutil.HashBucket(b.lo.Raw(), b.hi.Raw(), uint64(b.tree.count()), b.tree.root())
 	f.hashed++
 }
 
-// chunkBuckets splits an oversized run covering [lo, hi) into evenly sized
-// buckets of about f.target leaves, each built from scratch. Chunk
-// boundaries become the new bucket bounds, preserving the tiling invariant.
-func (f *forestLayout) chunkBuckets(lo, hi serial.Number, leaves []Leaf, hashes []cryptoutil.Hash) []*forestBucket {
-	chunks := (len(leaves) + f.target - 1) / f.target
-	size := (len(leaves) + chunks - 1) / chunks
+// chunkBuckets splits an oversized merged run covering [lo, hi) into evenly
+// sized buckets of about f.target leaves, each built from scratch. Chunk
+// boundaries become the new bucket bounds, preserving the tiling invariant;
+// they alias the records, which no later insert writes (chunked buckets are
+// never private).
+func (f *forestLayout) chunkBuckets(lo, hi serial.Number, recs, hashes []byte) []*forestBucket {
+	n := len(hashes) / cryptoutil.HashSize
+	chunks := (n + f.target - 1) / f.target
+	size := (n + chunks - 1) / chunks
 	out := make([]*forestBucket, 0, chunks)
-	for start := 0; start < len(leaves); start += size {
-		end := min(start+size, len(leaves))
+	for start := 0; start < n; start += size {
+		end := min(start+size, n)
 		b := &forestBucket{lo: lo, hi: hi}
 		if start > 0 {
-			b.lo = leaves[start].Serial
+			b.lo = viewSerial(recSerial(recs, start))
 		}
-		if end < len(leaves) {
-			b.hi = leaves[end].Serial
+		if end < n {
+			b.hi = viewSerial(recSerial(recs, end))
 		}
-		b.tree = run{leaves: leaves[start:end], levels: f.buildLevels(nil, nil, hashes[start:end], nil)}
+		b.tree = run{
+			recs:   recs[start*v2LeafRecSize : end*v2LeafRecSize],
+			levels: f.buildLevels(nil, nil, hashes[start*cryptoutil.HashSize:end*cryptoutil.HashSize], nil),
+		}
 		f.commitBucket(b)
 		out = append(out, b)
 	}
@@ -203,11 +205,11 @@ func (f *forestLayout) chunkBuckets(lo, hi serial.Number, leaves []Leaf, hashes 
 // themselves while they are still private scratch of this window, in copies
 // of them otherwise; a split rebuilds the levels, keeping what lies left of
 // the first changed index.
-func (f *forestLayout) rebuildSpine(oldSpine [][]cryptoutil.Hash, oldLen, structFrom int, dirty []int) {
+func (f *forestLayout) rebuildSpine(oldSpine [][]byte, oldLen, structFrom int, dirty []int) {
 	if structFrom >= 0 || len(f.buckets) != oldLen {
-		spine0 := make([]cryptoutil.Hash, len(f.buckets))
+		spine0 := make([]byte, len(f.buckets)*cryptoutil.HashSize)
 		for i, b := range f.buckets {
-			spine0[i] = b.node
+			*nodeAt(spine0, i) = b.node
 		}
 		first := structFrom
 		if len(dirty) > 0 && dirty[0] < first {
@@ -216,17 +218,17 @@ func (f *forestLayout) rebuildSpine(oldSpine [][]cryptoutil.Hash, oldLen, struct
 		f.spine = f.buildLevels(nil, oldSpine, spine0, []span{{0, first, 0}})
 	} else {
 		if !f.spineOwned {
-			f.spine = make([][]cryptoutil.Hash, len(oldSpine))
+			f.spine = make([][]byte, len(oldSpine))
 			for lvl, old := range oldSpine {
 				f.spine[lvl] = slices.Clone(old)
 			}
 		}
 		for _, idx := range dirty {
-			f.spine[0][idx] = f.buckets[idx].node
+			*nodeAt(f.spine[0], idx) = f.buckets[idx].node
 		}
 		f.rehashSpinePaths(dirty)
 	}
-	f.root = cryptoutil.HashForestRoot(uint64(len(f.buckets)), f.spine[len(f.spine)-1][0])
+	f.root = cryptoutil.HashForestRoot(uint64(len(f.buckets)), *nodeAt(f.spine[len(f.spine)-1], 0))
 	f.hashed++
 }
 
@@ -270,23 +272,16 @@ func (f *forestLayout) revoked(s serial.Number) (uint64, bool) {
 func (f *forestLayout) hashedNodes() uint64 { return f.hashed }
 
 func (f *forestLayout) memoryFootprint() int {
-	const (
-		hashBytes      = cryptoutil.HashSize
-		leafOverhead   = 24 + 8 // slice header of serial + num
-		bucketOverhead = 96     // two bounds, tree header, node, pointer
-	)
+	const bucketOverhead = 96 // two bounds, tree header, node, pointer
 	total := 0
 	for _, b := range f.buckets {
-		total += bucketOverhead
+		total += bucketOverhead + len(b.tree.recs)
 		for _, lvl := range b.tree.levels {
-			total += len(lvl) * hashBytes
-		}
-		for _, lf := range b.tree.leaves {
-			total += leafOverhead + lf.Serial.Len()
+			total += len(lvl)
 		}
 	}
 	for _, lvl := range f.spine {
-		total += len(lvl) * hashBytes
+		total += len(lvl)
 	}
 	return total
 }
@@ -296,7 +291,7 @@ func (f *forestLayout) memoryFootprint() int {
 // version forever.
 type forestState struct {
 	buckets []*forestBucket
-	spine   [][]cryptoutil.Hash
+	spine   [][]byte
 	root    cryptoutil.Hash
 	base    *MappedState
 }
@@ -320,7 +315,7 @@ func (f *forestLayout) restore(st layoutState) {
 // forestView is one immutable version of the forest's proving state: a
 // bucket directory, a run per bucket and the spine over the bucket
 // commitments. The directory is either a bucket list (heap layouts, and
-// overlays whose untouched buckets are still mapped-backed) or, for a
+// overlays whose untouched buckets still read the checkpoint) or, for a
 // checkpoint served as is, the mapped directory section itself, which costs
 // no heap at all.
 type forestView struct {
@@ -337,15 +332,17 @@ func (v *forestView) numBuckets() int {
 	return len(v.buckets)
 }
 
-// bucket returns bucket i, decoding a mapped directory entry into scratch
-// (the caller's stack). Bounds read off a mapped directory are copied: they
-// end up in proofs, which outlive the mapping.
-func (v *forestView) bucket(i int, scratch *forestBucket) *forestBucket {
+// maxBucketDepth is the depth of a tree over maxForestCap leaves: room for
+// the level slice headers of any bucket, on the caller's stack.
+const maxBucketDepth = 25
+
+// bucket returns bucket i, decoding a mapped directory entry with its level
+// slice headers appended to levels.
+func (v *forestView) bucket(i int, levels [][]byte) forestBucket {
 	if v.dir == nil {
-		return v.buckets[i]
+		return *v.buckets[i]
 	}
-	*scratch = v.dir.bucket(i)
-	return scratch
+	return v.dir.bucket(i, levels)
 }
 
 func (v *forestView) Root() cryptoutil.Hash {
@@ -374,8 +371,9 @@ func (v *forestView) Revoked(s serial.Number) (uint64, bool) {
 	if v.numBuckets() == 0 {
 		return 0, false
 	}
-	var scratch forestBucket
-	return v.bucket(v.bucketFor(s), &scratch).tree.revoked(s)
+	var levels [maxBucketDepth][]byte
+	b := v.bucket(v.bucketFor(s), levels[:0])
+	return b.tree.revoked(s)
 }
 
 // Prove produces a presence or absence proof local to the bucket whose
@@ -388,8 +386,8 @@ func (v *forestView) Prove(s serial.Number) *Proof {
 		return &Proof{Kind: ProofAbsenceEmpty}
 	}
 	bi := v.bucketFor(s)
-	var scratch forestBucket
-	b := v.bucket(bi, &scratch)
+	var levels [maxBucketDepth][]byte
+	b := v.bucket(bi, levels[:0])
 	sp := SpineSegment{
 		BucketIndex: uint64(bi),
 		NumBuckets:  uint64(v.numBuckets()),

@@ -18,10 +18,9 @@ import (
 // and hashes about two thirds of the interior nodes.
 type sortedLayout struct {
 	rebuilder
-	// tree is the whole dictionary as one run: heap arrays, or the bytes of
-	// the checkpoint the layout was opened over until the first insert
-	// copies them out (an insert rewrites everything right of the insertion
-	// point, so there is no smaller unit to copy).
+	// tree is the whole dictionary as one run: arrays an insert built, or
+	// the sections of the checkpoint the layout was opened over, which the
+	// first insert reads as its copy-on-write source like any exposed run.
 	tree run
 	// owned marks the arrays above as private scratch: (re)built since the
 	// last view/checkpoint, so no published snapshot or captured checkpoint
@@ -33,7 +32,7 @@ type sortedLayout struct {
 func (l *sortedLayout) kind() LayoutKind { return LayoutSorted }
 
 func (l *sortedLayout) insert(batch []Leaf) {
-	l.tree = l.rebuild(l.tree.heap(), batch, l.owned) // heap copies a mapped base out
+	l.tree = l.rebuild(l.tree, batch, l.owned)
 	l.owned = true
 }
 
@@ -54,16 +53,9 @@ func (l *sortedLayout) revoked(s serial.Number) (uint64, bool) { return l.tree.r
 func (l *sortedLayout) hashedNodes() uint64 { return l.hashed }
 
 func (l *sortedLayout) memoryFootprint() int {
-	const (
-		hashBytes    = cryptoutil.HashSize
-		leafOverhead = 24 + 8 // slice header of serial + num
-	)
-	total := 0
+	total := len(l.tree.recs)
 	for _, lvl := range l.tree.levels {
-		total += len(lvl) * hashBytes
-	}
-	for _, lf := range l.tree.leaves {
-		total += leafOverhead + lf.Serial.Len()
+		total += len(lvl)
 	}
 	return total
 }
@@ -85,7 +77,7 @@ func (l *sortedLayout) restore(st layoutState) {
 }
 
 // sortedView is one immutable version of the sorted layout's proving
-// state: the whole dictionary as one run, heap or mapped.
+// state: the whole dictionary as one run.
 type sortedView struct {
 	run
 }

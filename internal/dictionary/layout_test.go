@@ -123,28 +123,29 @@ func TestForestBucketInvariants(t *testing.T) {
 	}
 	total := 0
 	for i, b := range f.buckets {
-		if len(b.tree.leaves) == 0 {
+		leaves := runLeaves(b.tree)
+		if len(leaves) == 0 {
 			t.Fatalf("bucket %d is empty", i)
 		}
-		if len(b.tree.leaves) > DefaultForestBucketCap {
-			t.Fatalf("bucket %d holds %d leaves, cap %d", i, len(b.tree.leaves), DefaultForestBucketCap)
+		if len(leaves) > DefaultForestBucketCap {
+			t.Fatalf("bucket %d holds %d leaves, cap %d", i, len(leaves), DefaultForestBucketCap)
 		}
-		total += len(b.tree.leaves)
+		total += len(leaves)
 		if i > 0 && !f.buckets[i-1].hi.Equal(b.lo) {
 			t.Fatalf("buckets %d/%d do not tile: hi=%v lo=%v", i-1, i, f.buckets[i-1].hi, b.lo)
 		}
-		for j, lf := range b.tree.leaves {
+		for j, lf := range leaves {
 			if !b.lo.IsZero() && b.lo.Compare(lf.Serial) > 0 {
 				t.Fatalf("bucket %d leaf %d below lo", i, j)
 			}
 			if !b.hi.IsZero() && lf.Serial.Compare(b.hi) >= 0 {
 				t.Fatalf("bucket %d leaf %d at/above hi", i, j)
 			}
-			if j > 0 && b.tree.leaves[j-1].Serial.Compare(lf.Serial) >= 0 {
+			if j > 0 && leaves[j-1].Serial.Compare(lf.Serial) >= 0 {
 				t.Fatalf("bucket %d unsorted at %d", i, j)
 			}
 		}
-		if !f.spine[0][i].Equal(b.node) {
+		if !nodeAt(f.spine[0], i).Equal(b.node) {
 			t.Fatalf("spine[0][%d] does not match bucket node", i)
 		}
 	}
@@ -244,14 +245,14 @@ func TestForestProofTampering(t *testing.T) {
 	}
 
 	// A revoked serial from the middle of bucket 2.
-	b2 := f.buckets[2]
-	victim := b2.tree.leaves[len(b2.tree.leaves)/2].Serial
+	b2 := runLeaves(f.buckets[2].tree)
+	victim := b2[len(b2)/2].Serial
 
 	// The genuine presence proof of bucket 1's last leaf carries exactly the
 	// right-boundary absence machinery of that bucket: its last leaf with
 	// its audit path, and the bucket's spine segment.
-	b1 := f.buckets[1]
-	boundary := tree.Prove(b1.tree.leaves[len(b1.tree.leaves)-1].Serial)
+	b1 := runLeaves(f.buckets[1].tree)
+	boundary := tree.Prove(b1[len(b1)-1].Serial)
 
 	t.Run("absence from another bucket rejected by range", func(t *testing.T) {
 		// Replayed as an absence claim for the victim (which lives in
@@ -479,7 +480,7 @@ func TestUniformBatchHashedNodes(t *testing.T) {
 		rightEdge := make([]serial.Number, k)
 		for i := range rightEdge {
 			raw := binary.BigEndian.AppendUint64(bytes.Repeat([]byte{0xff}, 12), uint64(i))
-			rightEdge[i] = mustNumber(raw)
+			rightEdge[i] = viewSerial(raw)
 		}
 		edge := feed(rightEdge)
 		t.Logf("%v: %d hashes for a uniform batch of %d into %d, %d for a right-edge batch", kind, uniform, k, n, edge)

@@ -291,21 +291,23 @@ func ApplyLogRecord(r *Replica, raw []byte, now int64) error {
 }
 
 // RecoverReplicaLog rebuilds a replica from an opened durable log by the
-// map-don't-replay path: the checkpoint's commitment structure is
-// materialized straight off the encoded arrays with zero rehashing, after
-// the signed root's signature and its agreement with the stored structure
-// are verified (see the trust note in ckptv2.go), and the WAL records after
-// it go through ApplyLogRecord. A log with no checkpoint yet starts from the
-// empty dictionary; a checkpoint in any other format than v2 is refused with
-// ErrBadCheckpoint.
+// map-don't-replay path: after the signed root's signature and its agreement
+// with the stored structure are verified (see the trust note in ckptv2.go),
+// the checkpoint buffer Load returned becomes the replica's tree as it is —
+// nothing rehashed, nothing copied but the issuance log — and the WAL
+// records after it go through ApplyLogRecord. A log with no checkpoint yet
+// starts from the empty dictionary; a checkpoint in any other format than v2
+// is refused with ErrBadCheckpoint.
 //
 // The persisted layout descriptor must equal layout: adopting either
 // silently would change proof shapes (or reject every future update)
 // without the operator noticing, so a mismatch is an error — wipe the
 // store to change layouts. It is the shared recovery protocol of every
 // replica-holding component (the RA's store and the distribution point);
-// the caller owns the log's lifecycle. Nothing in the returned replica
-// aliases the log's buffers.
+// the caller owns the log's lifecycle. The returned replica keeps the
+// checkpoint buffer: Load hands out an immutable one (a fresh heap buffer on
+// the file backend, the installed image on Memory), which stays valid after
+// the log is closed.
 func RecoverReplicaLog(lg storage.Log, ca CAID, pub ed25519.PublicKey, layout LayoutKind, now int64) (*Replica, error) {
 	ckpt, wal, err := lg.Load()
 	if err != nil {
@@ -317,14 +319,13 @@ func RecoverReplicaLog(lg storage.Log, ca CAID, pub ed25519.PublicKey, layout La
 // OpenMappedReplica is RecoverReplicaLog for a co-located reader: a process
 // that serves another process's durable log — state is its newest checkpoint
 // (typically mmap'd; nil while the writer has not checkpointed), wal the
-// records after it — without owning a copy. The replica's tree sits on the
-// checkpoint bytes and reads leaves and hashes in place, so its proofs are
-// byte-identical to a heap replica's at zero dictionary heap; a WAL record
-// copies out only what its insert rewrites (the forest's spine and touched
-// buckets; the whole sorted run, which is why co-located deployments are
-// expected to run the forest layout). It verifies exactly what a restart
-// does. state must stay valid and unmodified for as long as the replica or
-// any snapshot of it is proved against.
+// records after it — without owning a copy. The replica's tree is the
+// checkpoint bytes, read in place, so its proofs are byte-identical to a heap
+// replica's at zero dictionary heap; a WAL record's insert writes fresh
+// arrays for what it rewrites (the sorted run; the forest's spine and the
+// buckets it lands in), reading the old ones off the checkpoint. It verifies
+// exactly what a restart does. state must stay valid and unmodified for as
+// long as the replica or any snapshot of it is proved against.
 //
 // The result holds neither the issuance log nor the batch bounds below the
 // checkpoint's count (Log, LogSuffix and BatchBounds answer above it only),
@@ -357,10 +358,11 @@ func openReplica(ca CAID, pub ed25519.PublicKey, layout LayoutKind, ckpt []byte,
 }
 
 // adoptCheckpoint installs a validated checkpoint into a fresh replica
-// without rehashing anything: by copying leaves, hash levels, buckets and
-// spine off it and inverting the leaf records into the log, or — mapped —
-// by reading them in place and holding no log at all. The caller is the
-// constructor, so no locking.
+// without rehashing or copying anything: the tree reads the checkpoint's
+// sections in place. An owner also inverts the leaf records into the log
+// (and lists a forest's buckets, which a checkpoint of its own encodes); a
+// mapped reader holds no log at all. The caller is the constructor, so no
+// locking.
 func (r *Replica) adoptCheckpoint(st *MappedState, now int64, mapped bool) error {
 	if st.root == nil {
 		return nil // validated empty (openRoot enforces root-for-content)
@@ -371,14 +373,18 @@ func (r *Replica) adoptCheckpoint(st *MappedState, now int64, mapped bool) error
 	if err := st.root.VerifySignature(r.pub); err != nil {
 		return err
 	}
+	r.tree = &Tree{commit: st.mutableLayout()}
 	if mapped {
-		r.tree = &Tree{commit: st.mutableLayout(), base: st.Count()}
+		r.tree.base = st.Count()
 	} else {
 		log, err := st.materializeLog()
 		if err != nil {
 			return err
 		}
-		r.tree = &Tree{commit: st.heapLayout(), log: log, bounds: st.Batches()}
+		r.tree.log, r.tree.bounds = log, st.Batches()
+		if f, ok := r.tree.commit.(*forestLayout); ok {
+			f.materialize()
+		}
 	}
 	r.root = st.root
 	r.freshness = st.root.Anchor

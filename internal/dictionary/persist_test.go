@@ -85,8 +85,8 @@ func TestForestCapChangesRoot(t *testing.T) {
 	// And the non-default cap is honored structurally.
 	f := b.commit.(*forestLayout)
 	for i, bk := range f.buckets {
-		if len(bk.tree.leaves) > 64 {
-			t.Fatalf("bucket %d holds %d leaves, cap 64", i, len(bk.tree.leaves))
+		if bk.tree.count() > 64 {
+			t.Fatalf("bucket %d holds %d leaves, cap 64", i, bk.tree.count())
 		}
 	}
 	// Proofs from the non-default cap still verify against its root.

@@ -16,11 +16,11 @@ import (
 // every verified update or freshness refresh; readers obtain one with
 // Replica.Snapshot and may then call Prove, Revoked, and the accessors with
 // zero locking, forever — the arrays are never written again (the layouts'
-// copy-on-write rebuild guarantees it). It is the one snapshot type: the view
-// of a replica opened over a mapped checkpoint (OpenMappedReplica) reads the
-// checkpoint's bytes where an ordinary replica's reads heap arrays, with
-// byte-identical proofs, and such a snapshot is valid for as long as that
-// mapping is.
+// copy-on-write rebuild guarantees it). It is the one snapshot type, over
+// one byte layout: the view of a replica opened over a mapped checkpoint
+// (OpenMappedReplica) reads the checkpoint's sections where an ordinary
+// replica's reads the arrays its rebuilds wrote, with byte-identical proofs,
+// and such a snapshot is valid for as long as that mapping is.
 //
 // The paper's observation that makes snapshots worthwhile (§III, §VI): a
 // revocation status is immutable for a whole ∆ window. Proof, signed root,

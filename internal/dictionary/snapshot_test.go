@@ -52,14 +52,14 @@ func TestIncrementalRebuildMatchesReference(t *testing.T) {
 		if err := tree.InsertBatch(batch); err != nil {
 			t.Fatal(err)
 		}
-		sorted := tree.commit.(*sortedLayout)
-		want := rebuildReference(sorted.tree.levels[0])
-		if len(sorted.tree.levels) != len(want) {
-			t.Fatalf("batch %d: %d levels, want %d", batchNo, len(sorted.tree.levels), len(want))
+		levels := tree.commit.(*sortedLayout).tree.levels
+		want := rebuildReference(hashLevel(levels[0]))
+		if len(levels) != len(want) {
+			t.Fatalf("batch %d: %d levels, want %d", batchNo, len(levels), len(want))
 		}
 		for lvl := range want {
 			for i := range want[lvl] {
-				if !sorted.tree.levels[lvl][i].Equal(want[lvl][i]) {
+				if !nodeAt(levels[lvl], i).Equal(want[lvl][i]) {
 					t.Fatalf("batch %d: level %d node %d differs from full rebuild", batchNo, lvl, i)
 				}
 			}

@@ -90,8 +90,9 @@ func (l Leaf) hash() cryptoutil.Hash {
 type Tree struct {
 	commit Layout
 	// base is the number of revocations the tree holds without their log
-	// entries or batch bounds: 0 for a tree grown from empty, the
-	// checkpoint's count for one opened over a mapped checkpoint (see
+	// entries or batch bounds: 0 for a tree that holds its whole log (grown
+	// from empty, or restarted over its own checkpoint), the checkpoint's
+	// count for one a co-located reader opened over a mapped checkpoint (see
 	// OpenMappedReplica), whose history up to there is the writer's to serve.
 	base uint64
 	log  []serial.Number // issuance order; log[i] has Num == base+i+1

@@ -396,16 +396,35 @@ func TestStoreReleasesSupersededStatuses(t *testing.T) {
 // TestStoreStatusAllocs pins the data path's allocation budget: a cache
 // hit allocates nothing (the lookup key lives on the stack), a miss at most
 // six objects — key, proof arena, audit paths, the Status Prove returns,
-// encoding, entry.
+// encoding, entry — on a heap writer's store and on a shared reader's, which
+// proves off a file mapping of the writer's checkpoint: a proof copies its
+// serials into its arena there too, whatever the layout.
 func TestStoreStatusAllocs(t *testing.T) {
-	env := newEnv(t, time.Hour)
-	store := env.ra.Store()
-	if _, err := env.ca.Revoke(serial.NewGenerator(0xA110C, nil).NextN(1000)...); err != nil {
-		t.Fatal(err)
+	t.Run("heap writer", func(t *testing.T) {
+		env := newEnv(t, time.Hour)
+		if _, err := env.ca.Revoke(serial.NewGenerator(0xA110C, nil).NextN(1000)...); err != nil {
+			t.Fatal(err)
+		}
+		if err := env.ra.SyncOnce(); err != nil {
+			t.Fatal(err)
+		}
+		pinStatusAllocs(t, env.ra.Store())
+	})
+	for _, layout := range []dictionary.LayoutKind{dictionary.LayoutSorted, dictionary.LayoutForest} {
+		t.Run("shared reader/"+layout.String(), func(t *testing.T) {
+			env := newPersistEnv(t, layout, nil, 40, 25)
+			_, reader := newSharedPair(t, env, layout, storage.NewFileBackend(t.TempDir(), false))
+			if reader.Store().MappedBytes() == 0 {
+				t.Fatal("the reader serves no checkpoint mapping")
+			}
+			pinStatusAllocs(t, reader.Store())
+		})
 	}
-	if err := env.ra.SyncOnce(); err != nil {
-		t.Fatal(err)
-	}
+}
+
+// pinStatusAllocs checks the hit and miss budgets of store's Status for CA1.
+func pinStatusAllocs(t *testing.T, store *Store) {
+	t.Helper()
 	status := func(sn serial.Number) {
 		if _, _, err := store.Status("CA1", sn); err != nil {
 			t.Fatal(err)

@@ -392,7 +392,7 @@ func (l *fileLog) Checkpoint(state []byte) error {
 		return fmt.Errorf("storage: truncate WAL %q: %w", l.name, err)
 	}
 	l.walSize = 0
-	l.checkpoint = append([]byte(nil), state...)
+	l.checkpoint = state
 	l.ckptLSN = lsn
 	l.records = nil
 	return nil

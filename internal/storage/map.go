@@ -26,8 +26,9 @@ import (
 
 // Mapper is the optional read-only extension of Backend. Both built-in
 // backends implement it: FileBackend maps checkpoint files (mmap on
-// platforms that support it), Memory hands out copies guarded by a
-// version counter.
+// platforms that support it), Memory hands out its installed images
+// themselves, guarded by a version counter. Either way State is read-only
+// and stays byte-stable while the writer installs a successor.
 type Mapper interface {
 	// Map returns the newest valid checkpoint state and the WAL records
 	// appended after it, without opening the log for writing. A log with
@@ -51,12 +52,13 @@ type Stamp struct {
 // MappedCheckpoint is one read-only view of a log's durable state.
 type MappedCheckpoint struct {
 	// State is the newest valid checkpoint payload, nil if none was ever
-	// installed. For the file backend it aliases the mapping — valid
-	// only until Close, shared with every other reader of the same file.
+	// installed; read-only. For the file backend it aliases the mapping —
+	// valid only until Close, shared with every other reader of the same
+	// file; for Memory it is the installed image itself.
 	State []byte
 	// WAL holds the decoded payloads of the records appended after the
-	// checkpoint, in order. Always heap-allocated (the WAL file mutates
-	// in place, so aliasing it would not be stable).
+	// checkpoint, in order; read-only. Always heap memory (the WAL file
+	// mutates in place, so aliasing it would not be stable).
 	WAL [][]byte
 	// Stamp fingerprints the durable state this view was taken from,
 	// taken before the files were read: if MapStamp still returns it,
@@ -182,8 +184,9 @@ func mapCheckpoint(path string) (*mmap.Mapping, []byte, uint64, error) {
 	return m, state, lsn, nil
 }
 
-// Map implements Mapper: Memory hands out copies (there is no medium to
-// share pages of).
+// Map implements Mapper: Memory hands out the installed image and the WAL
+// payloads themselves, which no one writes again (Checkpoint takes the
+// image over; Append copies each record in).
 func (m *Memory) Map(name string) (*MappedCheckpoint, error) {
 	m.mu.Lock()
 	st, ok := m.logs[name]
@@ -193,12 +196,9 @@ func (m *Memory) Map(name string) (*MappedCheckpoint, error) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	mc := &MappedCheckpoint{Stamp: Stamp{ckptMod: int64(st.version)}}
-	if st.checkpoint != nil {
-		mc.State = append([]byte(nil), st.checkpoint...)
-	}
+	mc := &MappedCheckpoint{State: st.checkpoint, Stamp: Stamp{ckptMod: int64(st.version)}}
 	for _, rec := range st.wal {
-		mc.WAL = append(mc.WAL, append([]byte(nil), rec.Payload...))
+		mc.WAL = append(mc.WAL, rec.Payload)
 	}
 	return mc, nil
 }

@@ -20,8 +20,8 @@ func openMust(t *testing.T, b Backend, name string) Log {
 }
 
 // testMapperContract exercises the shared Mapper semantics against any
-// backend: checkpoint + WAL suffix visibility, stamp movement, and
-// empty-log behavior.
+// backend: checkpoint + WAL suffix visibility, stamp movement, empty-log
+// behavior, and a mapped view that keeps its bytes across the next install.
 func testMapperContract(t *testing.T, b Backend, mp Mapper) {
 	t.Helper()
 
@@ -93,6 +93,23 @@ func testMapperContract(t *testing.T, b Backend, mp Mapper) {
 	if s3, _ := mp.MapStamp("d"); s3 == s1 {
 		t.Fatal("stamp unchanged after append")
 	}
+
+	// The view mapped above is held across the next install: its state and
+	// records still read their old bytes, and a fresh Map sees the new ones.
+	if err := lg.Checkpoint([]byte("state-2")); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mc.State, []byte("state-1")) || len(mc.WAL) != 3 || string(mc.WAL[2]) != "rec-2" {
+		t.Fatalf("held view reads %q / %q after the next checkpoint", mc.State, mc.WAL)
+	}
+	mc2, err := mp.Map("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc2.Close()
+	if !bytes.Equal(mc2.State, []byte("state-2")) || len(mc2.WAL) != 0 {
+		t.Fatalf("re-map after the next checkpoint sees %q / %d records", mc2.State, len(mc2.WAL))
+	}
 }
 
 func TestFileMapperContract(t *testing.T) {
@@ -103,6 +120,49 @@ func TestFileMapperContract(t *testing.T) {
 func TestMemoryMapperContract(t *testing.T) {
 	m := NewMemory()
 	testMapperContract(t, m, m)
+}
+
+// TestMemoryHandsOverImages pins that Memory keeps the buffer Checkpoint is
+// handed and that Load and Map return that very buffer, in O(1) allocations
+// whatever its size: the image is handed over, never copied.
+func TestMemoryHandsOverImages(t *testing.T) {
+	m := NewMemory()
+	lg := openMust(t, m, "d")
+	defer lg.Close()
+	image := bytes.Repeat([]byte{0xC4}, 1<<20)
+	if err := lg.Checkpoint(image); err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Append([]byte("rec")); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, wal, err := lg.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, err := m.Map("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &ckpt[0] != &image[0] || &mc.State[0] != &image[0] || len(mc.State) != len(image) {
+		t.Fatal("Load or Map returned a copy of the installed image")
+	}
+	if len(wal) != 1 || len(mc.WAL) != 1 || &mc.WAL[0][0] != &wal[0][0] {
+		t.Fatal("Map copied the WAL payloads")
+	}
+	load := testing.AllocsPerRun(50, func() {
+		if _, _, err := lg.Load(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	mapped := testing.AllocsPerRun(50, func() {
+		if _, err := m.Map("d"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if load > 2 || mapped > 2 {
+		t.Fatalf("Load %.0f / Map %.0f allocs per call on a 1 MB image, want O(1) (≤ 2)", load, mapped)
+	}
 }
 
 func TestFileMapFallsBackToPrev(t *testing.T) {

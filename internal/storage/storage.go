@@ -57,14 +57,19 @@ type Log interface {
 	// Load returns the newest valid checkpoint state (nil if none was ever
 	// installed) and the WAL records appended after it, in order. It
 	// reflects recovery performed at Open time; calling it again returns
-	// the same data until the log is mutated.
+	// the same data until the log is mutated. The returned buffers are
+	// read-only and stay valid after the log is mutated or closed: a caller
+	// may keep them, as a restarted replica keeps the checkpoint as its tree.
 	Load() (checkpoint []byte, wal [][]byte, err error)
 	// Append durably adds one WAL record.
 	Append(record []byte) error
 	// Checkpoint atomically installs state as the newest checkpoint and
 	// discards the WAL records it covers. A crash at any point leaves
 	// either the previous checkpoint plus the full WAL or the new
-	// checkpoint recoverable.
+	// checkpoint recoverable. The state is handed over, not copied: the
+	// log may keep the buffer and hand it to Load and Map, so the caller
+	// must not modify it afterwards (every caller passes a freshly encoded
+	// checkpoint).
 	Checkpoint(state []byte) error
 	// Close releases the log's resources. The log must not be used after.
 	Close() error
@@ -77,7 +82,9 @@ type Log interface {
 // name on the same Memory instance recovers the state a previous Log
 // holder left behind, which is exactly what restart tests and simulations
 // need. It performs no framing or checksumming — there is no medium to
-// corrupt — but honors the same Load/Append/Checkpoint contract.
+// corrupt — but honors the same Load/Append/Checkpoint contract. A
+// checkpoint is kept as the buffer Checkpoint was handed, and Load and Map
+// hand that one buffer out, read-only, to every caller.
 type Memory struct {
 	mu   sync.Mutex
 	logs map[string]*memoryState
@@ -152,7 +159,7 @@ func (l *memoryLog) Checkpoint(state []byte) error {
 	if l.closed {
 		return fmt.Errorf("storage: checkpoint on closed log %q", l.name)
 	}
-	l.state.checkpoint = append([]byte(nil), state...)
+	l.state.checkpoint = state
 	l.state.wal = nil
 	l.state.ckptLSN = l.state.nextLSN - 1
 	l.state.version++

@@ -27,9 +27,10 @@ type TailResult struct {
 	// CheckpointLSN is the LSN covered by the log's newest checkpoint
 	// (0 = none installed).
 	CheckpointLSN uint64
-	// Checkpoint is the newest checkpoint state; non-nil only when the
-	// requested position precedes CheckpointLSN, i.e. the caller must
-	// restore the snapshot before replaying frames.
+	// Checkpoint is the newest checkpoint state, read-only (the installed
+	// image itself, as Load returns it); non-nil only when the requested
+	// position precedes CheckpointLSN, i.e. the caller must restore the
+	// snapshot before replaying frames.
 	Checkpoint []byte
 	// Frames are the WAL records with LSN > max(from, CheckpointLSN), in
 	// order.
@@ -112,7 +113,7 @@ func (l *fileLog) Tail(from uint64) (TailResult, error) {
 	if l.ckptLSN > floor {
 		floor = l.ckptLSN
 		if from < l.ckptLSN {
-			res.Checkpoint = append([]byte(nil), l.checkpoint...)
+			res.Checkpoint = l.checkpoint
 		}
 	}
 	if l.walSize > 0 {
@@ -147,7 +148,7 @@ func (l *memoryLog) Tail(from uint64) (TailResult, error) {
 	if l.state.ckptLSN > floor {
 		floor = l.state.ckptLSN
 		if from < l.state.ckptLSN {
-			res.Checkpoint = append([]byte(nil), l.state.checkpoint...)
+			res.Checkpoint = l.state.checkpoint
 		}
 	}
 	for _, f := range l.state.wal {

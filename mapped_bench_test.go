@@ -232,8 +232,8 @@ func BenchmarkSharedStoreRSS(b *testing.B) {
 // BenchmarkRestartFirstStatus: time to the first served status from the
 // replica's in-memory log (full replay: re-hash the whole commitment
 // structure, as every restart did before checkpoints persisted it) versus
-// from a durable log's checkpoint (map-don't-replay: materialize off the
-// offset-indexed bytes, zero re-hashing), across the benchmark sizes the
+// from a durable log's checkpoint (map-don't-replay: the checkpoint buffer
+// becomes the tree, zero re-hashing), across the benchmark sizes the
 // paper's tables use plus 1M.
 func BenchmarkRestartFirstStatus(b *testing.B) {
 	layout := dictionary.LayoutForest
