@@ -51,8 +51,8 @@ func buildDict(b *testing.B, n int) (*dictionary.Replica, *serial.Generator) {
 // BenchmarkAblationProofByDictionarySize measures absence-proof
 // construction and reports the encoded status size as the dictionary
 // grows: both must scale logarithmically (§VII-D: 500–900 bytes at the
-// largest CRL; here ≈ 570 B sorted and ≈ 605 B forest at n = 339,557, the
-// two bracketing leaves sharing one audit path).
+// largest CRL; here ≈ 570 B at n = 339,557, the two bracketing leaves
+// sharing one audit path).
 func BenchmarkAblationProofByDictionarySize(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 100_000, 339_557} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

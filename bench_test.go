@@ -340,39 +340,34 @@ type hotpathEnv struct {
 }
 
 var (
-	// Fixtures are built once per layout and shared across benchmarks; the
-	// sync variant keeps inserting into its dictionary, so it gets fixtures
-	// of its own: the read-only benchmarks (prove, hot, cold) must measure
-	// an identical corpus on every run, including -count reruns.
+	// The fixture is built once and shared across benchmarks; the sync
+	// variant keeps inserting into its dictionary, so it gets a fixture of
+	// its own: the read-only benchmarks (prove, hot, cold) must measure an
+	// identical corpus on every run, including -count reruns.
 	hotpathMu      sync.Mutex
-	hotpathFix     = map[dictionary.LayoutKind]*hotpathEnv{}
-	hotpathSyncFix = map[dictionary.LayoutKind]*hotpathEnv{}
+	hotpathFix     *hotpathEnv
+	hotpathSyncFix *hotpathEnv
 )
 
-func getHotpathEnv(b *testing.B, layout dictionary.LayoutKind) *hotpathEnv {
-	return cachedHotpathEnv(b, hotpathFix, layout)
-}
+func getHotpathEnv(b *testing.B) *hotpathEnv { return cachedHotpathEnv(b, &hotpathFix) }
 
-func getHotpathSyncEnv(b *testing.B, layout dictionary.LayoutKind) *hotpathEnv {
-	return cachedHotpathEnv(b, hotpathSyncFix, layout)
-}
+func getHotpathSyncEnv(b *testing.B) *hotpathEnv { return cachedHotpathEnv(b, &hotpathSyncFix) }
 
-func cachedHotpathEnv(b *testing.B, cache map[dictionary.LayoutKind]*hotpathEnv, layout dictionary.LayoutKind) *hotpathEnv {
+func cachedHotpathEnv(b *testing.B, cache **hotpathEnv) *hotpathEnv {
 	b.Helper()
 	hotpathMu.Lock()
 	defer hotpathMu.Unlock()
-	env, ok := cache[layout]
-	if !ok {
-		var err error
-		if env, err = buildHotpathEnv(layout); err != nil {
+	if *cache == nil {
+		env, err := buildHotpathEnv()
+		if err != nil {
 			b.Fatal(err)
 		}
-		cache[layout] = env
+		*cache = env
 	}
-	return env
+	return *cache
 }
 
-func buildHotpathEnv(layout dictionary.LayoutKind) (*hotpathEnv, error) {
+func buildHotpathEnv() (*hotpathEnv, error) {
 	const caID = dictionary.CAID("hotpath-ca")
 	signer, err := cryptoutil.NewSigner(nil)
 	if err != nil {
@@ -383,7 +378,6 @@ func buildHotpathEnv(layout dictionary.LayoutKind) (*hotpathEnv, error) {
 		CA:     caID,
 		Signer: signer,
 		Delta:  10 * time.Second,
-		Layout: layout,
 	}, now)
 	if err != nil {
 		return nil, err
@@ -404,7 +398,7 @@ func buildHotpathEnv(layout dictionary.LayoutKind) (*hotpathEnv, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := ra.NewStoreWithLayout(layout, root)
+	store, err := ra.NewStore(root)
 	if err != nil {
 		return nil, err
 	}
@@ -470,28 +464,26 @@ func reportHotpathMetrics(b *testing.B, store *ra.Store, before ra.CacheStats, s
 // lock-free but still O(log n) hashing + encoding). Compare with
 // BenchmarkStatusParallel/hot for the per-∆ cache win.
 func BenchmarkProveParallel(b *testing.B) {
-	for _, layout := range dictionary.Layouts() {
-		b.Run(layout.String(), func(b *testing.B) {
-			env := getHotpathEnv(b, layout)
-			var seeds atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				next := env.zipfQueries(seeds.Add(1))
-				for pb.Next() {
-					st, err := env.store.Prove(env.caID, next())
-					if err != nil {
-						b.Error(err) // Fatal must not be called off the benchmark goroutine
-						return
-					}
-					if enc := st.Encode(); len(enc) == 0 {
-						b.Error("empty status")
-						return
-					}
+	b.Run("sorted", func(b *testing.B) {
+		env := getHotpathEnv(b)
+		var seeds atomic.Int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			next := env.zipfQueries(seeds.Add(1))
+			for pb.Next() {
+				st, err := env.store.Prove(env.caID, next())
+				if err != nil {
+					b.Error(err) // Fatal must not be called off the benchmark goroutine
+					return
 				}
-			})
+				if enc := st.Encode(); len(enc) == 0 {
+					b.Error("empty status")
+					return
+				}
+			}
 		})
-	}
+	})
 }
 
 // BenchmarkStatusParallel measures the data-path Status call under
@@ -503,102 +495,96 @@ func BenchmarkProveParallel(b *testing.B) {
 //   - sync: the hot stream while a writer applies an issuance batch every
 //     millisecond, forcing snapshot swaps and cache re-fills (the
 //     reads-during-sync contention the seed serialized on Store.mu).
-//
-// Both dictionary layouts run every mode: the status cache sits in front
-// of Prove, so the layout only shows on misses — the per-layout sub-runs
-// let the dictionary-bench CI artifact compare the two side by side.
 func BenchmarkStatusParallel(b *testing.B) {
-	for _, layout := range dictionary.Layouts() {
-		b.Run(layout.String(), func(b *testing.B) {
-			b.Run("hot", func(b *testing.B) {
-				env := getHotpathEnv(b, layout)
-				var seeds atomic.Int64
-				before, swaps := env.store.CacheStats(), env.store.SnapshotSwaps()
-				b.ReportAllocs()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					next := env.zipfQueries(seeds.Add(1))
-					for pb.Next() {
-						if _, _, err := env.store.Status(env.caID, next()); err != nil {
-							b.Error(err)
-							return
-						}
+	b.Run("sorted", func(b *testing.B) {
+		b.Run("hot", func(b *testing.B) {
+			env := getHotpathEnv(b)
+			var seeds atomic.Int64
+			before, swaps := env.store.CacheStats(), env.store.SnapshotSwaps()
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				next := env.zipfQueries(seeds.Add(1))
+				for pb.Next() {
+					if _, _, err := env.store.Status(env.caID, next()); err != nil {
+						b.Error(err)
+						return
 					}
-				})
-				reportHotpathMetrics(b, env.store, before, swaps)
+				}
 			})
-
-			b.Run("cold", func(b *testing.B) {
-				env := getHotpathEnv(b, layout)
-				// A dedicated absent stream, cycled by atomic index: the pool
-				// is large enough that re-touching a key usually happens after
-				// its generation-mates were already evicted entry by entry.
-				coldGen := serial.NewGenerator(0xC01D, nil)
-				pool := coldGen.NextN(1 << 18)
-				var idx atomic.Int64
-				before, swaps := env.store.CacheStats(), env.store.SnapshotSwaps()
-				b.ReportAllocs()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						sn := pool[int(idx.Add(1))%len(pool)]
-						if _, _, err := env.store.Status(env.caID, sn); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				})
-				reportHotpathMetrics(b, env.store, before, swaps)
-			})
-
-			b.Run("sync", func(b *testing.B) {
-				env := getHotpathSyncEnv(b, layout)
-				env.syncMu.Lock()
-				defer env.syncMu.Unlock()
-				stop := make(chan struct{})
-				var writerWG sync.WaitGroup
-				writerWG.Add(1)
-				go func() {
-					defer writerWG.Done()
-					ticker := time.NewTicker(time.Millisecond)
-					defer ticker.Stop()
-					for {
-						select {
-						case <-stop:
-							return
-						case <-ticker.C:
-							msg, err := env.auth.Insert(env.gen.NextN(100), time.Now().Unix())
-							if err != nil {
-								b.Error(err)
-								return
-							}
-							if err := env.replica.Update(msg); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}
-				}()
-				var seeds atomic.Int64
-				before, swaps := env.store.CacheStats(), env.store.SnapshotSwaps()
-				b.ReportAllocs()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					next := env.zipfQueries(seeds.Add(1))
-					for pb.Next() {
-						if _, _, err := env.store.Status(env.caID, next()); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				})
-				b.StopTimer()
-				close(stop)
-				writerWG.Wait()
-				reportHotpathMetrics(b, env.store, before, swaps)
-			})
+			reportHotpathMetrics(b, env.store, before, swaps)
 		})
-	}
+
+		b.Run("cold", func(b *testing.B) {
+			env := getHotpathEnv(b)
+			// A dedicated absent stream, cycled by atomic index: the pool
+			// is large enough that re-touching a key usually happens after
+			// its generation-mates were already evicted entry by entry.
+			coldGen := serial.NewGenerator(0xC01D, nil)
+			pool := coldGen.NextN(1 << 18)
+			var idx atomic.Int64
+			before, swaps := env.store.CacheStats(), env.store.SnapshotSwaps()
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					sn := pool[int(idx.Add(1))%len(pool)]
+					if _, _, err := env.store.Status(env.caID, sn); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+			reportHotpathMetrics(b, env.store, before, swaps)
+		})
+
+		b.Run("sync", func(b *testing.B) {
+			env := getHotpathSyncEnv(b)
+			env.syncMu.Lock()
+			defer env.syncMu.Unlock()
+			stop := make(chan struct{})
+			var writerWG sync.WaitGroup
+			writerWG.Add(1)
+			go func() {
+				defer writerWG.Done()
+				ticker := time.NewTicker(time.Millisecond)
+				defer ticker.Stop()
+				for {
+					select {
+					case <-stop:
+						return
+					case <-ticker.C:
+						msg, err := env.auth.Insert(env.gen.NextN(100), time.Now().Unix())
+						if err != nil {
+							b.Error(err)
+							return
+						}
+						if err := env.replica.Update(msg); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}
+			}()
+			var seeds atomic.Int64
+			before, swaps := env.store.CacheStats(), env.store.SnapshotSwaps()
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				next := env.zipfQueries(seeds.Add(1))
+				for pb.Next() {
+					if _, _, err := env.store.Status(env.caID, next()); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+			b.StopTimer()
+			close(stop)
+			writerWG.Wait()
+			reportHotpathMetrics(b, env.store, before, swaps)
+		})
+	})
 }
 
 // BenchmarkHandshakeOverhead measures a full RITM-protected handshake

@@ -62,37 +62,23 @@ func main() {
 		id        = flag.String("id", "DemoCA", "CA identifier")
 		delta     = flag.Duration("delta", 10*time.Second, "dissemination interval ∆")
 		listen    = flag.String("listen", "127.0.0.1:8440", "address for the dissemination + admin API")
-		layout    = flag.String("layout", "sorted", "dictionary commitment layout (sorted|forest|forest:<cap>); every RA replicating this CA must use the same -layout")
-		forestCap = flag.Int("forest-bucket-cap", 0, "forest bucket capacity (0 = 256); shorthand for -layout forest:<cap>, part of the commitment contract and persisted in checkpoints")
 		dataDir   = flag.String("data-dir", "", "directory for durable state (signing key, dictionary WAL + checkpoints, distribution-point state); empty = in-memory only")
 		ckptEvery = flag.Int("checkpoint-every", 64, "WAL records between checkpoint snapshots")
 		fsync     = flag.Bool("fsync", true, "fsync the WAL on every committed update batch (off trades crash-durability of the newest batches for latency)")
 		gzipOn    = flag.Bool("gzip", false, "compress large /v1/pull bodies for gzip-accepting clients (Vary-safe, per-encoding ETags)")
-		follow    = flag.String("follow", "", "run as a follower origin replicating from this leader URL instead of as a CA; -layout must match the leader's")
+		follow    = flag.String("follow", "", "run as a follower origin replicating from this leader URL instead of as a CA")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6061); empty = disabled")
 	)
 	flag.Parse()
 	startPprof(*pprofAddr)
-	kind, err := ritm.ParseLayout(*layout)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *forestCap > 0 {
-		if kind.ForestCap() == 0 {
-			fmt.Fprintln(os.Stderr, "ritm-ca: -forest-bucket-cap requires -layout forest")
-			os.Exit(2)
-		}
-		kind = ritm.LayoutForestWithCap(*forestCap)
-	}
 	if *follow != "" {
-		if err := runFollower(*follow, *delta, *listen, kind, *dataDir, *ckptEvery, *fsync, *gzipOn); err != nil {
+		if err := runFollower(*follow, *delta, *listen, *dataDir, *ckptEvery, *fsync, *gzipOn); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return
 	}
-	if err := run(*id, *delta, *listen, kind, *dataDir, *ckptEvery, *fsync, *gzipOn); err != nil {
+	if err := run(*id, *delta, *listen, *dataDir, *ckptEvery, *fsync, *gzipOn); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -143,7 +129,7 @@ func loadOrCreateSigner(dir string) (*ritm.Signer, error) {
 // authority committed (write-ahead) but the origin never ingested. It is
 // a no-op when both sides agree — the common case; the gap arises only
 // from a crash inside one revocation's WAL-commit→publish window, so it
-// is at most a few batches.
+// is at most a few batches, re-fed as one message.
 func catchUpOrigin(dp *ritm.DistributionPoint, authority *ritm.CA) error {
 	auth := authority.Authority()
 	caN := auth.Count()
@@ -158,17 +144,11 @@ func catchUpOrigin(dp *ritm.DistributionPoint, authority *ritm.CA) error {
 	if err != nil {
 		return err
 	}
-	var bounds []uint64
-	for _, b := range auth.BatchBounds() {
-		if b > dpN && b < caN {
-			bounds = append(bounds, b)
-		}
-	}
 	log.Printf("ritm-ca: origin recovered at %d of the authority's %d revocations; re-feeding the missed suffix", dpN, caN)
-	return dp.PublishIssuanceBounded(&dictionary.IssuanceMessage{Serials: suffix, Root: auth.SignedRoot()}, bounds)
+	return dp.PublishIssuance(&dictionary.IssuanceMessage{Serials: suffix, Root: auth.SignedRoot()})
 }
 
-func run(id string, delta time.Duration, listen string, layout ritm.LayoutKind, dataDir string, ckptEvery int, fsync, gzipOn bool) error {
+func run(id string, delta time.Duration, listen, dataDir string, ckptEvery int, fsync, gzipOn bool) error {
 	var (
 		caBackend, dpBackend ritm.StorageBackend
 		signer               *ritm.Signer
@@ -196,7 +176,6 @@ func run(id string, delta time.Duration, listen string, layout ritm.LayoutKind, 
 		ID:              ritm.CAID(id),
 		Delta:           delta,
 		Publisher:       dp,
-		Layout:          layout,
 		Signer:          signer,
 		Storage:         caBackend,
 		CheckpointEvery: ckptEvery,
@@ -205,15 +184,14 @@ func run(id string, delta time.Duration, listen string, layout ritm.LayoutKind, 
 		return err
 	}
 	defer authority.Close()
-	if err := dp.RegisterCAWithLayout(ritm.CAID(id), authority.PublicKey(), layout); err != nil {
+	if err := dp.RegisterCA(ritm.CAID(id), authority.PublicKey()); err != nil {
 		return err
 	}
 	// The CA's log is write-ahead of the publish: a crash between the WAL
 	// commit and the distribution point's ingest leaves the recovered
 	// authority a suffix ahead of the recovered origin. Feed that suffix
-	// (under the authority's batch structure) before anything else, or the
-	// root publication below would be rejected as desynchronized on every
-	// restart.
+	// before anything else, or the root publication below would be rejected
+	// as desynchronized on every restart.
 	if err := catchUpOrigin(dp, authority); err != nil {
 		return fmt.Errorf("ritm-ca: catch origin up to authority: %w", err)
 	}
@@ -272,8 +250,8 @@ func run(id string, delta time.Duration, listen string, layout ritm.LayoutKind, 
 	if dataDir != "" {
 		durable = fmt.Sprintf("durable at %s (fsync=%v, checkpoint-every=%d)", dataDir, fsync, ckptEvery)
 	}
-	log.Printf("ritm-ca %s: ∆=%v, layout=%s, n=%d, %s, serving dissemination + admin on %s",
-		id, delta, layout, authority.Authority().Count(), durable, listen)
+	log.Printf("ritm-ca %s: ∆=%v, n=%d, %s, serving dissemination + admin on %s",
+		id, delta, authority.Authority().Count(), durable, listen)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -319,7 +297,7 @@ func fetchLeaderRoot(leaderURL string) (*ritm.Certificate, error) {
 // authority, no admin issue/revoke — just a distribution point kept in
 // sync by tailing the leader's per-CA WAL and verifying every applied
 // suffix against the leader CA's signed root.
-func runFollower(leaderURL string, delta time.Duration, listen string, layout ritm.LayoutKind, dataDir string, ckptEvery int, fsync, gzipOn bool) error {
+func runFollower(leaderURL string, delta time.Duration, listen, dataDir string, ckptEvery int, fsync, gzipOn bool) error {
 	leaderURL = strings.TrimRight(leaderURL, "/")
 	rootCert, err := fetchLeaderRoot(leaderURL)
 	if err != nil {
@@ -346,7 +324,7 @@ func runFollower(leaderURL string, delta time.Duration, listen string, layout ri
 	// the leader's goodwill: every replicated record is verified against
 	// this key before it is served, so a compromised or split-brain leader
 	// feeds us nothing.
-	if err := dp.RegisterCAWithLayout(rootCert.Issuer, rootCert.PublicKey, layout); err != nil {
+	if err := dp.RegisterCA(rootCert.Issuer, rootCert.PublicKey); err != nil {
 		return err
 	}
 	leader := &cdn.HTTPClient{BaseURL: leaderURL}
@@ -377,8 +355,8 @@ func runFollower(leaderURL string, delta time.Duration, listen string, layout ri
 	if dataDir != "" {
 		durable = fmt.Sprintf("durable at %s (fsync=%v, checkpoint-every=%d)", dataDir, fsync, ckptEvery)
 	}
-	log.Printf("ritm-ca follower of %s: ca=%s, sync every %v, layout=%s, %s, serving dissemination on %s",
-		leaderURL, rootCert.Issuer, interval, layout, durable, listen)
+	log.Printf("ritm-ca follower of %s: ca=%s, sync every %v, %s, serving dissemination on %s",
+		leaderURL, rootCert.Issuer, interval, durable, listen)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

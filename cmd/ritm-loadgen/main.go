@@ -25,7 +25,6 @@ import (
 	"os"
 	"time"
 
-	"ritm/internal/dictionary"
 	"ritm/internal/loadgen"
 	"ritm/internal/netsim"
 )
@@ -41,7 +40,6 @@ func main() {
 		pops       = flag.Int("pops", 2, "PoP edges per region")
 		writers    = flag.Int("writers", 2, "writer RAs (each pulls from a PoP and intercepts)")
 		readers    = flag.Int("readers", 1, "shared-data reader RAs mapping writer 0's checkpoints")
-		layoutFlag = flag.String("layout", "forest", "dictionary layout: sorted or forest")
 		delta      = flag.Duration("delta", time.Second, "∆: CA refresh cadence and RA staleness unit (min 1s)")
 		preload    = flag.Int("preload", 20000, "revocations published before the run")
 		churn      = flag.Int("churn", 100000, "revocations spread across the run (batch + refresh per ∆)")
@@ -59,16 +57,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var layout dictionary.LayoutKind
-	switch *layoutFlag {
-	case "sorted":
-		layout = dictionary.LayoutSorted
-	case "forest":
-		layout = dictionary.LayoutForest
-	default:
-		fatal(fmt.Errorf("unknown -layout %q (want sorted or forest)", *layoutFlag))
-	}
-
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "ritm-loadgen: "+format+"\n", args...)
 	}
@@ -82,7 +70,6 @@ func main() {
 			PoPs:    *pops,
 			Writers: *writers,
 			Readers: *readers,
-			Layout:  layout,
 			Delta:   *delta,
 			DataDir: *dataDir,
 		},

@@ -48,8 +48,6 @@ func main() {
 		jitter    = flag.Duration("jitter", 0, "max random per-CA pull delay each cycle (avoids fleet-wide stampedes)")
 		expire    = flag.Duration("expire-shards", 0, "expiry-shard bucket width; >0 drops fully expired shards every cycle")
 		chain     = flag.String("edge-chain", "", "comma-separated TTLs of local caching edge layers over the dissemination endpoint, nearest first (e.g. \"5s,30s\" = PoP-style 5s cache in front of a 30s regional-style cache); each layer also negative-caches unknown CAs for its TTL")
-		layout    = flag.String("layout", "sorted", "dictionary commitment layout (sorted|forest|forest:<cap>); must match the CA's -layout, or every pulled update is rejected")
-		forestCap = flag.Int("forest-bucket-cap", 0, "forest bucket capacity (0 = 256); must match the CA's, and a durable store refuses to reopen under a different one")
 		dataDir   = flag.String("data-dir", "", "directory for durable replica state (WAL + checkpoints per CA); a restarted RA resumes at its persisted count and pulls only the missed suffix. Empty = in-memory only")
 		ckptEvery = flag.Int("checkpoint-every", 64, "persisted update batches between checkpoint snapshots")
 		fsync     = flag.Bool("fsync", true, "fsync the WAL on every persisted update batch")
@@ -61,18 +59,6 @@ func main() {
 	)
 	flag.Parse()
 	startPprof(*pprofAddr)
-	kind, err := ritm.ParseLayout(*layout)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *forestCap > 0 {
-		if kind.ForestCap() == 0 {
-			fmt.Fprintln(os.Stderr, "ritm-ra: -forest-bucket-cap requires -layout forest")
-			os.Exit(2)
-		}
-		kind = ritm.LayoutForestWithCap(*forestCap)
-	}
 	if *shared && *dataDir == "" {
 		fmt.Fprintln(os.Stderr, "ritm-ra: -shared-data requires -data-dir (the writer RA's directory)")
 		os.Exit(2)
@@ -95,7 +81,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ritm-ra: -bump-root/-bypass-file only apply with -intercept")
 		os.Exit(2)
 	}
-	if err := run(*caURL, *origins, *listen, *target, *delta, *jitter, *expire, *cooldown, *chain, kind, *dataDir, *ckptEvery, *fsync, *shared, *intercept, *bumpRoot, *bypass); err != nil {
+	if err := run(*caURL, *origins, *listen, *target, *delta, *jitter, *expire, *cooldown, *chain, *dataDir, *ckptEvery, *fsync, *shared, *intercept, *bumpRoot, *bypass); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -178,7 +164,7 @@ func buildEdgeChain(base ritm.Origin, ttls string) (ritm.Origin, error) {
 	return origin, nil
 }
 
-func run(caURL, origins, listen, target string, delta, jitter, expire, cooldown time.Duration, chain string, layout ritm.LayoutKind, dataDir string, ckptEvery int, fsync bool, shared bool, intercept bool, bumpRoot, bypassFile string) error {
+func run(caURL, origins, listen, target string, delta, jitter, expire, cooldown time.Duration, chain, dataDir string, ckptEvery int, fsync bool, shared bool, intercept bool, bumpRoot, bypassFile string) error {
 	// The trust anchors always come from the CAs, even for shared readers:
 	// a reader trusts nothing in the mapped directory beyond what the
 	// anchors' keys verify.
@@ -222,7 +208,6 @@ func run(caURL, origins, listen, target string, delta, jitter, expire, cooldown 
 		Roots:           roots,
 		Origin:          origin,
 		Delta:           delta,
-		Layout:          layout,
 		Storage:         backend,
 		CheckpointEvery: ckptEvery,
 		SharedData:      shared,
@@ -288,8 +273,8 @@ func run(caURL, origins, listen, target string, delta, jitter, expire, cooldown 
 			return err
 		}
 		defer interceptor.Close()
-		log.Printf("ritm-ra: %s %s (∆=%v, layout=%s), intercepting TLS %s → %s (bump root %s)",
-			mode, strings.Join(caIDs, "+"), delta, layout, interceptor.Addr(), target, bumpRoot)
+		log.Printf("ritm-ra: %s %s (∆=%v), intercepting TLS %s → %s (bump root %s)",
+			mode, strings.Join(caIDs, "+"), delta, interceptor.Addr(), target, bumpRoot)
 	} else {
 		proxy, err := agent.NewProxy(listen, target)
 		if err != nil {
@@ -297,8 +282,8 @@ func run(caURL, origins, listen, target string, delta, jitter, expire, cooldown 
 		}
 		defer proxy.Close()
 		proxy.SetOnError(func(err error) { log.Printf("proxy: %v", err) })
-		log.Printf("ritm-ra: %s %s (∆=%v, layout=%s), proxying %s → %s",
-			mode, strings.Join(caIDs, "+"), delta, layout, proxy.Addr(), target)
+		log.Printf("ritm-ra: %s %s (∆=%v), proxying %s → %s",
+			mode, strings.Join(caIDs, "+"), delta, proxy.Addr(), target)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -46,9 +46,11 @@ type Config struct {
 	CertValidity time.Duration
 	// ChainLength is the freshness-chain length m (0 = default).
 	ChainLength int
-	// Layout selects the dictionary commitment structure (zero value:
-	// LayoutSorted). Every replica — RAs and the distribution point's
-	// verifying copy — must be configured with the same layout.
+	// Layout must be LayoutSorted (the zero value); New refuses any other.
+	//
+	// Deprecated: the sorted hash tree is the only commitment. The field
+	// exists only so that the frozen benchmark harness (bench/) keeps
+	// compiling.
 	Layout dictionary.LayoutKind
 	// Signer is the CA key; nil generates a fresh one from Rand.
 	Signer *cryptoutil.Signer
@@ -109,6 +111,9 @@ func New(cfg Config) (*CA, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("ca: missing ID")
 	}
+	if cfg.Layout != dictionary.LayoutSorted {
+		return nil, fmt.Errorf("ca %s: layout %v is not supported", cfg.ID, cfg.Layout)
+	}
 	if cfg.Delta <= 0 {
 		cfg.Delta = 10 * time.Second
 	}
@@ -131,7 +136,6 @@ func New(cfg Config) (*CA, error) {
 		Signer:      signer,
 		Delta:       cfg.Delta,
 		ChainLength: cfg.ChainLength,
-		Layout:      cfg.Layout,
 		Rand:        cfg.Rand,
 	}
 
@@ -323,9 +327,6 @@ func (c *CA) PublicKey() ed25519.PublicKey { return c.signer.Public() }
 
 // Delta returns the CA's dissemination interval ∆.
 func (c *CA) Delta() time.Duration { return c.delta }
-
-// Layout returns the dictionary's commitment layout.
-func (c *CA) Layout() dictionary.LayoutKind { return c.authority.Layout() }
 
 // Authority exposes the CA's dictionary (read-mostly uses: roots, proofs).
 func (c *CA) Authority() *dictionary.Authority { return c.authority }
@@ -525,7 +526,6 @@ func (c *CA) Fork() (*CA, error) {
 		CertValidity: c.validity,
 		Signer:       c.signer,
 		Now:          c.now,
-		Layout:       c.authority.Layout(),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ca %s: fork: %w", c.id, err)

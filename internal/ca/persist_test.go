@@ -7,7 +7,6 @@ import (
 
 	"ritm/internal/cdn"
 	"ritm/internal/cryptoutil"
-	"ritm/internal/dictionary"
 	"ritm/internal/serial"
 	"ritm/internal/storage"
 )
@@ -23,16 +22,14 @@ func TestCAWarmStartExactRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout := dictionary.LayoutForestWithCap(64)
 
 	dp1 := cdn.NewDistributionPointWithStorage(nil, dpBackend, 0)
-	cfg := Config{ID: "CA1", Delta: 10 * time.Second, Signer: signer, Storage: caBackend,
-		Layout: layout, Publisher: dp1}
+	cfg := Config{ID: "CA1", Delta: 10 * time.Second, Signer: signer, Storage: caBackend, Publisher: dp1}
 	ca1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dp1.RegisterCAWithLayout("CA1", ca1.PublicKey(), layout); err != nil {
+	if err := dp1.RegisterCA("CA1", ca1.PublicKey()); err != nil {
 		t.Fatal(err)
 	}
 	if err := ca1.PublishRoot(); err != nil {
@@ -66,7 +63,7 @@ func TestCAWarmStartExactRoot(t *testing.T) {
 		t.Fatalf("warm start: %v", err)
 	}
 	defer ca2.Close()
-	if err := dp2.RegisterCAWithLayout("CA1", ca2.PublicKey(), layout); err != nil {
+	if err := dp2.RegisterCA("CA1", ca2.PublicKey()); err != nil {
 		t.Fatal(err)
 	}
 	if got := ca2.Authority().SignedRoot(); !got.Equal(wantRoot) {

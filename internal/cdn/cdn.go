@@ -62,15 +62,12 @@ type PullResponse struct {
 	// Freshness is the current freshness statement (nil before the CA's
 	// first publication).
 	Freshness *dictionary.FreshnessStatement
-	// Bounds lists the cumulative counts, strictly between the puller's
-	// from and the signed count, at which the suffix's original insertion
-	// batches ended. A puller replaying the suffix in these sub-batches
-	// reproduces the origin's commitment structure exactly — which the
-	// forest layout's root depends on (bucket splits chunk whatever the
-	// bucket holds at that moment, so batch boundaries are part of the
-	// structure). The bounds are an unsigned hint: the replica's commit
-	// rule is still the signed-root match, so corrupt bounds can only
-	// cause a rejection, never an accepted forgery.
+	// Bounds is always nil.
+	//
+	// Deprecated: it carried the batch bounds a forest-layout replica
+	// needed to replay a coalesced suffix; a sorted root depends on content
+	// alone. The field exists only so that the frozen benchmark harness
+	// (bench/) keeps compiling.
 	Bounds []uint64
 
 	encOnce sync.Once
@@ -97,14 +94,7 @@ func (pr *PullResponse) Encoded() []byte {
 		} else {
 			e.Bool(false)
 		}
-		// Bounds are ascending; delta encoding keeps them to a few bytes
-		// each regardless of dictionary size.
-		e.Uvarint(uint64(len(pr.Bounds)))
-		prev := uint64(0)
-		for _, b := range pr.Bounds {
-			e.Uvarint(b - prev)
-			prev = b
-		}
+		e.Uvarint(0) // no batch bounds; see DecodePullResponse
 		pr.enc = e.Bytes()
 	})
 	return pr.enc
@@ -135,14 +125,13 @@ func DecodePullResponse(buf []byte) (*PullResponse, error) {
 		}
 		pr.Freshness = st
 	}
-	// The bounds count is mandatory (0 when the suffix spans one batch).
-	// Making it optional-by-presence would let a body truncated at the
-	// field boundary decode cleanly — exactly the silent-truncation class
-	// PR 3 closed and TestHTTPClientTruncatedBody pins. The cost is that
-	// pull bodies are not cross-version compatible with pre-bounds nodes
-	// (in either direction — the old decoder rejects trailing bytes too);
-	// origin and pullers upgrade together, as the layout flag already
-	// requires for forest deployments.
+	// The body ends in a list of batch bounds (a count, then ascending
+	// deltas) that older origins filled for the retired forest layout.
+	// Writers emit a zero count; a non-empty list is parsed, under the same
+	// sanity cap, and dropped, so such origins keep serving. The count is
+	// mandatory: making it optional-by-presence would let a body truncated
+	// at the field boundary decode cleanly — exactly the silent-truncation
+	// class TestHTTPClientTruncatedBody pins.
 	nBounds := d.Uvarint()
 	if d.Err() != nil {
 		return nil, fmt.Errorf("decode pull response: %w", d.Err())
@@ -151,21 +140,20 @@ func DecodePullResponse(buf []byte) (*PullResponse, error) {
 	if nBounds > maxBounds {
 		return nil, fmt.Errorf("decode pull response: %d batch bounds exceed limit", nBounds)
 	}
-	prev := uint64(0)
 	for i := uint64(0); i < nBounds; i++ {
-		prev += d.Uvarint()
-		pr.Bounds = append(pr.Bounds, prev)
+		d.Uvarint()
 	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("decode pull response: %w", err)
 	}
 	// Seed the memoized encoding with the bytes just parsed: decoding is
-	// deterministic, so re-encoding would reproduce them, and a decoded
-	// response that is re-served (an edge running the HTTP client against
-	// its upstream) must not pay a second serialization. The buffer is ours
-	// (ownership contract above), so no defensive copy either — the body of
-	// a churn pull is decoded, retained, and re-served with zero copies of
-	// the serial bytes.
+	// deterministic, so re-encoding would reproduce them (but for a dropped
+	// bound list, which an edge thus passes on as its upstream sent it), and
+	// a decoded response that is re-served (an edge running the HTTP client
+	// against its upstream) must not pay a second serialization. The buffer
+	// is ours (ownership contract above), so no defensive copy either — the
+	// body of a churn pull is decoded, retained, and re-served with zero
+	// copies of the serial bytes.
 	pr.encOnce.Do(func() { pr.enc = buf })
 	return &pr, nil
 }
@@ -273,19 +261,9 @@ func NewDistributionPointWithStorage(now func() time.Time, backend storage.Backe
 
 // RegisterCA announces a CA to the distribution point, providing the trust
 // anchor used to verify everything the CA publishes. This models the
-// CA-bootstrapping manifest of §VIII. The verifying replica uses the
-// default sorted layout; CAs signing forest-layout dictionaries register
-// with RegisterCAWithLayout.
+// CA-bootstrapping manifest of §VIII. The distribution point verifies every
+// ingested message by replaying it through its own replica.
 func (dp *DistributionPoint) RegisterCA(ca dictionary.CAID, pub []byte) error {
-	return dp.RegisterCAWithLayout(ca, pub, dictionary.LayoutSorted)
-}
-
-// RegisterCAWithLayout announces a CA whose dictionary uses the given
-// commitment layout. The distribution point verifies every ingested message
-// by replaying it through its own replica, and roots are layout-specific,
-// so the layout here must match the CA's — the pull/sync wire protocol
-// itself stays layout-agnostic (issuance logs are just serials).
-func (dp *DistributionPoint) RegisterCAWithLayout(ca dictionary.CAID, pub []byte, layout dictionary.LayoutKind) error {
 	if ca == "" {
 		return fmt.Errorf("cdn: empty CA id")
 	}
@@ -294,7 +272,7 @@ func (dp *DistributionPoint) RegisterCAWithLayout(ca dictionary.CAID, pub []byte
 	if _, dup := dp.dicts[ca]; dup {
 		return fmt.Errorf("cdn: CA %s already registered", ca)
 	}
-	replica := dictionary.NewReplicaWithLayout(ca, pub, layout)
+	replica := dictionary.NewReplica(ca, pub)
 	if dp.backend != nil {
 		lg, err := dp.backend.Open(string(ca))
 		if err != nil {
@@ -304,7 +282,7 @@ func (dp *DistributionPoint) RegisterCAWithLayout(ca dictionary.CAID, pub []byte
 		// and reinstalls the exact signed-root bytes — including the
 		// signature, so the root (and its HTTP ETag) is bit-identical
 		// across the restart.
-		if replica, err = dictionary.RecoverReplicaLog(lg, ca, pub, layout, dp.now().Unix()); err != nil {
+		if replica, err = dictionary.RecoverReplicaLog(lg, ca, pub, dp.now().Unix()); err != nil {
 			lg.Close()
 			return fmt.Errorf("cdn: reopen %s: %w", ca, err)
 		}
@@ -314,10 +292,22 @@ func (dp *DistributionPoint) RegisterCAWithLayout(ca dictionary.CAID, pub []byte
 	return nil
 }
 
+// RegisterCAWithLayout is RegisterCA for a sorted layout and refuses any
+// other.
+//
+// Deprecated: the sorted hash tree is the only commitment. Kept only so that
+// the frozen benchmark harness (bench/) keeps compiling; use RegisterCA.
+func (dp *DistributionPoint) RegisterCAWithLayout(ca dictionary.CAID, pub []byte, layout dictionary.LayoutKind) error {
+	if layout != dictionary.LayoutSorted {
+		return fmt.Errorf("cdn: %s: layout %v is not supported", ca, layout)
+	}
+	return dp.RegisterCA(ca, pub)
+}
+
 // persistIngest WAL-appends a verified, state-changing ingest and
 // checkpoints when the cadence is due. Caller holds dl.mu.
-func (dp *DistributionPoint) persistIngest(dl *dpLog, ca dictionary.CAID, r *dictionary.Replica, msg *dictionary.IssuanceMessage, bounds []uint64) error {
-	rec := dictionary.UpdateRecord{Msg: msg, Bounds: bounds}
+func (dp *DistributionPoint) persistIngest(dl *dpLog, ca dictionary.CAID, r *dictionary.Replica, msg *dictionary.IssuanceMessage) error {
+	rec := dictionary.UpdateRecord{Msg: msg}
 	if err := dl.log.Append(rec.Encode()); err != nil {
 		return fmt.Errorf("cdn: persist ingest for %s: %w", ca, err)
 	}
@@ -353,18 +343,11 @@ func (dp *DistributionPoint) Close() error {
 // PublishIssuance ingests a CA's revocation issuance message: the
 // distribution point verifies it against its own replica (so that a
 // corrupted or equivocating message is rejected at the origin) and stores
-// it for pulls. Implements ca.Publisher.
+// it for pulls. A message coalescing several insertion batches re-feeds a
+// distribution point that fell behind its CA — for example after a crash
+// window in which the CA's write-ahead log committed a batch the origin
+// never saw. Implements ca.Publisher.
 func (dp *DistributionPoint) PublishIssuance(msg *dictionary.IssuanceMessage) error {
-	return dp.PublishIssuanceBounded(msg, nil)
-}
-
-// PublishIssuanceBounded is PublishIssuance for a message coalescing
-// several insertion batches, with the batch bounds to replay it under
-// (see dictionary.Replica.UpdateWithBounds). Operators use it to re-feed
-// a distribution point that fell behind its CA — for example after a
-// crash window in which the CA's write-ahead log committed a batch the
-// origin never saw.
-func (dp *DistributionPoint) PublishIssuanceBounded(msg *dictionary.IssuanceMessage, bounds []uint64) error {
 	if msg == nil || msg.Root == nil {
 		return fmt.Errorf("cdn: nil issuance message")
 	}
@@ -383,13 +366,13 @@ func (dp *DistributionPoint) PublishIssuanceBounded(msg *dictionary.IssuanceMess
 		defer dl.mu.Unlock()
 	}
 	gen := r.Snapshot().Generation()
-	if err := r.UpdateWithBounds(msg, bounds); err != nil {
+	if err := r.Update(msg); err != nil {
 		return fmt.Errorf("cdn: ingest issuance for %s: %w", msg.Root.CA, err)
 	}
 	// WAL the ingest when it changed state (a re-delivered identical root
 	// is a verified no-op and must not grow the log).
 	if dl != nil && r.Snapshot().Generation() != gen {
-		if err := dp.persistIngest(dl, msg.Root.CA, r, msg, bounds); err != nil {
+		if err := dp.persistIngest(dl, msg.Root.CA, r, msg); err != nil {
 			return err
 		}
 	}
@@ -475,9 +458,6 @@ func (dp *DistributionPoint) Pull(ca dictionary.CAID, from uint64) (*PullRespons
 	// Always include the latest root: a puller that is current still needs
 	// it to detect rotation, and it makes the response self-contained.
 	resp.Issuance = &dictionary.IssuanceMessage{Serials: suffix, Root: root}
-	// Interior batch bounds let the puller replay the suffix under the
-	// origin's batch structure (forest roots depend on it).
-	resp.Bounds = snap.BatchBounds(from, have)
 	return resp, nil
 }
 

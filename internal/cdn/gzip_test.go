@@ -114,9 +114,9 @@ func TestGzipPullRoundTrip(t *testing.T) {
 	if pr.Issuance == nil || len(pr.Issuance.Serials) != 400 || pr.Issuance.Root.N != 400 {
 		t.Fatalf("pull through gzip: %d serials", len(pr.Issuance.Serials))
 	}
-	// Interior split points only: the final count rides on the signed root.
-	if len(pr.Bounds) != 3 {
-		t.Fatalf("pull through gzip: %d bounds, want 3", len(pr.Bounds))
+	// Origins no longer ship batch bounds.
+	if pr.Bounds != nil {
+		t.Fatalf("pull through gzip: %d bounds, want none", len(pr.Bounds))
 	}
 }
 

@@ -7,21 +7,20 @@ import (
 	"time"
 
 	"ritm/internal/ca"
-	"ritm/internal/dictionary"
 	"ritm/internal/serial"
 	"ritm/internal/storage"
 )
 
 // newDurableOrigin builds a CA feeding a storage-backed distribution
 // point with some history, and returns both plus the generator.
-func newDurableOrigin(t *testing.T, backend storage.Backend, layout dictionary.LayoutKind) (*ca.CA, *DistributionPoint, *serial.Generator) {
+func newDurableOrigin(t *testing.T, backend storage.Backend) (*ca.CA, *DistributionPoint, *serial.Generator) {
 	t.Helper()
 	dp := NewDistributionPointWithStorage(nil, backend, 0)
-	authority, err := ca.New(ca.Config{ID: "CA1", Delta: 10 * time.Second, Publisher: dp, Layout: layout})
+	authority, err := ca.New(ca.Config{ID: "CA1", Delta: 10 * time.Second, Publisher: dp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dp.RegisterCAWithLayout("CA1", authority.PublicKey(), layout); err != nil {
+	if err := dp.RegisterCA("CA1", authority.PublicKey()); err != nil {
 		t.Fatal(err)
 	}
 	if err := authority.PublishRoot(); err != nil {
@@ -42,96 +41,64 @@ func newDurableOrigin(t *testing.T, backend storage.Backend, layout dictionary.L
 // request (If-None-Match with the pre-crash ETag) still gets 304 — the
 // restart is invisible to the HTTP cache hierarchy.
 func TestDistributionPointReopenKeepsETag(t *testing.T) {
-	for _, layout := range []dictionary.LayoutKind{dictionary.LayoutSorted, dictionary.LayoutForest} {
-		t.Run(layout.String(), func(t *testing.T) {
-			backend := storage.NewMemory()
-			authority, dp1, _ := newDurableOrigin(t, backend, layout)
+	t.Run("sorted", func(t *testing.T) {
+		backend := storage.NewMemory()
+		authority, dp1, _ := newDurableOrigin(t, backend)
 
-			srv1 := httptest.NewServer(Handler(dp1))
-			resp, err := http.Get(srv1.URL + "/v1/root?ca=CA1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			etag := resp.Header.Get("ETag")
-			srv1.Close()
-			if etag == "" {
-				t.Fatal("no ETag on /v1/root")
-			}
+		srv1 := httptest.NewServer(Handler(dp1))
+		resp, err := http.Get(srv1.URL + "/v1/root?ca=CA1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		etag := resp.Header.Get("ETag")
+		srv1.Close()
+		if etag == "" {
+			t.Fatal("no ETag on /v1/root")
+		}
 
-			// Crash + reopen: a brand-new distribution point over the same
-			// durable state. The CA process is NOT involved — the origin
-			// recovers alone, which is the availability story (CDNs keep
-			// serving through CA outages).
-			if err := dp1.Close(); err != nil {
-				t.Fatal(err)
-			}
-			dp2 := NewDistributionPointWithStorage(nil, backend, 0)
-			if err := dp2.RegisterCAWithLayout("CA1", authority.PublicKey(), layout); err != nil {
-				t.Fatalf("reopen: %v", err)
-			}
-			srv2 := httptest.NewServer(Handler(dp2))
-			defer srv2.Close()
+		// Crash + reopen: a brand-new distribution point over the same
+		// durable state. The CA process is NOT involved — the origin
+		// recovers alone, which is the availability story (CDNs keep
+		// serving through CA outages).
+		if err := dp1.Close(); err != nil {
+			t.Fatal(err)
+		}
+		dp2 := NewDistributionPointWithStorage(nil, backend, 0)
+		if err := dp2.RegisterCA("CA1", authority.PublicKey()); err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		srv2 := httptest.NewServer(Handler(dp2))
+		defer srv2.Close()
 
-			req, err := http.NewRequest(http.MethodGet, srv2.URL+"/v1/root?ca=CA1", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			req.Header.Set("If-None-Match", etag)
-			resp2, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp2.Body.Close()
-			if resp2.StatusCode != http.StatusNotModified {
-				t.Fatalf("conditional fetch across origin restart: status %d, want 304", resp2.StatusCode)
-			}
-			if got := resp2.Header.Get("ETag"); got != etag {
-				t.Fatalf("ETag changed across restart: %q → %q", etag, got)
-			}
+		req, err := http.NewRequest(http.MethodGet, srv2.URL+"/v1/root?ca=CA1", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("If-None-Match", etag)
+		resp2, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp2.Body.Close()
+		if resp2.StatusCode != http.StatusNotModified {
+			t.Fatalf("conditional fetch across origin restart: status %d, want 304", resp2.StatusCode)
+		}
+		if got := resp2.Header.Get("ETag"); got != etag {
+			t.Fatalf("ETag changed across restart: %q → %q", etag, got)
+		}
 
-			// And pulls resume exactly where the crashed origin stood: a
-			// puller at the pre-crash count gets an empty suffix, not
-			// ErrAhead.
-			pr, err := dp2.Pull("CA1", 300)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pr.Issuance == nil || len(pr.Issuance.Serials) != 0 || pr.Issuance.Root.N != 300 {
-				t.Fatalf("reopened origin suffix: %+v", pr.Issuance)
-			}
-		})
-	}
-}
-
-// TestDistributionPointReopenColdSyncForest: a cold replica syncing the
-// entire history from a reopened forest origin must converge — the pull
-// carries the recorded batch bounds, so the coalesced catch-up replays
-// the origin's exact bucketization.
-func TestDistributionPointReopenColdSyncForest(t *testing.T) {
-	backend := storage.NewMemory()
-	authority, dp1, _ := newDurableOrigin(t, backend, dictionary.LayoutForest)
-	if err := dp1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	dp2 := NewDistributionPointWithStorage(nil, backend, 0)
-	if err := dp2.RegisterCAWithLayout("CA1", authority.PublicKey(), dictionary.LayoutForest); err != nil {
-		t.Fatal(err)
-	}
-	pr, err := dp2.Pull("CA1", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pr.Bounds) == 0 {
-		t.Fatal("reopened origin serves no batch bounds")
-	}
-	replica := dictionary.NewReplicaWithLayout("CA1", authority.PublicKey(), dictionary.LayoutForest)
-	if err := replica.UpdateWithBounds(pr.Issuance, pr.Bounds); err != nil {
-		t.Fatalf("cold sync from reopened forest origin: %v", err)
-	}
-	if replica.Count() != 300 {
-		t.Fatalf("count = %d, want 300", replica.Count())
-	}
+		// And pulls resume exactly where the crashed origin stood: a
+		// puller at the pre-crash count gets an empty suffix, not
+		// ErrAhead.
+		pr, err := dp2.Pull("CA1", 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pr.Issuance == nil || len(pr.Issuance.Serials) != 0 || pr.Issuance.Root.N != 300 {
+			t.Fatalf("reopened origin suffix: %+v", pr.Issuance)
+		}
+	})
 }
 
 // TestDistributionPointFileBackendRoundTrip runs the reopen path over the
@@ -139,7 +106,7 @@ func TestDistributionPointReopenColdSyncForest(t *testing.T) {
 // the in-memory test double.
 func TestDistributionPointFileBackendRoundTrip(t *testing.T) {
 	backend := storage.NewFileBackend(t.TempDir(), true)
-	authority, dp1, gen := newDurableOrigin(t, backend, dictionary.LayoutForest)
+	authority, dp1, gen := newDurableOrigin(t, backend)
 	want, err := dp1.LatestRoot("CA1")
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +116,7 @@ func TestDistributionPointFileBackendRoundTrip(t *testing.T) {
 	}
 
 	dp2 := NewDistributionPointWithStorage(nil, backend, 0)
-	if err := dp2.RegisterCAWithLayout("CA1", authority.PublicKey(), dictionary.LayoutForest); err != nil {
+	if err := dp2.RegisterCA("CA1", authority.PublicKey()); err != nil {
 		t.Fatalf("reopen from files: %v", err)
 	}
 	defer dp2.Close()

@@ -202,11 +202,8 @@ func (dp *DistributionPoint) AdoptReplicatedState(ca dictionary.CAID, state []by
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownCA, ca)
 	}
-	if st.Layout != r.Layout() {
-		return fmt.Errorf("%w: leader snapshot layout %v, local replica %v", ErrReplicationDiverged, st.Layout, r.Layout())
-	}
 	// The slow part — full anchor-verified replay — runs lock-free; the
-	// trust anchor and layout are immutable per registration.
+	// trust anchor is immutable per registration.
 	restored, err := dictionary.RestoreReplica(ca, r.PublicKey(), st, dp.now().Unix())
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrReplicationDiverged, err)

@@ -99,12 +99,13 @@ func HashIter(h Hash, n int) Hash {
 // Domain separators for the different uses of the hash function. Leaf and
 // interior prefixes follow the standard second-preimage-resistant Merkle
 // construction (RFC 6962 style); the chain prefix isolates freshness chains.
+// 0x03 and 0x04 are retired — they separated the bucket and root
+// commitments of the deleted forest layout — and must never be reused: a
+// hash under either could collide with a commitment an old proof carries.
 const (
-	domainLeaf   = 0x00
-	domainNode   = 0x01
-	domainChain  = 0x02
-	domainBucket = 0x03
-	domainForest = 0x04
+	domainLeaf  = 0x00
+	domainNode  = 0x01
+	domainChain = 0x02
 )
 
 // HashLeaf computes the hash of a Merkle tree leaf with domain separation.
@@ -152,8 +153,8 @@ func appendNode(b []byte, left, right *Hash) []byte {
 // TreeHasher hashes leaves and interior nodes through one reused digest and
 // one preimage buffer. A ∆ rebuild hashes hundreds of thousands of 41-byte
 // nodes, and per node the one-shot sha256.Sum256 spends more time setting a
-// digest up and tearing it down than compressing the single block; a layout
-// owns one TreeHasher and pays that once. The zero value is ready to use;
+// digest up and tearing it down than compressing the single block; a
+// dictionary tree owns one TreeHasher and pays that once. The zero value is ready to use;
 // it is not safe for concurrent use. Results equal HashLeafSerial/HashNode.
 type TreeHasher struct {
 	d   hash.Hash
@@ -179,35 +180,6 @@ func (h *TreeHasher) LeafSerial(serialRaw []byte, num uint64) Hash {
 // Node is HashNode through the reused digest.
 func (h *TreeHasher) Node(left, right *Hash) Hash {
 	return h.hash(appendNode(h.buf[:0], left, right))
-}
-
-// HashBucket commits one bucket of a forest-layout dictionary: its
-// serial-range bounds (empty bytes = unbounded on that side), leaf count,
-// and bucket tree root. The bounds and count are length-prefixed so the
-// encoding is injective, and the domain byte separates bucket commitments
-// from leaves, interior nodes, and chain values.
-func HashBucket(lo, hi []byte, count uint64, root Hash) Hash {
-	buf := make([]byte, 0, 1+2*(binary.MaxVarintLen64+20)+binary.MaxVarintLen64+HashSize)
-	buf = append(buf, domainBucket)
-	buf = binary.AppendUvarint(buf, uint64(len(lo)))
-	buf = append(buf, lo...)
-	buf = binary.AppendUvarint(buf, uint64(len(hi)))
-	buf = append(buf, hi...)
-	buf = binary.AppendUvarint(buf, count)
-	buf = append(buf, root[:]...)
-	return HashBytes(buf)
-}
-
-// HashForestRoot commits a forest-layout dictionary: the bucket count bound
-// to the spine tree root. Binding the count here pins the spine's shape
-// (the odd-promotion rule depends on it), the way a signed tree size does
-// for a flat tree.
-func HashForestRoot(numBuckets uint64, spineRoot Hash) Hash {
-	buf := make([]byte, 0, 1+binary.MaxVarintLen64+HashSize)
-	buf = append(buf, domainForest)
-	buf = binary.AppendUvarint(buf, numBuckets)
-	buf = append(buf, spineRoot[:]...)
-	return HashBytes(buf)
 }
 
 // Chain is a finite hash chain v, H(v), …, Hᵐ(v) owned by a CA. The CA

@@ -29,11 +29,6 @@ type AuthorityConfig struct {
 	// ChainLength is m, the number of freshness periods one signed root
 	// supports. Zero selects DefaultChainLength.
 	ChainLength int
-	// Layout selects the dictionary's commitment structure (zero value:
-	// LayoutSorted). Every replica of this dictionary must be configured
-	// with the same layout — roots are layout-specific, and the Fig 2
-	// signed-root match contract is evaluated against a local rebuild.
-	Layout LayoutKind
 	// Rand is the randomness source for hash-chain seeds; nil selects
 	// crypto/rand.Reader. Tests inject deterministic readers.
 	Rand io.Reader
@@ -79,7 +74,7 @@ func NewAuthority(cfg AuthorityConfig, now int64) (*Authority, error) {
 	if cfg.Rand == nil {
 		cfg.Rand = rand.Reader
 	}
-	a := &Authority{cfg: cfg, tree: NewTreeWithLayout(cfg.Layout)}
+	a := &Authority{cfg: cfg, tree: NewTree()}
 	if err := a.rotateChainAndSign(now); err != nil {
 		return nil, err
 	}
@@ -95,12 +90,8 @@ func (a *Authority) PublicKey() ed25519.PublicKey { return a.cfg.Signer.Public()
 // Delta returns the CA's dissemination interval ∆.
 func (a *Authority) Delta() time.Duration { return a.cfg.Delta }
 
-// Layout returns the dictionary's commitment layout.
-func (a *Authority) Layout() LayoutKind { return a.cfg.Layout }
-
 // HashedNodes returns the cumulative hash computations the dictionary has
-// performed across inserts — the per-∆-cycle cost the layout ablation
-// tracks.
+// performed across inserts — the per-∆-cycle rebuild cost.
 func (a *Authority) HashedNodes() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -12,10 +12,6 @@ import (
 const testDelta = 10 * time.Second
 
 func newTestAuthority(t *testing.T, now int64) *Authority {
-	return newTestAuthorityWithLayout(t, now, LayoutSorted)
-}
-
-func newTestAuthorityWithLayout(t *testing.T, now int64, kind LayoutKind) *Authority {
 	t.Helper()
 	signer, err := cryptoutil.NewSigner(nil)
 	if err != nil {
@@ -26,7 +22,6 @@ func newTestAuthorityWithLayout(t *testing.T, now int64, kind LayoutKind) *Autho
 		Signer:      signer,
 		Delta:       testDelta,
 		ChainLength: 16,
-		Layout:      kind,
 	}, now)
 	if err != nil {
 		t.Fatal(err)
@@ -338,40 +333,34 @@ func TestFreshnessStatementCodecRoundTrip(t *testing.T) {
 func TestStatusSizeMatchesPaperBallpark(t *testing.T) {
 	// §VII-D: for the largest CRL (339,557 entries) a revocation status is
 	// 500–900 bytes. Measured here at that size with 16-byte serials (what
-	// bench/ draws), per layout, as the mean over 2,048 revoked and 2,048
-	// absent serials: sorted 549 B present / 572 B absent, forest 585 / 607 B.
-	// The two leaves bracketing an absent serial share one audit path, which
-	// averages exactly as many hashes as a presence proof's, so absence costs
-	// the second leaf (≈ 22 B) — not a second path (≈ 400 B).
+	// bench/ draws), as the mean over 2,048 revoked and 2,048 absent serials:
+	// 549 B present / 572 B absent. The two leaves bracketing an absent serial
+	// share one audit path, which averages exactly as many hashes as a
+	// presence proof's, so absence costs the second leaf (≈ 22 B) — not a
+	// second path (≈ 400 B).
 	const n = 339_557
 	corpus := serial.NewGenerator(1, serial.SizeDistribution{{Bytes: 16, Weight: 1}}).NextN(n + 2048)
-	for _, tc := range []struct {
-		kind      LayoutKind
-		maxAbsent float64
-	}{{LayoutSorted, 600}, {LayoutForest, 650}} {
-		a := newTestAuthorityWithLayout(t, 0, tc.kind)
-		if _, err := a.Insert(corpus[:n], 0); err != nil {
-			t.Fatal(err)
-		}
-		mean := func(probes []serial.Number, revoked bool) float64 {
-			total := 0
-			for _, s := range probes {
-				if a.Revoked(s) != revoked {
-					t.Fatalf("%v: probe %v revoked = %v", tc.kind, s, !revoked)
-				}
-				st, err := a.Prove(s, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				total += len(st.Encode())
+	a := newTestAuthority(t, 0)
+	if _, err := a.Insert(corpus[:n], 0); err != nil {
+		t.Fatal(err)
+	}
+	mean := func(probes []serial.Number, revoked bool) float64 {
+		total := 0
+		for _, s := range probes {
+			if a.Revoked(s) != revoked {
+				t.Fatalf("probe %v revoked = %v", s, !revoked)
 			}
-			return float64(total) / float64(len(probes))
+			st, err := a.Prove(s, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += len(st.Encode())
 		}
-		present, absent := mean(corpus[:2048], true), mean(corpus[n:], false)
-		t.Logf("%v: mean status %.1f B present, %.1f B absent", tc.kind, present, absent)
-		if present < 500 || absent > tc.maxAbsent || absent-present > 60 {
-			t.Errorf("%v: mean status %.1f B present, %.1f B absent; want ≥ 500, ≤ %.0f and at most 60 B apart",
-				tc.kind, present, absent, tc.maxAbsent)
-		}
+		return float64(total) / float64(len(probes))
+	}
+	present, absent := mean(corpus[:2048], true), mean(corpus[n:], false)
+	t.Logf("mean status %.1f B present, %.1f B absent", present, absent)
+	if present < 500 || absent > 600 || absent-present > 60 {
+		t.Errorf("mean status %.1f B present, %.1f B absent; want ≥ 500, ≤ 600 and at most 60 B apart", present, absent)
 	}
 }

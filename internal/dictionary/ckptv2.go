@@ -16,16 +16,16 @@ import (
 // deserialization. It persists the commitment structure itself (not just
 // the issuance log, which would make recovery replay it — O(n) hashing) in
 // fixed-width, offset-computable records — the very byte layout a run keeps
-// in memory (layout.go) — so that:
+// in memory (run.go) — so that:
 //
 //   - encoding is one memmove per section (per level, for hash levels) plus
 //     the CRCs, with nothing converted;
 //   - a restart keeps the checkpoint buffer as the tree it serves and
 //     inserts into (map-don't-replay), copying and rehashing nothing, and
 //   - a co-located reader (OpenMappedReplica) serves Prove/Status straight
-//     off the mapped bytes: a leaf lookup, an inclusion/absence path, and a
-//     bucket-range probe are each O(log n) arithmetic over []byte, with zero
-//     per-process heap for the dictionary.
+//     off the mapped bytes: a leaf lookup and an inclusion/absence path are
+//     each O(log n) arithmetic over []byte, with zero per-process heap for
+//     the dictionary.
 //
 // Layout. The payload opens with an 8-byte magic, a section count, and a
 // fixed-width section table; every section is CRC-framed and starts at an
@@ -40,21 +40,14 @@ import (
 //	sectionCount × { id u32, crc32(section) u32, offset u64, length u64 }
 //	...sections, each 8-byte aligned...
 //
-// Sections (ids below; 4–6 exist only for the forest layout):
+// Sections (ids below; 4–6 held the retired forest layout's bucket
+// directory, bucket levels and spine, and are never reused):
 //
-//	header       layout u32 | flags u32 | count u64
+//	header       layout u32 (0, sorted) | flags u32 | count u64
 //	leaves       count × 32 B { num u64, serialLen u8, pad[3], serial[20] },
 //	             sorted ascending by serial; num inverts to the issuance log
-//	levels       sorted: every interior level, level 0 (leaf hashes) first,
-//	             ceil-halved up to the root — sizes derivable from count.
-//	             forest: the global leaf-hash array only (each bucket's
-//	             level 0 is a contiguous slice of it, because buckets tile
-//	             the sorted leaf order)
-//	bucketdir    nb × 96 B { leafStart u64, leafCount u64, levelsOff u64,
-//	             loLen u8, hiLen u8, pad[6], lo[20], hi[20], node[20], pad[4] }
-//	bucketlevels the interior levels (level ≥ 1) of every bucket,
-//	             concatenated in directory order at levelsOff
-//	spine        the spine levels, level 0 (bucket nodes) first
+//	levels       every level, level 0 (leaf hashes) first, ceil-halved up to
+//	             the root — sizes derivable from count
 //	batches      nBatches × u64, the cumulative insertion-batch bounds
 //	root         treeRoot[20] | freshness[20] | hasRoot u8 | hasSeed u8 |
 //	             pad[2] | rootLen u32 | SignedRoot.Encode() | seed[20]?
@@ -80,28 +73,25 @@ var stateV2Magic = []byte("RITMDV2\x00")
 
 // v2 section identifiers.
 const (
-	v2SecHeader       = 1
-	v2SecLeaves       = 2
-	v2SecLevels       = 3
-	v2SecBucketDir    = 4
-	v2SecBucketLevels = 5
-	v2SecSpine        = 6
-	v2SecBatches      = 7
-	v2SecRoot         = 8
+	v2SecHeader  = 1
+	v2SecLeaves  = 2
+	v2SecLevels  = 3
+	v2SecBatches = 7
+	v2SecRoot    = 8
 )
 
 // Fixed record sizes of the v2 format.
 const (
-	v2LeafRecSize   = 32
-	v2BucketRecSize = 96
-	v2TableEntry    = 24
-	v2HeaderLen     = 16 // magic + count + reserved
+	v2LeafRecSize = 32
+	v2TableEntry  = 24
+	v2HeaderLen   = 16 // magic + count + reserved
 )
 
 // ErrBadCheckpoint reports a checkpoint payload that is not in format v2
-// or fails structural validation (framing, CRC, ordering, or tiling
-// invariants). Callers treat it like any other corruption: refuse loudly,
-// never degrade silently — and never read it as empty state.
+// or fails structural validation (framing, CRC, ordering), or that commits
+// a layout other than the sorted tree. Callers treat it like any other
+// corruption: refuse loudly, never degrade silently — and never read it as
+// empty state.
 var ErrBadCheckpoint = errors.New("dictionary: malformed v2 checkpoint")
 
 // IsStateV2 reports whether buf begins with the v2 checkpoint magic.
@@ -124,10 +114,11 @@ func totalLevelNodes(n int) int {
 	return total
 }
 
-// splitLevels appends to levels one capacity-capped slice per level of a
-// section that stores the levels of a tree whose lowest stored level holds
-// n ≥ 1 nodes, that level first, up to the single root.
-func splitLevels(section []byte, n int, levels [][]byte) [][]byte {
+// splitLevels returns one capacity-capped slice per level of a section that
+// stores the levels of a tree over n ≥ 1 leaves, level 0 first, up to the
+// single root.
+func splitLevels(section []byte, n int) [][]byte {
+	var levels [][]byte
 	for width := n; ; width = (width + 1) / 2 {
 		size := width * cryptoutil.HashSize
 		levels = append(levels, section[:size:size])
@@ -135,12 +126,6 @@ func splitLevels(section []byte, n int, levels [][]byte) [][]byte {
 			return levels
 		}
 	}
-}
-
-// interiorLevelBytes returns the encoded size of levels ≥ 1 of a tree with
-// n leaves — a bucket's share of the bucketlevels blob.
-func interiorLevelBytes(n int) int {
-	return (totalLevelNodes(n) - n) * cryptoutil.HashSize
 }
 
 func align8(n int) int { return (n + 7) &^ 7 }
@@ -217,77 +202,24 @@ func encodeRootSection(treeRoot, freshness cryptoutil.Hash, root *SignedRoot, se
 }
 
 // encodeStateV2 serializes one committed dictionary version in checkpoint
-// format v2. view must be the frozen LayoutView the other arguments are
-// consistent with (same publication).
-func encodeStateV2(layout LayoutKind, view LayoutView, bounds []uint64, root *SignedRoot, freshness cryptoutil.Hash, seed *cryptoutil.Hash) []byte {
+// format v2. v must be the frozen run the other arguments are consistent
+// with (same publication).
+func encodeStateV2(v run, bounds []uint64, root *SignedRoot, freshness cryptoutil.Hash, seed *cryptoutil.Hash) []byte {
 	le := binary.LittleEndian
-	count := 0 // set per layout below; sections are filled only once all are sized
-	secs := []v2Section{{v2SecHeader, 16, func(dst []byte) {
-		le.PutUint32(dst, uint32(layout))
-		le.PutUint64(dst[8:], uint64(count))
-	}}}
-
-	switch v := view.(type) {
-	case *sortedView:
-		count = v.count()
-		secs = append(secs,
-			v2Section{v2SecLeaves, len(v.recs), func(dst []byte) { copy(dst, v.recs) }},
-			v2Section{v2SecLevels, totalLevelNodes(count) * cryptoutil.HashSize, func(dst []byte) { putBytes(dst, v.levels...) }})
-
-	case *forestView:
-		blobLen := 0
-		for _, b := range v.buckets {
-			count += b.tree.count()
-			blobLen += interiorLevelBytes(b.tree.count())
-		}
-		secs = append(secs,
-			v2Section{v2SecLeaves, count * v2LeafRecSize, func(dst []byte) {
-				for _, b := range v.buckets {
-					dst = dst[copy(dst, b.tree.recs):]
-				}
-			}},
-			v2Section{v2SecLevels, count * cryptoutil.HashSize, func(dst []byte) {
-				for _, b := range v.buckets {
-					dst = dst[copy(dst, b.tree.levels[0]):]
-				}
-			}},
-			v2Section{v2SecBucketDir, len(v.buckets) * v2BucketRecSize, func(dst []byte) {
-				leafStart, levelsOff := 0, 0
-				for bi, b := range v.buckets {
-					rec := dst[bi*v2BucketRecSize:]
-					le.PutUint64(rec, uint64(leafStart))
-					le.PutUint64(rec[8:], uint64(b.tree.count()))
-					le.PutUint64(rec[16:], uint64(levelsOff))
-					lo, hi := b.lo.Raw(), b.hi.Raw()
-					rec[24], rec[25] = byte(len(lo)), byte(len(hi))
-					copy(rec[32:], lo)
-					copy(rec[52:], hi)
-					copy(rec[72:], b.node[:])
-					leafStart += b.tree.count()
-					levelsOff += interiorLevelBytes(b.tree.count())
-				}
-			}},
-			v2Section{v2SecBucketLevels, blobLen, func(dst []byte) {
-				for _, b := range v.buckets {
-					dst = dst[putBytes(dst, b.tree.levels[1:]...):]
-				}
-			}},
-			v2Section{v2SecSpine, totalLevelNodes(len(v.buckets)) * cryptoutil.HashSize, func(dst []byte) { putBytes(dst, v.spine.levels...) }})
-
-	default:
-		// Unreachable for the layouts this package defines.
-		panic(fmt.Sprintf("dictionary: encodeStateV2 over unknown view %T", view))
-	}
-
-	rootSec := encodeRootSection(view.Root(), freshness, root, seed)
-	secs = append(secs,
-		v2Section{v2SecBatches, len(bounds) * 8, func(dst []byte) {
+	count := v.count()
+	rootSec := encodeRootSection(v.root(), freshness, root, seed)
+	return encodeV2Sections([]v2Section{
+		// The layout field stays 0, the sorted tree.
+		{v2SecHeader, 16, func(dst []byte) { le.PutUint64(dst[8:], uint64(count)) }},
+		{v2SecLeaves, len(v.recs), func(dst []byte) { copy(dst, v.recs) }},
+		{v2SecLevels, totalLevelNodes(count) * cryptoutil.HashSize, func(dst []byte) { putBytes(dst, v.levels...) }},
+		{v2SecBatches, len(bounds) * 8, func(dst []byte) {
 			for i, b := range bounds {
 				le.PutUint64(dst[i*8:], b)
 			}
 		}},
-		v2Section{v2SecRoot, len(rootSec), func(dst []byte) { copy(dst, rootSec) }})
-	return encodeV2Sections(secs)
+		{v2SecRoot, len(rootSec), func(dst []byte) { copy(dst, rootSec) }},
+	})
 }
 
 // PersistentStateV2 exports the replica's current committed state encoded
@@ -297,7 +229,7 @@ func encodeStateV2(layout LayoutKind, view LayoutView, bounds []uint64, root *Si
 // mappable (OpenMappedReplica) and the restart replay-free.
 func (r *Replica) PersistentStateV2() []byte {
 	snap := r.Snapshot()
-	return encodeStateV2(r.layoutKind, snap.view, snap.bounds, snap.root, snap.freshness, nil)
+	return encodeStateV2(snap.view, snap.bounds, snap.root, snap.freshness, nil)
 }
 
 // PersistentStateV2 exports the authority's committed state — structure,
@@ -306,7 +238,7 @@ func (a *Authority) PersistentStateV2() []byte {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	seed := a.chain.Seed()
-	return encodeStateV2(a.cfg.Layout, a.tree.view(), append([]uint64(nil), a.tree.BatchBounds()...), a.root, cryptoutil.Hash{}, &seed)
+	return encodeStateV2(a.tree.view(), a.tree.bounds, a.root, cryptoutil.Hash{}, &seed)
 }
 
 // MappedState is a validated, zero-copy view of one v2 checkpoint payload.
@@ -316,18 +248,10 @@ func (a *Authority) PersistentStateV2() []byte {
 // the caller owns its lifetime and must keep it valid for the life of the
 // MappedState and everything derived from it.
 type MappedState struct {
-	layout LayoutKind
-	count  int
+	count int
 
 	leaves []byte // section 2: count × 32 B records
-	levels []byte // section 3: global hash array(s)
-
-	// Forest layout.
-	nb    int
-	dir   []byte // section 4
-	blob  []byte // section 5
-	spine []byte // section 6
-
+	levels []byte // section 3: every hash level
 	bounds []byte // section 7: nBatches × u64
 
 	treeRoot  cryptoutil.Hash
@@ -335,9 +259,6 @@ type MappedState struct {
 	root      *SignedRoot
 	seed      *cryptoutil.Hash
 }
-
-// Layout returns the layout descriptor the checkpoint was built with.
-func (st *MappedState) Layout() LayoutKind { return st.layout }
 
 // Count returns the number of revocations in the checkpoint.
 func (st *MappedState) Count() uint64 { return uint64(st.count) }
@@ -356,8 +277,8 @@ func (st *MappedState) Freshness() cryptoutil.Hash { return st.freshness }
 // replica-side checkpoints.
 func (st *MappedState) ChainSeed() *cryptoutil.Hash { return st.seed }
 
-// Batches materializes the insertion-batch bounds.
-func (st *MappedState) Batches() []uint64 {
+// batches materializes the insertion-batch bounds.
+func (st *MappedState) batches() []uint64 {
 	n := len(st.bounds) / 8
 	if n == 0 {
 		return nil
@@ -369,80 +290,12 @@ func (st *MappedState) Batches() []uint64 {
 	return out
 }
 
-// sortedRun returns the whole dictionary as the sorted layout's one run,
-// its sections read in place.
-func (st *MappedState) sortedRun() run {
+// run returns the whole dictionary as one run, its sections read in place.
+func (st *MappedState) run() run {
 	if st.count == 0 {
 		return run{}
 	}
-	return run{recs: st.leaves, levels: splitLevels(st.levels, st.count, nil)}
-}
-
-// spineRun returns the forest's spine as a leafless run, read in place.
-func (st *MappedState) spineRun() run {
-	if st.nb == 0 {
-		return run{}
-	}
-	return run{levels: splitLevels(st.spine, st.nb, nil)}
-}
-
-// bucketRec returns the raw 96-byte directory record of bucket bi.
-func (st *MappedState) bucketRec(bi int) []byte {
-	return st.dir[bi*v2BucketRecSize : (bi+1)*v2BucketRecSize]
-}
-
-// bucketLo returns bucket bi's lower bound (empty = unbounded), aliasing
-// the directory.
-func (st *MappedState) bucketLo(bi int) []byte {
-	rec := st.bucketRec(bi)
-	return rec[32 : 32+rec[24]]
-}
-
-// bucket decodes directory entry bi into a bucket that reads the
-// checkpoint in place: its records and level 0 are its slices of the global
-// sections, its levels ≥ 1 live in the blob, and its bounds alias the
-// directory. The level slice headers are appended to levels.
-func (st *MappedState) bucket(bi int, levels [][]byte) forestBucket {
-	rec := st.bucketRec(bi)
-	le := binary.LittleEndian
-	start, n := int(le.Uint64(rec)), int(le.Uint64(rec[8:]))
-	end := start + n
-	levels = append(levels, st.levels[start*cryptoutil.HashSize:end*cryptoutil.HashSize:end*cryptoutil.HashSize])
-	if n > 1 {
-		levels = splitLevels(st.blob[le.Uint64(rec[16:]):], (n+1)/2, levels)
-	}
-	b := forestBucket{
-		lo:   viewSerial(st.bucketLo(bi)),
-		hi:   viewSerial(rec[52 : 52+rec[25]]),
-		tree: run{recs: st.leaves[start*v2LeafRecSize : end*v2LeafRecSize : end*v2LeafRecSize], levels: levels},
-	}
-	copy(b.node[:], rec[72:])
-	return b
-}
-
-// view returns the LayoutView proving straight off the checkpoint bytes.
-func (st *MappedState) view() LayoutView {
-	if st.layout.base() == LayoutForest {
-		return &forestView{dir: st, spine: st.spineRun(), root: st.treeRoot}
-	}
-	return &sortedView{st.sortedRun()}
-}
-
-// mutableLayout returns a mutable layout holding the checkpoint's state with
-// zero rehashing and zero copying: the sorted layout's one run and the
-// forest's directory read the checkpoint's sections as they are, and an
-// insert writes fresh arrays for what it rewrites (the sorted run; a
-// forest's spine and the buckets it lands in), reading the checkpoint like
-// any exposed version.
-func (st *MappedState) mutableLayout() Layout {
-	if st.layout.base() != LayoutForest {
-		return &sortedLayout{tree: st.sortedRun()}
-	}
-	f := newForestLayout(st.layout)
-	if st.nb > 0 {
-		f.base, f.root = st, st.treeRoot
-	}
-	return f
+	return run{recs: st.leaves, levels: splitLevels(st.levels, st.count)}
 }
 
 // sectionTable maps section ids to payload slices after bounds and CRC
@@ -483,11 +336,11 @@ func sectionTable(buf []byte) (map[uint32][]byte, error) {
 }
 
 // OpenMappedState validates a v2 checkpoint payload and returns its
-// zero-copy view. Validation is structural — framing, section CRCs,
-// leaf ordering, bucket tiling, and the recorded root's consistency with
-// the stored top-level hash — and deliberately NOT a rehash of the
-// interior (see the package trust note above). buf is retained; it must
-// stay valid (and unmodified) for the life of the result.
+// zero-copy view. Validation is structural — framing, section CRCs, leaf
+// ordering, and the recorded root's consistency with the stored top-level
+// hash — and deliberately NOT a rehash of the interior (see the package
+// trust note above). buf is retained; it must stay valid (and unmodified)
+// for the life of the result.
 func OpenMappedState(buf []byte) (*MappedState, error) {
 	secs, err := sectionTable(buf)
 	if err != nil {
@@ -499,13 +352,10 @@ func OpenMappedState(buf []byte) (*MappedState, error) {
 	if !ok || len(header) != 16 {
 		return nil, fmt.Errorf("%w: missing or misshapen header section", ErrBadCheckpoint)
 	}
-	st := &MappedState{layout: LayoutKind(le.Uint32(header))}
-	// Only descriptors a writer can hold: an unknown kind, stray bits on a
-	// sorted descriptor and a forest capacity LayoutForestWithCap would have
-	// clamped or normalized all fail the comparison.
-	if st.layout != LayoutSorted && st.layout != LayoutForestWithCap(st.layout.ForestCap()) {
-		return nil, fmt.Errorf("%w: unknown layout %v", ErrBadCheckpoint, st.layout)
+	if layout := le.Uint32(header); layout != 0 {
+		return nil, fmt.Errorf("%w: layout %d is not the sorted tree (1 was the retired forest layout); wipe the data dir", ErrBadCheckpoint, layout)
 	}
+	st := &MappedState{}
 	count := le.Uint64(header[8:])
 	const maxLog = 1 << 28
 	if count > maxLog {
@@ -538,15 +388,7 @@ func OpenMappedState(buf []byte) (*MappedState, error) {
 	}
 
 	st.levels, ok = secs[v2SecLevels]
-	if !ok {
-		return nil, fmt.Errorf("%w: missing levels section", ErrBadCheckpoint)
-	}
-
-	if st.layout.base() == LayoutForest {
-		if err := st.openForest(secs); err != nil {
-			return nil, err
-		}
-	} else if len(st.levels) != totalLevelNodes(st.count)*cryptoutil.HashSize {
+	if !ok || len(st.levels) != totalLevelNodes(st.count)*cryptoutil.HashSize {
 		return nil, fmt.Errorf("%w: levels section holds %d bytes, want %d", ErrBadCheckpoint, len(st.levels), totalLevelNodes(st.count)*cryptoutil.HashSize)
 	}
 
@@ -574,94 +416,6 @@ func OpenMappedState(buf []byte) (*MappedState, error) {
 		return nil, err
 	}
 	return st, nil
-}
-
-// openForest validates the forest-only sections: the bucket directory's
-// tiling invariants, the per-bucket interior-level blob, and the spine.
-func (st *MappedState) openForest(secs map[uint32][]byte) error {
-	le := binary.LittleEndian
-	if len(st.levels) != st.count*cryptoutil.HashSize {
-		return fmt.Errorf("%w: leaf-hash section holds %d bytes, want %d", ErrBadCheckpoint, len(st.levels), st.count*cryptoutil.HashSize)
-	}
-	var ok bool
-	st.dir, ok = secs[v2SecBucketDir]
-	if !ok || len(st.dir)%v2BucketRecSize != 0 {
-		return fmt.Errorf("%w: missing or misshapen bucket directory", ErrBadCheckpoint)
-	}
-	st.nb = len(st.dir) / v2BucketRecSize
-	st.blob, ok = secs[v2SecBucketLevels]
-	if !ok {
-		return fmt.Errorf("%w: missing bucket-levels section", ErrBadCheckpoint)
-	}
-	st.spine, ok = secs[v2SecSpine]
-	if !ok {
-		return fmt.Errorf("%w: missing spine section", ErrBadCheckpoint)
-	}
-	if st.count == 0 {
-		if st.nb != 0 || len(st.blob) != 0 || len(st.spine) != 0 {
-			return fmt.Errorf("%w: empty forest with structure sections", ErrBadCheckpoint)
-		}
-		return nil
-	}
-	if st.nb == 0 {
-		return fmt.Errorf("%w: %d leaves but no buckets", ErrBadCheckpoint, st.count)
-	}
-	cap := st.layout.ForestCap()
-	leafStart, levelsOff := 0, 0
-	var prevHi []byte
-	for bi := 0; bi < st.nb; bi++ {
-		rec := st.bucketRec(bi)
-		loLen, hiLen := int(rec[24]), int(rec[25])
-		if loLen > serial.MaxLen || hiLen > serial.MaxLen ||
-			(loLen > 1 && rec[32] == 0) || (hiLen > 1 && rec[52] == 0) {
-			return fmt.Errorf("%w: bucket %d bound encoding", ErrBadCheckpoint, bi)
-		}
-		lo, hi := rec[32:32+loLen], rec[52:52+hiLen]
-		switch {
-		case bi == 0 && loLen != 0:
-			return fmt.Errorf("%w: first bucket bounded below", ErrBadCheckpoint)
-		case bi > 0 && !bytes.Equal(prevHi, lo):
-			return fmt.Errorf("%w: buckets %d/%d do not tile", ErrBadCheckpoint, bi-1, bi)
-		case bi == st.nb-1 && hiLen != 0:
-			return fmt.Errorf("%w: last bucket bounded above", ErrBadCheckpoint)
-		case bi < st.nb-1 && hiLen == 0:
-			return fmt.Errorf("%w: interior bucket %d unbounded above", ErrBadCheckpoint, bi)
-		}
-		prevHi = hi
-		start := int(le.Uint64(rec))
-		n := int(le.Uint64(rec[8:]))
-		off := int(le.Uint64(rec[16:]))
-		if start != leafStart || n < 1 || n > cap || leafStart+n > st.count {
-			return fmt.Errorf("%w: bucket %d leaf range [%d,+%d) inconsistent", ErrBadCheckpoint, bi, start, n)
-		}
-		if off != levelsOff || levelsOff+interiorLevelBytes(n) > len(st.blob) {
-			return fmt.Errorf("%w: bucket %d levels offset %d inconsistent", ErrBadCheckpoint, bi, off)
-		}
-		// Boundary containment: the bucket's first and last leaves must fall
-		// in [lo, hi). Interior leaves are sorted (validated globally), so
-		// the two checks cover the bucket.
-		if loLen != 0 && compareRaw(recSerial(st.leaves, leafStart), lo) < 0 {
-			return fmt.Errorf("%w: bucket %d leaf below range", ErrBadCheckpoint, bi)
-		}
-		if hiLen != 0 && compareRaw(recSerial(st.leaves, leafStart+n-1), hi) >= 0 {
-			return fmt.Errorf("%w: bucket %d leaf at/above range", ErrBadCheckpoint, bi)
-		}
-		leafStart += n
-		levelsOff += interiorLevelBytes(n)
-	}
-	if leafStart != st.count || levelsOff != len(st.blob) {
-		return fmt.Errorf("%w: buckets cover %d leaves / %d level bytes, want %d / %d", ErrBadCheckpoint, leafStart, levelsOff, st.count, len(st.blob))
-	}
-	if len(st.spine) != totalLevelNodes(st.nb)*cryptoutil.HashSize {
-		return fmt.Errorf("%w: spine section holds %d bytes, want %d", ErrBadCheckpoint, len(st.spine), totalLevelNodes(st.nb)*cryptoutil.HashSize)
-	}
-	// The spine's level 0 must be the bucket commitments.
-	for bi := 0; bi < st.nb; bi++ {
-		if !bytes.Equal(st.spine[bi*cryptoutil.HashSize:(bi+1)*cryptoutil.HashSize], st.bucketRec(bi)[72:72+cryptoutil.HashSize]) {
-			return fmt.Errorf("%w: spine[0][%d] does not match bucket node", ErrBadCheckpoint, bi)
-		}
-	}
-	return nil
 }
 
 // openRoot validates the root section and checks the recorded structural
@@ -700,17 +454,11 @@ func (st *MappedState) openRoot(secs map[uint32][]byte) error {
 	}
 
 	// Structural root consistency: the recorded root must be what the
-	// stored arrays commit to — the last node of the levels (of the spine)
-	// section, which stores the root level last.
-	top := func(section []byte) cryptoutil.Hash { return *nodeAt(section, len(section)/cryptoutil.HashSize-1) }
-	var computed cryptoutil.Hash
-	switch {
-	case st.count == 0:
-		computed = EmptyRoot
-	case st.layout.base() == LayoutForest:
-		computed = cryptoutil.HashForestRoot(uint64(st.nb), top(st.spine))
-	default:
-		computed = top(st.levels)
+	// stored arrays commit to — the last node of the levels section, which
+	// stores the root level last.
+	computed := EmptyRoot
+	if st.count > 0 {
+		computed = *nodeAt(st.levels, len(st.levels)/cryptoutil.HashSize-1)
 	}
 	if !computed.Equal(st.treeRoot) {
 		return fmt.Errorf("%w: recorded root does not match stored structure", ErrBadCheckpoint)

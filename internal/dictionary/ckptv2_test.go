@@ -15,13 +15,13 @@ import (
 	"ritm/internal/storage"
 )
 
-// mappedFixture builds an authority and a fully caught-up heap replica
-// for kind, inserting batches in order and returning the per-batch
-// issuance messages (the same messages a WAL would carry).
-func mappedFixture(t *testing.T, kind LayoutKind, batches [][]serial.Number, now int64) (*Authority, *Replica, []*IssuanceMessage) {
+// mappedFixture builds an authority and a fully caught-up heap replica,
+// inserting batches in order and returning the per-batch issuance messages
+// (the same messages a WAL would carry).
+func mappedFixture(t *testing.T, batches [][]serial.Number, now int64) (*Authority, *Replica, []*IssuanceMessage) {
 	t.Helper()
-	a := newTestAuthorityWithLayout(t, now, kind)
-	r := NewReplicaWithLayout(a.CA(), a.PublicKey(), kind)
+	a := newTestAuthority(t, now)
+	r := NewReplica(a.CA(), a.PublicKey())
 	msgs := make([]*IssuanceMessage, 0, len(batches))
 	for _, b := range batches {
 		msg, err := a.Insert(b, now)
@@ -36,8 +36,7 @@ func mappedFixture(t *testing.T, kind LayoutKind, batches [][]serial.Number, now
 	return a, r, msgs
 }
 
-// fixtureBatches deals out enough serials, in uneven batches, to force a
-// multi-bucket forest at the default capacity.
+// fixtureBatches deals out serials in uneven batches.
 func fixtureBatches(seed uint64, sizes []int) [][]serial.Number {
 	gen := serial.NewGenerator(seed, nil)
 	out := make([][]serial.Number, len(sizes))
@@ -46,8 +45,6 @@ func fixtureBatches(seed uint64, sizes []int) [][]serial.Number {
 	}
 	return out
 }
-
-func layoutKinds() []LayoutKind { return []LayoutKind{LayoutSorted, LayoutForest} }
 
 // requireSameStatus asserts that the heap and mapped paths produce
 // byte-identical Status messages for s — same proof shape, same root,
@@ -69,9 +66,9 @@ func requireSameStatus(t *testing.T, heap, mapped *Snapshot, s serial.Number) {
 
 // openMapped is the co-located reader's path: a replica over the checkpoint
 // bytes plus the WAL suffix, frozen as the snapshot it serves.
-func openMapped(t *testing.T, a *Authority, kind LayoutKind, state []byte, wal [][]byte, now int64) *Snapshot {
+func openMapped(t *testing.T, a *Authority, state []byte, wal [][]byte, now int64) *Snapshot {
 	t.Helper()
-	r, err := OpenMappedReplica(a.CA(), a.PublicKey(), kind, state, wal, now)
+	r, err := OpenMappedReplica(a.CA(), a.PublicKey(), state, wal, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,108 +76,73 @@ func openMapped(t *testing.T, a *Authority, kind LayoutKind, state []byte, wal [
 }
 
 // pureMapped reports whether a snapshot proves off checkpoint bytes alone,
-// nothing of the dictionary rebuilt onto the heap: a sorted run whose records
-// run straight into its level 0, as the leaf and level sections of a
-// checkpoint image do (sortedRun leaves the records' capacity uncapped;
-// arrays a rebuild allocates are never adjacent), or a forest served off its
-// directory.
+// nothing of the dictionary rebuilt onto the heap: a run whose records run
+// straight into its level 0, as the leaf and level sections of a checkpoint
+// image do (MappedState.run leaves the records' capacity uncapped; arrays a
+// rebuild allocates are never adjacent).
 func pureMapped(s *Snapshot) bool {
-	switch v := s.view.(type) {
-	case *sortedView:
-		recs := v.recs
-		return v.count() > 0 && len(recs) < cap(recs) && &recs[:len(recs)+1][len(recs)] == &v.levels[0][0]
-	case *forestView:
-		return v.dir != nil
-	}
-	return false
+	recs := s.view.recs
+	return s.view.count() > 0 && len(recs) < cap(recs) && &recs[:len(recs)+1][len(recs)] == &s.view.levels[0][0]
 }
 
 func TestMappedReplicaAgreement(t *testing.T) {
 	now := int64(1_700_000_000)
 	sizes := []int{3, 190, 71, 256, 44, 130, 9, 280}
-	roots := make(map[LayoutKind]*Snapshot)
-	queries := make(map[LayoutKind][]serial.Number)
-	for _, kind := range layoutKinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			batches := fixtureBatches(0xD1C7, sizes)
-			a, r, _ := mappedFixture(t, kind, batches, now)
+	t.Run("sorted", func(t *testing.T) {
+		batches := fixtureBatches(0xD1C7, sizes)
+		a, r, _ := mappedFixture(t, batches, now)
 
-			// Advance two periods and adopt a freshness statement so the
-			// checkpoint carries a non-anchor value the mapped opener must
-			// re-verify and keep.
-			later := now + 2*int64(testDelta.Seconds())
-			stmt, err := a.Statement(later)
+		// Advance two periods and adopt a freshness statement so the
+		// checkpoint carries a non-anchor value the mapped opener must
+		// re-verify and keep.
+		later := now + 2*int64(testDelta.Seconds())
+		stmt, err := a.Statement(later)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.ApplyFreshness(stmt, later); err != nil {
+			t.Fatal(err)
+		}
+
+		heap := r.Snapshot()
+		ms := openMapped(t, a, r.PersistentStateV2(), nil, later)
+		if ms.Count() != heap.Count() {
+			t.Fatalf("mapped count %d, heap %d", ms.Count(), heap.Count())
+		}
+		if !ms.RootHash().Equal(heap.RootHash()) {
+			t.Fatal("mapped root hash differs from heap")
+		}
+		if !ms.Freshness().Equal(heap.Freshness()) || ms.FreshnessPeriod() != heap.FreshnessPeriod() {
+			t.Fatalf("mapped freshness (%v, %d), heap (%v, %d)",
+				ms.Freshness(), ms.FreshnessPeriod(), heap.Freshness(), heap.FreshnessPeriod())
+		}
+		if !pureMapped(ms) {
+			t.Fatal("a re-map with an empty WAL suffix copied dictionary state onto the heap")
+		}
+
+		var qs []serial.Number
+		for _, b := range batches {
+			qs = append(qs, b[0], b[len(b)-1], b[len(b)/2])
+		}
+		qs = append(qs, serial.NewGenerator(0xAB5E17, nil).NextN(64)...)
+		for _, s := range qs {
+			requireSameStatus(t, heap, ms, s)
+			if ms.Revoked(s) != heap.Revoked(s) {
+				t.Fatalf("Revoked(%v) disagrees", s)
+			}
+			st, err := ms.Prove(s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := r.ApplyFreshness(stmt, later); err != nil {
-				t.Fatal(err)
+			res, err := st.Check(s, a.PublicKey(), later)
+			if err != nil {
+				t.Fatalf("Check(%v): %v", s, err)
 			}
-
-			heap := r.Snapshot()
-			ms := openMapped(t, a, kind, r.PersistentStateV2(), nil, later)
-			if ms.Count() != heap.Count() {
-				t.Fatalf("mapped count %d, heap %d", ms.Count(), heap.Count())
-			}
-			if !ms.RootHash().Equal(heap.RootHash()) {
-				t.Fatal("mapped root hash differs from heap")
-			}
-			if !ms.Freshness().Equal(heap.Freshness()) || ms.FreshnessPeriod() != heap.FreshnessPeriod() {
-				t.Fatalf("mapped freshness (%v, %d), heap (%v, %d)",
-					ms.Freshness(), ms.FreshnessPeriod(), heap.Freshness(), heap.FreshnessPeriod())
-			}
-			if !pureMapped(ms) {
-				t.Fatal("a re-map with an empty WAL suffix copied dictionary state onto the heap")
-			}
-
-			var qs []serial.Number
-			for _, b := range batches {
-				qs = append(qs, b[0], b[len(b)-1], b[len(b)/2])
-			}
-			qs = append(qs, serial.NewGenerator(0xAB5E17, nil).NextN(64)...)
-			for _, s := range qs {
-				requireSameStatus(t, heap, ms, s)
-				if ms.Revoked(s) != heap.Revoked(s) {
-					t.Fatalf("Revoked(%v) disagrees", s)
-				}
-				st, err := ms.Prove(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := st.Check(s, a.PublicKey(), later)
-				if err != nil {
-					t.Fatalf("Check(%v): %v", s, err)
-				}
-				if (res == CheckRevoked) != heap.Revoked(s) {
-					t.Fatalf("Check(%v) = %v, heap revoked %v", s, res, heap.Revoked(s))
-				}
-			}
-			roots[kind] = ms
-			queries[kind] = qs
-		})
-	}
-
-	// Cross-root rejection: a proof from one layout must not verify
-	// against the other layout's root (same inserted set, different
-	// commitment structure).
-	if len(roots) == 2 {
-		for _, kind := range layoutKinds() {
-			other := roots[LayoutSorted]
-			if kind == LayoutSorted {
-				other = roots[LayoutForest]
-			}
-			ms := roots[kind]
-			for _, s := range queries[kind][:6] {
-				st, err := ms.Prove(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := st.Proof.Verify(s, other.RootHash(), other.Count()); err == nil {
-					t.Fatalf("%v proof for %v verified against the other layout's root", kind, s)
-				}
+			if (res == CheckRevoked) != heap.Revoked(s) {
+				t.Fatalf("Check(%v) = %v, heap revoked %v", s, res, heap.Revoked(s))
 			}
 		}
-	}
+	})
 }
 
 // replayHistory is the honest history the conformance cases cut their WALs
@@ -192,8 +154,23 @@ type replayHistory struct {
 	stmt, stale, tooEarly *FreshnessStatement
 }
 
-func updateFrame(msg *IssuanceMessage, bounds ...uint64) []byte {
-	return (&UpdateRecord{Msg: msg, Bounds: bounds}).Encode()
+func updateFrame(msg *IssuanceMessage) []byte {
+	return (&UpdateRecord{Msg: msg}).Encode()
+}
+
+// boundedFrame is the update record older builds wrote for a coalesced
+// catch-up: UpdateRecord's encoding with its trailing bound list (a count,
+// then ascending deltas) non-empty, where writers now always end it in a
+// zero count.
+func boundedFrame(msg *IssuanceMessage, bounds ...uint64) []byte {
+	frame := updateFrame(msg)
+	frame = binary.AppendUvarint(frame[:len(frame)-1], uint64(len(bounds)))
+	prev := uint64(0)
+	for _, b := range bounds {
+		frame = binary.AppendUvarint(frame, b-prev)
+		prev = b
+	}
+	return frame
 }
 
 func freshFrame(st *FreshnessStatement) []byte {
@@ -210,7 +187,8 @@ func (h *replayHistory) suffix(i int) [][]byte {
 }
 
 // coalesced is one catch-up record covering batches i..j: their serials,
-// the root of the last, and the bounds at which the batches in between ended.
+// the root of the last, and — in the form older builds wrote — the bounds
+// at which the batches in between ended.
 func (h *replayHistory) coalesced(i, j int) []byte {
 	var serials []serial.Number
 	var bounds []uint64
@@ -220,7 +198,7 @@ func (h *replayHistory) coalesced(i, j int) []byte {
 			bounds = append(bounds, h.msgs[k].Root.N)
 		}
 	}
-	return updateFrame(&IssuanceMessage{Serials: serials, Root: h.msgs[j].Root}, bounds...)
+	return boundedFrame(&IssuanceMessage{Serials: serials, Root: h.msgs[j].Root}, bounds...)
 }
 
 // tampered frames batch i's genuine signed root over a rewritten batch.
@@ -233,7 +211,7 @@ func (h *replayHistory) tampered(i int, rewrite func(serials []serial.Number)) [
 // TestReplayConformance runs one table of WAL histories through the three
 // places a record is replayed — a live heap replica fed frame by frame (a
 // follower origin), RecoverReplicaLog (a restart) and OpenMappedReplica (a
-// co-located reader's re-map) — on both layouts: every engine must reach the
+// co-located reader's re-map): every engine must reach the
 // same verdict with the same error class, and an accepted history — each
 // ends in the full honest history with h.stmt adopted — must yield statuses
 // byte-identical among the three and to the reference replica's, which
@@ -293,160 +271,155 @@ func TestReplayConformance(t *testing.T) {
 	}
 
 	now := int64(1_700_000_000)
-	for _, kind := range layoutKinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			batches := fixtureBatches(0xC0FFEE, []int{120, 256, 31, 300, 5, 77, 190})
-			a, full, msgs := mappedFixture(t, kind, batches, now)
-			statement := func(period int64) *FreshnessStatement {
-				st, err := a.Statement(now + period*int64(testDelta.Seconds()))
+	t.Run("sorted", func(t *testing.T) {
+		batches := fixtureBatches(0xC0FFEE, []int{120, 256, 31, 300, 5, 77, 190})
+		a, full, msgs := mappedFixture(t, batches, now)
+		statement := func(period int64) *FreshnessStatement {
+			st, err := a.Statement(now + period*int64(testDelta.Seconds()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}
+		h := &replayHistory{msgs: msgs, now: now + 2*int64(testDelta.Seconds()),
+			stale: statement(1), stmt: statement(2), tooEarly: statement(5)}
+		if err := full.ApplyFreshness(h.stmt, h.now); err != nil {
+			t.Fatal(err)
+		}
+		reference := full.Snapshot()
+		var probes []serial.Number
+		for _, b := range batches {
+			probes = append(probes, b[0], b[len(b)-1], b[len(b)/2])
+		}
+		probes = append(probes, serial.NewGenerator(0xFACE, nil).NextN(48)...)
+
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				wal := tc.wal(h)
+				// The checkpoint is a second replica stopped after tc.ckpt
+				// batches; the live engine carries on from a copy of it.
+				var state []byte
+				live := NewReplica(a.CA(), a.PublicKey())
+				lg, err := storage.NewMemory().Open("d")
 				if err != nil {
 					t.Fatal(err)
 				}
-				return st
-			}
-			h := &replayHistory{msgs: msgs, now: now + 2*int64(testDelta.Seconds()),
-				stale: statement(1), stmt: statement(2), tooEarly: statement(5)}
-			if err := full.ApplyFreshness(h.stmt, h.now); err != nil {
-				t.Fatal(err)
-			}
-			reference := full.Snapshot()
-			var probes []serial.Number
-			for _, b := range batches {
-				probes = append(probes, b[0], b[len(b)-1], b[len(b)/2])
-			}
-			probes = append(probes, serial.NewGenerator(0xFACE, nil).NextN(48)...)
-
-			for _, tc := range cases {
-				t.Run(tc.name, func(t *testing.T) {
-					wal := tc.wal(h)
-					// The checkpoint is a second replica stopped after tc.ckpt
-					// batches; the live engine carries on from a copy of it.
-					var state []byte
-					live := NewReplicaWithLayout(a.CA(), a.PublicKey(), kind)
-					lg, err := storage.NewMemory().Open("d")
-					if err != nil {
+				if tc.ckpt > 0 {
+					for _, msg := range msgs[:tc.ckpt] {
+						if err := live.Update(msg); err != nil {
+							t.Fatal(err)
+						}
+					}
+					state = live.PersistentStateV2()
+					if err := lg.Checkpoint(state); err != nil {
 						t.Fatal(err)
 					}
-					if tc.ckpt > 0 {
-						for _, msg := range msgs[:tc.ckpt] {
-							if err := live.Update(msg); err != nil {
-								t.Fatal(err)
-							}
-						}
-						state = live.PersistentStateV2()
-						if err := lg.Checkpoint(state); err != nil {
+				}
+				for _, raw := range wal {
+					if err := lg.Append(raw); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				var liveErr error
+				for _, raw := range wal {
+					if liveErr = ApplyLogRecord(live, raw, h.now); liveErr != nil {
+						break
+					}
+				}
+				recovered, recoverErr := RecoverReplicaLog(lg, a.CA(), a.PublicKey(), h.now)
+				mapped, mappedErr := OpenMappedReplica(a.CA(), a.PublicKey(), state, wal, h.now)
+				for engine, err := range map[string]error{"live": liveErr, "recover": recoverErr, "mapped": mappedErr} {
+					if tc.want == nil && err != nil {
+						t.Fatalf("%s: %v", engine, err)
+					}
+					if tc.want != nil && !errors.Is(err, tc.want) {
+						t.Fatalf("%s: err = %v, want %v", engine, err, tc.want)
+					}
+				}
+				if tc.want != nil {
+					return
+				}
+
+				if got := live.Snapshot(); got.Count() != reference.Count() || !got.RootHash().Equal(reference.RootHash()) ||
+					!got.Freshness().Equal(h.stmt.Value) {
+					t.Fatalf("replayed to n=%d, freshness period %d; want the full history with the statement adopted",
+						got.Count(), got.FreshnessPeriod())
+				}
+				for engine, snap := range map[string]*Snapshot{"recover": recovered.Snapshot(), "mapped": mapped.Snapshot(), "reference": reference} {
+					for _, s := range probes {
+						hs, err := live.Snapshot().Prove(s)
+						if err != nil {
 							t.Fatal(err)
 						}
-					}
-					for _, raw := range wal {
-						if err := lg.Append(raw); err != nil {
-							t.Fatal(err)
+						es, err := snap.Prove(s)
+						if err != nil {
+							t.Fatalf("%s: Prove(%v): %v", engine, s, err)
+						}
+						if !bytes.Equal(hs.Encode(), es.Encode()) {
+							t.Fatalf("%s: status for %v differs from the live replica's", engine, s)
 						}
 					}
-
-					var liveErr error
-					for _, raw := range wal {
-						if liveErr = ApplyLogRecord(live, raw, h.now); liveErr != nil {
-							break
-						}
-					}
-					recovered, recoverErr := RecoverReplicaLog(lg, a.CA(), a.PublicKey(), kind, h.now)
-					mapped, mappedErr := OpenMappedReplica(a.CA(), a.PublicKey(), kind, state, wal, h.now)
-					for engine, err := range map[string]error{"live": liveErr, "recover": recoverErr, "mapped": mappedErr} {
-						if tc.want == nil && err != nil {
-							t.Fatalf("%s: %v", engine, err)
-						}
-						if tc.want != nil && !errors.Is(err, tc.want) {
-							t.Fatalf("%s: err = %v, want %v", engine, err, tc.want)
-						}
-					}
-					if tc.want != nil {
-						return
-					}
-
-					if got := live.Snapshot(); got.Count() != reference.Count() || !got.RootHash().Equal(reference.RootHash()) ||
-						!got.Freshness().Equal(h.stmt.Value) {
-						t.Fatalf("replayed to n=%d, freshness period %d; want the full history with the statement adopted",
-							got.Count(), got.FreshnessPeriod())
-					}
-					for engine, snap := range map[string]*Snapshot{"recover": recovered.Snapshot(), "mapped": mapped.Snapshot(), "reference": reference} {
-						for _, s := range probes {
-							hs, err := live.Snapshot().Prove(s)
-							if err != nil {
-								t.Fatal(err)
-							}
-							es, err := snap.Prove(s)
-							if err != nil {
-								t.Fatalf("%s: Prove(%v): %v", engine, s, err)
-							}
-							if !bytes.Equal(hs.Encode(), es.Encode()) {
-								t.Fatalf("%s: status for %v differs from the live replica's", engine, s)
-							}
-						}
-					}
-					// Only the batches past the checkpoint are overlaid on the
-					// mapped base, and with none the reader stays pure-mapped.
-					overlaid := len(msgs) - tc.ckpt
-					if got := len(mapped.Snapshot().bounds); !tc.coalesces && got != overlaid {
-						t.Fatalf("%d batches overlaid on the mapped base, want %d", got, overlaid)
-					}
-					if tc.ckpt > 0 && pureMapped(mapped.Snapshot()) != (overlaid == 0) {
-						t.Fatalf("pure-mapped = %v with %d batches to overlay", !(overlaid == 0), overlaid)
-					}
-				})
-			}
-		})
-	}
+				}
+				// Only the batches past the checkpoint are overlaid on the
+				// mapped base, and with none the reader stays pure-mapped.
+				overlaid := len(msgs) - tc.ckpt
+				if got := len(mapped.Snapshot().bounds); !tc.coalesces && got != overlaid {
+					t.Fatalf("%d batches overlaid on the mapped base, want %d", got, overlaid)
+				}
+				if tc.ckpt > 0 && pureMapped(mapped.Snapshot()) != (overlaid == 0) {
+					t.Fatalf("pure-mapped = %v with %d batches to overlay", !(overlaid == 0), overlaid)
+				}
+			})
+		}
+	})
 }
 
 func TestPersistentStateV2RoundTrip(t *testing.T) {
 	now := int64(1_700_000_000)
-	for _, kind := range layoutKinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			batches := fixtureBatches(0x5EED, []int{90, 210, 40})
-			a, r, _ := mappedFixture(t, kind, batches, now)
+	t.Run("sorted", func(t *testing.T) {
+		batches := fixtureBatches(0x5EED, []int{90, 210, 40})
+		a, r, _ := mappedFixture(t, batches, now)
 
-			// Replica state: decoding the checkpoint must reproduce the
-			// in-memory PersistentState exactly.
-			st, err := DecodePersistentState(r.PersistentStateV2())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(st, r.PersistentState()) {
-				t.Fatal("v2 round trip differs from PersistentState for replica")
-			}
+		// Replica state: decoding the checkpoint must reproduce the
+		// in-memory PersistentState exactly.
+		st, err := DecodePersistentState(r.PersistentStateV2())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(st, r.PersistentState()) {
+			t.Fatal("v2 round trip differs from PersistentState for replica")
+		}
 
-			// Authority state: same, including the chain seed.
-			ast, err := DecodePersistentState(a.PersistentStateV2())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ast, a.PersistentState()) {
-				t.Fatal("v2 round trip differs from PersistentState for authority")
-			}
-			if ast.ChainSeed == nil {
-				t.Fatal("authority v2 state dropped the chain seed")
-			}
+		// Authority state: same, including the chain seed.
+		ast, err := DecodePersistentState(a.PersistentStateV2())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ast, a.PersistentState()) {
+			t.Fatal("v2 round trip differs from PersistentState for authority")
+		}
+		if ast.ChainSeed == nil {
+			t.Fatal("authority v2 state dropped the chain seed")
+		}
 
-			// Empty state round-trips too.
-			empty := NewReplicaWithLayout(a.CA(), a.PublicKey(), kind)
-			est, err := DecodePersistentState(empty.PersistentStateV2())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := empty.PersistentState(); est.Layout != want.Layout || len(est.Log) != 0 || len(est.Batches) != 0 || est.Root != nil {
-				t.Fatal("v2 round trip differs for empty replica")
-			}
-		})
-	}
+		// Empty state round-trips too.
+		empty := NewReplica(a.CA(), a.PublicKey())
+		est, err := DecodePersistentState(empty.PersistentStateV2())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(est.Log) != 0 || est.Root != nil {
+			t.Fatal("v2 round trip differs for empty replica")
+		}
+	})
 }
 
-// seededReplica is a replica whose every byte is a function of the layout
-// alone: fixed signing key, chain seed, clock and serials, five uneven
-// batches (enough for a multi-bucket forest with splits).
-func seededReplica(t *testing.T, kind LayoutKind) *Replica {
+// seededReplica is a replica whose every byte is fixed: signing key, chain
+// seed, clock and serials, five uneven batches.
+func seededReplica(t *testing.T) *Replica {
 	t.Helper()
-	_, r := seededFixture(t, kind)
+	_, r := seededFixture(t)
 	return r
 }
 
@@ -455,7 +428,7 @@ func seededBatches() [][]serial.Number { return fixtureBatches(0x601D, []int{700
 
 // seededFixture is seededReplica with the authority that fed it, whose next
 // Insert is as deterministic as the replica.
-func seededFixture(t *testing.T, kind LayoutKind) (*Authority, *Replica) {
+func seededFixture(t *testing.T) (*Authority, *Replica) {
 	t.Helper()
 	const now = int64(1_700_000_000)
 	a, err := NewAuthority(AuthorityConfig{
@@ -463,13 +436,12 @@ func seededFixture(t *testing.T, kind LayoutKind) (*Authority, *Replica) {
 		Signer:      cryptoutil.NewSignerFromSeed([32]byte{0x60, 0x1d}),
 		Delta:       testDelta,
 		ChainLength: 16,
-		Layout:      kind,
 		Rand:        bytes.NewReader(bytes.Repeat([]byte{0xC4}, 8*cryptoutil.HashSize)),
 	}, now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewReplicaWithLayout(a.CA(), a.PublicKey(), kind)
+	r := NewReplica(a.CA(), a.PublicKey())
 	for i, b := range seededBatches() {
 		msg, err := a.Insert(b, now+int64(i))
 		if err != nil {
@@ -482,8 +454,8 @@ func seededFixture(t *testing.T, kind LayoutKind) (*Authority, *Replica) {
 	return a, r
 }
 
-// TestLayoutRunIsCheckpointImage pins that a run is its checkpoint image, on
-// both layouts: a replica restarted over checkpoint X re-encodes to X byte
+// TestLayoutRunIsCheckpointImage pins that a run is its checkpoint image: a
+// replica restarted over checkpoint X re-encodes to X byte
 // for byte; every probe proves byte-identically off the heap-built run and
 // off X mapped from a file; one insert on the replica restarted over X and on
 // the mapped reader gives the same root and proofs as on the heap replica,
@@ -492,95 +464,93 @@ func seededFixture(t *testing.T, kind LayoutKind) (*Authority, *Replica) {
 // before it.
 func TestLayoutRunIsCheckpointImage(t *testing.T) {
 	const now = int64(1_700_000_010)
-	for _, kind := range layoutKinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			a, heap := seededFixture(t, kind)
-			image := heap.PersistentStateV2()
+	t.Run("sorted", func(t *testing.T) {
+		a, heap := seededFixture(t)
+		image := heap.PersistentStateV2()
 
-			lg, err := storage.NewMemory().Open("d")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := lg.Checkpoint(image); err != nil {
-				t.Fatal(err)
-			}
-			restarted, err := RecoverReplicaLog(lg, a.CA(), a.PublicKey(), kind, now)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(restarted.PersistentStateV2(), image) {
-				t.Fatal("the replica restarted over a checkpoint re-encodes to other bytes")
-			}
+		lg, err := storage.NewMemory().Open("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lg.Checkpoint(image); err != nil {
+			t.Fatal(err)
+		}
+		restarted, err := RecoverReplicaLog(lg, a.CA(), a.PublicKey(), now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(restarted.PersistentStateV2(), image) {
+			t.Fatal("the replica restarted over a checkpoint re-encodes to other bytes")
+		}
 
-			files := storage.NewFileBackend(t.TempDir(), false)
-			flg, err := files.Open("d")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := flg.Checkpoint(image); err != nil {
-				t.Fatal(err)
-			}
-			mc, err := files.Map("d")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer mc.Close()
-			mapped, err := OpenMappedReplica(a.CA(), a.PublicKey(), kind, mc.State, nil, now)
-			if err != nil {
-				t.Fatal(err)
-			}
+		files := storage.NewFileBackend(t.TempDir(), false)
+		flg, err := files.Open("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := flg.Checkpoint(image); err != nil {
+			t.Fatal(err)
+		}
+		mc, err := files.Map("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mc.Close()
+		mapped, err := OpenMappedReplica(a.CA(), a.PublicKey(), mc.State, nil, now)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			next := fixtureBatches(0x601D, []int{700, 31, 1200, 1, 400, 300})[5] // the seeded batches' stream, continued
-			probes := append(serial.NewGenerator(0xFACE, nil).NextN(48), next[0], next[299])
-			for _, b := range seededBatches() {
-				probes = append(probes, b[0], b[len(b)/2], b[len(b)-1])
+		next := fixtureBatches(0x601D, []int{700, 31, 1200, 1, 400, 300})[5] // the seeded batches' stream, continued
+		probes := append(serial.NewGenerator(0xFACE, nil).NextN(48), next[0], next[299])
+		for _, b := range seededBatches() {
+			probes = append(probes, b[0], b[len(b)/2], b[len(b)-1])
+		}
+		replicas := map[string]*Replica{"restarted": restarted, "mapped": mapped}
+		for _, s := range probes {
+			for _, r := range replicas {
+				requireSameStatus(t, heap.Snapshot(), r.Snapshot(), s)
 			}
-			replicas := map[string]*Replica{"restarted": restarted, "mapped": mapped}
+		}
+
+		before := restarted.Snapshot()
+		beforeProofs := make([][]byte, len(probes))
+		for i, s := range probes {
+			beforeProofs[i] = before.view.prove(s).Encode()
+		}
+		msg, err := a.Insert(next, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := heap.Update(msg); err != nil {
+			t.Fatal(err)
+		}
+		for name, r := range replicas {
+			if err := r.Update(msg); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !r.Snapshot().RootHash().Equal(heap.Snapshot().RootHash()) {
+				t.Fatalf("%s: root after the insert differs from the heap replica's", name)
+			}
 			for _, s := range probes {
-				for _, r := range replicas {
-					requireSameStatus(t, heap.Snapshot(), r.Snapshot(), s)
-				}
+				requireSameStatus(t, heap.Snapshot(), r.Snapshot(), s)
 			}
+		}
+		if !bytes.Equal(restarted.PersistentStateV2(), heap.PersistentStateV2()) {
+			t.Fatal("the next checkpoint of the restarted replica differs from the heap replica's")
+		}
 
-			before := restarted.Snapshot()
-			beforeProofs := make([][]byte, len(probes))
-			for i, s := range probes {
-				beforeProofs[i] = before.view.Prove(s).Encode()
+		oldRoot, oldCount := before.RootHash(), before.Count()
+		for i, s := range probes {
+			p := before.view.prove(s)
+			if !bytes.Equal(p.Encode(), beforeProofs[i]) {
+				t.Fatalf("the snapshot taken before the insert proves %v differently after it", s)
 			}
-			msg, err := a.Insert(next, now)
-			if err != nil {
-				t.Fatal(err)
+			if _, err := p.Verify(s, oldRoot, oldCount); err != nil {
+				t.Fatalf("the snapshot taken before the insert: proof for %v: %v", s, err)
 			}
-			if err := heap.Update(msg); err != nil {
-				t.Fatal(err)
-			}
-			for name, r := range replicas {
-				if err := r.Update(msg); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if !r.Snapshot().RootHash().Equal(heap.Snapshot().RootHash()) {
-					t.Fatalf("%s: root after the insert differs from the heap replica's", name)
-				}
-				for _, s := range probes {
-					requireSameStatus(t, heap.Snapshot(), r.Snapshot(), s)
-				}
-			}
-			if !bytes.Equal(restarted.PersistentStateV2(), heap.PersistentStateV2()) {
-				t.Fatal("the next checkpoint of the restarted replica differs from the heap replica's")
-			}
-
-			oldRoot, oldCount := before.RootHash(), before.Count()
-			for i, s := range probes {
-				p := before.view.Prove(s)
-				if !bytes.Equal(p.Encode(), beforeProofs[i]) {
-					t.Fatalf("the snapshot taken before the insert proves %v differently after it", s)
-				}
-				if _, err := p.Verify(s, oldRoot, oldCount); err != nil {
-					t.Fatalf("the snapshot taken before the insert: proof for %v: %v", s, err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestGoldenCheckpointV2Digests pins the checkpoint encoding, and with it
@@ -589,14 +559,10 @@ func TestLayoutRunIsCheckpointImage(t *testing.T) {
 // section in its own buffer (PR 19's), over trees built by the dense level
 // builders.
 func TestGoldenCheckpointV2Digests(t *testing.T) {
-	for kind, want := range map[LayoutKind]string{
-		LayoutSorted: "7805b25653a168e71d443201770c6146e117342bb669976692f2ecf7c394724a",
-		LayoutForest: "7f8256606d62b392a363fd938389731703ccccbde199a51f5fb628f8318fddf4",
-	} {
-		sum := sha256.Sum256(seededReplica(t, kind).PersistentStateV2())
-		if got := hex.EncodeToString(sum[:]); got != want {
-			t.Errorf("%v checkpoint sha256 = %s, want %s", kind, got, want)
-		}
+	const want = "7805b25653a168e71d443201770c6146e117342bb669976692f2ecf7c394724a"
+	sum := sha256.Sum256(seededReplica(t).PersistentStateV2())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("checkpoint sha256 = %s, want %s", got, want)
 	}
 }
 
@@ -611,133 +577,147 @@ var v1ShapedPayload = append([]byte{0x01, 0, 0, 0, 0, 0, 0, 0}, make([]byte, cry
 // checkpoint that is not format v2 is refused, never read as empty.
 func TestRecoverReplicaLog(t *testing.T) {
 	now := int64(1_700_000_000)
-	for _, kind := range layoutKinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			batches := fixtureBatches(0x91, []int{100, 260, 55, 140})
-			a, full, msgs := mappedFixture(t, kind, batches, now)
-			heap := full.Snapshot()
-			later := now + int64(testDelta.Seconds())
-			stmt, err := a.Statement(later)
-			if err != nil {
-				t.Fatal(err)
-			}
+	t.Run("sorted", func(t *testing.T) {
+		batches := fixtureBatches(0x91, []int{100, 260, 55, 140})
+		a, full, msgs := mappedFixture(t, batches, now)
+		heap := full.Snapshot()
+		later := now + int64(testDelta.Seconds())
+		stmt, err := a.Statement(later)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			for _, ckptAfter := range []int{0, 2} {
-				lg, err := storage.NewMemory().Open("d")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ckptAfter > 0 {
-					part := NewReplicaWithLayout(a.CA(), a.PublicKey(), kind)
-					for _, msg := range msgs[:ckptAfter] {
-						if err := part.Update(msg); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if err := lg.Checkpoint(part.PersistentStateV2()); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for _, msg := range msgs[ckptAfter:] {
-					if err := lg.Append((&UpdateRecord{Msg: msg}).Encode()); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := lg.Append((&FreshnessRecord{Value: stmt.Value}).Encode()); err != nil {
-					t.Fatal(err)
-				}
-				ckpt, wal, err := lg.Load()
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				r, err := RecoverReplicaLog(lg, a.CA(), a.PublicKey(), kind, later)
-				if err != nil {
-					t.Fatal(err)
-				}
-				snap := r.Snapshot()
-				if snap.Count() != heap.Count() || !snap.RootHash().Equal(heap.RootHash()) {
-					t.Fatalf("checkpoint after %d batches: recovered replica differs from heap reference", ckptAfter)
-				}
-				if !snap.Freshness().Equal(stmt.Value) {
-					t.Fatal("recovered replica dropped the WAL freshness record")
-				}
-				ckpt2, wal2, err := lg.Load()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(ckpt, ckpt2) || len(wal2) != len(wal) {
-					t.Fatal("recovery rewrote the log")
-				}
-			}
-
+		for _, ckptAfter := range []int{0, 2} {
 			lg, err := storage.NewMemory().Open("d")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := lg.Checkpoint(v1ShapedPayload); err != nil {
+			if ckptAfter > 0 {
+				part := NewReplica(a.CA(), a.PublicKey())
+				for _, msg := range msgs[:ckptAfter] {
+					if err := part.Update(msg); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := lg.Checkpoint(part.PersistentStateV2()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, msg := range msgs[ckptAfter:] {
+				if err := lg.Append((&UpdateRecord{Msg: msg}).Encode()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := lg.Append((&FreshnessRecord{Value: stmt.Value}).Encode()); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := RecoverReplicaLog(lg, a.CA(), a.PublicKey(), kind, later); !errors.Is(err, ErrBadCheckpoint) {
-				t.Fatalf("v1-shaped checkpoint: err = %v, want ErrBadCheckpoint", err)
+			ckpt, wal, err := lg.Load()
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
+
+			r, err := RecoverReplicaLog(lg, a.CA(), a.PublicKey(), later)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := r.Snapshot()
+			if snap.Count() != heap.Count() || !snap.RootHash().Equal(heap.RootHash()) {
+				t.Fatalf("checkpoint after %d batches: recovered replica differs from heap reference", ckptAfter)
+			}
+			if !snap.Freshness().Equal(stmt.Value) {
+				t.Fatal("recovered replica dropped the WAL freshness record")
+			}
+			ckpt2, wal2, err := lg.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ckpt, ckpt2) || len(wal2) != len(wal) {
+				t.Fatal("recovery rewrote the log")
+			}
+		}
+
+		lg, err := storage.NewMemory().Open("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lg.Checkpoint(v1ShapedPayload); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RecoverReplicaLog(lg, a.CA(), a.PublicKey(), later); !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("v1-shaped checkpoint: err = %v, want ErrBadCheckpoint", err)
+		}
+	})
+}
+
+// TestBoundedUpdateRecordDecodes: an update record in the form older builds
+// wrote for a coalesced catch-up — a non-empty trailing bound list — decodes
+// to its message alone and re-encodes in the form writers emit now, while a
+// bound count above the serial count is still refused.
+func TestBoundedUpdateRecordDecodes(t *testing.T) {
+	_, _, msgs := mappedFixture(t, fixtureBatches(0xB0, []int{30, 12}), 1_700_000_000)
+	rec, err := DecodeUpdateRecord(boundedFrame(msgs[1], 33, 36, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec.Encode(), updateFrame(msgs[1])) {
+		t.Fatal("a bounded record does not re-encode to the unbounded form")
+	}
+	if _, err := DecodeUpdateRecord(boundedFrame(msgs[1], make([]uint64, 13)...)); err == nil {
+		t.Fatal("13 bounds for 12 serials decoded")
 	}
 }
 
 func TestOpenMappedStateRejectsCorruption(t *testing.T) {
 	now := int64(1_700_000_000)
-	for _, kind := range layoutKinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			batches := fixtureBatches(0xDA7A, []int{140, 256, 90})
-			_, r, _ := mappedFixture(t, kind, batches, now)
-			state := r.PersistentStateV2()
-			if _, err := OpenMappedState(state); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("sorted", func(t *testing.T) {
+		batches := fixtureBatches(0xDA7A, []int{140, 256, 90})
+		_, r, _ := mappedFixture(t, batches, now)
+		state := r.PersistentStateV2()
+		if _, err := OpenMappedState(state); err != nil {
+			t.Fatal(err)
+		}
 
-			// Walk the section table to locate payload bytes and the last
-			// payload end (the buffer may carry trailing alignment padding,
-			// which is legitimately ignorable).
-			le := binary.LittleEndian
-			n := int(le.Uint32(state[8:]))
-			flips := []int{8, 16, 16 + 4, 16 + 8} // table count + first entry fields
-			lastEnd := 0
-			for i := 0; i < n; i++ {
-				e := state[16+i*24:]
-				off, length := le.Uint64(e[8:]), le.Uint64(e[16:])
-				if length > 0 {
-					flips = append(flips, int(off), int(off+length/2), int(off+length-1))
-				}
-				if end := int(off + length); end > lastEnd {
-					lastEnd = end
-				}
+		// Walk the section table to locate payload bytes and the last
+		// payload end (the buffer may carry trailing alignment padding,
+		// which is legitimately ignorable).
+		le := binary.LittleEndian
+		n := int(le.Uint32(state[8:]))
+		flips := []int{8, 16, 16 + 4, 16 + 8} // table count + first entry fields
+		lastEnd := 0
+		for i := 0; i < n; i++ {
+			e := state[16+i*24:]
+			off, length := le.Uint64(e[8:]), le.Uint64(e[16:])
+			if length > 0 {
+				flips = append(flips, int(off), int(off+length/2), int(off+length-1))
 			}
+			if end := int(off + length); end > lastEnd {
+				lastEnd = end
+			}
+		}
 
-			// Truncations at every structural boundary, including one byte
-			// into the last section's payload.
-			for _, cut := range []int{0, 4, 8, 15, 16, len(state) / 3, lastEnd - 1} {
-				if _, err := OpenMappedState(state[:cut]); !errors.Is(err, ErrBadCheckpoint) {
-					t.Fatalf("truncated to %d bytes: err = %v, want ErrBadCheckpoint", cut, err)
-				}
+		// Truncations at every structural boundary, including one byte
+		// into the last section's payload.
+		for _, cut := range []int{0, 4, 8, 15, 16, len(state) / 3, lastEnd - 1} {
+			if _, err := OpenMappedState(state[:cut]); !errors.Is(err, ErrBadCheckpoint) {
+				t.Fatalf("truncated to %d bytes: err = %v, want ErrBadCheckpoint", cut, err)
 			}
-			for _, pos := range flips {
-				mut := append([]byte(nil), state...)
-				mut[pos] ^= 0xFF
-				if _, err := OpenMappedState(mut); err == nil {
-					t.Fatalf("flip at %d accepted", pos)
-				}
-			}
-
-			// Magic corruption must fail the cheap IsStateV2 probe, so the
-			// v1 decoder never sees the payload.
+		}
+		for _, pos := range flips {
 			mut := append([]byte(nil), state...)
-			mut[0] ^= 0xFF
-			if IsStateV2(mut) {
-				t.Fatal("IsStateV2 accepted corrupted magic")
+			mut[pos] ^= 0xFF
+			if _, err := OpenMappedState(mut); err == nil {
+				t.Fatalf("flip at %d accepted", pos)
 			}
-		})
-	}
+		}
+
+		// Magic corruption must fail the cheap IsStateV2 probe, so the
+		// v1 decoder never sees the payload.
+		mut := append([]byte(nil), state...)
+		mut[0] ^= 0xFF
+		if IsStateV2(mut) {
+			t.Fatal("IsStateV2 accepted corrupted magic")
+		}
+	})
 }
 
 // TestOpenMappedStateRejectsSwappedRoot pins the O(1) structural-root
@@ -745,7 +725,7 @@ func TestOpenMappedStateRejectsCorruption(t *testing.T) {
 // otherwise valid checkpoint is caught without rehashing the interior.
 func TestOpenMappedStateRejectsSwappedRoot(t *testing.T) {
 	now := int64(1_700_000_000)
-	a, r1, _ := mappedFixture(t, LayoutSorted, fixtureBatches(0x01, []int{64, 90}), now)
+	a, r1, _ := mappedFixture(t, fixtureBatches(0x01, []int{64, 90}), now)
 	snap := r1.Snapshot()
 	// A validly signed root for a LATER state than the one we will encode.
 	msg, err := a.Insert(serial.NewGenerator(0x02, nil).NextN(30), now)
@@ -755,7 +735,7 @@ func TestOpenMappedStateRejectsSwappedRoot(t *testing.T) {
 	// Re-encode the earlier structure with the newer signed root spliced
 	// in: the signature verifies, but the stored tree root no longer
 	// matches the signed root's hash, so opening must fail.
-	spliced := encodeStateV2(LayoutSorted, snap.view, snap.bounds, msg.Root, snap.freshness, nil)
+	spliced := encodeStateV2(snap.view, snap.bounds, msg.Root, snap.freshness, nil)
 	if _, err := OpenMappedState(spliced); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("spliced root: err = %v, want ErrBadCheckpoint", err)
 	}
@@ -771,7 +751,7 @@ func TestOpenMappedStateRejectsSwappedRoot(t *testing.T) {
 // the writer was more than one ∆ ahead of its last revocation.
 func TestFreshnessAdoptionToleratesLag(t *testing.T) {
 	now := int64(1_700_000_000)
-	a, r, _ := mappedFixture(t, LayoutSorted, fixtureBatches(0x1A6, []int{40, 25}), now)
+	a, r, _ := mappedFixture(t, fixtureBatches(0x1A6, []int{40, 25}), now)
 	period := func(k int) int64 { return now + int64(k)*int64(testDelta.Seconds()) }
 
 	stmt3, err := a.Statement(period(3))
@@ -789,7 +769,7 @@ func TestFreshnessAdoptionToleratesLag(t *testing.T) {
 
 	// Mapped at period 9: both records are older than {p, p−1}, and the
 	// newest must win.
-	ms := openMapped(t, a, LayoutSorted, r.PersistentStateV2(), wal, period(9))
+	ms := openMapped(t, a, r.PersistentStateV2(), wal, period(9))
 	if !ms.Freshness().Equal(stmt7.Value) || ms.FreshnessPeriod() != 7 {
 		t.Fatalf("mapped freshness (%v, %d), want stmt for period 7", ms.Freshness(), ms.FreshnessPeriod())
 	}
@@ -818,7 +798,7 @@ func TestFreshnessAdoptionToleratesLag(t *testing.T) {
 	if err := r.ApplyFreshness(&FreshnessStatement{CA: r.CA(), Value: bogus}, period(9)); err == nil {
 		t.Fatal("off-chain statement accepted")
 	}
-	ms2 := openMapped(t, a, LayoutSorted, r.PersistentStateV2(),
+	ms2 := openMapped(t, a, r.PersistentStateV2(),
 		[][]byte{(&FreshnessRecord{Value: bogus}).Encode()}, period(9))
 	if ms2.Freshness().Equal(bogus) {
 		t.Fatal("mapped reader adopted an off-chain freshness value")
@@ -841,7 +821,7 @@ func TestTotalLevelNodesMatchesLevelShape(t *testing.T) {
 		if got := totalLevelNodes(n); got != total {
 			t.Fatalf("totalLevelNodes(%d) = %d, want %d", n, got, total)
 		}
-		levels := splitLevels(make([]byte, total*cryptoutil.HashSize), n, nil)
+		levels := splitLevels(make([]byte, total*cryptoutil.HashSize), n)
 		if len(levels) != depth {
 			t.Fatalf("n=%d: %d levels, want %d", n, len(levels), depth)
 		}

@@ -13,15 +13,14 @@ import (
 	"ritm/internal/workload"
 )
 
-// This file pins the arena rebuild (in-place merge, level reuse, private
-// spine rewrite) against the pre-arena semantics two ways: a pure-function
+// This file pins the arena rebuild (in-place merge, level reuse) against the pre-arena semantics two ways: a pure-function
 // check of the merge/build kernels against element-wise reference
 // implementations, and a whole-tree replay where one tree keeps its arrays
 // private between batches (in-place paths) while its twin is exposed after
 // every batch (forcing the fresh copy-on-write paths the code used before
 // the arena existed). Roots, proof bytes, and checkpoint/rollback behavior
-// must be indistinguishable. The tests run in CI's dictionary race suite
-// (-run 'CrossLayout|Forest|Layout' -race -count=2).
+// must be indistinguishable. The tests run in CI's dictionary property
+// suite (-race -count=2).
 
 // refRec is the reference encoding of one leaf record: num u64 LE, serial
 // length, three zero pad bytes, the serial zero-padded to 20 bytes.
@@ -213,13 +212,12 @@ func TestLayoutMergeBuildMatchesReference(t *testing.T) {
 			if err := tree.InsertBatch(oldSerials); err != nil {
 				t.Fatal(err)
 			}
-			layout := tree.commit.(*sortedLayout)
 			before, rootBefore, nBefore := tree.view(), tree.Root(), tree.Count() // exposes: the next insert is copy-on-write
-			wantRecs, wantHashes := layout.tree.recs, []byte(nil)
+			wantRecs, wantHashes := tree.commit.recs, []byte(nil)
 			if n > 0 {
-				wantHashes = layout.tree.levels[0]
+				wantHashes = tree.commit.levels[0]
 			}
-			levelsEqual(t, shape+": initial build", layout.tree.levels, refBuildLevels(wantHashes))
+			levelsEqual(t, shape+": initial build", tree.commit.levels, refBuildLevels(wantHashes))
 			if want, _, _ := refMergeLeaves(nil, nil, leavesFrom(oldSerials, 1)); !bytes.Equal(wantRecs, want) {
 				t.Fatalf("%s trial %d: initial records differ from the reference encoding", shape, trial)
 			}
@@ -228,7 +226,7 @@ func TestLayoutMergeBuildMatchesReference(t *testing.T) {
 				tag := fmt.Sprintf("%s trial %d, %s", shape, trial, path)
 				serials := nextBatch(len(wantRecs) / v2LeafRecSize)
 				batch := leavesFrom(serials, tree.Count()+1)
-				old, oldHashes := layout.tree, wantHashes
+				old, oldHashes := tree.commit, wantHashes
 				var wantAt []int
 				wantRecs, wantHashes, wantAt = refMergeLeaves(old.recs, oldHashes, batch)
 
@@ -257,28 +255,28 @@ func TestLayoutMergeBuildMatchesReference(t *testing.T) {
 					}
 				}
 
-				// The layout's own insert: copy-on-write right after the view,
+				// The tree's own insert: copy-on-write right after the view,
 				// in place (where the arena's headroom lasts) afterwards.
-				if layout.owned != (round > 0) {
-					t.Fatalf("%s: layout.owned = %v", tag, layout.owned)
+				if tree.owned != (round > 0) {
+					t.Fatalf("%s: tree.owned = %v", tag, tree.owned)
 				}
 				if err := tree.InsertBatch(serials); err != nil {
 					t.Fatal(err)
 				}
-				levelsEqual(t, tag, layout.tree.levels, refBuildLevels(wantHashes))
-				if !bytes.Equal(layout.tree.recs, wantRecs) {
+				levelsEqual(t, tag, tree.commit.levels, refBuildLevels(wantHashes))
+				if !bytes.Equal(tree.commit.recs, wantRecs) {
 					t.Fatalf("%s: records differ from the reference merge", tag)
 				}
 			}
 
 			// The view from before the three inserts is untouched.
-			if !before.Root().Equal(rootBefore) {
+			if !before.root().Equal(rootBefore) {
 				t.Fatalf("%s trial %d: the old view's root changed", shape, trial)
 			}
 			probes := append(numbers(8, 1, highest<<3), oldSerials[:min(n, 8)]...)
 			for _, s := range probes {
-				_, present := before.Revoked(s)
-				if revoked, err := before.Prove(s).Verify(s, rootBefore, nBefore); err != nil || revoked != present {
+				_, present := before.revoked(s)
+				if revoked, err := before.prove(s).Verify(s, rootBefore, nBefore); err != nil || revoked != present {
 					t.Fatalf("%s trial %d: old view's proof for %v: revoked=%v err=%v", shape, trial, s, revoked, err)
 				}
 			}
@@ -287,7 +285,7 @@ func TestLayoutMergeBuildMatchesReference(t *testing.T) {
 }
 
 // TestCrossLayoutArenaVsExposedReplay replays identical random batch
-// sequences into two trees per layout: one inserted back-to-back (arrays
+// sequences into two trees: one inserted back-to-back (arrays
 // stay private, so every batch after the first takes the in-place arena
 // paths) and one exposed via view() after every batch (every insert takes
 // the fresh copy-on-write path — the pre-arena behavior). Roots must agree
@@ -296,82 +294,80 @@ func TestLayoutMergeBuildMatchesReference(t *testing.T) {
 // nothing.
 func TestCrossLayoutArenaVsExposedReplay(t *testing.T) {
 	corpus := workload.NewCorpus(0xC0FFEE)
-	for _, kind := range []LayoutKind{LayoutSorted, LayoutForest} {
-		t.Run(kind.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewPCG(77, uint64(kind)))
-			tested := 0
-			for i := 0; i < corpus.Len() && tested < 2; i++ {
-				if corpus.Size(i) > 3000 || corpus.Size(i) < 100 {
-					continue
-				}
-				tested++
-				log := corpus.Serials(i)
-				arenaTree := NewTreeWithLayout(kind)
-				exposed := NewTreeWithLayout(kind)
+	t.Run("sorted", func(t *testing.T) {
+		rng := rand.New(rand.NewPCG(77, 0))
+		tested := 0
+		for i := 0; i < corpus.Len() && tested < 2; i++ {
+			if corpus.Size(i) > 3000 || corpus.Size(i) < 100 {
+				continue
+			}
+			tested++
+			log := corpus.Serials(i)
+			arenaTree := NewTree()
+			exposed := NewTree()
 
-				var cp treeCheckpoint
-				var cpAt int
-				var batches [][]serial.Number
-				for start := 0; start < len(log); {
-					end := min(start+1+rng.IntN(250), len(log))
-					batches = append(batches, log[start:end])
-					start = end
+			var cp treeCheckpoint
+			var cpAt int
+			var batches [][]serial.Number
+			for start := 0; start < len(log); {
+				end := min(start+1+rng.IntN(250), len(log))
+				batches = append(batches, log[start:end])
+				start = end
+			}
+			cpBatch := len(batches) / 2
+			for b, batch := range batches {
+				if b == cpBatch {
+					cp = arenaTree.checkpoint()
+					cpAt = b
 				}
-				cpBatch := len(batches) / 2
-				for b, batch := range batches {
-					if b == cpBatch {
-						cp = arenaTree.checkpoint()
-						cpAt = b
-					}
-					if err := arenaTree.InsertBatch(batch); err != nil {
-						t.Fatal(err)
-					}
-					if err := exposed.InsertBatch(batch); err != nil {
-						t.Fatal(err)
-					}
-					_ = exposed.view() // expose: next insert takes the fresh path
-					if !arenaTree.Root().Equal(exposed.Root()) {
-						t.Fatalf("crl %d: roots diverge after batch %d", i, b)
-					}
+				if err := arenaTree.InsertBatch(batch); err != nil {
+					t.Fatal(err)
 				}
-
-				// Rollback to the mid-sequence checkpoint and re-apply the
-				// same tail: restore must drop the private arena so the
-				// replay reconverges bit-for-bit.
-				finalRoot := arenaTree.Root()
-				arenaTree.rollback(cp)
-				for _, batch := range batches[cpAt:] {
-					if err := arenaTree.InsertBatch(batch); err != nil {
-						t.Fatal(err)
-					}
+				if err := exposed.InsertBatch(batch); err != nil {
+					t.Fatal(err)
 				}
-				if !arenaTree.Root().Equal(finalRoot) {
-					t.Fatalf("crl %d: root differs after rollback/re-apply", i)
-				}
-
-				queries := make([]serial.Number, 0, 96)
-				for j := 0; j < 64; j++ {
-					queries = append(queries, log[rng.IntN(len(log))])
-				}
-				queries = append(queries, corpus.SampleAbsent(i, 32)...)
-				for _, q := range queries {
-					ap, ep := arenaTree.Prove(q), exposed.Prove(q)
-					if !bytes.Equal(ap.Encode(), ep.Encode()) {
-						t.Fatalf("crl %d: proof bytes for %v differ between arena and exposed trees", i, q)
-					}
-					rev, err := ap.Verify(q, exposed.Root(), exposed.Count())
-					if err != nil {
-						t.Fatalf("crl %d: arena proof for %v: %v", i, q, err)
-					}
-					_, wantRev := exposed.Revoked(q)
-					if rev != wantRev {
-						t.Fatalf("crl %d: arena proof for %v: revoked=%v want %v", i, q, rev, wantRev)
-					}
+				_ = exposed.view() // expose: next insert takes the fresh path
+				if !arenaTree.Root().Equal(exposed.Root()) {
+					t.Fatalf("crl %d: roots diverge after batch %d", i, b)
 				}
 			}
-			if tested == 0 {
-				t.Fatal("corpus provided no CRLs in the tested size band")
+
+			// Rollback to the mid-sequence checkpoint and re-apply the
+			// same tail: restore must drop the private arena so the
+			// replay reconverges bit-for-bit.
+			finalRoot := arenaTree.Root()
+			arenaTree.rollback(cp)
+			for _, batch := range batches[cpAt:] {
+				if err := arenaTree.InsertBatch(batch); err != nil {
+					t.Fatal(err)
+				}
 			}
-		})
-	}
+			if !arenaTree.Root().Equal(finalRoot) {
+				t.Fatalf("crl %d: root differs after rollback/re-apply", i)
+			}
+
+			queries := make([]serial.Number, 0, 96)
+			for j := 0; j < 64; j++ {
+				queries = append(queries, log[rng.IntN(len(log))])
+			}
+			queries = append(queries, corpus.SampleAbsent(i, 32)...)
+			for _, q := range queries {
+				ap, ep := arenaTree.Prove(q), exposed.Prove(q)
+				if !bytes.Equal(ap.Encode(), ep.Encode()) {
+					t.Fatalf("crl %d: proof bytes for %v differ between arena and exposed trees", i, q)
+				}
+				rev, err := ap.Verify(q, exposed.Root(), exposed.Count())
+				if err != nil {
+					t.Fatalf("crl %d: arena proof for %v: %v", i, q, err)
+				}
+				_, wantRev := exposed.Revoked(q)
+				if rev != wantRev {
+					t.Fatalf("crl %d: arena proof for %v: revoked=%v want %v", i, q, rev, wantRev)
+				}
+			}
+		}
+		if tested == 0 {
+			t.Fatal("corpus provided no CRLs in the tested size band")
+		}
+	})
 }

@@ -16,7 +16,7 @@ import (
 // more allocations per call).
 func TestEncodeAllocsPinned(t *testing.T) {
 	now := time.Now().Unix()
-	a, r, _ := mappedFixture(t, LayoutSorted, fixtureBatches(0xA110C, []int{120, 80}), now)
+	a, r, _ := mappedFixture(t, fixtureBatches(0xA110C, []int{120, 80}), now)
 	_ = a
 	snap := r.Snapshot()
 	absent := serial.NewGenerator(0xBEEF, nil).Next()

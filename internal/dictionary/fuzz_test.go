@@ -8,37 +8,48 @@ import (
 
 	"ritm/internal/cryptoutil"
 	"ritm/internal/serial"
+	"ritm/internal/wire"
 )
 
 // FuzzDecodeProof hardens the proof decoder against hostile or corrupted
 // bodies: truncations at every depth, bit flips, length-field lies, and
-// spine-flag abuse. The seed corpus covers every proof shape of both
-// layouts — presence, two-leaf absence, both boundary absences, the empty
-// dictionary — with and without a SpineSegment, plus classic malformations.
+// unknown kinds. The seed corpus covers every proof shape — presence,
+// two-leaf absence, both boundary absences, the empty dictionary — plus
+// classic malformations and the retired forest layout's form, which must be
+// refused: the kind byte's 0x80 flag and a spine segment after the leaves.
 func FuzzDecodeProof(f *testing.F) {
 	gen := serial.NewGenerator(0xF022, nil)
-	sorted := NewTree()
-	forest := NewTreeWithLayout(LayoutForest)
+	tree := NewTree()
 	batch := gen.NextN(600)
-	if err := sorted.InsertBatch(batch); err != nil {
-		f.Fatal(err)
-	}
-	if err := forest.InsertBatch(batch); err != nil {
+	if err := tree.InsertBatch(batch); err != nil {
 		f.Fatal(err)
 	}
 	probes := []serial.Number{
-		batch[0], batch[300], // presence
-		gen.Next(), gen.Next(), // two-leaf absence (almost surely)
+		batch[0], batch[1], batch[300], batch[599], // presence
+		gen.Next(), gen.Next(), gen.Next(), gen.Next(), gen.Next(), // two-leaf absence (almost surely)
 		serial.FromUint64(0), // left boundary
 		mustMaxSerial(),      // right boundary
 	}
 	for _, s := range probes {
-		f.Add(sorted.Prove(s).Encode()) // no spine flag
-		f.Add(forest.Prove(s).Encode()) // spine-flagged encoding
+		f.Add(tree.Prove(s).Encode())
 	}
 	empty := NewTree().Prove(batch[0]).Encode()
 	f.Add(empty)
-	spined := forest.Prove(batch[0]).Encode()
+	// A forest proof: spine flag on the kind byte, then the segment — empty
+	// lower bound, upper bound, bucket index, bucket count, leaf count and a
+	// one-hash spine path.
+	e := wire.NewEncoder(256)
+	e.Raw(tree.Prove(batch[0]).Encode())
+	e.BytesField(nil)
+	e.BytesField(batch[1].Raw())
+	e.Uvarint(0)
+	e.Uvarint(2)
+	e.Uvarint(1)
+	e.Uvarint(1)
+	e.Raw(make([]byte, cryptoutil.HashSize))
+	spined := e.Bytes()
+	spined[0] |= 0x80
+	f.Add(spined)
 	f.Add(spined[:1])                               // kind byte only
 	f.Add(spined[:len(spined)/2])                   // mid-spine truncation
 	f.Add(spined[:len(spined)-1])                   // one byte short
@@ -54,13 +65,13 @@ func FuzzDecodeProof(f *testing.F) {
 			return // rejection is always acceptable; panics/hangs are the bug
 		}
 		// Accepted input: the encoding must round-trip to an equivalent
-		// proof — same kind, same spine presence, byte-identical re-encode.
+		// proof — same kind, byte-identical re-encode.
 		enc := p.Encode()
 		again, err := DecodeProof(enc)
 		if err != nil {
 			t.Fatalf("accepted proof failed second decode: %v", err)
 		}
-		if again.Kind != p.Kind || (again.Spine == nil) != (p.Spine == nil) {
+		if again.Kind != p.Kind {
 			t.Fatal("second decode changed proof shape")
 		}
 		if !bytes.Equal(again.Encode(), enc) {
@@ -75,8 +86,8 @@ func FuzzDecodeProof(f *testing.F) {
 // serial says about it exactly what the CA's dictionary says: the verdict
 // and the proof are the honest ones (the advisory Subject and the 2∆
 // tolerance of the freshness value are the only bytes free to move). The
-// seed corpus is every proof shape of both layouts in the one absence
-// encoding, plus truncations.
+// seed corpus is every proof shape in the one absence encoding, plus
+// truncations.
 func FuzzDecodeStatus(f *testing.F) {
 	const now = 1000
 	type verdict struct {
@@ -88,41 +99,39 @@ func FuzzDecodeStatus(f *testing.F) {
 	var honest []verdict
 	batch := serial.NewGenerator(0xF0225, nil).NextN(600)
 	absent := serial.NewGenerator(0xAB5E, nil)
-	for i, layout := range []LayoutKind{LayoutSorted, LayoutForestWithCap(8)} {
-		a, err := NewAuthority(AuthorityConfig{
-			CA: "CA1", Signer: cryptoutil.NewSignerFromSeed([32]byte{byte(i + 1)}),
-			Delta: 10 * time.Second, ChainLength: 16, Layout: layout,
-			// Fuzz workers are separate processes and must rebuild the very
-			// statuses the coordinator seeded the corpus with: fixed key
-			// above, fixed freshness-chain seeds here.
-			Rand: bytes.NewReader(make([]byte, 1<<10)),
-		}, now)
+	a, err := NewAuthority(AuthorityConfig{
+		CA: "CA1", Signer: cryptoutil.NewSignerFromSeed([32]byte{1}),
+		Delta: 10 * time.Second, ChainLength: 16,
+		// Fuzz workers are separate processes and must rebuild the very
+		// statuses the coordinator seeded the corpus with: fixed key above,
+		// fixed freshness-chain seeds here.
+		Rand: bytes.NewReader(make([]byte, 1<<10)),
+	}, now)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := a.Insert(batch, now); err != nil {
+		f.Fatal(err)
+	}
+	probes := []serial.Number{
+		batch[0], batch[1], batch[150], batch[300], batch[450], batch[599], // presence
+		absent.Next(), absent.Next(), absent.Next(), absent.Next(), absent.Next(), absent.Next(), // two-leaf absence (almost surely)
+		serial.FromUint64(0), mustMaxSerial(), // both boundaries
+	}
+	for _, s := range probes {
+		st, err := a.Prove(s, now)
 		if err != nil {
 			f.Fatal(err)
 		}
-		if _, err := a.Insert(batch, now); err != nil {
+		res, err := st.Check(s, a.PublicKey(), now)
+		if err != nil {
 			f.Fatal(err)
 		}
-		probes := []serial.Number{
-			batch[0], batch[300], // presence
-			absent.Next(), absent.Next(), absent.Next(), // two-leaf absence (almost surely)
-			serial.FromUint64(0), mustMaxSerial(), // both boundaries
-		}
-		for _, s := range probes {
-			st, err := a.Prove(s, now)
-			if err != nil {
-				f.Fatal(err)
-			}
-			res, err := st.Check(s, a.PublicKey(), now)
-			if err != nil {
-				f.Fatal(err)
-			}
-			honest = append(honest, verdict{s, a.PublicKey(), res, st.Proof.Encode()})
-			enc := st.Encode()
-			f.Add(enc)
-			f.Add(enc[:len(enc)/2])
-			f.Add(enc[:len(enc)-1])
-		}
+		honest = append(honest, verdict{s, a.PublicKey(), res, st.Proof.Encode()})
+		enc := st.Encode()
+		f.Add(enc)
+		f.Add(enc[:len(enc)/2])
+		f.Add(enc[:len(enc)-1])
 	}
 	f.Add([]byte{})
 

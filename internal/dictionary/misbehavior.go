@@ -99,13 +99,6 @@ func DecodeMisbehaviorProof(buf []byte) (*MisbehaviorProof, error) {
 // plus the two signed roots then constitute the evidence. The returned
 // error is nil when the roots are prefix-consistent.
 func VerifyPrefix(log []serial.Number, a, b *SignedRoot, pub ed25519.PublicKey) error {
-	return VerifyPrefixWithLayout(log, a, b, pub, LayoutSorted)
-}
-
-// VerifyPrefixWithLayout is VerifyPrefix for a dictionary of the given
-// commitment layout: roots are layout-specific, so the replay must use the
-// layout the CA signs with or honest histories are reported as misbehavior.
-func VerifyPrefixWithLayout(log []serial.Number, a, b *SignedRoot, pub ed25519.PublicKey, kind LayoutKind) error {
 	if a.N > b.N {
 		a, b = b, a
 	}
@@ -118,7 +111,7 @@ func VerifyPrefixWithLayout(log []serial.Number, a, b *SignedRoot, pub ed25519.P
 	if uint64(len(log)) < b.N {
 		return fmt.Errorf("%w: log has %d entries, roots cover %d", ErrDesynchronized, len(log), b.N)
 	}
-	tree := NewTreeWithLayout(kind)
+	tree := NewTree()
 	if err := tree.InsertBatch(log[:a.N]); err != nil {
 		return fmt.Errorf("replay prefix: %w", err)
 	}

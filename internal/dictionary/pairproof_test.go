@@ -48,33 +48,29 @@ func decodeFresh(t *testing.T, enc []byte) *Proof {
 
 // TestAbsenceProofExhaustiveSmallTrees walks every dictionary size up to
 // 130 — every 2ᵐ+1 with its chain of odd-level promotions included — and
-// every gap of each, boundaries too, under both layouts (the forest at its
-// default capacity, one bucket here, and at capacity 8, many buckets and a
-// spine) served from the heap and from a mapped checkpoint. Each proof must
-// survive Encode → DecodeProof → Verify, carry exactly the hashes the
-// multi-leaf oracle predicts, and stop verifying under every mutation an
-// untrusted RA could try on a two-leaf proof.
+// every gap of each, boundaries too, served from the heap and from a mapped
+// checkpoint. Each proof must survive Encode → DecodeProof → Verify, carry
+// exactly the hashes the multi-leaf oracle predicts, and stop verifying under
+// every mutation an untrusted RA could try on a two-leaf proof.
 func TestAbsenceProofExhaustiveSmallTrees(t *testing.T) {
 	const maxN = 130
-	for _, kind := range []LayoutKind{LayoutSorted, LayoutForest, LayoutForestWithCap(8)} {
-		t.Run(kind.String(), func(t *testing.T) {
-			for n := 1; n <= maxN; n++ {
-				exhaustGaps(t, kind, n)
-			}
-		})
-	}
+	t.Run("sorted", func(t *testing.T) {
+		for n := 1; n <= maxN; n++ {
+			exhaustGaps(t, n)
+		}
+	})
 }
 
-func exhaustGaps(t *testing.T, kind LayoutKind, n int) {
+func exhaustGaps(t *testing.T, n int) {
 	t.Helper()
 	// Leaf i is serial 2(i+1); gap g (0 ≤ g ≤ n) is probed with 2g+1.
 	leaves := make([]serial.Number, n)
 	for i := range leaves {
 		leaves[i] = serial.FromUint64(uint64(2 * (i + 1)))
 	}
-	a, r, _ := mappedFixture(t, kind, [][]serial.Number{leaves}, 0)
+	a, r, _ := mappedFixture(t, [][]serial.Number{leaves}, 0)
 	heap := r.Snapshot()
-	mapped := openMapped(t, a, kind, r.PersistentStateV2(), nil, 0)
+	mapped := openMapped(t, a, r.PersistentStateV2(), nil, 0)
 	if !pureMapped(mapped) {
 		t.Fatalf("n=%d: mapped snapshot holds heap state", n)
 	}
@@ -99,7 +95,7 @@ func exhaustGaps(t *testing.T, kind LayoutKind, n int) {
 	}
 
 	for g := 0; g <= n; g++ {
-		tag := fmt.Sprintf("%v n=%d gap %d", kind, n, g)
+		tag := fmt.Sprintf("n=%d gap %d", n, g)
 		probe := serial.FromUint64(uint64(2*g + 1))
 		p := decodeFresh(t, encs[g])
 		if revoked, err := p.Verify(probe, root, count); err != nil || revoked {
@@ -122,13 +118,10 @@ func exhaustGaps(t *testing.T, kind LayoutKind, n int) {
 			mustReject("verified for the right leaf's serial", p, leaves[g])
 		}
 		if p.Left == nil || p.Right == nil {
-			continue // a tree or bucket boundary: the single-leaf form
+			continue // a tree boundary: the single-leaf form
 		}
 
 		size := count
-		if p.Spine != nil {
-			size = p.Spine.LeafCount
-		}
 		li := p.Left.Index
 		if p.Right.Index != li+1 {
 			t.Fatalf("%s: decoded Right.Index = %d, Left.Index = %d", tag, p.Right.Index, li)
@@ -199,9 +192,8 @@ func exhaustGaps(t *testing.T, kind LayoutKind, n int) {
 		// behind its two honest neighbours, each taken from a valid proof.
 		if g < n {
 			next := decodeFresh(t, encs[g+1])
-			if next.Left != nil && next.Right != nil &&
-				(p.Spine == nil || p.Spine.BucketIndex == next.Spine.BucketIndex) {
-				forged := &Proof{Kind: ProofAbsence, Left: p.Left, Right: next.Right, Spine: p.Spine}
+			if next.Left != nil && next.Right != nil {
+				forged := &Proof{Kind: ProofAbsence, Left: p.Left, Right: next.Right}
 				mustReject("leaves g−1 and g+1 hiding revoked leaf g", forged, leaves[g])
 				forged.Right.Index = forged.Left.Index + 1
 				mustReject("leaves g−1 and g+1 hiding revoked leaf g, index forged", forged, leaves[g])
@@ -212,49 +204,52 @@ func exhaustGaps(t *testing.T, kind LayoutKind, n int) {
 
 // TestDecodeProofRejectsImpossibleShapes pins the decoder's half of the
 // contract with ritmclient, which is handed these bytes by an untrusted RA:
-// a shape Verify could never accept does not decode at all.
+// a shape Verify could never accept does not decode at all. That includes
+// a kind byte carrying 0x80, the flag the retired forest layout set on
+// proofs followed by a spine segment.
 func TestDecodeProofRejectsImpossibleShapes(t *testing.T) {
-	sorted, forest := NewTree(), forestTree()
+	tr := NewTree()
 	batch := serial.NewGenerator(0x5AFE, nil).NextN(600)
-	for _, tr := range []*Tree{sorted, forest} {
-		if err := tr.InsertBatch(batch); err != nil {
-			t.Fatal(err)
-		}
+	if err := tr.InsertBatch(batch); err != nil {
+		t.Fatal(err)
 	}
 	absent := serial.NewGenerator(0xAB5, nil).Next()
-	for _, tr := range []*Tree{sorted, forest} {
-		pres, abs := tr.Prove(batch[7]), tr.Prove(absent)
-		if abs.Left == nil || abs.Right == nil {
-			t.Fatal("fixture: probe is not bracketed by two leaves")
+	pres, abs := tr.Prove(batch[7]), tr.Prove(absent)
+	if abs.Left == nil || abs.Right == nil {
+		t.Fatal("fixture: probe is not bracketed by two leaves")
+	}
+	spineFlagged := pres.Encode()
+	spineFlagged[0] |= 0x80
+	cases := map[string][]byte{
+		"presence with a Right leaf":       (&Proof{Kind: ProofPresence, Left: abs.Left, Right: abs.Right}).Encode(),
+		"presence with only a Right":       (&Proof{Kind: ProofPresence, Right: pres.Left}).Encode(),
+		"presence with no leaf":            (&Proof{Kind: ProofPresence}).Encode(),
+		"absence with no leaf":             (&Proof{Kind: ProofAbsence}).Encode(),
+		"empty with a leaf":                (&Proof{Kind: ProofAbsenceEmpty, Left: pres.Left}).Encode(),
+		"empty with two leaves":            (&Proof{Kind: ProofAbsenceEmpty, Left: abs.Left, Right: abs.Right}).Encode(),
+		"kind 0":                           (&Proof{Kind: 0, Left: pres.Left}).Encode(),
+		"kind 4":                           (&Proof{Kind: 4, Left: pres.Left}).Encode(),
+		"kind 0x7f":                        (&Proof{Kind: 0x7f}).Encode(),
+		"presence with the spine flag set": spineFlagged,
+	}
+	for name, enc := range cases {
+		if _, err := DecodeProof(enc); !errors.Is(err, ErrBadProof) {
+			t.Errorf("%s: DecodeProof err = %v, want ErrBadProof", name, err)
 		}
-		cases := map[string]*Proof{
-			"presence with a Right leaf":  {Kind: ProofPresence, Left: abs.Left, Right: abs.Right, Spine: abs.Spine},
-			"presence with only a Right":  {Kind: ProofPresence, Right: pres.Left, Spine: pres.Spine},
-			"presence with no leaf":       {Kind: ProofPresence, Spine: pres.Spine},
-			"absence with no leaf":        {Kind: ProofAbsence, Spine: abs.Spine},
-			"empty with a leaf":           {Kind: ProofAbsenceEmpty, Left: pres.Left},
-			"empty with two leaves":       {Kind: ProofAbsenceEmpty, Left: abs.Left, Right: abs.Right},
-			"kind 0":                      {Kind: 0, Left: pres.Left, Spine: pres.Spine},
-			"kind 4":                      {Kind: 4, Left: pres.Left, Spine: pres.Spine},
-			"kind 0x7f":                   {Kind: 0x7f},
-			"empty carrying a spine":      {Kind: ProofAbsenceEmpty, Spine: forest.Prove(absent).Spine},
-			"empty carrying spine + leaf": {Kind: ProofAbsenceEmpty, Left: pres.Left, Spine: forest.Prove(absent).Spine},
+		// The same bytes inside a status are refused the same way.
+		e := wire.NewEncoder(256)
+		e.Raw(enc)
+		(&SignedRoot{}).encodeTo(e)
+		e.Raw(make([]byte, cryptoutil.HashSize))
+		e.Bool(false)
+		if _, err := DecodeStatus(e.Bytes()); !errors.Is(err, ErrBadProof) {
+			t.Errorf("%s: DecodeStatus err = %v, want ErrBadProof", name, err)
 		}
-		for name, p := range cases {
-			if _, err := DecodeProof(p.Encode()); !errors.Is(err, ErrBadProof) {
-				t.Errorf("%v: %s: DecodeProof err = %v, want ErrBadProof", tr.Layout(), name, err)
-			}
-			// The same bytes inside a status are refused the same way.
-			st := &Status{Proof: p, Root: &SignedRoot{}}
-			if _, err := DecodeStatus(st.Encode()); !errors.Is(err, ErrBadProof) {
-				t.Errorf("%v: %s: DecodeStatus err = %v, want ErrBadProof", tr.Layout(), name, err)
-			}
-		}
-		// The honest shapes still decode.
-		for _, p := range []*Proof{pres, abs, tr.Prove(serial.FromUint64(0)), tr.Prove(mustMaxSerial())} {
-			if _, err := DecodeProof(p.Encode()); err != nil {
-				t.Errorf("%v: honest %v proof refused: %v", tr.Layout(), p.Kind, err)
-			}
+	}
+	// The honest shapes still decode.
+	for _, p := range []*Proof{pres, abs, tr.Prove(serial.FromUint64(0)), tr.Prove(mustMaxSerial())} {
+		if _, err := DecodeProof(p.Encode()); err != nil {
+			t.Errorf("honest %v proof refused: %v", p.Kind, err)
 		}
 	}
 }
@@ -264,43 +259,32 @@ func TestDecodeProofRejectsImpossibleShapes(t *testing.T) {
 func encodeTwoPathAbsence(tr *Tree, left, right serial.Number) []byte {
 	e := wire.NewEncoder(1024)
 	pl, pr := tr.Prove(left), tr.Prove(right)
-	k := uint8(ProofAbsence)
-	if pl.Spine != nil {
-		k |= proofSpineFlag
-	}
-	e.Uint8(k)
+	e.Uint8(uint8(ProofAbsence))
 	encodeProofLeaf(e, pl.Left, true)
 	encodeProofLeaf(e, pr.Left, true)
-	if pl.Spine != nil {
-		encodeSpineSegment(e, pl.Spine)
-	}
 	return e.Bytes()
 }
 
 // TestTwoPathAbsenceEncodingRefused: there is one absence encoding. Bytes
 // in the earlier two-path form either fail to decode or fail Verify, for
-// every adjacent pair of a dictionary of each layout.
+// every adjacent pair of a dictionary.
 func TestTwoPathAbsenceEncodingRefused(t *testing.T) {
-	for _, tr := range []*Tree{NewTree(), forestTree()} {
-		var leaves []serial.Number
-		for i := 1; i <= 300; i++ {
-			leaves = append(leaves, serial.FromUint64(uint64(2*i)))
+	tr := NewTree()
+	var leaves []serial.Number
+	for i := 1; i <= 300; i++ {
+		leaves = append(leaves, serial.FromUint64(uint64(2*i)))
+	}
+	if err := tr.InsertBatch(leaves); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i+1 < len(leaves); i++ {
+		p, err := DecodeProof(encodeTwoPathAbsence(tr, leaves[i], leaves[i+1]))
+		if err != nil {
+			continue
 		}
-		if err := tr.InsertBatch(leaves); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i+1 < len(leaves); i++ {
-			if sp := tr.Prove(leaves[i]).Spine; sp != nil && sp.BucketIndex != tr.Prove(leaves[i+1]).Spine.BucketIndex {
-				continue // the pair straddles two buckets: never one proof
-			}
-			p, err := DecodeProof(encodeTwoPathAbsence(tr, leaves[i], leaves[i+1]))
-			if err != nil {
-				continue
-			}
-			probe := serial.FromUint64(uint64(2*(i+1) + 1))
-			if _, err := p.Verify(probe, tr.Root(), tr.Count()); !errors.Is(err, ErrBadProof) {
-				t.Fatalf("%v: two-path absence proof for gap %d accepted (err = %v)", tr.Layout(), i+1, err)
-			}
+		probe := serial.FromUint64(uint64(2*(i+1) + 1))
+		if _, err := p.Verify(probe, tr.Root(), tr.Count()); !errors.Is(err, ErrBadProof) {
+			t.Fatalf("two-path absence proof for gap %d accepted (err = %v)", i+1, err)
 		}
 	}
 }

@@ -16,11 +16,11 @@ import (
 // exist:
 //
 //   - a checkpoint: the full committed state of one dictionary side in the
-//     offset-indexed format v2 (ckptv2.go) — commitment structure, layout
-//     descriptor (capacity included), latest signed root, freshness, and,
-//     on the authority side, the freshness-chain seed. It is the only
-//     checkpoint format: a payload without its magic is refused with
-//     ErrBadCheckpoint at every entry point, never read as empty state.
+//     offset-indexed format v2 (ckptv2.go) — commitment structure, latest
+//     signed root, freshness, and, on the authority side, the
+//     freshness-chain seed. It is the only checkpoint format: a payload
+//     without its magic is refused with ErrBadCheckpoint at every entry
+//     point, never read as empty state.
 //   - UpdateRecord is a WAL entry: one signed ∆ update batch (the exact
 //     IssuanceMessage that crossed the dissemination network), plus the
 //     authority's chain seed when the record was written CA-side.
@@ -38,23 +38,11 @@ import (
 // mapped reader verify instead is the trust note in ckptv2.go.)
 
 // PersistentState is the committed state of one dictionary side as the
-// full-replay restores consume it. The layout descriptor is carried in
-// full — including the forest bucket capacity — so a restore can never
-// silently change proof shapes.
+// full-replay restores consume it.
 type PersistentState struct {
-	// Layout is the commitment-structure descriptor the state was built
-	// with.
-	Layout LayoutKind
 	// Log is the issuance-ordered serial log; replaying it into an empty
-	// tree of the same layout, in the batches recorded by Batches,
-	// reproduces the dictionary exactly.
+	// tree reproduces the dictionary exactly.
 	Log []serial.Number
-	// Batches is the batch structure of the insertion history: the
-	// cumulative count at the end of each insertion batch, ascending, the
-	// last equal to len(Log). Forest-layout roots depend on it (bucket
-	// splits chunk point-in-time content), so restoring under a different
-	// batching could commit to a different root and fail verification.
-	Batches []uint64
 	// Root is the latest verified signed root; nil only for a dictionary
 	// that never saw a publication.
 	Root *SignedRoot
@@ -81,9 +69,7 @@ func DecodePersistentState(buf []byte) (*PersistentState, error) {
 		return nil, err
 	}
 	return &PersistentState{
-		Layout:    st.layout,
 		Log:       log,
-		Batches:   st.Batches(),
 		Root:      st.root,
 		Freshness: st.freshness,
 		ChainSeed: st.seed,
@@ -93,13 +79,17 @@ func DecodePersistentState(buf []byte) (*PersistentState, error) {
 // UpdateRecord is one WAL entry: a signed issuance batch, plus — on
 // authority-side records — the freshness-chain seed behind the batch's
 // root (each insert rotates the chain, and the seed cannot be recovered
-// from the signed message, which only commits its anchor). Replica-side
-// records carry the batch bounds the update was applied with, so a WAL
-// replay reproduces the structure a coalesced catch-up built.
+// from the signed message, which only commits its anchor).
+//
+// The encoding ends in a list of batch bounds (a count, then ascending
+// deltas) that older builds filled on coalesced catch-ups for the retired
+// forest layout. Writers emit an empty list; the decoder still parses a
+// non-empty one, under the same sanity cap, and drops it — a sorted root
+// does not depend on it, and refusing it would strand data directories
+// those builds wrote.
 type UpdateRecord struct {
-	Msg    *IssuanceMessage
-	Seed   *cryptoutil.Hash
-	Bounds []uint64
+	Msg  *IssuanceMessage
+	Seed *cryptoutil.Hash
 }
 
 // Encode serializes the record.
@@ -112,12 +102,7 @@ func (r *UpdateRecord) Encode() []byte {
 		e.Bool(false)
 	}
 	e.BytesField(r.Msg.Encode())
-	e.Uvarint(uint64(len(r.Bounds)))
-	prev := uint64(0)
-	for _, b := range r.Bounds {
-		e.Uvarint(b - prev)
-		prev = b
-	}
+	e.Uvarint(0) // no batch bounds
 	return e.Bytes()
 }
 
@@ -142,10 +127,8 @@ func DecodeUpdateRecord(buf []byte) (*UpdateRecord, error) {
 	if nBounds > uint64(len(msg.Serials)) {
 		return nil, fmt.Errorf("decode update record: %d bounds for %d serials", nBounds, len(msg.Serials))
 	}
-	prev := uint64(0)
 	for i := uint64(0); i < nBounds; i++ {
-		prev += d.Uvarint()
-		r.Bounds = append(r.Bounds, prev)
+		d.Uvarint()
 	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("decode update record: %w", err)
@@ -198,9 +181,7 @@ func DecodeFreshnessRecord(buf []byte) (*FreshnessRecord, error) {
 func (r *Replica) PersistentState() *PersistentState {
 	snap := r.Snapshot()
 	return &PersistentState{
-		Layout:    r.layoutKind,
 		Log:       snap.Log(),
-		Batches:   snap.Batches(),
 		Root:      snap.Root(),
 		Freshness: snap.Freshness(),
 	}
@@ -216,16 +197,14 @@ func (r *Replica) PersistentState() *PersistentState {
 // it is stale by now it is simply dropped and the next pull replaces it).
 // now is the Unix time used for that freshness evaluation.
 func RestoreReplica(ca CAID, pub ed25519.PublicKey, st *PersistentState, now int64) (*Replica, error) {
-	r := NewReplicaWithLayout(ca, pub, st.Layout)
+	r := NewReplica(ca, pub)
 	if st.Root == nil {
 		if len(st.Log) != 0 {
 			return nil, fmt.Errorf("dictionary: restore %s: %d logged revocations but no signed root", ca, len(st.Log))
 		}
 		return r, nil
 	}
-	// Replay under the persisted batch structure: forest roots depend on
-	// it, and the final root must reproduce the signed one.
-	if err := r.UpdateWithBounds(&IssuanceMessage{Serials: st.Log, Root: st.Root}, st.Batches); err != nil {
+	if err := r.Update(&IssuanceMessage{Serials: st.Log, Root: st.Root}); err != nil {
 		return nil, fmt.Errorf("dictionary: restore %s: %w", ca, err)
 	}
 	if !st.Freshness.IsZero() && !st.Freshness.Equal(st.Root.Anchor) {
@@ -262,10 +241,10 @@ func trimCovered(msg *IssuanceMessage, have uint64) *IssuanceMessage {
 // rejected by all of them, on the wire too, not mirrored.
 //
 // An update record tolerates overlap with state the replica already holds
-// (see trimCovered) and then goes through UpdateWithBounds under the bounds
-// it was first applied with: signature verified, rebuilt root equal to the
-// signed one; a record starting beyond the replica's count fails with
-// ErrDesynchronized, as it would coming off the network. A freshness record
+// (see trimCovered) and then goes through Update: signature verified,
+// rebuilt root equal to the signed one; a record starting beyond the
+// replica's count fails with ErrDesynchronized, as it would coming off the
+// network. A freshness record
 // re-verifies against the chain anchor best-effort: a stale statement is
 // dropped silently, never an error. now is the Unix time used for that
 // evaluation.
@@ -283,7 +262,7 @@ func ApplyLogRecord(r *Replica, raw []byte, now int64) error {
 		return fmt.Errorf("dictionary: decode WAL record for %s: %w", r.CA(), err)
 	}
 	if msg := trimCovered(rec.Msg, r.Count()); msg != nil {
-		if err := r.UpdateWithBounds(msg, rec.Bounds); err != nil {
+		if err := r.Update(msg); err != nil {
 			return fmt.Errorf("dictionary: replay WAL record for %s: %w", r.CA(), err)
 		}
 	}
@@ -296,24 +275,20 @@ func ApplyLogRecord(r *Replica, raw []byte, now int64) error {
 // the checkpoint buffer Load returned becomes the replica's tree as it is —
 // nothing rehashed, nothing copied but the issuance log — and the WAL
 // records after it go through ApplyLogRecord. A log with no checkpoint yet
-// starts from the empty dictionary; a checkpoint in any other format than v2
-// is refused with ErrBadCheckpoint.
+// starts from the empty dictionary; a checkpoint in any other format than v2,
+// or of the retired forest layout, is refused with ErrBadCheckpoint.
 //
-// The persisted layout descriptor must equal layout: adopting either
-// silently would change proof shapes (or reject every future update)
-// without the operator noticing, so a mismatch is an error — wipe the
-// store to change layouts. It is the shared recovery protocol of every
-// replica-holding component (the RA's store and the distribution point);
-// the caller owns the log's lifecycle. The returned replica keeps the
-// checkpoint buffer: Load hands out an immutable one (a fresh heap buffer on
-// the file backend, the installed image on Memory), which stays valid after
-// the log is closed.
-func RecoverReplicaLog(lg storage.Log, ca CAID, pub ed25519.PublicKey, layout LayoutKind, now int64) (*Replica, error) {
+// It is the shared recovery protocol of every replica-holding component
+// (the RA's store and the distribution point); the caller owns the log's
+// lifecycle. The returned replica keeps the checkpoint buffer: Load hands
+// out an immutable one (a fresh heap buffer on the file backend, the
+// installed image on Memory), which stays valid after the log is closed.
+func RecoverReplicaLog(lg storage.Log, ca CAID, pub ed25519.PublicKey, now int64) (*Replica, error) {
 	ckpt, wal, err := lg.Load()
 	if err != nil {
 		return nil, fmt.Errorf("dictionary: load durable log for %s: %w", ca, err)
 	}
-	return openReplica(ca, pub, layout, ckpt, wal, now, false)
+	return openReplica(ca, pub, ckpt, wal, now, false)
 }
 
 // OpenMappedReplica is RecoverReplicaLog for a co-located reader: a process
@@ -322,28 +297,24 @@ func RecoverReplicaLog(lg storage.Log, ca CAID, pub ed25519.PublicKey, layout La
 // records after it — without owning a copy. The replica's tree is the
 // checkpoint bytes, read in place, so its proofs are byte-identical to a heap
 // replica's at zero dictionary heap; a WAL record's insert writes fresh
-// arrays for what it rewrites (the sorted run; the forest's spine and the
-// buckets it lands in), reading the old ones off the checkpoint. It verifies
-// exactly what a restart does. state must stay valid and unmodified for as
-// long as the replica or any snapshot of it is proved against.
+// arrays for what it rewrites, reading the old ones off the checkpoint. It
+// verifies exactly what a restart does. state must stay valid and
+// unmodified for as long as the replica or any snapshot of it is proved
+// against.
 //
 // The result holds neither the issuance log nor the batch bounds below the
-// checkpoint's count (Log, LogSuffix and BatchBounds answer above it only),
-// so it serves statuses but cannot be checkpointed or serve catch-up.
-func OpenMappedReplica(ca CAID, pub ed25519.PublicKey, layout LayoutKind, state []byte, wal [][]byte, now int64) (*Replica, error) {
-	return openReplica(ca, pub, layout, state, wal, now, true)
+// checkpoint's count (Log and LogSuffix answer above it only), so it serves
+// statuses but cannot be checkpointed or serve catch-up.
+func OpenMappedReplica(ca CAID, pub ed25519.PublicKey, state []byte, wal [][]byte, now int64) (*Replica, error) {
+	return openReplica(ca, pub, state, wal, now, true)
 }
 
-func openReplica(ca CAID, pub ed25519.PublicKey, layout LayoutKind, ckpt []byte, wal [][]byte, now int64, mapped bool) (*Replica, error) {
-	r := NewReplicaWithLayout(ca, pub, layout)
+func openReplica(ca CAID, pub ed25519.PublicKey, ckpt []byte, wal [][]byte, now int64, mapped bool) (*Replica, error) {
+	r := NewReplica(ca, pub)
 	if ckpt != nil {
 		st, err := OpenMappedState(ckpt)
 		if err != nil {
 			return nil, fmt.Errorf("dictionary: decode checkpoint for %s: %w", ca, err)
-		}
-		if st.layout != layout {
-			return nil, fmt.Errorf("dictionary: %s persisted with layout %v, configured for %v (the layout — bucket capacity included — is part of the committed state; wipe the data dir to change it)",
-				ca, st.layout, layout)
 		}
 		if err := r.adoptCheckpoint(st, now, mapped); err != nil {
 			return nil, fmt.Errorf("dictionary: restore %s: %w", ca, err)
@@ -359,8 +330,7 @@ func openReplica(ca CAID, pub ed25519.PublicKey, layout LayoutKind, ckpt []byte,
 
 // adoptCheckpoint installs a validated checkpoint into a fresh replica
 // without rehashing or copying anything: the tree reads the checkpoint's
-// sections in place. An owner also inverts the leaf records into the log
-// (and lists a forest's buckets, which a checkpoint of its own encodes); a
+// sections in place. An owner also inverts the leaf records into the log; a
 // mapped reader holds no log at all. The caller is the constructor, so no
 // locking.
 func (r *Replica) adoptCheckpoint(st *MappedState, now int64, mapped bool) error {
@@ -373,7 +343,7 @@ func (r *Replica) adoptCheckpoint(st *MappedState, now int64, mapped bool) error
 	if err := st.root.VerifySignature(r.pub); err != nil {
 		return err
 	}
-	r.tree = &Tree{commit: st.mutableLayout()}
+	r.tree = &Tree{commit: st.run()}
 	if mapped {
 		r.tree.base = st.Count()
 	} else {
@@ -381,10 +351,7 @@ func (r *Replica) adoptCheckpoint(st *MappedState, now int64, mapped bool) error
 		if err != nil {
 			return err
 		}
-		r.tree.log, r.tree.bounds = log, st.Batches()
-		if f, ok := r.tree.commit.(*forestLayout); ok {
-			f.materialize()
-		}
+		r.tree.log, r.tree.bounds = log, st.batches()
 	}
 	r.root = st.root
 	r.freshness = st.root.Anchor
@@ -395,16 +362,6 @@ func (r *Replica) adoptCheckpoint(st *MappedState, now int64, mapped bool) error
 		_ = r.ApplyFreshness(&FreshnessStatement{CA: r.ca, Value: st.freshness}, now)
 	}
 	return nil
-}
-
-// BatchBounds returns a copy of the authority's insertion batch bounds
-// (the cumulative count at the end of each insert). Recovery tooling
-// slices it to re-feed a lagging distribution point a suffix under the
-// authority's exact batch structure.
-func (a *Authority) BatchBounds() []uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]uint64(nil), a.tree.BatchBounds()...)
 }
 
 // ChainSeed returns the secret seed of the authority's current freshness
@@ -423,9 +380,7 @@ func (a *Authority) PersistentState() *PersistentState {
 	defer a.mu.Unlock()
 	seed := a.chain.Seed()
 	return &PersistentState{
-		Layout:    a.cfg.Layout,
 		Log:       a.tree.Log(),
-		Batches:   append([]uint64(nil), a.tree.BatchBounds()...),
 		Root:      a.root,
 		ChainSeed: &seed,
 	}
@@ -438,10 +393,6 @@ func (a *Authority) PersistentState() *PersistentState {
 // seed must hash to the root's committed anchor. A restored authority is
 // bit-for-bit the one that crashed — same tree, same chain, same signed
 // root (and therefore the same dissemination ETag).
-//
-// The layout in cfg must match the persisted one: silently adopting
-// either would change proof shapes (or reject every future replica
-// update) without the operator noticing.
 func RestoreAuthority(cfg AuthorityConfig, st *PersistentState, records []*UpdateRecord) (*Authority, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -452,11 +403,7 @@ func RestoreAuthority(cfg AuthorityConfig, st *PersistentState, records []*Updat
 	if cfg.Rand == nil {
 		cfg.Rand = rand.Reader
 	}
-	if cfg.Layout != st.Layout {
-		return nil, fmt.Errorf("dictionary: restore authority %s: configured layout %v, persisted %v (the layout — bucket capacity included — is part of the committed state)",
-			cfg.CA, cfg.Layout, st.Layout)
-	}
-	a := &Authority{cfg: cfg, tree: NewTreeWithLayout(cfg.Layout)}
+	a := &Authority{cfg: cfg, tree: NewTree()}
 	if err := a.adoptState(st); err != nil {
 		return nil, err
 	}
@@ -469,13 +416,12 @@ func RestoreAuthority(cfg AuthorityConfig, st *PersistentState, records []*Updat
 }
 
 // adoptState installs a verified checkpoint into a fresh authority,
-// replaying the log under its recorded batch structure (forest
-// bucketization depends on it).
+// replaying the log as one batch.
 func (a *Authority) adoptState(st *PersistentState) error {
 	if st.Root == nil || st.ChainSeed == nil {
 		return fmt.Errorf("dictionary: restore authority %s: checkpoint missing root or chain seed", a.cfg.CA)
 	}
-	if err := a.tree.extend(st.Log, uint64(len(st.Log)), st.Batches); err != nil {
+	if err := a.tree.extend(st.Log, uint64(len(st.Log))); err != nil {
 		return fmt.Errorf("dictionary: restore authority %s: %w", a.cfg.CA, err)
 	}
 	return a.install(st.Root, *st.ChainSeed)
@@ -494,7 +440,7 @@ func (a *Authority) applyRecord(rec *UpdateRecord) error {
 	if msg == nil {
 		return nil // covered by the checkpoint
 	}
-	if err := a.tree.extend(msg.Serials, msg.Root.N, nil); err != nil {
+	if err := a.tree.extend(msg.Serials, msg.Root.N); err != nil {
 		return err
 	}
 	return a.install(msg.Root, *rec.Seed)

@@ -12,14 +12,7 @@ import (
 	"ritm/internal/serial"
 )
 
-// persistLayouts are the descriptors the round-trip tests cover: both
-// structures plus a non-default forest capacity (whose bucketization — and
-// therefore roots — differ from the default's).
-func persistLayouts() []LayoutKind {
-	return []LayoutKind{LayoutSorted, LayoutForest, LayoutForestWithCap(64)}
-}
-
-func newPersistAuthority(t *testing.T, layout LayoutKind) *Authority {
+func newPersistAuthority(t *testing.T) *Authority {
 	t.Helper()
 	signer, err := cryptoutil.NewSigner(nil)
 	if err != nil {
@@ -29,7 +22,6 @@ func newPersistAuthority(t *testing.T, layout LayoutKind) *Authority {
 		CA:     "CA1",
 		Signer: signer,
 		Delta:  10 * time.Second,
-		Layout: layout,
 	}, time.Now().Unix())
 	if err != nil {
 		t.Fatal(err)
@@ -37,122 +29,52 @@ func newPersistAuthority(t *testing.T, layout LayoutKind) *Authority {
 	return a
 }
 
-func TestLayoutForestWithCap(t *testing.T) {
-	if LayoutForestWithCap(0) != LayoutForest || LayoutForestWithCap(DefaultForestBucketCap) != LayoutForest {
-		t.Error("default capacities must normalize to plain LayoutForest")
-	}
-	if got := LayoutForestWithCap(512).ForestCap(); got != 512 {
-		t.Errorf("ForestCap = %d, want 512", got)
-	}
-	if got := LayoutForest.ForestCap(); got != DefaultForestBucketCap {
-		t.Errorf("default ForestCap = %d, want %d", got, DefaultForestBucketCap)
-	}
-	if got := LayoutSorted.ForestCap(); got != 0 {
-		t.Errorf("sorted ForestCap = %d, want 0", got)
-	}
-	if s := LayoutForestWithCap(512).String(); s != "forest:512" {
-		t.Errorf("String = %q", s)
-	}
-	parsed, err := ParseLayout("forest:512")
-	if err != nil || parsed != LayoutForestWithCap(512) {
-		t.Errorf("ParseLayout(forest:512) = %v, %v", parsed, err)
-	}
-	if _, err := ParseLayout("forest:1"); err == nil {
-		t.Error("ParseLayout accepted an unusable capacity")
-	}
-	if _, err := ParseLayout("forest:x"); err == nil {
-		t.Error("ParseLayout accepted a non-numeric capacity")
-	}
-}
-
-// TestForestCapChangesRoot pins the reason the capacity must be persisted:
-// two forests over identical content but different caps commit to
-// different roots, so a restore that silently changed the cap would reject
-// every subsequent update.
-func TestForestCapChangesRoot(t *testing.T) {
-	serials := serial.NewGenerator(1, nil).NextN(600)
-	a := NewTreeWithLayout(LayoutForest)
-	b := NewTreeWithLayout(LayoutForestWithCap(64))
-	if err := a.InsertBatch(serials); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.InsertBatch(serials); err != nil {
-		t.Fatal(err)
-	}
-	if a.Root().Equal(b.Root()) {
-		t.Fatal("different bucket capacities committed to the same root")
-	}
-	// And the non-default cap is honored structurally.
-	f := b.commit.(*forestLayout)
-	for i, bk := range f.buckets {
-		if bk.tree.count() > 64 {
-			t.Fatalf("bucket %d holds %d leaves, cap 64", i, bk.tree.count())
-		}
-	}
-	// Proofs from the non-default cap still verify against its root.
-	for _, s := range serials[:50] {
-		p := b.Prove(s)
-		revoked, err := p.Verify(s, b.Root(), b.Count())
-		if err != nil || !revoked {
-			t.Fatalf("cap-64 proof for %v: revoked=%v err=%v", s, revoked, err)
-		}
-	}
-}
-
 func TestReplicaPersistRoundTrip(t *testing.T) {
-	for _, layout := range persistLayouts() {
-		t.Run(layout.String(), func(t *testing.T) {
-			a := newPersistAuthority(t, layout)
-			replica := NewReplicaWithLayout("CA1", a.PublicKey(), layout)
-			gen := serial.NewGenerator(7, nil)
-			now := time.Now().Unix()
-			for i := 0; i < 5; i++ {
-				msg, err := a.Insert(gen.NextN(20), now)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := replica.Update(msg); err != nil {
-					t.Fatal(err)
-				}
+	t.Run("sorted", func(t *testing.T) {
+		a := newPersistAuthority(t)
+		replica := NewReplica("CA1", a.PublicKey())
+		gen := serial.NewGenerator(7, nil)
+		now := time.Now().Unix()
+		for i := 0; i < 5; i++ {
+			msg, err := a.Insert(gen.NextN(20), now)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if err := replica.Update(msg); err != nil {
+				t.Fatal(err)
+			}
+		}
 
-			st, err := DecodePersistentState(replica.PersistentStateV2())
+		st, err := DecodePersistentState(replica.PersistentStateV2())
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := RestoreReplica("CA1", a.PublicKey(), st, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if restored.Count() != replica.Count() {
+			t.Fatalf("restored count %d, want %d", restored.Count(), replica.Count())
+		}
+		if !restored.Root().Equal(replica.Root()) {
+			t.Fatal("restored signed root differs")
+		}
+		// The restored replica proves statuses that verify against the
+		// trust anchor, for present and absent serials alike.
+		for _, s := range []serial.Number{replica.Log()[3], serial.NewGenerator(99, nil).Next()} {
+			status, err := restored.Prove(s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.Layout != layout {
-				t.Fatalf("persisted layout %v, want %v", st.Layout, layout)
+			if _, err := status.Check(s, a.PublicKey(), now); err != nil {
+				t.Fatalf("restored status for %v does not verify: %v", s, err)
 			}
-			restored, err := RestoreReplica("CA1", a.PublicKey(), st, now)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if restored.Count() != replica.Count() {
-				t.Fatalf("restored count %d, want %d", restored.Count(), replica.Count())
-			}
-			if restored.Layout() != layout {
-				t.Fatalf("restored layout %v, want %v", restored.Layout(), layout)
-			}
-			if !restored.Root().Equal(replica.Root()) {
-				t.Fatal("restored signed root differs")
-			}
-			// The restored replica proves statuses that verify against the
-			// trust anchor, for present and absent serials alike.
-			for _, s := range []serial.Number{replica.Log()[3], serial.NewGenerator(99, nil).Next()} {
-				status, err := restored.Prove(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := status.Check(s, a.PublicKey(), now); err != nil {
-					t.Fatalf("restored status for %v does not verify: %v", s, err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 func TestRestoreReplicaRejectsTamperedState(t *testing.T) {
-	a := newPersistAuthority(t, LayoutSorted)
+	a := newPersistAuthority(t)
 	replica := NewReplica("CA1", a.PublicKey())
 	now := time.Now().Unix()
 	msg, err := a.Insert(serial.NewGenerator(3, nil).NextN(10), now)
@@ -191,71 +113,13 @@ func TestRestoreReplicaRejectsTamperedState(t *testing.T) {
 	}
 }
 
-// TestForestCoalescedCatchupNeedsBounds pins the reason batch bounds
-// exist end to end: a replica catching up across bucket splits with one
-// coalesced batch commits to a different forest root (and is correctly
-// rejected), while the same suffix replayed under the origin's batch
-// bounds converges. Before the bounds plumbing, a lagging forest replica
-// was permanently wedged here — Resync rebuilt from a single batch too.
-func TestForestCoalescedCatchupNeedsBounds(t *testing.T) {
-	for _, layout := range []LayoutKind{LayoutForest, LayoutForestWithCap(64)} {
-		t.Run(layout.String(), func(t *testing.T) {
-			a := newPersistAuthority(t, layout)
-			gen := serial.NewGenerator(17, nil)
-			now := time.Now().Unix()
-			var all []serial.Number
-			var bounds []uint64
-			var last *IssuanceMessage
-			for i := 0; i < 10; i++ {
-				batch := gen.NextN(100)
-				all = append(all, batch...)
-				msg, err := a.Insert(batch, now)
-				if err != nil {
-					t.Fatal(err)
-				}
-				last = msg
-				bounds = append(bounds, msg.Root.N)
-			}
-
-			flat := NewReplicaWithLayout("CA1", a.PublicKey(), layout)
-			err := flat.Update(&IssuanceMessage{Serials: all, Root: last.Root})
-			if err == nil {
-				t.Skip("no split between batches; coalescing happened to agree")
-			}
-			if !errors.Is(err, ErrRootMismatch) {
-				t.Fatalf("coalesced update: err = %v, want ErrRootMismatch", err)
-			}
-
-			bounded := NewReplicaWithLayout("CA1", a.PublicKey(), layout)
-			if err := bounded.UpdateWithBounds(&IssuanceMessage{Serials: all, Root: last.Root}, bounds); err != nil {
-				t.Fatalf("bounded catch-up rejected: %v", err)
-			}
-			if bounded.Count() != 1000 {
-				t.Fatalf("count = %d, want 1000", bounded.Count())
-			}
-			// Hostile bounds can only cause rejection, never acceptance of a
-			// different root; the replica is left unchanged and retryable.
-			hostile := NewReplicaWithLayout("CA1", a.PublicKey(), layout)
-			if err := hostile.UpdateWithBounds(&IssuanceMessage{Serials: all, Root: last.Root}, []uint64{37, 911}); err == nil {
-				t.Fatal("fabricated bounds produced an accepted root")
-			}
-			if hostile.Count() != 0 {
-				t.Fatalf("failed bounded update left %d revocations behind", hostile.Count())
-			}
-			if err := hostile.UpdateWithBounds(&IssuanceMessage{Serials: all, Root: last.Root}, bounds); err != nil {
-				t.Fatalf("retry with honest bounds after hostile attempt: %v", err)
-			}
-		})
-	}
-}
-
 // TestRejectedUpdateKeepsRelistedSerials pins the rollback scoping: a
 // hostile message pairing the genuine latest signed root with a fabricated
 // suffix that re-lists an already-revoked serial is rejected — and the
 // rejection must leave that serial revoked (it was never inserted by the
 // failed update, so undoing the update must not take it out).
 func TestRejectedUpdateKeepsRelistedSerials(t *testing.T) {
-	a := newPersistAuthority(t, LayoutSorted)
+	a := newPersistAuthority(t)
 	gen := serial.NewGenerator(31, nil)
 	now := time.Now().Unix()
 	first := gen.NextN(4)
@@ -305,106 +169,95 @@ func TestRejectedUpdateKeepsRelistedSerials(t *testing.T) {
 }
 
 func TestAuthorityPersistRoundTrip(t *testing.T) {
-	for _, layout := range persistLayouts() {
-		t.Run(layout.String(), func(t *testing.T) {
-			a := newPersistAuthority(t, layout)
-			gen := serial.NewGenerator(11, nil)
-			now := time.Now().Unix()
+	t.Run("sorted", func(t *testing.T) {
+		a := newPersistAuthority(t)
+		gen := serial.NewGenerator(11, nil)
+		now := time.Now().Unix()
 
-			// Checkpoint mid-history, then more WAL'd inserts.
-			var records []*UpdateRecord
-			if _, err := a.Insert(gen.NextN(30), now); err != nil {
+		// Checkpoint mid-history, then more WAL'd inserts.
+		var records []*UpdateRecord
+		if _, err := a.Insert(gen.NextN(30), now); err != nil {
+			t.Fatal(err)
+		}
+		ckpt := a.PersistentStateV2()
+		for i := 0; i < 3; i++ {
+			msg, err := a.Insert(gen.NextN(10), now)
+			if err != nil {
 				t.Fatal(err)
 			}
-			ckpt := a.PersistentStateV2()
-			for i := 0; i < 3; i++ {
-				msg, err := a.Insert(gen.NextN(10), now)
-				if err != nil {
-					t.Fatal(err)
-				}
-				seed := a.ChainSeed()
-				records = append(records, &UpdateRecord{Msg: msg, Seed: &seed})
-			}
+			seed := a.ChainSeed()
+			records = append(records, &UpdateRecord{Msg: msg, Seed: &seed})
+		}
 
-			// Encode/decode everything, as the storage tier would.
-			st2, err := DecodePersistentState(ckpt)
-			if err != nil {
+		// Encode/decode everything, as the storage tier would.
+		st2, err := DecodePersistentState(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := make([]*UpdateRecord, len(records))
+		for i, r := range records {
+			if recs[i], err = DecodeUpdateRecord(r.Encode()); err != nil {
 				t.Fatal(err)
 			}
-			recs := make([]*UpdateRecord, len(records))
-			for i, r := range records {
-				if recs[i], err = DecodeUpdateRecord(r.Encode()); err != nil {
-					t.Fatal(err)
-				}
-			}
+		}
 
-			restored, err := RestoreAuthority(AuthorityConfig{
-				CA:     "CA1",
-				Signer: a.cfg.Signer,
-				Delta:  10 * time.Second,
-				Layout: layout,
-			}, st2, recs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if restored.Count() != a.Count() {
-				t.Fatalf("restored count %d, want %d", restored.Count(), a.Count())
-			}
-			if !restored.SignedRoot().Equal(a.SignedRoot()) {
-				t.Fatal("restored authority signs a different root")
-			}
-			// The exact chain survives: freshness statements for the same
-			// period are identical, which is what keeps already-delivered
-			// statuses verifiable across the restart.
-			later := now + 25
-			want, err := a.Statement(later)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := restored.Statement(later)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !want.Value.Equal(got.Value) {
-				t.Fatal("restored chain produces different freshness statements")
-			}
-			// And it keeps operating: the next insert verifies on a replica
-			// synced across the restart boundary.
-			replica := NewReplicaWithLayout("CA1", a.PublicKey(), layout)
-			fullLog, err := restored.LogSuffix(0, restored.Count())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := replica.UpdateWithBounds(&IssuanceMessage{Serials: fullLog, Root: restored.SignedRoot()},
-				restored.PersistentState().Batches); err != nil {
-				t.Fatal(err)
-			}
-			msg, err := restored.Insert(gen.NextN(5), later)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := replica.Update(msg); err != nil {
-				t.Fatalf("post-restore insert rejected by replica: %v", err)
-			}
-		})
-	}
+		restored, err := RestoreAuthority(AuthorityConfig{
+			CA:     "CA1",
+			Signer: a.cfg.Signer,
+			Delta:  10 * time.Second,
+		}, st2, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if restored.Count() != a.Count() {
+			t.Fatalf("restored count %d, want %d", restored.Count(), a.Count())
+		}
+		if !restored.SignedRoot().Equal(a.SignedRoot()) {
+			t.Fatal("restored authority signs a different root")
+		}
+		// The exact chain survives: freshness statements for the same
+		// period are identical, which is what keeps already-delivered
+		// statuses verifiable across the restart.
+		later := now + 25
+		want, err := a.Statement(later)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := restored.Statement(later)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want.Value.Equal(got.Value) {
+			t.Fatal("restored chain produces different freshness statements")
+		}
+		// And it keeps operating: the next insert verifies on a replica
+		// synced across the restart boundary.
+		replica := NewReplica("CA1", a.PublicKey())
+		fullLog, err := restored.LogSuffix(0, restored.Count())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := replica.Update(&IssuanceMessage{Serials: fullLog, Root: restored.SignedRoot()}); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := restored.Insert(gen.NextN(5), later)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := replica.Update(msg); err != nil {
+			t.Fatalf("post-restore insert rejected by replica: %v", err)
+		}
+	})
 }
 
 func TestRestoreAuthorityRejectsMismatch(t *testing.T) {
-	a := newPersistAuthority(t, LayoutForest)
+	a := newPersistAuthority(t)
 	now := time.Now().Unix()
 	if _, err := a.Insert(serial.NewGenerator(2, nil).NextN(10), now); err != nil {
 		t.Fatal(err)
 	}
 	st := a.PersistentState()
 	cfg := AuthorityConfig{CA: "CA1", Signer: a.cfg.Signer, Delta: 10 * time.Second}
-
-	// Layout (or bucket capacity) drift is refused.
-	cfg.Layout = LayoutForestWithCap(64)
-	if _, err := RestoreAuthority(cfg, st, nil); err == nil {
-		t.Fatal("restore accepted a changed bucket capacity")
-	}
-	cfg.Layout = LayoutForest
 
 	// A tampered chain seed no longer reproduces the signed anchor.
 	bad := *st.ChainSeed
@@ -433,8 +286,8 @@ func TestRestoreAuthorityRejectsMismatch(t *testing.T) {
 // against the trust anchor and whose log is one of the honest history's
 // prefixes. It can never fabricate a state the CA did not sign.
 func TestPersistCrashConsistencyProperty(t *testing.T) {
-	a := newPersistAuthority(t, LayoutForest)
-	replica := NewReplicaWithLayout("CA1", a.PublicKey(), LayoutForest)
+	a := newPersistAuthority(t)
+	replica := NewReplica("CA1", a.PublicKey())
 	gen := serial.NewGenerator(21, nil)
 	now := time.Now().Unix()
 	honestRoots := map[cryptoutil.Hash]uint64{} // root hash → count
@@ -487,61 +340,81 @@ func TestPersistCrashConsistencyProperty(t *testing.T) {
 	}
 }
 
+// resealCRCs recomputes, in place, the CRC of every section a checkpoint's
+// table points at within data, as a hostile writer would, and returns data.
+func resealCRCs(data []byte) []byte {
+	if IsStateV2(data) && len(data) >= v2HeaderLen {
+		le := binary.LittleEndian
+		for i := 0; i < int(le.Uint32(data[8:])) && v2HeaderLen+(i+1)*v2TableEntry <= len(data); i++ {
+			e := data[v2HeaderLen+i*v2TableEntry:]
+			if off, n := le.Uint64(e[8:]), le.Uint64(e[16:]); off <= uint64(len(data)) && n <= uint64(len(data))-off {
+				le.PutUint32(e[4:], crc32.ChecksumIEEE(data[off:off+n]))
+			}
+		}
+	}
+	return data
+}
+
+// forestImage returns a copy of a checkpoint whose header names the retired
+// forest layout (descriptor 1), its CRCs resealed.
+func forestImage(state []byte) []byte {
+	out := append([]byte(nil), state...)
+	le := binary.LittleEndian
+	for i := 0; i < int(le.Uint32(out[8:])); i++ {
+		if e := out[v2HeaderLen+i*v2TableEntry:]; le.Uint32(e) == v2SecHeader {
+			le.PutUint32(out[le.Uint64(e[8:]):], 1)
+		}
+	}
+	return resealCRCs(out)
+}
+
 // FuzzOpenMappedState feeds hostile bytes to everything that reads a
 // checkpoint in place (mmap'd bytes from a co-tenant writer are an attack
 // surface): rejected input must be ErrBadCheckpoint, and accepted input
 // must answer Prove and Revoked — pure-mapped, overlaid and materialized —
-// without faulting, whatever its section table points at.
+// without faulting, whatever its section table points at. The seeds include
+// byte forms that must be refused: a forest-layout header and the retired v1
+// encoding.
 func FuzzOpenMappedState(f *testing.F) {
 	signer := mustSigner(f)
 	probes := serial.NewGenerator(1, nil).NextN(40)
-	for _, layout := range []LayoutKind{LayoutSorted, LayoutForestWithCap(8)} {
-		a, err := NewAuthority(AuthorityConfig{CA: "CA1", Signer: signer, Delta: 10 * time.Second, Layout: layout}, 1000)
-		if err != nil {
-			f.Fatal(err)
-		}
-		r := NewReplicaWithLayout("CA1", a.PublicKey(), layout)
-		f.Add(r.PersistentStateV2()) // empty, replica side
-		msg, err := a.Insert(probes[:30], 1000)
-		if err != nil {
-			f.Fatal(err)
-		}
-		if err := r.Update(msg); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(r.PersistentStateV2())
-		f.Add(a.PersistentStateV2()) // authority side: carries the chain seed
+	a, err := NewAuthority(AuthorityConfig{CA: "CA1", Signer: signer, Delta: 10 * time.Second}, 1000)
+	if err != nil {
+		f.Fatal(err)
 	}
+	r := NewReplica("CA1", a.PublicKey())
+	f.Add(r.PersistentStateV2()) // empty, replica side
+	msg, err := a.Insert(probes[:30], 1000)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := r.Update(msg); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(r.PersistentStateV2())
+	f.Add(a.PersistentStateV2()) // authority side: carries the chain seed
+	f.Add(forestImage(r.PersistentStateV2()))
+	f.Add(forestImage(a.PersistentStateV2()))
+	f.Add(forestImage(NewReplica("CA1", a.PublicKey()).PersistentStateV2()))
 	f.Add(v1ShapedPayload)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The section CRCs would stop nearly every mutation at the door;
 		// re-seal them so the structural validation behind is what gets
 		// fuzzed (a hostile writer computes correct CRCs too).
-		data = append([]byte(nil), data...)
-		if IsStateV2(data) && len(data) >= v2HeaderLen {
-			le := binary.LittleEndian
-			for i := 0; i < int(le.Uint32(data[8:])) && v2HeaderLen+(i+1)*v2TableEntry <= len(data); i++ {
-				e := data[v2HeaderLen+i*v2TableEntry:]
-				if off, n := le.Uint64(e[8:]), le.Uint64(e[16:]); off <= uint64(len(data)) && n <= uint64(len(data))-off {
-					le.PutUint32(e[4:], crc32.ChecksumIEEE(data[off:off+n]))
-				}
-			}
-		}
-		st, err := OpenMappedState(data)
+		st, err := OpenMappedState(resealCRCs(append([]byte(nil), data...)))
 		if err != nil {
 			if !errors.Is(err, ErrBadCheckpoint) {
 				t.Fatalf("rejected with %v, want ErrBadCheckpoint", err)
 			}
 			return
 		}
-		view := st.view()
-		overlay := st.mutableLayout()
-		overlay.insert([]Leaf{{Serial: probes[35], Num: st.Count() + 1}})
-		for _, v := range []LayoutView{view, overlay.view()} {
-			v.Root()
+		var rb rebuilder
+		overlay := rb.rebuild(st.run(), []Leaf{{Serial: probes[35], Num: st.Count() + 1}}, false)
+		for _, v := range []run{st.run(), overlay} {
+			v.root()
 			for _, s := range probes[25:] {
-				v.Revoked(s)
-				v.Prove(s)
+				v.revoked(s)
+				v.prove(s)
 			}
 		}
 		if _, err := st.materializeLog(); err != nil && !errors.Is(err, ErrBadCheckpoint) {
@@ -559,88 +432,87 @@ func FuzzApplyLogRecord(f *testing.F) {
 	signer := mustSigner(f)
 	const now = 1000
 	const honestNext = 65 // count after the honest record that follows the checkpoint
-	layouts := []LayoutKind{LayoutSorted, LayoutForestWithCap(8)}
-	states := make([][]byte, len(layouts))
-	next := make([][]byte, len(layouts)) // the honest record after each checkpoint
+	a, err := NewAuthority(AuthorityConfig{CA: "CA1", Signer: signer, Delta: 10 * time.Second, ChainLength: 16}, now)
+	if err != nil {
+		f.Fatal(err)
+	}
+	r := NewReplica("CA1", a.PublicKey())
+	var state []byte
+	var frames [][]byte
 	gen := serial.NewGenerator(7, nil)
-	for i, layout := range layouts {
-		a, err := NewAuthority(AuthorityConfig{CA: "CA1", Signer: signer, Delta: 10 * time.Second, ChainLength: 16, Layout: layout}, now)
+	for _, n := range []int{40, honestNext - 40, 9} {
+		msg, err := a.Insert(gen.NextN(n), now)
 		if err != nil {
 			f.Fatal(err)
 		}
-		r := NewReplicaWithLayout("CA1", a.PublicKey(), layout)
-		var frames [][]byte
-		for _, n := range []int{40, honestNext - 40, 9} {
-			msg, err := a.Insert(gen.NextN(n), now)
-			if err != nil {
+		if state == nil {
+			if err := r.Update(msg); err != nil {
 				f.Fatal(err)
 			}
-			if states[i] == nil {
-				if err := r.Update(msg); err != nil {
-					f.Fatal(err)
-				}
-				states[i] = r.PersistentStateV2()
-			}
-			// The first is covered by the checkpoint, the second extends
-			// it, the third leaves a gap; and each once more under a bound no
-			// batch ended at, which a forest must refuse.
-			frames = append(frames, (&UpdateRecord{Msg: msg}).Encode(),
-				(&UpdateRecord{Msg: msg, Bounds: []uint64{msg.Root.N - 3}}).Encode())
+			state = r.PersistentStateV2()
 		}
-		stmt, err := a.Statement(now + 10)
+		// The first is covered by the checkpoint, the second extends it, the
+		// third leaves a gap; and each once more in the form older builds
+		// wrote, under a bound no batch ended at, which is dropped — and
+		// under more bounds than serials, which is refused — and as the
+		// authority's record, carrying its chain seed.
+		seed := a.ChainSeed()
+		frames = append(frames, updateFrame(msg), boundedFrame(msg, msg.Root.N-3),
+			boundedFrame(msg, make([]uint64, n+1)...), (&UpdateRecord{Msg: msg, Seed: &seed}).Encode())
+	}
+	for _, p := range []int64{10, 30} { // this period's statement and a future one
+		stmt, err := a.Statement(now + p)
 		if err != nil {
 			f.Fatal(err)
 		}
 		frames = append(frames, (&FreshnessRecord{Value: stmt.Value}).Encode())
-		next[i] = frames[2]
-		for _, frame := range frames {
-			f.Add(frame)
-			f.Add(frame[:len(frame)/2])
-			f.Add(frame[:len(frame)-1])
-		}
+	}
+	next := frames[4] // the honest record after the checkpoint
+	for _, frame := range frames {
+		f.Add(frame)
+		f.Add(frame[:len(frame)/2])
+		f.Add(frame[:len(frame)-1])
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		for i, layout := range layouts {
-			var replicas [2]*Replica
-			var after [2]*Snapshot
-			var errs [2]error
-			agree := func(step string) {
-				t.Helper()
-				if (errs[0] == nil) != (errs[1] == nil) || after[0].Count() != after[1].Count() ||
-					!after[0].RootHash().Equal(after[1].RootHash()) || !after[0].Freshness().Equal(after[1].Freshness()) {
-					t.Fatalf("%v, %s: heap replica (n=%d, %v) and mapped-base replica (n=%d, %v) disagree",
-						layout, step, after[0].Count(), errs[0], after[1].Count(), errs[1])
-				}
+		var replicas [2]*Replica
+		var after [2]*Snapshot
+		var errs [2]error
+		agree := func(step string) {
+			t.Helper()
+			if (errs[0] == nil) != (errs[1] == nil) || after[0].Count() != after[1].Count() ||
+				!after[0].RootHash().Equal(after[1].RootHash()) || !after[0].Freshness().Equal(after[1].Freshness()) {
+				t.Fatalf("%s: heap replica (n=%d, %v) and mapped-base replica (n=%d, %v) disagree",
+					step, after[0].Count(), errs[0], after[1].Count(), errs[1])
 			}
-			for j, mapped := range []bool{false, true} {
-				r, err := openReplica("CA1", signer.Public(), layout, states[i], nil, now, mapped)
-				if err != nil {
-					t.Fatal(err)
-				}
-				replicas[j] = r
-				before := r.Snapshot()
-				errs[j] = ApplyLogRecord(r, frame, now+10)
-				after[j] = r.Snapshot()
-				if after[j].Count() == before.Count() && after[j].RootHash().Equal(before.RootHash()) && after[j].Root().Equal(before.Root()) {
-					continue
-				}
-				rec, err := DecodeUpdateRecord(frame)
-				if errs[j] != nil || err != nil || rec.Msg.Root.VerifySignature(signer.Public()) != nil || !after[j].Root().Equal(rec.Msg.Root) {
-					t.Fatalf("%v, mapped=%v: state moved to n=%d without a verified root (apply: %v, decode: %v)",
-						layout, mapped, after[j].Count(), errs[j], err)
-				}
+		}
+		for j, mapped := range []bool{false, true} {
+			r, err := openReplica("CA1", signer.Public(), state, nil, now, mapped)
+			if err != nil {
+				t.Fatal(err)
 			}
-			agree("the frame")
-			// Whatever the frame did, rejected or applied, the honest history
-			// still goes on from there, on both.
-			for j := range replicas {
-				errs[j] = ApplyLogRecord(replicas[j], next[i], now+10)
-				after[j] = replicas[j].Snapshot()
+			replicas[j] = r
+			before := r.Snapshot()
+			errs[j] = ApplyLogRecord(r, frame, now+10)
+			after[j] = r.Snapshot()
+			if after[j].Count() == before.Count() && after[j].RootHash().Equal(before.RootHash()) && after[j].Root().Equal(before.Root()) {
+				continue
 			}
-			agree("the honest record after it")
-			if after[0].Count() < honestNext {
-				t.Fatalf("%v: honest record after the frame left n=%d (%v)", layout, after[0].Count(), errs[0])
+			rec, err := DecodeUpdateRecord(frame)
+			if errs[j] != nil || err != nil || rec.Msg.Root.VerifySignature(signer.Public()) != nil || !after[j].Root().Equal(rec.Msg.Root) {
+				t.Fatalf("mapped=%v: state moved to n=%d without a verified root (apply: %v, decode: %v)",
+					mapped, after[j].Count(), errs[j], err)
 			}
+		}
+		agree("the frame")
+		// Whatever the frame did, rejected or applied, the honest history
+		// still goes on from there, on both.
+		for j := range replicas {
+			errs[j] = ApplyLogRecord(replicas[j], next, now+10)
+			after[j] = replicas[j].Snapshot()
+		}
+		agree("the honest record after it")
+		if after[0].Count() < honestNext {
+			t.Fatalf("honest record after the frame left n=%d (%v)", after[0].Count(), errs[0])
 		}
 	})
 }

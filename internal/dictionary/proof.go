@@ -22,12 +22,8 @@ const (
 	ProofAbsenceEmpty
 )
 
-// proofSpineFlag marks, on the encoded kind byte, that a SpineSegment
-// follows the leaves: the proof comes from a forest-layout dictionary.
-const proofSpineFlag = 0x80
-
-// maxProofPath bounds decoded audit-path lengths: a structure of 2⁶⁴
-// positions, far beyond any real tree or spine.
+// maxProofPath bounds decoded audit-path lengths: a tree of 2⁶⁴ leaves,
+// far beyond any real one.
 const maxProofPath = 64
 
 // String returns a human-readable kind name.
@@ -45,8 +41,7 @@ func (k ProofKind) String() string {
 }
 
 // ProofLeaf is one leaf exhibited by a proof, together with the audit path
-// that authenticates it against the signed root (for the sorted layout) or
-// against its bucket's root (for the forest layout). The two leaves of a
+// that authenticates it against the signed root. The two leaves of a
 // bracketing absence proof share one audit path, split between them as
 // pairRoot describes; neither Path is then complete on its own.
 type ProofLeaf struct {
@@ -56,7 +51,7 @@ type ProofLeaf struct {
 	Path   []cryptoutil.Hash
 }
 
-// climb walks an audit path from position idx of a structure with size
+// climb walks an audit path from position idx of a tree with size
 // positions up to its root, consuming exactly the whole path. The promotion
 // rule for odd rightmost nodes is reproduced from (index, size) alone.
 func climb(h cryptoutil.Hash, idx, size uint64, path []cryptoutil.Hash) (cryptoutil.Hash, error) {
@@ -87,8 +82,8 @@ func climb(h cryptoutil.Hash, idx, size uint64, path []cryptoutil.Hash) (cryptou
 	return h, nil
 }
 
-// computeRoot recomputes the root the leaf's audit path leads to, for a run
-// of n leaves: the whole tree, or one forest bucket.
+// computeRoot recomputes the root the leaf's audit path leads to, for a
+// tree of n leaves.
 func (pl *ProofLeaf) computeRoot(n uint64) (cryptoutil.Hash, error) {
 	if pl.Index >= n {
 		return cryptoutil.Hash{}, fmt.Errorf("%w: leaf index %d outside tree of size %d", ErrBadProof, pl.Index, n)
@@ -97,7 +92,7 @@ func (pl *ProofLeaf) computeRoot(n uint64) (cryptoutil.Hash, error) {
 	return climb(h, pl.Index, n, pl.Path)
 }
 
-// pairRoot recomputes the root of a run of n leaves from the two adjacent
+// pairRoot recomputes the root of a tree of n leaves from the two adjacent
 // leaves of a bracketing absence proof, which share one audit path: below
 // the level where their climbs fork, l sits at an odd position and r at the
 // even one after it, so l.Path opens with l's left siblings and r.Path is
@@ -132,41 +127,6 @@ func pairRoot(l, r *ProofLeaf, n uint64) (cryptoutil.Hash, error) {
 	return climb(cryptoutil.HashNode(hl, hr), idx/2, (size+1)/2, lp)
 }
 
-// SpineSegment extends a proof produced by a forest-layout dictionary
-// (LayoutForest): it authenticates the bucket the exhibited leaves live in.
-// The verifier recomputes the bucket root from the leaf audit paths, binds
-// it to the committed bucket header (range bounds and leaf count), climbs
-// the spine path, and compares the forest root against the signed root.
-//
-// The committed range [Lo, Hi) is what keeps absence proofs sound with
-// bucket-local neighbors: buckets tile the serial space disjointly, so a
-// serial inside this bucket's range cannot be a leaf of any other bucket.
-type SpineSegment struct {
-	// BucketIndex is the bucket's position among NumBuckets spine leaves.
-	BucketIndex uint64
-	// NumBuckets is the total bucket count committed by the forest root.
-	NumBuckets uint64
-	// LeafCount is the number of leaves in this bucket.
-	LeafCount uint64
-	// Lo and Hi bound the bucket's serial range [Lo, Hi); a zero Number
-	// means unbounded on that side.
-	Lo, Hi serial.Number
-	// Path is the spine audit path from the bucket commitment to the spine
-	// root.
-	Path []cryptoutil.Hash
-}
-
-// contains reports whether s falls in the bucket's committed range.
-func (sp *SpineSegment) contains(s serial.Number) bool {
-	if !sp.Lo.IsZero() && sp.Lo.Compare(s) > 0 {
-		return false
-	}
-	if !sp.Hi.IsZero() && s.Compare(sp.Hi) >= 0 {
-		return false
-	}
-	return true
-}
-
 // Proof is a presence or absence proof for one serial number against one
 // version (root, n) of a dictionary. Proofs are produced by Tree.Prove and
 // verified with Proof.Verify; they are sound against any prover, including
@@ -174,29 +134,20 @@ func (sp *SpineSegment) contains(s serial.Number) bool {
 type Proof struct {
 	Kind ProofKind
 	// Left is the proven leaf for presence proofs, or the predecessor leaf
-	// for absence proofs (nil when the serial precedes the whole tree — or,
-	// with a spine segment, its whole bucket).
+	// for absence proofs (nil when the serial precedes the whole tree).
 	Left *ProofLeaf
 	// Right is the successor leaf for absence proofs (nil when the serial
-	// follows the whole tree or bucket), at Left.Index+1 when both are
-	// present. Unused by presence proofs.
+	// follows the whole tree), at Left.Index+1 when both are present. Unused
+	// by presence proofs.
 	Right *ProofLeaf
-	// Spine is present exactly when the proof comes from a forest-layout
-	// dictionary; leaf indices and paths are then bucket-local.
-	Spine *SpineSegment
 }
 
 // Verify checks that the proof is a valid statement about s in the
 // dictionary version committed to by (root, n). On success it returns
 // revoked=true for a presence proof and revoked=false for an absence proof.
-// Proofs carrying a SpineSegment verify against forest-layout roots; plain
-// proofs against sorted-layout roots — the layouts' root constructions are
-// domain-separated, so a proof can never verify against the other layout's
-// root.
 func (p *Proof) Verify(s serial.Number, root cryptoutil.Hash, n uint64) (revoked bool, err error) {
-	sp := p.Spine
 	if p.Kind == ProofAbsenceEmpty {
-		if p.Left != nil || p.Right != nil || sp != nil {
+		if p.Left != nil || p.Right != nil {
 			return false, fmt.Errorf("%w: malformed empty-tree proof", ErrBadProof)
 		}
 		if n != 0 || !root.Equal(EmptyRoot) {
@@ -204,33 +155,9 @@ func (p *Proof) Verify(s serial.Number, root cryptoutil.Hash, n uint64) (revoked
 		}
 		return false, nil
 	}
-	// The exhibited leaves authenticate the root of the run they sit in: the
-	// whole tree, or — under a spine segment — one bucket, whose header binds
-	// that root to the committed range and count before the spine path
-	// authenticates the bucket against the forest root.
-	size := n
-	if sp != nil {
-		if n == 0 || sp.NumBuckets == 0 || sp.LeafCount == 0 ||
-			sp.BucketIndex >= sp.NumBuckets || sp.LeafCount > n || sp.NumBuckets > n {
-			return false, fmt.Errorf("%w: malformed spine segment", ErrBadProof)
-		}
-		// The range check is what makes a bucket-local absence proof a
-		// global one: s belongs to this bucket and no other.
-		if p.Kind == ProofAbsence && !sp.contains(s) {
-			return false, fmt.Errorf("%w: serial %v outside the proof bucket's range", ErrBadProof, s)
-		}
-		size = sp.LeafCount
-	}
-	h, err := p.runRoot(s, size)
+	h, err := p.runRoot(s, n)
 	if err != nil {
 		return false, err
-	}
-	if sp != nil {
-		node := cryptoutil.HashBucket(sp.Lo.Raw(), sp.Hi.Raw(), sp.LeafCount, h)
-		if h, err = climb(node, sp.BucketIndex, sp.NumBuckets, sp.Path); err != nil {
-			return false, err
-		}
-		h = cryptoutil.HashForestRoot(sp.NumBuckets, h)
 	}
 	if !h.Equal(root) {
 		return false, fmt.Errorf("%w: audit path does not reach root", ErrBadProof)
@@ -239,7 +166,7 @@ func (p *Proof) Verify(s serial.Number, root cryptoutil.Hash, n uint64) (revoked
 }
 
 // runRoot checks the exhibited leaves against s and recomputes the root of
-// the run of size leaves they sit in.
+// the tree of size leaves they sit in.
 func (p *Proof) runRoot(s serial.Number, size uint64) (cryptoutil.Hash, error) {
 	l, r := p.Left, p.Right
 	switch {
@@ -259,7 +186,7 @@ func (p *Proof) runRoot(s serial.Number, size uint64) (cryptoutil.Hash, error) {
 		return cryptoutil.Hash{}, fmt.Errorf("%w: absence proof with no leaves", ErrBadProof)
 
 	case l == nil:
-		// s precedes the entire run: Right must be its first leaf.
+		// s precedes the entire tree: Right must be its first leaf.
 		if r.Index != 0 {
 			return cryptoutil.Hash{}, fmt.Errorf("%w: left-boundary proof not anchored at index 0", ErrBadProof)
 		}
@@ -269,7 +196,7 @@ func (p *Proof) runRoot(s serial.Number, size uint64) (cryptoutil.Hash, error) {
 		return r.computeRoot(size)
 
 	case r == nil:
-		// s follows the entire run: Left must be its last leaf.
+		// s follows the entire tree: Left must be its last leaf.
 		if l.Index+1 != size {
 			return cryptoutil.Hash{}, fmt.Errorf("%w: right-boundary proof not anchored at the last leaf", ErrBadProof)
 		}
@@ -289,9 +216,9 @@ func (p *Proof) runRoot(s serial.Number, size uint64) (cryptoutil.Hash, error) {
 
 // Size returns the encoded size of the proof in bytes. The paper reports a
 // 500–900 byte status for the largest CRL observed (§VII-D: 339,557
-// entries); there, with 16-byte serials, a sorted proof averages 400 B for
-// presence and 423 B for absence, a forest proof 436 and 458 B, and the
-// signed root and freshness value add 149 B to make the status.
+// entries); there, with 16-byte serials, a proof averages 400 B for presence
+// and 423 B for absence, and the signed root and freshness value add 149 B
+// to make the status.
 func (p *Proof) Size() int { return len(p.Encode()) }
 
 // Encode serializes the proof.
@@ -302,17 +229,10 @@ func (p *Proof) Encode() []byte {
 }
 
 func (p *Proof) encodeTo(e *wire.Encoder) {
-	k := uint8(p.Kind)
-	if p.Spine != nil {
-		k |= proofSpineFlag
-	}
-	e.Uint8(k)
+	e.Uint8(uint8(p.Kind))
 	encodeProofLeaf(e, p.Left, true)
 	// A bracketing Right sits at Left.Index+1: its index is not transmitted.
 	encodeProofLeaf(e, p.Right, p.Left == nil)
-	if p.Spine != nil {
-		encodeSpineSegment(e, p.Spine)
-	}
 }
 
 func encodeProofLeaf(e *wire.Encoder, pl *ProofLeaf, withIndex bool) {
@@ -329,15 +249,6 @@ func encodeProofLeaf(e *wire.Encoder, pl *ProofLeaf, withIndex bool) {
 	encodePath(e, pl.Path)
 }
 
-func encodeSpineSegment(e *wire.Encoder, sp *SpineSegment) {
-	e.BytesField(sp.Lo.Raw()) // zero serial encodes as empty = unbounded
-	e.BytesField(sp.Hi.Raw())
-	e.Uvarint(sp.BucketIndex)
-	e.Uvarint(sp.NumBuckets)
-	e.Uvarint(sp.LeafCount)
-	encodePath(e, sp.Path)
-}
-
 func encodePath(e *wire.Encoder, path []cryptoutil.Hash) {
 	e.Uvarint(uint64(len(path)))
 	for _, h := range path {
@@ -347,11 +258,11 @@ func encodePath(e *wire.Encoder, path []cryptoutil.Hash) {
 
 // DecodeProof parses a proof encoded by Encode. Only shapes Verify could
 // accept decode: a presence proof has exactly its Left leaf, an absence
-// proof at least one leaf, an empty-dictionary proof neither leaves nor
-// spine; anything else — unknown kinds included — is ErrBadProof here, not
-// first at a Verify the caller might skip. The two-path absence encoding of
-// earlier versions is refused (it misparses, or fails Verify's exact path
-// consumption).
+// proof at least one leaf, an empty-dictionary proof none; anything else —
+// unknown kinds included — is ErrBadProof here, not first at a Verify the
+// caller might skip. That refuses the retired forest layout's proofs, whose
+// kind byte carries 0x80, and the two-path absence encoding of earlier
+// versions (it misparses, or fails Verify's exact path consumption).
 func DecodeProof(buf []byte) (*Proof, error) {
 	d := wire.NewDecoder(buf)
 	p, err := decodeProofFrom(d)
@@ -365,23 +276,21 @@ func DecodeProof(buf []byte) (*Proof, error) {
 }
 
 // proofDecoder is proofArena's mirror on the verifying side: one block holds
-// the decoded Proof, its leaves, its spine segment and the bytes of their (at
-// most four) serials, and one array backs every audit path — two allocations
-// per proof, nothing aliasing the input.
+// the decoded Proof, its leaves and the bytes of their serials, and one array
+// backs both audit paths — two allocations per proof, nothing aliasing the
+// input.
 type proofDecoder struct {
 	proof   Proof
 	leaves  [2]ProofLeaf
-	spine   SpineSegment
-	serials [4 * serial.MaxLen]byte
+	serials [2 * serial.MaxLen]byte
 	used    int // bytes of serials taken
 }
 
 func decodeProofFrom(d *wire.Decoder) (*Proof, error) {
 	a := &proofDecoder{}
 	p := &a.proof
-	k := d.Uint8()
-	p.Kind = ProofKind(k &^ proofSpineFlag)
-	var raw [3][]byte // the audit paths as encoded: left, right, spine
+	p.Kind = ProofKind(d.Uint8())
+	var raw [2][]byte // the audit paths as encoded: left, right
 	var err error
 	if d.Bool() {
 		p.Left = &a.leaves[0]
@@ -398,26 +307,19 @@ func decodeProofFrom(d *wire.Decoder) (*Proof, error) {
 			p.Right.Index = p.Left.Index + 1
 		}
 	}
-	if k&proofSpineFlag != 0 {
-		p.Spine = &a.spine
-		if raw[2], err = a.spineSegment(d); err != nil {
-			return nil, err
-		}
-	}
 	if d.Err() != nil {
 		return nil, fmt.Errorf("decode proof: %w", d.Err())
 	}
 	switch {
 	case p.Kind == ProofPresence && p.Left != nil && p.Right == nil:
 	case p.Kind == ProofAbsence && (p.Left != nil || p.Right != nil):
-	case p.Kind == ProofAbsenceEmpty && p.Left == nil && p.Right == nil && p.Spine == nil:
+	case p.Kind == ProofAbsenceEmpty && p.Left == nil && p.Right == nil:
 	default:
 		return nil, fmt.Errorf("%w: %v proof of impossible shape", ErrBadProof, p.Kind)
 	}
-	backing := make([]cryptoutil.Hash, (len(raw[0])+len(raw[1])+len(raw[2]))/cryptoutil.HashSize)
+	backing := make([]cryptoutil.Hash, (len(raw[0])+len(raw[1]))/cryptoutil.HashSize)
 	a.leaves[0].Path, backing = cutPath(raw[0], backing)
-	a.leaves[1].Path, backing = cutPath(raw[1], backing)
-	a.spine.Path, _ = cutPath(raw[2], backing)
+	a.leaves[1].Path, _ = cutPath(raw[1], backing)
 	return p, nil
 }
 
@@ -432,13 +334,9 @@ func cutPath(raw []byte, backing []cryptoutil.Hash) (path, rest []cryptoutil.Has
 	return path, backing[n:]
 }
 
-// number reads one serial into the arena's serial bytes. An empty optional
-// field is the zero Number: an unbounded bucket bound.
-func (a *proofDecoder) number(d *wire.Decoder, optional bool) (serial.Number, error) {
+// number reads one serial into the arena's serial bytes.
+func (a *proofDecoder) number(d *wire.Decoder) (serial.Number, error) {
 	b := d.BytesField()
-	if len(b) == 0 && optional {
-		return serial.Number{}, nil
-	}
 	if len(b) > serial.MaxLen {
 		return serial.Number{}, serial.ErrTooLong
 	}
@@ -461,26 +359,12 @@ func decodeRawPath(d *wire.Decoder) ([]byte, error) {
 }
 
 func (a *proofDecoder) leaf(d *wire.Decoder, pl *ProofLeaf, withIndex bool) (rawPath []byte, err error) {
-	if pl.Serial, err = a.number(d, false); err != nil {
+	if pl.Serial, err = a.number(d); err != nil {
 		return nil, fmt.Errorf("decode proof leaf serial: %w", err)
 	}
 	pl.Num = d.Uvarint()
 	if withIndex {
 		pl.Index = d.Uvarint()
 	}
-	return decodeRawPath(d)
-}
-
-func (a *proofDecoder) spineSegment(d *wire.Decoder) (rawPath []byte, err error) {
-	sp := &a.spine
-	if sp.Lo, err = a.number(d, true); err != nil {
-		return nil, fmt.Errorf("decode spine lower bound: %w", err)
-	}
-	if sp.Hi, err = a.number(d, true); err != nil {
-		return nil, fmt.Errorf("decode spine upper bound: %w", err)
-	}
-	sp.BucketIndex = d.Uvarint()
-	sp.NumBuckets = d.Uvarint()
-	sp.LeafCount = d.Uvarint()
 	return decodeRawPath(d)
 }

@@ -23,9 +23,8 @@ import (
 // and never block — a Prove observes either the previous or the new
 // version, both of which verify against a CA-signed root.
 type Replica struct {
-	ca         CAID
-	pub        ed25519.PublicKey
-	layoutKind LayoutKind
+	ca  CAID
+	pub ed25519.PublicKey
 
 	// snap is the current published version; never nil (the initial
 	// snapshot is empty with a nil signed root).
@@ -39,28 +38,14 @@ type Replica struct {
 	gen       uint64          // publication counter behind the snapshots
 }
 
-// NewReplica creates an empty replica of the dictionary of the given CA,
-// with the default sorted layout. The public key is the trust anchor
-// against which every signed root is verified; it normally comes from the
-// CA's certificate.
+// NewReplica creates an empty replica of the dictionary of the given CA.
+// The public key is the trust anchor against which every signed root is
+// verified; it normally comes from the CA's certificate.
 func NewReplica(ca CAID, pub ed25519.PublicKey) *Replica {
-	return NewReplicaWithLayout(ca, pub, LayoutSorted)
-}
-
-// NewReplicaWithLayout creates an empty replica using the given commitment
-// layout. The layout MUST match the authority's: a replayed update is
-// accepted only when the locally rebuilt root equals the signed root, and
-// roots are layout-specific. Recovery paths that rebuild a replica (see
-// ra.RA.Resync) read the layout back through Layout so the replacement
-// reuses it.
-func NewReplicaWithLayout(ca CAID, pub ed25519.PublicKey, kind LayoutKind) *Replica {
-	r := &Replica{ca: ca, pub: pub, layoutKind: kind, tree: NewTreeWithLayout(kind)}
+	r := &Replica{ca: ca, pub: pub, tree: NewTree()}
 	r.snap.Store(newSnapshot(ca, r.tree, nil, cryptoutil.Hash{}, 0, 0))
 	return r
 }
-
-// Layout returns the replica's commitment layout.
-func (r *Replica) Layout() LayoutKind { return r.layoutKind }
 
 // publish freezes the current state as the next snapshot. Caller holds mu.
 func (r *Replica) publish() {
@@ -106,27 +91,10 @@ func (r *Replica) Revoked(s serial.Number) bool { return r.snap.Load().Revoked(s
 //
 // A count gap (the message starts beyond our log) returns
 // ErrDesynchronized; the caller should resynchronize via the sync protocol
-// (§III), requesting the log suffix after Count().
+// (§III), requesting the log suffix after Count(). A message coalescing
+// several of the authority's batches (a catch-up suffix) is replayed as one
+// batch.
 func (r *Replica) Update(msg *IssuanceMessage) error {
-	return r.UpdateWithBounds(msg, nil)
-}
-
-// UpdateWithBounds is Update for a message that coalesces several of the
-// authority's insertion batches (a catch-up suffix): bounds lists the
-// cumulative counts, strictly between the replica's count and the signed
-// count, at which the original batches ended, and the replay inserts the
-// serials in exactly those sub-batches.
-//
-// The bounds matter because the forest layout's bucketization — and so
-// the root it commits to — depends on the batch structure of the
-// insertion history, not only on the final content: replaying a multi-
-// batch suffix as one batch can split buckets differently and fail the
-// root match even though every serial agrees. The bounds are an unsigned
-// hint with no trust requirement: the commit rule is still "the rebuilt
-// root equals the CA-signed root", so wrong or malicious bounds can only
-// cause a rejection (exactly as dropping the message would), never an
-// accepted forgery. Out-of-range or non-increasing bounds are ignored.
-func (r *Replica) UpdateWithBounds(msg *IssuanceMessage, bounds []uint64) error {
 	if msg == nil || msg.Root == nil {
 		return fmt.Errorf("dictionary: nil issuance message")
 	}
@@ -157,7 +125,7 @@ func (r *Replica) UpdateWithBounds(msg *IssuanceMessage, bounds []uint64) error 
 		// The checkpoint is the state of the last published snapshot, so
 		// restoring it costs O(batch).
 		cp := r.tree.checkpoint()
-		err := r.tree.extend(msg.Serials, msg.Root.N, bounds)
+		err := r.tree.extend(msg.Serials, msg.Root.N)
 		if err == nil && !r.tree.Root().Equal(msg.Root.Root) {
 			// The signed root does not match what an honest replay
 			// produces (update step 3).

@@ -300,3 +300,56 @@ func TestReplicaEndToEndFreshStatusForClient(t *testing.T) {
 		t.Errorf("err = %v, want ErrStale", err)
 	}
 }
+
+// TestForestReplicaRollback feeds a replica an issuance message whose signed
+// root lies about the content: the update must be rejected and the replica
+// left exactly at its previous (published) state — the checkpoint/rollback
+// path that replaced the full log replay. The name and the "sorted" subtest
+// date from when the test also ran the since-deleted forest layout.
+func TestForestReplicaRollback(t *testing.T) {
+	t.Run("sorted", func(t *testing.T) {
+		a := newTestAuthority(t, 3)
+		r := NewReplica(a.CA(), a.PublicKey())
+		gen := serial.NewGenerator(17, nil)
+		msg, err := a.Insert(gen.NextN(600), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Update(msg); err != nil {
+			t.Fatal(err)
+		}
+		before := r.Snapshot()
+		rootBefore, genBefore := before.RootHash(), before.Generation()
+
+		// A validly signed root over DIFFERENT content: replaying the
+		// message's serials cannot reproduce it.
+		evil, err := a.Insert(gen.NextN(5), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forged := &IssuanceMessage{Serials: gen.NextN(5), Root: evil.Root}
+		if err := r.Update(forged); !errors.Is(err, ErrRootMismatch) {
+			t.Fatalf("forged update: err = %v, want ErrRootMismatch", err)
+		}
+		after := r.Snapshot()
+		if after.Generation() != genBefore {
+			t.Error("rejected update published a snapshot")
+		}
+		if !after.RootHash().Equal(rootBefore) {
+			t.Error("rollback did not restore the tree root")
+		}
+		for _, s := range forged.Serials {
+			if r.Revoked(s) {
+				t.Errorf("serial %v from the rejected batch is present", s)
+			}
+		}
+		// The replica must accept the honest continuation: state,
+		// serial index, and log all rewound correctly.
+		if err := r.Update(evil); err != nil {
+			t.Fatalf("honest update after rollback: %v", err)
+		}
+		if !r.Snapshot().RootHash().Equal(evil.Root.Root) {
+			t.Error("post-rollback update did not converge to the signed root")
+		}
+	})
+}

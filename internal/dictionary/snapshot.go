@@ -2,20 +2,18 @@ package dictionary
 
 import (
 	"fmt"
-	"sort"
 
 	"ritm/internal/cryptoutil"
 	"ritm/internal/serial"
 )
 
 // Snapshot is one immutable, self-contained version of a replicated
-// dictionary: the frozen proving view of the commitment layout (sorted
-// leaves and levels, or forest buckets and spine), the signed root it
-// verifies against, and the freshness statement for the period the snapshot
+// dictionary: the frozen run of sorted leaves and levels, the signed root
+// it verifies against, and the freshness statement for the period the snapshot
 // was published in. A Replica publishes a new Snapshot atomically after
 // every verified update or freshness refresh; readers obtain one with
 // Replica.Snapshot and may then call Prove, Revoked, and the accessors with
-// zero locking, forever — the arrays are never written again (the layouts'
+// zero locking, forever — the arrays are never written again (the tree's
 // copy-on-write rebuild guarantees it). It is the one snapshot type, over
 // one byte layout: the view of a replica opened over a mapped checkpoint
 // (OpenMappedReplica) reads the checkpoint's sections where an ordinary
@@ -30,10 +28,10 @@ import (
 // equal generation ⇒ byte-identical status.
 type Snapshot struct {
 	ca        CAID
-	view      LayoutView
+	view      run
 	base      uint64          // revocations below the log; see Tree.base
 	log       []serial.Number // issuance order above base; immutable
-	bounds    []uint64        // batch structure of the history above base; immutable
+	bounds    []uint64        // Tree.bounds above base, for checkpoints; immutable
 	root      *SignedRoot     // nil until the replica's first verified update
 	rootEnc   []byte          // memoized root encoding; spliced into statuses
 	freshness cryptoutil.Hash
@@ -92,7 +90,7 @@ func (s *Snapshot) FreshnessPeriod() int { return s.freshPer }
 func (s *Snapshot) Count() uint64 { return s.base + uint64(len(s.log)) }
 
 // RootHash returns the tree root hash of the snapshot.
-func (s *Snapshot) RootHash() cryptoutil.Hash { return s.view.Root() }
+func (s *Snapshot) RootHash() cryptoutil.Hash { return s.view.root() }
 
 // Log returns a copy of the issuance-ordered serial log of this version
 // (of the part above the checkpoint, for a replica opened over a mapped one).
@@ -114,33 +112,9 @@ func (s *Snapshot) LogSuffix(from, to uint64) ([]serial.Number, error) {
 	return logSuffix(s.log, s.base, from, to)
 }
 
-// BatchBounds returns the cumulative counts strictly inside (from, to) at
-// which this version's insertion batches ended. The dissemination network
-// serves them alongside a log suffix so the puller can replay the suffix
-// under the origin's batch structure — which the forest layout's
-// bucketization (and so its root) depends on. The result is freshly
-// allocated.
-func (s *Snapshot) BatchBounds(from, to uint64) []uint64 {
-	// bounds is strictly increasing: the answer is one contiguous run.
-	lo := sort.Search(len(s.bounds), func(i int) bool { return s.bounds[i] > from })
-	hi := sort.Search(len(s.bounds), func(i int) bool { return s.bounds[i] >= to })
-	if lo >= hi {
-		return nil
-	}
-	return append([]uint64(nil), s.bounds[lo:hi]...)
-}
-
-// Batches returns the full batch-structure record of this version: the
-// cumulative count at the end of each insertion batch, newest last (empty
-// for an empty dictionary). Checkpoints persist it so a restore rebuilds
-// the exact commitment structure. The result is freshly allocated.
-func (s *Snapshot) Batches() []uint64 {
-	return append([]uint64(nil), s.bounds...)
-}
-
 // Revoked reports whether sn is revoked in this version.
 func (s *Snapshot) Revoked(sn serial.Number) bool {
-	_, ok := s.view.Revoked(sn)
+	_, ok := s.view.revoked(sn)
 	return ok
 }
 
@@ -154,7 +128,7 @@ func (s *Snapshot) Prove(sn serial.Number) (*Status, error) {
 		return nil, fmt.Errorf("%w: replica has no signed root", ErrDesynchronized)
 	}
 	return &Status{
-		Proof:     s.view.Prove(sn),
+		Proof:     s.view.prove(sn),
 		Root:      s.root,
 		Freshness: s.freshness,
 		rootEnc:   s.rootEnc,

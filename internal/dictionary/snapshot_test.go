@@ -52,7 +52,7 @@ func TestIncrementalRebuildMatchesReference(t *testing.T) {
 		if err := tree.InsertBatch(batch); err != nil {
 			t.Fatal(err)
 		}
-		levels := tree.commit.(*sortedLayout).tree.levels
+		levels := tree.commit.levels
 		want := rebuildReference(hashLevel(levels[0]))
 		if len(levels) != len(want) {
 			t.Fatalf("batch %d: %d levels, want %d", batchNo, len(levels), len(want))

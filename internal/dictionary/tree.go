@@ -10,11 +10,8 @@
 // dictionary contents, the revocation count, a hash-chain anchor for
 // freshness statements, and the signing time.
 //
-// The commitment structure itself is pluggable (see Layout): the classic
-// flat sorted hash tree (LayoutSorted) or a bucketed forest (LayoutForest)
-// whose per-batch insert cost is O(k·log n) for any serial distribution.
-// Authority and replica must agree on the layout; the issuance log and all
-// dissemination wire formats are layout-agnostic.
+// The commitment is one flat sorted hash tree over all leaves, every interior
+// level kept so that audit paths come out in O(log n) without recomputation.
 //
 // Three roles interact with a dictionary:
 //
@@ -56,10 +53,9 @@ var (
 	ErrCount = errors.New("dictionary: non-contiguous revocation count")
 )
 
-// EmptyRoot is the root hash of a dictionary with no revocations, shared by
-// every layout (empty content is empty content). A fixed sentinel (rather
-// than a zero hash) keeps the empty dictionary domain-separated from any
-// real node value.
+// EmptyRoot is the root hash of a dictionary with no revocations. A fixed
+// sentinel (rather than a zero hash) keeps the empty dictionary
+// domain-separated from any real node value.
 var EmptyRoot = cryptoutil.HashBytes([]byte("RITM/empty-tree/v1"))
 
 // Leaf is one revocation: the certificate serial number and the revocation's
@@ -72,23 +68,44 @@ type Leaf struct {
 // hash returns the domain-separated leaf hash. The preimage is the
 // canonical wire encoding (length-prefixed serial bytes, then Num as a
 // uvarint), assembled on the stack: this is the verifier's path and must
-// not allocate. Rebuilds hash the same bytes through their layout's digest
+// not allocate. Rebuilds hash the same bytes through the tree's digest
 // (rebuilder).
 func (l Leaf) hash() cryptoutil.Hash {
 	return cryptoutil.HashLeafSerial(l.Serial.Raw(), l.Num)
 }
 
-// Tree is a dictionary: the layout-independent state (issuance log, batch
-// structure, batch validation) over a pluggable commitment structure
-// (Layout) that owns the hashed representation — and is the only index from
-// serial to revocation number there is. It is a mutable structure owned by a
-// single Authority or Replica; it performs no locking of its own.
+// Tree is a dictionary: the issuance log and the sorted hash tree over it —
+// the one index from serial to revocation number there is. It is a mutable
+// structure owned by a single Authority or Replica; it performs no locking of
+// its own.
+//
+// A batch insert merges the new leaves into the sorted order and rebuilds the
+// levels around them (rebuilder): every leaf right of an insertion point
+// shifts, so every array is rewritten from the first insertion point on —
+// O(n) moved bytes for a batch anywhere but the right edge, the paper's
+// "insert sₓ,n into the tree and rebuild it" — but a node is only rehashed
+// where the shift breaks its alignment. A batch at the right edge of the
+// serial space costs O(k·log n) hashes and moves; a uniform batch moves
+// everything and hashes about two thirds of the interior nodes.
 //
 // Mutations are copy-on-write: InsertBatch never writes into arrays
-// reachable from a previously taken view, so a LayoutView frozen before a
-// mutation (see Snapshot) stays valid and immutable forever.
+// reachable from a previously taken view, so a run frozen before a mutation
+// (see Snapshot) stays valid and immutable forever. Copy-on-write only
+// requires fresh arrays for what somebody else can still reach, so exposure
+// is tracked exactly: arrays an insert built are private until view or
+// checkpoint hands them out, and a second insert in the same private window
+// (a replayed WAL between one publish and the next) merges into them in
+// place with zero reallocation.
 type Tree struct {
-	commit Layout
+	rebuilder
+	// commit is the whole dictionary as one run: arrays an insert built, or
+	// the sections of the checkpoint the tree was opened over, which the
+	// first insert reads as its copy-on-write source like any exposed run.
+	commit run
+	// owned marks commit's arrays as private scratch: (re)built since the
+	// last view/checkpoint, so no snapshot or captured checkpoint can reach
+	// them and an insert may extend them in place.
+	owned bool
 	// base is the number of revocations the tree holds without their log
 	// entries or batch bounds: 0 for a tree that holds its whole log (grown
 	// from empty, or restarted over its own checkpoint), the checkpoint's
@@ -97,55 +114,40 @@ type Tree struct {
 	base uint64
 	log  []serial.Number // issuance order; log[i] has Num == base+i+1
 	// bounds records the cumulative revocation count after each InsertBatch,
-	// strictly increasing, the last equal to Count(). It is the batch
-	// structure of the insertion history — which the forest layout's
-	// bucketization (and therefore its root) depends on: a bucket split
-	// chunks whatever the bucket holds at that moment, so replaying the
-	// same log under different batch boundaries can commit to a different
-	// root. Synchronization and recovery paths carry these bounds so a
-	// replica reproducing the history reproduces the structure exactly
-	// (see Replica.UpdateWithBounds, PersistentState.Batches).
+	// strictly increasing, the last equal to Count(): the checkpoint format's
+	// batches section, which every reader of the format validates. The root
+	// does not depend on it.
 	bounds []uint64
 }
 
-// NewTree returns an empty dictionary tree with the default sorted layout.
-func NewTree() *Tree {
-	return NewTreeWithLayout(LayoutSorted)
-}
-
-// NewTreeWithLayout returns an empty dictionary tree with the given
-// commitment layout.
-func NewTreeWithLayout(kind LayoutKind) *Tree {
-	return &Tree{commit: newLayout(kind)}
-}
-
-// Layout returns the tree's commitment layout.
-func (t *Tree) Layout() LayoutKind { return t.commit.kind() }
+// NewTree returns an empty dictionary tree.
+func NewTree() *Tree { return &Tree{} }
 
 // HashedNodes returns the cumulative number of hash computations performed
-// by inserts — the per-∆-cycle cost metric the layout benchmarks compare.
-func (t *Tree) HashedNodes() uint64 { return t.commit.hashedNodes() }
+// by inserts — the per-∆-cycle cost metric of the rebuild benchmarks.
+func (t *Tree) HashedNodes() uint64 { return t.hashed }
 
-// view returns the tree's current immutable proving state.
-func (t *Tree) view() LayoutView { return t.commit.view() }
+// view returns the tree's current immutable proving state and marks its
+// arrays exposed: no later insert may write them in place.
+func (t *Tree) view() run {
+	t.owned = false
+	return t.commit
+}
 
 // Count returns n, the number of revocations in the dictionary.
 func (t *Tree) Count() uint64 { return t.base + uint64(len(t.log)) }
 
-// Root returns the current root hash (EmptyRoot when the tree is empty).
-// It reads the layout's memoized root without exposing the backing arrays,
-// so a root check between replayed sub-batches does not end the layout's
-// private scratch window (see Layout).
-func (t *Tree) Root() cryptoutil.Hash {
-	return t.commit.rootHash()
-}
+// Root returns the current root hash (EmptyRoot when the tree is empty)
+// without exposing the arrays, so a root check between replayed batches does
+// not end the private window.
+func (t *Tree) Root() cryptoutil.Hash { return t.commit.root() }
 
 // Revoked reports whether s is in the dictionary, and its revocation number.
 func (t *Tree) Revoked(s serial.Number) (uint64, bool) { return t.commit.revoked(s) }
 
 // Log returns a copy of the issuance-ordered serial log. Replaying the log
-// into an empty tree of the same layout reproduces the dictionary exactly;
-// it is the canonical serialized form (and is layout-independent).
+// into an empty tree reproduces the dictionary exactly; it is the canonical
+// serialized form.
 func (t *Tree) Log() []serial.Number {
 	out := make([]serial.Number, len(t.log))
 	copy(out, t.log)
@@ -179,18 +181,17 @@ func logSuffix(log []serial.Number, base, from, to uint64) ([]serial.Number, err
 }
 
 // InsertBatch revokes the given serials, assigning consecutive revocation
-// numbers in slice order, and rebuilds the commitment structure. It
-// validates the whole batch before mutating anything, so on error the tree
-// is unchanged.
+// numbers in slice order, and rebuilds the tree. It validates the whole
+// batch before mutating anything, so on error the tree is unchanged.
 func (t *Tree) InsertBatch(serials []serial.Number) error {
 	if len(serials) == 0 {
 		return nil
 	}
 	// Validate first: no serial may repeat, within the batch or historically.
 	// In-batch duplicates are adjacent after the sort, and historic ones fall
-	// out of one layout search per serial — walked in sorted order, so
-	// consecutive searches touch neighbouring leaves — without a per-batch
-	// set or a serial index to keep in step with the layout.
+	// out of one search per serial — walked in sorted order, so consecutive
+	// searches touch neighbouring leaves — without a per-batch set or a
+	// serial index to keep in step with the tree.
 	newLeaves := make([]Leaf, len(serials))
 	next := t.Count() + 1
 	for i, s := range serials {
@@ -209,13 +210,14 @@ func (t *Tree) InsertBatch(serials []serial.Number) error {
 		}
 	}
 
-	// Commit: log in issuance order, then hand the sorted batch to the
-	// layout, which merges it copy-on-write: the previous version's arrays —
-	// possibly aliased by a published Snapshot — are never touched.
+	// Commit: log in issuance order, then merge the sorted batch
+	// copy-on-write: the previous version's arrays — possibly aliased by a
+	// published Snapshot — are never touched.
 	for _, s := range serials {
 		t.log = append(t.log, s)
 	}
-	t.commit.insert(newLeaves)
+	t.commit = t.rebuild(t.commit, newLeaves, t.owned)
+	t.owned = true
 	t.bounds = append(t.bounds, t.Count())
 	return nil
 }
@@ -223,69 +225,44 @@ func (t *Tree) InsertBatch(serials []serial.Number) error {
 // extend replays a batch recorded as ending at revocation count n. The
 // batch must continue the tree's count exactly — ErrDesynchronized when it
 // starts beyond it, ErrCount when it does not add up to n — and is inserted
-// as the sub-batches delimited by bounds: cumulative counts, each
-// meaningful only if strictly inside the covered range and increasing,
-// others skipped. On error the tree may hold a prefix of the batch; the
-// caller rolls back or discards it.
-func (t *Tree) extend(serials []serial.Number, n uint64, bounds []uint64) error {
+// as one batch however many of the authority's batches it coalesces: a
+// sorted root depends on content alone, so a lagging replica's catch-up is a
+// single O(n) merge, not one per original ∆ batch.
+func (t *Tree) extend(serials []serial.Number, n uint64) error {
 	have := t.Count()
 	if end := have + uint64(len(serials)); n > end {
 		return fmt.Errorf("%w: have %d revocations, batch of %d covers up to %d", ErrDesynchronized, have, len(serials), n)
 	} else if n < end {
 		return fmt.Errorf("%w: count %d does not extend local count %d by %d", ErrCount, n, have, len(serials))
 	}
-	if t.Layout().base() == LayoutSorted {
-		// The sorted layout's root depends only on content, never on the
-		// batch structure of the insertion history — bounds exist solely to
-		// reproduce the forest's bucketization. Coalescing the whole suffix
-		// into one merge turns a lagging replica's catch-up from one O(n)
-		// rebuild per original ∆ batch into a single O(n) merge.
-		return t.InsertBatch(serials)
-	}
-	start := uint64(0)
-	for _, b := range bounds {
-		if b <= have+start || b >= n {
-			continue
-		}
-		cut := b - have
-		if err := t.InsertBatch(serials[start:cut]); err != nil {
-			return err
-		}
-		start = cut
-	}
-	return t.InsertBatch(serials[start:])
+	return t.InsertBatch(serials)
 }
 
-// BatchBounds returns the cumulative counts at which the tree's insertion
-// batches ended (the newest last). The returned slice is shared
-// copy-on-write with the tree (appends never write positions a previous
-// caller observed); callers must not modify it.
-func (t *Tree) BatchBounds() []uint64 { return t.bounds }
-
 // treeCheckpoint captures one version of the tree for O(batch) rollback.
-// Thanks to the layouts' copy-on-write discipline the capture is O(1): the
-// checkpointed arrays are never written again, only replaced.
+// Thanks to copy-on-write the capture is O(1): the checkpointed arrays are
+// never written again, only replaced.
 type treeCheckpoint struct {
-	state     layoutState
+	state     run
 	logLen    int
 	boundsLen int
 }
 
 // checkpoint freezes the tree's current version. Replica.Update takes one
 // before replaying a batch; the checkpointed state is exactly the state of
-// the replica's last published snapshot.
+// the replica's last published snapshot. The captured arrays may be held
+// until an arbitrarily later rollback, so they are exposed.
 func (t *Tree) checkpoint() treeCheckpoint {
-	return treeCheckpoint{state: t.commit.checkpoint(), logLen: len(t.log), boundsLen: len(t.bounds)}
+	return treeCheckpoint{state: t.view(), logLen: len(t.log), boundsLen: len(t.bounds)}
 }
 
-// rollback rewinds the tree to cp, undoing the InsertBatch calls (one or
-// several — a bounds-structured update replays sub-batches) made since
-// the checkpoint: the commitment structure is restored from the
-// checkpoint (O(1)) and the log and bounds are truncated. There is nothing
-// else to rewind — the layout is the serial index — so a hostile batch that
-// re-lists serials revoked long ago cannot evict them on its way out.
+// rollback rewinds the tree to cp, undoing the InsertBatch made since the
+// checkpoint: the run is restored (O(1)) and the log and bounds are
+// truncated. There is nothing else to rewind — the run is the serial index —
+// so a hostile batch that re-lists serials revoked long ago cannot evict them
+// on its way out. The private scratch the failed batch built is dropped for
+// the collector.
 func (t *Tree) rollback(cp treeCheckpoint) {
-	t.commit.restore(cp.state)
+	t.commit, t.owned = cp.state, false
 	// Truncating the slice header never writes the array, so snapshots
 	// sharing the log stay intact; later appends only touch positions the
 	// failed batch wrote, which no published snapshot covers.
@@ -293,23 +270,11 @@ func (t *Tree) rollback(cp treeCheckpoint) {
 	t.bounds = t.bounds[:cp.boundsLen]
 }
 
-// RebuildFromLog resets the tree to contain exactly the given issuance log,
-// preserving the layout. It is the general (full-replay) recovery path;
-// the common rejected-update rollback uses checkpoint/rollback instead,
-// which restores the last published state without re-inserting anything.
-func (t *Tree) RebuildFromLog(log []serial.Number) error {
-	fresh := NewTreeWithLayout(t.Layout())
-	if err := fresh.InsertBatch(log); err != nil {
-		return fmt.Errorf("rebuild from log: %w", err)
-	}
-	*t = *fresh
-	return nil
-}
-
 // Prove produces a presence or absence proof for s against the current tree
 // (Fig 2, prove step 1). The proof verifies against Root() and Count().
 func (t *Tree) Prove(s serial.Number) *Proof {
-	return t.commit.view().Prove(s)
+	v := t.view()
+	return v.prove(s)
 }
 
 // SerializedSize returns the size in bytes of the canonical serialized form
@@ -322,11 +287,11 @@ func (t *Tree) SerializedSize() int {
 	return size
 }
 
-// MemoryFootprint estimates the resident bytes of the tree structure:
-// the layout's hashed representation and the log. It is an analytic
-// estimate used by the storage-overhead experiment (§VII-D).
+// MemoryFootprint estimates the resident bytes of the tree structure: the
+// hashed run and the log. It is an analytic estimate used by the
+// storage-overhead experiment (§VII-D).
 func (t *Tree) MemoryFootprint() int {
-	total := t.commit.memoryFootprint()
+	total := t.commit.footprint()
 	for _, s := range t.log {
 		total += 24 + s.Len()
 	}

@@ -301,23 +301,6 @@ func TestLogSuffix(t *testing.T) {
 	}
 }
 
-func TestRebuildFromLogReproducesRoot(t *testing.T) {
-	tree := NewTree()
-	if err := tree.InsertBatch(mustSerials(t, 5, 3, 9, 1, 7)); err != nil {
-		t.Fatal(err)
-	}
-	clone := NewTree()
-	if err := clone.RebuildFromLog(tree.Log()); err != nil {
-		t.Fatal(err)
-	}
-	if clone.Root() != tree.Root() {
-		t.Error("rebuilt tree root differs")
-	}
-	if clone.Count() != tree.Count() {
-		t.Error("rebuilt tree count differs")
-	}
-}
-
 func TestInsertOrderIndependentOfBatchOrderWithinSortedResult(t *testing.T) {
 	// The same issuance history must give the same root regardless of how
 	// it is batched (Tab I batches vs. single inserts).

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"ritm/internal/dictionary"
 	"ritm/internal/netsim"
 )
 
@@ -20,8 +19,7 @@ func TestRunSmoke(t *testing.T) {
 	rep, err := Run(Options{
 		Stack: StackOptions{
 			Regions: 1, PoPs: 2, Writers: 2, Readers: 1,
-			Layout: dictionary.LayoutForest,
-			Delta:  time.Second,
+			Delta: time.Second,
 		},
 		Process:     netsim.ArrivalPoisson,
 		Rate:        20,

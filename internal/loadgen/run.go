@@ -117,9 +117,8 @@ func Run(opts Options) (*Report, error) {
 	}
 	log := opts.Log
 
-	log("building stack: %d region(s) × %d PoP(s), %d writer(s) + %d reader(s), layout=%v ∆=%v",
-		opts.Stack.Regions, opts.Stack.PoPs, opts.Stack.Writers, opts.Stack.Readers,
-		opts.Stack.Layout, opts.Stack.Delta)
+	log("building stack: %d region(s) × %d PoP(s), %d writer(s) + %d reader(s), ∆=%v",
+		opts.Stack.Regions, opts.Stack.PoPs, opts.Stack.Writers, opts.Stack.Readers, opts.Stack.Delta)
 	stack, err := BuildStack(opts.Stack)
 	if err != nil {
 		return nil, err
@@ -397,10 +396,10 @@ func Run(opts Options) (*Report, error) {
 	// Per-tier allocs/op, sampled on the quiesced stack. The miss
 	// sampler is the status-encode hot path end to end: prove + encode +
 	// cache fill on a never-seen serial. It runs once per serving path —
-	// the two are different code, not one number: a heap writer proves in
-	// 6 allocations, a shared reader copies every serial and level
-	// descriptor off the mapping first (it may be unmapped while the
-	// cached status lives on) and needs 8 (sorted) to 13 (forest).
+	// the two are different code, not one number: a heap writer proves
+	// straight off its arrays, a shared reader off the mapping, copying the
+	// proof's serials out (it may be unmapped while the cached status lives
+	// on) — about 6 allocations each.
 	sampleAgent := stack.Writers[0]
 	missGen := serial.NewGenerator(uint64(opts.Seed)+0x315513, loadDist)
 	missProbes := missGen.NextN(2*opts.AllocRuns + 3)

@@ -97,7 +97,6 @@ type StackOptions struct {
 	Writers int // RAs pulling from PoPs (round-robin), each intercepting
 	Readers int // shared-data reader RAs mapping writer 0's checkpoints
 
-	Layout dictionary.LayoutKind
 	// Delta is ∆ — the CA freshness cadence and the RA staleness unit.
 	// Clamped to 1s (the RA minimum).
 	Delta time.Duration
@@ -194,14 +193,13 @@ func BuildStack(opts StackOptions) (*Stack, error) {
 	authority, err := ca.New(ca.Config{
 		ID:        caID,
 		Delta:     opts.Delta,
-		Layout:    opts.Layout,
 		Publisher: s.DP,
 	})
 	if err != nil {
 		return nil, err
 	}
 	s.CA = authority
-	if err := s.DP.RegisterCAWithLayout(caID, authority.PublicKey(), opts.Layout); err != nil {
+	if err := s.DP.RegisterCA(caID, authority.PublicKey()); err != nil {
 		return nil, err
 	}
 	if err := authority.PublishRoot(); err != nil {
@@ -257,7 +255,6 @@ func BuildStack(opts StackOptions) (*Stack, error) {
 			Roots:  roots,
 			Origin: &cdn.HTTPClient{BaseURL: s.pops[w%len(s.pops)].url()},
 			Delta:  opts.Delta,
-			Layout: opts.Layout,
 		}
 		if w == 0 && backend != nil {
 			cfg.Storage = backend
@@ -273,7 +270,6 @@ func BuildStack(opts StackOptions) (*Stack, error) {
 		agent, err := ra.New(ra.Config{
 			Roots:      roots,
 			Delta:      opts.Delta,
-			Layout:     opts.Layout,
 			Storage:    backend,
 			SharedData: true,
 		})

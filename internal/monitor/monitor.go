@@ -46,30 +46,18 @@ type RootSource interface {
 // append-only with consecutive revocation numbers), so two different roots
 // at the same n prove equivocation. The auditor is safe for concurrent use.
 type Auditor struct {
-	pool   *cert.Pool
-	layout dictionary.LayoutKind
+	pool *cert.Pool
 
 	mu     sync.Mutex
 	seen   map[dictionary.CAID]map[uint64]*dictionary.SignedRoot
 	proofs []*dictionary.MisbehaviorProof
 }
 
-// NewAuditor creates an auditor trusting the CA keys in pool, auditing
-// dictionaries of the default sorted layout.
+// NewAuditor creates an auditor trusting the CA keys in pool.
 func NewAuditor(pool *cert.Pool) *Auditor {
-	return NewAuditorWithLayout(pool, dictionary.LayoutSorted)
-}
-
-// NewAuditorWithLayout creates an auditor for deployments whose CAs sign
-// with the given commitment layout. Equivocation detection (Observe) is
-// layout-independent — two signed roots at one size — but append-only
-// checking replays the issuance log, and roots are layout-specific, so an
-// auditor with the wrong layout would report honest CAs as misbehaving.
-func NewAuditorWithLayout(pool *cert.Pool, layout dictionary.LayoutKind) *Auditor {
 	return &Auditor{
-		pool:   pool,
-		layout: layout,
-		seen:   make(map[dictionary.CAID]map[uint64]*dictionary.SignedRoot),
+		pool: pool,
+		seen: make(map[dictionary.CAID]map[uint64]*dictionary.SignedRoot),
 	}
 }
 
@@ -124,7 +112,7 @@ func (a *Auditor) CheckAppendOnly(log []serial.Number, older, newer *dictionary.
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUntrustedCA, older.CA)
 	}
-	return dictionary.VerifyPrefixWithLayout(log, older, newer, pub, a.layout)
+	return dictionary.VerifyPrefix(log, older, newer, pub)
 }
 
 // Proofs returns a copy of every misbehavior proof collected so far.

@@ -240,43 +240,6 @@ func TestAppendOnlyViolationDetected(t *testing.T) {
 	}
 }
 
-// TestAppendOnlyForestLayout pins the auditor's layout plumbing: an honest
-// forest-layout history passes only through an auditor configured with the
-// matching layout — a sorted-layout auditor replaying the same log cannot
-// reproduce the forest roots and would flag the honest CA.
-func TestAppendOnlyForestLayout(t *testing.T) {
-	authority, err := ca.New(ca.Config{ID: "ForestCA", Delta: 10 * time.Second, Layout: dictionary.LayoutForest})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := serial.NewGenerator(8, nil)
-	if _, err := authority.Revoke(gen.NextN(3)...); err != nil {
-		t.Fatal(err)
-	}
-	olderRoot := authority.Authority().SignedRoot()
-	if _, err := authority.Revoke(gen.NextN(2)...); err != nil {
-		t.Fatal(err)
-	}
-	newerRoot := authority.Authority().SignedRoot()
-	log, err := authority.Authority().LogSuffix(0, authority.Authority().Count())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := cert.NewPool(authority.RootCertificate())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	forestAuditor := NewAuditorWithLayout(pool, dictionary.LayoutForest)
-	if err := forestAuditor.CheckAppendOnly(log, olderRoot, newerRoot); err != nil {
-		t.Errorf("honest forest history flagged: %v", err)
-	}
-	sortedAuditor := NewAuditor(pool)
-	if err := sortedAuditor.CheckAppendOnly(log, olderRoot, newerRoot); !errors.Is(err, dictionary.ErrRootMismatch) {
-		t.Errorf("layout-mismatched auditor: err = %v, want ErrRootMismatch", err)
-	}
-}
-
 func TestAuditorRejectsForgedRoots(t *testing.T) {
 	w := newWorld(t)
 	auditor := NewAuditor(w.pool)

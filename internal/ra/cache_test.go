@@ -371,7 +371,7 @@ func TestStoreReleasesSupersededStatuses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh := dictionary.NewReplicaWithLayout("CA1", old.PublicKey(), old.Layout())
+		fresh := dictionary.NewReplica("CA1", old.PublicKey())
 		if err := env.ra.Store().ReplaceReplica("CA1", fresh); err != nil {
 			t.Fatal(err)
 		}
@@ -379,8 +379,8 @@ func TestStoreReleasesSupersededStatuses(t *testing.T) {
 	})
 
 	t.Run("shared re-map", func(t *testing.T) {
-		env := newPersistEnv(t, dictionary.LayoutSorted, nil, 4, 25)
-		writer, reader := newSharedPair(t, env, dictionary.LayoutSorted, storage.NewMemory())
+		env := newPersistEnv(t, nil, 4, 25)
+		writer, reader := newSharedPair(t, env, storage.NewMemory())
 		fill(t, reader)
 		env.revoke(t, 1, 25)
 		if err := writer.SyncOnce(); err != nil {
@@ -398,7 +398,7 @@ func TestStoreReleasesSupersededStatuses(t *testing.T) {
 // six objects — key, proof arena, audit paths, the Status Prove returns,
 // encoding, entry — on a heap writer's store and on a shared reader's, which
 // proves off a file mapping of the writer's checkpoint: a proof copies its
-// serials into its arena there too, whatever the layout.
+// serials into its arena there too.
 func TestStoreStatusAllocs(t *testing.T) {
 	t.Run("heap writer", func(t *testing.T) {
 		env := newEnv(t, time.Hour)
@@ -410,16 +410,14 @@ func TestStoreStatusAllocs(t *testing.T) {
 		}
 		pinStatusAllocs(t, env.ra.Store())
 	})
-	for _, layout := range []dictionary.LayoutKind{dictionary.LayoutSorted, dictionary.LayoutForest} {
-		t.Run("shared reader/"+layout.String(), func(t *testing.T) {
-			env := newPersistEnv(t, layout, nil, 40, 25)
-			_, reader := newSharedPair(t, env, layout, storage.NewFileBackend(t.TempDir(), false))
-			if reader.Store().MappedBytes() == 0 {
-				t.Fatal("the reader serves no checkpoint mapping")
-			}
-			pinStatusAllocs(t, reader.Store())
-		})
-	}
+	t.Run("shared reader/sorted", func(t *testing.T) {
+		env := newPersistEnv(t, nil, 40, 25)
+		_, reader := newSharedPair(t, env, storage.NewFileBackend(t.TempDir(), false))
+		if reader.Store().MappedBytes() == 0 {
+			t.Fatal("the reader serves no checkpoint mapping")
+		}
+		pinStatusAllocs(t, reader.Store())
+	})
 }
 
 // pinStatusAllocs checks the hit and miss budgets of store's Status for CA1.

@@ -42,10 +42,11 @@ type Config struct {
 	// injects one revocation status per certificate of the server chain
 	// (for every issuer it replicates) instead of the leaf's status only.
 	ChainProofs bool
-	// Layout selects the dictionary commitment layout for every replica
-	// (zero value: LayoutSorted). It MUST match the layout the replicated
-	// CAs sign with — roots are layout-specific, and a mismatched replica
-	// rejects every update with ErrRootMismatch.
+	// Layout must be LayoutSorted (the zero value); New refuses any other.
+	//
+	// Deprecated: the sorted hash tree is the only commitment. The field
+	// exists only so that the frozen benchmark harness (bench/) keeps
+	// compiling.
 	Layout dictionary.LayoutKind
 	// Storage, when non-nil, persists every replica (WAL of verified
 	// update batches + periodic checkpoints) and warm-starts them on
@@ -122,11 +123,13 @@ func New(cfg Config) (*RA, error) {
 	if cfg.Delta < time.Second {
 		return nil, fmt.Errorf("ra: ∆ = %v, must be at least one second", cfg.Delta)
 	}
+	if cfg.Layout != dictionary.LayoutSorted {
+		return nil, fmt.Errorf("ra: layout %v is not supported", cfg.Layout)
+	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
 	store, err := NewStoreWithOptions(StoreOptions{
-		Layout:          cfg.Layout,
 		Storage:         cfg.Storage,
 		CheckpointEvery: cfg.CheckpointEvery,
 		SharedData:      cfg.SharedData,
@@ -185,13 +188,11 @@ func (ra *RA) syncCA(ca dictionary.CAID) error {
 		return fmt.Errorf("ra: pull %s: %w", ca, err)
 	}
 	if resp.Issuance != nil {
-		// The bounds replay a coalesced catch-up suffix under the origin's
-		// batch structure (forest-layout roots depend on it); applyUpdate
-		// also WALs the verified update when a storage backend is
-		// configured. An update error is an attack signal, not a transient
-		// failure: the network delivered a message whose signed root does
-		// not match its own content (§V).
-		if err := ra.store.applyUpdate(ca, replica, resp.Issuance, resp.Bounds); err != nil {
+		// applyUpdate also WALs the verified update when a storage backend
+		// is configured. An update error is an attack signal, not a
+		// transient failure: the network delivered a message whose signed
+		// root does not match its own content (§V).
+		if err := ra.store.applyUpdate(ca, replica, resp.Issuance); err != nil {
 			return fmt.Errorf("ra: update %s: %w", ca, err)
 		}
 	}
@@ -263,16 +264,14 @@ func (ra *RA) Resync(ca dictionary.CAID) error {
 	if err != nil {
 		return err
 	}
-	// The replacement inherits the old replica's trust anchor AND layout:
-	// a rebuild that silently fell back to the default layout could never
-	// match the origin's signed roots again.
-	fresh := dictionary.NewReplicaWithLayout(ca, old.PublicKey(), old.Layout())
+	// The replacement inherits the old replica's trust anchor.
+	fresh := dictionary.NewReplica(ca, old.PublicKey())
 	resp, err := ra.origin.Pull(ca, 0)
 	if err != nil {
 		return fmt.Errorf("ra: resync %s: %w", ca, err)
 	}
 	if resp.Issuance != nil {
-		if err := fresh.UpdateWithBounds(resp.Issuance, resp.Bounds); err != nil {
+		if err := fresh.Update(resp.Issuance); err != nil {
 			return fmt.Errorf("ra: resync %s: %w", ca, err)
 		}
 	}

@@ -59,7 +59,6 @@ func (st *sharedState) release() error {
 type sharedDict struct {
 	ca     dictionary.CAID
 	pub    ed25519.PublicKey
-	layout dictionary.LayoutKind
 	mapper storage.Mapper
 	name   string
 	now    func() time.Time
@@ -75,8 +74,8 @@ type sharedDict struct {
 // newSharedDict builds the reader for one CA and performs the initial
 // map, so a freshly added CA serves immediately when the writer already
 // has state.
-func newSharedDict(ca dictionary.CAID, pub ed25519.PublicKey, layout dictionary.LayoutKind, mapper storage.Mapper, now func() time.Time) (*sharedDict, error) {
-	d := &sharedDict{ca: ca, pub: pub, layout: layout, mapper: mapper, name: string(ca), now: now}
+func newSharedDict(ca dictionary.CAID, pub ed25519.PublicKey, mapper storage.Mapper, now func() time.Time) (*sharedDict, error) {
+	d := &sharedDict{ca: ca, pub: pub, mapper: mapper, name: string(ca), now: now}
 	if err := d.refresh(); err != nil {
 		return nil, err
 	}
@@ -130,7 +129,7 @@ func (d *sharedDict) refresh() error {
 	}
 	// The replica lives for this one snapshot: the next re-map opens a new
 	// one over the next mapping.
-	replica, err := dictionary.OpenMappedReplica(d.ca, d.pub, d.layout, mc.State, mc.WAL, d.now().Unix())
+	replica, err := dictionary.OpenMappedReplica(d.ca, d.pub, mc.State, mc.WAL, d.now().Unix())
 	if err != nil {
 		mc.Close()
 		return fmt.Errorf("ra: open shared %s: %w", d.ca, err)

@@ -51,10 +51,9 @@ var (
 // replica in turn publishes lock-free snapshots, so a status is produced
 // without acquiring any lock anywhere on the path.
 type Store struct {
-	view   atomic.Pointer[storeView]
-	wmu    sync.Mutex // serializes view writers
-	cache  *statusCache
-	layout dictionary.LayoutKind // commitment layout for every replica
+	view  atomic.Pointer[storeView]
+	wmu   sync.Mutex // serializes view writers
+	cache *statusCache
 
 	// sharedMode marks a read-only store: dictionaries are served from
 	// another process's durable logs via storage.Mapper (see shared.go)
@@ -94,9 +93,6 @@ const DefaultCheckpointEvery = 64
 
 // StoreOptions configures a Store beyond its trust anchors.
 type StoreOptions struct {
-	// Layout is the commitment layout for every replica (see
-	// NewStoreWithLayout for the matching contract).
-	Layout dictionary.LayoutKind
 	// Storage, when non-nil, persists every replica to the backend and
 	// warm-starts replicas from it on AddCA.
 	Storage storage.Backend
@@ -128,17 +124,9 @@ type storeView struct {
 }
 
 // NewStore creates an empty store trusting the given root certificates; a
-// replica (with the default sorted layout) is created per root.
+// replica is created per root.
 func NewStore(roots ...*cert.Certificate) (*Store, error) {
-	return NewStoreWithLayout(dictionary.LayoutSorted, roots...)
-}
-
-// NewStoreWithLayout creates a store whose replicas use the given
-// commitment layout. The layout must match what the replicated CAs sign
-// with (roots are layout-specific; a mismatch rejects every update with
-// ErrRootMismatch), so it is a deployment-wide setting, not per-CA.
-func NewStoreWithLayout(layout dictionary.LayoutKind, roots ...*cert.Certificate) (*Store, error) {
-	return NewStoreWithOptions(StoreOptions{Layout: layout}, roots...)
+	return NewStoreWithOptions(StoreOptions{}, roots...)
 }
 
 // NewStoreWithOptions creates a store with full configuration, including
@@ -156,7 +144,6 @@ func NewStoreWithOptions(opts StoreOptions, roots ...*cert.Certificate) (*Store,
 	}
 	s := &Store{
 		cache:     newStatusCache(),
-		layout:    opts.Layout,
 		backend:   opts.Storage,
 		ckptEvery: opts.CheckpointEvery,
 		now:       opts.Now,
@@ -268,7 +255,7 @@ func (s *Store) AddCA(root *cert.Certificate) error {
 		return nil
 	}
 	if s.sharedMode {
-		d, err := newSharedDict(root.Issuer, root.PublicKey, s.layout, s.mapper, s.now)
+		d, err := newSharedDict(root.Issuer, root.PublicKey, s.mapper, s.now)
 		if err != nil {
 			return err
 		}
@@ -312,13 +299,13 @@ func (s *Store) AddCA(root *cert.Certificate) error {
 func (s *Store) openReplica(root *cert.Certificate) (*dictionary.Replica, storage.Log, error) {
 	ca := root.Issuer
 	if s.backend == nil {
-		return dictionary.NewReplicaWithLayout(ca, root.PublicKey, s.layout), nil, nil
+		return dictionary.NewReplica(ca, root.PublicKey), nil, nil
 	}
 	lg, err := s.backend.Open(string(ca))
 	if err != nil {
 		return nil, nil, fmt.Errorf("ra: open durable log for %s: %w", ca, err)
 	}
-	replica, err := dictionary.RecoverReplicaLog(lg, ca, root.PublicKey, s.layout, s.now().Unix())
+	replica, err := dictionary.RecoverReplicaLog(lg, ca, root.PublicKey, s.now().Unix())
 	if err != nil {
 		lg.Close()
 		return nil, nil, fmt.Errorf("ra: warm-start %s: %w", ca, err)
@@ -334,7 +321,7 @@ func (s *Store) openReplica(root *cert.Certificate) (*dictionary.Replica, storag
 // returned so the sync loop can surface them; the in-memory replica
 // already advanced, so nothing is lost until the process dies — the next
 // successful checkpoint covers the gap.
-func (s *Store) applyUpdate(ca dictionary.CAID, replica *dictionary.Replica, msg *dictionary.IssuanceMessage, bounds []uint64) error {
+func (s *Store) applyUpdate(ca dictionary.CAID, replica *dictionary.Replica, msg *dictionary.IssuanceMessage) error {
 	var cl *caLog
 	if s.backend != nil {
 		s.pmu.Lock()
@@ -346,7 +333,7 @@ func (s *Store) applyUpdate(ca dictionary.CAID, replica *dictionary.Replica, msg
 		defer cl.mu.Unlock()
 	}
 	gen := replica.Snapshot().Generation()
-	if err := replica.UpdateWithBounds(msg, bounds); err != nil {
+	if err := replica.Update(msg); err != nil {
 		return err
 	}
 	if !s.releaseSuperseded(ca, replica, gen) || cl == nil {
@@ -354,7 +341,7 @@ func (s *Store) applyUpdate(ca dictionary.CAID, replica *dictionary.Replica, msg
 		// CA: nothing to persist.
 		return nil
 	}
-	rec := dictionary.UpdateRecord{Msg: msg, Bounds: bounds}
+	rec := dictionary.UpdateRecord{Msg: msg}
 	if err := cl.log.Append(rec.Encode()); err != nil {
 		return fmt.Errorf("ra: persist update for %s: %w", ca, err)
 	}
@@ -571,9 +558,6 @@ func (s *Store) ReplaceReplica(ca dictionary.CAID, r *dictionary.Replica) error 
 	}
 	return nil
 }
-
-// Layout returns the commitment layout the store's replicas use.
-func (s *Store) Layout() dictionary.LayoutKind { return s.layout }
 
 // Replica returns the replica for ca. Shared-mode dictionaries have no
 // replica — they are read-only views of another process's state — so

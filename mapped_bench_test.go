@@ -33,14 +33,13 @@ import (
 // its checkpoint captured, shared across sub-benchmarks.
 type mappedEnv struct {
 	signer  *cryptoutil.Signer
-	layout  dictionary.LayoutKind
 	replica *dictionary.Replica
 	v2      []byte
 	revoked []serial.Number // sample of revoked serials
 	absent  []serial.Number
 }
 
-func newMappedEnv(tb testing.TB, layout dictionary.LayoutKind, n int) *mappedEnv {
+func newMappedEnv(tb testing.TB, n int) *mappedEnv {
 	tb.Helper()
 	now := time.Now().Unix()
 	signer, err := cryptoutil.NewSigner(nil)
@@ -48,14 +47,14 @@ func newMappedEnv(tb testing.TB, layout dictionary.LayoutKind, n int) *mappedEnv
 		tb.Fatal(err)
 	}
 	a, err := dictionary.NewAuthority(dictionary.AuthorityConfig{
-		CA: "BenchCA", Signer: signer, Delta: 10 * time.Second, ChainLength: 16, Layout: layout,
+		CA: "BenchCA", Signer: signer, Delta: 10 * time.Second, ChainLength: 16,
 	}, now)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	r := dictionary.NewReplicaWithLayout("BenchCA", signer.Public(), layout)
+	r := dictionary.NewReplica("BenchCA", signer.Public())
 	gen := serial.NewGenerator(uint64(n)^0xBE0C, nil)
-	env := &mappedEnv{signer: signer, layout: layout, replica: r}
+	env := &mappedEnv{signer: signer, replica: r}
 	const batch = 4096
 	for have := 0; have < n; have += batch {
 		k := batch
@@ -99,7 +98,7 @@ func (e *mappedEnv) mappedSnapshot(tb testing.TB, dir string) (*dictionary.Snaps
 	if err != nil {
 		tb.Fatal(err)
 	}
-	r, err := dictionary.OpenMappedReplica("BenchCA", e.signer.Public(), e.layout, mc.State, mc.WAL, time.Now().Unix())
+	r, err := dictionary.OpenMappedReplica("BenchCA", e.signer.Public(), mc.State, mc.WAL, time.Now().Unix())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -121,27 +120,25 @@ func benchProve(b *testing.B, src *dictionary.Snapshot, serials []serial.Number,
 	}
 }
 
-// BenchmarkMappedProve: proof construction per layout at the largest-CRL
-// size, heap snapshot vs mapped checkpoint, revoked and absent serials.
+// BenchmarkMappedProve: proof construction at the largest-CRL size, heap
+// snapshot vs mapped checkpoint, revoked and absent serials.
 func BenchmarkMappedProve(b *testing.B) {
 	n := workload.LargestCRLEntries
-	for _, layout := range []dictionary.LayoutKind{dictionary.LayoutSorted, dictionary.LayoutForest} {
-		env := newMappedEnv(b, layout, n)
-		ms, mc := env.mappedSnapshot(b, b.TempDir())
-		defer mc.Close()
-		heap := env.replica.Snapshot()
-		for _, mode := range []struct {
-			name string
-			src  *dictionary.Snapshot
-		}{{"heap", heap}, {"mapped", ms}} {
-			for _, probe := range []struct {
-				name    string
-				serials []serial.Number
-			}{{"revoked", env.revoked}, {"absent", env.absent}} {
-				b.Run(fmt.Sprintf("layout=%s/n=%d/%s/%s", layout, n, mode.name, probe.name), func(b *testing.B) {
-					benchProve(b, mode.src, probe.serials, false)
-				})
-			}
+	env := newMappedEnv(b, n)
+	ms, mc := env.mappedSnapshot(b, b.TempDir())
+	defer mc.Close()
+	heap := env.replica.Snapshot()
+	for _, mode := range []struct {
+		name string
+		src  *dictionary.Snapshot
+	}{{"heap", heap}, {"mapped", ms}} {
+		for _, probe := range []struct {
+			name    string
+			serials []serial.Number
+		}{{"revoked", env.revoked}, {"absent", env.absent}} {
+			b.Run(fmt.Sprintf("layout=sorted/n=%d/%s/%s", n, mode.name, probe.name), func(b *testing.B) {
+				benchProve(b, mode.src, probe.serials, false)
+			})
 		}
 	}
 }
@@ -150,19 +147,17 @@ func BenchmarkMappedProve(b *testing.B) {
 // construction plus status encoding — heap vs mapped.
 func BenchmarkMappedStatus(b *testing.B) {
 	n := workload.LargestCRLEntries
-	for _, layout := range []dictionary.LayoutKind{dictionary.LayoutSorted, dictionary.LayoutForest} {
-		env := newMappedEnv(b, layout, n)
-		ms, mc := env.mappedSnapshot(b, b.TempDir())
-		defer mc.Close()
-		heap := env.replica.Snapshot()
-		for _, mode := range []struct {
-			name string
-			src  *dictionary.Snapshot
-		}{{"heap", heap}, {"mapped", ms}} {
-			b.Run(fmt.Sprintf("layout=%s/n=%d/%s", layout, n, mode.name), func(b *testing.B) {
-				benchProve(b, mode.src, env.absent, true)
-			})
-		}
+	env := newMappedEnv(b, n)
+	ms, mc := env.mappedSnapshot(b, b.TempDir())
+	defer mc.Close()
+	heap := env.replica.Snapshot()
+	for _, mode := range []struct {
+		name string
+		src  *dictionary.Snapshot
+	}{{"heap", heap}, {"mapped", ms}} {
+		b.Run(fmt.Sprintf("layout=sorted/n=%d/%s", n, mode.name), func(b *testing.B) {
+			benchProve(b, mode.src, env.absent, true)
+		})
 	}
 }
 
@@ -175,8 +170,7 @@ func BenchmarkMappedStatus(b *testing.B) {
 func BenchmarkSharedStoreRSS(b *testing.B) {
 	const readers = 4
 	n := workload.LargestCRLEntries
-	layout := dictionary.LayoutForest
-	env := newMappedEnv(b, layout, n)
+	env := newMappedEnv(b, n)
 	dir := b.TempDir()
 	be := storage.NewFileBackend(dir, false)
 	lg, err := be.Open("BenchCA")
@@ -198,9 +192,7 @@ func BenchmarkSharedStoreRSS(b *testing.B) {
 	runtime.ReadMemStats(&before)
 	stores := make([]*ra.Store, readers)
 	for i := range stores {
-		s, err := ra.NewStoreWithOptions(ra.StoreOptions{
-			Layout: layout, Storage: be, SharedData: true,
-		}, rootCert)
+		s, err := ra.NewStoreWithOptions(ra.StoreOptions{Storage: be, SharedData: true}, rootCert)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -236,9 +228,8 @@ func BenchmarkSharedStoreRSS(b *testing.B) {
 // becomes the tree, zero re-hashing), across the benchmark sizes the
 // paper's tables use plus 1M.
 func BenchmarkRestartFirstStatus(b *testing.B) {
-	layout := dictionary.LayoutForest
 	for _, n := range []int{65536, workload.LargestCRLEntries, 1_000_000} {
-		env := newMappedEnv(b, layout, n)
+		env := newMappedEnv(b, n)
 		pub := env.signer.Public()
 		now := time.Now().Unix()
 		state := env.replica.PersistentState()
@@ -250,10 +241,10 @@ func BenchmarkRestartFirstStatus(b *testing.B) {
 				return dictionary.RestoreReplica("BenchCA", pub, state, now)
 			}},
 			{"map-v2", func(lg storage.Log) (*dictionary.Replica, error) {
-				return dictionary.RecoverReplicaLog(lg, "BenchCA", pub, layout, now)
+				return dictionary.RecoverReplicaLog(lg, "BenchCA", pub, now)
 			}},
 		} {
-			b.Run(fmt.Sprintf("layout=%s/n=%d/%s", layout, n, mode.name), func(b *testing.B) {
+			b.Run(fmt.Sprintf("layout=sorted/n=%d/%s", n, mode.name), func(b *testing.B) {
 				probe := env.revoked[0]
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

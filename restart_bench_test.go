@@ -71,14 +71,14 @@ func (e *restartEnv) crashBackend(tb testing.TB) *ritm.MemoryBackend {
 	return backend
 }
 
-func newRestartEnv(tb testing.TB, layout ritm.LayoutKind, n, batch, missed int) *restartEnv {
+func newRestartEnv(tb testing.TB, n, batch, missed int) *restartEnv {
 	tb.Helper()
 	dp := ritm.NewDistributionPoint(nil)
-	authority, err := ritm.NewCA(ritm.CAConfig{ID: "BenchCA", Delta: 10 * time.Second, Publisher: dp, Layout: layout})
+	authority, err := ritm.NewCA(ritm.CAConfig{ID: "BenchCA", Delta: 10 * time.Second, Publisher: dp})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := dp.RegisterCAWithLayout("BenchCA", authority.PublicKey(), layout); err != nil {
+	if err := dp.RegisterCA("BenchCA", authority.PublicKey()); err != nil {
 		tb.Fatal(err)
 	}
 	if err := authority.PublishRoot(); err != nil {
@@ -103,7 +103,6 @@ func newRestartEnv(tb testing.TB, layout ritm.LayoutKind, n, batch, missed int) 
 		Roots:           []*ritm.Certificate{env.root},
 		Origin:          dp,
 		Delta:           10 * time.Second,
-		Layout:          layout,
 		Storage:         backend,
 		CheckpointEvery: 1,
 	})
@@ -132,56 +131,53 @@ func newRestartEnv(tb testing.TB, layout ritm.LayoutKind, n, batch, missed int) 
 
 // BenchmarkWarmStart measures an RA restart: construction (checkpoint
 // restore + WAL replay) plus the catch-up sync, warm (durable store,
-// suffix-only pull) vs cold (no store, full-dictionary pull), for both
-// layouts. Reported per op: origin pulls, origin bytes, and the recovered
+// suffix-only pull) vs cold (no store, full-dictionary pull). Reported per
+// op: origin pulls, origin bytes, and the recovered
 // dictionary size.
 func BenchmarkWarmStart(b *testing.B) {
 	const batch, missed = 64, 8
-	for _, layout := range []ritm.LayoutKind{ritm.LayoutSorted, ritm.LayoutForest} {
-		for _, n := range []int{8192, 65536} {
-			env := newRestartEnv(b, layout, n, batch, missed)
-			for _, mode := range []string{"warm", "cold"} {
-				b.Run(fmt.Sprintf("layout=%s/n=%d/%s", layout, n, mode), func(b *testing.B) {
-					var pulls, bytes int64
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						origin := &meteredOrigin{Origin: env.dp}
-						cfg := ritm.RAConfig{
-							Roots:  []*ritm.Certificate{env.root},
-							Origin: origin,
-							Delta:  10 * time.Second,
-							Layout: layout,
-						}
-						if mode == "warm" {
-							cfg.Storage = env.crashBackend(b)
-						}
-						agent, err := ritm.NewRA(cfg)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if err := agent.SyncOnce(); err != nil {
-							b.Fatal(err)
-						}
-						r, err := agent.Store().Replica("BenchCA")
-						if err != nil {
-							b.Fatal(err)
-						}
-						if r.Count() != uint64(env.n) {
-							b.Fatalf("count = %d, want %d", r.Count(), env.n)
-						}
-						if mode == "warm" {
-							if err := agent.Store().Close(); err != nil {
-								b.Fatal(err)
-							}
-						}
-						pulls += origin.pulls.Load()
-						bytes += origin.bytes.Load()
+	for _, n := range []int{8192, 65536} {
+		env := newRestartEnv(b, n, batch, missed)
+		for _, mode := range []string{"warm", "cold"} {
+			b.Run(fmt.Sprintf("layout=sorted/n=%d/%s", n, mode), func(b *testing.B) {
+				var pulls, bytes int64
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					origin := &meteredOrigin{Origin: env.dp}
+					cfg := ritm.RAConfig{
+						Roots:  []*ritm.Certificate{env.root},
+						Origin: origin,
+						Delta:  10 * time.Second,
 					}
-					b.ReportMetric(float64(pulls)/float64(b.N), "origin-pulls/op")
-					b.ReportMetric(float64(bytes)/float64(b.N), "origin-bytes/op")
-					b.ReportMetric(float64(missed*batch), "missed-revocations")
-				})
-			}
+					if mode == "warm" {
+						cfg.Storage = env.crashBackend(b)
+					}
+					agent, err := ritm.NewRA(cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := agent.SyncOnce(); err != nil {
+						b.Fatal(err)
+					}
+					r, err := agent.Store().Replica("BenchCA")
+					if err != nil {
+						b.Fatal(err)
+					}
+					if r.Count() != uint64(env.n) {
+						b.Fatalf("count = %d, want %d", r.Count(), env.n)
+					}
+					if mode == "warm" {
+						if err := agent.Store().Close(); err != nil {
+							b.Fatal(err)
+						}
+					}
+					pulls += origin.pulls.Load()
+					bytes += origin.bytes.Load()
+				}
+				b.ReportMetric(float64(pulls)/float64(b.N), "origin-pulls/op")
+				b.ReportMetric(float64(bytes)/float64(b.N), "origin-bytes/op")
+				b.ReportMetric(float64(missed*batch), "missed-revocations")
+			})
 		}
 	}
 }

@@ -104,35 +104,6 @@ func NewShardedAuthority(cfg ShardConfig) (*ShardedAuthority, error) {
 	return dictionary.NewShardedAuthority(cfg)
 }
 
-// LayoutKind selects the dictionary's commitment structure. The layout is a
-// deployment-wide setting: CA, distribution point, and every RA must agree
-// (roots and proofs are layout-specific; the issuance log and all wire
-// formats are not).
-type LayoutKind = dictionary.LayoutKind
-
-// Dictionary layouts.
-const (
-	// LayoutSorted is the classic flat sorted hash tree (the default):
-	// O(k·log n) right-edge inserts, O(n) uniform inserts.
-	LayoutSorted = dictionary.LayoutSorted
-	// LayoutForest is the bucketed forest: O(k·log n) inserts for any
-	// serial distribution, at the cost of a slightly larger proof (an
-	// extra spine segment).
-	LayoutForest = dictionary.LayoutForest
-)
-
-// ParseLayout maps a -layout flag value ("sorted", "forest",
-// "forest:<cap>") to its kind.
-func ParseLayout(s string) (LayoutKind, error) { return dictionary.ParseLayout(s) }
-
-// LayoutForestWithCap returns the forest layout with buckets of at most
-// cap leaves (default 256): the tuning knob for corpora whose batch sizes
-// or proof-size budgets differ from the default's sweet spot. The
-// capacity is part of the commitment contract — persisted in checkpoints
-// and refused on mismatch at restore, so a restart can never silently
-// change proof shapes.
-func LayoutForestWithCap(cap int) LayoutKind { return dictionary.LayoutForestWithCap(cap) }
-
 // Durable state tier: WAL + checkpoint persistence for CAs, distribution
 // points, and RAs. A nil backend anywhere keeps that component purely
 // in-memory (the historical behavior).
@@ -430,16 +401,8 @@ type (
 	RootSource = monitor.RootSource
 )
 
-// NewAuditor creates an auditor trusting the CA keys in pool (sorted-layout
-// dictionaries; forest deployments use NewAuditorWithLayout).
+// NewAuditor creates an auditor trusting the CA keys in pool.
 func NewAuditor(pool *Pool) *Auditor { return monitor.NewAuditor(pool) }
-
-// NewAuditorWithLayout creates an auditor for a deployment whose CAs sign
-// dictionaries of the given layout; append-only checks replay the issuance
-// log with it.
-func NewAuditorWithLayout(pool *Pool, layout LayoutKind) *Auditor {
-	return monitor.NewAuditorWithLayout(pool, layout)
-}
 
 // NewMapServer creates an empty source registry.
 func NewMapServer() *MapServer { return monitor.NewMapServer() }

@@ -30,19 +30,15 @@ type deployment struct {
 }
 
 func newDeployment(t *testing.T, delta time.Duration) *deployment {
-	return newDeploymentWithLayout(t, delta, ritm.LayoutSorted)
-}
-
-func newDeploymentWithLayout(t *testing.T, delta time.Duration, layout ritm.LayoutKind) *deployment {
 	t.Helper()
 	d := &deployment{}
 	d.dp = ritm.NewDistributionPoint(nil)
 	var err error
-	d.ca, err = ritm.NewCA(ritm.CAConfig{ID: "IntegrationCA", Delta: delta, Publisher: d.dp, Layout: layout})
+	d.ca, err = ritm.NewCA(ritm.CAConfig{ID: "IntegrationCA", Delta: delta, Publisher: d.dp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.dp.RegisterCAWithLayout("IntegrationCA", d.ca.PublicKey(), layout); err != nil {
+	if err := d.dp.RegisterCA("IntegrationCA", d.ca.PublicKey()); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.ca.PublishRoot(); err != nil {
@@ -56,7 +52,6 @@ func newDeploymentWithLayout(t *testing.T, delta time.Duration, layout ritm.Layo
 		Roots:  []*ritm.Certificate{d.ca.RootCertificate()},
 		Origin: &ritm.HTTPClient{BaseURL: cdnSrv.URL, Client: http.DefaultClient},
 		Delta:  delta,
-		Layout: layout,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,59 +119,31 @@ func newDeploymentWithLayout(t *testing.T, delta time.Duration, layout ritm.Layo
 }
 
 func TestEndToEndThroughPublicAPI(t *testing.T) {
-	// Both dictionary layouts run the identical deployment: the layout is
-	// invisible to the wire protocols — only roots and proofs change shape.
-	for _, layout := range []ritm.LayoutKind{ritm.LayoutSorted, ritm.LayoutForest} {
-		t.Run(layout.String(), func(t *testing.T) {
-			d := newDeploymentWithLayout(t, 10*time.Second, layout)
+	t.Run("sorted", func(t *testing.T) {
+		d := newDeployment(t, 10*time.Second)
 
-			conn, err := ritm.Dial("tcp", d.proxy.Addr().String(), "integration.example", &ritm.ClientConfig{
-				Pool:          d.pool,
-				Delta:         10 * time.Second,
-				RequireStatus: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-
-			if conn.Verifier().ValidCount() == 0 {
-				t.Error("no verified status")
-			}
-			if _, err := conn.Write([]byte("integration")); err != nil {
-				t.Fatal(err)
-			}
-			buf := make([]byte, 32)
-			n, err := conn.Read(buf)
-			if err != nil || string(buf[:n]) != "integration" {
-				t.Fatalf("echo: %q, %v", buf[:n], err)
-			}
+		conn, err := ritm.Dial("tcp", d.proxy.Addr().String(), "integration.example", &ritm.ClientConfig{
+			Pool:          d.pool,
+			Delta:         10 * time.Second,
+			RequireStatus: true,
 		})
-	}
-}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
 
-// TestEndToEndForestRevocation revokes through a forest-layout deployment:
-// the injected presence proof (with its spine segment) must block the
-// handshake exactly as the sorted layout's does.
-func TestEndToEndForestRevocation(t *testing.T) {
-	d := newDeploymentWithLayout(t, 10*time.Second, ritm.LayoutForest)
-	if _, err := d.ca.RevokeCertificate(d.chain.Leaf()); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.agent.SyncOnce(); err != nil {
-		t.Fatal(err)
-	}
-	_, err := ritm.Dial("tcp", d.proxy.Addr().String(), "integration.example", &ritm.ClientConfig{
-		Pool:          d.pool,
-		Delta:         10 * time.Second,
-		RequireStatus: true,
+		if conn.Verifier().ValidCount() == 0 {
+			t.Error("no verified status")
+		}
+		if _, err := conn.Write([]byte("integration")); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 32)
+		n, err := conn.Read(buf)
+		if err != nil || string(buf[:n]) != "integration" {
+			t.Fatalf("echo: %q, %v", buf[:n], err)
+		}
 	})
-	if err == nil {
-		t.Fatal("revoked certificate accepted end-to-end under forest layout")
-	}
-	if !errors.Is(err, tlssim.ErrStatusRejected) && !errors.Is(err, ritmclient.ErrRevoked) {
-		t.Errorf("err = %v", err)
-	}
 }
 
 func TestEndToEndRevocationBlocksHandshake(t *testing.T) {
