@@ -38,11 +38,54 @@ var (
 )
 
 // HashBytes returns the truncated SHA-256 digest of data.
-func HashBytes(data []byte) Hash {
-	full := sha256.Sum256(data)
-	var h Hash
-	copy(h[:], full[:HashSize])
+func HashBytes(data []byte) (h Hash) {
+	var p [blockSize]byte
+	if len(data) <= blockMax {
+		hashIn(&h, &p, p[:copy(p[:], data)])
+	} else {
+		sum256(&h, data)
+	}
 	return h
+}
+
+func sum256(out *Hash, data []byte) {
+	full := sha256.Sum256(data)
+	copy(out[:], full[:HashSize])
+}
+
+// blockSize is SHA-256's block size; blockMax is the longest preimage its
+// padding — the 0x80 terminator and the 8-byte bit length — fits into one
+// block. Every tree preimage (node 41 B, leaf ≤ 52 B) and chain step (21 B)
+// is that short, so hashing one costs exactly one compression.
+const (
+	blockSize = 64
+	blockMax  = blockSize - 1 - 8
+)
+
+// iv is SHA-256's initial hash value (FIPS 180-4 §5.3.3).
+var iv = [8]uint32{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19}
+
+// hashIn writes to out the truncated SHA-256 of b, a preimage assembled at
+// the start of the zeroed block p (b is p[:len(b)] whenever it fits). With
+// the kernel, a preimage of at most blockMax bytes is padded in place and
+// compressed once from the IV — no digest to set up, copy or tear down —
+// and the digest is written straight to its destination: a Hash passed back
+// by value through each frame costs more than the hashing glue around it.
+func hashIn(out *Hash, p *[blockSize]byte, b []byte) {
+	n := len(b)
+	if !useBlock || n > blockMax {
+		sum256(out, b)
+		return
+	}
+	p[n] = 0x80
+	binary.BigEndian.PutUint64(p[blockSize-8:], uint64(n)<<3)
+	s := iv
+	block(&s, p)
+	binary.BigEndian.PutUint32(out[0:], s[0])
+	binary.BigEndian.PutUint32(out[4:], s[1])
+	binary.BigEndian.PutUint32(out[8:], s[2])
+	binary.BigEndian.PutUint32(out[12:], s[3])
+	binary.BigEndian.PutUint32(out[16:], s[4])
 }
 
 // HashConcat hashes the concatenation of the given byte slices without
@@ -84,8 +127,12 @@ func (h Hash) Equal(other Hash) bool {
 // HashStep applies the chain hash function once: H(x). Hash chains use the
 // same truncated hash as the dictionary but with a distinct domain-separator
 // prefix so that chain values can never collide with tree nodes.
-func HashStep(h Hash) Hash {
-	return HashConcat([]byte{domainChain}, h[:])
+func HashStep(h Hash) (out Hash) {
+	var p [blockSize]byte
+	p[0] = domainChain
+	*(*Hash)(p[1:]) = h
+	hashIn(&out, &p, p[:1+HashSize])
+	return out
 }
 
 // HashIter applies HashStep n times: Hⁿ(x). HashIter(h, 0) returns h.
@@ -116,27 +163,34 @@ func HashLeaf(payload []byte) Hash {
 // HashLeafSerial computes the dictionary leaf hash directly from the
 // leaf's fields — byte-identical to HashLeaf over the leaf's wire payload
 // (length-prefixed serial bytes, then the issuance counter as a uvarint)
-// — assembling the preimage in a stack buffer: verifiers hash a leaf or two
+// — assembling the preimage in a stack block: verifiers hash a leaf or two
 // per status and must not allocate. Rebuilds hash through a TreeHasher.
-func HashLeafSerial(serialRaw []byte, num uint64) Hash {
-	var buf [preimageMax]byte
-	return HashBytes(appendLeafSerial(buf[:0], serialRaw, num))
+func HashLeafSerial(serialRaw []byte, num uint64) (out Hash) {
+	hashLeafSerial(&out, serialRaw, num)
+	return out
+}
+
+func hashLeafSerial(out *Hash, serialRaw []byte, num uint64) {
+	var p [blockSize]byte
+	hashIn(out, &p, appendLeafSerial(p[:0], serialRaw, num))
 }
 
 // HashNode computes the hash of an interior Merkle node from its children,
 // the fixed-size preimage on the stack like HashLeafSerial's.
-func HashNode(left, right Hash) Hash {
-	var buf [preimageMax]byte
-	return HashBytes(appendNode(buf[:0], &left, &right))
+func HashNode(left, right Hash) (out Hash) {
+	hashNode(&out, &left, &right)
+	return out
 }
 
-// preimageMax bounds a leaf or interior-node preimage: the domain byte, two
-// uvarints and a serial of up to 40 bytes; a node's 41 bytes fit inside.
-const preimageMax = 1 + binary.MaxVarintLen64 + 40 + binary.MaxVarintLen64
+func hashNode(out, left, right *Hash) {
+	var p [blockSize]byte
+	hashIn(out, &p, putNode(&p, left, right))
+}
 
-// appendLeafSerial and appendNode are the only places the two tree
-// preimages are assembled; the free functions above and TreeHasher share
-// them.
+// appendLeafSerial and putNode are the only places the two tree preimages
+// are assembled; the free functions above and TreeHasher share them. A leaf
+// whose serial is at most 40 bytes long fits the 64-byte block b is cut
+// from, so appending to it does not allocate.
 func appendLeafSerial(b, serialRaw []byte, num uint64) []byte {
 	b = append(b, domainLeaf)
 	b = binary.AppendUvarint(b, uint64(len(serialRaw)))
@@ -144,42 +198,55 @@ func appendLeafSerial(b, serialRaw []byte, num uint64) []byte {
 	return binary.AppendUvarint(b, num)
 }
 
-func appendNode(b []byte, left, right *Hash) []byte {
-	b = append(b, domainNode)
-	b = append(b, left[:]...)
-	return append(b, right[:]...)
+// putNode writes the node preimage at the start of p with fixed-size copies
+// and returns it.
+func putNode(p *[blockSize]byte, left, right *Hash) []byte {
+	p[0] = domainNode
+	*(*Hash)(p[1:]) = *left
+	*(*Hash)(p[1+HashSize:]) = *right
+	return p[:1+2*HashSize]
 }
 
-// TreeHasher hashes leaves and interior nodes through one reused digest and
-// one preimage buffer. A ∆ rebuild hashes hundreds of thousands of 41-byte
-// nodes, and per node the one-shot sha256.Sum256 spends more time setting a
-// digest up and tearing it down than compressing the single block; a
-// dictionary tree owns one TreeHasher and pays that once. The zero value is ready to use;
-// it is not safe for concurrent use. Results equal HashLeafSerial/HashNode.
+// TreeHasher hashes the leaves and interior nodes of a ∆ rebuild —
+// hundreds of thousands of single-block preimages. Where the single-block
+// kernel runs it is the free functions, one compression per node. Elsewhere
+// it hashes through one reused digest and preimage buffer: per node the
+// one-shot sha256.Sum256 spends more time setting a digest up and tearing
+// it down than compressing the block, and a dictionary tree that owns one
+// TreeHasher pays that once. The zero value is ready to use; it is not safe
+// for concurrent use. Results, written to dst, equal HashLeafSerial's and
+// HashNode's.
 type TreeHasher struct {
 	d   hash.Hash
-	buf [preimageMax]byte
+	buf [blockSize]byte
 	sum [sha256.Size]byte
 }
 
-func (h *TreeHasher) hash(preimage []byte) (out Hash) {
+func (h *TreeHasher) hash(dst *Hash, preimage []byte) {
 	if h.d == nil {
 		h.d = sha256.New()
 	}
 	h.d.Reset()
 	h.d.Write(preimage)
-	copy(out[:], h.d.Sum(h.sum[:0]))
-	return out
+	copy(dst[:], h.d.Sum(h.sum[:0]))
 }
 
-// LeafSerial is HashLeafSerial through the reused digest.
-func (h *TreeHasher) LeafSerial(serialRaw []byte, num uint64) Hash {
-	return h.hash(appendLeafSerial(h.buf[:0], serialRaw, num))
+// LeafSerial writes HashLeafSerial(serialRaw, num) to dst.
+func (h *TreeHasher) LeafSerial(dst *Hash, serialRaw []byte, num uint64) {
+	if useBlock {
+		hashLeafSerial(dst, serialRaw, num)
+		return
+	}
+	h.hash(dst, appendLeafSerial(h.buf[:0], serialRaw, num))
 }
 
-// Node is HashNode through the reused digest.
-func (h *TreeHasher) Node(left, right *Hash) Hash {
-	return h.hash(appendNode(h.buf[:0], left, right))
+// Node writes HashNode(*left, *right) to dst.
+func (h *TreeHasher) Node(dst, left, right *Hash) {
+	if useBlock {
+		hashNode(dst, left, right)
+		return
+	}
+	h.hash(dst, putNode(&h.buf, left, right))
 }
 
 // Chain is a finite hash chain v, H(v), …, Hᵐ(v) owned by a CA. The CA

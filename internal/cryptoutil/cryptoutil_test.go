@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -72,17 +73,111 @@ func TestDomainSeparation(t *testing.T) {
 func TestTreeHasherMatchesFreeFunctions(t *testing.T) {
 	var h TreeHasher
 	a, b := HashBytes([]byte("a")), HashBytes([]byte("b"))
+	var got Hash
 	for i := 0; i < 3; i++ {
-		if got := h.Node(&a, &b); got != HashNode(a, b) || got != HashConcat([]byte{domainNode}, a[:], b[:]) {
+		if h.Node(&got, &a, &b); got != HashNode(a, b) || got != HashConcat([]byte{domainNode}, a[:], b[:]) {
 			t.Fatalf("round %d: TreeHasher.Node differs from HashNode", i)
 		}
 		for _, raw := range [][]byte{{7}, bytes.Repeat([]byte{0xEE}, 20), bytes.Repeat([]byte{1}, 40)} {
 			payload := binary.AppendUvarint(append([]byte{byte(len(raw))}, raw...), 1<<40+uint64(i))
-			if got := h.LeafSerial(raw, 1<<40+uint64(i)); got != HashLeafSerial(raw, 1<<40+uint64(i)) || got != HashLeaf(payload) {
+			if h.LeafSerial(&got, raw, 1<<40+uint64(i)); got != HashLeafSerial(raw, 1<<40+uint64(i)) || got != HashLeaf(payload) {
 				t.Fatalf("round %d: TreeHasher.LeafSerial differs for a %d-byte serial", i, len(raw))
 			}
 		}
 		a = b
+	}
+}
+
+// truncSHA256 is the oracle every fast path is checked against.
+func truncSHA256(b []byte) Hash {
+	full := sha256.Sum256(b)
+	return Hash(full[:HashSize])
+}
+
+// leafPreimage is the wire form HashLeafSerial hashes, built independently
+// of appendLeafSerial.
+func leafPreimage(raw []byte, num uint64) []byte {
+	b := binary.AppendUvarint([]byte{domainLeaf}, uint64(len(raw)))
+	return binary.AppendUvarint(append(b, raw...), num)
+}
+
+// TestBlockHashMatchesSHA256: the single-block kernel is an optimisation,
+// not a second hash. Every preimage length it takes (0–55) and the lengths
+// past it that must fall through to crypto/sha256 (56–128) give the
+// truncated sha256.Sum256 through HashBytes; leaf preimages of 3–112 bytes,
+// nodes and chain steps give it through the free functions and through one
+// TreeHasher whose buffer the previous, differently sized preimage dirtied.
+func TestBlockHashMatchesSHA256(t *testing.T) {
+	t.Logf("single-block kernel in use: %v", useBlock)
+	rng := rand.New(rand.NewSource(1))
+	var th TreeHasher
+	var got Hash
+	for n := 0; n <= 128; n++ {
+		for rep := 0; rep < 8; rep++ {
+			data := make([]byte, n)
+			rng.Read(data)
+			if got, want := HashBytes(data), truncSHA256(data); got != want {
+				t.Fatalf("HashBytes(%d bytes) = %v, want %v", n, got, want)
+			}
+
+			raw := data[:min(n, 100)]
+			num := rng.Uint64() >> rng.Intn(64)
+			want := truncSHA256(leafPreimage(raw, num))
+			if got := HashLeafSerial(raw, num); got != want {
+				t.Fatalf("HashLeafSerial(%d-byte serial, %d) = %v, want %v", len(raw), num, got, want)
+			}
+			if th.LeafSerial(&got, raw, num); got != want {
+				t.Fatalf("TreeHasher.LeafSerial(%d-byte serial, %d) = %v, want %v", len(raw), num, got, want)
+			}
+
+			var l, r Hash
+			rng.Read(l[:])
+			rng.Read(r[:])
+			want = truncSHA256(append(append([]byte{domainNode}, l[:]...), r[:]...))
+			if got := HashNode(l, r); got != want {
+				t.Fatalf("HashNode = %v, want %v", got, want)
+			}
+			if th.Node(&got, &l, &r); got != want {
+				t.Fatalf("TreeHasher.Node = %v, want %v", got, want)
+			}
+			if got, want := HashStep(l), truncSHA256(append([]byte{domainChain}, l[:]...)); got != want {
+				t.Fatalf("HashStep = %v, want %v", got, want)
+			}
+		}
+	}
+}
+
+// FuzzHashBytes checks arbitrary preimages against the same oracle, as
+// plain bytes and as a leaf's serial.
+func FuzzHashBytes(f *testing.F) {
+	for _, n := range []int{0, 1, 41, 55, 56, 63, 64, 65, 128} {
+		f.Add(bytes.Repeat([]byte{0xA5}, n), uint64(n))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, num uint64) {
+		if got, want := HashBytes(data), truncSHA256(data); got != want {
+			t.Fatalf("HashBytes(%x) = %v, want %v", data, got, want)
+		}
+		if got, want := HashLeafSerial(data, num), truncSHA256(leafPreimage(data, num)); got != want {
+			t.Fatalf("HashLeafSerial(%x, %d) = %v, want %v", data, num, got, want)
+		}
+	})
+}
+
+// TestHashZeroAlloc pins the per-node hashing of rebuilds and verifiers to
+// the stack: the block never escapes into the kernel.
+func TestHashZeroAlloc(t *testing.T) {
+	a, b := HashBytes([]byte("a")), HashBytes([]byte("b"))
+	raw := bytes.Repeat([]byte{0xEE}, 20)
+	var th TreeHasher
+	for name, fn := range map[string]func(){
+		"HashNode":        func() { a = HashNode(a, b) },
+		"HashLeafSerial":  func() { a = HashLeafSerial(raw, 1<<40) },
+		"HashStep":        func() { a = HashStep(a) },
+		"TreeHasher.Node": func() { th.Node(&a, &a, &b) },
+	} {
+		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
+		}
 	}
 }
 
@@ -241,6 +336,23 @@ func BenchmarkHashStep(b *testing.B) {
 		h = HashStep(h)
 	}
 	_ = h
+}
+
+// BenchmarkHashNode is the per-node cost of a rebuild (TreeHasher) and of
+// a verifier's climb (HashNode).
+func BenchmarkHashNode(b *testing.B) {
+	l, r := HashBytes([]byte("left")), HashBytes([]byte("right"))
+	b.Run("HashNode", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			l = HashNode(l, r)
+		}
+	})
+	b.Run("TreeHasher", func(b *testing.B) {
+		var th TreeHasher
+		for i := 0; i < b.N; i++ {
+			th.Node(&l, &l, &r)
+		}
+	})
 }
 
 func BenchmarkSign(b *testing.B) {

@@ -258,8 +258,8 @@ func moveRight(dst, src []byte, lo, hi, shift, size int) {
 // right by the number of batch leaves before them.
 type span struct{ lo, hi, shift int }
 
-// rebuilder is the hashing state a tree rebuilds through: one reused
-// digest, and the cumulative count of hashes computed with it.
+// rebuilder is the hashing state a tree rebuilds through: one TreeHasher,
+// and the cumulative count of hashes computed with it.
 type rebuilder struct {
 	h      cryptoutil.TreeHasher
 	hashed uint64
@@ -314,7 +314,7 @@ func (rb *rebuilder) mergeLeaves(dst, old run, batch []Leaf) (recs, hashes []byt
 		carry(at, end, j)
 		i := at + j - 1
 		putRec(recs[i*v2LeafRecSize:], lf)
-		*nodeAt(hashes, i) = rb.h.LeafSerial(lf.Serial.Raw(), lf.Num)
+		rb.h.LeafSerial(nodeAt(hashes, i), lf.Serial.Raw(), lf.Num)
 		rb.hashed++
 		end = at
 	}
@@ -399,7 +399,7 @@ func (rb *rebuilder) hashPairs(next, cur []byte, lo, hi int) {
 	n := len(cur) / cryptoutil.HashSize
 	for k := lo; k < hi; k++ {
 		if 2*k+1 < n {
-			*nodeAt(next, k) = rb.h.Node(nodeAt(cur, 2*k), nodeAt(cur, 2*k+1))
+			rb.h.Node(nodeAt(next, k), nodeAt(cur, 2*k), nodeAt(cur, 2*k+1))
 			rb.hashed++
 		} else {
 			*nodeAt(next, k) = *nodeAt(cur, 2*k)

@@ -176,7 +176,7 @@ func TestTab3Quick(t *testing.T) {
 	if len(tbl.Rows) != 5 {
 		t.Fatalf("tab3 rows = %d, want 5", len(tbl.Rows))
 	}
-	avg := map[string]float64{}
+	fastest := map[string]float64{}
 	for _, row := range tbl.Rows {
 		v, err := strconv.ParseFloat(row[4], 64)
 		if err != nil {
@@ -185,13 +185,17 @@ func TestTab3Quick(t *testing.T) {
 		if v <= 0 {
 			t.Errorf("%s avg = %f µs", row[1], v)
 		}
-		avg[row[1]] = v
+		if fastest[row[1]], err = strconv.ParseFloat(row[3], 64); err != nil {
+			t.Fatalf("non-numeric min %q", row[3])
+		}
 	}
 	// Tab III ordering: detection ≪ parsing < proof construction (RA side).
-	if !(avg["TLS detection (DPI)"] < avg["Certificates parsing (DPI)"]) {
+	// The orderings compare the min column: a preempted sample inflates an
+	// average of 50 (both parse and prove are ~1 µs) but never the fastest.
+	if !(fastest["TLS detection (DPI)"] < fastest["Certificates parsing (DPI)"]) {
 		t.Error("detection not cheaper than certificate parsing")
 	}
-	if !(avg["Certificates parsing (DPI)"] < avg["Proof construction"]*4) {
+	if !(fastest["Certificates parsing (DPI)"] < fastest["Proof construction"]*4) {
 		t.Error("proof construction implausibly cheap vs parsing")
 	}
 }
