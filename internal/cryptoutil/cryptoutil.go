@@ -88,20 +88,6 @@ func hashIn(out *Hash, p *[blockSize]byte, b []byte) {
 	binary.BigEndian.PutUint32(out[16:], s[4])
 }
 
-// HashConcat hashes the concatenation of the given byte slices without
-// building the concatenation in memory.
-func HashConcat(parts ...[]byte) Hash {
-	st := sha256.New()
-	for _, p := range parts {
-		st.Write(p)
-	}
-	var full [sha256.Size]byte
-	st.Sum(full[:0])
-	var h Hash
-	copy(h[:], full[:HashSize])
-	return h
-}
-
 // HashFromBytes converts a 20-byte slice into a Hash.
 func HashFromBytes(b []byte) (Hash, error) {
 	var h Hash
@@ -155,16 +141,11 @@ const (
 	domainChain = 0x02
 )
 
-// HashLeaf computes the hash of a Merkle tree leaf with domain separation.
-func HashLeaf(payload []byte) Hash {
-	return HashConcat([]byte{domainLeaf}, payload)
-}
-
-// HashLeafSerial computes the dictionary leaf hash directly from the
-// leaf's fields — byte-identical to HashLeaf over the leaf's wire payload
-// (length-prefixed serial bytes, then the issuance counter as a uvarint)
-// — assembling the preimage in a stack block: verifiers hash a leaf or two
-// per status and must not allocate. Rebuilds hash through a TreeHasher.
+// HashLeafSerial computes the dictionary leaf hash from the leaf's fields:
+// the leaf domain byte, then the leaf's wire payload (length-prefixed
+// serial bytes, then the issuance counter as a uvarint). It assembles the
+// preimage in a stack block: verifiers hash a leaf or two per status and
+// must not allocate. Rebuilds hash through a TreeHasher.
 func HashLeafSerial(serialRaw []byte, num uint64) (out Hash) {
 	hashLeafSerial(&out, serialRaw, num)
 	return out
@@ -175,20 +156,22 @@ func hashLeafSerial(out *Hash, serialRaw []byte, num uint64) {
 	hashIn(out, &p, appendLeafSerial(p[:0], serialRaw, num))
 }
 
-// HashNode computes the hash of an interior Merkle node from its children,
-// the fixed-size preimage on the stack like HashLeafSerial's.
+// HashNode computes the hash of an interior Merkle node from its children.
+// The kernel builds the preimage in registers; the fallback assembles it
+// on the stack like HashLeafSerial's.
 func HashNode(left, right Hash) (out Hash) {
-	hashNode(&out, &left, &right)
+	if useBlock {
+		nodeBlock(&out, &left, &right)
+		return out
+	}
+	var p [blockSize]byte
+	sum256(&out, putNode(&p, &left, &right))
 	return out
 }
 
-func hashNode(out, left, right *Hash) {
-	var p [blockSize]byte
-	hashIn(out, &p, putNode(&p, left, right))
-}
-
 // appendLeafSerial and putNode are the only places the two tree preimages
-// are assembled; the free functions above and TreeHasher share them. A leaf
+// are assembled in memory (nodeBlock builds the node's in registers); the
+// free functions above and TreeHasher share them. A leaf
 // whose serial is at most 40 bytes long fits the 64-byte block b is cut
 // from, so appending to it does not allocate.
 func appendLeafSerial(b, serialRaw []byte, num uint64) []byte {
@@ -209,7 +192,7 @@ func putNode(p *[blockSize]byte, left, right *Hash) []byte {
 
 // TreeHasher hashes the leaves and interior nodes of a ∆ rebuild —
 // hundreds of thousands of single-block preimages. Where the single-block
-// kernel runs it is the free functions, one compression per node. Elsewhere
+// kernel runs it calls the kernel, one compression per node. Elsewhere
 // it hashes through one reused digest and preimage buffer: per node the
 // one-shot sha256.Sum256 spends more time setting a digest up and tearing
 // it down than compressing the block, and a dictionary tree that owns one
@@ -243,7 +226,7 @@ func (h *TreeHasher) LeafSerial(dst *Hash, serialRaw []byte, num uint64) {
 // Node writes HashNode(*left, *right) to dst.
 func (h *TreeHasher) Node(dst, left, right *Hash) {
 	if useBlock {
-		hashNode(dst, left, right)
+		nodeBlock(dst, left, right)
 		return
 	}
 	h.hash(dst, putNode(&h.buf, left, right))
@@ -382,10 +365,4 @@ func Verify(pub ed25519.PublicKey, msg, sig []byte) error {
 		return ErrBadSignature
 	}
 	return nil
-}
-
-// KeyID returns a short identifier for a public key (the truncated hash of
-// the key bytes), used to select the right trust anchor for verification.
-func KeyID(pub ed25519.PublicKey) Hash {
-	return HashBytes(pub)
 }

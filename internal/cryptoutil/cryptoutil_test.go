@@ -19,15 +19,6 @@ func TestHashBytesIsTruncatedSHA256(t *testing.T) {
 	}
 }
 
-func TestHashConcatMatchesConcatenation(t *testing.T) {
-	a, b := []byte("rev"), []byte("ocation")
-	want := HashBytes([]byte("revocation"))
-	got := HashConcat(a, b)
-	if got != want {
-		t.Errorf("HashConcat = %v, want %v", got, want)
-	}
-}
-
 func TestHashFromBytes(t *testing.T) {
 	h := HashBytes([]byte("x"))
 	got, err := HashFromBytes(h[:])
@@ -45,15 +36,15 @@ func TestHashFromBytes(t *testing.T) {
 func TestDomainSeparation(t *testing.T) {
 	// Leaf, node, chain, and plain hashes of identical payloads must all
 	// differ; otherwise a leaf could be confused with an interior node
-	// (the classic Merkle second-preimage attack).
-	payload := make([]byte, 2*HashSize)
-	var l, r Hash
-	copy(l[:], payload[:HashSize])
-	copy(r[:], payload[HashSize:])
+	// (the classic Merkle second-preimage attack). The leaf's wire payload
+	// (a 38-byte serial, counter 7) is byte for byte the node's children.
+	raw := bytes.Repeat([]byte{0x5A}, 2*HashSize-2)
+	payload := binary.AppendUvarint(append([]byte{byte(len(raw))}, raw...), 7)
+	l, r := Hash(payload[:HashSize]), Hash(payload[HashSize:])
 
 	hashes := map[string]Hash{
 		"plain": HashBytes(payload),
-		"leaf":  HashLeaf(payload),
+		"leaf":  HashLeafSerial(raw, 7),
 		"node":  HashNode(l, r),
 		"chain": HashStep(l),
 	}
@@ -68,19 +59,19 @@ func TestDomainSeparation(t *testing.T) {
 
 // TestTreeHasherMatchesFreeFunctions: the reused digest is an optimisation,
 // not a second hash — it must give HashNode's and HashLeafSerial's bytes
-// (what verifiers compute), whatever it hashed before, and HashLeafSerial
-// must still be HashLeaf over the wire payload.
+// (what verifiers compute), whatever it hashed before, and both must still
+// be the truncated SHA-256 of the domain byte and the wire payload.
 func TestTreeHasherMatchesFreeFunctions(t *testing.T) {
 	var h TreeHasher
 	a, b := HashBytes([]byte("a")), HashBytes([]byte("b"))
 	var got Hash
 	for i := 0; i < 3; i++ {
-		if h.Node(&got, &a, &b); got != HashNode(a, b) || got != HashConcat([]byte{domainNode}, a[:], b[:]) {
+		if h.Node(&got, &a, &b); got != HashNode(a, b) || got != truncSHA256(nodePreimage(a, b)) {
 			t.Fatalf("round %d: TreeHasher.Node differs from HashNode", i)
 		}
 		for _, raw := range [][]byte{{7}, bytes.Repeat([]byte{0xEE}, 20), bytes.Repeat([]byte{1}, 40)} {
-			payload := binary.AppendUvarint(append([]byte{byte(len(raw))}, raw...), 1<<40+uint64(i))
-			if h.LeafSerial(&got, raw, 1<<40+uint64(i)); got != HashLeafSerial(raw, 1<<40+uint64(i)) || got != HashLeaf(payload) {
+			num := 1<<40 + uint64(i)
+			if h.LeafSerial(&got, raw, num); got != HashLeafSerial(raw, num) || got != truncSHA256(leafPreimage(raw, num)) {
 				t.Fatalf("round %d: TreeHasher.LeafSerial differs for a %d-byte serial", i, len(raw))
 			}
 		}
@@ -101,12 +92,19 @@ func leafPreimage(raw []byte, num uint64) []byte {
 	return binary.AppendUvarint(append(b, raw...), num)
 }
 
+// nodePreimage is the preimage HashNode hashes, built independently of
+// putNode and of the kernel's registers.
+func nodePreimage(l, r Hash) []byte {
+	return append(append([]byte{domainNode}, l[:]...), r[:]...)
+}
+
 // TestBlockHashMatchesSHA256: the single-block kernel is an optimisation,
 // not a second hash. Every preimage length it takes (0–55) and the lengths
 // past it that must fall through to crypto/sha256 (56–128) give the
-// truncated sha256.Sum256 through HashBytes; leaf preimages of 3–112 bytes,
-// nodes and chain steps give it through the free functions and through one
-// TreeHasher whose buffer the previous, differently sized preimage dirtied.
+// truncated sha256.Sum256 through HashBytes; leaf preimages of 3–112 bytes
+// give it through HashLeafSerial and through one TreeHasher whose buffer
+// the previous, differently sized preimage dirtied, and chain steps through
+// HashStep. Nodes are TestNodeKernelMatchesSHA256's.
 func TestBlockHashMatchesSHA256(t *testing.T) {
 	t.Logf("single-block kernel in use: %v", useBlock)
 	rng := rand.New(rand.NewSource(1))
@@ -130,21 +128,82 @@ func TestBlockHashMatchesSHA256(t *testing.T) {
 				t.Fatalf("TreeHasher.LeafSerial(%d-byte serial, %d) = %v, want %v", len(raw), num, got, want)
 			}
 
-			var l, r Hash
+			var l Hash
 			rng.Read(l[:])
-			rng.Read(r[:])
-			want = truncSHA256(append(append([]byte{domainNode}, l[:]...), r[:]...))
-			if got := HashNode(l, r); got != want {
-				t.Fatalf("HashNode = %v, want %v", got, want)
-			}
-			if th.Node(&got, &l, &r); got != want {
-				t.Fatalf("TreeHasher.Node = %v, want %v", got, want)
-			}
 			if got, want := HashStep(l), truncSHA256(append([]byte{domainChain}, l[:]...)); got != want {
 				t.Fatalf("HashStep = %v, want %v", got, want)
 			}
 		}
 	}
+}
+
+// checkNode compares every entry that hashes an interior node — the
+// kernel itself where it runs, HashNode (verifiers), TreeHasher.Node
+// (rebuilds), and the kernel writing over either child — with the
+// truncated SHA-256 of the node's preimage.
+func checkNode(t *testing.T, th *TreeHasher, l, r Hash) {
+	t.Helper()
+	want := truncSHA256(nodePreimage(l, r))
+	if got := HashNode(l, r); got != want {
+		t.Fatalf("HashNode(%v, %v) = %v, want %v", l, r, got, want)
+	}
+	var got Hash
+	if th.Node(&got, &l, &r); got != want {
+		t.Fatalf("TreeHasher.Node(%v, %v) = %v, want %v", l, r, got, want)
+	}
+	if !useBlock {
+		return
+	}
+	if nodeBlock(&got, &l, &r); got != want {
+		t.Fatalf("nodeBlock(%v, %v) = %v, want %v", l, r, got, want)
+	}
+	a, b := l, r
+	if nodeBlock(&a, &a, &b); a != want {
+		t.Fatalf("nodeBlock over its left child = %v, want %v", a, want)
+	}
+	a = l
+	if nodeBlock(&b, &a, &b); b != want {
+		t.Fatalf("nodeBlock over its right child = %v, want %v", b, want)
+	}
+}
+
+// TestNodeKernelMatchesSHA256: the node entry builds its block in
+// registers, not from putNode's bytes, so it is checked on its own —
+// random pairs, all-0x00 and all-0xFF children (every byte lane at either
+// extreme), and equal children.
+func TestNodeKernelMatchesSHA256(t *testing.T) {
+	t.Logf("single-block kernel in use: %v", useBlock)
+	var th TreeHasher
+	var zero, ones Hash
+	for i := range ones {
+		ones[i] = 0xFF
+	}
+	for _, c := range [][2]Hash{{zero, zero}, {ones, ones}, {zero, ones}, {ones, zero}} {
+		checkNode(t, &th, c[0], c[1])
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		var l, r Hash
+		rng.Read(l[:])
+		rng.Read(r[:])
+		checkNode(t, &th, l, r)
+		checkNode(t, &th, l, l)
+	}
+}
+
+// FuzzHashNode checks interior nodes against the same oracle; inputs are
+// cut or zero-padded to 20-byte children.
+func FuzzHashNode(f *testing.F) {
+	f.Add([]byte{}, []byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, HashSize), bytes.Repeat([]byte{0xFF}, HashSize))
+	f.Add([]byte("left child, 20 bytes"), []byte("right child 20 bytes"))
+	var th TreeHasher
+	f.Fuzz(func(t *testing.T, lb, rb []byte) {
+		var l, r Hash
+		copy(l[:], lb)
+		copy(r[:], rb)
+		checkNode(t, &th, l, r)
+	})
 }
 
 // FuzzHashBytes checks arbitrary preimages against the same oracle, as
@@ -274,9 +333,6 @@ func TestSignerFromSeedDeterministic(t *testing.T) {
 	if !a.Public().Equal(b.Public()) {
 		t.Error("same seed produced different keys")
 	}
-	if KeyID(a.Public()) != KeyID(b.Public()) {
-		t.Error("same key produced different key IDs")
-	}
 }
 
 func TestHashIterZero(t *testing.T) {
@@ -338,8 +394,10 @@ func BenchmarkHashStep(b *testing.B) {
 	_ = h
 }
 
-// BenchmarkHashNode is the per-node cost of a rebuild (TreeHasher) and of
-// a verifier's climb (HashNode).
+// BenchmarkHashNode is a serial chain, l = H(l, r): each node waits for
+// the one before, as in a verifier's climb, so it measures latency. The
+// benchmark probe cryptoutil.hash_node_ns is the same chain. Neither is
+// the per-node cost of a rebuild; BenchmarkHashLevel is.
 func BenchmarkHashNode(b *testing.B) {
 	l, r := HashBytes([]byte("left")), HashBytes([]byte("right"))
 	b.Run("HashNode", func(b *testing.B) {
@@ -353,6 +411,27 @@ func BenchmarkHashNode(b *testing.B) {
 			th.Node(&l, &l, &r)
 		}
 	})
+}
+
+// BenchmarkHashLevel is the per-node cost of a rebuild: one level above a
+// 2^18-node level, hashed pairwise through a TreeHasher into a separate
+// array as dictionary's hashPairs does, so neighbouring nodes are
+// independent and their compressions can overlap.
+func BenchmarkHashLevel(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	cur := make([]Hash, 1<<18)
+	for i := range cur {
+		rng.Read(cur[i][:])
+	}
+	next := make([]Hash, len(cur)/2)
+	var th TreeHasher
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range next {
+			th.Node(&next[k], &cur[2*k], &cur[2*k+1])
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(next)), "ns/node")
 }
 
 func BenchmarkSign(b *testing.B) {

@@ -8,6 +8,14 @@ package cryptoutil
 //go:noescape
 func block(h *[8]uint32, p *[blockSize]byte)
 
+// nodeBlock writes HashNode(*l, *r) to out with one compression from the
+// IV, assembling the padded node block in registers (sum_amd64.s). It
+// reads exactly the 20 bytes of each child and writes exactly the 20 bytes
+// of out, so all three may point into a level array.
+//
+//go:noescape
+func nodeBlock(out, l, r *Hash)
+
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 // useBlock reports whether the CPU executes block: it needs the SHA

@@ -7,13 +7,58 @@
 // moves turned into SSE ones (VMOVDQU → MOVOU, VMOVDQA → MOVO), so that it
 // needs only SHA, SSSE3 and SSE4.1. K256 holds each round constant once
 // (Go's table repeats every 16-byte group for its AVX2 kernel), so the
-// round offsets are half of Go's. Reference: S. Gulley et al., "New
-// Instructions Supporting the Secure Hash Algorithm on Intel® Architecture
-// Processors", July 2013.
+// round offsets are half of Go's. The four message words are loaded before
+// the rounds rather than between them, so that the rounds are one macro
+// that nodeBlock, which builds its block in registers, shares. Reference:
+// S. Gulley et al., "New Instructions Supporting the Secure Hash Algorithm
+// on Intel® Architecture Processors", July 2013.
 
 //go:build amd64 && !purego
 
 #include "textflag.h"
+
+// RNDS4 runs four rounds on the message words in m plus the round
+// constants at k(AX); RNDS4S also advances the schedule of next by
+// SHA256MSG2 over m and prev, interleaved as in Go's kernel.
+#define RNDS4(k, m) \
+	MOVO        m, X0; \
+	PADDD       k(AX), X0; \
+	SHA256RNDS2 X0, X1, X2; \
+	PSHUFD      $0x0e, X0, X0; \
+	SHA256RNDS2 X0, X2, X1
+
+#define RNDS4S(k, m, prev, next) \
+	MOVO        m, X0; \
+	PADDD       k(AX), X0; \
+	SHA256RNDS2 X0, X1, X2; \
+	MOVO        m, X7; \
+	PALIGNR     $0x04, prev, X7; \
+	PADDD       X7, next; \
+	SHA256MSG2  m, next; \
+	PSHUFD      $0x0e, X0, X0; \
+	SHA256RNDS2 X0, X2, X1
+
+// ROUNDS is the 64 rounds of one compression, shared by block and
+// nodeBlock. In: the state as ABEF in X1 and CDGH in X2, the block's
+// message words (byte-swapped) in X3–X6, K256 in AX. Out: the state
+// before the feed-forward addition in X1 and X2. Clobbers X0 and X3–X7.
+#define ROUNDS \
+	RNDS4(0, X3); \
+	RNDS4(16, X4); SHA256MSG1 X4, X3; \
+	RNDS4(32, X5); SHA256MSG1 X5, X4; \
+	RNDS4S(48, X6, X5, X3); SHA256MSG1 X6, X5; \
+	RNDS4S(64, X3, X6, X4); SHA256MSG1 X3, X6; \
+	RNDS4S(80, X4, X3, X5); SHA256MSG1 X4, X3; \
+	RNDS4S(96, X5, X4, X6); SHA256MSG1 X5, X4; \
+	RNDS4S(112, X6, X5, X3); SHA256MSG1 X6, X5; \
+	RNDS4S(128, X3, X6, X4); SHA256MSG1 X3, X6; \
+	RNDS4S(144, X4, X3, X5); SHA256MSG1 X4, X3; \
+	RNDS4S(160, X5, X4, X6); SHA256MSG1 X5, X4; \
+	RNDS4S(176, X6, X5, X3); SHA256MSG1 X6, X5; \
+	RNDS4S(192, X3, X6, X4); SHA256MSG1 X3, X6; \
+	RNDS4S(208, X4, X3, X5); \
+	RNDS4S(224, X5, X4, X6); \
+	RNDS4(240, X6)
 
 // func block(h *[8]uint32, p *[64]byte)
 // Requires: SHA, SSE2, SSE4.1, SSSE3
@@ -34,157 +79,15 @@ TEXT ·block(SB), NOSPLIT, $0-16
 	MOVO X1, X9
 	MOVO X2, X10
 
-	// do rounds 0-59
-	MOVOU       (SI), X0
-	PSHUFB      X8, X0
-	MOVO        X0, X3
-	PADDD       (AX), X0
-	SHA256RNDS2 X0, X1, X2
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	MOVOU       16(SI), X0
-	PSHUFB      X8, X0
-	MOVO        X0, X4
-	PADDD       16(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X4, X3
-	MOVOU       32(SI), X0
-	PSHUFB      X8, X0
-	MOVO        X0, X5
-	PADDD       32(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X5, X4
-	MOVOU       48(SI), X0
-	PSHUFB      X8, X0
-	MOVO        X0, X6
-	PADDD       48(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X6, X7
-	PALIGNR     $0x04, X5, X7
-	PADDD       X7, X3
-	SHA256MSG2  X6, X3
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X6, X5
-	MOVO        X3, X0
-	PADDD       64(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X3, X7
-	PALIGNR     $0x04, X6, X7
-	PADDD       X7, X4
-	SHA256MSG2  X3, X4
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X3, X6
-	MOVO        X4, X0
-	PADDD       80(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X4, X7
-	PALIGNR     $0x04, X3, X7
-	PADDD       X7, X5
-	SHA256MSG2  X4, X5
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X4, X3
-	MOVO        X5, X0
-	PADDD       96(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X5, X7
-	PALIGNR     $0x04, X4, X7
-	PADDD       X7, X6
-	SHA256MSG2  X5, X6
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X5, X4
-	MOVO        X6, X0
-	PADDD       112(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X6, X7
-	PALIGNR     $0x04, X5, X7
-	PADDD       X7, X3
-	SHA256MSG2  X6, X3
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X6, X5
-	MOVO        X3, X0
-	PADDD       128(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X3, X7
-	PALIGNR     $0x04, X6, X7
-	PADDD       X7, X4
-	SHA256MSG2  X3, X4
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X3, X6
-	MOVO        X4, X0
-	PADDD       144(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X4, X7
-	PALIGNR     $0x04, X3, X7
-	PADDD       X7, X5
-	SHA256MSG2  X4, X5
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X4, X3
-	MOVO        X5, X0
-	PADDD       160(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X5, X7
-	PALIGNR     $0x04, X4, X7
-	PADDD       X7, X6
-	SHA256MSG2  X5, X6
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X5, X4
-	MOVO        X6, X0
-	PADDD       176(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X6, X7
-	PALIGNR     $0x04, X5, X7
-	PADDD       X7, X3
-	SHA256MSG2  X6, X3
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X6, X5
-	MOVO        X3, X0
-	PADDD       192(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X3, X7
-	PALIGNR     $0x04, X6, X7
-	PADDD       X7, X4
-	SHA256MSG2  X3, X4
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X3, X6
-	MOVO        X4, X0
-	PADDD       208(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X4, X7
-	PALIGNR     $0x04, X3, X7
-	PADDD       X7, X5
-	SHA256MSG2  X4, X5
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	MOVO        X5, X0
-	PADDD       224(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X5, X7
-	PALIGNR     $0x04, X4, X7
-	PADDD       X7, X6
-	SHA256MSG2  X5, X6
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-
-	// do rounds 60-63
-	MOVO        X6, X0
-	PADDD       240(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
+	MOVOU  (SI), X3
+	MOVOU  16(SI), X4
+	MOVOU  32(SI), X5
+	MOVOU  48(SI), X6
+	PSHUFB X8, X3
+	PSHUFB X8, X4
+	PSHUFB X8, X5
+	PSHUFB X8, X6
+	ROUNDS
 
 	// add current hash values with previously saved
 	PADDD X9, X1
@@ -200,6 +103,63 @@ TEXT ·block(SB), NOSPLIT, $0-16
 	MOVOU   X2, 16(DI)
 	RET
 
+// func nodeBlock(out, l, r *Hash)
+// Requires: SHA, SSE2, SSE4.1, SSSE3
+//
+// The node preimage 0x01 ‖ l ‖ r (41 bytes) and its padding are one block,
+// built in registers from two overlapping 16-byte loads per child — bytes
+// 0–15 and 4–19, never past byte 20 — shifted into place and merged with
+// the domain byte and the 0x80 terminator; the last 16 bytes, zeros and the
+// bit length 328, are a constant already in message-word order. Nothing
+// passes through memory between the loads and the 20-byte store, so the
+// compressions of sibling nodes overlap in the CPU.
+TEXT ·nodeBlock(SB), NOSPLIT, $0-24
+	MOVQ  out+0(FP), DI
+	MOVQ  l+8(FP), SI
+	MOVQ  r+16(FP), DX
+	MOVOU (SI), X3
+	MOVOU 4(SI), X4
+	MOVOU (DX), X5
+	MOVOU 4(DX), X6
+	MOVOU flip_mask<>+0(SB), X8
+	LEAQ  K256<>+0(SB), AX
+
+	// block[0:16] = 0x01 ‖ l[0:15]
+	PSLLO $1, X3
+	POR   node_domain<>+0(SB), X3
+
+	// block[16:32] = l[15:20] ‖ r[0:11]
+	MOVO  X5, X7
+	PSLLO $5, X7
+	PSRLO $11, X4
+	POR   X7, X4
+
+	// block[32:48] = r[11:20] ‖ 0x80 ‖ 0…
+	PSRLO $7, X6
+	POR   node_pad<>+0(SB), X6
+	MOVO  X6, X5
+
+	MOVOU  node_len<>+0(SB), X6
+	PSHUFB X8, X3
+	PSHUFB X8, X4
+	PSHUFB X8, X5
+	MOVOU  iv_abef<>+0(SB), X1
+	MOVOU  iv_cdgh<>+0(SB), X2
+	ROUNDS
+	PADDD  iv_abef<>+0(SB), X1
+	PADDD  iv_cdgh<>+0(SB), X2
+
+	// out = big-endian a, b, c, d (16 bytes), then e (4 bytes)
+	PSHUFD  $0x1b, X1, X1
+	PSHUFD  $0xb1, X2, X2
+	MOVO    X1, X7
+	PBLENDW $0xf0, X2, X1
+	PSHUFB  X8, X1
+	PSHUFB  X8, X7
+	MOVOU   X1, (DI)
+	PEXTRD  $2, X7, 16(DI)
+	RET
+
 // func cpuid(leaf uint32, sub uint32) (eax uint32, ebx uint32, ecx uint32, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX
@@ -210,6 +170,35 @@ TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL CX, ecx+16(FP)
 	MOVL DX, edx+20(FP)
 	RET
+
+// The IV (FIPS 180-4 §5.3.3) arranged as the kernel keeps the state:
+// ABEF holds f, e, b, a and CDGH holds h, g, d, c, lowest lane first.
+DATA iv_abef<>+0(SB)/4, $0x9b05688c
+DATA iv_abef<>+4(SB)/4, $0x510e527f
+DATA iv_abef<>+8(SB)/4, $0xbb67ae85
+DATA iv_abef<>+12(SB)/4, $0x6a09e667
+GLOBL iv_abef<>(SB), RODATA|NOPTR, $16
+
+DATA iv_cdgh<>+0(SB)/4, $0x5be0cd19
+DATA iv_cdgh<>+4(SB)/4, $0x1f83d9ab
+DATA iv_cdgh<>+8(SB)/4, $0xa54ff53a
+DATA iv_cdgh<>+12(SB)/4, $0x3c6ef372
+GLOBL iv_cdgh<>(SB), RODATA|NOPTR, $16
+
+// A node block's fixed bytes: the domain byte 0x01 at byte 0, the 0x80
+// terminator at byte 41 (byte 9 of the third 16 bytes), and the bit length
+// 41·8 = 328 as message word 15.
+DATA node_domain<>+0(SB)/8, $0x01
+DATA node_domain<>+8(SB)/8, $0
+GLOBL node_domain<>(SB), RODATA|NOPTR, $16
+
+DATA node_pad<>+0(SB)/8, $0
+DATA node_pad<>+8(SB)/8, $0x8000
+GLOBL node_pad<>(SB), RODATA|NOPTR, $16
+
+DATA node_len<>+0(SB)/8, $0
+DATA node_len<>+8(SB)/8, $0x0000014800000000
+GLOBL node_len<>(SB), RODATA|NOPTR, $16
 
 DATA flip_mask<>+0(SB)/8, $0x0405060700010203
 DATA flip_mask<>+8(SB)/8, $0x0c0d0e0f08090a0b
