@@ -10,10 +10,8 @@
 package ritm_test
 
 import (
-	mrand "math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -322,269 +320,6 @@ func BenchmarkDictUpdate1000(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// hotpathEnv is the fixture for the parallel hot-path benchmarks: an RA
-// store replicating a largest-CRL-sized dictionary, the authority feeding
-// it, and a Zipf-ranked query pool mixing revoked and absent serials (the
-// internal/workload popularity model: a few certificates carry most of
-// the traffic).
-type hotpathEnv struct {
-	store   *ra.Store
-	auth    *dictionary.Authority
-	replica *dictionary.Replica
-	gen     *serial.Generator // the dictionary's serial space; reused for sync batches
-	queries []serial.Number
-	caID    dictionary.CAID
-	syncMu  sync.Mutex // serializes concurrent-sync writers across benchmarks
-}
-
-var (
-	// The fixture is built once and shared across benchmarks; the sync
-	// variant keeps inserting into its dictionary, so it gets a fixture of
-	// its own: the read-only benchmarks (prove, hot, cold) must measure an
-	// identical corpus on every run, including -count reruns.
-	hotpathMu      sync.Mutex
-	hotpathFix     *hotpathEnv
-	hotpathSyncFix *hotpathEnv
-)
-
-func getHotpathEnv(b *testing.B) *hotpathEnv { return cachedHotpathEnv(b, &hotpathFix) }
-
-func getHotpathSyncEnv(b *testing.B) *hotpathEnv { return cachedHotpathEnv(b, &hotpathSyncFix) }
-
-func cachedHotpathEnv(b *testing.B, cache **hotpathEnv) *hotpathEnv {
-	b.Helper()
-	hotpathMu.Lock()
-	defer hotpathMu.Unlock()
-	if *cache == nil {
-		env, err := buildHotpathEnv()
-		if err != nil {
-			b.Fatal(err)
-		}
-		*cache = env
-	}
-	return *cache
-}
-
-func buildHotpathEnv() (*hotpathEnv, error) {
-	const caID = dictionary.CAID("hotpath-ca")
-	signer, err := cryptoutil.NewSigner(nil)
-	if err != nil {
-		return nil, err
-	}
-	now := time.Now().Unix()
-	auth, err := dictionary.NewAuthority(dictionary.AuthorityConfig{
-		CA:     caID,
-		Signer: signer,
-		Delta:  10 * time.Second,
-	}, now)
-	if err != nil {
-		return nil, err
-	}
-	gen := serial.NewGenerator(0x407, nil)
-	revoked := gen.NextN(workload.LargestCRLEntries)
-	if _, err := auth.Insert(revoked, now); err != nil {
-		return nil, err
-	}
-	root, err := cert.Issue(caID, signer, cert.Template{
-		SerialNumber: serial.FromUint64(1),
-		Subject:      string(caID),
-		NotBefore:    now - 1,
-		NotAfter:     now + 1<<30,
-		PublicKey:    signer.Public(),
-		IsCA:         true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	store, err := ra.NewStore(root)
-	if err != nil {
-		return nil, err
-	}
-	replica, err := store.Replica(caID)
-	if err != nil {
-		return nil, err
-	}
-	log, err := auth.LogSuffix(0, auth.Count())
-	if err != nil {
-		return nil, err
-	}
-	if err := replica.Update(&dictionary.IssuanceMessage{Serials: log, Root: auth.SignedRoot()}); err != nil {
-		return nil, err
-	}
-
-	// Query pool: half revoked (presence proofs), half absent (absence
-	// proofs), shuffled so Zipf rank does not correlate with kind.
-	const poolSize = 8192
-	absentGen := serial.NewGenerator(0xA85E27, nil)
-	queries := make([]serial.Number, 0, poolSize)
-	for i := 0; i < poolSize/2; i++ {
-		queries = append(queries, revoked[(i*977)%len(revoked)])
-		queries = append(queries, absentGen.Next())
-	}
-	rng := mrand.New(mrand.NewSource(42))
-	rng.Shuffle(len(queries), func(i, j int) { queries[i], queries[j] = queries[j], queries[i] })
-
-	return &hotpathEnv{
-		store:   store,
-		auth:    auth,
-		replica: replica,
-		gen:     gen,
-		queries: queries,
-		caID:    caID,
-	}, nil
-}
-
-// zipfQueries returns a per-goroutine Zipf rank source over the pool.
-func (env *hotpathEnv) zipfQueries(seed int64) func() serial.Number {
-	r := mrand.New(mrand.NewSource(seed))
-	z := mrand.NewZipf(r, 1.2, 1, uint64(len(env.queries)-1))
-	return func() serial.Number { return env.queries[z.Uint64()] }
-}
-
-// reportHotpathMetrics attaches the cache-effectiveness metrics to a
-// parallel benchmark run: hit rate over the run and the number of
-// snapshot swaps absorbed, so BENCH_*.json entries can track the
-// hot-path trajectory across PRs.
-func reportHotpathMetrics(b *testing.B, store *ra.Store, before ra.CacheStats, swapsBefore uint64) {
-	b.Helper()
-	after := store.CacheStats()
-	d := ra.CacheStats{
-		Hits:   after.Hits - before.Hits,
-		Misses: after.Misses - before.Misses,
-	}
-	b.ReportMetric(d.HitRate(), "cache-hit-rate")
-	b.ReportMetric(float64(store.SnapshotSwaps()-swapsBefore), "snapshot-swaps")
-}
-
-// BenchmarkProveParallel is the cold path: every operation constructs and
-// encodes a fresh proof from the current snapshot (the seed recomputed
-// this under a global RWMutex on every proxied connection; now it is
-// lock-free but still O(log n) hashing + encoding). Compare with
-// BenchmarkStatusParallel/hot for the per-∆ cache win.
-func BenchmarkProveParallel(b *testing.B) {
-	b.Run("sorted", func(b *testing.B) {
-		env := getHotpathEnv(b)
-		var seeds atomic.Int64
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			next := env.zipfQueries(seeds.Add(1))
-			for pb.Next() {
-				st, err := env.store.Prove(env.caID, next())
-				if err != nil {
-					b.Error(err) // Fatal must not be called off the benchmark goroutine
-					return
-				}
-				if enc := st.Encode(); len(enc) == 0 {
-					b.Error("empty status")
-					return
-				}
-			}
-		})
-	})
-}
-
-// BenchmarkStatusParallel measures the data-path Status call under
-// parallel load:
-//
-//   - hot: Zipf-repeated serials against a quiescent dictionary — the
-//     per-∆ cache serves almost everything as one sharded map read;
-//   - cold: near-unique serials — every lookup misses and fills;
-//   - sync: the hot stream while a writer applies an issuance batch every
-//     millisecond, forcing snapshot swaps and cache re-fills (the
-//     reads-during-sync contention the seed serialized on Store.mu).
-func BenchmarkStatusParallel(b *testing.B) {
-	b.Run("sorted", func(b *testing.B) {
-		b.Run("hot", func(b *testing.B) {
-			env := getHotpathEnv(b)
-			var seeds atomic.Int64
-			before, swaps := env.store.CacheStats(), env.store.SnapshotSwaps()
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				next := env.zipfQueries(seeds.Add(1))
-				for pb.Next() {
-					if _, _, err := env.store.Status(env.caID, next()); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			reportHotpathMetrics(b, env.store, before, swaps)
-		})
-
-		b.Run("cold", func(b *testing.B) {
-			env := getHotpathEnv(b)
-			// A dedicated absent stream, cycled by atomic index: the pool
-			// is large enough that re-touching a key usually happens after
-			// its generation-mates were already evicted entry by entry.
-			coldGen := serial.NewGenerator(0xC01D, nil)
-			pool := coldGen.NextN(1 << 18)
-			var idx atomic.Int64
-			before, swaps := env.store.CacheStats(), env.store.SnapshotSwaps()
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					sn := pool[int(idx.Add(1))%len(pool)]
-					if _, _, err := env.store.Status(env.caID, sn); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			reportHotpathMetrics(b, env.store, before, swaps)
-		})
-
-		b.Run("sync", func(b *testing.B) {
-			env := getHotpathSyncEnv(b)
-			env.syncMu.Lock()
-			defer env.syncMu.Unlock()
-			stop := make(chan struct{})
-			var writerWG sync.WaitGroup
-			writerWG.Add(1)
-			go func() {
-				defer writerWG.Done()
-				ticker := time.NewTicker(time.Millisecond)
-				defer ticker.Stop()
-				for {
-					select {
-					case <-stop:
-						return
-					case <-ticker.C:
-						msg, err := env.auth.Insert(env.gen.NextN(100), time.Now().Unix())
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						if err := env.replica.Update(msg); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}
-			}()
-			var seeds atomic.Int64
-			before, swaps := env.store.CacheStats(), env.store.SnapshotSwaps()
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				next := env.zipfQueries(seeds.Add(1))
-				for pb.Next() {
-					if _, _, err := env.store.Status(env.caID, next()); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			close(stop)
-			writerWG.Wait()
-			reportHotpathMetrics(b, env.store, before, swaps)
-		})
-	})
 }
 
 // BenchmarkHandshakeOverhead measures a full RITM-protected handshake

@@ -1,10 +1,8 @@
-// Hierarchy benchmarks: the two-tier dissemination topology (regions ×
-// PoPs) under a full RA fleet. The contract being measured is the fan-out
-// arithmetic of §VI: per ∆ cycle the origin sees at most one pull per
-// REGIONAL edge — origin load O(regions), independent of PoP count and RA
-// count — while the PoP tier absorbs the fleet. The netsim companion
-// metrics translate the measured hit rates into the client-visible
-// latency distribution of the paper's Fig 5 testbed.
+// Hierarchy scenario: the two-tier dissemination topology (regions × PoPs)
+// under a full RA fleet. The contract is the fan-out arithmetic of §VI: per
+// ∆ cycle the origin sees at most one pull per REGIONAL edge — origin load
+// O(regions), independent of PoP count and RA count — while the PoP tier
+// absorbs the fleet.
 package ritm_test
 
 import (
@@ -13,7 +11,6 @@ import (
 	"time"
 
 	"ritm"
-	"ritm/internal/netsim"
 	"ritm/internal/serial"
 )
 
@@ -27,7 +24,7 @@ type hierarchyFleet struct {
 	gen    *serial.Generator
 }
 
-func newHierarchyFleet(tb testing.TB, regions, pops, ras int, popTTL, regionalTTL time.Duration) *hierarchyFleet {
+func newHierarchyFleet(tb testing.TB, regions, pops, ras int) *hierarchyFleet {
 	tb.Helper()
 	if ras%(regions*pops) != 0 {
 		tb.Fatalf("%d RAs do not spread evenly over %d×%d PoPs", ras, regions, pops)
@@ -46,8 +43,8 @@ func newHierarchyFleet(tb testing.TB, regions, pops, ras int, popTTL, regionalTT
 	topo, err := ritm.NewTopology(dp, ritm.TopologyConfig{
 		Regions:       regions,
 		PoPsPerRegion: pops,
-		PoPTTL:        popTTL,
-		RegionalTTL:   regionalTTL,
+		PoPTTL:        time.Hour,
+		RegionalTTL:   time.Hour,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -117,7 +114,7 @@ func TestHierarchyFanOutMath(t *testing.T) {
 		ras     = 32
 		cycles  = 12
 	)
-	f := newHierarchyFleet(t, regions, pops, ras, time.Hour, time.Hour)
+	f := newHierarchyFleet(t, regions, pops, ras)
 	for i := 0; i < cycles; i++ {
 		f.cycle(t, 50)
 	}
@@ -152,74 +149,4 @@ func TestHierarchyFanOutMath(t *testing.T) {
 			t.Errorf("agent %d count = %d, want %d", i, r.Count(), want)
 		}
 	}
-}
-
-// BenchmarkHierarchyPull measures one ∆ boundary of the 2×4×32 hierarchy
-// and reports the fan-out ledger: origin-pulls/cycle (the acceptance
-// bound is ≤ the number of regional edges), per-tier hit rates, and the
-// netsim-modeled client latency quantiles those hit rates buy (Fig 5's
-// CDF, two-tier edition). The flat 1-edge config and the uncached config
-// are the comparison baselines.
-func BenchmarkHierarchyPull(b *testing.B) {
-	for _, cfg := range []struct {
-		name           string
-		regions, pops  int
-		ras            int
-		popTTL, regTTL time.Duration
-	}{
-		{"regions=2/pops=4/ras=32", 2, 4, 32, time.Hour, time.Hour},
-		{"regions=2/pops=4/ras=32/uncached", 2, 4, 32, 0, 0},
-		{"regions=1/pops=1/ras=32", 1, 1, 32, time.Hour, time.Hour},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			f := newHierarchyFleet(b, cfg.regions, cfg.pops, cfg.ras, cfg.popTTL, cfg.regTTL)
-			f.cycle(b, 1000) // steady-state dictionary before measuring
-			baseTopo := f.topo.Stats()
-			basePulls := f.dp.Stats().Pulls
-			b.ResetTimer()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				f.cycle(b, 100)
-			}
-			b.StopTimer()
-
-			st := f.topo.Stats()
-			pop := statsDelta(st.PoP, baseTopo.PoP)
-			regional := statsDelta(st.Regional, baseTopo.Regional)
-			originPulls := f.dp.Stats().Pulls - basePulls
-
-			popRate := ritm.EdgeHitRate(pop)
-			regRate := ritm.EdgeHitRate(regional)
-			b.ReportMetric(popRate, "pop-hit-rate")
-			b.ReportMetric(regRate, "regional-hit-rate")
-			b.ReportMetric(float64(originPulls)/float64(b.N), "origin-pulls/cycle")
-			b.ReportMetric(float64(originPulls)/float64(cfg.ras), "origin-pulls/ra")
-
-			// Client-visible latency: replay the measured hit rates
-			// through the netsim two-tier model at the measured mean
-			// response size.
-			popTotal := pop.Hits + pop.Misses + pop.CollapsedPulls
-			if popTotal > 0 {
-				bytes := int(pop.BytesServed) / popTotal
-				sample := netsim.NewNetwork(1).HierarchySample(bytes, 25, popRate, regRate)
-				b.ReportMetric(float64(netsim.Quantile(sample, 0.5).Milliseconds()), "sim-p50-ms")
-				b.ReportMetric(float64(netsim.Quantile(sample, 0.99).Milliseconds()), "sim-p99-ms")
-			}
-		})
-	}
-}
-
-// statsDelta subtracts a baseline snapshot from a later one, counter by
-// counter (gauges like Entries are taken from the later snapshot).
-func statsDelta(now, base ritm.EdgeStats) ritm.EdgeStats {
-	now.Hits -= base.Hits
-	now.Misses -= base.Misses
-	now.CollapsedPulls -= base.CollapsedPulls
-	now.Evictions -= base.Evictions
-	now.Errors -= base.Errors
-	now.NegativeHits -= base.NegativeHits
-	now.NegativeEvictions -= base.NegativeEvictions
-	now.BytesServed -= base.BytesServed
-	now.BytesFetched -= base.BytesFetched
-	return now
 }

@@ -81,27 +81,10 @@ type EdgeServer struct {
 	latest       map[dictionary.CAID]uint64    // highest live from per CA (clamped by origin count)
 	negative     map[dictionary.CAID]time.Time // ErrUnknownCA entries: CA → expiry
 	negTTL       time.Duration
-	rootTTL      time.Duration
-	roots        map[dictionary.CAID]*rootEntry
-	rootFlight   map[dictionary.CAID]*rootCall
 	lastSweep    time.Time
 	lastNegSweep time.Time
 	maxEntries   int
 	stats        EdgeStats
-}
-
-// rootEntry is one cached signed root (SetRootTTL opt-in).
-type rootEntry struct {
-	root    *dictionary.SignedRoot
-	fetched time.Time
-}
-
-// rootCall is one in-flight upstream root refresh; concurrent requests for
-// the same CA park on done and share the result.
-type rootCall struct {
-	done chan struct{}
-	root *dictionary.SignedRoot
-	err  error
 }
 
 type edgeKey struct {
@@ -136,36 +119,7 @@ func NewEdgeServer(upstream Origin, ttl time.Duration, now func() time.Time) *Ed
 		inflight:   make(map[edgeKey]*edgeCall),
 		latest:     make(map[dictionary.CAID]uint64),
 		negative:   make(map[dictionary.CAID]time.Time),
-		roots:      make(map[dictionary.CAID]*rootEntry),
-		rootFlight: make(map[dictionary.CAID]*rootCall),
 		maxEntries: defaultEdgeMaxEntries,
-	}
-}
-
-// SetRootTTL enables bounded-staleness caching of signed roots for d (0,
-// the default, keeps the PR 3 behavior: every root request revalidates
-// against the upstream). With it on, a root request inside the window is
-// answered from the cache with zero upstream traffic and zero allocation —
-// the root tier stops converting per-PoP request rate into origin load.
-//
-// Semantics: the served root may lag the origin by at most d. The paper's
-// client-side freshness policy tolerates 2∆ of dissemination lag (§V), so
-// any d well under ∆ is invisible to verifiers; choose d like ∆/4. The
-// trade-off is observational, not cryptographic: equivocation monitors
-// comparing roots across vantage points must see the origin's current
-// view, so deployments running monitors through their edges keep the
-// default 0 (or point monitors at the origin) — a stale-but-genuine root
-// would otherwise raise false alarms. Concurrent refreshes for one CA are
-// collapsed into a single upstream fetch.
-func (e *EdgeServer) SetRootTTL(d time.Duration) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if d < 0 {
-		d = 0
-	}
-	e.rootTTL = d
-	if d == 0 {
-		e.roots = make(map[dictionary.CAID]*rootEntry)
 	}
 }
 
@@ -462,13 +416,11 @@ func (e *EdgeServer) sweepLocked(now time.Time) {
 	}
 }
 
-// LatestRoot implements Origin. By default roots are not positively cached,
-// so consistency checking always observes the origin's current view (stale
-// roots would produce false equivocation alarms); SetRootTTL opts in to a
-// bounded-staleness cache for deployments that keep monitors off the edge
-// path. The negative cache always applies: an unknown CA stays unknown for
-// the negative TTL regardless of which endpoint asks, and there is no
-// staleness to mis-serve.
+// LatestRoot implements Origin. Roots are not positively cached, so
+// consistency checking always observes the origin's current view (stale
+// roots would produce false equivocation alarms). The negative cache
+// applies: an unknown CA stays unknown for the negative TTL regardless of
+// which endpoint asks, and there is no staleness to mis-serve.
 func (e *EdgeServer) LatestRoot(ca dictionary.CAID) (*dictionary.SignedRoot, error) {
 	now := e.now()
 	e.mu.Lock()
@@ -477,45 +429,15 @@ func (e *EdgeServer) LatestRoot(ca dictionary.CAID) (*dictionary.SignedRoot, err
 		e.mu.Unlock()
 		return nil, negativeErr(ca)
 	}
-	if e.rootTTL <= 0 {
-		e.mu.Unlock()
-		root, err := e.upstream.LatestRoot(ca)
-		if err != nil {
-			e.mu.Lock()
-			e.recordUnknownCALocked(ca, e.now(), err)
-			e.mu.Unlock()
-			return nil, err
-		}
-		return root, nil
-	}
-	// TTL'd root path. The hit branch — the steady state — allocates
-	// nothing: clock read, map lookup, pointer return. Returning the SAME
-	// *SignedRoot for the whole window also keeps the HTTP handler's
-	// per-pointer validator memo hot (see rootRep).
-	if ent := e.roots[ca]; ent != nil && now.Sub(ent.fetched) < e.rootTTL {
-		e.mu.Unlock()
-		return ent.root, nil
-	}
-	if call := e.rootFlight[ca]; call != nil {
-		e.mu.Unlock()
-		<-call.done
-		return call.root, call.err
-	}
-	call := &rootCall{done: make(chan struct{})}
-	e.rootFlight[ca] = call
 	e.mu.Unlock()
 	root, err := e.upstream.LatestRoot(ca)
-	e.mu.Lock()
-	delete(e.rootFlight, ca)
 	if err != nil {
+		e.mu.Lock()
 		e.recordUnknownCALocked(ca, e.now(), err)
-	} else {
-		e.roots[ca] = &rootEntry{root: root, fetched: e.now()}
+		e.mu.Unlock()
+		return nil, err
 	}
-	e.mu.Unlock()
-	call.root, call.err = root, err
-	close(call.done)
-	return root, err
+	return root, nil
 }
 
 // CAs implements Origin.
@@ -530,7 +452,6 @@ func (e *EdgeServer) Flush() {
 	e.cache = make(map[edgeKey]*edgeEntry)
 	e.latest = make(map[dictionary.CAID]uint64)
 	e.negative = make(map[dictionary.CAID]time.Time)
-	e.roots = make(map[dictionary.CAID]*rootEntry)
 }
 
 // TTL returns the edge's positive cache TTL.

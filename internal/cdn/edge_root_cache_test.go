@@ -28,78 +28,56 @@ func (c *rootCountingOrigin) rootCalls() int {
 	return c.roots
 }
 
-// TestEdgeRootTTLCache covers the opt-in bounded-staleness root cache: off
-// by default (every request revalidates upstream — the equivocation-monitor
-// invariant), pointer-stable hits inside the window, revalidation after
-// expiry picking up a rotated root, and Flush dropping the cache.
+// TestEdgeRootTTLCache pins that an edge keeps no root cache, whatever its
+// pull TTL: every LatestRoot revalidates upstream, so equivocation monitors
+// behind an edge always see the origin's current view, and a rotated root is
+// served on the very next request.
 func TestEdgeRootTTLCache(t *testing.T) {
 	tc := newTestCA(t, "CA1")
 	tc.revoke(t, 3)
 	up := &rootCountingOrigin{Origin: tc.dp}
 	edge := NewEdgeServer(up, time.Minute, tc.clock.now)
 
-	// Default: no positive caching, each call hits the upstream.
 	for i := 0; i < 3; i++ {
 		if _, err := edge.LatestRoot("CA1"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := up.rootCalls(); got != 3 {
-		t.Fatalf("without a TTL every request must revalidate: %d upstream calls, want 3", got)
+		t.Fatalf("every request must revalidate: %d upstream calls, want 3", got)
 	}
 
-	edge.SetRootTTL(time.Second)
-	first, err := edge.LatestRoot("CA1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := up.rootCalls()
-	for i := 0; i < 5; i++ {
-		got, err := edge.LatestRoot("CA1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != first {
-			t.Fatal("cached root must be pointer-stable within the TTL window")
-		}
-	}
-	if got := up.rootCalls(); got != base {
-		t.Fatalf("cache hits reached the upstream: %d calls, want %d", got, base)
-	}
-
-	// Rotate the root and expire the window: the next request revalidates
-	// and serves the new version.
 	tc.revoke(t, 2)
-	tc.clock.advance(2 * time.Second)
 	got, err := edge.LatestRoot("CA1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got == first || got.N != 5 {
-		t.Fatalf("expired window served a stale root (N=%d, want 5)", got.N)
+	if got.N != 5 {
+		t.Fatalf("edge served a stale root (N=%d, want 5)", got.N)
 	}
-	if up.rootCalls() != base+1 {
-		t.Fatalf("expiry must revalidate exactly once: %d calls, want %d", up.rootCalls(), base+1)
-	}
+}
 
-	// Flush drops the cache even inside the window.
-	edge.Flush()
-	if _, err := edge.LatestRoot("CA1"); err != nil {
-		t.Fatal(err)
-	}
-	if up.rootCalls() != base+2 {
-		t.Fatalf("flush must force revalidation: %d calls, want %d", up.rootCalls(), base+2)
-	}
-
-	// Setting the TTL back to zero restores revalidate-always.
-	edge.SetRootTTL(0)
-	before := up.rootCalls()
-	for i := 0; i < 2; i++ {
-		if _, err := edge.LatestRoot("CA1"); err != nil {
-			t.Fatal(err)
+// TestEdgeRootAllocs pins the edge root path at zero allocations: a
+// LatestRoot through a regional edge over a distribution point, and through
+// a PoP edge over that regional, forwards the origin's *SignedRoot and
+// allocates nothing on the way.
+func TestEdgeRootAllocs(t *testing.T) {
+	tc := newTestCA(t, "CA1")
+	tc.revoke(t, 3)
+	regional := NewEdgeServer(tc.dp, time.Minute, tc.clock.now)
+	pop := NewEdgeServer(regional, time.Minute, tc.clock.now)
+	for _, tier := range []struct {
+		name string
+		edge *EdgeServer
+	}{{"regional", regional}, {"pop", pop}} {
+		latest := func() {
+			if _, err := tier.edge.LatestRoot("CA1"); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if up.rootCalls() != before+2 {
-		t.Fatalf("TTL 0 must disable the cache: %d calls, want %d", up.rootCalls(), before+2)
+		latest()
+		if allocs := testing.AllocsPerRun(500, latest); allocs != 0 {
+			t.Errorf("%s edge LatestRoot: %.1f allocs/op, want 0", tier.name, allocs)
+		}
 	}
 }

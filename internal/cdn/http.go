@@ -392,9 +392,8 @@ func NewHandler(origin Origin, opts HandlerOptions) http.Handler {
 		h["Last-Modified"] = rep.lastModifiedVal
 		// no-cache forbids front CDNs from heuristically caching roots —
 		// they may only revalidate against the validators, which is exactly
-		// what HTTPClient does. RITM edges honor the same default (an
-		// EdgeServer forwards every root request upstream unless its
-		// operator opts into SetRootTTL's bounded staleness).
+		// what HTTPClient does. RITM edges do the same: an EdgeServer
+		// forwards every root request upstream.
 		h["Cache-Control"] = rootCacheControl
 		if inm := r.Header.Get("If-None-Match"); inm != "" {
 			// RFC 9110 §13.1.3: when If-None-Match is present,

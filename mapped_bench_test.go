@@ -1,6 +1,6 @@
 // Zero-copy serving benchmarks: what the offset-indexed checkpoint v2 and
-// the mmap-shared replica store buy. Three claims are pinned here and
-// exported to BENCH_6.json by the CI harness:
+// the mmap-shared replica store buy. Three claims are measured here (CI
+// runs them and uploads the output as the mapped-bench artifact):
 //
 //  1. BenchmarkMappedProve/BenchmarkMappedStatus — proof construction and
 //     full status encoding straight off mapped checkpoint bytes stay in
