@@ -63,7 +63,7 @@ func main() {
 		delta     = flag.Duration("delta", 10*time.Second, "dissemination interval ∆")
 		listen    = flag.String("listen", "127.0.0.1:8440", "address for the dissemination + admin API")
 		dataDir   = flag.String("data-dir", "", "directory for durable state (signing key, dictionary WAL + checkpoints, distribution-point state); empty = in-memory only")
-		ckptEvery = flag.Int("checkpoint-every", 64, "WAL records between checkpoint snapshots")
+		ckptEvery = flag.Int("checkpoint-every", dictionary.DefaultCheckpointEvery, "update records between checkpoint snapshots")
 		fsync     = flag.Bool("fsync", true, "fsync the WAL on every committed update batch (off trades crash-durability of the newest batches for latency)")
 		gzipOn    = flag.Bool("gzip", false, "compress large /v1/pull bodies for gzip-accepting clients (Vary-safe, per-encoding ETags)")
 		follow    = flag.String("follow", "", "run as a follower origin replicating from this leader URL instead of as a CA")

@@ -34,6 +34,7 @@ import (
 
 	"ritm"
 	"ritm/internal/cert"
+	"ritm/internal/dictionary"
 )
 
 func main() {
@@ -49,7 +50,7 @@ func main() {
 		expire    = flag.Duration("expire-shards", 0, "expiry-shard bucket width; >0 drops fully expired shards every cycle")
 		chain     = flag.String("edge-chain", "", "comma-separated TTLs of local caching edge layers over the dissemination endpoint, nearest first (e.g. \"5s,30s\" = PoP-style 5s cache in front of a 30s regional-style cache); each layer also negative-caches unknown CAs for its TTL")
 		dataDir   = flag.String("data-dir", "", "directory for durable replica state (WAL + checkpoints per CA); a restarted RA resumes at its persisted count and pulls only the missed suffix. Empty = in-memory only")
-		ckptEvery = flag.Int("checkpoint-every", 64, "persisted update batches between checkpoint snapshots")
+		ckptEvery = flag.Int("checkpoint-every", dictionary.DefaultCheckpointEvery, "persisted update batches between checkpoint snapshots")
 		fsync     = flag.Bool("fsync", true, "fsync the WAL on every persisted update batch")
 		shared    = flag.Bool("shared-data", false, "serve read-only from another ritm-ra's -data-dir instead of pulling: the checkpoint is mmap'd (physical pages shared across co-located RAs) and the writer's stamp is polled at ∆/8. Exactly one process writes a data dir; any number may read it")
 		intercept = flag.Bool("intercept", false, "terminate real TLS on -listen instead of the tlssim DPI proxy: bumped handshakes drive the dictionary status check (upstream leaf mapped by issuer CN + serial), revoked upstreams are refused with a certificate_revoked alert, and clients see leaves minted under -bump-root")

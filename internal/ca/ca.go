@@ -80,7 +80,7 @@ type Config struct {
 	// Restoring requires the same Signer; supply the persisted key.
 	Storage storage.Backend
 	// CheckpointEvery is the number of WAL records between checkpoint
-	// snapshots (0 = 64).
+	// snapshots (0 = dictionary.DefaultCheckpointEvery).
 	CheckpointEvery int
 }
 
@@ -93,16 +93,17 @@ type CA struct {
 	now       func() time.Time
 	publisher Publisher
 	authority *dictionary.Authority
-	root      *cert.Certificate
+	// journal makes each (mutate, read chain seed, WAL append) one unit, so
+	// concurrent revocations can neither reorder WAL records against the
+	// insertion order nor pair a record with a later batch's chain seed —
+	// either corruption would verify-fail the whole store at the next
+	// restart.
+	journal *dictionary.Journal[*dictionary.Authority]
+	root    *cert.Certificate
 
 	mu      sync.Mutex
 	serials *serial.Generator
 	issued  map[string]*cert.Certificate // by canonical serial bytes
-
-	pmu       sync.Mutex // guards the durable log
-	log       storage.Log
-	ckptEvery int
-	appended  int
 }
 
 // New creates a CA with a self-signed root certificate and an empty,
@@ -161,15 +162,19 @@ func New(cfg Config) (*CA, error) {
 			}
 			return nil, fmt.Errorf("ca %s: %w", cfg.ID, err)
 		}
-		if lg != nil {
-			// Anchor the fresh history: with an initial checkpoint on disk,
-			// every later recovery has a verified state to replay onto, and
-			// "WAL without checkpoint" becomes an unambiguous corruption
-			// signal rather than a valid cold-start shape.
-			if err := lg.Checkpoint(authority.PersistentStateV2()); err != nil {
-				lg.Close()
-				return nil, fmt.Errorf("ca %s: %w", cfg.ID, err)
-			}
+	}
+	journal := dictionary.NewJournal(authority, lg, cfg.CheckpointEvery)
+	fail := func(err error) (*CA, error) {
+		journal.Close()
+		return nil, fmt.Errorf("ca %s: %w", cfg.ID, err)
+	}
+	if !restored {
+		// Anchor the fresh history: with an initial checkpoint on disk,
+		// every later recovery has a verified state to replay onto, and
+		// "WAL without checkpoint" becomes an unambiguous corruption
+		// signal rather than a valid cold-start shape.
+		if err := journal.Checkpoint(); err != nil {
+			return fail(err)
 		}
 	}
 	serialSeed := cfg.SerialSeed
@@ -182,8 +187,7 @@ func New(cfg Config) (*CA, error) {
 		}
 		var b [8]byte
 		if _, err := io.ReadFull(rng, b[:]); err != nil {
-			lg.Close()
-			return nil, fmt.Errorf("ca %s: serial seed: %w", cfg.ID, err)
+			return fail(fmt.Errorf("serial seed: %w", err))
 		}
 		serialSeed = binary.BigEndian.Uint64(b[:])
 	}
@@ -191,14 +195,7 @@ func New(cfg Config) (*CA, error) {
 	rootCert, err := cert.SelfSigned(cfg.ID, signer, nowUnix,
 		nowUnix+int64((cfg.CertValidity*10)/time.Second), uint32(cfg.Delta/time.Second))
 	if err != nil {
-		if lg != nil {
-			lg.Close()
-		}
-		return nil, fmt.Errorf("ca %s: %w", cfg.ID, err)
-	}
-	ckptEvery := cfg.CheckpointEvery
-	if ckptEvery <= 0 {
-		ckptEvery = 64
+		return fail(err)
 	}
 	return &CA{
 		id:        cfg.ID,
@@ -208,11 +205,10 @@ func New(cfg Config) (*CA, error) {
 		now:       cfg.Now,
 		publisher: cfg.Publisher,
 		authority: authority,
+		journal:   journal,
 		root:      rootCert,
 		serials:   serial.NewGenerator(serialSeed, cfg.SerialSizes),
 		issued:    make(map[string]*cert.Certificate),
-		log:       lg,
-		ckptEvery: ckptEvery,
 	}, nil
 }
 
@@ -252,35 +248,13 @@ func recoverAuthority(cfg dictionary.AuthorityConfig, lg storage.Log) (*dictiona
 	return a, true, nil
 }
 
-// persistUpdateLocked WAL-appends one signed update (an insert batch or a
-// rotated root) together with the chain seed behind it, checkpointing on
-// cadence. It runs BEFORE the update is published: write-ahead means a
-// message the dissemination network has seen can always be recovered.
-//
-// Caller holds pmu and acquired it BEFORE the authority mutation that
-// produced msg: pmu is what serializes (mutate, read seed, append) as one
-// unit, so concurrent revocations can neither reorder WAL records against
-// the insertion order nor pair a record with a later batch's chain seed —
-// either corruption would verify-fail the whole store at the next
-// restart.
-func (c *CA) persistUpdateLocked(msg *dictionary.IssuanceMessage) error {
-	if c.log == nil {
-		return nil
-	}
-	seed := c.authority.ChainSeed()
-	rec := dictionary.UpdateRecord{Msg: msg, Seed: &seed}
-	if err := c.log.Append(rec.Encode()); err != nil {
-		return fmt.Errorf("ca %s: persist update: %w", c.id, err)
-	}
-	c.appended++
-	if c.appended < c.ckptEvery {
-		return nil
-	}
-	if err := c.log.Checkpoint(c.authority.PersistentStateV2()); err != nil {
-		return fmt.Errorf("ca %s: checkpoint: %w", c.id, err)
-	}
-	c.appended = 0
-	return nil
+// updateRecord is the WAL record of one signed update (an insert batch or
+// a rotated root): the message with the chain seed behind it. It is
+// appended BEFORE the update is published — write-ahead means a message the
+// dissemination network has seen can always be recovered.
+func updateRecord(a *dictionary.Authority, msg *dictionary.IssuanceMessage) dictionary.Record {
+	seed := a.ChainSeed()
+	return &dictionary.UpdateRecord{Msg: msg, Seed: &seed}
 }
 
 // Close releases the CA's durable log (if any). A clean shutdown with
@@ -289,24 +263,10 @@ func (c *CA) persistUpdateLocked(msg *dictionary.IssuanceMessage) error {
 // WAL tail (and shared-data readers of this directory get the v2 format
 // immediately).
 func (c *CA) Close() error {
-	c.pmu.Lock()
-	defer c.pmu.Unlock()
-	if c.log == nil {
-		return nil
+	if err := c.journal.Close(); err != nil {
+		return fmt.Errorf("ca %s: close: %w", c.id, err)
 	}
-	var firstErr error
-	if c.appended > 0 {
-		if err := c.log.Checkpoint(c.authority.PersistentStateV2()); err != nil {
-			firstErr = fmt.Errorf("ca %s: final checkpoint: %w", c.id, err)
-		} else {
-			c.appended = 0
-		}
-	}
-	if err := c.log.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	c.log = nil
-	return firstErr
+	return nil
 }
 
 // ID returns the CA identifier.
@@ -404,21 +364,19 @@ func (c *CA) IssueCACertificate(subject string, pub ed25519.PublicKey, delta tim
 // backend is configured — write-ahead, so nothing the network sees can be
 // lost by a crash), and publishes the issuance message.
 func (c *CA) Revoke(serials ...serial.Number) (*dictionary.IssuanceMessage, error) {
-	// pmu spans insert + WAL append so concurrent revocations persist in
-	// insertion order with their own chain seeds (see persistUpdateLocked).
-	c.pmu.Lock()
-	msg, err := c.authority.Insert(serials, c.now().Unix())
+	var msg *dictionary.IssuanceMessage
+	err := c.journal.Apply(func(a *dictionary.Authority) (dictionary.Record, error) {
+		var err error
+		if msg, err = a.Insert(serials, c.now().Unix()); err != nil {
+			return nil, err
+		}
+		return updateRecord(a, msg), nil
+	})
 	if err != nil {
-		c.pmu.Unlock()
-		return nil, fmt.Errorf("ca %s: revoke: %w", c.id, err)
-	}
-	err = c.persistUpdateLocked(msg)
-	c.pmu.Unlock()
-	if err != nil {
-		// In memory the revocation took effect; on disk it did not. Surface
-		// it without publishing: disseminating state that a restart would
-		// roll back is how an origin ends up behind its own RAs.
-		return msg, err
+		// A failed append leaves the revocation in effect in memory but not
+		// on disk. Surface it without publishing: disseminating state that a
+		// restart would roll back is how an origin ends up behind its own RAs.
+		return msg, fmt.Errorf("ca %s: revoke: %w", c.id, err)
 	}
 	if c.publisher != nil {
 		if err := c.publisher.PublishIssuance(msg); err != nil {
@@ -441,21 +399,19 @@ func (c *CA) IsRevoked(sn serial.Number) bool { return c.authority.Revoked(sn) }
 // signed root as a root-only issuance message. CAs call it at least every ∆
 // (Tab I rows two and three).
 func (c *CA) PublishRefresh() error {
-	c.pmu.Lock()
-	ref, err := c.authority.Refresh(c.now().Unix())
-	if err != nil {
-		c.pmu.Unlock()
-		return fmt.Errorf("ca %s: refresh: %w", c.id, err)
-	}
-	if ref.NewRoot != nil {
+	var ref *dictionary.Refresh
+	err := c.journal.Apply(func(a *dictionary.Authority) (dictionary.Record, error) {
+		var err error
+		if ref, err = a.Refresh(c.now().Unix()); err != nil || ref.NewRoot == nil {
+			return nil, err
+		}
 		// Chain exhaustion rotated the root: the new chain's seed exists
 		// nowhere but memory until this record lands.
-		if err := c.persistUpdateLocked(&dictionary.IssuanceMessage{Root: ref.NewRoot}); err != nil {
-			c.pmu.Unlock()
-			return err
-		}
+		return updateRecord(a, &dictionary.IssuanceMessage{Root: ref.NewRoot}), nil
+	})
+	if err != nil {
+		return fmt.Errorf("ca %s: refresh: %w", c.id, err)
 	}
-	c.pmu.Unlock()
 	if c.publisher == nil {
 		return nil
 	}

@@ -193,38 +193,27 @@ type Origin interface {
 type DistributionPoint struct {
 	now func() time.Time
 
-	mu    sync.RWMutex // guards dicts (registration vs lookup) and logs
-	dicts map[dictionary.CAID]*dictionary.Replica
+	// mu guards the maps (registration vs lookup). dicts[ca] is always the
+	// replica journals[ca] holds: Pull reads it without the journal's lock,
+	// and AdoptReplicatedState swaps both under it (lock order: journal,
+	// then mu).
+	mu       sync.RWMutex
+	dicts    map[dictionary.CAID]*dictionary.Replica
+	journals map[dictionary.CAID]*dictionary.Journal[*dictionary.Replica]
 
 	// Durable state tier (nil backend = in-memory only). Every verified
-	// ingest is WAL-appended; every ckptEvery records the dictionary is
-	// checkpointed. A reopened distribution point recovers each CA's
-	// replica — including the exact signed root bytes, so /v1/root ETags
-	// are stable across the restart and edges' conditional requests keep
-	// returning 304. This is the §VII availability story: the origin comes
-	// back from a crash without losing its update log, instead of forcing
-	// every RA through the ErrAhead → full-resync path.
+	// ingest is journaled to the CA's log on backend. A reopened
+	// distribution point recovers each CA's replica — including the exact
+	// signed root bytes, so /v1/root ETags are stable across the restart
+	// and edges' conditional requests keep returning 304. This is the §VII
+	// availability story: the origin comes back from a crash without
+	// losing its update log, instead of forcing every RA through the
+	// ErrAhead → full-resync path.
 	backend   storage.Backend
 	ckptEvery int
-	logs      map[dictionary.CAID]*dpLog
 
 	stats distCounters
 }
-
-// dpLog pairs a CA's durable log with its records-since-checkpoint count.
-// Its mutex serializes (replica update, WAL append) per CA as one unit, so
-// WAL order always matches apply order — without holding the
-// registration lock across disk writes (PR 2 took the exclusive mutex off
-// the Pull path; an fsync under dp.mu would put a disk stall back on it).
-type dpLog struct {
-	mu       sync.Mutex
-	log      storage.Log
-	appended int
-}
-
-// DefaultCheckpointEvery is the default number of WAL records between
-// checkpoints for a storage-backed distribution point.
-const DefaultCheckpointEvery = 64
 
 // distCounters is the lock-free backing store for Stats.
 type distCounters struct {
@@ -242,20 +231,18 @@ func NewDistributionPoint(now func() time.Time) *DistributionPoint {
 // NewDistributionPointWithStorage creates an origin whose per-CA state is
 // persisted to backend (nil = in-memory only, identical to
 // NewDistributionPoint) and recovered on RegisterCA, with a checkpoint
-// every checkpointEvery WAL records (0 = DefaultCheckpointEvery).
+// every checkpointEvery update records (0 =
+// dictionary.DefaultCheckpointEvery).
 func NewDistributionPointWithStorage(now func() time.Time, backend storage.Backend, checkpointEvery int) *DistributionPoint {
 	if now == nil {
 		now = time.Now
 	}
-	if checkpointEvery <= 0 {
-		checkpointEvery = DefaultCheckpointEvery
-	}
 	return &DistributionPoint{
 		now:       now,
 		dicts:     make(map[dictionary.CAID]*dictionary.Replica),
+		journals:  make(map[dictionary.CAID]*dictionary.Journal[*dictionary.Replica]),
 		backend:   backend,
 		ckptEvery: checkpointEvery,
-		logs:      make(map[dictionary.CAID]*dpLog),
 	}
 }
 
@@ -272,23 +259,15 @@ func (dp *DistributionPoint) RegisterCA(ca dictionary.CAID, pub []byte) error {
 	if _, dup := dp.dicts[ca]; dup {
 		return fmt.Errorf("cdn: CA %s already registered", ca)
 	}
-	replica := dictionary.NewReplica(ca, pub)
-	if dp.backend != nil {
-		lg, err := dp.backend.Open(string(ca))
-		if err != nil {
-			return fmt.Errorf("cdn: open durable log for %s: %w", ca, err)
-		}
-		// Recovery re-verifies the persisted log against the trust anchor
-		// and reinstalls the exact signed-root bytes — including the
-		// signature, so the root (and its HTTP ETag) is bit-identical
-		// across the restart.
-		if replica, err = dictionary.RecoverReplicaLog(lg, ca, pub, dp.now().Unix()); err != nil {
-			lg.Close()
-			return fmt.Errorf("cdn: reopen %s: %w", ca, err)
-		}
-		dp.logs[ca] = &dpLog{log: lg}
+	// Recovery re-verifies the persisted log against the trust anchor and
+	// reinstalls the exact signed-root bytes — including the signature, so
+	// the root (and its HTTP ETag) is bit-identical across the restart.
+	j, err := dictionary.OpenReplicaJournal(dp.backend, ca, pub, dp.ckptEvery, dp.now().Unix())
+	if err != nil {
+		return fmt.Errorf("cdn: reopen %s: %w", ca, err)
 	}
-	dp.dicts[ca] = replica
+	dp.journals[ca] = j
+	dp.dicts[ca] = j.State()
 	return nil
 }
 
@@ -304,38 +283,55 @@ func (dp *DistributionPoint) RegisterCAWithLayout(ca dictionary.CAID, pub []byte
 	return dp.RegisterCA(ca, pub)
 }
 
-// persistIngest WAL-appends a verified, state-changing ingest and
-// checkpoints when the cadence is due. Caller holds dl.mu.
-func (dp *DistributionPoint) persistIngest(dl *dpLog, ca dictionary.CAID, r *dictionary.Replica, msg *dictionary.IssuanceMessage) error {
-	rec := dictionary.UpdateRecord{Msg: msg}
-	if err := dl.log.Append(rec.Encode()); err != nil {
-		return fmt.Errorf("cdn: persist ingest for %s: %w", ca, err)
+// journal returns ca's journal.
+func (dp *DistributionPoint) journal(ca dictionary.CAID) (*dictionary.Journal[*dictionary.Replica], error) {
+	dp.mu.RLock()
+	j, ok := dp.journals[ca]
+	dp.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownCA, ca)
 	}
-	dl.appended++
-	if dl.appended < dp.ckptEvery {
-		return nil
+	return j, nil
+}
+
+// ingest runs apply on ca's replica under its journal, so the log order
+// always matches the apply order; disk I/O happens outside dp.mu, so pulls
+// (and other CAs' ingests) never stall behind an fsync. rec is logged only
+// when the replica published a new snapshot: a verified no-op (a
+// re-delivered root or statement) must not grow the log.
+func (dp *DistributionPoint) ingest(ca dictionary.CAID, kind string, rec dictionary.Record, apply func(*dictionary.Replica) error) error {
+	j, err := dp.journal(ca)
+	if err != nil {
+		return err
 	}
-	if err := dl.log.Checkpoint(r.PersistentStateV2()); err != nil {
-		return fmt.Errorf("cdn: checkpoint %s: %w", ca, err)
+	if err := j.Apply(func(r *dictionary.Replica) (dictionary.Record, error) {
+		gen := r.CurrentGeneration()
+		if err := apply(r); err != nil || r.CurrentGeneration() == gen {
+			return nil, err
+		}
+		return rec, nil
+	}); err != nil {
+		return fmt.Errorf("cdn: ingest %s for %s: %w", kind, ca, err)
 	}
-	dl.appended = 0
 	return nil
 }
 
-// Close releases the distribution point's durable logs (if any). Reads
-// keep working from memory; further ingests must not follow.
+// Close releases the distribution point's durable logs (if any), each
+// checkpointed first when it holds update records the last checkpoint does
+// not cover. Reads keep working from memory; further ingests must not
+// follow.
 func (dp *DistributionPoint) Close() error {
-	dp.mu.Lock()
-	defer dp.mu.Unlock()
+	dp.mu.RLock()
+	journals := make(map[dictionary.CAID]*dictionary.Journal[*dictionary.Replica], len(dp.journals))
+	for ca, j := range dp.journals {
+		journals[ca] = j
+	}
+	dp.mu.RUnlock()
 	var firstErr error
-	for ca, dl := range dp.logs {
-		dl.mu.Lock() // wait out any in-flight ingest on this CA
-		err := dl.log.Close()
-		dl.mu.Unlock()
-		if err != nil && firstErr == nil {
-			firstErr = err
+	for ca, j := range journals {
+		if err := j.Close(); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("cdn: close %s: %w", ca, err)
 		}
-		delete(dp.logs, ca)
 	}
 	return firstErr
 }
@@ -351,33 +347,11 @@ func (dp *DistributionPoint) PublishIssuance(msg *dictionary.IssuanceMessage) er
 	if msg == nil || msg.Root == nil {
 		return fmt.Errorf("cdn: nil issuance message")
 	}
-	dp.mu.RLock()
-	r, ok := dp.dicts[msg.Root.CA]
-	dl := dp.logs[msg.Root.CA]
-	dp.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownCA, msg.Root.CA)
+	if err := dp.ingest(msg.Root.CA, "issuance", &dictionary.UpdateRecord{Msg: msg}, func(r *dictionary.Replica) error {
+		return r.Update(msg)
+	}); err != nil {
+		return err
 	}
-	// Serialize (verify-update, WAL append) per CA so the log order always
-	// matches the apply order; disk I/O happens outside dp.mu, so pulls
-	// (and other CAs' ingests) never stall behind an fsync.
-	if dl != nil {
-		dl.mu.Lock()
-		defer dl.mu.Unlock()
-	}
-	gen := r.Snapshot().Generation()
-	if err := r.Update(msg); err != nil {
-		return fmt.Errorf("cdn: ingest issuance for %s: %w", msg.Root.CA, err)
-	}
-	// WAL the ingest when it changed state (a re-delivered identical root
-	// is a verified no-op and must not grow the log).
-	if dl != nil && r.Snapshot().Generation() != gen {
-		if err := dp.persistIngest(dl, msg.Root.CA, r, msg); err != nil {
-			return err
-		}
-	}
-	// A new signed root restarts the freshness chain; the replica's
-	// snapshot now carries its anchor as the period-0 statement.
 	dp.stats.issuancesIngested.Add(1)
 	return nil
 }
@@ -387,33 +361,14 @@ func (dp *DistributionPoint) PublishIssuance(msg *dictionary.IssuanceMessage) er
 // WAL-appended as a freshness record: the WAL doubles as the replication
 // log, and without the record a follower origin (or a restarted leader)
 // would regress to the signed root's anchor until the next statement.
-// Freshness records do not advance the checkpoint cadence — they are
-// tiny, idempotent on replay, and checkpointing O(dictionary) state once
-// per period with no revocation traffic would be pure churn.
 func (dp *DistributionPoint) PublishFreshness(st *dictionary.FreshnessStatement) error {
 	if st == nil {
 		return fmt.Errorf("cdn: nil freshness statement")
 	}
-	dp.mu.RLock()
-	r, ok := dp.dicts[st.CA]
-	dl := dp.logs[st.CA]
-	dp.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownCA, st.CA)
-	}
-	if dl != nil {
-		dl.mu.Lock()
-		defer dl.mu.Unlock()
-	}
-	gen := r.Snapshot().Generation()
-	if err := r.ApplyFreshness(st, dp.now().Unix()); err != nil {
-		return fmt.Errorf("cdn: ingest freshness for %s: %w", st.CA, err)
-	}
-	if dl != nil && r.Snapshot().Generation() != gen {
-		rec := dictionary.FreshnessRecord{Value: st.Value}
-		if err := dl.log.Append(rec.Encode()); err != nil {
-			return fmt.Errorf("cdn: persist freshness for %s: %w", st.CA, err)
-		}
+	if err := dp.ingest(st.CA, "freshness", &dictionary.FreshnessRecord{Value: st.Value}, func(r *dictionary.Replica) error {
+		return r.ApplyFreshness(st, dp.now().Unix())
+	}); err != nil {
+		return err
 	}
 	dp.stats.freshnessIngested.Add(1)
 	return nil

@@ -101,6 +101,42 @@ func TestDistributionPointReopenKeepsETag(t *testing.T) {
 	})
 }
 
+// TestDistributionPointCloseCheckpointsPending: a clean Close checkpoints
+// the update records the cadence has not yet covered, as a CA's and an RA's
+// Close do, so the next start maps state instead of replaying a WAL tail.
+func TestDistributionPointCloseCheckpointsPending(t *testing.T) {
+	backend := storage.NewMemory()
+	authority, dp1, _ := newDurableOrigin(t, backend) // 7 ingests, cadence 64
+	want, err := dp1.LatestRoot("CA1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dp1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	lg, err := backend.Open("CA1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt, wal, err := lg.Load()
+	lg.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ckpt == nil || len(wal) != 0 {
+		t.Fatalf("after Close: checkpoint=%v, %d WAL records to replay; want a checkpoint and none", ckpt != nil, len(wal))
+	}
+	dp2 := NewDistributionPointWithStorage(nil, backend, 0)
+	if err := dp2.RegisterCA("CA1", authority.PublicKey()); err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer dp2.Close()
+	if got, err := dp2.LatestRoot("CA1"); err != nil || !got.Equal(want) {
+		t.Fatalf("reopened root differs from the closed origin's (err %v)", err)
+	}
+}
+
 // TestDistributionPointFileBackendRoundTrip runs the reopen path over the
 // real file backend (CRC framing, rename-install, WAL scan) rather than
 // the in-memory test double.

@@ -109,23 +109,14 @@ type Replicator interface {
 // response carries history, not authority — every record re-verifies
 // against the CA's trust anchor on the follower.
 func (dp *DistributionPoint) Replicate(ca dictionary.CAID, fromLSN uint64) (*ReplicationResponse, error) {
-	dp.mu.RLock()
-	_, ok := dp.dicts[ca]
-	dl := dp.logs[ca]
-	dp.mu.RUnlock()
+	j, err := dp.journal(ca)
+	if err != nil {
+		return nil, err
+	}
+	res, ok, err := j.Tail(fromLSN)
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownCA, ca)
+		return nil, fmt.Errorf("%w (%s: no tailable durable log)", ErrNoReplication, ca)
 	}
-	if dl == nil {
-		return nil, fmt.Errorf("%w (%s: no durable log)", ErrNoReplication, ca)
-	}
-	dl.mu.Lock()
-	defer dl.mu.Unlock()
-	tailer, ok := dl.log.(storage.Tailer)
-	if !ok {
-		return nil, fmt.Errorf("%w (%s: log backend cannot tail)", ErrNoReplication, ca)
-	}
-	res, err := tailer.Tail(fromLSN)
 	if err != nil {
 		return nil, fmt.Errorf("cdn: replicate %s: %w", ca, err)
 	}
@@ -140,45 +131,17 @@ func (dp *DistributionPoint) Replicate(ca dictionary.CAID, fromLSN uint64) (*Rep
 // ApplyReplicated applies one leader WAL payload (an update or freshness
 // record) to ca's local replica with full verification — the same
 // acceptance rule as a message fresh off the network — and, when it
-// advanced the state and this origin is storage-backed, persists the
-// exact payload bytes to the local log. The follower's WAL therefore
-// mirrors the leader's record stream (under local LSNs), so the
-// follower's own recovery — and its own downstream followers — replay
-// the same verified history.
+// advanced the state, journals the exact payload bytes. The follower's WAL
+// therefore mirrors the leader's record stream (under local LSNs), so the
+// follower's own recovery — and its own downstream followers — replay the
+// same verified history.
 func (dp *DistributionPoint) ApplyReplicated(ca dictionary.CAID, payload []byte) error {
-	dp.mu.RLock()
-	r, ok := dp.dicts[ca]
-	dl := dp.logs[ca]
-	dp.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownCA, ca)
-	}
-	if dl != nil {
-		dl.mu.Lock()
-		defer dl.mu.Unlock()
-	}
-	gen := r.Snapshot().Generation()
-	if err := dictionary.ApplyLogRecord(r, payload, dp.now().Unix()); err != nil {
-		return fmt.Errorf("%w: %v", ErrReplicationDiverged, err)
-	}
-	if dl == nil || r.Snapshot().Generation() == gen {
+	return dp.ingest(ca, "replicated record", dictionary.RawRecord(payload), func(r *dictionary.Replica) error {
+		if err := dictionary.ApplyLogRecord(r, payload, dp.now().Unix()); err != nil {
+			return fmt.Errorf("%w: %v", ErrReplicationDiverged, err)
+		}
 		return nil
-	}
-	if err := dl.log.Append(payload); err != nil {
-		return fmt.Errorf("cdn: persist replicated record for %s: %w", ca, err)
-	}
-	if dictionary.IsFreshnessRecord(payload) {
-		return nil // tiny, idempotent; no checkpoint cadence
-	}
-	dl.appended++
-	if dl.appended < dp.ckptEvery {
-		return nil
-	}
-	if err := dl.log.Checkpoint(r.PersistentStateV2()); err != nil {
-		return fmt.Errorf("cdn: checkpoint %s: %w", ca, err)
-	}
-	dl.appended = 0
-	return nil
+	})
 }
 
 // AdoptReplicatedState bootstraps ca's replica from a leader checkpoint
@@ -196,63 +159,38 @@ func (dp *DistributionPoint) AdoptReplicatedState(ca dictionary.CAID, state []by
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrReplicationDiverged, err)
 	}
-	dp.mu.RLock()
-	r, ok := dp.dicts[ca]
-	dp.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownCA, ca)
+	j, err := dp.journal(ca)
+	if err != nil {
+		return err
 	}
-	// The slow part — full anchor-verified replay — runs lock-free; the
-	// trust anchor is immutable per registration.
-	restored, err := dictionary.RestoreReplica(ca, r.PublicKey(), st, dp.now().Unix())
+	// The slow part — full anchor-verified replay — runs outside every
+	// lock; the trust anchor is immutable per registration.
+	restored, err := dictionary.RestoreReplica(ca, j.State().PublicKey(), st, dp.now().Unix())
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrReplicationDiverged, err)
 	}
-	// The swap takes the write lock (ordered with registration and Close;
-	// lock order dp.mu → dl.mu matches Close), but the lock is dropped
-	// before the checkpoint's disk I/O so pulls of other CAs never stall
-	// behind a bootstrap.
-	dp.mu.Lock()
-	cur2, ok := dp.dicts[ca]
-	if !ok {
-		dp.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrUnknownCA, ca)
-	}
-	dl := dp.logs[ca]
-	if dl != nil {
-		dl.mu.Lock()
-	}
-	cur := cur2.Snapshot()
-	if refused := func() error {
+	// The guard and the swap run under the journal's lock, so no ingest
+	// lands between them, nor on the replaced replica after them. dp.mu is
+	// held for the map write only, so pulls never stall behind the
+	// checkpoint's disk I/O.
+	err = j.Replace(func(cur *dictionary.Replica) (*dictionary.Replica, error) {
 		if restored.Count() < cur.Count() {
-			return fmt.Errorf("%w: leader snapshot has %d revocations, follower verified %d", ErrReplicationDiverged, restored.Count(), cur.Count())
+			return nil, fmt.Errorf("%w: leader snapshot has %d revocations, follower verified %d", ErrReplicationDiverged, restored.Count(), cur.Count())
 		}
 		curLog := cur.Log()
-		newLog := restored.Snapshot().Log()
+		newLog := restored.Log()
 		for i := range curLog {
 			if !curLog[i].Equal(newLog[i]) {
-				return fmt.Errorf("%w: issuance logs disagree at revocation %d (same-key equivocation?)", ErrReplicationDiverged, i)
+				return nil, fmt.Errorf("%w: issuance logs disagree at revocation %d (same-key equivocation?)", ErrReplicationDiverged, i)
 			}
 		}
-		return nil
-	}(); refused != nil {
-		if dl != nil {
-			dl.mu.Unlock()
-		}
+		dp.mu.Lock()
+		dp.dicts[ca] = restored
 		dp.mu.Unlock()
-		return refused
-	}
-	dp.dicts[ca] = restored
-	dp.mu.Unlock()
-	if dl != nil {
-		err := dl.log.Checkpoint(restored.PersistentStateV2())
-		if err == nil {
-			dl.appended = 0
-		}
-		dl.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("cdn: checkpoint adopted state for %s: %w", ca, err)
-		}
+		return restored, nil
+	})
+	if err != nil {
+		return fmt.Errorf("cdn: adopt state for %s: %w", ca, err)
 	}
 	return nil
 }

@@ -255,6 +255,83 @@ func TestStoreRemoveDestroysDurableState(t *testing.T) {
 	}
 }
 
+// hookOrigin runs hook inside the next Pull, after the response is built:
+// whatever hook does lands between that sync's pull and its apply.
+type hookOrigin struct {
+	cdn.Origin
+	hook func()
+}
+
+func (o *hookOrigin) Pull(caID dictionary.CAID, from uint64) (*cdn.PullResponse, error) {
+	resp, err := o.Origin.Pull(caID, from)
+	if h := o.hook; h != nil {
+		o.hook = nil
+		h()
+	}
+	return resp, err
+}
+
+// TestWarmStartAfterStaleApplyAcrossReplace: a sync whose pull was for a
+// replica that a Resync replaced before the apply must not update the
+// replaced replica and log that record after the new replica's checkpoint —
+// a restart would replay a 10 → 15 batch onto n=5 and refuse to start.
+func TestWarmStartAfterStaleApplyAcrossReplace(t *testing.T) {
+	env := newPersistEnv(t, nil, 1, 5)
+	resp, err := env.dp.Pull("CA1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := dictionary.NewReplica("CA1", env.ca.PublicKey())
+	if err := short.Update(resp.Issuance); err != nil {
+		t.Fatal(err)
+	}
+	env.revoke(t, 1, 5)
+
+	origin := &hookOrigin{Origin: env.dp}
+	cfg := Config{
+		Roots:   []*cert.Certificate{env.ca.RootCertificate()},
+		Origin:  origin,
+		Delta:   10 * time.Second,
+		Storage: storage.NewMemory(),
+	}
+	agent, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := agent.SyncOnce(); err != nil {
+		t.Fatal(err)
+	}
+	env.revoke(t, 1, 5)
+	origin.hook = func() {
+		if err := agent.Store().ReplaceReplica("CA1", short); err != nil {
+			t.Error(err)
+		}
+	}
+	// The pull asks for the suffix after 10; the store holds n=5 by the
+	// time it applies, so the update is refused as desynchronized.
+	_ = agent.SyncOnce()
+
+	// Restart without Close: the log alone must recover what the store holds.
+	restarted, err := New(cfg)
+	if err != nil {
+		t.Fatalf("warm start: %v", err)
+	}
+	defer restarted.Store().Close()
+	got, err := restarted.Store().Replica("CA1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Count() != short.Count() || !got.Root().Equal(short.Root()) {
+		t.Fatalf("warm start at n=%d, want the replaced replica's n=%d and root", got.Count(), short.Count())
+	}
+	if err := restarted.SyncOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if got.Count() != 15 {
+		t.Fatalf("after catch-up n=%d, want 15", got.Count())
+	}
+}
+
 // boundedOrigin serves every pull body in the form older origins wrote for
 // a puller several batches behind: the trailing bound list (a count, then
 // ascending deltas) lists the batch ends of the suffix, where origins now

@@ -56,9 +56,9 @@ type Config struct {
 	// in-memory.
 	Storage storage.Backend
 	// CheckpointEvery is the number of persisted update batches between
-	// checkpoint snapshots (0 = ra.DefaultCheckpointEvery). Smaller values
-	// bound recovery replay tighter; larger values amortize the
-	// O(dictionary) checkpoint write over more syncs.
+	// checkpoint snapshots (0 = dictionary.DefaultCheckpointEvery).
+	// Smaller values bound recovery replay tighter; larger values amortize
+	// the O(dictionary) checkpoint write over more syncs.
 	CheckpointEvery int
 	// SharedData runs the RA as a read-only co-located reader: instead of
 	// pulling from an origin and owning replicas, it maps the checkpoints
@@ -192,14 +192,14 @@ func (ra *RA) syncCA(ca dictionary.CAID) error {
 		// is configured. An update error is an attack signal, not a
 		// transient failure: the network delivered a message whose signed
 		// root does not match its own content (§V).
-		if err := ra.store.applyUpdate(ca, replica, resp.Issuance); err != nil {
+		if err := ra.store.applyUpdate(ca, resp.Issuance); err != nil {
 			return fmt.Errorf("ra: update %s: %w", ca, err)
 		}
 	}
 	if resp.Freshness != nil {
 		// applyFreshness WAL-appends the adopted statement so co-located
 		// shared-data readers stay fresh between checkpoints.
-		if err := ra.store.applyFreshness(ca, replica, resp.Freshness, ra.now().Unix()); err != nil &&
+		if err := ra.store.applyFreshness(ca, resp.Freshness, ra.now().Unix()); err != nil &&
 			!errors.Is(err, dictionary.ErrStale) {
 			return fmt.Errorf("ra: freshness %s: %w", ca, err)
 		}

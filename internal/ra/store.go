@@ -62,42 +62,24 @@ type Store struct {
 	mapper     storage.Mapper
 
 	// Durable state tier (nil backend = purely in-memory, the default).
-	// Verified updates are WAL-appended per CA; every ckptEvery records
-	// the replica's state is checkpointed and the WAL reset, bounding both
-	// replay time and WAL growth. AddCA warm-starts each replica from its
-	// log, so a restarted RA resumes at its persisted count and the
-	// fetcher pulls only the missed suffix — O(missed ∆) instead of the
-	// full-dictionary resync a cold start pays.
+	// Each owned replica is held by a journal over its log on backend,
+	// which bounds both replay time and WAL growth by its checkpoint
+	// cadence. AddCA warm-starts each replica from its log, so a restarted
+	// RA resumes at its persisted count and the fetcher pulls only the
+	// missed suffix — O(missed ∆) instead of the full-dictionary resync a
+	// cold start pays.
 	backend   storage.Backend
 	ckptEvery int
 	now       func() time.Time
-	pmu       sync.Mutex // guards logs and their append counters
-	logs      map[dictionary.CAID]*caLog
 }
-
-// caLog pairs a CA's durable log with its records-since-checkpoint count.
-// Its mutex serializes (replica update, WAL append) per CA as one unit,
-// so concurrent syncs can never write WAL records out of apply order —
-// an inverted pair would replay as a gap and fail recovery loudly.
-type caLog struct {
-	mu       sync.Mutex
-	log      storage.Log
-	appended int
-}
-
-// DefaultCheckpointEvery is the default number of WAL records between
-// checkpoint snapshots. Checkpoints cost O(dictionary) while appends cost
-// O(batch); once per 64 batches keeps the amortized overhead per sync
-// cycle small while bounding crash-recovery replay to 64 records.
-const DefaultCheckpointEvery = 64
 
 // StoreOptions configures a Store beyond its trust anchors.
 type StoreOptions struct {
 	// Storage, when non-nil, persists every replica to the backend and
 	// warm-starts replicas from it on AddCA.
 	Storage storage.Backend
-	// CheckpointEvery is the number of WAL records between checkpoints
-	// (0 = DefaultCheckpointEvery).
+	// CheckpointEvery is the number of update records between checkpoints
+	// (0 = dictionary.DefaultCheckpointEvery).
 	CheckpointEvery int
 	// SharedData turns the store into a read-only co-located reader:
 	// instead of owning replicas and writing to Storage, it maps the
@@ -115,9 +97,11 @@ type StoreOptions struct {
 // storeView is one immutable configuration of the store. All fields —
 // including the pool — are replaced wholesale, never mutated, once the
 // view is published. Exactly one of replicas/shared is populated per CA:
-// owned dictionaries live in replicas, shared-mode readers in shared.
+// owned dictionaries live in replicas, each with the journal that holds
+// it, shared-mode readers in shared.
 type storeView struct {
 	replicas map[dictionary.CAID]*dictionary.Replica
+	journals map[dictionary.CAID]*dictionary.Journal[*dictionary.Replica]
 	shared   map[dictionary.CAID]*sharedDict
 	cas      []dictionary.CAID // sorted
 	pool     *cert.Pool
@@ -136,9 +120,6 @@ func NewStoreWithOptions(opts StoreOptions, roots ...*cert.Certificate) (*Store,
 	if err != nil {
 		return nil, err
 	}
-	if opts.CheckpointEvery <= 0 {
-		opts.CheckpointEvery = DefaultCheckpointEvery
-	}
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
@@ -147,7 +128,6 @@ func NewStoreWithOptions(opts StoreOptions, roots ...*cert.Certificate) (*Store,
 		backend:   opts.Storage,
 		ckptEvery: opts.CheckpointEvery,
 		now:       opts.Now,
-		logs:      make(map[dictionary.CAID]*caLog),
 	}
 	if opts.SharedData {
 		mapper, ok := opts.Storage.(storage.Mapper)
@@ -160,6 +140,7 @@ func NewStoreWithOptions(opts StoreOptions, roots ...*cert.Certificate) (*Store,
 	}
 	s.view.Store(&storeView{
 		replicas: map[dictionary.CAID]*dictionary.Replica{},
+		journals: map[dictionary.CAID]*dictionary.Journal[*dictionary.Replica]{},
 		shared:   map[dictionary.CAID]*sharedDict{},
 		pool:     pool,
 	})
@@ -177,11 +158,15 @@ func NewStoreWithOptions(opts StoreOptions, roots ...*cert.Certificate) (*Store,
 func (v *storeView) clone() *storeView {
 	next := &storeView{
 		replicas: make(map[dictionary.CAID]*dictionary.Replica, len(v.replicas)+1),
+		journals: make(map[dictionary.CAID]*dictionary.Journal[*dictionary.Replica], len(v.journals)+1),
 		shared:   make(map[dictionary.CAID]*sharedDict, len(v.shared)+1),
 		pool:     v.pool.Clone(),
 	}
 	for ca, r := range v.replicas {
 		next.replicas[ca] = r
+	}
+	for ca, j := range v.journals {
+		next.journals[ca] = j
 	}
 	for ca, d := range v.shared {
 		next.shared[ca] = d
@@ -269,87 +254,45 @@ func (s *Store) AddCA(root *cert.Certificate) error {
 		s.view.Store(next)
 		return nil
 	}
-	replica, lg, err := s.openReplica(root)
-	if err != nil {
-		return err
-	}
 	next := cur.clone()
 	if err := next.pool.AddRoot(root); err != nil {
-		if lg != nil {
-			lg.Close()
-		}
 		return fmt.Errorf("ra: add CA: %w", err)
 	}
-	next.replicas[root.Issuer] = replica
-	next.rebuildCAs()
-	if lg != nil {
-		s.pmu.Lock()
-		s.logs[root.Issuer] = &caLog{log: lg}
-		s.pmu.Unlock()
+	j, err := dictionary.OpenReplicaJournal(s.backend, root.Issuer, root.PublicKey, s.ckptEvery, s.now().Unix())
+	if err != nil {
+		return fmt.Errorf("ra: warm-start %s: %w", root.Issuer, err)
 	}
+	next.replicas[root.Issuer] = j.State()
+	next.journals[root.Issuer] = j
+	next.rebuildCAs()
 	s.view.Store(next)
 	return nil
 }
 
-// openReplica builds the replica for a trust anchor: fresh when no
-// backend (or no durable state) exists, recovered otherwise. Recovery
-// fails loudly on anything unverifiable — a corrupt store must not
-// silently degrade to a cold start, because the operator would read the
-// ensuing full resync as normal.
-func (s *Store) openReplica(root *cert.Certificate) (*dictionary.Replica, storage.Log, error) {
-	ca := root.Issuer
-	if s.backend == nil {
-		return dictionary.NewReplica(ca, root.PublicKey), nil, nil
+// apply runs fn on the replica ca's journal holds — not one the caller
+// loaded earlier, which a Resync may have replaced since — and journals the
+// record fn returns. A CA removed meanwhile has nothing to apply to.
+func (s *Store) apply(ca dictionary.CAID, fn func(*dictionary.Replica) (dictionary.Record, error)) error {
+	j, ok := s.view.Load().journals[ca]
+	if !ok {
+		return nil
 	}
-	lg, err := s.backend.Open(string(ca))
-	if err != nil {
-		return nil, nil, fmt.Errorf("ra: open durable log for %s: %w", ca, err)
-	}
-	replica, err := dictionary.RecoverReplicaLog(lg, ca, root.PublicKey, s.now().Unix())
-	if err != nil {
-		lg.Close()
-		return nil, nil, fmt.Errorf("ra: warm-start %s: %w", ca, err)
-	}
-	return replica, lg, nil
+	return j.Apply(fn)
 }
 
-// applyUpdate applies a verified issuance message to the CA's replica
-// and, when it changed state and a backend is configured, WAL-appends it
-// (checkpointing on cadence) — the update and the append are one unit
-// under the CA's log mutex, so the WAL order always matches the apply
-// order even under concurrent SyncOnce calls. Persistence failures are
-// returned so the sync loop can surface them; the in-memory replica
-// already advanced, so nothing is lost until the process dies — the next
-// successful checkpoint covers the gap.
-func (s *Store) applyUpdate(ca dictionary.CAID, replica *dictionary.Replica, msg *dictionary.IssuanceMessage) error {
-	var cl *caLog
-	if s.backend != nil {
-		s.pmu.Lock()
-		cl = s.logs[ca]
-		s.pmu.Unlock()
-	}
-	if cl != nil {
-		cl.mu.Lock()
-		defer cl.mu.Unlock()
-	}
-	gen := replica.Snapshot().Generation()
-	if err := replica.Update(msg); err != nil {
-		return err
-	}
-	if !s.releaseSuperseded(ca, replica, gen) || cl == nil {
-		// A verified no-op (re-delivered root), no backend, or a removed
-		// CA: nothing to persist.
-		return nil
-	}
-	rec := dictionary.UpdateRecord{Msg: msg}
-	if err := cl.log.Append(rec.Encode()); err != nil {
-		return fmt.Errorf("ra: persist update for %s: %w", ca, err)
-	}
-	cl.appended++
-	if cl.appended < s.ckptEvery {
-		return nil
-	}
-	return s.checkpointLocked(ca, cl)
+// applyUpdate applies a verified issuance message to the CA's replica and
+// journals it when it changed state. Persistence failures are returned so
+// the sync loop can surface them; the in-memory replica already advanced,
+// so nothing is lost until the process dies — the next successful
+// checkpoint covers the gap.
+func (s *Store) applyUpdate(ca dictionary.CAID, msg *dictionary.IssuanceMessage) error {
+	return s.apply(ca, func(r *dictionary.Replica) (dictionary.Record, error) {
+		gen := r.CurrentGeneration()
+		if err := r.Update(msg); err != nil || !s.releaseSuperseded(ca, r, gen) {
+			return nil, err // a verified no-op (re-delivered root) logs nothing
+		}
+		return &dictionary.UpdateRecord{Msg: msg}, nil
+	})
 }
 
 // releaseSuperseded reports whether src published a new snapshot since it
@@ -365,89 +308,41 @@ func (s *Store) releaseSuperseded(ca dictionary.CAID, src cacheSource, before ui
 	return true
 }
 
-// checkpointLocked snapshots the CA's replica into its log, in the
-// offset-indexed v2 format: the next warm start maps it instead of
-// replaying it, and co-located shared-data readers serve straight from
-// the mapping. Caller holds cl.mu.
-func (s *Store) checkpointLocked(ca dictionary.CAID, cl *caLog) error {
-	r, ok := s.view.Load().replicas[ca]
-	if !ok {
-		return nil
-	}
-	if err := cl.log.Checkpoint(r.PersistentStateV2()); err != nil {
-		return fmt.Errorf("ra: checkpoint %s: %w", ca, err)
-	}
-	cl.appended = 0
-	return nil
-}
-
 // applyFreshness applies a verified freshness statement to the CA's
-// replica and, when it advanced the replica's state and a backend is
-// configured, WAL-appends a freshness record. The record is what keeps
-// co-located shared-data readers fresh between checkpoints: without it a
-// reader mapping (checkpoint + WAL) would regress to the signed root's
-// anchor until the writer's next update batch.
-func (s *Store) applyFreshness(ca dictionary.CAID, replica *dictionary.Replica, stmt *dictionary.FreshnessStatement, now int64) error {
-	var cl *caLog
-	if s.backend != nil {
-		s.pmu.Lock()
-		cl = s.logs[ca]
-		s.pmu.Unlock()
-	}
-	if cl != nil {
-		cl.mu.Lock()
-		defer cl.mu.Unlock()
-	}
-	gen := replica.Snapshot().Generation()
-	if err := replica.ApplyFreshness(stmt, now); err != nil {
-		return err
-	}
-	if !s.releaseSuperseded(ca, replica, gen) || cl == nil {
-		return nil
-	}
-	rec := dictionary.FreshnessRecord{Value: stmt.Value}
-	if err := cl.log.Append(rec.Encode()); err != nil {
-		return fmt.Errorf("ra: persist freshness for %s: %w", ca, err)
-	}
-	// Freshness records do not advance the checkpoint cadence counter:
-	// they are tiny, idempotent on replay, and a checkpoint triggered by
-	// them alone would rewrite O(dictionary) state once per period even
-	// with no revocation traffic.
-	return nil
+// replica and journals a freshness record when it advanced the replica's
+// state. The record is what keeps co-located shared-data readers fresh
+// between checkpoints: without it a reader mapping (checkpoint + WAL) would
+// regress to the signed root's anchor until the writer's next update batch.
+func (s *Store) applyFreshness(ca dictionary.CAID, stmt *dictionary.FreshnessStatement, now int64) error {
+	return s.apply(ca, func(r *dictionary.Replica) (dictionary.Record, error) {
+		gen := r.CurrentGeneration()
+		if err := r.ApplyFreshness(stmt, now); err != nil || !s.releaseSuperseded(ca, r, gen) {
+			return nil, err
+		}
+		return &dictionary.FreshnessRecord{Value: stmt.Value}, nil
+	})
 }
 
-// Close releases the store's durable state: each CA whose log absorbed
-// WAL records since its last checkpoint is checkpointed one final time —
-// a clean shutdown leaves a map-ready v2 snapshot, so the next start (and
-// every co-located reader) maps instead of replaying — then the logs are
-// closed. In shared mode the retained mappings are released instead. The
-// store must not be mutated afterwards; reads keep working from memory.
+// Close releases the store's durable state: each CA's journal checkpoints
+// the update records its last checkpoint does not cover — a clean shutdown
+// leaves a map-ready v2 snapshot, so the next start (and every co-located
+// reader) maps instead of replaying — then closes its log. In shared mode
+// the retained mappings are released instead. The store must not be
+// mutated afterwards; reads keep working from memory.
 func (s *Store) Close() error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	var firstErr error
-	if s.sharedMode {
-		for _, d := range s.view.Load().shared {
-			if err := d.close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-	s.pmu.Lock()
-	defer s.pmu.Unlock()
-	for ca, cl := range s.logs {
-		cl.mu.Lock() // wait out any in-flight persisted update
-		var err error
-		if cl.appended > 0 {
-			err = s.checkpointLocked(ca, cl)
-		}
-		if cerr := cl.log.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		cl.mu.Unlock()
-		if err != nil && firstErr == nil {
+	v := s.view.Load()
+	for _, d := range v.shared {
+		if err := d.close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		delete(s.logs, ca)
+	}
+	for ca, j := range v.journals {
+		if err := j.Close(); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("ra: close %s: %w", ca, err)
+		}
 	}
 	return firstErr
 }
@@ -470,25 +365,19 @@ func (s *Store) Remove(ca dictionary.CAID) {
 		d.close() //nolint:errcheck // release the mappings; the files belong to the writer
 		return
 	}
-	if _, ok := cur.replicas[ca]; !ok {
+	j, ok := cur.journals[ca]
+	if !ok {
 		return
 	}
 	next := cur.clone()
 	delete(next.replicas, ca)
+	delete(next.journals, ca)
 	next.rebuildCAs()
 	s.view.Store(next)
 	s.cache.release(ca, nil, 0)
 	// Reclaim the durable state too: removal is the §VIII storage-reclaim
 	// path, and a shard that expired will never be pulled again.
-	s.pmu.Lock()
-	cl := s.logs[ca]
-	delete(s.logs, ca)
-	s.pmu.Unlock()
-	if cl != nil {
-		cl.mu.Lock()     // wait out any in-flight persisted update
-		cl.log.Destroy() //nolint:errcheck // reclaim is best-effort; the shard is already gone from memory
-		cl.mu.Unlock()
-	}
+	j.Destroy() //nolint:errcheck // reclaim is best-effort; the shard is already gone from memory
 }
 
 // RemoveExpired walks the replicated dictionaries and removes every
@@ -534,27 +423,22 @@ func (s *Store) ReplaceReplica(ca dictionary.CAID, r *dictionary.Replica) error 
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	cur := s.view.Load()
-	if _, ok := cur.replicas[ca]; !ok {
+	j, ok := cur.journals[ca]
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoDictionary, ca)
 	}
 	next := cur.clone()
 	next.replicas[ca] = r
 	next.rebuildCAs()
-	s.view.Store(next)
-	s.cache.release(ca, nil, 0)
 	// A replaced replica's history diverges from whatever the WAL holds
-	// (that is the point of a resync); checkpoint the new state now so a
-	// crash never replays old-history records onto it.
-	s.pmu.Lock()
-	cl := s.logs[ca]
-	s.pmu.Unlock()
-	if cl != nil {
-		cl.mu.Lock()
-		err := s.checkpointLocked(ca, cl)
-		cl.mu.Unlock()
-		if err != nil {
-			return err
-		}
+	// (that is the point of a resync); the journal checkpoints it at once.
+	err := j.Replace(func(*dictionary.Replica) (*dictionary.Replica, error) {
+		s.view.Store(next)
+		return r, nil
+	})
+	s.cache.release(ca, nil, 0)
+	if err != nil {
+		return fmt.Errorf("ra: replace replica of %s: %w", ca, err)
 	}
 	return nil
 }
