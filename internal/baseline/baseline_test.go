@@ -1,276 +1,6 @@
 package baseline
 
-import (
-	"testing"
-	"time"
-
-	"ritm/internal/cryptoutil"
-	"ritm/internal/serial"
-)
-
-func testSigner(t *testing.T) *cryptoutil.Signer {
-	t.Helper()
-	s, err := cryptoutil.NewSigner(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-func TestCRLSignVerifyContains(t *testing.T) {
-	signer := testSigner(t)
-	a := NewCRLAuthority("CA1", signer, 3600)
-	gen := serial.NewGenerator(1, nil)
-	revoked := gen.NextN(100)
-	a.Revoke(revoked...)
-
-	crl := a.Sign(1000)
-	if err := crl.Verify(signer.Public(), 1500); err != nil {
-		t.Fatalf("verify: %v", err)
-	}
-	for _, sn := range revoked {
-		if !crl.Contains(sn) {
-			t.Fatalf("revoked serial %v missing from CRL", sn)
-		}
-	}
-	if crl.Contains(gen.Next()) {
-		t.Error("unrevoked serial found in CRL")
-	}
-
-	// Expiry and tampering are rejected.
-	if err := crl.Verify(signer.Public(), 1000+3600); err == nil {
-		t.Error("expired CRL verified")
-	}
-	crl.Serials = crl.Serials[1:]
-	if err := crl.Verify(signer.Public(), 1500); err == nil {
-		t.Error("tampered CRL verified")
-	}
-}
-
-func TestCRLClientCachingAndDownloadCost(t *testing.T) {
-	signer := testSigner(t)
-	a := NewCRLAuthority("CA1", signer, 3600)
-	a.Revoke(serial.NewGenerator(2, nil).NextN(1000)...)
-	client := NewCRLClient(signer.Public())
-
-	// First check downloads; the next 9 (within validity) do not.
-	for i := 0; i < 10; i++ {
-		if _, err := client.Check(a, serial.FromUint64(uint64(i+5_000_000)), int64(1000+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if client.Fetches != 1 {
-		t.Errorf("fetches = %d, want 1", client.Fetches)
-	}
-	// After expiry the whole list is downloaded again — the CRL
-	// inefficiency the paper criticizes.
-	if _, err := client.Check(a, serial.FromUint64(1), 1000+3600); err != nil {
-		t.Fatal(err)
-	}
-	if client.Fetches != 2 {
-		t.Errorf("fetches after expiry = %d, want 2", client.Fetches)
-	}
-	if client.BytesDownloaded < 2*1000*3 {
-		t.Errorf("download accounting too low: %d bytes", client.BytesDownloaded)
-	}
-}
-
-func TestDeltaCRLCoversOnlySuffix(t *testing.T) {
-	signer := testSigner(t)
-	a := NewCRLAuthority("CA1", signer, 3600)
-	gen := serial.NewGenerator(3, nil)
-	first := gen.NextN(50)
-	a.Revoke(first...)
-	second := gen.NextN(20)
-	a.Revoke(second...)
-
-	delta, err := a.SignDelta(50, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(delta.Serials) != 20 {
-		t.Fatalf("delta has %d entries, want 20", len(delta.Serials))
-	}
-	if delta.BaseSize != 50 {
-		t.Errorf("BaseSize = %d", delta.BaseSize)
-	}
-	full := a.Sign(2000)
-	if delta.Size() >= full.Size() {
-		t.Error("delta CRL not smaller than full CRL")
-	}
-	if _, err := a.SignDelta(999, 2000); err == nil {
-		t.Error("delta beyond log accepted")
-	}
-}
-
-func TestOCSPResponderAndPrivacyLeak(t *testing.T) {
-	signer := testSigner(t)
-	o := NewOCSPResponder("CA1", signer)
-	gen := serial.NewGenerator(4, nil)
-	bad := gen.Next()
-	good := gen.Next()
-	o.Revoke(bad)
-
-	resp := o.Respond(bad, 1000)
-	if err := resp.Verify(signer.Public(), 1100, 3600); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != OCSPRevoked {
-		t.Error("revoked serial reported good")
-	}
-	if resp := o.Respond(good, 1000); resp.Status != OCSPGood {
-		t.Error("good serial reported revoked")
-	}
-
-	// The privacy violation: the responder saw exactly which certificates
-	// clients asked about.
-	if o.Queries() != 2 {
-		t.Errorf("query log has %d entries, want 2", o.Queries())
-	}
-
-	// Stale responses are rejected under the client's age policy.
-	if err := resp.Verify(signer.Public(), 1000+7200, 3600); err == nil {
-		t.Error("stale response verified")
-	}
-}
-
-func TestOCSPStaplingAttackWindow(t *testing.T) {
-	signer := testSigner(t)
-	o := NewOCSPResponder("CA1", signer)
-	sn := serial.NewGenerator(5, nil).Next()
-	srv := NewStaplingServer(o, sn, 3600)
-
-	r1 := srv.Staple(1000)
-	if r1.Status != OCSPGood {
-		t.Fatal("unexpected initial status")
-	}
-	// Revocation happens, but the server staples its cached response until
-	// the refresh interval elapses — the attack window.
-	o.Revoke(sn)
-	r2 := srv.Staple(2000)
-	if r2.Status != OCSPGood {
-		t.Fatal("cached staple refreshed too early")
-	}
-	r3 := srv.Staple(1000 + 3600)
-	if r3.Status != OCSPRevoked {
-		t.Error("staple not refreshed after interval")
-	}
-	if srv.FetchCount != 2 {
-		t.Errorf("fetches = %d, want 2", srv.FetchCount)
-	}
-}
-
-func TestSLCIrrevocabilityWindow(t *testing.T) {
-	signer := testSigner(t)
-	a := NewSLCAuthority("CA1", signer, 72*time.Hour)
-	subjectKey := testSigner(t)
-	srv := NewSLCServer(a, "example.com", subjectKey.Public())
-
-	c1, err := srv.Certificate(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c1.NotAfter - c1.NotBefore; got != 72*3600 {
-		t.Errorf("lifetime = %d s", got)
-	}
-	// Within the lifetime the same certificate is served: nothing can
-	// revoke it.
-	c2, err := srv.Certificate(1000 + 3600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c2.SerialNumber.Equal(c1.SerialNumber) {
-		t.Error("certificate rotated early")
-	}
-	// After expiry the server must contact the CA again.
-	if _, err := srv.Certificate(1000 + 72*3600); err != nil {
-		t.Fatal(err)
-	}
-	if srv.FetchCount != 2 {
-		t.Errorf("fetches = %d, want 2", srv.FetchCount)
-	}
-	if a.AttackWindow() != 72*time.Hour {
-		t.Errorf("attack window = %v", a.AttackWindow())
-	}
-}
-
-func TestCRLSetCoverageCap(t *testing.T) {
-	vendor := NewVendor(35) // cap at 35 of 10,000 → 0.35 %, the cited rate
-	revoked := serial.NewGenerator(6, nil).NextN(10_000)
-	set := vendor.Compile(revoked)
-
-	if set.Len() != 35 {
-		t.Fatalf("set size = %d, want 35", set.Len())
-	}
-	if got := set.Coverage(); got < 0.0034 || got > 0.0036 {
-		t.Errorf("coverage = %f, want ≈0.0035", got)
-	}
-	if !set.Contains(revoked[0]) {
-		t.Error("head entry missing")
-	}
-	if set.Contains(revoked[9_999]) {
-		t.Error("tail entry unexpectedly covered: the cap failed")
-	}
-
-	// Unicast push cost scales with the client population.
-	bytes := vendor.Push(set, 1_000_000, 8)
-	if bytes != 35*8*1_000_000 {
-		t.Errorf("push bytes = %d", bytes)
-	}
-}
-
-func TestRevCastBroadcastTime(t *testing.T) {
-	ch := NewRevCastChannel()
-	// The Heartbleed hourly peak (§VII-A): ~10,000 revocations of ~8 bytes
-	// each is 640 kbit — over 25 minutes of air time at 421.8 bit/s, so a
-	// burst hour cannot be broadcast within that hour with realistic CRL
-	// entry sizes (~23 B/entry → over an hour). RevCast's ceiling.
-	d := ch.BroadcastTime(10_000, 8)
-	if d < 20*time.Minute || d > 30*time.Minute {
-		t.Errorf("broadcast time = %v, want ≈25 min", d)
-	}
-	if full := ch.BroadcastTime(10_000, 23); full < time.Hour {
-		t.Errorf("realistic-entry broadcast time = %v, want > 1 h", full)
-	}
-
-	rx := NewRevCastReceiver()
-	serials := serial.NewGenerator(7, nil).NextN(100)
-	rx.Receive(serials)
-	if !rx.Revoked(serials[42]) {
-		t.Error("received revocation not stored")
-	}
-	if rx.StoredEntries() != 100 {
-		t.Errorf("receiver stores %d entries", rx.StoredEntries())
-	}
-}
-
-func TestRevocationLogMMDWindow(t *testing.T) {
-	log := NewRevocationLog(4 * time.Hour)
-	sn := serial.NewGenerator(8, nil).Next()
-	log.Submit(sn, 1000)
-
-	// Before the MMD the revocation is invisible — the attack window.
-	if log.ClientQuery(sn, 1000+3600) {
-		t.Error("revocation visible before MMD")
-	}
-	if !log.ClientQuery(sn, 1000+4*3600) {
-		t.Error("revocation invisible after MMD")
-	}
-	if log.AttackWindow() != 4*time.Hour {
-		t.Errorf("attack window = %v", log.AttackWindow())
-	}
-	// Client-driven queries leak; server-driven fetches do not add client
-	// connections.
-	if log.ClientQueries != 2 {
-		t.Errorf("client queries = %d", log.ClientQueries)
-	}
-	if !log.ServerFetch(sn, 1000+5*3600) {
-		t.Error("server fetch missed visible entry")
-	}
-	if log.ServerFetches != 1 {
-		t.Errorf("server fetches = %d", log.ServerFetches)
-	}
-}
+import "testing"
 
 func TestTableIVFormulas(t *testing.T) {
 	p := Params{Servers: 10, CAs: 3, RAs: 5, Clients: 100, Revocations: 1000}

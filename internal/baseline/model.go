@@ -1,14 +1,14 @@
-package baseline
-
-import "fmt"
-
-// Analytic comparison model behind Table IV of the paper: for each scheme,
-// the storage and connection counts required so that an arbitrary client
-// can establish a secure connection with an arbitrary server, plus the
-// desired properties the scheme violates.
+// Package baseline is the analytic comparison model behind Table IV of the
+// paper: for each competing revocation scheme (§II), the storage and
+// connection counts required so that an arbitrary client can establish a
+// secure connection with an arbitrary server, plus the desired properties
+// the scheme violates.
 //
 // Symbols (Table IV caption): n_s servers, n_ca CAs, n_ra RAs, n_cl
 // clients, n_rev revocations, with n_ca ≪ n_ra < n_s ≪ n_cl.
+package baseline
+
+import "fmt"
 
 // Property is one of the desired properties of §II.
 type Property int

@@ -293,12 +293,6 @@ func Handler(origin Origin) http.Handler {
 	return NewHandler(origin, HandlerOptions{})
 }
 
-// HandlerWithClock is Handler with an injectable clock; see
-// HandlerOptions.Now.
-func HandlerWithClock(origin Origin, now func() time.Time) http.Handler {
-	return NewHandler(origin, HandlerOptions{Now: now})
-}
-
 // NewHandler is Handler with full configuration.
 func NewHandler(origin Origin, opts HandlerOptions) http.Handler {
 	now := opts.Now

@@ -259,13 +259,6 @@ func NewFollower(dp *DistributionPoint, source Replicator) *Follower {
 	}
 }
 
-// Position returns the last applied leader LSN for ca.
-func (f *Follower) Position(ca dictionary.CAID) uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.pos[ca]
-}
-
 // Lag returns how many leader records for ca are committed but not yet
 // applied here, as of the latest sync.
 func (f *Follower) Lag(ca dictionary.CAID) uint64 {

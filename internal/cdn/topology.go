@@ -133,9 +133,6 @@ func (t *Topology) PoP(r, p int) *EdgeServer { return t.pops[r][p] }
 // most one extra pull per live key for it.
 func (t *Topology) RestartRegional(r int) { t.regionals[r].Flush() }
 
-// RestartPoP models a PoP restart (cache wiped, wiring intact).
-func (t *Topology) RestartPoP(r, p int) { t.pops[r][p].Flush() }
-
 // TopologyStats is the per-tier roll-up of every edge's counters.
 type TopologyStats struct {
 	// PoP sums the counters of all Regions × PoPsPerRegion PoP edges —

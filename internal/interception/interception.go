@@ -9,7 +9,8 @@
 //
 //   - not TLS            → splice verbatim, peeked bytes replayed first
 //     ("RAs are completely non-invasive for non-supported clients and
-//     protocols other than TLS", §VII-F);
+//     protocols other than TLS", §VII-F); so is a client silent until
+//     HandshakeTimeout, which is waiting for a server that speaks first;
 //   - bypassed SNI       → splice verbatim, same replay;
 //   - otherwise          → bump: dial the upstream over real TLS, map its
 //     leaf certificate to a (CA, serial) dictionary identity, drive
@@ -35,11 +36,13 @@ import (
 	"fmt"
 	"math/big"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ritm/internal/dictionary"
+	"ritm/internal/middlebox"
 	"ritm/internal/serial"
 )
 
@@ -186,18 +189,13 @@ type upstreamIdentity struct {
 // goroutine per connection direction, no shared locks on the splice path.
 type Interceptor struct {
 	cfg      Config
-	ln       net.Listener
+	srv      *middlebox.Server
 	upstream *tls.Config // template for the upstream leg, session cache installed
 
 	idmu    sync.RWMutex
 	idcache map[string]upstreamIdentity
 
 	stats interceptCounters
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
 }
 
 // DefaultHandshakeTimeout bounds accept-to-bump-decision when the Config
@@ -250,18 +248,17 @@ func NewWithListener(ln net.Listener, cfg Config) (*Interceptor, error) {
 	}
 	it := &Interceptor{
 		cfg:      cfg,
-		ln:       ln,
+		srv:      middlebox.New(ln),
 		upstream: upstream,
 		idcache:  make(map[string]upstreamIdentity),
-		conns:    make(map[net.Conn]struct{}),
 	}
-	it.wg.Add(1)
-	go it.acceptLoop()
+	it.srv.SetOnError(cfg.OnError)
+	it.srv.Start(it.handle)
 	return it, nil
 }
 
 // Addr returns the interceptor's listening address.
-func (it *Interceptor) Addr() net.Addr { return it.ln.Addr() }
+func (it *Interceptor) Addr() net.Addr { return it.srv.Addr() }
 
 // Stats returns a copy of the interceptor's counters.
 func (it *Interceptor) Stats() Stats {
@@ -282,81 +279,12 @@ func (it *Interceptor) Stats() Stats {
 
 // Close stops accepting, closes active connections, and waits for all
 // handlers to exit.
-func (it *Interceptor) Close() error {
-	it.mu.Lock()
-	if it.closed {
-		it.mu.Unlock()
-		it.wg.Wait()
-		return nil
-	}
-	it.closed = true
-	err := it.ln.Close()
-	for c := range it.conns {
-		c.Close()
-	}
-	it.mu.Unlock()
-	it.wg.Wait()
-	return err
-}
-
-func (it *Interceptor) acceptLoop() {
-	defer it.wg.Done()
-	for {
-		conn, err := it.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		if !it.track(conn) {
-			conn.Close()
-			return
-		}
-		it.wg.Add(1)
-		go func() {
-			defer it.wg.Done()
-			defer it.untrack(conn)
-			if err := it.handle(conn); err != nil {
-				it.reportError(err)
-			}
-		}()
-	}
-}
-
-func (it *Interceptor) track(c net.Conn) bool {
-	it.mu.Lock()
-	defer it.mu.Unlock()
-	if it.closed {
-		return false
-	}
-	it.conns[c] = struct{}{}
-	return true
-}
-
-func (it *Interceptor) untrack(c net.Conn) {
-	c.Close()
-	it.mu.Lock()
-	defer it.mu.Unlock()
-	delete(it.conns, c)
-}
-
-func (it *Interceptor) reportError(err error) {
-	if err == nil {
-		return
-	}
-	if fn := it.cfg.OnError; fn != nil {
-		fn(err)
-	}
-}
+func (it *Interceptor) Close() error { return it.srv.Close() }
 
 func (it *Interceptor) emitSession(s *Session) {
 	if fn := it.cfg.OnSession; fn != nil {
 		fn(s)
 	}
-}
-
-// spliceError counts and reports one non-benign splice error.
-func (it *Interceptor) spliceError(err error) {
-	it.stats.spliceErrors.Add(1)
-	it.reportError(err)
 }
 
 // handle runs one accepted connection to completion.
@@ -372,10 +300,12 @@ func (it *Interceptor) handle(client net.Conn) error {
 	pk := newPeeker(client)
 	hdr, err := pk.peek(RecordHeaderLen)
 	if err != nil {
-		// Shorter-than-5-byte connections (or aborts) are still spliced:
-		// whatever arrived is forwarded verbatim so the middlebox stays
-		// invisible to protocols it does not understand.
-		if len(hdr) == 0 {
+		// Shorter-than-5-byte connections are still spliced, and so is a
+		// client that stays silent until the deadline (the server speaks
+		// first: SSH, SMTP): the middlebox stays invisible to protocols it
+		// does not understand. Only a client gone before its first byte
+		// is dropped.
+		if len(hdr) == 0 && !errors.Is(err, os.ErrDeadlineExceeded) {
 			return nil
 		}
 		sess.NonTLS = true
@@ -433,9 +363,8 @@ func (it *Interceptor) handle(client net.Conn) error {
 }
 
 // spliceVerbatim forwards the connection untouched: the peeked bytes are
-// replayed to the upstream first, then both directions are copied on the
-// raw TCP conns (io.Copy splices in-kernel on Linux when both ends are
-// *net.TCPConn).
+// replayed to the upstream first, then both directions are spliced on the
+// raw TCP conns.
 func (it *Interceptor) spliceVerbatim(sess *Session, client net.Conn, peeked []byte, target string, deadline time.Time) error {
 	if sess.NonTLS {
 		it.stats.nonTLS.Add(1)
@@ -450,7 +379,7 @@ func (it *Interceptor) spliceVerbatim(sess *Session, client net.Conn, peeked []b
 	if err != nil {
 		return err
 	}
-	defer it.untrack(upstream)
+	defer it.srv.Release(upstream)
 	if len(peeked) > 0 {
 		if _, err := upstream.Write(peeked); err != nil {
 			return fmt.Errorf("interception: replay peeked bytes: %w", err)
@@ -458,19 +387,15 @@ func (it *Interceptor) spliceVerbatim(sess *Session, client net.Conn, peeked []b
 	}
 	client.SetReadDeadline(time.Time{}) //nolint:errcheck // splice runs unbounded
 	upstream.SetDeadline(time.Time{})   //nolint:errcheck // splice runs unbounded
-	splice(client, upstream, it.spliceError)
+	it.stats.spliceErrors.Add(it.srv.Splice(client, nil, upstream))
 	return nil
 }
 
 // dialRaw dials the upstream TCP leg and tracks the conn for Close.
 func (it *Interceptor) dialRaw(addr string, deadline time.Time) (net.Conn, error) {
-	upstream, err := it.cfg.DialUpstream(addr)
+	upstream, err := it.srv.Dial(func() (net.Conn, error) { return it.cfg.DialUpstream(addr) })
 	if err != nil {
 		return nil, fmt.Errorf("interception: dial upstream %s: %w", addr, err)
-	}
-	if !it.track(upstream) {
-		upstream.Close()
-		return nil, net.ErrClosed
 	}
 	upstream.SetDeadline(deadline) //nolint:errcheck // cleared before splicing
 	return upstream, nil
@@ -486,7 +411,7 @@ func (it *Interceptor) bump(sess *Session, client net.Conn, rawHello []byte, hos
 	if err != nil {
 		return err
 	}
-	defer it.untrack(rawUp)
+	defer it.srv.Release(rawUp)
 
 	upCfg := it.upstream.Clone()
 	upCfg.ServerName = host
@@ -551,7 +476,7 @@ func (it *Interceptor) bump(sess *Session, client net.Conn, rawHello []byte, hos
 
 	client.SetReadDeadline(time.Time{}) //nolint:errcheck // splice runs unbounded
 	rawUp.SetDeadline(time.Time{})      //nolint:errcheck // splice runs unbounded
-	splice(down, upstream, it.spliceError)
+	it.stats.spliceErrors.Add(it.srv.Splice(down, nil, upstream))
 	return nil
 }
 

@@ -498,6 +498,41 @@ func TestNonTLSPassThrough(t *testing.T) {
 	}
 }
 
+// TestNonTLSServerFirstSpliced: a server that speaks first (an SSH banner)
+// reaches a client that waits for it. When the handshake deadline expires
+// with no client byte, the connection is spliced verbatim and counted as
+// non-TLS instead of being dropped without a session.
+func TestNonTLSServerFirstSpliced(t *testing.T) {
+	const banner = "SSH-2.0-OpenSSH_9.6\r\n"
+	upstream := startRawUpstream(t, func(c net.Conn) {
+		defer c.Close()
+		if _, err := c.Write([]byte(banner)); err != nil {
+			return
+		}
+		io.Copy(c, c) //nolint:errcheck // echo until EOF
+	})
+	e := newEnv(t, func(cfg *interception.Config) {
+		cfg.Target = upstream
+		cfg.HandshakeTimeout = 100 * time.Millisecond
+	})
+
+	conn, err := net.Dial("tcp", e.it.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // test bound
+	got := make([]byte, len(banner))
+	if _, err := io.ReadFull(conn, got); err != nil || string(got) != banner {
+		t.Fatalf("banner through the interceptor: %q, %v", got, err)
+	}
+	echoRoundTrip(t, conn, "hello\n")
+	e.sessions.wait(t, "non-TLS session", func(s interception.Session) bool { return s.NonTLS })
+	if got := e.it.Stats().NonTLS; got != 1 {
+		t.Fatalf("Stats().NonTLS = %d, want 1", got)
+	}
+}
+
 // TestSessionResumption: once the upstream leg resumes (abbreviated
 // handshake, no Certificate message on the wire), the bump decision still
 // carries the correct dictionary identity — served from the interceptor's

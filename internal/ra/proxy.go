@@ -4,13 +4,14 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
-	"sync/atomic"
+	"time"
 
 	"ritm/internal/cert"
 	"ritm/internal/dictionary"
+	"ritm/internal/interception"
+	"ritm/internal/middlebox"
 	"ritm/internal/tlssim"
 )
 
@@ -31,19 +32,13 @@ import (
 // and protocols other than TLS", §VII-F).
 type Proxy struct {
 	ra   *RA
-	ln   net.Listener
+	srv  *middlebox.Server
 	dial func() (net.Conn, error)
-
-	// onErr holds the callback installed by SetOnError; read by handler
-	// goroutines, so it is atomic rather than a bare field (the seed's
-	// exported field was a data race waiting for its first -race run).
-	onErr atomic.Pointer[func(error)]
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
 }
+
+// firstBytesTimeout bounds the wait for the client's first bytes; tests
+// shorten it.
+var firstBytesTimeout = interception.DefaultHandshakeTimeout
 
 // NewProxy starts an RA proxy listening on listenAddr and forwarding every
 // connection to target. The returned proxy is already accepting.
@@ -53,118 +48,52 @@ func (ra *RA) NewProxy(listenAddr, target string) (*Proxy, error) {
 		return nil, fmt.Errorf("ra: listen %s: %w", listenAddr, err)
 	}
 	p := &Proxy{
-		ra:    ra,
-		ln:    ln,
-		dial:  func() (net.Conn, error) { return net.Dial("tcp", target) },
-		conns: make(map[net.Conn]struct{}),
+		ra:   ra,
+		srv:  middlebox.New(ln),
+		dial: func() (net.Conn, error) { return net.Dial("tcp", target) },
 	}
-	p.wg.Add(1)
-	go p.acceptLoop()
+	p.srv.Start(p.handle)
 	return p, nil
 }
 
 // Addr returns the proxy's listening address (clients connect here).
-func (p *Proxy) Addr() net.Addr { return p.ln.Addr() }
+func (p *Proxy) Addr() net.Addr { return p.srv.Addr() }
 
 // SetOnError installs a callback receiving per-connection data-path errors
 // that the proxy absorbs (it never stops serving because one connection
 // misbehaved). Safe to call at any time, including while serving; nil
 // uninstalls.
-func (p *Proxy) SetOnError(fn func(error)) {
-	if fn == nil {
-		p.onErr.Store(nil)
-		return
-	}
-	p.onErr.Store(&fn)
-}
-
-// reportError delivers err to the installed callback, if any.
-func (p *Proxy) reportError(err error) {
-	if fn := p.onErr.Load(); fn != nil {
-		(*fn)(err)
-	}
-}
+func (p *Proxy) SetOnError(fn func(error)) { p.srv.SetOnError(fn) }
 
 // Close stops accepting, closes every active connection, and waits for all
 // handlers to exit.
-func (p *Proxy) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.wg.Wait()
-		return nil
-	}
-	p.closed = true
-	err := p.ln.Close()
-	for c := range p.conns {
-		c.Close()
-	}
-	p.mu.Unlock()
-	p.wg.Wait()
-	return err
-}
-
-func (p *Proxy) acceptLoop() {
-	defer p.wg.Done()
-	for {
-		conn, err := p.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		if !p.track(conn) {
-			conn.Close()
-			return
-		}
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			defer p.untrack(conn)
-			if err := p.handle(conn); err != nil {
-				p.reportError(err)
-			}
-		}()
-	}
-}
-
-func (p *Proxy) track(c net.Conn) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return false
-	}
-	p.conns[c] = struct{}{}
-	return true
-}
-
-func (p *Proxy) untrack(c net.Conn) {
-	c.Close()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.conns, c)
-}
+func (p *Proxy) Close() error { return p.srv.Close() }
 
 // handle runs one proxied connection to completion.
 func (p *Proxy) handle(client net.Conn) error {
 	p.ra.stats.connectionsTotal.Add(1)
 
-	server, err := p.dial()
+	server, err := p.srv.Dial(p.dial)
+	if errors.Is(err, net.ErrClosed) {
+		return nil
+	}
 	if err != nil {
 		return fmt.Errorf("ra proxy: dial upstream: %w", err)
 	}
-	if !p.track(server) {
-		server.Close()
-		return nil
-	}
-	defer p.untrack(server)
+	defer p.srv.Release(server)
 
 	clientBuf := bufio.NewReader(client)
 
-	// DPI first pass: does this even look like TLS? Non-TLS connections are
-	// forwarded as opaque byte pipes.
+	// DPI first pass: does this even look like TLS? Non-TLS connections —
+	// including a server that speaks first and a client that stays silent
+	// past the deadline — are forwarded as opaque byte pipes.
+	client.SetReadDeadline(time.Now().Add(firstBytesTimeout)) //nolint:errcheck // best effort
 	hdr, err := clientBuf.Peek(RecordHeaderLen)
+	client.SetReadDeadline(time.Time{}) //nolint:errcheck // the streams run unbounded
 	if err != nil || !isRecord(hdr) {
 		p.ra.stats.nonTLSConnections.Add(1)
-		return p.pipeRaw(client, clientBuf, server)
+		p.ra.stats.spliceErrors.Add(p.srv.Splice(client, clientBuf, server))
+		return nil
 	}
 
 	sess := &proxySession{
@@ -176,23 +105,17 @@ func (p *Proxy) handle(client net.Conn) error {
 	defer sess.teardown()
 
 	errCh := make(chan error, 1)
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		errCh <- sess.clientToServer(clientBuf)
-	}()
+	p.srv.Go(func() { errCh <- sess.clientToServer(clientBuf) })
 	s2cErr := sess.serverToClient(bufio.NewReader(server))
 	// Unblock the other pump: its source or sink is about to go away.
 	client.Close()
 	server.Close()
 	c2sErr := <-errCh
-	if s2cErr != nil && !isClosedConn(s2cErr) {
-		p.ra.stats.spliceErrors.Add(1)
-		return s2cErr
-	}
-	if c2sErr != nil && !isClosedConn(c2sErr) {
-		p.ra.stats.spliceErrors.Add(1)
-		return c2sErr
+	for _, err := range []error{s2cErr, c2sErr} {
+		if err != nil && !middlebox.Benign(err) {
+			p.ra.stats.spliceErrors.Add(1)
+			return err
+		}
 	}
 	return nil
 }
@@ -200,49 +123,6 @@ func (p *Proxy) handle(client net.Conn) error {
 func isRecord(hdr []byte) bool {
 	_, _, ok := DetectRecord(hdr)
 	return ok
-}
-
-func isClosedConn(err error) bool {
-	return errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) ||
-		errors.Is(err, io.ErrClosedPipe)
-}
-
-// pipeRaw forwards bytes in both directions without interpretation. Splice
-// errors are not swallowed: a peer resetting mid-stream (or writing into a
-// half-closed socket) surfaces through SetOnError and the SpliceErrors
-// counter — the seed dropped both copy errors on the floor, so a flaky
-// upstream was indistinguishable from a quiet one.
-func (p *Proxy) pipeRaw(client net.Conn, clientBuf *bufio.Reader, server net.Conn) error {
-	done := make(chan struct{})
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		defer close(done)
-		if _, err := io.Copy(server, clientBuf); err != nil && !isClosedConn(err) {
-			p.spliceError(fmt.Errorf("ra proxy: client→server splice: %w", err))
-		}
-		closeWrite(server)
-	}()
-	if _, err := io.Copy(client, server); err != nil && !isClosedConn(err) {
-		p.spliceError(fmt.Errorf("ra proxy: server→client splice: %w", err))
-	}
-	closeWrite(client)
-	<-done
-	return nil
-}
-
-// spliceError counts and reports one non-benign splice error.
-func (p *Proxy) spliceError(err error) {
-	p.ra.stats.spliceErrors.Add(1)
-	p.reportError(err)
-}
-
-type closeWriter interface{ CloseWrite() error }
-
-func closeWrite(c net.Conn) {
-	if cw, ok := c.(closeWriter); ok {
-		cw.CloseWrite() //nolint:errcheck // half-close is advisory
-	}
 }
 
 func tupleOf(client net.Conn) FourTuple {
@@ -326,7 +206,7 @@ func (s *proxySession) clientToServer(src *bufio.Reader) error {
 	for {
 		rec, err := tlssim.ReadRecord(src)
 		if err != nil {
-			closeWrite(s.server)
+			middlebox.HalfClose(s.server)
 			return err
 		}
 		s.ra.stats.recordsInspected.Add(1)
@@ -369,7 +249,7 @@ func (s *proxySession) serverToClient(src *bufio.Reader) error {
 	for {
 		rec, err := tlssim.ReadRecord(src)
 		if err != nil {
-			closeWrite(s.client)
+			middlebox.HalfClose(s.client)
 			return err
 		}
 		s.ra.stats.recordsInspected.Add(1)

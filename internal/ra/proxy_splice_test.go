@@ -2,6 +2,7 @@ package ra
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -79,5 +80,63 @@ func TestProxySpliceErrorSurfaced(t *testing.T) {
 		}
 	default:
 		t.Fatal("no error delivered to SetOnError")
+	}
+}
+
+// TestProxyNonTLSServerFirst: a server that speaks first (an SSH banner)
+// reaches a client that waits for it. The proxy's first-bytes read is
+// bounded; when it expires with nothing from the client the connection is
+// spliced verbatim and counted as non-TLS, instead of the handler blocking
+// in the peek forever with the upstream conn held open.
+func TestProxyNonTLSServerFirst(t *testing.T) {
+	saved := firstBytesTimeout
+	firstBytesTimeout = 100 * time.Millisecond
+	t.Cleanup(func() { firstBytesTimeout = saved })
+	e := newEnv(t, time.Hour)
+
+	const banner = "SSH-2.0-OpenSSH_9.6\r\n"
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		if _, err := c.Write([]byte(banner)); err != nil {
+			return
+		}
+		io.Copy(c, c) //nolint:errcheck // echo until EOF
+	}()
+
+	proxy, err := e.ra.NewProxy("127.0.0.1:0", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+
+	conn, err := net.Dial("tcp", proxy.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // test bound
+	got := make([]byte, len(banner))
+	if _, err := io.ReadFull(conn, got); err != nil || string(got) != banner {
+		t.Fatalf("banner through the proxy: %q, %v", got, err)
+	}
+	// The splice carries the client's reply too.
+	if _, err := conn.Write([]byte("hello\n")); err != nil {
+		t.Fatal(err)
+	}
+	echo := make([]byte, len("hello\n"))
+	if _, err := io.ReadFull(conn, echo); err != nil || string(echo) != "hello\n" {
+		t.Fatalf("echo through the proxy: %q, %v", echo, err)
+	}
+	if st := e.ra.Stats(); st.NonTLSConnections != 1 {
+		t.Errorf("NonTLSConnections = %d, want 1", st.NonTLSConnections)
 	}
 }

@@ -71,10 +71,10 @@ func NewFileBackend(dir string, fsync bool) *FileBackend {
 // recovers its durable state (checkpoint selection, WAL scan, torn-tail
 // truncation).
 func (b *FileBackend) Open(name string) (Log, error) {
-	if b.Dir == "" {
-		return nil, fmt.Errorf("storage: file backend has no root directory")
+	dir, err := b.logDir(name)
+	if err != nil {
+		return nil, err
 	}
-	dir := filepath.Join(b.Dir, url.QueryEscape(name))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: open %q: %w", name, err)
 	}
@@ -83,6 +83,20 @@ func (b *FileBackend) Open(name string) (Log, error) {
 		return nil, fmt.Errorf("storage: recover %q: %w", name, err)
 	}
 	return l, nil
+}
+
+// logDir is the directory holding the log called name. url.QueryEscape
+// leaves "", "." and ".." unchanged, and joined onto Dir they name Dir
+// itself or its parent — where Destroy would wipe every log, or files that
+// are no log's — so they are refused.
+func (b *FileBackend) logDir(name string) (string, error) {
+	if b.Dir == "" {
+		return "", fmt.Errorf("storage: file backend has no root directory")
+	}
+	if name == "" || name == "." || name == ".." {
+		return "", fmt.Errorf("storage: log name %q is not a directory under the data dir", name)
+	}
+	return filepath.Join(b.Dir, url.QueryEscape(name)), nil
 }
 
 // fileLog is one directory's worth of durable state.

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"net/url"
 	"os"
 	"path/filepath"
 
@@ -86,10 +85,10 @@ func (c *MappedCheckpoint) Close() error {
 
 // Map implements Mapper.
 func (b *FileBackend) Map(name string) (*MappedCheckpoint, error) {
-	if b.Dir == "" {
-		return nil, fmt.Errorf("storage: file backend has no root directory")
+	dir, err := b.logDir(name)
+	if err != nil {
+		return nil, err
 	}
-	dir := filepath.Join(b.Dir, url.QueryEscape(name))
 	stamp, err := b.MapStamp(name)
 	if err != nil {
 		return nil, err
@@ -139,10 +138,10 @@ func (b *FileBackend) Map(name string) (*MappedCheckpoint, error) {
 
 // MapStamp implements Mapper.
 func (b *FileBackend) MapStamp(name string) (Stamp, error) {
-	if b.Dir == "" {
-		return Stamp{}, fmt.Errorf("storage: file backend has no root directory")
+	dir, err := b.logDir(name)
+	if err != nil {
+		return Stamp{}, err
 	}
-	dir := filepath.Join(b.Dir, url.QueryEscape(name))
 	var s Stamp
 	if fi, err := os.Stat(filepath.Join(dir, ckptName)); err == nil {
 		s.ckptSize = fi.Size()

@@ -301,3 +301,29 @@ func TestBothCheckpointsCorruptFailsLoudly(t *testing.T) {
 		t.Fatal("recovery over two corrupt checkpoints did not fail")
 	}
 }
+
+// TestFileBackendRejectsDotNames: url.QueryEscape leaves "", "." and ".."
+// unchanged, so those log names would resolve to the data dir itself or its
+// parent, and Destroy would then remove every log or a sibling of the data
+// dir. The file backend refuses them; the data dir's neighbours survive.
+func TestFileBackendRejectsDotNames(t *testing.T) {
+	parent := t.TempDir()
+	data := filepath.Join(parent, "data")
+	sibling := filepath.Join(parent, "sibling")
+	if err := os.WriteFile(sibling, []byte("keep"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	be := NewFileBackend(data, true)
+	for _, name := range []string{"", ".", ".."} {
+		if lg, err := be.Open(name); err == nil {
+			lg.Destroy() //nolint:errcheck // the damage the guard prevents
+			t.Errorf("Open(%q) succeeded", name)
+		}
+		if _, err := be.Map(name); err == nil {
+			t.Errorf("Map(%q) succeeded", name)
+		}
+	}
+	if _, err := os.Stat(sibling); err != nil {
+		t.Fatalf("file beside the data dir is gone: %v", err)
+	}
+}

@@ -324,14 +324,3 @@ func (d *Decoder) Raw(n int) []byte {
 	d.off += n
 	return b
 }
-
-// RawCopy reads exactly n bytes into fresh storage.
-func (d *Decoder) RawCopy(n int) []byte {
-	b := d.Raw(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
-}

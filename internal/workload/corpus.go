@@ -53,13 +53,6 @@ func (c *Corpus) Len() int { return len(c.sizes) }
 // Size returns CRL i's entry count (i = 0 is the largest).
 func (c *Corpus) Size(i int) int { return c.sizes[i] }
 
-// Sizes returns a copy of all entry counts, descending.
-func (c *Corpus) Sizes() []int {
-	out := make([]int, len(c.sizes))
-	copy(out, c.sizes)
-	return out
-}
-
 // Total returns the corpus total (TotalRevocations up to the ≥1-entry
 // floor adjustment, which tests bound).
 func (c *Corpus) Total() int {
