@@ -205,7 +205,7 @@ func BenchmarkAblationStatusCache(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			store, err := ra.NewStore(root)
+			store, err := ra.NewStore(ra.StoreOptions{}, root)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -46,8 +46,8 @@ func main() {
 		listen    = flag.String("listen", "127.0.0.1:8443", "address clients connect to")
 		target    = flag.String("target", "127.0.0.1:9443", "upstream server address")
 		delta     = flag.Duration("delta", 10*time.Second, "pull interval ∆")
-		jitter    = flag.Duration("jitter", 0, "max random per-CA pull delay each cycle (avoids fleet-wide stampedes)")
-		expire    = flag.Duration("expire-shards", 0, "expiry-shard bucket width; >0 drops fully expired shards every cycle")
+		jitter    = flag.Duration("jitter", 0, "max random phase of each CA's pull schedule (avoids fleet-wide stampedes)")
+		expire    = flag.Duration("expire-shards", 0, "expiry-shard bucket width; >0 drops a fully expired shard before its next pull")
 		chain     = flag.String("edge-chain", "", "comma-separated TTLs of local caching edge layers over the dissemination endpoint, nearest first (e.g. \"5s,30s\" = PoP-style 5s cache in front of a 30s regional-style cache); each layer also negative-caches unknown CAs for its TTL")
 		dataDir   = flag.String("data-dir", "", "directory for durable replica state (WAL + checkpoints per CA); a restarted RA resumes at its persisted count and pulls only the missed suffix. Empty = in-memory only")
 		ckptEvery = flag.Int("checkpoint-every", dictionary.DefaultCheckpointEvery, "persisted update batches between checkpoint snapshots")
@@ -234,7 +234,7 @@ func run(caURL, origins, listen, target string, delta, jitter, expire, cooldown 
 			interval = 50 * time.Millisecond
 		}
 	}
-	fetcher := agent.StartFetcherWith(ritm.FetcherOptions{
+	fetcher := agent.StartFetcher(ritm.FetcherOptions{
 		Interval:    interval,
 		Jitter:      jitter,
 		ShardExpiry: expire,

@@ -67,7 +67,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fetchers[i] = agents[i].StartFetcherWith(ritm.FetcherOptions{
+		fetchers[i] = agents[i].StartFetcher(ritm.FetcherOptions{
 			Interval: delta / 2,
 			Jitter:   delta / 4,
 			OnError:  func(err error) { log.Printf("sync: %v", err) },

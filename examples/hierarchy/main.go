@@ -82,7 +82,7 @@ func run() error {
 					return err
 				}
 				agents = append(agents, agent)
-				fetchers = append(fetchers, agent.StartFetcherWith(ritm.FetcherOptions{
+				fetchers = append(fetchers, agent.StartFetcher(ritm.FetcherOptions{
 					Interval: delta / 2,
 					Jitter:   delta / 4,
 					OnError:  func(err error) { log.Printf("sync: %v", err) },

@@ -64,7 +64,7 @@ func run() error {
 	if err := gateway.SyncOnce(); err != nil {
 		return err
 	}
-	fetcher := gateway.StartFetcherEvery(delta/3, nil)
+	fetcher := gateway.StartFetcher(ritm.FetcherOptions{Interval: delta / 3})
 	defer fetcher.Shutdown()
 
 	// The IoT broker: a TLS server streaming telemetry acknowledgements.

@@ -38,10 +38,12 @@ type MetaOrigin interface {
 	NegativeTTL() time.Duration
 }
 
-// defaultEdgeMaxEntries bounds the edge cache when the operator does not
-// choose a limit. One entry per (CA, from) pair is live at a time per RA
-// cohort, so even large multi-shard fleets stay far below this.
-const defaultEdgeMaxEntries = 4096
+// edgeMaxEntries bounds the edge cache (and its negative map). One entry
+// per (CA, from) pair is live at a time per RA cohort, so even large
+// multi-shard fleets stay far below this. When the cap is exceeded a sweep
+// runs and, if expiry and stale-offset eviction are not enough, the oldest
+// entries are dropped.
+const edgeMaxEntries = 4096
 
 // EdgeServer replicates an upstream Origin (the distribution point, or
 // another edge in a hierarchy) with a pull-through TTL cache, the dominant
@@ -83,7 +85,7 @@ type EdgeServer struct {
 	negTTL       time.Duration
 	lastSweep    time.Time
 	lastNegSweep time.Time
-	maxEntries   int
+	maxEntries   int // edgeMaxEntries; in-package tests lower it
 	stats        EdgeStats
 }
 
@@ -119,7 +121,7 @@ func NewEdgeServer(upstream Origin, ttl time.Duration, now func() time.Time) *Ed
 		inflight:   make(map[edgeKey]*edgeCall),
 		latest:     make(map[dictionary.CAID]uint64),
 		negative:   make(map[dictionary.CAID]time.Time),
-		maxEntries: defaultEdgeMaxEntries,
+		maxEntries: edgeMaxEntries,
 	}
 }
 
@@ -139,21 +141,6 @@ func (e *EdgeServer) SetNegativeTTL(d time.Duration) {
 	e.negTTL = d
 	if d == 0 {
 		e.negative = make(map[dictionary.CAID]time.Time)
-	}
-}
-
-// SetMaxEntries bounds the cache to n entries (0 restores the default).
-// When the cap is exceeded a sweep runs immediately and, if expiry and
-// stale-offset eviction are not enough, the oldest entries are dropped.
-func (e *EdgeServer) SetMaxEntries(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n <= 0 {
-		n = defaultEdgeMaxEntries
-	}
-	e.maxEntries = n
-	if len(e.cache) > e.maxEntries {
-		e.sweepLocked(e.now())
 	}
 }
 

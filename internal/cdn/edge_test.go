@@ -72,7 +72,7 @@ func TestEdgeMaxEntriesCap(t *testing.T) {
 	}
 
 	edge := NewEdgeServer(dp, time.Hour, clock.now)
-	edge.SetMaxEntries(8)
+	edge.maxEntries = 8
 	for _, id := range ids {
 		if _, err := edge.Pull(id, 0); err != nil {
 			t.Fatal(err)
@@ -675,7 +675,7 @@ func TestEdgeNegativeEntryDoesNotShadowPositiveCache(t *testing.T) {
 func TestEdgeNegativeCacheBounded(t *testing.T) {
 	tc := newTestCA(t, "CA1")
 	edge := NewEdgeServer(tc.dp, time.Minute, tc.clock.now)
-	edge.SetMaxEntries(8)
+	edge.maxEntries = 8
 	edge.SetNegativeTTL(30 * time.Second)
 
 	for i := 0; i < 100; i++ {

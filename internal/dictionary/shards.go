@@ -72,7 +72,7 @@ func (s *ShardedAuthority) ShardIDFor(notAfter int64) ShardID {
 // base CA and the expiry-bucket start (Unix seconds). ok is false for
 // identifiers of unsharded dictionaries. RAs use it to decide when a
 // replicated shard can be dropped: a shard whose bucket ended in the past
-// covers only expired certificates (see ra.Store.RemoveExpired).
+// covers only expired certificates (see ra.FetcherOptions.ShardExpiry).
 func ParseShardID(id CAID) (base CAID, bucketStart int64, ok bool) {
 	s := string(id)
 	i := strings.LastIndex(s, "/exp-")

@@ -90,9 +90,6 @@ type Config struct {
 	// HandshakeTimeout bounds the time from accept to bump decision
 	// (ClientHello read + upstream dial + status check). 0 = 10s.
 	HandshakeTimeout time.Duration
-	// IdentityCacheCap bounds the host → upstream-identity cache used to
-	// support resumed upstream handshakes (0 = 4096).
-	IdentityCacheCap int
 }
 
 // Session is the per-connection outcome the interceptor exposes: what the
@@ -202,7 +199,9 @@ type Interceptor struct {
 // leaves HandshakeTimeout zero.
 const DefaultHandshakeTimeout = 10 * time.Second
 
-const defaultIdentityCacheCap = 4096
+// identityCacheCap bounds the host → upstream-identity cache used to
+// support resumed upstream handshakes.
+const identityCacheCap = 4096
 
 // Listen starts an interceptor on addr. The returned interceptor is
 // already accepting.
@@ -230,9 +229,6 @@ func NewWithListener(ln net.Listener, cfg Config) (*Interceptor, error) {
 	}
 	if cfg.HandshakeTimeout <= 0 {
 		cfg.HandshakeTimeout = DefaultHandshakeTimeout
-	}
-	if cfg.IdentityCacheCap <= 0 {
-		cfg.IdentityCacheCap = defaultIdentityCacheCap
 	}
 	if cfg.DialUpstream == nil {
 		cfg.DialUpstream = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
@@ -502,7 +498,7 @@ func (it *Interceptor) resolveIdentity(host string, cs *tls.ConnectionState) (up
 		}
 		id := upstreamIdentity{ca: ca, sn: sn, leaf: leaf}
 		it.idmu.Lock()
-		if len(it.idcache) >= it.cfg.IdentityCacheCap {
+		if len(it.idcache) >= identityCacheCap {
 			for k := range it.idcache { // cap guard; eviction order does not matter
 				delete(it.idcache, k)
 				break

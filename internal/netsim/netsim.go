@@ -172,29 +172,6 @@ func (n *Network) HierarchyDownloadTime(node, trial, bytes int, popHit, regional
 	return total, nil
 }
 
-// HierarchySample draws trials hierarchy downloads of size bytes from
-// every vantage point with the given per-tier hit probabilities (the
-// measured hit rates of a real run), returning sorted samples. The hit
-// draw shares the download's seeded rng, so the sample set is fully
-// deterministic in (seed, bytes, trials, rates).
-func (n *Network) HierarchySample(bytes, trials int, popHitRate, regionalHitRate float64) []time.Duration {
-	out := make([]time.Duration, 0, n.Nodes()*trials)
-	for node := 0; node < n.Nodes(); node++ {
-		for trial := 0; trial < trials; trial++ {
-			rng := rand.New(rand.NewPCG(n.seed^hierarchySeedSalt^0x5A, uint64(node)<<32|uint64(trial)))
-			popHit := rng.Float64() < popHitRate
-			regionalHit := rng.Float64() < regionalHitRate
-			d, err := n.HierarchyDownloadTime(node, trial, bytes, popHit, regionalHit)
-			if err != nil {
-				continue // unreachable: node index is in range
-			}
-			out = append(out, d)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Sample runs trials downloads of size bytes from every vantage point and
 // returns all samples, sorted ascending — the raw material of a CDF.
 func (n *Network) Sample(bytes, trials int) []time.Duration {

@@ -152,30 +152,6 @@ func TestHierarchyDownloadTimeOrdering(t *testing.T) {
 	}
 }
 
-func TestHierarchySampleHitRateMonotone(t *testing.T) {
-	n := NewNetwork(7)
-	const bytes = 12 * 1024
-	allMiss := n.HierarchySample(bytes, 10, 0, 0)
-	allPopHit := n.HierarchySample(bytes, 10, 1, 0)
-	if len(allMiss) != n.Nodes()*10 || len(allPopHit) != len(allMiss) {
-		t.Fatalf("sample sizes %d/%d, want %d", len(allMiss), len(allPopHit), n.Nodes()*10)
-	}
-	// A fleet that always hits its PoP is faster at every quantile than
-	// one that always walks to the origin.
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-		if hit, miss := Quantile(allPopHit, q), Quantile(allMiss, q); hit >= miss {
-			t.Errorf("q%.2f: all-hit %v ≥ all-miss %v", q, hit, miss)
-		}
-	}
-	// Determinism across calls.
-	again := n.HierarchySample(bytes, 10, 0, 0)
-	for i := range again {
-		if again[i] != allMiss[i] {
-			t.Fatal("HierarchySample is not deterministic")
-		}
-	}
-}
-
 func TestRegionsAccessor(t *testing.T) {
 	regions := Regions()
 	if len(regions) == 0 {

@@ -1,16 +1,12 @@
 package ra
 
 import (
-	"errors"
-	"fmt"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"ritm/internal/cert"
-	"ritm/internal/cryptoutil"
 	"ritm/internal/dictionary"
 	"ritm/internal/serial"
 )
@@ -193,74 +189,26 @@ func TestStatusCacheInvalidationOnSwap(t *testing.T) {
 	}
 }
 
-// TestRemoveExpiredShards covers the §VIII storage-reclamation path: only
-// expiry shards whose bucket has fully passed are dropped, their cached
-// statuses with them; unsharded dictionaries are never touched.
+// TestRemoveExpiredShards covers the §VIII storage-reclamation check the
+// fetcher runs before each pull: only expiry shards whose bucket has fully
+// passed expire; unsharded dictionaries and malformed suffixes never do.
 func TestRemoveExpiredShards(t *testing.T) {
 	const width = 1000 * time.Second
-	shardRoot := func(t *testing.T, base string, bucket int64) *cert.Certificate {
-		t.Helper()
-		key, err := cryptoutil.NewSigner(nil)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		ca   dictionary.CAID
+		want bool
+	}{
+		{"CA1/exp-1000", true},    // bucket [1000, 2000): gone at 2500
+		{"CA1/exp-2000", false},   // bucket [2000, 3000): live at 2500
+		{"LegacyCA", false},       // never pruned
+		{"CA9/exp-oops-1", false}, // malformed suffix: not a shard
+	} {
+		if got := expiredShard(tc.ca, 2500, width); got != tc.want {
+			t.Errorf("expiredShard(%s) = %v, want %v", tc.ca, got, tc.want)
 		}
-		id := dictionary.CAID(fmt.Sprintf("%s/exp-%d", base, bucket))
-		c, err := cert.Issue(id, key, cert.Template{
-			SerialNumber: serial.FromUint64(1),
-			Subject:      string(id),
-			NotBefore:    0,
-			NotAfter:     1 << 40,
-			PublicKey:    key.Public(),
-			IsCA:         true,
-		})
-		if err != nil {
-			t.Fatal(err)
+		// Zero width disables pruning entirely.
+		if expiredShard(tc.ca, 1<<40, 0) {
+			t.Errorf("width 0 expires %s", tc.ca)
 		}
-		return c
-	}
-	plainRoot := func(t *testing.T, id string) *cert.Certificate {
-		t.Helper()
-		key, err := cryptoutil.NewSigner(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := cert.Issue(dictionary.CAID(id), key, cert.Template{
-			SerialNumber: serial.FromUint64(1),
-			Subject:      id,
-			NotBefore:    0,
-			NotAfter:     1 << 40,
-			PublicKey:    key.Public(),
-			IsCA:         true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-
-	expired := shardRoot(t, "CA1", 1000)   // bucket [1000, 2000): gone at 2500
-	live := shardRoot(t, "CA1", 2000)      // bucket [2000, 3000): live at 2500
-	unsharded := plainRoot(t, "LegacyCA")  // never pruned
-	trap := plainRoot(t, "CA9/exp-oops-1") // malformed suffix: not a shard
-
-	store, err := NewStore(expired, live, unsharded, trap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	removed := store.RemoveExpired(2500, width)
-	if len(removed) != 1 || removed[0] != expired.Issuer {
-		t.Fatalf("RemoveExpired = %v, want [%s]", removed, expired.Issuer)
-	}
-	if _, err := store.Replica(expired.Issuer); !errors.Is(err, ErrNoDictionary) {
-		t.Errorf("expired shard still replicated: %v", err)
-	}
-	for _, keep := range []dictionary.CAID{live.Issuer, unsharded.Issuer, trap.Issuer} {
-		if _, err := store.Replica(keep); err != nil {
-			t.Errorf("replica %s should survive: %v", keep, err)
-		}
-	}
-	// Zero width disables pruning entirely.
-	if removed := store.RemoveExpired(1<<40, 0); removed != nil {
-		t.Errorf("width 0 pruned %v", removed)
 	}
 }

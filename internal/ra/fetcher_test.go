@@ -36,7 +36,7 @@ func TestFetcherSyncsImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Interval of an hour: only the immediate first sync can catch up.
-	f := e.ra.StartFetcherWith(FetcherOptions{Interval: time.Hour})
+	f := e.ra.StartFetcher(FetcherOptions{Interval: time.Hour})
 	defer f.Shutdown()
 	waitFor(t, 2*time.Second, func() bool {
 		r, err := e.ra.Store().Replica("CA1")
@@ -48,13 +48,13 @@ func TestFetcherSyncsImmediately(t *testing.T) {
 }
 
 // TestFetcherJitterStillSyncs runs a jittered fetcher and asserts syncing
-// proceeds (jitter delays pulls within a cycle, it must not lose them).
+// proceeds (jitter shifts each CA's schedule, it must not lose pulls).
 func TestFetcherJitterStillSyncs(t *testing.T) {
 	e := newEnv(t, 10*time.Second)
 	if _, err := e.ca.Revoke(serial.NewGenerator(4, nil).NextN(3)...); err != nil {
 		t.Fatal(err)
 	}
-	f := e.ra.StartFetcherWith(FetcherOptions{Interval: 30 * time.Millisecond, Jitter: 10 * time.Millisecond})
+	f := e.ra.StartFetcher(FetcherOptions{Interval: 30 * time.Millisecond, Jitter: 10 * time.Millisecond})
 	defer f.Shutdown()
 	waitFor(t, 2*time.Second, func() bool {
 		r, err := e.ra.Store().Replica("CA1")
@@ -64,7 +64,7 @@ func TestFetcherJitterStillSyncs(t *testing.T) {
 
 // TestSyncOnceSurfacesErrAhead asserts the plain sync path still reports
 // the origin regression instead of recovering silently: recovery is the
-// fetcher's (opt-out) policy, not SyncOnce semantics.
+// fetcher's policy, not SyncOnce semantics.
 func TestSyncOnceSurfacesErrAhead(t *testing.T) {
 	e := newEnv(t, 10*time.Second)
 	if _, err := e.ca.Revoke(serial.NewGenerator(5, nil).NextN(2)...); err != nil {
@@ -129,7 +129,7 @@ func TestFetcherRecoversFromOriginRestart(t *testing.T) {
 	}
 	e.ra.origin = dp2
 
-	f := e.ra.StartFetcherWith(FetcherOptions{Interval: 20 * time.Millisecond})
+	f := e.ra.StartFetcher(FetcherOptions{Interval: 20 * time.Millisecond})
 	defer f.Shutdown()
 
 	// Recovery: the replica re-resolves to the origin's (shorter) state.
@@ -157,55 +157,9 @@ func TestFetcherRecoversFromOriginRestart(t *testing.T) {
 	}, "post-recovery catch-up")
 }
 
-// TestFetcherDisableRecovery asserts the opt-out: with recovery disabled
-// the ErrAhead surfaces through OnError on every cycle and the replica is
-// left untouched.
-func TestFetcherDisableRecovery(t *testing.T) {
-	e := newEnv(t, 10*time.Second)
-	if _, err := e.ca.Revoke(serial.NewGenerator(8, nil).NextN(2)...); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.ra.SyncOnce(); err != nil {
-		t.Fatal(err)
-	}
-	dp2 := cdn.NewDistributionPoint(nil)
-	if err := dp2.RegisterCA("CA1", e.ca.PublicKey()); err != nil {
-		t.Fatal(err)
-	}
-	e.ra.origin = dp2
-
-	errs := make(chan error, 64)
-	f := e.ra.StartFetcherWith(FetcherOptions{
-		Interval:        20 * time.Millisecond,
-		DisableRecovery: true,
-		OnError: func(err error) {
-			select {
-			case errs <- err:
-			default: // the test stops draining after the first error
-			}
-		},
-	})
-	defer f.Shutdown()
-
-	select {
-	case err := <-errs:
-		if !errors.Is(err, cdn.ErrAhead) {
-			t.Fatalf("surfaced error = %v, want ErrAhead", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("ErrAhead never surfaced with recovery disabled")
-	}
-	if r, _ := e.ra.Store().Replica("CA1"); r.Count() != 2 {
-		t.Errorf("replica mutated with recovery disabled: count = %d, want 2", r.Count())
-	}
-	if st := f.Stats(); st.Recoveries != 0 {
-		t.Errorf("recoveries = %d, want 0", st.Recoveries)
-	}
-}
-
 // TestFetcherShardExpiry wires the §VIII "ever-growing dictionaries"
 // story end to end: an RA replicating an expiry shard whose bucket lies
-// in the past drops it on the fetcher's expiry sweep, while unsharded
+// in the past drops it on the fetcher's expiry check, while unsharded
 // dictionaries are untouched.
 func TestFetcherShardExpiry(t *testing.T) {
 	const width = time.Hour
@@ -245,7 +199,7 @@ func TestFetcherShardExpiry(t *testing.T) {
 		t.Fatalf("replicating %d dictionaries, want 2", got)
 	}
 
-	f := agent.StartFetcherWith(FetcherOptions{Interval: 20 * time.Millisecond, ShardExpiry: width})
+	f := agent.StartFetcher(FetcherOptions{Interval: 20 * time.Millisecond, ShardExpiry: width})
 	defer f.Shutdown()
 	waitFor(t, 2*time.Second, func() bool {
 		cas := agent.Store().CAs()
@@ -253,6 +207,20 @@ func TestFetcherShardExpiry(t *testing.T) {
 	}, "expired shard removal")
 	if st := f.Stats(); st.ShardsExpired != 1 {
 		t.Errorf("shards expired = %d, want 1", st.ShardsExpired)
+	}
+}
+
+// TestFetcherStopsPullingRemovedCA: a CA removed from the store while the
+// fetcher runs leaves its schedule instead of failing every interval.
+func TestFetcherStopsPullingRemovedCA(t *testing.T) {
+	e := newEnv(t, 10*time.Second)
+	f := e.ra.StartFetcher(FetcherOptions{Interval: 10 * time.Millisecond})
+	defer f.Shutdown()
+	waitFor(t, 2*time.Second, func() bool { return f.Stats().Syncs >= 1 }, "first sync")
+	e.ra.Store().Remove("CA1")
+	time.Sleep(100 * time.Millisecond) // ten intervals
+	if st := f.Stats(); st.Errors != 0 {
+		t.Errorf("errors = %d after removal, want 0 (the removed CA is still pulled)", st.Errors)
 	}
 }
 
@@ -300,7 +268,7 @@ func TestFetcherRepeatedOriginRestarts(t *testing.T) {
 		t.Fatalf("pre-restart count = %d, want 6", r.Count())
 	}
 
-	f := e.ra.StartFetcherWith(FetcherOptions{Interval: 20 * time.Millisecond})
+	f := e.ra.StartFetcher(FetcherOptions{Interval: 20 * time.Millisecond})
 	defer f.Shutdown()
 
 	for restarts := 1; restarts <= 3; restarts++ {

@@ -1,7 +1,6 @@
 package ra
 
 import (
-	"errors"
 	"fmt"
 	"net/http/httptest"
 	"sync"
@@ -17,9 +16,9 @@ import (
 	"ritm/internal/storage"
 )
 
-// Multi-origin suite: per-CA fault isolation inside one fetch cycle, the
-// Config.Origins failover wiring, and the leader-crash → follower-promotion
-// scenario the HA design exists for.
+// Multi-origin suite: per-CA fault isolation across the fetcher's
+// schedules and the leader-crash → follower-promotion scenario the HA
+// design exists for.
 
 // newPublishedCA registers a CA on dp and publishes its root + first
 // freshness statement so RAs can sync before the first revocation.
@@ -63,13 +62,14 @@ func (g *gateOrigin) LatestRoot(ca dictionary.CAID) (*dictionary.SignedRoot, err
 }
 func (g *gateOrigin) CAs() ([]dictionary.CAID, error) { return g.inner.CAs() }
 
-// TestFetcherShardIsolationHungOrigin pins the per-CA isolation contract:
-// one CA's origin shard hanging mid-pull must not delay the other CAs in
-// the same tick. The seed fetcher synced CAs sequentially, so one hung
-// shard froze the whole RA for the cycle.
-func TestFetcherShardIsolationHungOrigin(t *testing.T) {
+// hungCAEnv starts a fetcher over FastCA and SlowCA behind a gateOrigin
+// that holds SlowCA's pull, after FastCA revoked three serials. The
+// returned release unblocks SlowCA; it runs (once) before Shutdown at
+// cleanup, which otherwise waits for the hung pull.
+func hungCAEnv(t *testing.T, seed uint64) (agent *RA, fastCA *ca.CA, release func()) {
+	t.Helper()
 	dp := cdn.NewDistributionPoint(nil)
-	fastCA := newPublishedCA(t, dp, "FastCA")
+	fastCA = newPublishedCA(t, dp, "FastCA")
 	slowCA := newPublishedCA(t, dp, "SlowCA")
 	gate := &gateOrigin{
 		inner:   dp,
@@ -85,14 +85,15 @@ func TestFetcherShardIsolationHungOrigin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fastCA.Revoke(serial.NewGenerator(21, nil).NextN(3)...); err != nil {
+	if _, err := fastCA.Revoke(serial.NewGenerator(seed, nil).NextN(3)...); err != nil {
 		t.Fatal(err)
 	}
 
-	f := agent.StartFetcherWith(FetcherOptions{Interval: 20 * time.Millisecond})
-	var release sync.Once
-	defer f.Shutdown()
-	defer release.Do(func() { close(gate.gate) }) // Shutdown joins the cycle; unblock it first
+	f := agent.StartFetcher(FetcherOptions{Interval: 20 * time.Millisecond})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate.gate) }) }
+	t.Cleanup(f.Shutdown)
+	t.Cleanup(release)
 
 	// The slow shard is hung in flight...
 	select {
@@ -100,19 +101,44 @@ func TestFetcherShardIsolationHungOrigin(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("slow CA pull never started")
 	}
-	// ...and the fast CA still syncs within the same (uncompleted) cycle.
+	// ...and the fast CA still syncs.
 	waitFor(t, 2*time.Second, func() bool {
 		r, err := agent.Store().Replica("FastCA")
 		return err == nil && r.Count() == 3
 	}, "fast CA sync while slow shard is hung")
-	if st := f.Stats(); st.Syncs != 0 {
-		t.Errorf("syncs = %d while a pull is hung, want 0 (cycle must still be open)", st.Syncs)
-	}
+	return agent, fastCA, release
+}
 
-	release.Do(func() { close(gate.gate) })
+// TestFetcherShardIsolationHungOrigin pins the per-CA isolation contract:
+// one CA's origin shard hanging mid-pull must not delay the other CAs'
+// first sync, and the hung CA syncs once its origin answers. The seed
+// fetcher synced CAs sequentially, so one hung shard froze the whole RA.
+func TestFetcherShardIsolationHungOrigin(t *testing.T) {
+	agent, _, release := hungCAEnv(t, 21)
+	if _, err := agent.Store().LatestRoot("SlowCA"); err == nil {
+		t.Error("SlowCA has a root while its only pull is hung")
+	}
+	release()
 	waitFor(t, 2*time.Second, func() bool {
-		return f.Stats().Syncs >= 1
-	}, "cycle completion after release")
+		_, err := agent.Store().LatestRoot("SlowCA")
+		return err == nil
+	}, "SlowCA sync after release")
+}
+
+// TestFetcherHungCADoesNotStallOthers pins that the isolation lasts past
+// the first sync: while SlowCA's pull stays hung, FastCA keeps syncing on
+// its own schedule. A lockstep cycle (every CA pulled, then all joined,
+// before the next tick) froze FastCA at its first sync for as long as
+// SlowCA's origin did not answer.
+func TestFetcherHungCADoesNotStallOthers(t *testing.T) {
+	agent, fastCA, _ := hungCAEnv(t, 25)
+	if _, err := fastCA.Revoke(serial.NewGenerator(26, nil).NextN(2)...); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, time.Second, func() bool {
+		r, err := agent.Store().Replica("FastCA")
+		return err == nil && r.Count() == 5
+	}, "FastCA's next syncs while SlowCA is hung")
 }
 
 // caFaultOrigin fails pulls for one CA while broken; everything else is
@@ -159,7 +185,7 @@ func TestFetcherShardFailureIsolationStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f := agent.StartFetcherWith(FetcherOptions{Interval: 20 * time.Millisecond})
+	f := agent.StartFetcher(FetcherOptions{Interval: 20 * time.Millisecond})
 	defer f.Shutdown()
 
 	waitFor(t, 2*time.Second, func() bool {
@@ -181,62 +207,6 @@ func TestFetcherShardFailureIsolationStats(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool {
 		return len(f.Stats().ConsecutiveFailures) == 0
 	}, "failure streak cleared after heal")
-}
-
-// deadOrigin refuses everything — a crashed candidate.
-type deadOrigin struct{}
-
-func (deadOrigin) Pull(dictionary.CAID, uint64) (*cdn.PullResponse, error) {
-	return nil, errors.New("connection refused")
-}
-func (deadOrigin) LatestRoot(dictionary.CAID) (*dictionary.SignedRoot, error) {
-	return nil, errors.New("connection refused")
-}
-func (deadOrigin) CAs() ([]dictionary.CAID, error) {
-	return nil, errors.New("connection refused")
-}
-
-// TestRAConfigOriginsFailover wires Config.Origins end to end: the RA
-// built with a dead preferred candidate and a live second one syncs
-// through the failover wrapper without the caller doing anything.
-func TestRAConfigOriginsFailover(t *testing.T) {
-	dp := cdn.NewDistributionPoint(nil)
-	authority := newPublishedCA(t, dp, "CA1")
-	if _, err := authority.Revoke(serial.NewGenerator(23, nil).NextN(4)...); err != nil {
-		t.Fatal(err)
-	}
-
-	agent, err := New(Config{
-		Roots:            []*cert.Certificate{authority.RootCertificate()},
-		Origins:          []cdn.Origin{deadOrigin{}, dp},
-		FailoverCooldown: time.Minute,
-		Delta:            10 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := agent.SyncOnce(); err != nil {
-		t.Fatalf("sync through dead preferred candidate: %v", err)
-	}
-	r, err := agent.Store().Replica("CA1")
-	if err != nil || r.Count() != 4 {
-		t.Fatalf("replica count = %v (err %v), want 4", r.Count(), err)
-	}
-
-	// Origin + Origins compose: Origin becomes the first candidate.
-	agent2, err := New(Config{
-		Roots:            []*cert.Certificate{authority.RootCertificate()},
-		Origin:           deadOrigin{},
-		Origins:          []cdn.Origin{dp},
-		FailoverCooldown: time.Minute,
-		Delta:            10 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := agent2.SyncOnce(); err != nil {
-		t.Fatalf("sync with Origin as dead first candidate: %v", err)
-	}
 }
 
 // TestLeaderCrashFollowerFailover is the acceptance scenario: a leader
@@ -266,14 +236,17 @@ func TestLeaderCrashFollowerFailover(t *testing.T) {
 	followerSrv := httptest.NewServer(cdn.Handler(followerDP))
 	defer followerSrv.Close()
 
+	failover, err := cdn.NewFailoverOrigin([]cdn.Origin{
+		&cdn.HTTPClient{BaseURL: leaderSrv.URL, MaxAttempts: 1},
+		&cdn.HTTPClient{BaseURL: followerSrv.URL, MaxAttempts: 1},
+	}, cdn.ShardedOriginOptions{Cooldown: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
 	agent, err := New(Config{
-		Roots: []*cert.Certificate{authority.RootCertificate()},
-		Origins: []cdn.Origin{
-			&cdn.HTTPClient{BaseURL: leaderSrv.URL, MaxAttempts: 1},
-			&cdn.HTTPClient{BaseURL: followerSrv.URL, MaxAttempts: 1},
-		},
-		FailoverCooldown: 50 * time.Millisecond,
-		Delta:            delta,
+		Roots:  []*cert.Certificate{authority.RootCertificate()},
+		Origin: failover,
+		Delta:  delta,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +306,7 @@ func TestLeaderCrashFollowerFailover(t *testing.T) {
 	// The fetcher drives the whole recovery: transport error on the leader
 	// → failover → follower answers ErrAhead (it never saw batch 2) →
 	// Resync adopts the follower's shorter signed history.
-	f := agent.StartFetcherWith(FetcherOptions{Interval: 20 * time.Millisecond})
+	f := agent.StartFetcher(FetcherOptions{Interval: 20 * time.Millisecond})
 	defer f.Shutdown()
 	waitFor(t, 5*time.Second, func() bool {
 		r, err := agent.Store().Replica("CA1")

@@ -202,7 +202,7 @@ func TestDurableOriginRestartNoResync(t *testing.T) {
 		}
 		swap.set(dp2)
 
-		f := agent.StartFetcherWith(FetcherOptions{Interval: 20 * time.Millisecond})
+		f := agent.StartFetcher(FetcherOptions{Interval: 20 * time.Millisecond})
 		defer f.Shutdown()
 
 		// The RA keeps syncing across the restart: new revocations flow
@@ -399,10 +399,7 @@ func TestBoundedPullBodyApplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reader.Store().Close()
-	d, ok := reader.Store().sharedFor("CA1")
-	if !ok {
-		t.Fatal("reader has no shared dictionary for CA1")
-	}
+	d := sharedOf(t, reader, "CA1")
 	if snap := d.state.Load().snap; !snap.Root().Equal(want()) || snap.Count() != 450 {
 		t.Fatalf("shared reader at n=%d, not at the signed root", snap.Count())
 	}

@@ -21,20 +21,12 @@ type Config struct {
 	// replicates.
 	Roots []*cert.Certificate
 	// Origin is the dissemination endpoint the RA pulls from (normally an
-	// edge server; cdn.HTTPClient for a remote one).
+	// edge server; cdn.HTTPClient for a remote one). Several candidates —
+	// the nearest edge, a follower origin, a remote region — go behind
+	// one cdn.NewFailoverOrigin, which demotes dead or behind candidates;
+	// with the ErrAhead→Resync recovery that survives a leader crash plus
+	// follower promotion without operator action.
 	Origin cdn.Origin
-	// Origins, when non-empty, is the RA's multi-origin source list: an
-	// ordered set of failover candidates (preferred first — e.g. the
-	// nearest edge, then a follower origin, then a remote region). The RA
-	// wraps them in a cdn failover origin that demotes dead or behind
-	// candidates and converges on whichever one answers; combined with
-	// the ErrAhead→Resync machinery this is what survives a leader crash
-	// plus follower promotion without operator action. When Origin is
-	// also set it becomes the first candidate.
-	Origins []cdn.Origin
-	// FailoverCooldown is how long a demoted candidate from Origins stays
-	// skipped before being probed again (0 = cdn.DefaultFailoverCooldown).
-	FailoverCooldown time.Duration
 	// Delta is the pull interval ∆. Zero selects 10 seconds, the smallest
 	// value the paper analyzes.
 	Delta time.Duration
@@ -100,20 +92,6 @@ type connIdentity struct {
 
 // New creates a Revocation Agent.
 func New(cfg Config) (*RA, error) {
-	if len(cfg.Origins) > 0 {
-		candidates := cfg.Origins
-		if cfg.Origin != nil {
-			candidates = append([]cdn.Origin{cfg.Origin}, candidates...)
-		}
-		failover, err := cdn.NewFailoverOrigin(candidates, cdn.ShardedOriginOptions{
-			Cooldown: cfg.FailoverCooldown,
-			Now:      cfg.Now,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("ra: %w", err)
-		}
-		cfg.Origin = failover
-	}
 	if cfg.Origin == nil && !cfg.SharedData {
 		return nil, fmt.Errorf("ra: config missing dissemination origin")
 	}
@@ -129,7 +107,7 @@ func New(cfg Config) (*RA, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	store, err := NewStoreWithOptions(StoreOptions{
+	store, err := NewStore(StoreOptions{
 		Storage:         cfg.Storage,
 		CheckpointEvery: cfg.CheckpointEvery,
 		SharedData:      cfg.SharedData,
@@ -174,16 +152,16 @@ func (ra *RA) SyncOnce() error {
 }
 
 func (ra *RA) syncCA(ca dictionary.CAID) error {
-	// Shared-mode dictionaries sync against the writer's durable state,
-	// not the network: one stamp poll, a re-map when the writer moved.
-	if d, ok := ra.store.sharedFor(ca); ok {
-		return ra.store.refreshShared(d)
-	}
-	replica, err := ra.store.Replica(ca)
+	d, err := ra.store.dict(ca)
 	if err != nil {
 		return err
 	}
-	resp, err := ra.origin.Pull(ca, replica.Count())
+	// Shared-mode dictionaries sync against the writer's durable state,
+	// not the network: one stamp poll, a re-map when the writer moved.
+	if d.shared != nil {
+		return ra.store.refreshShared(d.shared)
+	}
+	resp, err := ra.origin.Pull(ca, d.replica.Count())
 	if err != nil {
 		return fmt.Errorf("ra: pull %s: %w", ca, err)
 	}
@@ -192,14 +170,14 @@ func (ra *RA) syncCA(ca dictionary.CAID) error {
 		// is configured. An update error is an attack signal, not a
 		// transient failure: the network delivered a message whose signed
 		// root does not match its own content (§V).
-		if err := ra.store.applyUpdate(ca, resp.Issuance); err != nil {
+		if err := ra.store.applyUpdate(ca, d.journal, resp.Issuance); err != nil {
 			return fmt.Errorf("ra: update %s: %w", ca, err)
 		}
 	}
 	if resp.Freshness != nil {
 		// applyFreshness WAL-appends the adopted statement so co-located
 		// shared-data readers stay fresh between checkpoints.
-		if err := ra.store.applyFreshness(ca, resp.Freshness, ra.now().Unix()); err != nil &&
+		if err := ra.store.applyFreshness(ca, d.journal, resp.Freshness, ra.now().Unix()); err != nil &&
 			!errors.Is(err, dictionary.ErrStale) {
 			return fmt.Errorf("ra: freshness %s: %w", ca, err)
 		}
@@ -306,57 +284,47 @@ func (ra *RA) Resync(ca dictionary.CAID) error {
 	return ra.store.ReplaceReplica(ca, fresh)
 }
 
-// FetcherOptions configures the RA's background pull loop. The zero value
-// is a production-reasonable fetcher: sync every ∆ starting immediately,
-// recover from origin restarts, no jitter, no shard expiry.
+// FetcherOptions configures the RA's background pull loops. The zero
+// value is a production-reasonable fetcher: every CA synced every ∆
+// starting immediately, recovery from origin restarts, no jitter, no shard
+// expiry.
 type FetcherOptions struct {
-	// Interval is the pull cadence (0 = the RA's ∆). Pulling more often
-	// than ∆ satisfies the protocol ("at least every ∆", §III) and
+	// Interval is each CA's pull cadence (0 = the RA's ∆). Pulling more
+	// often than ∆ satisfies the protocol ("at least every ∆", §III) and
 	// tightens the freshness of injected statuses.
 	Interval time.Duration
-	// Jitter, when positive, delays each CA's pull within a cycle by a
-	// uniformly random duration in [0, Jitter). A fleet of RAs started
-	// together otherwise pulls every dictionary at the same instants,
-	// turning every ∆ boundary into a synchronized stampede; jitter smears
-	// the load across the interval. CAs sync concurrently within a cycle,
-	// so the per-CA draw is clamped to Interval (not Interval/n): the
-	// cycle's worst-case length is one interval — the "at least every ∆"
-	// contract (§III) degrades to at most one skipped tick, never
-	// unbounded drift, no matter how many shard dictionaries the RA
-	// replicates. Pair jitter with Interval ≤ ∆/2 for strict compliance.
+	// Jitter, when positive, shifts each CA's schedule after its first
+	// sync by a uniformly random phase in [0, min(Jitter, Interval)). A
+	// fleet of RAs started together otherwise pulls every dictionary at
+	// the same instants, turning every ∆ boundary into a synchronized
+	// stampede; the phase smears the load across the interval. Only the
+	// gap after the first sync grows, to under two intervals: pair jitter
+	// with Interval ≤ ∆/2 for strict "at least every ∆" compliance (§III).
 	Jitter time.Duration
 	// OnError receives sync errors (nil = dropped). Recovery from
 	// cdn.ErrAhead happens before OnError is consulted; only errors that
 	// survive recovery are reported. CAs sync concurrently, so OnError
 	// must be safe for concurrent use.
 	OnError func(error)
-	// ShardExpiry, when positive, runs Store.RemoveExpired with this
-	// bucket width after every sync cycle, dropping expiry shards whose
-	// certificates have all expired (§VIII "Ever-growing dictionaries").
-	// Use the same width the CAs shard with (dictionary.ShardConfig.Width).
+	// ShardExpiry, when positive, checks each CA before every pull and
+	// drops it (Store.Remove) once it is an expiry shard whose certificates
+	// have all expired (§VIII "Ever-growing dictionaries"; see
+	// expiredShard). Use the same width the CAs shard with
+	// (dictionary.ShardConfig.Width).
 	ShardExpiry time.Duration
-	// DisableRecovery turns off the automatic Resync on cdn.ErrAhead;
-	// such errors then surface through OnError on every cycle, which is
-	// only useful for deployments that treat an origin regression as an
-	// incident requiring operator action.
-	DisableRecovery bool
 }
 
-// fetcherSeq distinguishes jitter seeds of fetchers started in the same
-// nanosecond (a fleet booted in one process).
-var fetcherSeq atomic.Int64
-
-// Fetcher is the RA's background pull loop.
+// Fetcher runs the RA's background pull loops, one per CA.
 type Fetcher struct {
 	stop chan struct{}
-	done chan struct{}
+	wg   sync.WaitGroup
 
 	stats fetcherCounters
 }
 
 // fetcherCounters is the backing store for FetcherStats: lock-free
 // totals plus a small mutex-guarded map for the per-CA consecutive
-// failure streaks (touched once per CA per cycle, so the lock is cold).
+// failure streaks (touched once per CA per sync, so the lock is cold).
 type fetcherCounters struct {
 	syncs         atomic.Int64
 	errors        atomic.Int64
@@ -388,14 +356,14 @@ func (c *fetcherCounters) caSynced(ca dictionary.CAID) {
 
 // FetcherStats counts fetcher-lifecycle activity.
 type FetcherStats struct {
-	// Syncs counts completed sync cycles (all CAs attempted).
+	// Syncs counts completed per-CA syncs, failed ones included.
 	Syncs int64
 	// Errors counts per-CA sync failures that survived recovery.
 	Errors int64
 	// Recoveries counts automatic Resync attempts triggered by
 	// cdn.ErrAhead.
 	Recoveries int64
-	// ShardsExpired counts expiry shards dropped by the ShardExpiry sweep.
+	// ShardsExpired counts expiry shards dropped by the ShardExpiry check.
 	ShardsExpired int64
 	// ConsecutiveFailures maps each currently-failing CA to its streak of
 	// consecutive failed syncs. A CA that syncs successfully is removed,
@@ -424,109 +392,113 @@ func (f *Fetcher) Stats() FetcherStats {
 	return st
 }
 
-// StartFetcher launches the pull loop, contacting the origin every ∆.
-// Errors go to onErr (may be nil).
-func (ra *RA) StartFetcher(onErr func(error)) *Fetcher {
-	return ra.StartFetcherWith(FetcherOptions{OnError: onErr})
-}
-
-// StartFetcherEvery launches the pull loop at a custom interval.
-func (ra *RA) StartFetcherEvery(interval time.Duration, onErr func(error)) *Fetcher {
-	return ra.StartFetcherWith(FetcherOptions{Interval: interval, OnError: onErr})
-}
-
-// StartFetcherWith launches the pull loop with full lifecycle control. The
-// first sync runs immediately (a freshly started RA must not serve
-// ErrDesynchronized statuses for a whole interval waiting for the first
-// tick), then every Interval.
-func (ra *RA) StartFetcherWith(opts FetcherOptions) *Fetcher {
+// StartFetcher launches one pull loop per CA the store holds now; a CA
+// added afterwards is not pulled. Each loop syncs at once (a freshly
+// started RA must not serve ErrDesynchronized statuses for a whole
+// interval waiting for the first tick), waits its random phase (see
+// FetcherOptions.Jitter), then syncs every Interval on its own ticker, so
+// one CA's slow or hung pull — a hung origin shard, a long Resync — never
+// delays another CA's sync.
+func (ra *RA) StartFetcher(opts FetcherOptions) *Fetcher {
 	interval := opts.Interval
 	if interval <= 0 {
 		interval = ra.delta
 	}
-	f := &Fetcher{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(f.done)
-		// Jitter source: per-fetcher, so a fleet sharing one binary still
-		// draws independent offsets.
-		rng := mrand.New(mrand.NewSource(time.Now().UnixNano() + fetcherSeq.Add(1)<<32))
-		ra.syncCycle(f, opts, interval, rng)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				ra.syncCycle(f, opts, interval, rng)
-			case <-f.stop:
-				return
-			}
+	jitter := min(opts.Jitter, interval)
+	f := &Fetcher{stop: make(chan struct{})}
+	for _, ca := range ra.store.CAs() {
+		var phase time.Duration
+		if jitter > 0 {
+			phase = time.Duration(mrand.Int63n(int64(jitter)))
 		}
-	}()
+		f.wg.Add(1)
+		go func(ca dictionary.CAID) {
+			defer f.wg.Done()
+			ra.fetchLoop(f, ca, opts, interval, phase)
+		}(ca)
+	}
 	return f
 }
 
-// syncCycle runs one fetcher cycle: every CA pulled concurrently (with
-// optional per-CA jitter), ErrAhead recovery, then the shard-expiry
-// sweep. CAs sync in independent goroutines so one CA's slow or failed
-// pull — a hung origin shard, a long Resync — cannot delay the other
-// CAs' freshness within the same tick; the errors of each are isolated
-// and counted per CA (see FetcherStats.ConsecutiveFailures).
-func (ra *RA) syncCycle(f *Fetcher, opts FetcherOptions, interval time.Duration, rng *mrand.Rand) {
-	cas := ra.store.CAs()
-	jitter := opts.Jitter
-	if jitter > interval {
-		// Clamp so the cycle's worst-case length stays within one interval
-		// (see FetcherOptions.Jitter).
-		jitter = interval
+// fetchLoop is one CA's schedule. It returns on Shutdown or once the CA
+// left the store.
+func (ra *RA) fetchLoop(f *Fetcher, ca dictionary.CAID, opts FetcherOptions, interval, phase time.Duration) {
+	if !ra.fetch(f, ca, opts) {
+		return
 	}
-	var wg sync.WaitGroup
-	for _, ca := range cas {
-		// Draw the jitter here: rng is not goroutine-safe, and the draws
-		// must stay on the loop goroutine anyway for determinism of the
-		// seed sequence.
-		var delay time.Duration
-		if jitter > 0 {
-			delay = time.Duration(rng.Int63n(int64(jitter)))
-		}
-		wg.Add(1)
-		go func(ca dictionary.CAID, delay time.Duration) {
-			defer wg.Done()
-			if delay > 0 {
-				timer := time.NewTimer(delay)
-				select {
-				case <-timer.C:
-				case <-f.stop:
-					timer.Stop()
-					return
-				}
-			}
-			err := ra.syncCA(ca)
-			if err != nil && errors.Is(err, cdn.ErrAhead) && !opts.DisableRecovery {
-				f.stats.recoveries.Add(1)
-				err = ra.Resync(ca)
-			}
-			if err != nil {
-				f.stats.caFailed(ca)
-				if opts.OnError != nil {
-					opts.OnError(err)
-				}
+	timer := time.NewTimer(phase)
+	select {
+	case <-timer.C:
+	case <-f.stop:
+		timer.Stop()
+		return
+	}
+	ticker := time.NewTicker(interval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-ticker.C:
+			if !ra.fetch(f, ca, opts) {
 				return
 			}
-			f.stats.caSynced(ca)
-		}(ca, delay)
-	}
-	wg.Wait()
-	f.stats.syncs.Add(1)
-	if opts.ShardExpiry > 0 {
-		removed := ra.store.RemoveExpired(ra.now().Unix(), opts.ShardExpiry)
-		f.stats.shardsExpired.Add(int64(len(removed)))
+		case <-f.stop:
+			return
+		}
 	}
 }
 
-// Shutdown stops the fetcher and waits for it to exit.
+// fetch syncs ca once, recovering from cdn.ErrAhead, and counts the
+// outcome. It reports false once ca left the store — dropped here as an
+// expired shard, or by a Store.Remove — and there is nothing left to pull.
+func (ra *RA) fetch(f *Fetcher, ca dictionary.CAID, opts FetcherOptions) bool {
+	if opts.ShardExpiry > 0 && expiredShard(ca, ra.now().Unix(), opts.ShardExpiry) {
+		ra.store.Remove(ca)
+		f.stats.shardsExpired.Add(1)
+		return false
+	}
+	err := ra.syncCA(ca)
+	if errors.Is(err, cdn.ErrAhead) {
+		f.stats.recoveries.Add(1)
+		err = ra.Resync(ca)
+	}
+	if errors.Is(err, ErrNoDictionary) {
+		return false
+	}
+	f.stats.syncs.Add(1)
+	if err != nil {
+		f.stats.caFailed(ca)
+		if opts.OnError != nil {
+			opts.OnError(err)
+		}
+		return true
+	}
+	f.stats.caSynced(ca)
+	return true
+}
+
+// expiredShard reports whether ca is an expiry shard (an identifier
+// produced by dictionary.ShardIDFor) whose bucket — of the given width —
+// ended at or before now: every certificate it covers has expired, so its
+// revocation status is moot and its storage can be reclaimed (§VIII
+// "Ever-growing dictionaries"). Dictionaries without the shard suffix never
+// expire, and a width under one second disables expiry.
+//
+// Caveat: shards are recognized purely by the "<ca>/exp-<unixtime>"
+// identifier convention, so that suffix namespace is reserved — an
+// unsharded CA whose identifier happens to end in "/exp-<integer>" would
+// be dropped as if it were a shard. Deployments that cannot guarantee the
+// convention must leave ShardExpiry off and call Store.Remove themselves.
+func expiredShard(ca dictionary.CAID, now int64, width time.Duration) bool {
+	w := int64(width / time.Second)
+	_, bucketStart, ok := dictionary.ParseShardID(ca)
+	return ok && w > 0 && bucketStart+w <= now
+}
+
+// Shutdown stops every pull loop and waits for them to exit. A pull in
+// flight is not interrupted: Shutdown returns once it does.
 func (f *Fetcher) Shutdown() {
 	close(f.stop)
-	<-f.done
+	f.wg.Wait()
 }
 
 // ProxyStats counts the RA's data-path activity (§VII-D throughput).

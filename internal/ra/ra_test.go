@@ -607,11 +607,11 @@ func TestFetcherLifecycle(t *testing.T) {
 	e.ra.delta = time.Second
 	var mu sync.Mutex
 	var errs []error
-	f := e.ra.StartFetcher(func(err error) {
+	f := e.ra.StartFetcher(FetcherOptions{OnError: func(err error) {
 		mu.Lock()
 		defer mu.Unlock()
 		errs = append(errs, err)
-	})
+	}})
 
 	if _, err := e.ca.Revoke(serial.NewGenerator(3, nil).NextN(1)...); err != nil {
 		t.Fatal(err)

@@ -23,6 +23,16 @@ import (
 // read-only mapping of the writer's checkpoints, refreshing when the
 // writer's stamp moves.
 
+// sharedOf returns reader's shared dictionary for ca.
+func sharedOf(t *testing.T, reader *RA, ca dictionary.CAID) *sharedDict {
+	t.Helper()
+	d, err := reader.Store().dict(ca)
+	if err != nil || d.shared == nil {
+		t.Fatalf("reader has no shared dictionary for %s (err %v)", ca, err)
+	}
+	return d.shared
+}
+
 // newSharedPair builds a writer RA (pulling from env.dp, checkpointing
 // every batch so readers see v2 state immediately) and a reader RA
 // mapping the same backend.
@@ -116,10 +126,7 @@ func TestSharedReaderTracksWriter(t *testing.T) {
 	backend := storage.NewFileBackend(t.TempDir(), false)
 	writer, reader := newSharedPair(t, env, backend)
 
-	d, ok := reader.Store().sharedFor("CA1")
-	if !ok {
-		t.Fatal("reader has no shared dictionary for CA1")
-	}
+	d := sharedOf(t, reader, "CA1")
 	gen0 := d.CurrentGeneration()
 	if count := d.state.Load().snap.Count(); count != 200 {
 		t.Fatalf("initial shared count = %d, want 200", count)
@@ -360,7 +367,7 @@ func TestSharedHeldStateSurvivesRemaps(t *testing.T) {
 	env := newPersistEnv(t, nil, 8, 25)
 	backend := storage.NewFileBackend(t.TempDir(), false)
 	writer, reader := newSharedPair(t, env, backend)
-	d, _ := reader.Store().sharedFor("CA1")
+	d := sharedOf(t, reader, "CA1")
 
 	held := d.acquire()
 	for i := 0; i < 10; i++ {

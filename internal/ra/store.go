@@ -8,8 +8,8 @@
 //
 //   - Store: one dictionary.Replica per CA, plus the trust anchors used to
 //     verify what the dissemination network delivers;
-//   - Fetcher: the pull loop contacting an edge server every ∆ (§III
-//     "Dissemination"), with desynchronization recovery;
+//   - Fetcher: one pull loop per CA contacting an edge server every ∆
+//     (§III "Dissemination"), with desynchronization recovery;
 //   - Table: the per-connection DPI state of Eq (4);
 //   - Proxy: a TCP middlebox that splices revocation-status records into
 //     the TLS-sim stream (RA-to-client communication method 1/3 of §VIII).
@@ -47,7 +47,7 @@ var (
 // immutable storeView behind an atomic pointer. Readers (Prove, Status,
 // Replica, CAs, LatestRoot — every handshake-path operation) load the
 // pointer and never take a lock; the rare writers (AddCA, Remove,
-// RemoveExpired) build the next view under a mutex and swap it in. Each
+// ReplaceReplica) build the next view under a mutex and swap it in. Each
 // replica in turn publishes lock-free snapshots, so a status is produced
 // without acquiring any lock anywhere on the path.
 type Store struct {
@@ -55,11 +55,10 @@ type Store struct {
 	wmu   sync.Mutex // serializes view writers
 	cache *statusCache
 
-	// sharedMode marks a read-only store: dictionaries are served from
-	// another process's durable logs via storage.Mapper (see shared.go)
-	// instead of owned replicas. mapper is non-nil iff sharedMode.
-	sharedMode bool
-	mapper     storage.Mapper
+	// mapper, when non-nil, marks a read-only store: dictionaries are
+	// served from another process's durable logs (see shared.go) instead
+	// of owned replicas.
+	mapper storage.Mapper
 
 	// Durable state tier (nil backend = purely in-memory, the default).
 	// Each owned replica is held by a journal over its log on backend,
@@ -86,8 +85,8 @@ type StoreOptions struct {
 	// checkpoints another process's store writes there (one writer, N
 	// readers against one data directory) and serves statuses from the
 	// mapping. Requires Storage to implement storage.Mapper (both
-	// built-in backends do). Refresh — normally driven by the RA's sync
-	// loop — picks up the writer's installs.
+	// built-in backends do). The RA's sync loop picks up the writer's
+	// installs.
 	SharedData bool
 	// Now is the clock used when re-validating persisted freshness on
 	// warm start (nil = time.Now).
@@ -96,26 +95,61 @@ type StoreOptions struct {
 
 // storeView is one immutable configuration of the store. All fields —
 // including the pool — are replaced wholesale, never mutated, once the
-// view is published. Exactly one of replicas/shared is populated per CA:
-// owned dictionaries live in replicas, each with the journal that holds
-// it, shared-mode readers in shared.
+// view is published.
 type storeView struct {
-	replicas map[dictionary.CAID]*dictionary.Replica
-	journals map[dictionary.CAID]*dictionary.Journal[*dictionary.Replica]
-	shared   map[dictionary.CAID]*sharedDict
-	cas      []dictionary.CAID // sorted
-	pool     *cert.Pool
+	dicts map[dictionary.CAID]*caDict
+	cas   []dictionary.CAID // sorted
+	pool  *cert.Pool
 }
 
-// NewStore creates an empty store trusting the given root certificates; a
-// replica is created per root.
-func NewStore(roots ...*cert.Certificate) (*Store, error) {
-	return NewStoreWithOptions(StoreOptions{}, roots...)
+// caDict is one CA's dictionary: an owned replica together with the
+// journal that holds it, or a shared-mode reader of another process's
+// logs. Entries are immutable once published; ReplaceReplica publishes a
+// new one.
+type caDict struct {
+	replica *dictionary.Replica
+	journal *dictionary.Journal[*dictionary.Replica]
+	shared  *sharedDict
 }
 
-// NewStoreWithOptions creates a store with full configuration, including
-// the optional durable state tier.
-func NewStoreWithOptions(opts StoreOptions, roots ...*cert.Certificate) (*Store, error) {
+// source returns what the CA's cached statuses are labelled with: the
+// shared reader, or the owned replica itself — not the entry — so statuses
+// cached from a replaced replica can never be served again.
+func (d *caDict) source() cacheSource {
+	if d.shared != nil {
+		return d.shared
+	}
+	return d.replica
+}
+
+// acquire returns the snapshot to prove the CA's statuses from and the
+// cache generation it was published under. A shared reader's snapshot
+// reads a checkpoint mapping, which held keeps mapped until the caller
+// releases it; an owned replica's is all heap and held is nil.
+func (d *caDict) acquire() (snap *dictionary.Snapshot, gen uint64, held *sharedState, err error) {
+	if d.shared == nil {
+		snap = d.replica.Snapshot()
+		return snap, snap.Generation(), nil, nil
+	}
+	if held = d.shared.acquire(); held == nil {
+		return nil, 0, nil, fmt.Errorf("ra: shared dictionary %s is closed", d.shared.ca)
+	}
+	return held.snap, held.gen, held, nil
+}
+
+// close releases the entry's durable state: a shared reader's mappings, or
+// the owned journal's log (see Store.Close).
+func (d *caDict) close() error {
+	if d.shared != nil {
+		return d.shared.close()
+	}
+	return d.journal.Close()
+}
+
+// NewStore creates a store trusting the given root certificates — a
+// dictionary is opened per root — with the optional durable state tier
+// and shared-reader mode of opts.
+func NewStore(opts StoreOptions, roots ...*cert.Certificate) (*Store, error) {
 	pool, err := cert.NewPool()
 	if err != nil {
 		return nil, err
@@ -134,16 +168,10 @@ func NewStoreWithOptions(opts StoreOptions, roots ...*cert.Certificate) (*Store,
 		if !ok {
 			return nil, fmt.Errorf("ra: SharedData requires a storage backend implementing storage.Mapper (got %T)", opts.Storage)
 		}
-		s.sharedMode = true
 		s.mapper = mapper
 		s.backend = nil // readers never open the logs for writing
 	}
-	s.view.Store(&storeView{
-		replicas: map[dictionary.CAID]*dictionary.Replica{},
-		journals: map[dictionary.CAID]*dictionary.Journal[*dictionary.Replica]{},
-		shared:   map[dictionary.CAID]*sharedDict{},
-		pool:     pool,
-	})
+	s.view.Store(&storeView{dicts: map[dictionary.CAID]*caDict{}, pool: pool})
 	for _, r := range roots {
 		if err := s.AddCA(r); err != nil {
 			return nil, err
@@ -152,69 +180,36 @@ func NewStoreWithOptions(opts StoreOptions, roots ...*cert.Certificate) (*Store,
 	return s, nil
 }
 
-// clone copies the view's map and CA list so a writer can mutate them
-// before publishing. The pool is cloned too: published views must never
-// observe later AddRoot calls.
-func (v *storeView) clone() *storeView {
-	next := &storeView{
-		replicas: make(map[dictionary.CAID]*dictionary.Replica, len(v.replicas)+1),
-		journals: make(map[dictionary.CAID]*dictionary.Journal[*dictionary.Replica], len(v.journals)+1),
-		shared:   make(map[dictionary.CAID]*sharedDict, len(v.shared)+1),
-		pool:     v.pool.Clone(),
+// with publishes the next view: ca's entry set to d (nil removes it) and,
+// when pool is non-nil, the trust pool replaced by it. Callers hold wmu.
+func (s *Store) with(ca dictionary.CAID, d *caDict, pool *cert.Pool) {
+	cur := s.view.Load()
+	next := &storeView{dicts: make(map[dictionary.CAID]*caDict, len(cur.dicts)+1), pool: cur.pool}
+	for id, e := range cur.dicts {
+		next.dicts[id] = e
 	}
-	for ca, r := range v.replicas {
-		next.replicas[ca] = r
+	if d == nil {
+		delete(next.dicts, ca)
+	} else {
+		next.dicts[ca] = d
 	}
-	for ca, j := range v.journals {
-		next.journals[ca] = j
+	if pool != nil {
+		next.pool = pool
 	}
-	for ca, d := range v.shared {
-		next.shared[ca] = d
+	next.cas = make([]dictionary.CAID, 0, len(next.dicts))
+	for id := range next.dicts {
+		next.cas = append(next.cas, id)
 	}
-	return next
+	sort.Slice(next.cas, func(i, j int) bool { return next.cas[i] < next.cas[j] })
+	s.view.Store(next)
 }
 
-// rebuildCAs recomputes the sorted CA list; caller publishes next.
-func (v *storeView) rebuildCAs() {
-	v.cas = make([]dictionary.CAID, 0, len(v.replicas)+len(v.shared))
-	for ca := range v.replicas {
-		v.cas = append(v.cas, ca)
+// dict returns ca's entry in the current view.
+func (s *Store) dict(ca dictionary.CAID) (*caDict, error) {
+	if d, ok := s.view.Load().dicts[ca]; ok {
+		return d, nil
 	}
-	for ca := range v.shared {
-		v.cas = append(v.cas, ca)
-	}
-	sort.Slice(v.cas, func(i, j int) bool { return v.cas[i] < v.cas[j] })
-}
-
-// source returns what ca's cached statuses are labelled with — the owned
-// replica or the shared reader — or nil for a CA the store does not serve.
-func (v *storeView) source(ca dictionary.CAID) cacheSource {
-	if d, ok := v.shared[ca]; ok {
-		return d
-	}
-	if r, ok := v.replicas[ca]; ok {
-		return r
-	}
-	return nil
-}
-
-// acquire returns the snapshot to prove ca's statuses from and the cache
-// generation it was published under. A shared reader's snapshot reads a
-// checkpoint mapping, which held keeps mapped until the caller releases it;
-// an owned replica's is all heap and held is nil.
-func (v *storeView) acquire(ca dictionary.CAID) (snap *dictionary.Snapshot, gen uint64, held *sharedState, err error) {
-	if d, ok := v.shared[ca]; ok {
-		if held = d.acquire(); held == nil {
-			return nil, 0, nil, fmt.Errorf("ra: shared dictionary %s is closed", ca)
-		}
-		return held.snap, held.gen, held, nil
-	}
-	r, ok := v.replicas[ca]
-	if !ok {
-		return nil, 0, nil, fmt.Errorf("%w: %s", ErrNoDictionary, ca)
-	}
-	snap = r.Snapshot()
-	return snap, snap.Generation(), nil, nil
+	return nil, fmt.Errorf("%w: %s", ErrNoDictionary, ca)
 }
 
 // AddCA starts replicating one more CA's dictionary, trusting the given
@@ -227,66 +222,41 @@ func (s *Store) AddCA(root *cert.Certificate) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	cur := s.view.Load()
-	_, dupR := cur.replicas[root.Issuer]
-	_, dupS := cur.shared[root.Issuer]
-	if dupR || dupS {
-		// Same trust anchor, dictionary already live: only the pool changes.
-		next := cur.clone()
-		if err := next.pool.AddRoot(root); err != nil {
-			return fmt.Errorf("ra: add CA: %w", err)
-		}
-		next.rebuildCAs()
-		s.view.Store(next)
-		return nil
-	}
-	if s.sharedMode {
-		d, err := newSharedDict(root.Issuer, root.PublicKey, s.mapper, s.now)
-		if err != nil {
-			return err
-		}
-		next := cur.clone()
-		if err := next.pool.AddRoot(root); err != nil {
-			d.close()
-			return fmt.Errorf("ra: add CA: %w", err)
-		}
-		next.shared[root.Issuer] = d
-		next.rebuildCAs()
-		s.view.Store(next)
-		return nil
-	}
-	next := cur.clone()
-	if err := next.pool.AddRoot(root); err != nil {
+	// Published views never observe a later AddRoot: the root goes into a
+	// clone of the pool.
+	pool := cur.pool.Clone()
+	if err := pool.AddRoot(root); err != nil {
 		return fmt.Errorf("ra: add CA: %w", err)
 	}
-	j, err := dictionary.OpenReplicaJournal(s.backend, root.Issuer, root.PublicKey, s.ckptEvery, s.now().Unix())
-	if err != nil {
-		return fmt.Errorf("ra: warm-start %s: %w", root.Issuer, err)
+	d, ok := cur.dicts[root.Issuer] // same trust anchor, dictionary already live: only the pool changes
+	if !ok {
+		d = &caDict{}
+		if s.mapper != nil {
+			sd, err := newSharedDict(root.Issuer, root.PublicKey, s.mapper, s.now)
+			if err != nil {
+				return err
+			}
+			d.shared = sd
+		} else {
+			j, err := dictionary.OpenReplicaJournal(s.backend, root.Issuer, root.PublicKey, s.ckptEvery, s.now().Unix())
+			if err != nil {
+				return fmt.Errorf("ra: warm-start %s: %w", root.Issuer, err)
+			}
+			d.replica, d.journal = j.State(), j
+		}
 	}
-	next.replicas[root.Issuer] = j.State()
-	next.journals[root.Issuer] = j
-	next.rebuildCAs()
-	s.view.Store(next)
+	s.with(root.Issuer, d, pool)
 	return nil
 }
 
-// apply runs fn on the replica ca's journal holds — not one the caller
-// loaded earlier, which a Resync may have replaced since — and journals the
-// record fn returns. A CA removed meanwhile has nothing to apply to.
-func (s *Store) apply(ca dictionary.CAID, fn func(*dictionary.Replica) (dictionary.Record, error)) error {
-	j, ok := s.view.Load().journals[ca]
-	if !ok {
-		return nil
-	}
-	return j.Apply(fn)
-}
-
-// applyUpdate applies a verified issuance message to the CA's replica and
-// journals it when it changed state. Persistence failures are returned so
-// the sync loop can surface them; the in-memory replica already advanced,
-// so nothing is lost until the process dies — the next successful
-// checkpoint covers the gap.
-func (s *Store) applyUpdate(ca dictionary.CAID, msg *dictionary.IssuanceMessage) error {
-	return s.apply(ca, func(r *dictionary.Replica) (dictionary.Record, error) {
+// applyUpdate applies a verified issuance message to the replica j holds —
+// not one the caller loaded earlier, which a Resync may have replaced
+// since — and journals it when it changed state. Persistence failures are
+// returned so the sync loop can surface them; the in-memory replica
+// already advanced, so nothing is lost until the process dies — the next
+// successful checkpoint covers the gap.
+func (s *Store) applyUpdate(ca dictionary.CAID, j *dictionary.Journal[*dictionary.Replica], msg *dictionary.IssuanceMessage) error {
+	return j.Apply(func(r *dictionary.Replica) (dictionary.Record, error) {
 		gen := r.CurrentGeneration()
 		if err := r.Update(msg); err != nil || !s.releaseSuperseded(ca, r, gen) {
 			return nil, err // a verified no-op (re-delivered root) logs nothing
@@ -313,8 +283,8 @@ func (s *Store) releaseSuperseded(ca dictionary.CAID, src cacheSource, before ui
 // state. The record is what keeps co-located shared-data readers fresh
 // between checkpoints: without it a reader mapping (checkpoint + WAL) would
 // regress to the signed root's anchor until the writer's next update batch.
-func (s *Store) applyFreshness(ca dictionary.CAID, stmt *dictionary.FreshnessStatement, now int64) error {
-	return s.apply(ca, func(r *dictionary.Replica) (dictionary.Record, error) {
+func (s *Store) applyFreshness(ca dictionary.CAID, j *dictionary.Journal[*dictionary.Replica], stmt *dictionary.FreshnessStatement, now int64) error {
+	return j.Apply(func(r *dictionary.Replica) (dictionary.Record, error) {
 		gen := r.CurrentGeneration()
 		if err := r.ApplyFreshness(stmt, now); err != nil || !s.releaseSuperseded(ca, r, gen) {
 			return nil, err
@@ -333,14 +303,8 @@ func (s *Store) Close() error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	var firstErr error
-	v := s.view.Load()
-	for _, d := range v.shared {
+	for ca, d := range s.view.Load().dicts {
 		if err := d.close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for ca, j := range v.journals {
-		if err := j.Close(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("ra: close %s: %w", ca, err)
 		}
 	}
@@ -349,65 +313,25 @@ func (s *Store) Close() error {
 
 // Remove stops replicating a dictionary, frees its replica, and purges its
 // cached statuses. With expiry-sharded dictionaries (§VIII "Ever-growing
-// dictionaries"), RAs call it — normally through RemoveExpired — for
-// shards whose certificates have all expired, reclaiming the storage. The
+// dictionaries"), the fetcher calls it for shards whose certificates have
+// all expired (FetcherOptions.ShardExpiry), reclaiming the storage. The
 // trust anchor stays in the pool: removal is about storage, not trust.
 func (s *Store) Remove(ca dictionary.CAID) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	cur := s.view.Load()
-	if d, ok := cur.shared[ca]; ok {
-		next := cur.clone()
-		delete(next.shared, ca)
-		next.rebuildCAs()
-		s.view.Store(next)
-		s.cache.release(ca, nil, 0)
-		d.close() //nolint:errcheck // release the mappings; the files belong to the writer
-		return
-	}
-	j, ok := cur.journals[ca]
+	d, ok := s.view.Load().dicts[ca]
 	if !ok {
 		return
 	}
-	next := cur.clone()
-	delete(next.replicas, ca)
-	delete(next.journals, ca)
-	next.rebuildCAs()
-	s.view.Store(next)
+	s.with(ca, nil, nil)
 	s.cache.release(ca, nil, 0)
+	if d.shared != nil {
+		d.shared.close() //nolint:errcheck // release the mappings; the files belong to the writer
+		return
+	}
 	// Reclaim the durable state too: removal is the §VIII storage-reclaim
 	// path, and a shard that expired will never be pulled again.
-	j.Destroy() //nolint:errcheck // reclaim is best-effort; the shard is already gone from memory
-}
-
-// RemoveExpired walks the replicated dictionaries and removes every
-// expiry shard (an identifier produced by dictionary.ShardIDFor) whose
-// bucket — of the given width — ended at or before now: every certificate
-// such a shard covers has expired, so its revocation status is moot and
-// the replica's storage is reclaimed (§VIII "Ever-growing dictionaries").
-// Dictionaries without the shard suffix are never touched. It returns the
-// removed shard identifiers.
-//
-// Caveat: shards are recognized purely by the "<ca>/exp-<unixtime>"
-// identifier convention, so that suffix namespace is reserved — an
-// unsharded CA whose identifier happens to end in "/exp-<integer>" would
-// be pruned as if it were a shard. Deployments that cannot guarantee the
-// convention must call Remove per shard themselves instead.
-func (s *Store) RemoveExpired(now int64, width time.Duration) []dictionary.CAID {
-	w := int64(width / time.Second)
-	if w <= 0 {
-		return nil
-	}
-	var removed []dictionary.CAID
-	for _, ca := range s.CAs() {
-		_, bucketStart, ok := dictionary.ParseShardID(ca)
-		if !ok || bucketStart+w > now {
-			continue
-		}
-		s.Remove(ca)
-		removed = append(removed, ca)
-	}
-	return removed
+	d.journal.Destroy() //nolint:errcheck // reclaim is best-effort; the shard is already gone from memory
 }
 
 // ReplaceReplica atomically substitutes the replica for ca with r and
@@ -422,18 +346,14 @@ func (s *Store) ReplaceReplica(ca dictionary.CAID, r *dictionary.Replica) error 
 	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	cur := s.view.Load()
-	j, ok := cur.journals[ca]
-	if !ok {
+	d, ok := s.view.Load().dicts[ca]
+	if !ok || d.journal == nil {
 		return fmt.Errorf("%w: %s", ErrNoDictionary, ca)
 	}
-	next := cur.clone()
-	next.replicas[ca] = r
-	next.rebuildCAs()
 	// A replaced replica's history diverges from whatever the WAL holds
 	// (that is the point of a resync); the journal checkpoints it at once.
-	err := j.Replace(func(*dictionary.Replica) (*dictionary.Replica, error) {
-		s.view.Store(next)
+	err := d.journal.Replace(func(*dictionary.Replica) (*dictionary.Replica, error) {
+		s.with(ca, &caDict{replica: r, journal: d.journal}, nil)
 		return r, nil
 	})
 	s.cache.release(ca, nil, 0)
@@ -447,35 +367,14 @@ func (s *Store) ReplaceReplica(ca dictionary.CAID, r *dictionary.Replica) error 
 // replica — they are read-only views of another process's state — so
 // requesting one is an error distinct from an unknown CA.
 func (s *Store) Replica(ca dictionary.CAID) (*dictionary.Replica, error) {
-	v := s.view.Load()
-	r, ok := v.replicas[ca]
-	if !ok {
-		if _, shared := v.shared[ca]; shared {
-			return nil, fmt.Errorf("ra: %s is served from a shared mapping (read-only)", ca)
-		}
-		return nil, fmt.Errorf("%w: %s", ErrNoDictionary, ca)
+	d, err := s.dict(ca)
+	if err != nil {
+		return nil, err
 	}
-	return r, nil
-}
-
-// sharedFor returns the shared-mode reader for ca, if any.
-func (s *Store) sharedFor(ca dictionary.CAID) (*sharedDict, bool) {
-	d, ok := s.view.Load().shared[ca]
-	return d, ok
-}
-
-// Refresh polls every shared dictionary's stamp and re-maps the ones
-// whose writer installed new state, publishing fresh snapshot
-// generations. A no-op (and nil) outside shared mode. The RA's sync loop
-// calls it on the same cadence it would have pulled from an origin.
-func (s *Store) Refresh() error {
-	var firstErr error
-	for _, d := range s.view.Load().shared {
-		if err := s.refreshShared(d); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	if d.shared != nil {
+		return nil, fmt.Errorf("ra: %s is served from a shared mapping (read-only)", ca)
 	}
-	return firstErr
+	return d.replica, nil
 }
 
 // refreshShared re-maps one shared dictionary if its writer moved and
@@ -507,7 +406,11 @@ func (s *Store) CAKey(ca dictionary.CAID) (ed25519.PublicKey, bool) {
 // (Fig 2, prove; Fig 3 step 4), bypassing the status cache — each call
 // constructs a fresh proof. The data path uses Status instead.
 func (s *Store) Prove(ca dictionary.CAID, sn serial.Number) (*dictionary.Status, error) {
-	snap, _, held, err := s.view.Load().acquire(ca)
+	d, err := s.dict(ca)
+	if err != nil {
+		return nil, err
+	}
+	snap, _, held, err := d.acquire()
 	if err != nil {
 		return nil, err
 	}
@@ -527,10 +430,11 @@ func (s *Store) Prove(ca dictionary.CAID, sn serial.Number) (*dictionary.Status,
 // callers must treat it, and the encoded bytes, as immutable.
 func (s *Store) Status(ca dictionary.CAID, sn serial.Number) (*dictionary.Status, []byte, error) {
 	v := s.view.Load()
-	source := v.source(ca)
-	if source == nil {
+	d, ok := v.dicts[ca]
+	if !ok {
 		return nil, nil, fmt.Errorf("%w: %s", ErrNoDictionary, ca)
 	}
+	source := d.source()
 	// The lookup key aliases a stack copy of the serial (get does not
 	// retain it); only a miss builds the heap string the map keeps.
 	if e, ok := s.cache.get(cacheKey{ca: ca, sn: string(sn.Raw())}, source, source.CurrentGeneration()); ok {
@@ -538,7 +442,7 @@ func (s *Store) Status(ca dictionary.CAID, sn serial.Number) (*dictionary.Status
 	}
 	// gen and snapshot are published together, so the entry's generation
 	// labels the snapshot it was computed from.
-	snap, gen, held, err := v.acquire(ca)
+	snap, gen, held, err := d.acquire()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -575,12 +479,8 @@ func (s *Store) CacheStats() CacheStats { return s.cache.stats() }
 // statuses.
 func (s *Store) SnapshotSwaps() uint64 {
 	var total uint64
-	v := s.view.Load()
-	for _, r := range v.replicas {
-		total += r.Snapshot().Generation()
-	}
-	for _, d := range v.shared {
-		total += d.CurrentGeneration()
+	for _, d := range s.view.Load().dicts {
+		total += d.source().CurrentGeneration()
 	}
 	return total
 }
@@ -589,7 +489,11 @@ func (s *Store) SnapshotSwaps() uint64 {
 // the monitor package's RootSource, letting RAs participate in consistency
 // checking (§III "Consistency Checking").
 func (s *Store) LatestRoot(ca dictionary.CAID) (*dictionary.SignedRoot, error) {
-	snap, _, held, err := s.view.Load().acquire(ca)
+	d, err := s.dict(ca)
+	if err != nil {
+		return nil, err
+	}
+	snap, _, held, err := d.acquire()
 	if err != nil {
 		return nil, err
 	}
@@ -606,8 +510,10 @@ func (s *Store) LatestRoot(ca dictionary.CAID) (*dictionary.SignedRoot, error) {
 // rather than process-private heap. Zero outside shared mode.
 func (s *Store) MappedBytes() int {
 	total := 0
-	for _, d := range s.view.Load().shared {
-		total += d.mappedBytes()
+	for _, d := range s.view.Load().dicts {
+		if d.shared != nil {
+			total += d.shared.mappedBytes()
+		}
 	}
 	return total
 }
@@ -616,8 +522,10 @@ func (s *Store) MappedBytes() int {
 // (§VII-D storage overhead).
 func (s *Store) SerializedSize() int {
 	total := 0
-	for _, r := range s.view.Load().replicas {
-		total += r.SerializedSize()
+	for _, d := range s.view.Load().dicts {
+		if d.replica != nil {
+			total += d.replica.SerializedSize()
+		}
 	}
 	return total
 }
@@ -625,8 +533,10 @@ func (s *Store) SerializedSize() int {
 // MemoryFootprint sums the estimated resident sizes of all replicas.
 func (s *Store) MemoryFootprint() int {
 	total := 0
-	for _, r := range s.view.Load().replicas {
-		total += r.MemoryFootprint()
+	for _, d := range s.view.Load().dicts {
+		if d.replica != nil {
+			total += d.replica.MemoryFootprint()
+		}
 	}
 	return total
 }

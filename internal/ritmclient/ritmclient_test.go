@@ -268,7 +268,7 @@ func TestMidConnectionRevocationInterrupts(t *testing.T) {
 	e := newEnv(t, time.Second)
 	refresher := e.ca.StartRefresher(nil)
 	t.Cleanup(refresher.Shutdown)
-	fetcher := e.agent.StartFetcher(nil)
+	fetcher := e.agent.StartFetcher(ra.FetcherOptions{})
 	t.Cleanup(fetcher.Shutdown)
 
 	addr := startDrip(t, &tlssim.Config{Chain: e.chain, Key: e.key}, 100*time.Millisecond)

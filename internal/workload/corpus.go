@@ -75,11 +75,6 @@ func EntryBytes() float64 {
 	return float64(LargestCRLBytes) / float64(LargestCRLEntries)
 }
 
-// CRLBytes estimates CRL i's size in bytes at the dataset's bytes/entry.
-func (c *Corpus) CRLBytes(i int) int {
-	return int(float64(c.sizes[i]) * EntryBytes())
-}
-
 // SerialGenerator returns the deterministic serial generator for CRL i
 // (one CA's serial space), using the paper's serial-size distribution with
 // its 3-byte mode.
@@ -110,18 +105,6 @@ func (c *Corpus) SampleAbsent(i, count int) []serial.Number {
 		}
 	}
 	return out
-}
-
-// SerialSizeHistogram draws n serials from the paper's distribution and
-// returns the byte-length histogram — used to validate the 3-byte mode at
-// 32 % (§VII-A).
-func SerialSizeHistogram(seed uint64, n int) map[int]int {
-	gen := serial.NewGenerator(seed, nil)
-	hist := make(map[int]int)
-	for i := 0; i < n; i++ {
-		hist[gen.Next().Len()]++
-	}
-	return hist
 }
 
 // rngFor derives a sub-generator; shared helper for corpus consumers.

@@ -192,7 +192,7 @@ func BenchmarkSharedStoreRSS(b *testing.B) {
 	runtime.ReadMemStats(&before)
 	stores := make([]*ra.Store, readers)
 	for i := range stores {
-		s, err := ra.NewStoreWithOptions(ra.StoreOptions{Storage: be, SharedData: true}, rootCert)
+		s, err := ra.NewStore(ra.StoreOptions{Storage: be, SharedData: true}, rootCert)
 		if err != nil {
 			b.Fatal(err)
 		}

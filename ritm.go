@@ -276,10 +276,10 @@ type (
 	RAConfig = ra.Config
 	// RAProxy is the RA's status-injecting TCP data path.
 	RAProxy = ra.Proxy
-	// Fetcher is the RA's background pull loop.
+	// Fetcher runs the RA's background pull loops, one per CA.
 	Fetcher = ra.Fetcher
-	// FetcherOptions controls the pull loop's lifecycle: interval, per-CA
-	// jitter, ErrAhead recovery, and the §VIII shard-expiry sweep.
+	// FetcherOptions controls the per-CA pull loops: interval, random
+	// phase (jitter), and the §VIII shard-expiry check before each pull.
 	FetcherOptions = ra.FetcherOptions
 	// FetcherStats counts fetcher-lifecycle activity.
 	FetcherStats = ra.FetcherStats
