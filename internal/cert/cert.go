@@ -17,6 +17,7 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"ritm/internal/cryptoutil"
@@ -136,7 +137,11 @@ func SelfSigned(ca dictionary.CAID, key *cryptoutil.Signer, notBefore, notAfter 
 
 // CheckSignature verifies the certificate's signature under the issuer key.
 func (c *Certificate) CheckSignature(issuerPub ed25519.PublicKey) error {
-	if err := cryptoutil.Verify(issuerPub, c.signingPayload(), c.Signature); err != nil {
+	return c.checkSignature(issuerPub, cryptoutil.Verify)
+}
+
+func (c *Certificate) checkSignature(issuerPub ed25519.PublicKey, verify dictionary.VerifyFunc) error {
+	if err := verify(issuerPub, c.signingPayload(), c.Signature); err != nil {
 		return fmt.Errorf("certificate %v from %s: %w", c.SerialNumber, c.Issuer, err)
 	}
 	return nil
@@ -276,8 +281,61 @@ func DecodeChainFrom(d *wire.Decoder) (Chain, error) {
 
 // Pool is a set of trusted root CA certificates, keyed by CA identifier.
 // It is the client's and the RA's trust anchor store.
+//
+// A pool also remembers the signatures it has seen verify (see Verify):
+// every connection of a client shares its pool, so the CA's signature on a
+// server certificate or on a signed root is checked once, not once per
+// handshake.
 type Pool struct {
 	roots map[dictionary.CAID]*Certificate
+	sigs  sigMemo
+}
+
+// sigMemoCap bounds the signatures one pool remembers. A client's working
+// set is a few signed roots and chain links per CA it talks to.
+const sigMemoCap = 1024
+
+// sigMemo is a bounded set of (public key, signature, message) triples
+// that passed Ed25519 verification. Only successes are stored, keyed on
+// all three in full, so a hit is exactly a repeat of a verified check.
+type sigMemo struct {
+	mu   sync.RWMutex
+	seen map[string]struct{}
+}
+
+// Verify checks an Ed25519 signature as cryptoutil.Verify does, skipping
+// the curve arithmetic for a triple that already verified under this pool.
+// Only the signature is memoized: validity windows, proofs and freshness
+// are for the caller to check every time.
+func (p *Pool) Verify(pub ed25519.PublicKey, msg, sig []byte) error {
+	if len(pub) != ed25519.PublicKeySize || len(sig) != ed25519.SignatureSize {
+		// Fixed sizes keep the concatenated key unambiguous.
+		return cryptoutil.Verify(pub, msg, sig)
+	}
+	var buf [384]byte
+	key := append(append(append(buf[:0], pub...), sig...), msg...)
+	p.sigs.mu.RLock()
+	_, ok := p.sigs.seen[string(key)]
+	p.sigs.mu.RUnlock()
+	if ok {
+		return nil
+	}
+	if err := cryptoutil.Verify(pub, msg, sig); err != nil {
+		return err
+	}
+	p.sigs.mu.Lock()
+	if p.sigs.seen == nil {
+		p.sigs.seen = make(map[string]struct{})
+	}
+	if len(p.sigs.seen) >= sigMemoCap {
+		for k := range p.sigs.seen { // map order is random: evict any one
+			delete(p.sigs.seen, k)
+			break
+		}
+	}
+	p.sigs.seen[string(key)] = struct{}{}
+	p.sigs.mu.Unlock()
+	return nil
 }
 
 // NewPool returns a pool trusting the given self-signed root certificates.
@@ -303,7 +361,8 @@ func (p *Pool) AddRoot(root *Certificate) error {
 	return nil
 }
 
-// Clone returns a pool with the same roots that shares no mutable state:
+// Clone returns a pool with the same roots that shares no mutable state
+// (the clone starts with no remembered signatures):
 // later AddRoot calls on either pool are invisible to the other. The RA
 // store's copy-on-write views rely on this to keep published views
 // immutable without re-verifying every root self-signature.
@@ -347,7 +406,8 @@ func (p *Pool) CAs() []dictionary.CAID {
 //
 // Revocation is deliberately NOT checked here: in RITM the revocation
 // status arrives separately from the on-path RA and is verified by the
-// client against the same pool (ritmclient package).
+// client against the same pool (ritmclient package). Signatures go through
+// the pool's memo (Verify); everything else is checked on every call.
 func (p *Pool) VerifyChain(ch Chain, now int64) (dictionary.CAID, error) {
 	if len(ch) == 0 {
 		return "", fmt.Errorf("%w: empty chain", ErrBadChain)
@@ -360,7 +420,7 @@ func (p *Pool) VerifyChain(ch Chain, now int64) (dictionary.CAID, error) {
 			return "", fmt.Errorf("chain[%d] (%s): %w", i, c.Subject, ErrNotCA)
 		}
 		if i+1 < len(ch) {
-			if err := c.CheckSignature(ch[i+1].PublicKey); err != nil {
+			if err := c.checkSignature(ch[i+1].PublicKey, p.Verify); err != nil {
 				return "", fmt.Errorf("%w: link %d: %v", ErrBadChain, i, err)
 			}
 		}
@@ -370,7 +430,7 @@ func (p *Pool) VerifyChain(ch Chain, now int64) (dictionary.CAID, error) {
 	if !ok {
 		return "", fmt.Errorf("%w: no root for %s", ErrUntrusted, last.Issuer)
 	}
-	if err := last.CheckSignature(root.PublicKey); err != nil {
+	if err := last.checkSignature(root.PublicKey, p.Verify); err != nil {
 		return "", fmt.Errorf("%w: anchor: %v", ErrUntrusted, err)
 	}
 	return ch[0].Issuer, nil

@@ -61,7 +61,11 @@ func (r *SignedRoot) sign(signer *cryptoutil.Signer) {
 
 // VerifySignature checks the root's signature under the CA public key.
 func (r *SignedRoot) VerifySignature(pub ed25519.PublicKey) error {
-	if err := cryptoutil.Verify(pub, r.signingPayload(), r.Signature); err != nil {
+	return r.verifySignature(pub, cryptoutil.Verify)
+}
+
+func (r *SignedRoot) verifySignature(pub ed25519.PublicKey, verify VerifyFunc) error {
+	if err := verify(pub, r.signingPayload(), r.Signature); err != nil {
 		return fmt.Errorf("signed root for %s: %w", r.CA, err)
 	}
 	return nil
@@ -356,10 +360,21 @@ const (
 // It returns CheckRevoked (with no error) when a valid presence proof is
 // supplied: the status is authentic, and it proves revocation.
 func (st *Status) Check(s serial.Number, pub ed25519.PublicKey, now int64) (CheckResult, error) {
+	return st.CheckWith(s, pub, now, cryptoutil.Verify)
+}
+
+// VerifyFunc checks an Ed25519 signature as cryptoutil.Verify does.
+type VerifyFunc func(pub ed25519.PublicKey, msg, sig []byte) error
+
+// CheckWith is Check with the root signature checked by verify. A client
+// passes its trust pool's memoized check (cert.Pool.Verify), so a signed
+// root costs one Ed25519 verification however many connections carry it;
+// the proof and the freshness statement are checked every time.
+func (st *Status) CheckWith(s serial.Number, pub ed25519.PublicKey, now int64, verify VerifyFunc) (CheckResult, error) {
 	if st.Proof == nil || st.Root == nil {
 		return 0, fmt.Errorf("%w: incomplete status", ErrBadProof)
 	}
-	if err := st.Root.VerifySignature(pub); err != nil {
+	if err := st.Root.verifySignature(pub, verify); err != nil {
 		return 0, err
 	}
 	revoked, err := st.Proof.Verify(s, st.Root.Root, st.Root.N)

@@ -101,12 +101,15 @@ func (p *Proxy) handle(client net.Conn) error {
 		tuple:  tupleOf(client),
 		client: client,
 		server: server,
+		out:    bufio.NewWriter(client),
 	}
 	defer sess.teardown()
 
 	errCh := make(chan error, 1)
-	p.srv.Go(func() { errCh <- sess.clientToServer(clientBuf) })
-	s2cErr := sess.serverToClient(bufio.NewReader(server))
+	p.srv.Go(func() {
+		errCh <- sess.clientToServer(&recordPump{src: clientBuf, dst: bufio.NewWriter(server)})
+	})
+	s2cErr := sess.serverToClient(&recordPump{src: bufio.NewReader(server), dst: sess.out})
 	// Unblock the other pump: its source or sink is about to go away.
 	client.Close()
 	server.Close()
@@ -123,6 +126,51 @@ func (p *Proxy) handle(client net.Conn) error {
 func isRecord(hdr []byte) bool {
 	_, _, ok := DetectRecord(hdr)
 	return ok
+}
+
+// recordPump re-frames one direction of a proxied connection. Records go
+// out through a buffer that is flushed whenever the bytes already read
+// from the source do not hold the next complete record: a flight the peer
+// sent with one write leaves with one write, and no output is held while
+// the pump waits on the network.
+type recordPump struct {
+	src *bufio.Reader
+	dst *bufio.Writer
+}
+
+// next returns the next record from the source, first flushing what is
+// pending unless that record is already buffered.
+func (p *recordPump) next() (tlssim.Record, error) {
+	if !recordBuffered(p.src) {
+		if err := p.dst.Flush(); err != nil {
+			return tlssim.Record{}, err
+		}
+	}
+	rec, err := tlssim.ReadRecord(p.src)
+	if err != nil {
+		p.dst.Flush() //nolint:errcheck // best effort: the read error wins
+	}
+	return rec, err
+}
+
+// recordBuffered reports whether br holds a whole record without reading.
+func recordBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < RecordHeaderLen {
+		return false
+	}
+	hdr, _ := br.Peek(RecordHeaderLen)
+	return br.Buffered() >= RecordHeaderLen+(int(hdr[3])<<8|int(hdr[4]))
+}
+
+// writeRecord queues rec on w, encoding it straight into w's free space
+// (tlssim.WriteRecord allocates a buffer per record).
+func writeRecord(w *bufio.Writer, rec tlssim.Record) error {
+	buf, err := tlssim.AppendRecord(w.AvailableBuffer(), rec)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
+	return err
 }
 
 func tupleOf(client net.Conn) FourTuple {
@@ -148,6 +196,9 @@ type proxySession struct {
 	tuple  FourTuple
 	client net.Conn
 	server net.Conn
+	// out buffers the client-bound records; only serverToClient's
+	// goroutine writes it.
+	out *bufio.Writer
 
 	mu    sync.Mutex
 	state *ConnState // nil until a RITM ClientHello is seen
@@ -202,9 +253,9 @@ func (s *proxySession) teardown() {
 
 // clientToServer inspects the upstream direction: it watches for the RITM
 // ClientHello extension (Fig 3 step 2) and forwards everything.
-func (s *proxySession) clientToServer(src *bufio.Reader) error {
+func (s *proxySession) clientToServer(p *recordPump) error {
 	for {
-		rec, err := tlssim.ReadRecord(src)
+		rec, err := p.next()
 		if err != nil {
 			middlebox.HalfClose(s.server)
 			return err
@@ -215,7 +266,7 @@ func (s *proxySession) clientToServer(src *bufio.Reader) error {
 				s.onClientHello(msg.Body)
 			}
 		}
-		if err := tlssim.WriteRecord(s.server, rec); err != nil {
+		if err := writeRecord(p.dst, rec); err != nil {
 			return err
 		}
 	}
@@ -245,9 +296,9 @@ func (s *proxySession) onClientHello(body []byte) {
 // serverToClient is the injection path: it tracks the handshake stage,
 // resolves the certificate identity, and splices revocation-status records
 // into the stream (Fig 3 steps 4 and 6).
-func (s *proxySession) serverToClient(src *bufio.Reader) error {
+func (s *proxySession) serverToClient(p *recordPump) error {
 	for {
-		rec, err := tlssim.ReadRecord(src)
+		rec, err := p.next()
 		if err != nil {
 			middlebox.HalfClose(s.client)
 			return err
@@ -257,7 +308,7 @@ func (s *proxySession) serverToClient(src *bufio.Reader) error {
 		st := s.currentState()
 		if st == nil {
 			// Unsupported connection: forward untouched.
-			if err := tlssim.WriteRecord(s.client, rec); err != nil {
+			if err := writeRecord(s.out, rec); err != nil {
 				return err
 			}
 			continue
@@ -281,11 +332,11 @@ func (s *proxySession) serverToClient(src *bufio.Reader) error {
 					st.markStatus(now)
 				}
 			}
-			if err := tlssim.WriteRecord(s.client, rec); err != nil {
+			if err := writeRecord(s.out, rec); err != nil {
 				return err
 			}
 		default:
-			if err := tlssim.WriteRecord(s.client, rec); err != nil {
+			if err := writeRecord(s.out, rec); err != nil {
 				return err
 			}
 		}
@@ -305,7 +356,7 @@ func (s *proxySession) forwardHandshake(st *ConnState, rec tlssim.Record) error 
 	msg, err := ParseHandshakeRecord(rec.Payload)
 	if err != nil {
 		// Unparsable handshake data: forward and stop interpreting.
-		return tlssim.WriteRecord(s.client, rec)
+		return writeRecord(s.out, rec)
 	}
 	switch msg.Type {
 	case tlssim.TypeServerHello:
@@ -314,7 +365,7 @@ func (s *proxySession) forwardHandshake(st *ConnState, rec tlssim.Record) error 
 	case tlssim.TypeCertificate:
 		chain, err := ParseCertificates(msg.Body)
 		if err != nil || chain.Leaf() == nil {
-			return tlssim.WriteRecord(s.client, rec)
+			return writeRecord(s.out, rec)
 		}
 		ids := s.identsForChain(chain)
 		s.setIdents(st, ids)
@@ -323,7 +374,7 @@ func (s *proxySession) forwardHandshake(st *ConnState, rec tlssim.Record) error 
 			s.ra.rememberSession(s.pendingSessionID, ids)
 		}
 		s.mu.Unlock()
-		if err := tlssim.WriteRecord(s.client, rec); err != nil {
+		if err := writeRecord(s.out, rec); err != nil {
 			return err
 		}
 		// Step 4: append the revocation status(es) to the certificate
@@ -337,15 +388,15 @@ func (s *proxySession) forwardHandshake(st *ConnState, rec tlssim.Record) error 
 		if nst, err := tlssim.ParseNewSessionTicket(msg.Body); err == nil {
 			s.ra.rememberSession(nst.Ticket, s.statusIdents(st))
 		}
-		return tlssim.WriteRecord(s.client, rec)
+		return writeRecord(s.out, rec)
 
 	case tlssim.TypeFinished:
 		// Step 6: the server accepted the connection.
 		st.setStage(StageEstablished)
-		return tlssim.WriteRecord(s.client, rec)
+		return writeRecord(s.out, rec)
 
 	default:
-		return tlssim.WriteRecord(s.client, rec)
+		return writeRecord(s.out, rec)
 	}
 }
 
@@ -353,7 +404,7 @@ func (s *proxySession) onServerHello(st *ConnState, rec tlssim.Record, body []by
 	st.setStage(StageServerHello)
 	sh, err := tlssim.ParseServerHello(body)
 	if err != nil {
-		return tlssim.WriteRecord(s.client, rec)
+		return writeRecord(s.out, rec)
 	}
 	if !sh.Resumed {
 		// Full handshake: remember the offered session ID so that a later
@@ -361,7 +412,7 @@ func (s *proxySession) onServerHello(st *ConnState, rec tlssim.Record, body []by
 		s.mu.Lock()
 		s.pendingSessionID = append([]byte(nil), sh.SessionID...)
 		s.mu.Unlock()
-		return tlssim.WriteRecord(s.client, rec)
+		return writeRecord(s.out, rec)
 	}
 	// Abbreviated handshake: recover the identities from the resumption
 	// handle the client offered (§III, TLS resumption support).
@@ -371,7 +422,7 @@ func (s *proxySession) onServerHello(st *ConnState, rec tlssim.Record, body []by
 	if ids, ok := s.ra.lookupSession(handle); ok {
 		s.setIdents(st, ids)
 	}
-	if err := tlssim.WriteRecord(s.client, rec); err != nil {
+	if err := writeRecord(s.out, rec); err != nil {
 		return err
 	}
 	if ca, _ := st.identity(); ca != "" {
@@ -417,7 +468,7 @@ func (s *proxySession) injectStatuses(st *ConnState) bool {
 			continue
 		}
 		rec := tlssim.Record{Type: tlssim.ContentRITMStatus, Payload: encoded}
-		if err := tlssim.WriteRecord(s.client, rec); err != nil {
+		if err := writeRecord(s.out, rec); err != nil {
 			return wrote
 		}
 		s.ra.stats.statusesInjected.Add(1)
@@ -435,21 +486,21 @@ func (s *proxySession) injectStatuses(st *ConnState) bool {
 func (s *proxySession) forwardUpstreamStatus(st *ConnState, rec tlssim.Record) error {
 	theirs, err := dictionary.DecodeStatus(rec.Payload)
 	if err != nil {
-		return tlssim.WriteRecord(s.client, rec)
+		return writeRecord(s.out, rec)
 	}
 	id, ok := s.matchIdentity(st, theirs)
 	if !ok {
-		return tlssim.WriteRecord(s.client, rec)
+		return writeRecord(s.out, rec)
 	}
 	ours, oursEncoded, ourErr := s.ra.StatusEncoded(id.ca, id.sn)
 	if ourErr == nil && newerRoot(ours.Root, theirs.Root) {
 		out := tlssim.Record{Type: tlssim.ContentRITMStatus, Payload: oursEncoded}
-		if err := tlssim.WriteRecord(s.client, out); err != nil {
+		if err := writeRecord(s.out, out); err != nil {
 			return err
 		}
 		s.ra.stats.statusesReplaced.Add(1)
 	} else {
-		if err := tlssim.WriteRecord(s.client, rec); err != nil {
+		if err := writeRecord(s.out, rec); err != nil {
 			return err
 		}
 		s.ra.stats.statusesForwarded.Add(1)

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ritm/internal/cert"
@@ -119,7 +120,7 @@ func (v *Verifier) verify(status *dictionary.Status, state *tlssim.ConnectionSta
 		return err
 	}
 	// 5b + 5c: proof against signed root, signature, freshness within 2∆.
-	res, err := status.Check(subject, pub, v.cfg.now().Unix())
+	res, err := status.CheckWith(subject, pub, v.cfg.now().Unix(), v.cfg.Pool.Verify)
 	if err != nil {
 		return err
 	}
@@ -219,6 +220,7 @@ func (v *Verifier) Expired(now time.Time) bool {
 type Conn struct {
 	*tlssim.Conn
 	verifier *Verifier
+	expired  atomic.Bool // the watchdog aborted the connection
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -228,6 +230,27 @@ type Conn struct {
 // Verifier exposes the connection's status verifier (tests and examples
 // read its counters).
 func (c *Conn) Verifier() *Verifier { return c.verifier }
+
+// Read reads application data. Once the watchdog has interrupted the
+// connection, the error matches ErrStatusExpired.
+func (c *Conn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	return n, c.wrapExpired(err)
+}
+
+// Write writes application data. Once the watchdog has interrupted the
+// connection, the error matches ErrStatusExpired.
+func (c *Conn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	return n, c.wrapExpired(err)
+}
+
+func (c *Conn) wrapExpired(err error) error {
+	if err != nil && c.expired.Load() {
+		return fmt.Errorf("%w: %w", ErrStatusExpired, err)
+	}
+	return err
+}
 
 // Close stops the watchdog and closes the underlying connection.
 func (c *Conn) Close() error {
@@ -251,6 +274,7 @@ func (c *Conn) watchdog(interval time.Duration, now func() time.Time) {
 		select {
 		case <-ticker.C:
 			if c.verifier.Expired(now()) {
+				c.expired.Store(true)
 				c.Conn.Abort()
 				return
 			}

@@ -254,6 +254,12 @@ func TestWatchdogInterruptsWhenStatusesStop(t *testing.T) {
 	buf := make([]byte, 16)
 	for time.Now().Before(deadline) {
 		if _, err := conn.Read(buf); err != nil {
+			if !errors.Is(err, ErrStatusExpired) {
+				t.Fatalf("Read err = %v, want ErrStatusExpired", err)
+			}
+			if _, err := conn.Write([]byte("x")); !errors.Is(err, ErrStatusExpired) {
+				t.Errorf("Write err = %v, want ErrStatusExpired", err)
+			}
 			return // interrupted as required
 		}
 	}

@@ -1,6 +1,7 @@
 package tlssim
 
 import (
+	"bufio"
 	"crypto/rand"
 	"errors"
 	"fmt"
@@ -116,8 +117,14 @@ func (c *Config) serverSessions() *serverSessionCache {
 // Conn is a TLS-sim connection over an underlying net.Conn. Reads and
 // writes are each serialized by their own mutex, so one reader and one
 // writer goroutine may operate concurrently.
+//
+// Records are read through a buffer, and the handshake collects each flight
+// (every message a side sends before it next waits for its peer) and sends
+// it with one write: the bytes and their order are those of one record per
+// write, only the segmentation differs.
 type Conn struct {
 	conn     net.Conn
+	br       *bufio.Reader // records from conn
 	cfg      *Config
 	isClient bool
 
@@ -133,6 +140,7 @@ type Conn struct {
 	readBuf []byte // undelivered plaintext
 
 	writeMu sync.Mutex
+	flight  []byte // handshake records not yet written, under writeMu
 
 	closeOnce sync.Once
 	closeErr  error
@@ -140,12 +148,12 @@ type Conn struct {
 
 // Client wraps conn as the client side of a TLS-sim connection.
 func Client(conn net.Conn, cfg *Config) *Conn {
-	return &Conn{conn: conn, cfg: cfg, isClient: true}
+	return &Conn{conn: conn, br: bufio.NewReader(conn), cfg: cfg, isClient: true}
 }
 
 // Server wraps conn as the server side of a TLS-sim connection.
 func Server(conn net.Conn, cfg *Config) *Conn {
-	return &Conn{conn: conn, cfg: cfg}
+	return &Conn{conn: conn, br: bufio.NewReader(conn), cfg: cfg}
 }
 
 // Dial connects to addr and performs the client handshake.
@@ -174,6 +182,9 @@ func (c *Conn) Handshake() error {
 		err = c.clientHandshake()
 	} else {
 		err = c.serverHandshake()
+	}
+	if err == nil {
+		err = c.flush()
 	}
 	if err != nil {
 		c.hsErr = fmt.Errorf("%w: %w", ErrHandshakeFailed, err)
@@ -230,11 +241,15 @@ func (c *Conn) Abort() error {
 	return c.closeErr
 }
 
+// sendAlert writes the alert after whatever flight is still pending, so a
+// failed handshake sends the same records in the same order.
 func (c *Conn) sendAlert(reason alertReason) {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
+	out, _ := AppendRecord(c.flight, alertRecord(reason))
+	c.flight = nil
 	_ = c.conn.SetWriteDeadline(time.Now().Add(alertWriteTimeout))
-	_ = WriteRecord(c.conn, alertRecord(reason))
+	_, _ = c.conn.Write(out)
 	_ = c.conn.SetWriteDeadline(time.Time{})
 }
 
@@ -274,7 +289,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
 	for len(c.readBuf) == 0 {
-		rec, err := ReadRecord(c.conn)
+		rec, err := ReadRecord(c.br)
 		if err != nil {
 			return 0, err
 		}
@@ -316,14 +331,17 @@ func (c *Conn) handleStatus(raw []byte) error {
 	return nil
 }
 
-// readHandshakeMessage reads records until a handshake message arrives,
-// dispatching interleaved status records (an RA may inject its status
-// between the server's handshake flights) and failing on alerts. The
-// message is appended to the transcript and must be one of the expected
-// types.
+// readHandshakeMessage sends the pending flight, then reads records until a
+// handshake message arrives, dispatching interleaved status records (an RA
+// may inject its status between the server's handshake flights) and failing
+// on alerts. The message is appended to the transcript and must be one of
+// the expected types.
 func (c *Conn) readHandshakeMessage(tr *transcript, expect ...HandshakeType) (Handshake, error) {
+	if err := c.flush(); err != nil {
+		return Handshake{}, err
+	}
 	for {
-		rec, err := ReadRecord(c.conn)
+		rec, err := ReadRecord(c.br)
 		if err != nil {
 			return Handshake{}, err
 		}
@@ -352,12 +370,30 @@ func (c *Conn) readHandshakeMessage(tr *transcript, expect ...HandshakeType) (Ha
 	}
 }
 
-// writeHandshake sends one handshake message and adds it to the transcript.
+// writeHandshake adds one handshake message to the transcript and to the
+// pending flight, which goes out on the next read or when Handshake returns.
 func (c *Conn) writeHandshake(tr *transcript, msg Handshake) error {
 	tr.add(msg)
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	return WriteRecord(c.conn, Record{Type: ContentHandshake, Payload: msg.Encode()})
+	var err error
+	c.flight, err = AppendRecord(c.flight, Record{Type: ContentHandshake, Payload: msg.Encode()})
+	return err
+}
+
+// flush writes the pending flight with one write.
+func (c *Conn) flush() error {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	if len(c.flight) == 0 {
+		return nil
+	}
+	out := c.flight
+	c.flight = nil
+	if _, err := c.conn.Write(out); err != nil {
+		return fmt.Errorf("write handshake flight: %w", err)
+	}
+	return nil
 }
 
 func (c *Conn) setKeys(master [masterSecretLen]byte, clientRandom, serverRandom []byte) error {

@@ -20,7 +20,7 @@ type testEnv struct {
 	serverKey *cryptoutil.Signer
 }
 
-func newTestEnv(t *testing.T) *testEnv {
+func newTestEnv(t testing.TB) *testEnv {
 	t.Helper()
 	caKey, err := cryptoutil.NewSigner(nil)
 	if err != nil {
@@ -286,7 +286,11 @@ func TestStatusRecordsDispatchedToHandler(t *testing.T) {
 		return nil
 	}
 
-	cRaw, sRaw := net.Pipe()
+	// Loopback TCP, not net.Pipe: the injected record is written while the
+	// client is itself writing its second flight, which a synchronous pipe
+	// would deadlock on. The kernel buffers it ahead of the server's
+	// closing flight, so the client meets it mid-handshake.
+	cRaw, sRaw := tcpPair(t)
 	client := Client(cRaw, cfg)
 	// A fake middlebox terminates the raw connection: it runs a real server
 	// handshake but injects a status record between handshake flights and
@@ -302,24 +306,24 @@ func TestStatusRecordsDispatchedToHandler(t *testing.T) {
 	if err := <-errCh; err != nil {
 		t.Fatalf("server handshake: %v", err)
 	}
+	if len(received) == 0 {
+		t.Fatal("status record did not reach the handler during the handshake")
+	}
+	if string(received[0]) != "status-1" {
+		t.Errorf("status payload = %q", received[0])
+	}
 	go server.Write([]byte("data"))
 	buf := make([]byte, 16)
 	if _, err := client.Read(buf); err != nil {
 		t.Fatalf("read: %v", err)
-	}
-	if len(received) == 0 {
-		t.Fatal("status record never reached the handler")
-	}
-	if string(received[0]) != "status-1" {
-		t.Errorf("status payload = %q", received[0])
 	}
 	client.Close()
 	server.Close()
 }
 
 // statusInjectingConn wraps the server's net.Conn and injects one RITM
-// status record immediately after the first write (the ServerHello flight),
-// simulating an on-path RA.
+// status record immediately after the first write (the server's first
+// flight), simulating an on-path RA.
 type statusInjectingConn struct {
 	net.Conn
 	inject   []byte
