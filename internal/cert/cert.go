@@ -282,17 +282,23 @@ func DecodeChainFrom(d *wire.Decoder) (Chain, error) {
 // Pool is a set of trusted root CA certificates, keyed by CA identifier.
 // It is the client's and the RA's trust anchor store.
 //
-// A pool also remembers the signatures it has seen verify (see Verify):
-// every connection of a client shares its pool, so the CA's signature on a
-// server certificate or on a signed root is checked once, not once per
-// handshake.
+// A pool also remembers the signatures it has seen verify (see Verify).
+// Every connection of a client shares its pool, so a client that meets the
+// same server certificate or signed root again skips the Ed25519
+// arithmetic for it; one it has not met is checked in full.
 type Pool struct {
 	roots map[dictionary.CAID]*Certificate
 	sigs  sigMemo
 }
 
-// sigMemoCap bounds the signatures one pool remembers. A client's working
-// set is a few signed roots and chain links per CA it talks to.
+// sigMemoCap bounds the signatures one pool remembers, and so its memory:
+// a key is the public key, the signature and the signed bytes (at most
+// 118 on inject_steady, so about 220 KB of keys at the cap). It is a
+// memory bound, not a working set: inject_steady's client, one server
+// certificate under one CA, meets 3 distinct signatures in a run and hits
+// on 99.996 % of its checks. Past the cap a new signature evicts a random
+// one; BenchmarkPoolVerify shows that a client meeting a new certificate
+// on every connection, all misses, pays what the plain check pays.
 const sigMemoCap = 1024
 
 // sigMemo is a bounded set of (public key, signature, message) triples

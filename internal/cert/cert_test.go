@@ -17,7 +17,7 @@ type testPKI struct {
 	pool                       *Pool
 }
 
-func newTestPKI(t *testing.T) *testPKI {
+func newTestPKI(t testing.TB) *testPKI {
 	t.Helper()
 	var p testPKI
 	var err error

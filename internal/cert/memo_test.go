@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ritm/internal/cryptoutil"
+	"ritm/internal/serial"
 )
 
 func (p *Pool) memoLen() int {
@@ -135,4 +136,45 @@ func TestPoolMemoConcurrent(t *testing.T) {
 	if n := pki.pool.memoLen(); n > sigMemoCap {
 		t.Errorf("memo holds %d signatures, cap %d", n, sigMemoCap)
 	}
+}
+
+// BenchmarkPoolVerify prices a certificate check through the pool's memo
+// against the plain Ed25519 check ("uncached") on the two shapes of client
+// traffic: "repeat" sees one server certificate on every connection, so
+// every check after the first hits; "distinct" sees a new certificate on
+// every connection, 8×sigMemoCap of them in rotation, so every check misses
+// and, once the memo is full, evicts (a certificate survives the 7×cap
+// insertions until its next turn with probability about e^-7).
+func BenchmarkPoolVerify(b *testing.B) {
+	pki := newTestPKI(b)
+	leaves := make([]*Certificate, 8*sigMemoCap)
+	for i := range leaves {
+		c, err := Issue("IntermediateCA", pki.intKey, Template{
+			SerialNumber: serial.FromUint64(uint64(i) + 1),
+			Subject:      fmt.Sprintf("site-%d.example", i),
+			NotBefore:    0,
+			NotAfter:     500_000,
+			PublicKey:    pki.serverKey.Public(),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		leaves[i] = c
+	}
+	issuer := pki.intKey.Public()
+	run := func(name string, check func(i int) error) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := check(i); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	run("uncached", func(i int) error { return leaves[i%len(leaves)].CheckSignature(issuer) })
+	distinct := pki.pool.Clone()
+	run("distinct", func(i int) error { return leaves[i%len(leaves)].checkSignature(issuer, distinct.Verify) })
+	repeat := pki.pool.Clone()
+	run("repeat", func(i int) error { return leaves[0].checkSignature(issuer, repeat.Verify) })
 }

@@ -368,8 +368,9 @@ type VerifyFunc func(pub ed25519.PublicKey, msg, sig []byte) error
 
 // CheckWith is Check with the root signature checked by verify. A client
 // passes its trust pool's memoized check (cert.Pool.Verify), so a signed
-// root costs one Ed25519 verification however many connections carry it;
-// the proof and the freshness statement are checked every time.
+// root its connections keep carrying costs one Ed25519 verification while
+// the pool remembers it; the proof and the freshness statement are checked
+// every time.
 func (st *Status) CheckWith(s serial.Number, pub ed25519.PublicKey, now int64, verify VerifyFunc) (CheckResult, error) {
 	if st.Proof == nil || st.Root == nil {
 		return 0, fmt.Errorf("%w: incomplete status", ErrBadProof)

@@ -101,15 +101,14 @@ func (p *Proxy) handle(client net.Conn) error {
 		tuple:  tupleOf(client),
 		client: client,
 		server: server,
-		out:    bufio.NewWriter(client),
+		up:     recordPump{src: clientBuf, dst: bufio.NewWriter(server)},
+		down:   recordPump{src: bufio.NewReader(server), dst: bufio.NewWriter(client)},
 	}
 	defer sess.teardown()
 
 	errCh := make(chan error, 1)
-	p.srv.Go(func() {
-		errCh <- sess.clientToServer(&recordPump{src: clientBuf, dst: bufio.NewWriter(server)})
-	})
-	s2cErr := sess.serverToClient(&recordPump{src: bufio.NewReader(server), dst: sess.out})
+	p.srv.Go(func() { errCh <- sess.clientToServer() })
+	s2cErr := sess.serverToClient()
 	// Unblock the other pump: its source or sink is about to go away.
 	client.Close()
 	server.Close()
@@ -153,6 +152,17 @@ func (p *recordPump) next() (tlssim.Record, error) {
 	return rec, err
 }
 
+// write queues rec for the sink, encoding it straight into the buffer's
+// free space (tlssim.WriteRecord allocates a buffer per record).
+func (p *recordPump) write(rec tlssim.Record) error {
+	buf, err := tlssim.AppendRecord(p.dst.AvailableBuffer(), rec)
+	if err != nil {
+		return err
+	}
+	_, err = p.dst.Write(buf)
+	return err
+}
+
 // recordBuffered reports whether br holds a whole record without reading.
 func recordBuffered(br *bufio.Reader) bool {
 	if br.Buffered() < RecordHeaderLen {
@@ -160,17 +170,6 @@ func recordBuffered(br *bufio.Reader) bool {
 	}
 	hdr, _ := br.Peek(RecordHeaderLen)
 	return br.Buffered() >= RecordHeaderLen+(int(hdr[3])<<8|int(hdr[4]))
-}
-
-// writeRecord queues rec on w, encoding it straight into w's free space
-// (tlssim.WriteRecord allocates a buffer per record).
-func writeRecord(w *bufio.Writer, rec tlssim.Record) error {
-	buf, err := tlssim.AppendRecord(w.AvailableBuffer(), rec)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
 }
 
 func tupleOf(client net.Conn) FourTuple {
@@ -196,9 +195,9 @@ type proxySession struct {
 	tuple  FourTuple
 	client net.Conn
 	server net.Conn
-	// out buffers the client-bound records; only serverToClient's
-	// goroutine writes it.
-	out *bufio.Writer
+	// up carries client → server records, down server → client ones; each
+	// is used only by its direction's goroutine.
+	up, down recordPump
 
 	mu    sync.Mutex
 	state *ConnState // nil until a RITM ClientHello is seen
@@ -253,9 +252,9 @@ func (s *proxySession) teardown() {
 
 // clientToServer inspects the upstream direction: it watches for the RITM
 // ClientHello extension (Fig 3 step 2) and forwards everything.
-func (s *proxySession) clientToServer(p *recordPump) error {
+func (s *proxySession) clientToServer() error {
 	for {
-		rec, err := p.next()
+		rec, err := s.up.next()
 		if err != nil {
 			middlebox.HalfClose(s.server)
 			return err
@@ -266,7 +265,7 @@ func (s *proxySession) clientToServer(p *recordPump) error {
 				s.onClientHello(msg.Body)
 			}
 		}
-		if err := writeRecord(p.dst, rec); err != nil {
+		if err := s.up.write(rec); err != nil {
 			return err
 		}
 	}
@@ -296,9 +295,9 @@ func (s *proxySession) onClientHello(body []byte) {
 // serverToClient is the injection path: it tracks the handshake stage,
 // resolves the certificate identity, and splices revocation-status records
 // into the stream (Fig 3 steps 4 and 6).
-func (s *proxySession) serverToClient(p *recordPump) error {
+func (s *proxySession) serverToClient() error {
 	for {
-		rec, err := p.next()
+		rec, err := s.down.next()
 		if err != nil {
 			middlebox.HalfClose(s.client)
 			return err
@@ -308,7 +307,7 @@ func (s *proxySession) serverToClient(p *recordPump) error {
 		st := s.currentState()
 		if st == nil {
 			// Unsupported connection: forward untouched.
-			if err := writeRecord(s.out, rec); err != nil {
+			if err := s.down.write(rec); err != nil {
 				return err
 			}
 			continue
@@ -332,11 +331,11 @@ func (s *proxySession) serverToClient(p *recordPump) error {
 					st.markStatus(now)
 				}
 			}
-			if err := writeRecord(s.out, rec); err != nil {
+			if err := s.down.write(rec); err != nil {
 				return err
 			}
 		default:
-			if err := writeRecord(s.out, rec); err != nil {
+			if err := s.down.write(rec); err != nil {
 				return err
 			}
 		}
@@ -356,7 +355,7 @@ func (s *proxySession) forwardHandshake(st *ConnState, rec tlssim.Record) error 
 	msg, err := ParseHandshakeRecord(rec.Payload)
 	if err != nil {
 		// Unparsable handshake data: forward and stop interpreting.
-		return writeRecord(s.out, rec)
+		return s.down.write(rec)
 	}
 	switch msg.Type {
 	case tlssim.TypeServerHello:
@@ -365,7 +364,7 @@ func (s *proxySession) forwardHandshake(st *ConnState, rec tlssim.Record) error 
 	case tlssim.TypeCertificate:
 		chain, err := ParseCertificates(msg.Body)
 		if err != nil || chain.Leaf() == nil {
-			return writeRecord(s.out, rec)
+			return s.down.write(rec)
 		}
 		ids := s.identsForChain(chain)
 		s.setIdents(st, ids)
@@ -374,7 +373,7 @@ func (s *proxySession) forwardHandshake(st *ConnState, rec tlssim.Record) error 
 			s.ra.rememberSession(s.pendingSessionID, ids)
 		}
 		s.mu.Unlock()
-		if err := writeRecord(s.out, rec); err != nil {
+		if err := s.down.write(rec); err != nil {
 			return err
 		}
 		// Step 4: append the revocation status(es) to the certificate
@@ -388,15 +387,15 @@ func (s *proxySession) forwardHandshake(st *ConnState, rec tlssim.Record) error 
 		if nst, err := tlssim.ParseNewSessionTicket(msg.Body); err == nil {
 			s.ra.rememberSession(nst.Ticket, s.statusIdents(st))
 		}
-		return writeRecord(s.out, rec)
+		return s.down.write(rec)
 
 	case tlssim.TypeFinished:
 		// Step 6: the server accepted the connection.
 		st.setStage(StageEstablished)
-		return writeRecord(s.out, rec)
+		return s.down.write(rec)
 
 	default:
-		return writeRecord(s.out, rec)
+		return s.down.write(rec)
 	}
 }
 
@@ -404,7 +403,7 @@ func (s *proxySession) onServerHello(st *ConnState, rec tlssim.Record, body []by
 	st.setStage(StageServerHello)
 	sh, err := tlssim.ParseServerHello(body)
 	if err != nil {
-		return writeRecord(s.out, rec)
+		return s.down.write(rec)
 	}
 	if !sh.Resumed {
 		// Full handshake: remember the offered session ID so that a later
@@ -412,7 +411,7 @@ func (s *proxySession) onServerHello(st *ConnState, rec tlssim.Record, body []by
 		s.mu.Lock()
 		s.pendingSessionID = append([]byte(nil), sh.SessionID...)
 		s.mu.Unlock()
-		return writeRecord(s.out, rec)
+		return s.down.write(rec)
 	}
 	// Abbreviated handshake: recover the identities from the resumption
 	// handle the client offered (§III, TLS resumption support).
@@ -422,7 +421,7 @@ func (s *proxySession) onServerHello(st *ConnState, rec tlssim.Record, body []by
 	if ids, ok := s.ra.lookupSession(handle); ok {
 		s.setIdents(st, ids)
 	}
-	if err := writeRecord(s.out, rec); err != nil {
+	if err := s.down.write(rec); err != nil {
 		return err
 	}
 	if ca, _ := st.identity(); ca != "" {
@@ -468,7 +467,7 @@ func (s *proxySession) injectStatuses(st *ConnState) bool {
 			continue
 		}
 		rec := tlssim.Record{Type: tlssim.ContentRITMStatus, Payload: encoded}
-		if err := writeRecord(s.out, rec); err != nil {
+		if err := s.down.write(rec); err != nil {
 			return wrote
 		}
 		s.ra.stats.statusesInjected.Add(1)
@@ -486,21 +485,21 @@ func (s *proxySession) injectStatuses(st *ConnState) bool {
 func (s *proxySession) forwardUpstreamStatus(st *ConnState, rec tlssim.Record) error {
 	theirs, err := dictionary.DecodeStatus(rec.Payload)
 	if err != nil {
-		return writeRecord(s.out, rec)
+		return s.down.write(rec)
 	}
 	id, ok := s.matchIdentity(st, theirs)
 	if !ok {
-		return writeRecord(s.out, rec)
+		return s.down.write(rec)
 	}
 	ours, oursEncoded, ourErr := s.ra.StatusEncoded(id.ca, id.sn)
 	if ourErr == nil && newerRoot(ours.Root, theirs.Root) {
 		out := tlssim.Record{Type: tlssim.ContentRITMStatus, Payload: oursEncoded}
-		if err := writeRecord(s.out, out); err != nil {
+		if err := s.down.write(out); err != nil {
 			return err
 		}
 		s.ra.stats.statusesReplaced.Add(1)
 	} else {
-		if err := writeRecord(s.out, rec); err != nil {
+		if err := s.down.write(rec); err != nil {
 			return err
 		}
 		s.ra.stats.statusesForwarded.Add(1)

@@ -64,6 +64,8 @@ func newRecordingProxy(t *testing.T, agent *RA, target string) (p *Proxy, toClie
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Room for every connection a test makes (two at most), so neither
+	// Accept nor the dial waits for the test to receive.
 	down, up := make(chan *recordingConn, 4), make(chan *recordingConn, 4)
 	p = &Proxy{
 		ra:  agent,
@@ -109,24 +111,34 @@ func recordSequence(t *testing.T, stream []byte) []string {
 	}
 }
 
-// TestProxyOneWritePerFlight pins the proxy's re-emission: a flight the
-// peer sent with one write leaves the proxy with one write, the injected
-// status included, on a full and on a resumed handshake. The record
-// sequences are what the record-per-write proxy put on the wire.
-func TestProxyOneWritePerFlight(t *testing.T) {
+// TestOneWritePerFlight pins the inject plane's writes on a full and on a
+// resumed (ticket) handshake through the proxy: the tlssim client and
+// server send each handshake flight with one write, and the proxy re-emits
+// a flight its peer sent with one write with at most one write per flight,
+// the injected status included. The record sequences on all four legs are
+// what one write per record put on the wire.
+func TestOneWritePerFlight(t *testing.T) {
 	e := newEnv(t, 10*time.Second)
-	serverAddr := startServer(t, &tlssim.Config{Chain: e.chain, Key: e.key})
-	proxy, toClient, toServer := newRecordingProxy(t, e.ra, serverAddr.String())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers := make(chan *recordingConn, 4) // sized as newRecordingProxy's
+	var ticketKey [32]byte
+	serve(t, &recordingListener{Listener: ln, accepted: servers},
+		&tlssim.Config{Chain: e.chain, Key: e.key, TicketKey: &ticketKey})
+	proxy, toClient, toServer := newRecordingProxy(t, e.ra, ln.Addr().String())
 	cache := tlssim.NewClientSessionCache()
 
 	cases := []struct {
-		name               string
-		toServer, toClient []string
+		name                       string
+		clientWrites, serverWrites int
+		toServer, toClient         []string
 	}{
-		{"full",
+		{"full", 2, 2,
 			[]string{"ClientHello", "ClientKeyExchange", "Finished"},
-			[]string{"ServerHello", "Certificate", "ritm-status", "ServerKeyExchange", "ServerHelloDone", "Finished"}},
-		{"resumed",
+			[]string{"ServerHello", "Certificate", "ritm-status", "ServerKeyExchange", "ServerHelloDone", "NewSessionTicket", "Finished"}},
+		{"resumed", 2, 1,
 			[]string{"ClientHello", "Finished"},
 			[]string{"ServerHello", "ritm-status", "Finished"}},
 	}
@@ -153,21 +165,29 @@ func TestProxyOneWritePerFlight(t *testing.T) {
 		if sc.count() != 1 {
 			t.Errorf("%s: %d statuses during the handshake, want 1", tc.name, sc.count())
 		}
-		// The client holds the server's Finished, so every client-bound
-		// record has been written; on resumption the client's Finished is
-		// its last flight and may still be on its way upstream.
-		down, up := <-toClient, <-toServer
+		// The client holds the server's Finished, so the server and the
+		// proxy have written every client-bound record; the client's last
+		// flight may still be on its way upstream.
+		server, down, up := <-servers, <-toClient, <-toServer
 		cw, _ := client.snapshot()
+		sw, fromServer := server.snapshot()
 		dw, downBytes := down.snapshot()
 		uw, upBytes := awaitRecords(t, up, len(tc.toServer))
-		if cw != 2 || dw > 2 || uw > 2 {
-			t.Errorf("%s: writes: client %d (want 2), proxy to client %d and to server %d (want ≤ 2 each)", tc.name, cw, dw, uw)
+		if cw != tc.clientWrites || sw != tc.serverWrites {
+			t.Errorf("%s: writes: client %d server %d, want %d and %d", tc.name, cw, sw, tc.clientWrites, tc.serverWrites)
+		}
+		if dw > 2 || uw > 2 {
+			t.Errorf("%s: writes: proxy to client %d and to server %d, want ≤ 2 each", tc.name, dw, uw)
 		}
 		if got := recordSequence(t, upBytes); !reflect.DeepEqual(got, tc.toServer) {
 			t.Errorf("%s: server received %v, want %v", tc.name, got, tc.toServer)
 		}
 		if got := recordSequence(t, downBytes); !reflect.DeepEqual(got, tc.toClient) {
 			t.Errorf("%s: client received %v, want %v", tc.name, got, tc.toClient)
+		}
+		sent := slices.DeleteFunc(slices.Clone(tc.toClient), func(r string) bool { return r == "ritm-status" })
+		if got := recordSequence(t, fromServer); !reflect.DeepEqual(got, sent) {
+			t.Errorf("%s: server sent %v, want %v", tc.name, got, sent)
 		}
 		conn.Close()
 	}

@@ -91,6 +91,13 @@ func startServer(t *testing.T, cfg *tlssim.Config) net.Addr {
 	if err != nil {
 		t.Fatal(err)
 	}
+	serve(t, ln, cfg)
+	return ln.Addr()
+}
+
+// serve is startServer on a listener the caller made.
+func serve(t *testing.T, ln net.Listener, cfg *tlssim.Config) {
+	t.Helper()
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -122,7 +129,6 @@ func startServer(t *testing.T, cfg *tlssim.Config) net.Addr {
 		ln.Close()
 		wg.Wait()
 	})
-	return ln.Addr()
 }
 
 // collectStatuses returns a tlssim OnStatus handler that stores decoded

@@ -276,6 +276,38 @@ func TestServerDeploymentConfirmation(t *testing.T) {
 	}
 }
 
+// tcpPair returns the two ends of a loopback TCP connection.
+func tcpPair(t *testing.T) (net.Conn, net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			accepted <- nil
+			return
+		}
+		accepted <- c
+	}()
+	a, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := <-accepted
+	if b == nil {
+		t.Fatal("accept failed")
+	}
+	t.Cleanup(func() {
+		a.Close()
+		b.Close()
+	})
+	return a, b
+}
+
 func TestStatusRecordsDispatchedToHandler(t *testing.T) {
 	env := newTestEnv(t)
 
