@@ -1,5 +1,6 @@
 // Command ritm-ra runs a Revocation Agent: it replicates the dictionaries
-// of one or more CAs from a dissemination endpoint (pulling every ∆) and
+// of one or more CAs from a dissemination endpoint (pulling once per ∆
+// period of each CA's signed root) and
 // proxies TCP traffic between clients and one upstream, injecting
 // revocation statuses into RITM-supported TLS connections.
 //
@@ -45,14 +46,14 @@ func main() {
 		cooldown  = flag.Duration("failover-cooldown", 0, "how long a demoted origin candidate stays skipped before being probed again (0 = library default)")
 		listen    = flag.String("listen", "127.0.0.1:8443", "address clients connect to")
 		target    = flag.String("target", "127.0.0.1:9443", "upstream server address")
-		delta     = flag.Duration("delta", 10*time.Second, "pull interval ∆")
-		jitter    = flag.Duration("jitter", 0, "max random phase of each CA's pull schedule (avoids fleet-wide stampedes)")
+		delta     = flag.Duration("delta", 10*time.Second, "dissemination interval ∆; each CA is pulled once per ∆ period of its signed root")
+		jitter    = flag.Duration("jitter", 0, "max random phase of each CA's pull inside its period (avoids fleet-wide stampedes)")
 		expire    = flag.Duration("expire-shards", 0, "expiry-shard bucket width; >0 drops a fully expired shard before its next pull")
-		chain     = flag.String("edge-chain", "", "comma-separated TTLs of local caching edge layers over the dissemination endpoint, nearest first (e.g. \"5s,30s\" = PoP-style 5s cache in front of a 30s regional-style cache); each layer also negative-caches unknown CAs for its TTL")
+		chain     = flag.String("edge-chain", "", "comma-separated TTLs of local caching edge layers over the dissemination endpoint, nearest first (e.g. \"2s,5s\" = PoP-style 2s cache in front of a 5s regional-style cache); the TTLs must sum to less than -delta, since each layer can hand out one freshness statement for its whole TTL; each layer also negative-caches unknown CAs for its TTL")
 		dataDir   = flag.String("data-dir", "", "directory for durable replica state (WAL + checkpoints per CA); a restarted RA resumes at its persisted count and pulls only the missed suffix. Empty = in-memory only")
 		ckptEvery = flag.Int("checkpoint-every", dictionary.DefaultCheckpointEvery, "persisted update batches between checkpoint snapshots")
 		fsync     = flag.Bool("fsync", true, "fsync the WAL on every persisted update batch")
-		shared    = flag.Bool("shared-data", false, "serve read-only from another ritm-ra's -data-dir instead of pulling: the checkpoint is mmap'd (physical pages shared across co-located RAs) and the writer's stamp is polled at ∆/8. Exactly one process writes a data dir; any number may read it")
+		shared    = flag.Bool("shared-data", false, "serve read-only from another ritm-ra's -data-dir instead of pulling: the checkpoint is mmap'd (physical pages shared across co-located RAs) and the writer's stamp is polled on each CA's period grid, like a pull. Exactly one process writes a data dir; any number may read it")
 		intercept = flag.Bool("intercept", false, "terminate real TLS on -listen instead of the tlssim DPI proxy: bumped handshakes drive the dictionary status check (upstream leaf mapped by issuer CN + serial), revoked upstreams are refused with a certificate_revoked alert, and clients see leaves minted under -bump-root")
 		bumpRoot  = flag.String("bump-root", "", "PEM file holding the interception root certificate + private key; created (ECDSA P-256, 10y) if missing. Required with -intercept; clients must install the certificate")
 		bypass    = flag.String("bypass-file", "", "file listing hosts never bumped (one per line, '#' comments; 'example.com' exact, '.example.com' includes subdomains); matching connections are spliced verbatim")
@@ -116,7 +117,7 @@ func splitShards(origins string) []string {
 // layering the -edge-chain caches over every candidate (each candidate is
 // an independent upstream; caching in front of the failover wrapper would
 // blur which candidate answered and defeat per-candidate demotion).
-func buildShardedOrigin(origins, chain string, cooldown time.Duration) (ritm.Origin, error) {
+func buildShardedOrigin(origins, chain string, delta, cooldown time.Duration) (ritm.Origin, error) {
 	groups := splitShards(origins)
 	shards := make([][]ritm.Origin, len(groups))
 	for i, group := range groups {
@@ -125,7 +126,7 @@ func buildShardedOrigin(origins, chain string, cooldown time.Duration) (ritm.Ori
 			if u == "" {
 				return nil, fmt.Errorf("origins shard %d candidate %d: empty URL", i, j)
 			}
-			candidate, err := buildEdgeChain(&ritm.HTTPClient{BaseURL: strings.TrimRight(u, "/")}, chain)
+			candidate, err := buildEdgeChain(&ritm.HTTPClient{BaseURL: strings.TrimRight(u, "/")}, chain, delta)
 			if err != nil {
 				return nil, err
 			}
@@ -141,15 +142,21 @@ func buildShardedOrigin(origins, chain string, cooldown time.Duration) (ritm.Ori
 
 // buildEdgeChain layers in-process caching edges over base, mirroring the
 // PoP → regional tiers of a CDN hierarchy inside one RA process. ttls is
-// nearest-layer-first ("5s,30s" caches 5s in front of 30s); each layer
+// nearest-layer-first ("2s,5s" caches 2s in front of 5s); each layer
 // negative-caches unknown CAs for its TTL, so a misconfigured trust list
 // cannot hammer the remote endpoint either.
-func buildEdgeChain(base ritm.Origin, ttls string) (ritm.Origin, error) {
+//
+// A freshness-only pull repeats its cache key (ca, n), so each layer can
+// serve one statement for its whole TTL, and the layers' ages add up. A
+// chain whose TTLs sum to ∆ or more can hand the RA a statement two
+// periods old, which clients refuse as stale; it is refused here.
+func buildEdgeChain(base ritm.Origin, ttls string, delta time.Duration) (ritm.Origin, error) {
 	if ttls == "" {
 		return base, nil
 	}
 	parts := strings.Split(ttls, ",")
 	origin := base
+	var sum time.Duration
 	for i := len(parts) - 1; i >= 0; i-- {
 		ttl, err := time.ParseDuration(strings.TrimSpace(parts[i]))
 		if err != nil {
@@ -158,9 +165,13 @@ func buildEdgeChain(base ritm.Origin, ttls string) (ritm.Origin, error) {
 		if ttl <= 0 {
 			return nil, fmt.Errorf("edge-chain layer %d: TTL %v must be positive", i, ttl)
 		}
+		sum += ttl
 		edge := ritm.NewEdgeServer(origin, ttl, nil)
 		edge.SetNegativeTTL(ttl)
 		origin = edge
+	}
+	if sum >= delta {
+		return nil, fmt.Errorf("edge-chain TTLs sum to %v, not below ∆ = %v: the chain could serve freshness statements older than clients accept", sum, delta)
 	}
 	return origin, nil
 }
@@ -193,11 +204,11 @@ func run(caURL, origins, listen, target string, delta, jitter, expire, cooldown 
 		// Shared readers never pull from the dissemination network; their
 		// sync cycle polls the writer's stamp instead.
 	case origins != "":
-		if origin, err = buildShardedOrigin(origins, chain, cooldown); err != nil {
+		if origin, err = buildShardedOrigin(origins, chain, delta, cooldown); err != nil {
 			return err
 		}
 	default:
-		if origin, err = buildEdgeChain(&ritm.HTTPClient{BaseURL: strings.TrimRight(strings.TrimSpace(strings.Split(caURL, ",")[0]), "/")}, chain); err != nil {
+		if origin, err = buildEdgeChain(&ritm.HTTPClient{BaseURL: strings.TrimRight(strings.TrimSpace(strings.Split(caURL, ",")[0]), "/")}, chain, delta); err != nil {
 			return err
 		}
 	}
@@ -223,19 +234,7 @@ func run(caURL, origins, listen, target string, delta, jitter, expire, cooldown 
 	if err := agent.SyncOnce(); err != nil {
 		return fmt.Errorf("initial sync: %w", err)
 	}
-	interval := delta
-	if shared {
-		// A reader's sync cycle is two stat calls against a local file, so
-		// poll well inside ∆: the writer is already up to ∆ behind the CA,
-		// and a reader lagging another full ∆ behind the writer can serve
-		// freshness outside the client's {p, p−1} tolerance.
-		interval = delta / 8
-		if interval < 50*time.Millisecond {
-			interval = 50 * time.Millisecond
-		}
-	}
 	fetcher := agent.StartFetcher(ritm.FetcherOptions{
-		Interval:    interval,
 		Jitter:      jitter,
 		ShardExpiry: expire,
 		OnError:     func(err error) { log.Printf("sync: %v", err) },

@@ -14,7 +14,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"sync/atomic"
 	"time"
 
 	"ritm"
@@ -45,17 +44,20 @@ func run() error {
 	if err := authority.PublishRoot(); err != nil {
 		return err
 	}
-	refresher := authority.StartRefresherEvery(delta/2, nil)
+	refresher := authority.StartRefresher(nil)
 	defer refresher.Shutdown()
-	fmt.Println("① origin online, CA refreshing every ∆/2")
+	fmt.Println("① origin online, CA refreshing at every period boundary")
 
 	// 2. One edge server shields the origin; its cache key is (ca, from),
-	//    its TTL one ∆ — stale entries and superseded counts are swept.
-	edge := ritm.NewEdgeServer(dp, delta, nil)
+	//    its TTL ∆/2 — a freshness-only pull repeats its key, so the TTL
+	//    must stay below ∆ or the edge could serve a statement two periods
+	//    old. Stale entries and superseded counts are swept.
+	edge := ritm.NewEdgeServer(dp, delta/2, nil)
 
-	// 3. A fleet of RAs pulls through the edge. Jitter smears each RA's
-	//    pull inside the interval so the fleet does not stampede the edge
-	//    at every ∆ boundary; the first sync runs immediately.
+	// 3. A fleet of RAs pulls through the edge, once per period of the
+	//    CA's signed root. Jitter smears each RA's pull inside the period
+	//    so the fleet does not stampede the edge at every period boundary;
+	//    the first sync runs immediately.
 	agents := make([]*ritm.RA, ras)
 	fetchers := make([]*ritm.Fetcher, ras)
 	for i := range agents {
@@ -68,9 +70,8 @@ func run() error {
 			return err
 		}
 		fetchers[i] = agents[i].StartFetcher(ritm.FetcherOptions{
-			Interval: delta / 2,
-			Jitter:   delta / 4,
-			OnError:  func(err error) { log.Printf("sync: %v", err) },
+			Jitter:  delta / 4,
+			OnError: func(err error) { log.Printf("sync: %v", err) },
 		})
 	}
 	defer func() {
@@ -78,43 +79,26 @@ func run() error {
 			f.Shutdown()
 		}
 	}()
-	fmt.Printf("② %d RAs syncing through one edge (interval ∆/2, jitter ∆/4)\n", ras)
+	fmt.Printf("② %d RAs syncing through one edge (once per period, jitter ∆/4)\n", ras)
 
 	// 4. The CA keeps revoking while the fleet syncs.
 	gen := serial.NewGenerator(0xF1EE7, nil)
-	var revoked atomic.Int64
-	stopRevoker := make(chan struct{})
-	revokerDone := make(chan struct{})
-	go func() {
-		defer close(revokerDone)
-		ticker := time.NewTicker(delta / 3)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				if _, err := authority.Revoke(gen.NextN(25)...); err != nil {
-					log.Printf("revoke: %v", err)
-					return
-				}
-				revoked.Add(25)
-			case <-stopRevoker:
-				return
-			}
-		}
-	}()
-
 	const runFor = 5 * delta
 	fmt.Printf("③ revoking 25 certificates every ∆/3 for %v…\n", runFor)
-	time.Sleep(runFor)
-	close(stopRevoker)
-	<-revokerDone
+	revoked := 0
+	for end := time.Now().Add(runFor); time.Now().Before(end); revoked += 25 {
+		time.Sleep(delta / 3)
+		if _, err := authority.Revoke(gen.NextN(25)...); err != nil {
+			return err
+		}
+	}
 	time.Sleep(delta) // one last interval so the fleet converges
 
 	// 5. The ledger: how much fleet load the dissemination tier absorbed.
 	st := edge.Stats()
 	origin := dp.Stats().Pulls
 	total := st.Hits + st.Misses + st.CollapsedPulls
-	fmt.Printf("④ fleet converged on %d revocations\n", revoked.Load())
+	fmt.Printf("④ fleet converged on %d revocations\n", revoked)
 	for i, a := range agents {
 		r, err := a.Store().Replica("FleetCA")
 		if err != nil {

@@ -49,17 +49,19 @@ func run() error {
 	if err := authority.PublishRoot(); err != nil {
 		return err
 	}
-	refresher := authority.StartRefresherEvery(delta/2, nil)
+	refresher := authority.StartRefresher(nil)
 	defer refresher.Shutdown()
-	fmt.Println("① origin online, CA refreshing every ∆/2")
+	fmt.Println("① origin online, CA refreshing at every period boundary")
 
 	// 2. The hierarchy: PoPs → regional edges → origin, with negative
-	//    caching at every tier.
+	//    caching at every tier. A freshness-only pull repeats its cache
+	//    key, so a PoP can serve a statement its region cached a TTL
+	//    earlier: the two TTLs together stay below ∆.
 	topo, err := ritm.NewTopology(dp, ritm.TopologyConfig{
 		Regions:       regions,
 		PoPsPerRegion: pops,
-		PoPTTL:        delta,
-		RegionalTTL:   delta,
+		PoPTTL:        delta / 4,
+		RegionalTTL:   delta / 2,
 		NegativeTTL:   2 * delta,
 	})
 	if err != nil {
@@ -83,9 +85,8 @@ func run() error {
 				}
 				agents = append(agents, agent)
 				fetchers = append(fetchers, agent.StartFetcher(ritm.FetcherOptions{
-					Interval: delta / 2,
-					Jitter:   delta / 4,
-					OnError:  func(err error) { log.Printf("sync: %v", err) },
+					Jitter:  delta / 4,
+					OnError: func(err error) { log.Printf("sync: %v", err) },
 				}))
 			}
 		}
@@ -97,57 +98,33 @@ func run() error {
 	}()
 	fmt.Printf("③ %d RAs syncing through their local PoPs\n", len(agents))
 
-	// 4. A misconfigured client hammers a CA the origin does not carry;
-	//    the negative cache absorbs the storm at the PoP.
+	// 4. A misconfigured client hammers a CA the origin does not carry
+	//    for the whole run; the negative cache absorbs the storm at the PoP.
+	const runFor = 5 * delta
+	end := time.Now().Add(runFor)
 	var ghostTries, ghostAbsorbed atomic.Int64
-	stopGhost := make(chan struct{})
 	ghostDone := make(chan struct{})
 	go func() {
 		defer close(ghostDone)
-		ticker := time.NewTicker(delta / 20)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				ghostTries.Add(1)
-				if _, err := topo.PoP(0, 0).Pull("GhostCA", 0); errors.Is(err, ritm.ErrUnknownCA) {
-					ghostAbsorbed.Add(1)
-				}
-			case <-stopGhost:
-				return
+		for time.Now().Before(end) {
+			time.Sleep(delta / 20)
+			ghostTries.Add(1)
+			if _, err := topo.PoP(0, 0).Pull("GhostCA", 0); errors.Is(err, ritm.ErrUnknownCA) {
+				ghostAbsorbed.Add(1)
 			}
 		}
 	}()
 
 	// 5. The CA keeps revoking while the fleet syncs.
 	gen := serial.NewGenerator(0x41E6E, nil)
-	var revoked atomic.Int64
-	stopRevoker := make(chan struct{})
-	revokerDone := make(chan struct{})
-	go func() {
-		defer close(revokerDone)
-		ticker := time.NewTicker(delta / 3)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				if _, err := authority.Revoke(gen.NextN(25)...); err != nil {
-					log.Printf("revoke: %v", err)
-					return
-				}
-				revoked.Add(25)
-			case <-stopRevoker:
-				return
-			}
-		}
-	}()
-
-	const runFor = 5 * delta
 	fmt.Printf("④ revoking 25 certificates every ∆/3 for %v (plus an unknown-CA storm)…\n", runFor)
-	time.Sleep(runFor)
-	close(stopRevoker)
-	close(stopGhost)
-	<-revokerDone
+	revoked := 0
+	for ; time.Now().Before(end); revoked += 25 {
+		time.Sleep(delta / 3)
+		if _, err := authority.Revoke(gen.NextN(25)...); err != nil {
+			return err
+		}
+	}
 	<-ghostDone
 	time.Sleep(delta) // one last interval so the fleet converges
 
@@ -155,7 +132,7 @@ func run() error {
 	st := topo.Stats()
 	origin := dp.Stats().Pulls
 	popTotal := st.PoP.Hits + st.PoP.Misses + st.PoP.CollapsedPulls
-	fmt.Printf("⑤ fleet converged on %d revocations\n", revoked.Load())
+	fmt.Printf("⑤ fleet converged on %d revocations\n", revoked)
 	for r, rs := range st.PerRegion {
 		fmt.Printf("   region %d: PoP tier %.1f%% hit, regional %.1f%% hit\n",
 			r, 100*ritm.EdgeHitRate(rs.PoP), 100*ritm.EdgeHitRate(rs.Regional))

@@ -47,10 +47,9 @@ func run() error {
 	if err := authority.PublishRoot(); err != nil {
 		return err
 	}
-	// At ∆ = 1 s the publish → pull → piggyback pipeline can accumulate
-	// close to the full 2∆ tolerance; publishing and pulling at ∆/3 (still
-	// "at least every ∆") keeps injected statuses comfortably fresh.
-	refresher := authority.StartRefresherEvery(delta/3, nil)
+	// The CA publishes at every period boundary of its signed root, and
+	// the gateway pulls once inside every period of the same root.
+	refresher := authority.StartRefresher(nil)
 	defer refresher.Shutdown()
 
 	gateway, err := ritm.NewRA(ritm.RAConfig{
@@ -64,7 +63,7 @@ func run() error {
 	if err := gateway.SyncOnce(); err != nil {
 		return err
 	}
-	fetcher := gateway.StartFetcher(ritm.FetcherOptions{Interval: delta / 3})
+	fetcher := gateway.StartFetcher(ritm.FetcherOptions{})
 	defer fetcher.Shutdown()
 
 	// The IoT broker: a TLS server streaming telemetry acknowledgements.

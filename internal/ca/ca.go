@@ -101,6 +101,10 @@ type CA struct {
 	journal *dictionary.Journal[*dictionary.Authority]
 	root    *cert.Certificate
 
+	// wait is the refresher's timer: it blocks until the clock reaches due
+	// or stop closes (waitUntil; tests drive the schedule through it).
+	wait func(due time.Time, stop <-chan struct{}) bool
+
 	mu      sync.Mutex
 	serials *serial.Generator
 	issued  map[string]*cert.Certificate // by canonical serial bytes
@@ -197,7 +201,7 @@ func New(cfg Config) (*CA, error) {
 	if err != nil {
 		return fail(err)
 	}
-	return &CA{
+	c := &CA{
 		id:        cfg.ID,
 		signer:    signer,
 		delta:     cfg.Delta,
@@ -209,7 +213,9 @@ func New(cfg Config) (*CA, error) {
 		root:      rootCert,
 		serials:   serial.NewGenerator(serialSeed, cfg.SerialSizes),
 		issued:    make(map[string]*cert.Certificate),
-	}, nil
+	}
+	c.wait = func(due time.Time, stop <-chan struct{}) bool { return waitUntil(c.now, due, stop) }
+	return c, nil
 }
 
 // recoverAuthority rebuilds the authority from a durable log, or reports
@@ -284,9 +290,6 @@ func (c *CA) RootCertificate() *cert.Certificate { return c.root }
 
 // PublicKey returns the CA's verification key.
 func (c *CA) PublicKey() ed25519.PublicKey { return c.signer.Public() }
-
-// Delta returns the CA's dissemination interval ∆.
-func (c *CA) Delta() time.Duration { return c.delta }
 
 // Authority exposes the CA's dictionary (read-mostly uses: roots, proofs).
 func (c *CA) Authority() *dictionary.Authority { return c.authority }
@@ -391,13 +394,11 @@ func (c *CA) RevokeCertificate(crt *cert.Certificate) (*dictionary.IssuanceMessa
 	return c.Revoke(crt.SerialNumber)
 }
 
-// IsRevoked reports whether the CA has revoked the serial.
-func (c *CA) IsRevoked(sn serial.Number) bool { return c.authority.Revoked(sn) }
-
 // PublishRefresh runs one refresh cycle (Fig 2, refresh): it publishes the
 // current freshness statement, or — when the chain is exhausted — a new
 // signed root as a root-only issuance message. CAs call it at least every ∆
-// (Tab I rows two and three).
+// (Tab I rows two and three); StartRefresher calls it at each period's
+// start.
 func (c *CA) PublishRefresh() error {
 	var ref *dictionary.Refresh
 	err := c.journal.Apply(func(a *dictionary.Authority) (dictionary.Record, error) {
@@ -427,41 +428,51 @@ func (c *CA) PublishRefresh() error {
 	return nil
 }
 
-// Refresher runs PublishRefresh every ∆ until Shutdown is called. Errors
-// are delivered to onErr (may be nil).
+// Refresher runs PublishRefresh on the signed root's period grid until
+// Shutdown is called.
 type Refresher struct {
 	stop chan struct{}
 	done chan struct{}
 }
 
-// StartRefresher launches the periodic refresh loop (§III: "CAs are still
-// obliged to keep their dictionaries fresh"), publishing once per ∆.
+// StartRefresher launches the refresh loop (§III: "CAs are still obliged
+// to keep their dictionaries fresh"). It publishes once at start, then at
+// every period boundary t + p∆ of the current root, so statement p leaves
+// when the clients' period p begins. The timer is re-armed from the root
+// after every publish: a revocation re-signs the root at t = now, and the
+// next boundary follows it without any notification. Errors are delivered
+// to onErr (may be nil).
 func (c *CA) StartRefresher(onErr func(error)) *Refresher {
-	return c.StartRefresherEvery(c.delta, onErr)
-}
-
-// StartRefresherEvery launches the refresh loop at a custom interval.
-// Publishing more often than ∆ is always safe (statements are idempotent
-// per period) and shrinks the staleness the dissemination pipeline adds on
-// top of the publish/pull skew; intervals above ∆ violate the protocol.
-func (c *CA) StartRefresherEvery(interval time.Duration, onErr func(error)) *Refresher {
 	r := &Refresher{stop: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(r.done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
 		for {
-			select {
-			case <-ticker.C:
-				if err := c.PublishRefresh(); err != nil && onErr != nil {
-					onErr(err)
-				}
-			case <-r.stop:
+			if err := c.PublishRefresh(); err != nil && onErr != nil {
+				onErr(err)
+			}
+			if !c.wait(c.authority.SignedRoot().NextPeriod(c.now()), r.stop) {
 				return
 			}
 		}
 	}()
 	return r
+}
+
+// waitUntil blocks until now reads at least due, or stop closes; it
+// reports whether due was reached. A timer that fires early by that clock
+// is re-armed for the rest: Period truncates to whole seconds, so a publish
+// even a millisecond early would repeat the previous period's statement.
+func waitUntil(now func() time.Time, due time.Time, stop <-chan struct{}) bool {
+	for d := due.Sub(now()); d > 0; d = due.Sub(now()) {
+		t := time.NewTimer(d)
+		select {
+		case <-t.C:
+		case <-stop:
+			t.Stop()
+			return false
+		}
+	}
+	return true
 }
 
 // Shutdown stops the refresher and waits for it to exit.

@@ -62,8 +62,8 @@ func TestNewValidatesConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Delta() != 10*time.Second {
-		t.Errorf("default ∆ = %v", c.Delta())
+	if c.delta != 10*time.Second {
+		t.Errorf("default ∆ = %v", c.delta)
 	}
 }
 
@@ -111,14 +111,14 @@ func TestRevokePublishesAndMarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.IsRevoked(crt.SerialNumber) {
+	if c.Authority().Revoked(crt.SerialNumber) {
 		t.Fatal("fresh certificate already revoked")
 	}
 	msg, err := c.RevokeCertificate(crt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.IsRevoked(crt.SerialNumber) {
+	if !c.Authority().Revoked(crt.SerialNumber) {
 		t.Error("revocation not recorded")
 	}
 	if msg.Root.N != 1 || len(msg.Serials) != 1 {
@@ -153,17 +153,96 @@ func TestPublishRefreshEmitsFreshness(t *testing.T) {
 	}
 }
 
+// TestRefresherLoop drives the refresher through its timer on a virtual
+// clock: every statement leaves at a period boundary t + p∆ of the root
+// current when it was armed, and after a revocation re-signs the root at
+// t = now the next re-arm follows the new grid.
 func TestRefresherLoop(t *testing.T) {
+	var mu sync.Mutex
+	clock := time.Unix(1_400_000_000, 0)
+	now := func() time.Time { mu.Lock(); defer mu.Unlock(); return clock }
+	set := func(to time.Time) { mu.Lock(); clock = to; mu.Unlock() }
 	pub := &capturePublisher{}
-	c, err := New(Config{ID: "TestCA", Delta: time.Second, Publisher: pub})
+	c, err := New(Config{ID: "TestCA", Delta: 10 * time.Second, Publisher: pub, Now: now})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := c.StartRefresherEvery(100*time.Millisecond, func(err error) { t.Errorf("refresh: %v", err) })
-	time.Sleep(350 * time.Millisecond)
-	r.Shutdown()
-	if _, nf := pub.counts(); nf < 2 {
-		t.Errorf("refresher published %d statements, want ≥ 2", nf)
+	dues := make(chan time.Time)
+	fire := make(chan struct{})
+	c.wait = func(due time.Time, stop <-chan struct{}) bool {
+		select {
+		case dues <- due:
+		case <-stop:
+			return false
+		}
+		select {
+		case <-fire:
+			return true
+		case <-stop:
+			return false
+		}
+	}
+	r := c.StartRefresher(func(err error) { t.Errorf("refresh: %v", err) })
+	defer r.Shutdown()
+	// next receives the instant the refresher armed for, and fires it
+	// there after checking it.
+	next := func(want time.Time) {
+		t.Helper()
+		due := <-dues
+		if !due.Equal(want) {
+			t.Fatalf("armed for %v, want %v", due, want)
+		}
+		set(due)
+		fire <- struct{}{}
+	}
+	base := clock
+	next(base.Add(10 * time.Second)) // the start-up publish, then t + ∆
+	next(base.Add(20 * time.Second))
+	// A revocation at t + 23.4 s re-signs at t' = t + 23 while the timer
+	// is armed for t + 30; that publish goes, and the re-arm is t' + ∆.
+	<-dues
+	set(base.Add(23400 * time.Millisecond))
+	if _, err := c.Revoke(serial.FromUint64(7)); err != nil {
+		t.Fatal(err)
+	}
+	set(base.Add(30 * time.Second))
+	fire <- struct{}{}
+	next(base.Add(33 * time.Second))
+	next(base.Add(43 * time.Second))
+	<-dues
+	// Start-up, t + 10, 20, 30, then t' + 10 and t' + 20.
+	if _, nf := pub.counts(); nf != 6 {
+		t.Fatalf("refresher published %d statements, want 6", nf)
+	}
+	want, err := c.Authority().Statement(base.Add(43 * time.Second).Unix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub.mu.Lock()
+	defer pub.mu.Unlock()
+	if last := pub.freshness[5]; !last.Value.Equal(want.Value) {
+		t.Error("the statement published at t' + 2∆ is not the new root's period 2")
+	}
+}
+
+// TestWaitUntilHoldsForTheClock: a timer that fires before the clock it
+// was armed by reads due is re-armed, so the refresher never publishes
+// early by its own Now (Period truncates to whole seconds).
+func TestWaitUntilHoldsForTheClock(t *testing.T) {
+	start := time.Now()
+	// A clock running at half speed: every timer fires early by it.
+	slow := func() time.Time { return start.Add(time.Since(start) / 2) }
+	due := start.Add(40 * time.Millisecond)
+	if !waitUntil(slow, due, make(chan struct{})) {
+		t.Fatal("waitUntil reported stop")
+	}
+	if got := slow(); got.Before(due) {
+		t.Errorf("returned at %v by the clock, before due %v", got.Sub(start), due.Sub(start))
+	}
+	stop := make(chan struct{})
+	close(stop)
+	if waitUntil(slow, time.Now().Add(time.Hour), stop) {
+		t.Error("waitUntil ignored stop")
 	}
 }
 

@@ -80,6 +80,14 @@ func (r *SignedRoot) Period(now int64) int {
 	return int((now - r.Time) / int64(r.DeltaSecs))
 }
 
+// NextPeriod returns when the period after the one now falls in begins on
+// the root's grid: t + (p+1)∆ for p = Period(now). The CA publishes the
+// statement for that period then, and the RA schedules its pulls from it.
+// A root with ∆ = 0 has no grid; its next period is its own time t.
+func (r *SignedRoot) NextPeriod(now time.Time) time.Time {
+	return time.Unix(r.Time+int64(r.Period(now.Unix())+1)*int64(r.DeltaSecs), 0)
+}
+
 // Equal reports whether two signed roots commit to the same dictionary
 // version (all signed fields equal; signatures may differ only if a CA
 // signs twice, which Ed25519's determinism prevents in practice).

@@ -188,17 +188,6 @@ func (r *Replica) Prove(s serial.Number) (*Status, error) {
 	return r.snap.Load().Prove(s)
 }
 
-// FreshnessAge returns how many periods old the stored freshness statement
-// is relative to now; RAs use it to decide whether a new status must be
-// pushed on established connections (§III step 6).
-func (r *Replica) FreshnessAge(now int64) (int, error) {
-	snap := r.snap.Load()
-	if snap.Root() == nil {
-		return 0, fmt.Errorf("%w: replica has no signed root", ErrDesynchronized)
-	}
-	return snap.Root().Period(now) - snap.FreshnessPeriod(), nil
-}
-
 // Log returns a copy of the replica's issuance log (for consistency
 // checking and resynchronization serving between RAs). It reads the
 // published snapshot, lock-free: a mid-update, not-yet-verified log is

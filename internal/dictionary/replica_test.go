@@ -196,7 +196,7 @@ func TestReplicaFreshnessLifecycle(t *testing.T) {
 	deltaS := int64(testDelta / time.Second)
 
 	// Initially the anchor doubles as the period-0 statement.
-	age, err := r.FreshnessAge(0)
+	age, err := r.Snapshot().FreshnessAge(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestReplicaFreshnessLifecycle(t *testing.T) {
 	}
 
 	// One period later the stored statement is one period old.
-	age, err = r.FreshnessAge(deltaS)
+	age, err = r.Snapshot().FreshnessAge(deltaS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestReplicaFreshnessLifecycle(t *testing.T) {
 	if err := r.ApplyFreshness(st, deltaS); err != nil {
 		t.Fatalf("ApplyFreshness: %v", err)
 	}
-	age, err = r.FreshnessAge(deltaS)
+	age, err = r.Snapshot().FreshnessAge(deltaS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestReplicaProveBeforeBootstrap(t *testing.T) {
 	if _, err := r.Prove(serial.FromUint64(1)); !errors.Is(err, ErrDesynchronized) {
 		t.Errorf("err = %v, want ErrDesynchronized", err)
 	}
-	if _, err := r.FreshnessAge(0); !errors.Is(err, ErrDesynchronized) {
+	if _, err := r.Snapshot().FreshnessAge(0); !errors.Is(err, ErrDesynchronized) {
 		t.Errorf("err = %v, want ErrDesynchronized", err)
 	}
 }

@@ -86,6 +86,15 @@ func (s *Snapshot) Freshness() cryptoutil.Hash { return s.freshness }
 // verified for.
 func (s *Snapshot) FreshnessPeriod() int { return s.freshPer }
 
+// FreshnessAge returns how many periods the freshness statement lags the
+// period now falls in; the RA's pull loop retries while it is positive.
+func (s *Snapshot) FreshnessAge(now int64) (int, error) {
+	if s.root == nil {
+		return 0, fmt.Errorf("%w: replica has no signed root", ErrDesynchronized)
+	}
+	return s.root.Period(now) - s.freshPer, nil
+}
+
 // Count returns the number of revocations in the snapshot.
 func (s *Snapshot) Count() uint64 { return s.base + uint64(len(s.log)) }
 

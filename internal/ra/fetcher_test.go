@@ -27,6 +27,19 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 	t.Fatalf("timed out waiting for %s", msg)
 }
 
+// pullEvery replaces ra's grid wait with a plain d-long sleep, so a test
+// runs the pull loop at d instead of once per period of a 10 s root.
+func pullEvery(ra *RA, d time.Duration) {
+	ra.wait = func(_ time.Time, stop <-chan struct{}) bool {
+		select {
+		case <-time.After(d):
+			return true
+		case <-stop:
+			return false
+		}
+	}
+}
+
 // TestFetcherSyncsImmediately asserts the first sync does not wait for the
 // first tick: the seed fetcher slept a full interval before pulling, so a
 // freshly started RA served ErrDesynchronized statuses for up to ∆.
@@ -35,8 +48,9 @@ func TestFetcherSyncsImmediately(t *testing.T) {
 	if _, err := e.ca.Revoke(serial.NewGenerator(3, nil).NextN(2)...); err != nil {
 		t.Fatal(err)
 	}
-	// Interval of an hour: only the immediate first sync can catch up.
-	f := e.ra.StartFetcher(FetcherOptions{Interval: time.Hour})
+	// A wait that never ends: only the immediate first sync can catch up.
+	e.ra.wait = func(_ time.Time, stop <-chan struct{}) bool { <-stop; return false }
+	f := e.ra.StartFetcher(FetcherOptions{})
 	defer f.Shutdown()
 	waitFor(t, 2*time.Second, func() bool {
 		r, err := e.ra.Store().Replica("CA1")
@@ -54,7 +68,8 @@ func TestFetcherJitterStillSyncs(t *testing.T) {
 	if _, err := e.ca.Revoke(serial.NewGenerator(4, nil).NextN(3)...); err != nil {
 		t.Fatal(err)
 	}
-	f := e.ra.StartFetcher(FetcherOptions{Interval: 30 * time.Millisecond, Jitter: 10 * time.Millisecond})
+	pullEvery(e.ra, 30*time.Millisecond)
+	f := e.ra.StartFetcher(FetcherOptions{Jitter: 10 * time.Millisecond})
 	defer f.Shutdown()
 	waitFor(t, 2*time.Second, func() bool {
 		r, err := e.ra.Store().Replica("CA1")
@@ -129,7 +144,8 @@ func TestFetcherRecoversFromOriginRestart(t *testing.T) {
 	}
 	e.ra.origin = dp2
 
-	f := e.ra.StartFetcher(FetcherOptions{Interval: 20 * time.Millisecond})
+	pullEvery(e.ra, 20*time.Millisecond)
+	f := e.ra.StartFetcher(FetcherOptions{})
 	defer f.Shutdown()
 
 	// Recovery: the replica re-resolves to the origin's (shorter) state.
@@ -199,7 +215,8 @@ func TestFetcherShardExpiry(t *testing.T) {
 		t.Fatalf("replicating %d dictionaries, want 2", got)
 	}
 
-	f := agent.StartFetcher(FetcherOptions{Interval: 20 * time.Millisecond, ShardExpiry: width})
+	pullEvery(agent, 20*time.Millisecond)
+	f := agent.StartFetcher(FetcherOptions{ShardExpiry: width})
 	defer f.Shutdown()
 	waitFor(t, 2*time.Second, func() bool {
 		cas := agent.Store().CAs()
@@ -214,7 +231,8 @@ func TestFetcherShardExpiry(t *testing.T) {
 // fetcher runs leaves its schedule instead of failing every interval.
 func TestFetcherStopsPullingRemovedCA(t *testing.T) {
 	e := newEnv(t, 10*time.Second)
-	f := e.ra.StartFetcher(FetcherOptions{Interval: 10 * time.Millisecond})
+	pullEvery(e.ra, 10*time.Millisecond)
+	f := e.ra.StartFetcher(FetcherOptions{})
 	defer f.Shutdown()
 	waitFor(t, 2*time.Second, func() bool { return f.Stats().Syncs >= 1 }, "first sync")
 	e.ra.Store().Remove("CA1")
@@ -268,7 +286,8 @@ func TestFetcherRepeatedOriginRestarts(t *testing.T) {
 		t.Fatalf("pre-restart count = %d, want 6", r.Count())
 	}
 
-	f := e.ra.StartFetcher(FetcherOptions{Interval: 20 * time.Millisecond})
+	pullEvery(e.ra, 20*time.Millisecond)
+	f := e.ra.StartFetcher(FetcherOptions{})
 	defer f.Shutdown()
 
 	for restarts := 1; restarts <= 3; restarts++ {

@@ -89,7 +89,8 @@ func hungCAEnv(t *testing.T, seed uint64) (agent *RA, fastCA *ca.CA, release fun
 		t.Fatal(err)
 	}
 
-	f := agent.StartFetcher(FetcherOptions{Interval: 20 * time.Millisecond})
+	pullEvery(agent, 20*time.Millisecond)
+	f := agent.StartFetcher(FetcherOptions{})
 	var once sync.Once
 	release = func() { once.Do(func() { close(gate.gate) }) }
 	t.Cleanup(f.Shutdown)
@@ -185,7 +186,8 @@ func TestFetcherShardFailureIsolationStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f := agent.StartFetcher(FetcherOptions{Interval: 20 * time.Millisecond})
+	pullEvery(agent, 20*time.Millisecond)
+	f := agent.StartFetcher(FetcherOptions{})
 	defer f.Shutdown()
 
 	waitFor(t, 2*time.Second, func() bool {
@@ -306,7 +308,8 @@ func TestLeaderCrashFollowerFailover(t *testing.T) {
 	// The fetcher drives the whole recovery: transport error on the leader
 	// → failover → follower answers ErrAhead (it never saw batch 2) →
 	// Resync adopts the follower's shorter signed history.
-	f := agent.StartFetcher(FetcherOptions{Interval: 20 * time.Millisecond})
+	pullEvery(agent, 20*time.Millisecond)
+	f := agent.StartFetcher(FetcherOptions{})
 	defer f.Shutdown()
 	waitFor(t, 5*time.Second, func() bool {
 		r, err := agent.Store().Replica("CA1")

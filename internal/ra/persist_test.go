@@ -202,7 +202,8 @@ func TestDurableOriginRestartNoResync(t *testing.T) {
 		}
 		swap.set(dp2)
 
-		f := agent.StartFetcher(FetcherOptions{Interval: 20 * time.Millisecond})
+		pullEvery(agent, 20*time.Millisecond)
+		f := agent.StartFetcher(FetcherOptions{})
 		defer f.Shutdown()
 
 		// The RA keeps syncing across the restart: new revocations flow

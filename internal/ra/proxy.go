@@ -370,7 +370,7 @@ func (s *proxySession) forwardHandshake(st *ConnState, rec tlssim.Record) error 
 		s.setIdents(st, ids)
 		s.mu.Lock()
 		if len(s.pendingSessionID) > 0 {
-			s.ra.rememberSession(s.pendingSessionID, ids)
+			s.ra.sessions.remember(s.pendingSessionID, ids)
 		}
 		s.mu.Unlock()
 		if err := s.down.write(rec); err != nil {
@@ -385,7 +385,7 @@ func (s *proxySession) forwardHandshake(st *ConnState, rec tlssim.Record) error 
 
 	case tlssim.TypeNewSessionTicket:
 		if nst, err := tlssim.ParseNewSessionTicket(msg.Body); err == nil {
-			s.ra.rememberSession(nst.Ticket, s.statusIdents(st))
+			s.ra.sessions.remember(nst.Ticket, s.statusIdents(st))
 		}
 		return s.down.write(rec)
 
@@ -418,7 +418,7 @@ func (s *proxySession) onServerHello(st *ConnState, rec tlssim.Record, body []by
 	s.mu.Lock()
 	handle := s.clientTicket
 	s.mu.Unlock()
-	if ids, ok := s.ra.lookupSession(handle); ok {
+	if ids, ok := s.ra.sessions.lookup(handle); ok {
 		s.setIdents(st, ids)
 	}
 	if err := s.down.write(rec); err != nil {

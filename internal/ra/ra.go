@@ -27,8 +27,10 @@ type Config struct {
 	// with the ErrAhead→Resync recovery that survives a leader crash plus
 	// follower promotion without operator action.
 	Origin cdn.Origin
-	// Delta is the pull interval ∆. Zero selects 10 seconds, the smallest
-	// value the paper analyzes.
+	// Delta is the RA's ∆: its pull cadence until a CA's first signed root
+	// arrives, and the bound on Jitter; afterwards each CA is pulled on its
+	// root's own period grid. Zero selects 10 seconds, the smallest value
+	// the paper analyzes.
 	Delta time.Duration
 	// ChainProofs enables the §VIII "Certificate chains" extension: the RA
 	// injects one revocation status per certificate of the server chain
@@ -80,6 +82,9 @@ type RA struct {
 	table       *Table
 	sessions    *sessionTable // resumption cache: session ID / ticket → identities
 	stats       proxyCounters
+	// wait is the pull loops' timer: it blocks until due or until stop
+	// closes, and reports which (tests drive the schedule through it).
+	wait func(due time.Time, stop <-chan struct{}) bool
 }
 
 // connIdentity is what the RA must remember about a TLS session to support
@@ -116,7 +121,7 @@ func New(cfg Config) (*RA, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RA{
+	ra := &RA{
 		store:       store,
 		origin:      cfg.Origin,
 		delta:       cfg.Delta,
@@ -124,7 +129,20 @@ func New(cfg Config) (*RA, error) {
 		now:         cfg.Now,
 		table:       NewTable(),
 		sessions:    newSessionTable(),
-	}, nil
+	}
+	ra.wait = func(due time.Time, stop <-chan struct{}) bool {
+		// A pull that fires early by the RA's clock only pulls early:
+		// nextPull then schedules from the time it ran.
+		t := time.NewTimer(due.Sub(ra.now()))
+		defer t.Stop()
+		select {
+		case <-t.C:
+			return true
+		case <-stop:
+			return false
+		}
+	}
+	return ra, nil
 }
 
 // Store exposes the RA's dictionary store.
@@ -132,9 +150,6 @@ func (ra *RA) Store() *Store { return ra.store }
 
 // Table exposes the RA's DPI connection table.
 func (ra *RA) Table() *Table { return ra.table }
-
-// Delta returns the RA's pull interval.
-func (ra *RA) Delta() time.Duration { return ra.delta }
 
 // SyncOnce performs one pull cycle over every replicated CA: it requests
 // the suffix after its local count, applies the issuance message and the
@@ -201,20 +216,6 @@ func (ra *RA) Status(ca dictionary.CAID, sn serial.Number) (*dictionary.Status, 
 // stream without re-serializing. The bytes are shared; do not modify.
 func (ra *RA) StatusEncoded(ca dictionary.CAID, sn serial.Number) (*dictionary.Status, []byte, error) {
 	return ra.store.Status(ca, sn)
-}
-
-// rememberSession records the identities behind a resumption handle
-// (session ID or ticket bytes), observed in plaintext during a full
-// handshake, so that abbreviated handshakes can still be supported (§III
-// "RITM supports two mechanisms of TLS resumption"). With chain proofs
-// enabled the whole chain's identities are remembered.
-func (ra *RA) rememberSession(handle []byte, ids []connIdentity) {
-	ra.sessions.remember(handle, ids)
-}
-
-// lookupSession resolves a resumption handle to certificate identities.
-func (ra *RA) lookupSession(handle []byte) ([]connIdentity, bool) {
-	return ra.sessions.lookup(handle)
 }
 
 // Resync rebuilds the replica of ca from the origin's current state: a
@@ -285,21 +286,17 @@ func (ra *RA) Resync(ca dictionary.CAID) error {
 }
 
 // FetcherOptions configures the RA's background pull loops. The zero
-// value is a production-reasonable fetcher: every CA synced every ∆
-// starting immediately, recovery from origin restarts, no jitter, no shard
-// expiry.
+// value is a production-reasonable fetcher: every CA synced at once, then
+// once per period of its signed root, recovery from origin restarts, no
+// jitter, no shard expiry.
 type FetcherOptions struct {
-	// Interval is each CA's pull cadence (0 = the RA's ∆). Pulling more
-	// often than ∆ satisfies the protocol ("at least every ∆", §III) and
-	// tightens the freshness of injected statuses.
-	Interval time.Duration
-	// Jitter, when positive, shifts each CA's schedule after its first
-	// sync by a uniformly random phase in [0, min(Jitter, Interval)). A
-	// fleet of RAs started together otherwise pulls every dictionary at
-	// the same instants, turning every ∆ boundary into a synchronized
-	// stampede; the phase smears the load across the interval. Only the
-	// gap after the first sync grows, to under two intervals: pair jitter
-	// with Interval ≤ ∆/2 for strict "at least every ∆" compliance (§III).
+	// Jitter, when positive, places each CA's pull at a uniformly random
+	// phase in [0, min(Jitter, ∆)) inside every period of its root. A
+	// fleet of RAs otherwise pulls every dictionary at the same instants,
+	// turning every period boundary into a synchronized stampede; the
+	// phase smears the load across the period. Any phase keeps the RA on
+	// the client's {p, p−1} window: the pull in period p fetches statement
+	// p, which stays acceptable through period p + 1.
 	Jitter time.Duration
 	// OnError receives sync errors (nil = dropped). Recovery from
 	// cdn.ErrAhead happens before OnError is consulted; only errors that
@@ -394,17 +391,12 @@ func (f *Fetcher) Stats() FetcherStats {
 
 // StartFetcher launches one pull loop per CA the store holds now; a CA
 // added afterwards is not pulled. Each loop syncs at once (a freshly
-// started RA must not serve ErrDesynchronized statuses for a whole
-// interval waiting for the first tick), waits its random phase (see
-// FetcherOptions.Jitter), then syncs every Interval on its own ticker, so
-// one CA's slow or hung pull — a hung origin shard, a long Resync — never
-// delays another CA's sync.
+// started RA must not serve ErrDesynchronized statuses for a whole period
+// waiting for its first pull), then runs on the grid of the signed root
+// the CA's dictionary holds (see nextPull), so one CA's slow or hung pull
+// — a hung origin shard, a long Resync — never delays another CA's sync.
 func (ra *RA) StartFetcher(opts FetcherOptions) *Fetcher {
-	interval := opts.Interval
-	if interval <= 0 {
-		interval = ra.delta
-	}
-	jitter := min(opts.Jitter, interval)
+	jitter := min(opts.Jitter, ra.delta)
 	f := &Fetcher{stop: make(chan struct{})}
 	for _, ca := range ra.store.CAs() {
 		var phase time.Duration
@@ -414,7 +406,7 @@ func (ra *RA) StartFetcher(opts FetcherOptions) *Fetcher {
 		f.wg.Add(1)
 		go func(ca dictionary.CAID) {
 			defer f.wg.Done()
-			ra.fetchLoop(f, ca, opts, interval, phase)
+			ra.fetchLoop(f, ca, opts, phase)
 		}(ca)
 	}
 	return f
@@ -422,29 +414,57 @@ func (ra *RA) StartFetcher(opts FetcherOptions) *Fetcher {
 
 // fetchLoop is one CA's schedule. It returns on Shutdown or once the CA
 // left the store.
-func (ra *RA) fetchLoop(f *Fetcher, ca dictionary.CAID, opts FetcherOptions, interval, phase time.Duration) {
-	if !ra.fetch(f, ca, opts) {
-		return
-	}
-	timer := time.NewTimer(phase)
-	select {
-	case <-timer.C:
-	case <-f.stop:
-		timer.Stop()
-		return
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			if !ra.fetch(f, ca, opts) {
-				return
-			}
-		case <-f.stop:
+func (ra *RA) fetchLoop(f *Fetcher, ca dictionary.CAID, opts FetcherOptions, phase time.Duration) {
+	for ra.fetch(f, ca, opts) {
+		due, err := ra.nextPull(ca, phase)
+		if err != nil || !ra.wait(due, f.stop) {
 			return
 		}
 	}
+}
+
+// nextPull returns when ca's loop pulls next, after a pull just made. It
+// reads the grid of the signed root the dictionary now holds, p =
+// ⌊(now − t)/∆⌋, on which the CA publishes statement p at t + p∆:
+//   - while the freshness statement lags period p — the pull came before
+//     the statement reached the origin, or an edge cache served the
+//     previous one — it retries every ∆/10 until the period ends, since
+//     a client in period p + 1 refuses statement p − 1 as stale;
+//   - otherwise it pulls at phase into the next period, but never in its
+//     first ∆/10, when the statement may still be on its way.
+//
+// A shared reader's pull is its stamp poll, so it follows its writer the
+// same way. Without a root there is no grid, and the next pull is one ∆
+// away.
+func (ra *RA) nextPull(ca dictionary.CAID, phase time.Duration) (time.Time, error) {
+	d, err := ra.store.dict(ca)
+	if err != nil {
+		return time.Time{}, err
+	}
+	snap, _, held, err := d.acquire()
+	if err != nil {
+		return time.Time{}, err
+	}
+	defer held.release()
+	now := ra.now()
+	root := snap.Root()
+	if root == nil || root.DeltaSecs == 0 {
+		return now.Add(ra.delta), nil
+	}
+	delta := root.Delta()
+	step := delta / 10
+	end := root.NextPeriod(now)
+	// FreshnessAge fails only without a root.
+	if age, _ := snap.FreshnessAge(now.Unix()); age > 0 {
+		if retry := now.Add(step); retry.Before(end) {
+			return retry, nil
+		}
+	}
+	offset := max(phase%delta, step)
+	if next := end.Add(offset - delta); next.After(now) {
+		return next, nil
+	}
+	return end.Add(offset), nil
 }
 
 // fetch syncs ca once, recovering from cdn.ErrAhead, and counts the

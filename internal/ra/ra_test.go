@@ -610,7 +610,7 @@ func TestStoreRemoveFreesReplica(t *testing.T) {
 
 func TestFetcherLifecycle(t *testing.T) {
 	e := newEnv(t, 10*time.Second)
-	e.ra.delta = time.Second
+	pullEvery(e.ra, 20*time.Millisecond)
 	var mu sync.Mutex
 	var errs []error
 	f := e.ra.StartFetcher(FetcherOptions{OnError: func(err error) {
@@ -622,7 +622,7 @@ func TestFetcherLifecycle(t *testing.T) {
 	if _, err := e.ca.Revoke(serial.NewGenerator(3, nil).NextN(1)...); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(1500 * time.Millisecond)
+	time.Sleep(200 * time.Millisecond)
 	f.Shutdown()
 
 	replica, err := e.ra.Store().Replica("CA1")

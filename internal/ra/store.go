@@ -8,8 +8,9 @@
 //
 //   - Store: one dictionary.Replica per CA, plus the trust anchors used to
 //     verify what the dissemination network delivers;
-//   - Fetcher: one pull loop per CA contacting an edge server every ∆
-//     (§III "Dissemination"), with desynchronization recovery;
+//   - Fetcher: one pull loop per CA contacting an edge server once per
+//     period of the CA's signed root (§III "Dissemination"), with
+//     desynchronization recovery;
 //   - Table: the per-connection DPI state of Eq (4);
 //   - Proxy: a TCP middlebox that splices revocation-status records into
 //     the TLS-sim stream (RA-to-client communication method 1/3 of §VIII).

@@ -75,9 +75,6 @@ type Config struct {
 	// OnStatus receives RA-injected revocation statuses (client side).
 	// If nil, status records are discarded.
 	OnStatus StatusHandler
-	// InsecureSkipVerify disables chain validation (tests and baselines
-	// that model pre-RITM behaviour).
-	InsecureSkipVerify bool
 
 	// Chain is the server's certificate chain, leaf first (server side).
 	Chain cert.Chain
@@ -477,18 +474,16 @@ func (c *Conn) clientHandshake() error {
 	if leaf == nil {
 		return fmt.Errorf("%w: empty certificate chain", ErrBadHandshake)
 	}
-	if !c.cfg.InsecureSkipVerify {
-		if c.cfg.Pool == nil {
-			return fmt.Errorf("tlssim: client config has no certificate pool")
-		}
-		if _, err := c.cfg.Pool.VerifyChain(certMsg.Chain, c.cfg.now().Unix()); err != nil {
-			c.sendAlert(alertBadCertificate)
-			return err
-		}
-		if c.cfg.ServerName != "" && leaf.Subject != c.cfg.ServerName {
-			c.sendAlert(alertBadCertificate)
-			return fmt.Errorf("%w: certificate for %q, want %q", cert.ErrBadChain, leaf.Subject, c.cfg.ServerName)
-		}
+	if c.cfg.Pool == nil {
+		return fmt.Errorf("tlssim: client config has no certificate pool")
+	}
+	if _, err := c.cfg.Pool.VerifyChain(certMsg.Chain, c.cfg.now().Unix()); err != nil {
+		c.sendAlert(alertBadCertificate)
+		return err
+	}
+	if c.cfg.ServerName != "" && leaf.Subject != c.cfg.ServerName {
+		c.sendAlert(alertBadCertificate)
+		return fmt.Errorf("%w: certificate for %q, want %q", cert.ErrBadChain, leaf.Subject, c.cfg.ServerName)
 	}
 	c.state.PeerChain = certMsg.Chain
 	c.state.ServerCA = leaf.Issuer
@@ -502,11 +497,9 @@ func (c *Conn) clientHandshake() error {
 	if err != nil {
 		return err
 	}
-	if !c.cfg.InsecureSkipVerify {
-		payload := keyExchangePayload(hello.Random[:], sh.Random[:], ske.Public)
-		if err := cryptoutil.Verify(leaf.PublicKey, payload, ske.Signature); err != nil {
-			return fmt.Errorf("server key exchange: %w", err)
-		}
+	payload := keyExchangePayload(hello.Random[:], sh.Random[:], ske.Public)
+	if err := cryptoutil.Verify(leaf.PublicKey, payload, ske.Signature); err != nil {
+		return fmt.Errorf("server key exchange: %w", err)
 	}
 	if _, err = c.readHandshakeMessage(&tr, TypeServerHelloDone); err != nil {
 		return err

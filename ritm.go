@@ -278,8 +278,9 @@ type (
 	RAProxy = ra.Proxy
 	// Fetcher runs the RA's background pull loops, one per CA.
 	Fetcher = ra.Fetcher
-	// FetcherOptions controls the per-CA pull loops: interval, random
-	// phase (jitter), and the §VIII shard-expiry check before each pull.
+	// FetcherOptions controls the per-CA pull loops, which run once per
+	// period of each CA's signed root: the random phase inside the period
+	// (jitter) and the §VIII shard-expiry check before each pull.
 	FetcherOptions = ra.FetcherOptions
 	// FetcherStats counts fetcher-lifecycle activity.
 	FetcherStats = ra.FetcherStats
