@@ -21,6 +21,7 @@
 package main
 
 import (
+	"crypto/tls"
 	"flag"
 	"fmt"
 	"io"
@@ -259,11 +260,7 @@ func run(caURL, origins, listen, target string, delta, jitter, expire, cooldown 
 		if err != nil {
 			return err
 		}
-		cfg := ritm.InterceptConfig{
-			Minter:  ritm.NewMinter(mintRoot, 0),
-			Target:  target,
-			OnError: func(err error) { log.Printf("intercept: %v", err) },
-		}
+		cfg := interceptConfig(mintRoot, target)
 		if bypassFile != "" {
 			if cfg.Bypass, err = ritm.LoadBypassFile(bypassFile); err != nil {
 				return err
@@ -301,6 +298,19 @@ func run(caURL, origins, listen, target string, delta, jitter, expire, cooldown 
 	log.Printf("shutting down: %d connections (%d supported), %d statuses injected",
 		st.ConnectionsTotal, st.ConnectionsSupported, st.StatusesInjected)
 	return nil
+}
+
+// interceptConfig is the bump configuration -intercept runs: leaves minted
+// under mintRoot, every connection forwarded to target, and the upstream
+// chain verified against the system roots (the interceptor sets ServerName
+// per host), so the RA mints only for upstreams it verified.
+func interceptConfig(mintRoot *ritm.MintingRoot, target string) ritm.InterceptConfig {
+	return ritm.InterceptConfig{
+		Minter:      ritm.NewMinter(mintRoot, 0),
+		Target:      target,
+		UpstreamTLS: &tls.Config{},
+		OnError:     func(err error) { log.Printf("intercept: %v", err) },
+	}
 }
 
 // fetchRoot downloads the CA's self-signed root certificate.

@@ -295,7 +295,7 @@ func TestHTTPTransport(t *testing.T) {
 	tc := newTestCA(t, "CA1")
 	tc.revoke(t, 4)
 
-	srv := httptest.NewServer(Handler(tc.dp))
+	srv := httptest.NewServer(NewHandler(tc.dp, HandlerOptions{}))
 	defer srv.Close()
 	client := &HTTPClient{BaseURL: srv.URL}
 
@@ -350,7 +350,7 @@ func TestHTTPTransportHostileCAIDs(t *testing.T) {
 		t.Run(string(id), func(t *testing.T) {
 			tc := newTestCA(t, id)
 			tc.revoke(t, 3)
-			srv := httptest.NewServer(Handler(tc.dp))
+			srv := httptest.NewServer(NewHandler(tc.dp, HandlerOptions{}))
 			defer srv.Close()
 			client := &HTTPClient{BaseURL: srv.URL}
 

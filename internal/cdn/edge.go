@@ -441,9 +441,6 @@ func (e *EdgeServer) Flush() {
 	e.negative = make(map[dictionary.CAID]time.Time)
 }
 
-// TTL returns the edge's positive cache TTL.
-func (e *EdgeServer) TTL() time.Duration { return e.ttl }
-
 // NegativeTTL implements MetaOrigin.
 func (e *EdgeServer) NegativeTTL() time.Duration {
 	e.mu.Lock()

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ritm/internal/dictionary"
-	"ritm/internal/netsim"
 )
 
 // Scenario suite for the two-tier hierarchy (regions × PoPs): these tests
@@ -327,8 +326,8 @@ func TestHierarchyNegativeCacheBoundsUnknownCAStorm(t *testing.T) {
 	}
 }
 
-// TestHierarchyInjectedLatency wires netsim's region profiles into the
-// topology links (scaled down 100×) and stampedes every key: slow links
+// TestHierarchyInjectedLatency puts wide-area delays (scaled down 100×)
+// on the topology links and stampedes every key: slow links
 // must change only wall-clock time, never the fan-out arithmetic — the
 // singleflight window just stays open longer.
 func TestHierarchyInjectedLatency(t *testing.T) {
@@ -338,20 +337,19 @@ func TestHierarchyInjectedLatency(t *testing.T) {
 		ras     = 8
 		cycles  = 5
 	)
-	profiles := netsim.Regions()
-	if len(profiles) < regions {
-		t.Fatalf("netsim models %d regions, need ≥ %d", len(profiles), regions)
-	}
+	// Per-region PoP→regional and regional→origin delays: an edge sits
+	// nearer than the origin, and the two regions differ.
+	edgeRTT := []time.Duration{8 * time.Millisecond, 10 * time.Millisecond}
+	originRTT := []time.Duration{40 * time.Millisecond, 100 * time.Millisecond}
 	env := newHierarchy(t, regions, pops, ras, TopologyConfig{
 		RegionalTTL: 30 * time.Second,
 		PoPTTL:      30 * time.Second,
 		Wrap: func(tier Tier, region, pop int, up Origin) Origin {
-			p := profiles[region]
 			switch tier {
 			case TierRegional:
-				return &delayOrigin{Origin: up, delay: p.OriginRTT / 100}
+				return &delayOrigin{Origin: up, delay: originRTT[region] / 100}
 			default:
-				return &delayOrigin{Origin: up, delay: p.EdgeRTT / 100}
+				return &delayOrigin{Origin: up, delay: edgeRTT[region] / 100}
 			}
 		},
 	})
@@ -464,7 +462,7 @@ func TestHierarchyRegionalRestartRecovery(t *testing.T) {
 	env.cycle(t, 0, 10*time.Second)  // key (CA1, 10) cached tier-wide
 	baseline := int(env.origin.pulls.Load())
 
-	env.topo.RestartRegional(0)
+	env.topo.regionals[0].Flush() // a restarted regional edge comes back with an empty cache
 
 	// Within the PoP TTL the restart is invisible: PoPs serve from their
 	// own caches and the cold regional is never consulted.
@@ -551,8 +549,8 @@ func TestTopologyValidation(t *testing.T) {
 	if fmt.Sprint(calls) != fmt.Sprint(want) {
 		t.Errorf("wrap calls = %v, want %v", calls, want)
 	}
-	if topo.Regions() != 2 || topo.PoPsPerRegion() != 2 {
-		t.Errorf("shape = %d×%d, want 2×2", topo.Regions(), topo.PoPsPerRegion())
+	if len(topo.regionals) != 2 || len(topo.pops[0]) != 2 {
+		t.Errorf("shape = %d×%d, want 2×2", len(topo.regionals), len(topo.pops[0]))
 	}
 	if TierRegional.String() != "regional" || TierPoP.String() != "pop" {
 		t.Errorf("tier names = %q/%q", TierRegional.String(), TierPoP.String())
@@ -571,11 +569,11 @@ func TestTopologyStatsRollup(t *testing.T) {
 	}
 	st := env.topo.Stats()
 	var popSum, regSum EdgeStats
-	for r := 0; r < env.topo.Regions(); r++ {
-		regSum = regSum.add(env.topo.Regional(r).Stats())
+	for r, regional := range env.topo.regionals {
+		regSum = regSum.add(regional.Stats())
 		var regionPoPs EdgeStats
-		for p := 0; p < env.topo.PoPsPerRegion(); p++ {
-			regionPoPs = regionPoPs.add(env.topo.PoP(r, p).Stats())
+		for _, pop := range env.topo.pops[r] {
+			regionPoPs = regionPoPs.add(pop.Stats())
 		}
 		popSum = popSum.add(regionPoPs)
 		if st.PerRegion[r].PoP != regionPoPs {

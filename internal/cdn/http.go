@@ -284,16 +284,11 @@ type HandlerOptions struct {
 	GzipMinSize int
 }
 
-// Handler adapts an Origin to the HTTP API. Serve it on an edge server or
+// NewHandler adapts an Origin to the HTTP API. Serve it on an edge server or
 // on the distribution point itself. When the origin reports cache metadata
 // (MetaOrigin — every EdgeServer does), pull responses carry Cache-Control
 // and Age headers derived from the edge TTL, so any HTTP cache in front
 // expires entries exactly when the edge would.
-func Handler(origin Origin) http.Handler {
-	return NewHandler(origin, HandlerOptions{})
-}
-
-// NewHandler is Handler with full configuration.
 func NewHandler(origin Origin, opts HandlerOptions) http.Handler {
 	now := opts.Now
 	if now == nil {

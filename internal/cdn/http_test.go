@@ -107,7 +107,7 @@ func TestHandlerEmitsErrorHeader(t *testing.T) {
 		"distribution point": tc.dp,
 		"edge":               NewEdgeServer(tc.dp, time.Minute, tc.clock.now),
 	} {
-		srv := httptest.NewServer(Handler(origin))
+		srv := httptest.NewServer(NewHandler(origin, HandlerOptions{}))
 		defer srv.Close()
 
 		resp, err := http.Get(srv.URL + "/v1/pull?ca=CA9&from=0")
@@ -145,7 +145,7 @@ func TestHTTPCacheHeaders(t *testing.T) {
 	tc.revoke(t, 2)
 	const ttl = 30 * time.Second
 	edge := NewEdgeServer(tc.dp, ttl, tc.clock.now)
-	srv := httptest.NewServer(Handler(edge))
+	srv := httptest.NewServer(NewHandler(edge, HandlerOptions{}))
 	defer srv.Close()
 
 	get := func() *http.Response {
@@ -187,7 +187,7 @@ func TestHTTPCacheHeaders(t *testing.T) {
 
 	// An uncached origin must forbid downstream caching rather than let a
 	// front CDN invent a TTL the deployment disabled.
-	uncached := httptest.NewServer(Handler(NewEdgeServer(tc.dp, 0, tc.clock.now)))
+	uncached := httptest.NewServer(NewHandler(NewEdgeServer(tc.dp, 0, tc.clock.now), HandlerOptions{}))
 	defer uncached.Close()
 	resp2, err := http.Get(uncached.URL + "/v1/pull?ca=CA1&from=0")
 	if err != nil {
@@ -200,7 +200,7 @@ func TestHTTPCacheHeaders(t *testing.T) {
 
 	// The distribution point itself (no cache metadata) sets no cache
 	// headers: it makes no freshness promise for others to inherit.
-	direct := httptest.NewServer(Handler(tc.dp))
+	direct := httptest.NewServer(NewHandler(tc.dp, HandlerOptions{}))
 	defer direct.Close()
 	resp3, err := http.Get(direct.URL + "/v1/pull?ca=CA1&from=0")
 	if err != nil {
@@ -219,7 +219,7 @@ func TestHTTPCacheHeaders(t *testing.T) {
 func TestRootConditionalRequests(t *testing.T) {
 	tc := newTestCA(t, "CA1")
 	tc.revoke(t, 3)
-	srv := httptest.NewServer(Handler(tc.dp))
+	srv := httptest.NewServer(NewHandler(tc.dp, HandlerOptions{}))
 	defer srv.Close()
 
 	// Raw HTTP level: ETag + 304 with empty body.
@@ -326,7 +326,7 @@ func TestRootConditionalRequests(t *testing.T) {
 func TestRootLastModifiedFallback(t *testing.T) {
 	tc := newTestCA(t, "CA1")
 	tc.revoke(t, 3)
-	srv := httptest.NewServer(Handler(tc.dp))
+	srv := httptest.NewServer(NewHandler(tc.dp, HandlerOptions{}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/v1/root?ca=CA1")
@@ -423,7 +423,7 @@ func TestRootIMSIgnoredWhileSigningSecondOpen(t *testing.T) {
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			root := &dictionary.SignedRoot{CA: "CA1", N: 1, Time: tt.signedAt, DeltaSecs: 10}
-			srv := httptest.NewServer(Handler(fixedRootOrigin{root: root}))
+			srv := httptest.NewServer(NewHandler(fixedRootOrigin{root: root}, HandlerOptions{}))
 			defer srv.Close()
 			req, _ := http.NewRequest(http.MethodGet, srv.URL+"/v1/root?ca=CA1", nil)
 			req.Header.Set("If-Modified-Since", time.Unix(tt.signedAt, 0).UTC().Format(http.TimeFormat))
@@ -469,7 +469,7 @@ func (w *etagStripper) Write(b []byte) (int, error) {
 func TestRootConditionalThroughETagStrippingCache(t *testing.T) {
 	tc := newTestCA(t, "CA1")
 	tc.revoke(t, 2)
-	inner := Handler(tc.dp)
+	inner := NewHandler(tc.dp, HandlerOptions{})
 	var mu sync.Mutex
 	var sawIMS, sawINM bool
 	var notModified int
@@ -543,7 +543,7 @@ func TestRootConditionalThroughEdgeChain(t *testing.T) {
 	tc := newTestCA(t, "CA1")
 	tc.revoke(t, 1)
 	edge := NewEdgeServer(tc.dp, time.Minute, tc.clock.now)
-	srv := httptest.NewServer(Handler(edge))
+	srv := httptest.NewServer(NewHandler(edge, HandlerOptions{}))
 	defer srv.Close()
 	client := &HTTPClient{BaseURL: srv.URL}
 	r1, err := client.LatestRoot("CA1")
@@ -646,7 +646,7 @@ func TestHTTPNegativeCacheEndToEnd(t *testing.T) {
 	tc.revoke(t, 1)
 	edge := NewEdgeServer(tc.dp, time.Minute, tc.clock.now)
 	edge.SetNegativeTTL(30 * time.Second)
-	srv := httptest.NewServer(Handler(edge))
+	srv := httptest.NewServer(NewHandler(edge, HandlerOptions{}))
 	defer srv.Close()
 	client := &HTTPClient{BaseURL: srv.URL}
 
@@ -670,7 +670,7 @@ func TestHTTPNegativeCacheEndToEnd(t *testing.T) {
 func TestRootCacheControlNoCache(t *testing.T) {
 	tc := newTestCA(t, "CA1")
 	tc.revoke(t, 1)
-	srv := httptest.NewServer(Handler(tc.dp))
+	srv := httptest.NewServer(NewHandler(tc.dp, HandlerOptions{}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/v1/root?ca=CA1")
 	if err != nil {
@@ -689,7 +689,7 @@ func TestHTTPNegativeErrorExportsTTL(t *testing.T) {
 	tc := newTestCA(t, "CA1")
 	edge := NewEdgeServer(tc.dp, time.Minute, tc.clock.now)
 	edge.SetNegativeTTL(30 * time.Second)
-	srv := httptest.NewServer(Handler(edge))
+	srv := httptest.NewServer(NewHandler(edge, HandlerOptions{}))
 	defer srv.Close()
 
 	for i := 0; i < 2; i++ { // miss, then negative hit: both export it
@@ -714,7 +714,7 @@ func TestHTTPNegativeErrorExportsTTL(t *testing.T) {
 	}
 
 	// With negative caching off, errors carry no freshness promise.
-	bare := httptest.NewServer(Handler(NewEdgeServer(tc.dp, time.Minute, tc.clock.now)))
+	bare := httptest.NewServer(NewHandler(NewEdgeServer(tc.dp, time.Minute, tc.clock.now), HandlerOptions{}))
 	defer bare.Close()
 	resp, err = http.Get(bare.URL + "/v1/pull?ca=CA9&from=0")
 	if err != nil {

@@ -45,7 +45,7 @@ func TestDistributionPointReopenKeepsETag(t *testing.T) {
 		backend := storage.NewMemory()
 		authority, dp1, _ := newDurableOrigin(t, backend)
 
-		srv1 := httptest.NewServer(Handler(dp1))
+		srv1 := httptest.NewServer(NewHandler(dp1, HandlerOptions{}))
 		resp, err := http.Get(srv1.URL + "/v1/root?ca=CA1")
 		if err != nil {
 			t.Fatal(err)
@@ -68,7 +68,7 @@ func TestDistributionPointReopenKeepsETag(t *testing.T) {
 		if err := dp2.RegisterCA("CA1", authority.PublicKey()); err != nil {
 			t.Fatalf("reopen: %v", err)
 		}
-		srv2 := httptest.NewServer(Handler(dp2))
+		srv2 := httptest.NewServer(NewHandler(dp2, HandlerOptions{}))
 		defer srv2.Close()
 
 		req, err := http.NewRequest(http.MethodGet, srv2.URL+"/v1/root?ca=CA1", nil)

@@ -214,7 +214,6 @@ type Follower struct {
 
 	mu  sync.Mutex
 	pos map[dictionary.CAID]uint64 // last applied leader LSN
-	top map[dictionary.CAID]uint64 // leader's LastLSN from the latest response
 
 	stats followerCounters
 }
@@ -255,19 +254,7 @@ func NewFollower(dp *DistributionPoint, source Replicator) *Follower {
 		dp:     dp,
 		source: source,
 		pos:    make(map[dictionary.CAID]uint64),
-		top:    make(map[dictionary.CAID]uint64),
 	}
-}
-
-// Lag returns how many leader records for ca are committed but not yet
-// applied here, as of the latest sync.
-func (f *Follower) Lag(ca dictionary.CAID) uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.top[ca] <= f.pos[ca] {
-		return 0
-	}
-	return f.top[ca] - f.pos[ca]
 }
 
 // Stats returns a copy of the follower's counters.
@@ -301,7 +288,6 @@ func (f *Follower) syncCALocked(ca dictionary.CAID) error {
 	if err != nil {
 		return fmt.Errorf("cdn: follower sync %s: %w", ca, err)
 	}
-	f.top[ca] = resp.LastLSN
 	if resp.LastLSN < from {
 		// The leader's log ends before our position: a leader that lost
 		// acknowledged records to a crash (its recovery renumbered), or a

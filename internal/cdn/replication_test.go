@@ -124,9 +124,6 @@ func TestFollowerReplicatesLeader(t *testing.T) {
 	if st.FramesApplied == 0 || st.Rejected != 0 || st.Resets != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if f.Lag("CA1") != 0 {
-		t.Fatalf("lag = %d after full sync", f.Lag("CA1"))
-	}
 
 	// Incremental: only the new frames ship on the next cycle.
 	applied := st.FramesApplied
@@ -156,7 +153,7 @@ func TestFollowerPromotionKeepsETag(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	leaderSrv := httptest.NewServer(Handler(leader.dp))
+	leaderSrv := httptest.NewServer(NewHandler(leader.dp, HandlerOptions{}))
 	resp, err := http.Get(leaderSrv.URL + "/v1/root?ca=CA1")
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +165,7 @@ func TestFollowerPromotionKeepsETag(t *testing.T) {
 		t.Fatal("no ETag from leader")
 	}
 
-	followerSrv := httptest.NewServer(Handler(fdp))
+	followerSrv := httptest.NewServer(NewHandler(fdp, HandlerOptions{}))
 	defer followerSrv.Close()
 	req, _ := http.NewRequest(http.MethodGet, followerSrv.URL+"/v1/root?ca=CA1", nil)
 	req.Header.Set("If-None-Match", etag)
@@ -306,7 +303,7 @@ func TestReplicateWithoutStorage(t *testing.T) {
 func TestReplicationHTTPRoundTrip(t *testing.T) {
 	leader := newReplLeader(t, "CA1", nil, 0x4001, 0)
 	leader.revoke(t, 12)
-	srv := httptest.NewServer(Handler(leader.dp))
+	srv := httptest.NewServer(NewHandler(leader.dp, HandlerOptions{}))
 	defer srv.Close()
 	client := &HTTPClient{BaseURL: srv.URL}
 
@@ -341,7 +338,7 @@ func TestReplicationHTTPRoundTrip(t *testing.T) {
 		t.Fatalf("unknown CA over HTTP: err = %v, want ErrUnknownCA", err)
 	}
 	memOnly := newTestCA(t, "CA2")
-	srv2 := httptest.NewServer(Handler(memOnly.dp))
+	srv2 := httptest.NewServer(NewHandler(memOnly.dp, HandlerOptions{}))
 	defer srv2.Close()
 	if _, err := (&HTTPClient{BaseURL: srv2.URL}).Replicate("CA2", 0); !errors.Is(err, ErrNoReplication) {
 		t.Fatalf("no-storage origin over HTTP: err = %v, want ErrNoReplication", err)

@@ -17,7 +17,7 @@ import (
 func TestHTTPClientRetriesTransientFailures(t *testing.T) {
 	tc := newTestCA(t, "CA1")
 	tc.revoke(t, 5)
-	real := Handler(tc.dp)
+	real := NewHandler(tc.dp, HandlerOptions{})
 	var requests atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if requests.Add(1) <= 2 {
@@ -61,7 +61,7 @@ func TestHTTPClientRetryBudgetExhausted(t *testing.T) {
 func TestHTTPClientDoesNotRetryTypedErrors(t *testing.T) {
 	tc := newTestCA(t, "CA1")
 	tc.revoke(t, 5)
-	real := Handler(tc.dp)
+	real := NewHandler(tc.dp, HandlerOptions{})
 	var requests atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		requests.Add(1)

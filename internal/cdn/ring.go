@@ -36,7 +36,6 @@ const ringVnodes = 64
 // leaving every other shard's dictionaries (and its followers' replicated
 // state) untouched.
 type Ring struct {
-	shards int
 	points []uint64 // sorted vnode positions
 	owner  []int    // owner[i] = shard owning points[i]
 }
@@ -47,7 +46,6 @@ func NewRing(n int) (*Ring, error) {
 		return nil, fmt.Errorf("cdn: ring needs ≥1 shard (got %d)", n)
 	}
 	r := &Ring{
-		shards: n,
 		points: make([]uint64, 0, n*ringVnodes),
 		owner:  make([]int, 0, n*ringVnodes),
 	}
@@ -85,9 +83,6 @@ func ringHash(key string) uint64 {
 	x ^= x >> 31
 	return x
 }
-
-// Shards returns the number of shards on the ring.
-func (r *Ring) Shards() int { return r.shards }
 
 // ShardFor returns the shard responsible for ca: the owner of the first
 // vnode at or clockwise of the CA's position.
@@ -183,19 +178,6 @@ func NewShardedOrigin(shards [][]Origin, opts ShardedOriginOptions) (*ShardedOri
 	}
 	return so, nil
 }
-
-// NewFailoverOrigin is a single-shard ShardedOrigin: a plain ordered
-// failover list with no ring routing. RAs use it as their multi-origin
-// source list.
-func NewFailoverOrigin(candidates []Origin, opts ShardedOriginOptions) (*ShardedOrigin, error) {
-	return NewShardedOrigin([][]Origin{candidates}, opts)
-}
-
-// Ring returns the CA→shard ring (shared; read-only).
-func (so *ShardedOrigin) Ring() *Ring { return so.ring }
-
-// ShardFor returns the shard responsible for ca.
-func (so *ShardedOrigin) ShardFor(ca dictionary.CAID) int { return so.ring.ShardFor(ca) }
 
 // route walks the shard's candidates from the preferred one, calling fn
 // on each live candidate until one answers.
@@ -348,20 +330,4 @@ func (so *ShardedOrigin) Stats() ShardedOriginStats {
 		}
 	}
 	return st
-}
-
-// NewShardedTopology builds the regions × PoPs edge hierarchy over a
-// sharded origin fleet: the ring (derived from len(shards)) routes each
-// edge miss to the responsible shard's live candidate. It is the
-// multi-origin analogue of NewTopology(origin, cfg).
-func NewShardedTopology(shards [][]Origin, opts ShardedOriginOptions, cfg TopologyConfig) (*Topology, *ShardedOrigin, error) {
-	so, err := NewShardedOrigin(shards, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	t, err := NewTopology(so, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return t, so, nil
 }

@@ -62,7 +62,7 @@ func TestShardedOriginRoutesByRing(t *testing.T) {
 		}
 	}
 	for _, ca := range cas {
-		want := so.ShardFor(ca)
+		want := so.ring.ShardFor(ca)
 		for s := range counters {
 			got := counters[s].caPulls(ca)
 			if s == want && got != 1 {
@@ -88,7 +88,7 @@ func TestFailoverOriginDeadLeader(t *testing.T) {
 	tc.revoke(t, 5)
 	dead := &scriptedOrigin{Origin: tc.dp, err: errors.New("connection refused")}
 	live := &scriptedOrigin{Origin: tc.dp}
-	so, err := NewFailoverOrigin([]Origin{dead, live}, ShardedOriginOptions{Now: tc.clock.now})
+	so, err := NewShardedOrigin([][]Origin{{dead, live}}, ShardedOriginOptions{Now: tc.clock.now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestShardedOriginUnknownCAIsAuthoritative(t *testing.T) {
 	tc := newTestCA(t, "CA1")
 	first := &scriptedOrigin{Origin: tc.dp}
 	second := &scriptedOrigin{Origin: tc.dp}
-	so, err := NewFailoverOrigin([]Origin{first, second}, ShardedOriginOptions{Now: tc.clock.now})
+	so, err := NewShardedOrigin([][]Origin{{first, second}}, ShardedOriginOptions{Now: tc.clock.now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestShardedOriginAllAheadFeedsResync(t *testing.T) {
 	tc.revoke(t, 5)
 	a := &scriptedOrigin{Origin: tc.dp}
 	b := &scriptedOrigin{Origin: tc.dp}
-	so, err := NewFailoverOrigin([]Origin{a, b}, ShardedOriginOptions{Now: tc.clock.now})
+	so, err := NewShardedOrigin([][]Origin{{a, b}}, ShardedOriginOptions{Now: tc.clock.now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestShardedOriginAllDead(t *testing.T) {
 	boom := errors.New("boom")
 	a := &scriptedOrigin{Origin: tc.dp, err: boom}
 	b := &scriptedOrigin{Origin: tc.dp, err: boom}
-	so, err := NewFailoverOrigin([]Origin{a, b}, ShardedOriginOptions{Now: tc.clock.now})
+	so, err := NewShardedOrigin([][]Origin{{a, b}}, ShardedOriginOptions{Now: tc.clock.now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,11 @@ func TestShardedHierarchyLoadIndependence(t *testing.T) {
 				counters[s] = newCountingOrigin(tc.dp)
 				lists[s] = []Origin{counters[s]}
 			}
-			topo, so, err := NewShardedTopology(lists, ShardedOriginOptions{Now: tc.clock.now}, TopologyConfig{
+			so, err := NewShardedOrigin(lists, ShardedOriginOptions{Now: tc.clock.now})
+			if err != nil {
+				t.Fatal(err)
+			}
+			topo, err := NewTopology(so, TopologyConfig{
 				Regions:       regions,
 				PoPsPerRegion: pops,
 				RegionalTTL:   30 * time.Second,
@@ -252,7 +256,7 @@ func TestShardedHierarchyLoadIndependence(t *testing.T) {
 			}
 			perShardCAs := make([]int, shards)
 			for _, ca := range cas {
-				perShardCAs[so.ShardFor(ca)]++
+				perShardCAs[so.ring.ShardFor(ca)]++
 			}
 			// One simRA per PoP polling every CA.
 			ras := make([]*simRA, 0, regions*pops*caCount)
@@ -283,9 +287,9 @@ func TestShardedHierarchyLoadIndependence(t *testing.T) {
 				// And no cross-shard leakage: every CA this origin served
 				// must belong to this shard.
 				for _, ca := range cas {
-					if so.ShardFor(ca) != s && c.caPulls(ca) > 0 {
+					if so.ring.ShardFor(ca) != s && c.caPulls(ca) > 0 {
 						t.Errorf("shard %d served %s, which the ring assigns to shard %d",
-							s, ca, so.ShardFor(ca))
+							s, ca, so.ring.ShardFor(ca))
 					}
 				}
 			}

@@ -22,7 +22,6 @@ import (
 //	   … P PoPs ┘                 ├─ origin (distribution point)
 //	            … R regions ──────┘
 type Topology struct {
-	origin    Origin
 	regionals []*EdgeServer
 	pops      [][]*EdgeServer
 }
@@ -91,7 +90,6 @@ func NewTopology(origin Origin, cfg TopologyConfig) (*Topology, error) {
 		wrap = func(_ Tier, _, _ int, up Origin) Origin { return up }
 	}
 	t := &Topology{
-		origin:    origin,
 		regionals: make([]*EdgeServer, cfg.Regions),
 		pops:      make([][]*EdgeServer, cfg.Regions),
 	}
@@ -113,25 +111,9 @@ func NewTopology(origin Origin, cfg TopologyConfig) (*Topology, error) {
 	return t, nil
 }
 
-// Regions returns the number of regional edges.
-func (t *Topology) Regions() int { return len(t.regionals) }
-
-// PoPsPerRegion returns the number of PoPs under each regional edge.
-func (t *Topology) PoPsPerRegion() int { return len(t.pops[0]) }
-
-// Regional returns region r's regional edge.
-func (t *Topology) Regional(r int) *EdgeServer { return t.regionals[r] }
-
 // PoP returns PoP p of region r — the Origin an RA in that location pulls
 // from.
 func (t *Topology) PoP(r, p int) *EdgeServer { return t.pops[r][p] }
-
-// RestartRegional models a regional-edge restart: the cache (positive and
-// negative) is wiped, as a redeployed or rebooted edge process would be.
-// Downstream PoPs keep their own cached entries and re-warm the regional
-// on their next miss; the scenario suite asserts the origin absorbs at
-// most one extra pull per live key for it.
-func (t *Topology) RestartRegional(r int) { t.regionals[r].Flush() }
 
 // TopologyStats is the per-tier roll-up of every edge's counters.
 type TopologyStats struct {

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"ritm/internal/cryptoutil"
 	"ritm/internal/dictionary"
@@ -63,11 +62,6 @@ type Certificate struct {
 	DeltaSecs uint32
 	// Signature is the issuer's signature over all fields above.
 	Signature []byte
-}
-
-// Delta returns the CA's dissemination interval (CA certificates only).
-func (c *Certificate) Delta() time.Duration {
-	return time.Duration(c.DeltaSecs) * time.Second
 }
 
 // signingPayload returns the bytes covered by the issuer signature.
@@ -230,32 +224,12 @@ func (ch Chain) Leaf() *Certificate {
 	return ch[0]
 }
 
-// Encode serializes the chain.
-func (ch Chain) Encode() []byte {
-	e := wire.NewEncoder(256 * len(ch))
-	ch.EncodeTo(e)
-	return e.Bytes()
-}
-
 // EncodeTo appends the chain's encoding to an encoder.
 func (ch Chain) EncodeTo(e *wire.Encoder) {
 	e.Uvarint(uint64(len(ch)))
 	for _, c := range ch {
 		c.EncodeTo(e)
 	}
-}
-
-// DecodeChain parses a chain encoded by Encode.
-func DecodeChain(buf []byte) (Chain, error) {
-	d := wire.NewDecoder(buf)
-	ch, err := DecodeChainFrom(d)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("decode chain: %w", err)
-	}
-	return ch, nil
 }
 
 // DecodeChainFrom parses a chain from a decoder stream.
@@ -380,12 +354,6 @@ func (p *Pool) Clone() *Pool {
 	return &Pool{roots: roots}
 }
 
-// Root returns the trusted certificate for a CA, if any.
-func (p *Pool) Root(ca dictionary.CAID) (*Certificate, bool) {
-	c, ok := p.roots[ca]
-	return c, ok
-}
-
 // CAKey returns the trusted public key for a CA, used to verify dictionary
 // roots from that CA.
 func (p *Pool) CAKey(ca dictionary.CAID) (ed25519.PublicKey, bool) {
@@ -394,15 +362,6 @@ func (p *Pool) CAKey(ca dictionary.CAID) (ed25519.PublicKey, bool) {
 		return nil, false
 	}
 	return c.PublicKey, true
-}
-
-// CAs lists the CA identifiers in the pool.
-func (p *Pool) CAs() []dictionary.CAID {
-	out := make([]dictionary.CAID, 0, len(p.roots))
-	for id := range p.roots {
-		out = append(out, id)
-	}
-	return out
 }
 
 // VerifyChain performs the "standard validation" of §III step 5a: each link

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"ritm/internal/cryptoutil"
-	"ritm/internal/dictionary"
 	"ritm/internal/serial"
+	"ritm/internal/wire"
 )
 
 // testPKI builds a root CA, an intermediate, and a server certificate:
@@ -225,7 +225,9 @@ func TestChainVerifyFailures(t *testing.T) {
 func TestChainCodecRoundTrip(t *testing.T) {
 	pki := newTestPKI(t)
 	ch := Chain{pki.server, pki.intermediate}
-	decoded, err := DecodeChain(ch.Encode())
+	e := wire.NewEncoder(0)
+	ch.EncodeTo(e)
+	decoded, err := DecodeChainFrom(wire.NewDecoder(e.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,27 +243,21 @@ func TestChainCodecRoundTrip(t *testing.T) {
 }
 
 func TestDecodeChainBounds(t *testing.T) {
-	if _, err := DecodeChain([]byte{0}); !errors.Is(err, ErrBadChain) {
+	if _, err := DecodeChainFrom(wire.NewDecoder([]byte{0})); !errors.Is(err, ErrBadChain) {
 		t.Errorf("zero-length chain: err = %v, want ErrBadChain", err)
 	}
-	if _, err := DecodeChain([]byte{17}); !errors.Is(err, ErrBadChain) {
+	if _, err := DecodeChainFrom(wire.NewDecoder([]byte{17})); !errors.Is(err, ErrBadChain) {
 		t.Errorf("oversized chain: err = %v, want ErrBadChain", err)
 	}
 }
 
 func TestPool(t *testing.T) {
 	pki := newTestPKI(t)
-	if _, ok := pki.pool.Root("RootCA"); !ok {
-		t.Error("root missing from pool")
-	}
 	if _, ok := pki.pool.CAKey("RootCA"); !ok {
 		t.Error("CA key missing from pool")
 	}
 	if _, ok := pki.pool.CAKey("Nobody"); ok {
 		t.Error("unknown CA has a key")
-	}
-	if got := pki.pool.CAs(); len(got) != 1 || got[0] != dictionary.CAID("RootCA") {
-		t.Errorf("CAs() = %v", got)
 	}
 
 	// Non-CA roots and non-self-signed roots are rejected.
@@ -275,8 +271,8 @@ func TestPool(t *testing.T) {
 
 func TestDeltaOnCACert(t *testing.T) {
 	pki := newTestPKI(t)
-	if pki.root.Delta().Seconds() != 10 {
-		t.Errorf("root ∆ = %v, want 10s", pki.root.Delta())
+	if pki.root.DeltaSecs != 10 {
+		t.Errorf("root ∆ = %ds, want 10s", pki.root.DeltaSecs)
 	}
 	if pki.server.DeltaSecs != 0 {
 		t.Error("server cert carries a ∆")

@@ -89,7 +89,8 @@ type Traffic struct {
 	FreshnessBytes int
 	// EntryBytes is the bytes each revocation costs on the wire. The
 	// default is SerialEntryBytes, the paper's 3-byte serial convention;
-	// pass workload.EntryBytes() to charge full CRL-entry weight instead.
+	// pass ≈22 B (the largest CRL's 7.5 MB over its 339,557 entries) to
+	// charge full CRL-entry weight instead.
 	EntryBytes float64
 }
 

@@ -63,7 +63,7 @@ func TestBytesPerRAComposition(t *testing.T) {
 	}
 
 	// Charging full CRL-entry weight is possible explicitly.
-	heavy, err := (Traffic{Delta: 10 * time.Second, EntryBytes: workload.EntryBytes()}).BytesPerRA(month, 10_000)
+	heavy, err := (Traffic{Delta: 10 * time.Second, EntryBytes: 22}).BytesPerRA(month, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}

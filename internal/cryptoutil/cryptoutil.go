@@ -269,9 +269,6 @@ func NewChainFromSeed(seed Hash, length int) *Chain {
 	return &Chain{seed: seed, length: length, values: values}
 }
 
-// Length returns m, the number of hash applications from seed to anchor.
-func (c *Chain) Length() int { return c.length }
-
 // Seed returns the chain's secret seed v. It is as sensitive as a signing
 // key: anyone holding it can mint freshness statements for every period of
 // this chain. The CA-side durable store persists it (in the CA's own trust
@@ -306,12 +303,6 @@ func VerifyChainValue(anchor, statement Hash, p int) error {
 	}
 	return nil
 }
-
-// SignatureSize is the size of an Ed25519 signature in bytes.
-const SignatureSize = ed25519.SignatureSize
-
-// PublicKeySize is the size of an Ed25519 public key in bytes.
-const PublicKeySize = ed25519.PublicKeySize
 
 // Signer holds an Ed25519 signing identity (a CA, or a TLS-sim server).
 type Signer struct {

@@ -87,9 +87,6 @@ func (a *Authority) CA() CAID { return a.cfg.CA }
 // PublicKey returns the CA's verification key.
 func (a *Authority) PublicKey() ed25519.PublicKey { return a.cfg.Signer.Public() }
 
-// Delta returns the CA's dissemination interval ∆.
-func (a *Authority) Delta() time.Duration { return a.cfg.Delta }
-
 // HashedNodes returns the cumulative hash computations the dictionary has
 // performed across inserts — the per-∆-cycle rebuild cost.
 func (a *Authority) HashedNodes() uint64 {
@@ -212,14 +209,6 @@ func (a *Authority) Prove(s serial.Number, now int64) (*Status, error) {
 		return nil, fmt.Errorf("prove %s: %w", a.cfg.CA, err)
 	}
 	return &Status{Proof: a.tree.Prove(s), Root: a.root, Freshness: v}, nil
-}
-
-// Revoked reports whether the authority has revoked s.
-func (a *Authority) Revoked(s serial.Number) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	_, ok := a.tree.Revoked(s)
-	return ok
 }
 
 // LogSuffix exposes the issuance log range (from, to] for the distribution

@@ -87,7 +87,7 @@ func TestInsertProducesVerifiableIssuance(t *testing.T) {
 	if len(msg.Serials) != 3 {
 		t.Errorf("serials = %d, want 3", len(msg.Serials))
 	}
-	if !a.Revoked(serial.FromUint64(0xb)) {
+	if _, ok := a.tree.commit.revoked(serial.FromUint64(0xb)); !ok {
 		t.Error("inserted serial not revoked")
 	}
 }
@@ -347,7 +347,7 @@ func TestStatusSizeMatchesPaperBallpark(t *testing.T) {
 	mean := func(probes []serial.Number, revoked bool) float64 {
 		total := 0
 		for _, s := range probes {
-			if a.Revoked(s) != revoked {
+			if _, ok := a.tree.commit.revoked(s); ok != revoked {
 				t.Fatalf("probe %v revoked = %v", s, !revoked)
 			}
 			st, err := a.Prove(s, 0)

@@ -263,20 +263,6 @@ type MappedState struct {
 // Count returns the number of revocations in the checkpoint.
 func (st *MappedState) Count() uint64 { return uint64(st.count) }
 
-// Root returns the embedded signed root (nil for a never-published
-// dictionary). The caller must verify its signature before serving.
-func (st *MappedState) Root() *SignedRoot { return st.root }
-
-// RootHash returns the structural root recorded by the checkpoint.
-func (st *MappedState) RootHash() cryptoutil.Hash { return st.treeRoot }
-
-// Freshness returns the recorded freshness-statement value.
-func (st *MappedState) Freshness() cryptoutil.Hash { return st.freshness }
-
-// ChainSeed returns the recorded authority chain seed, nil on
-// replica-side checkpoints.
-func (st *MappedState) ChainSeed() *cryptoutil.Hash { return st.seed }
-
 // batches materializes the insertion-batch bounds.
 func (st *MappedState) batches() []uint64 {
 	n := len(st.bounds) / 8

@@ -109,12 +109,12 @@ func TestMappedReplicaAgreement(t *testing.T) {
 		if ms.Count() != heap.Count() {
 			t.Fatalf("mapped count %d, heap %d", ms.Count(), heap.Count())
 		}
-		if !ms.RootHash().Equal(heap.RootHash()) {
+		if !ms.view.root().Equal(heap.view.root()) {
 			t.Fatal("mapped root hash differs from heap")
 		}
-		if !ms.Freshness().Equal(heap.Freshness()) || ms.FreshnessPeriod() != heap.FreshnessPeriod() {
+		if !ms.Freshness().Equal(heap.Freshness()) || ms.freshPer != heap.freshPer {
 			t.Fatalf("mapped freshness (%v, %d), heap (%v, %d)",
-				ms.Freshness(), ms.FreshnessPeriod(), heap.Freshness(), heap.FreshnessPeriod())
+				ms.Freshness(), ms.freshPer, heap.Freshness(), heap.freshPer)
 		}
 		if !pureMapped(ms) {
 			t.Fatal("a re-map with an empty WAL suffix copied dictionary state onto the heap")
@@ -127,7 +127,7 @@ func TestMappedReplicaAgreement(t *testing.T) {
 		qs = append(qs, serial.NewGenerator(0xAB5E17, nil).NextN(64)...)
 		for _, s := range qs {
 			requireSameStatus(t, heap, ms, s)
-			if ms.Revoked(s) != heap.Revoked(s) {
+			if snapRevoked(ms, s) != snapRevoked(heap, s) {
 				t.Fatalf("Revoked(%v) disagrees", s)
 			}
 			st, err := ms.Prove(s)
@@ -138,8 +138,8 @@ func TestMappedReplicaAgreement(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Check(%v): %v", s, err)
 			}
-			if (res == CheckRevoked) != heap.Revoked(s) {
-				t.Fatalf("Check(%v) = %v, heap revoked %v", s, res, heap.Revoked(s))
+			if (res == CheckRevoked) != snapRevoked(heap, s) {
+				t.Fatalf("Check(%v) = %v, heap revoked %v", s, res, snapRevoked(heap, s))
 			}
 		}
 	})
@@ -341,10 +341,10 @@ func TestReplayConformance(t *testing.T) {
 					return
 				}
 
-				if got := live.Snapshot(); got.Count() != reference.Count() || !got.RootHash().Equal(reference.RootHash()) ||
+				if got := live.Snapshot(); got.Count() != reference.Count() || !got.view.root().Equal(reference.view.root()) ||
 					!got.Freshness().Equal(h.stmt.Value) {
 					t.Fatalf("replayed to n=%d, freshness period %d; want the full history with the statement adopted",
-						got.Count(), got.FreshnessPeriod())
+						got.Count(), got.freshPer)
 				}
 				for engine, snap := range map[string]*Snapshot{"recover": recovered.Snapshot(), "mapped": mapped.Snapshot(), "reference": reference} {
 					for _, s := range probes {
@@ -529,7 +529,7 @@ func TestLayoutRunIsCheckpointImage(t *testing.T) {
 			if err := r.Update(msg); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if !r.Snapshot().RootHash().Equal(heap.Snapshot().RootHash()) {
+			if !r.Snapshot().view.root().Equal(heap.Snapshot().view.root()) {
 				t.Fatalf("%s: root after the insert differs from the heap replica's", name)
 			}
 			for _, s := range probes {
@@ -540,7 +540,7 @@ func TestLayoutRunIsCheckpointImage(t *testing.T) {
 			t.Fatal("the next checkpoint of the restarted replica differs from the heap replica's")
 		}
 
-		oldRoot, oldCount := before.RootHash(), before.Count()
+		oldRoot, oldCount := before.view.root(), before.Count()
 		for i, s := range probes {
 			p := before.view.prove(s)
 			if !bytes.Equal(p.Encode(), beforeProofs[i]) {
@@ -621,7 +621,7 @@ func TestRecoverReplicaLog(t *testing.T) {
 				t.Fatal(err)
 			}
 			snap := r.Snapshot()
-			if snap.Count() != heap.Count() || !snap.RootHash().Equal(heap.RootHash()) {
+			if snap.Count() != heap.Count() || !snap.view.root().Equal(heap.view.root()) {
 				t.Fatalf("checkpoint after %d batches: recovered replica differs from heap reference", ckptAfter)
 			}
 			if !snap.Freshness().Equal(stmt.Value) {
@@ -770,8 +770,8 @@ func TestFreshnessAdoptionToleratesLag(t *testing.T) {
 	// Mapped at period 9: both records are older than {p, p−1}, and the
 	// newest must win.
 	ms := openMapped(t, a, r.PersistentStateV2(), wal, period(9))
-	if !ms.Freshness().Equal(stmt7.Value) || ms.FreshnessPeriod() != 7 {
-		t.Fatalf("mapped freshness (%v, %d), want stmt for period 7", ms.Freshness(), ms.FreshnessPeriod())
+	if !ms.Freshness().Equal(stmt7.Value) || ms.freshPer != 7 {
+		t.Fatalf("mapped freshness (%v, %d), want stmt for period 7", ms.Freshness(), ms.freshPer)
 	}
 
 	// Heap path, same lag: ApplyFreshness replayed at period 9.

@@ -74,7 +74,7 @@ func exhaustGaps(t *testing.T, n int) {
 	if !pureMapped(mapped) {
 		t.Fatalf("n=%d: mapped snapshot holds heap state", n)
 	}
-	root, count := heap.RootHash(), heap.Count()
+	root, count := heap.view.root(), heap.Count()
 
 	encs := make([][]byte, n+1)
 	for g := 0; g <= n; g++ {

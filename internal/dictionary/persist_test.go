@@ -148,10 +148,10 @@ func TestRejectedUpdateKeepsRelistedSerials(t *testing.T) {
 		if err := r.Update(hostile); !errors.Is(err, ErrDuplicateSerial) {
 			t.Fatalf("attempt %d: err = %v, want ErrDuplicateSerial", attempt, err)
 		}
-		if !r.Revoked(victim) {
+		if !snapRevoked(r.Snapshot(), victim) {
 			t.Fatal("rejected update evicted a pre-existing serial")
 		}
-		if _, ok := r.tree.Revoked(victim); !ok {
+		if _, ok := r.tree.commit.revoked(victim); !ok {
 			t.Fatal("rejected update evicted the serial from the live tree")
 		}
 		if got := r.Count(); got != 4 {
@@ -480,7 +480,7 @@ func FuzzApplyLogRecord(f *testing.F) {
 		agree := func(step string) {
 			t.Helper()
 			if (errs[0] == nil) != (errs[1] == nil) || after[0].Count() != after[1].Count() ||
-				!after[0].RootHash().Equal(after[1].RootHash()) || !after[0].Freshness().Equal(after[1].Freshness()) {
+				!after[0].view.root().Equal(after[1].view.root()) || !after[0].Freshness().Equal(after[1].Freshness()) {
 				t.Fatalf("%s: heap replica (n=%d, %v) and mapped-base replica (n=%d, %v) disagree",
 					step, after[0].Count(), errs[0], after[1].Count(), errs[1])
 			}
@@ -494,7 +494,7 @@ func FuzzApplyLogRecord(f *testing.F) {
 			before := r.Snapshot()
 			errs[j] = ApplyLogRecord(r, frame, now+10)
 			after[j] = r.Snapshot()
-			if after[j].Count() == before.Count() && after[j].RootHash().Equal(before.RootHash()) && after[j].Root().Equal(before.Root()) {
+			if after[j].Count() == before.Count() && after[j].view.root().Equal(before.view.root()) && after[j].Root().Equal(before.Root()) {
 				continue
 			}
 			rec, err := DecodeUpdateRecord(frame)

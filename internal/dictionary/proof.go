@@ -214,13 +214,6 @@ func (p *Proof) runRoot(s serial.Number, size uint64) (cryptoutil.Hash, error) {
 	}
 }
 
-// Size returns the encoded size of the proof in bytes. The paper reports a
-// 500–900 byte status for the largest CRL observed (§VII-D: 339,557
-// entries); there, with 16-byte serials, a proof averages 400 B for presence
-// and 423 B for absence, and the signed root and freshness value add 149 B
-// to make the status.
-func (p *Proof) Size() int { return len(p.Encode()) }
-
 // Encode serializes the proof.
 func (p *Proof) Encode() []byte {
 	e := wire.PooledEncoder()

@@ -43,14 +43,14 @@ type Replica struct {
 // verified; it normally comes from the CA's certificate.
 func NewReplica(ca CAID, pub ed25519.PublicKey) *Replica {
 	r := &Replica{ca: ca, pub: pub, tree: NewTree()}
-	r.snap.Store(newSnapshot(ca, r.tree, nil, cryptoutil.Hash{}, 0, 0))
+	r.snap.Store(newSnapshot(r.tree, nil, cryptoutil.Hash{}, 0, 0))
 	return r
 }
 
 // publish freezes the current state as the next snapshot. Caller holds mu.
 func (r *Replica) publish() {
 	r.gen++
-	r.snap.Store(newSnapshot(r.ca, r.tree, r.root, r.freshness, r.freshPer, r.gen))
+	r.snap.Store(newSnapshot(r.tree, r.root, r.freshness, r.freshPer, r.gen))
 }
 
 // Snapshot returns the current published version. The result is immutable
@@ -78,9 +78,6 @@ func (r *Replica) Count() uint64 { return r.snap.Load().Count() }
 // Root returns the latest verified signed root, or nil before the first
 // successful update.
 func (r *Replica) Root() *SignedRoot { return r.snap.Load().Root() }
-
-// Revoked reports whether s is revoked in the replica's current view.
-func (r *Replica) Revoked(s serial.Number) bool { return r.snap.Load().Revoked(s) }
 
 // Update applies an issuance message (Fig 2, update): it verifies the
 // signature, checks that the batch extends the local count contiguously,
@@ -194,30 +191,6 @@ func (r *Replica) Prove(s serial.Number) (*Status, error) {
 // never exposed.
 func (r *Replica) Log() []serial.Number {
 	return r.snap.Load().Log()
-}
-
-// LogSuffix returns the serials with revocation numbers in (from, to]; the
-// distribution point serves it to resynchronize lagging replicas (§III).
-// Like Log it reads the published snapshot without locking; callers
-// needing the suffix consistent with a root should take one Snapshot and
-// use its accessors.
-func (r *Replica) LogSuffix(from, to uint64) ([]serial.Number, error) {
-	return r.snap.Load().LogSuffix(from, to)
-}
-
-// Freshness returns the latest verified freshness-statement value. Before
-// any statement arrives it is the signed root's anchor (the period-0 value),
-// and before the first update it is the zero hash.
-func (r *Replica) Freshness() cryptoutil.Hash {
-	return r.snap.Load().Freshness()
-}
-
-// SerializedSize reports the canonical serialized size of the replica's
-// dictionary (the §VII-D storage-overhead metric).
-func (r *Replica) SerializedSize() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tree.SerializedSize()
 }
 
 // MemoryFootprint estimates resident memory of the replica's tree.

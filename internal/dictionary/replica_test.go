@@ -33,7 +33,7 @@ func TestReplicaFollowsAuthority(t *testing.T) {
 	if r.Count() != 3 {
 		t.Errorf("Count = %d, want 3", r.Count())
 	}
-	if !r.Revoked(serial.FromUint64(20)) {
+	if !snapRevoked(r.Snapshot(), serial.FromUint64(20)) {
 		t.Error("replica missing revocation")
 	}
 	if !r.Root().Equal(a.SignedRoot()) {
@@ -319,7 +319,7 @@ func TestForestReplicaRollback(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := r.Snapshot()
-		rootBefore, genBefore := before.RootHash(), before.Generation()
+		rootBefore, genBefore := before.view.root(), before.Generation()
 
 		// A validly signed root over DIFFERENT content: replaying the
 		// message's serials cannot reproduce it.
@@ -335,11 +335,11 @@ func TestForestReplicaRollback(t *testing.T) {
 		if after.Generation() != genBefore {
 			t.Error("rejected update published a snapshot")
 		}
-		if !after.RootHash().Equal(rootBefore) {
+		if !after.view.root().Equal(rootBefore) {
 			t.Error("rollback did not restore the tree root")
 		}
 		for _, s := range forged.Serials {
-			if r.Revoked(s) {
+			if snapRevoked(r.Snapshot(), s) {
 				t.Errorf("serial %v from the rejected batch is present", s)
 			}
 		}
@@ -348,7 +348,7 @@ func TestForestReplicaRollback(t *testing.T) {
 		if err := r.Update(evil); err != nil {
 			t.Fatalf("honest update after rollback: %v", err)
 		}
-		if !r.Snapshot().RootHash().Equal(evil.Root.Root) {
+		if !r.Snapshot().view.root().Equal(evil.Root.Root) {
 			t.Error("post-rollback update did not converge to the signed root")
 		}
 	})

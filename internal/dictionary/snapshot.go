@@ -27,7 +27,6 @@ import (
 // status depends on. Caches key on (CA, serial) and compare generations:
 // equal generation ⇒ byte-identical status.
 type Snapshot struct {
-	ca        CAID
 	view      run
 	base      uint64          // revocations below the log; see Tree.base
 	log       []serial.Number // issuance order above base; immutable
@@ -45,9 +44,8 @@ type Snapshot struct {
 // shared with the tree: InsertBatch only ever appends (and a failed-update
 // rollback replaces the whole array), so the first Count() elements this
 // header covers are never written again.
-func newSnapshot(ca CAID, t *Tree, root *SignedRoot, freshness cryptoutil.Hash, freshPer int, gen uint64) *Snapshot {
+func newSnapshot(t *Tree, root *SignedRoot, freshness cryptoutil.Hash, freshPer int, gen uint64) *Snapshot {
 	s := &Snapshot{
-		ca:        ca,
 		view:      t.view(),
 		base:      t.base,
 		log:       t.log,
@@ -66,9 +64,6 @@ func newSnapshot(ca CAID, t *Tree, root *SignedRoot, freshness cryptoutil.Hash, 
 	return s
 }
 
-// CA returns the CA whose dictionary the snapshot belongs to.
-func (s *Snapshot) CA() CAID { return s.ca }
-
 // Generation returns the snapshot's publication counter. Generations are
 // strictly increasing per replica; two statuses proved from snapshots of
 // equal generation are identical, which is the cache-invalidation contract
@@ -82,10 +77,6 @@ func (s *Snapshot) Root() *SignedRoot { return s.root }
 // Freshness returns the freshness-statement value current at publication.
 func (s *Snapshot) Freshness() cryptoutil.Hash { return s.freshness }
 
-// FreshnessPeriod returns the period index the freshness value was
-// verified for.
-func (s *Snapshot) FreshnessPeriod() int { return s.freshPer }
-
 // FreshnessAge returns how many periods the freshness statement lags the
 // period now falls in; the RA's pull loop retries while it is positive.
 func (s *Snapshot) FreshnessAge(now int64) (int, error) {
@@ -97,9 +88,6 @@ func (s *Snapshot) FreshnessAge(now int64) (int, error) {
 
 // Count returns the number of revocations in the snapshot.
 func (s *Snapshot) Count() uint64 { return s.base + uint64(len(s.log)) }
-
-// RootHash returns the tree root hash of the snapshot.
-func (s *Snapshot) RootHash() cryptoutil.Hash { return s.view.root() }
 
 // Log returns a copy of the issuance-ordered serial log of this version
 // (of the part above the checkpoint, for a replica opened over a mapped one).
@@ -119,12 +107,6 @@ func (s *Snapshot) Log() []serial.Number {
 // (same contract as Tree.LogSuffix).
 func (s *Snapshot) LogSuffix(from, to uint64) ([]serial.Number, error) {
 	return logSuffix(s.log, s.base, from, to)
-}
-
-// Revoked reports whether sn is revoked in this version.
-func (s *Snapshot) Revoked(sn serial.Number) bool {
-	_, ok := s.view.revoked(sn)
-	return ok
 }
 
 // Prove produces the revocation status for sn (Fig 2, prove) from the

@@ -46,8 +46,6 @@ var (
 	ErrStale = errors.New("dictionary: revocation status is stale")
 	// ErrDesynchronized reports a replica that is missing issuance messages.
 	ErrDesynchronized = errors.New("dictionary: replica out of sync with authority")
-	// ErrRevoked reports a presence proof: the certificate is revoked.
-	ErrRevoked = errors.New("dictionary: certificate is revoked")
 	// ErrCount reports an issuance message whose revocation count does not
 	// extend the replica's count contiguously.
 	ErrCount = errors.New("dictionary: non-contiguous revocation count")
@@ -141,9 +139,6 @@ func (t *Tree) Count() uint64 { return t.base + uint64(len(t.log)) }
 // without exposing the arrays, so a root check between replayed batches does
 // not end the private window.
 func (t *Tree) Root() cryptoutil.Hash { return t.commit.root() }
-
-// Revoked reports whether s is in the dictionary, and its revocation number.
-func (t *Tree) Revoked(s serial.Number) (uint64, bool) { return t.commit.revoked(s) }
 
 // Log returns a copy of the issuance-ordered serial log. Replaying the log
 // into an empty tree reproduces the dictionary exactly; it is the canonical

@@ -50,7 +50,7 @@ func TestInsertAssignsConsecutiveNumbers(t *testing.T) {
 	// Numbers follow issuance order, not sorted order.
 	wantNums := map[uint64]uint64{30: 1, 10: 2, 20: 3, 5: 4}
 	for s, want := range wantNums {
-		num, ok := tree.Revoked(serial.FromUint64(s))
+		num, ok := tree.commit.revoked(serial.FromUint64(s))
 		if !ok {
 			t.Fatalf("serial %d not revoked", s)
 		}
@@ -88,7 +88,7 @@ func TestInsertDuplicateRejectedAtomically(t *testing.T) {
 	if tree.Root() != rootBefore {
 		t.Error("failed batch mutated the tree")
 	}
-	if _, ok := tree.Revoked(serial.FromUint64(9)); ok {
+	if _, ok := tree.commit.revoked(serial.FromUint64(9)); ok {
 		t.Error("serial from failed batch is present")
 	}
 	if tree.Count() != 3 {

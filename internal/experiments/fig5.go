@@ -34,7 +34,7 @@ func Fig5(quick bool) (*Table, error) {
 			"revocations", "message KB", "p10 s", "p25 s", "p50 s", "p75 s", "p90 s", "p99 s", "<1s",
 		},
 		Notes: []string{
-			"network: 80-vantage analytic model replacing PlanetLab+CloudFront (DESIGN.md §3)",
+			"network: 80-vantage analytic model replacing PlanetLab+CloudFront (internal/netsim)",
 			"message bytes: real wire encoding of an issuance message with 3-byte serials",
 		},
 	}

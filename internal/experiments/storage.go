@@ -17,7 +17,7 @@ import (
 // resident sizes are reported, plus the paper's 10-million-revocation
 // scaling point (exact serialized arithmetic, extrapolated resident size).
 func Storage(quick bool) (*Table, error) {
-	corpus := workload.NewCorpus(seriesSeed)
+	corpus := workload.NewCorpus()
 	scale := 1
 	if quick {
 		scale = 50

@@ -17,13 +17,12 @@ import (
 // RA replica of the largest-CRL dictionary, a 3-certificate chain, and the
 // handshake bytes DPI operates on.
 type tab3Env struct {
-	replica     *dictionary.Replica
-	pub         []byte
-	present     []serial.Number // revoked serials (presence proofs)
-	absent      []serial.Number // unrevoked serials (absence proofs)
-	recordHdr   []byte
-	chainBody   []byte // Certificate handshake body with a 3-cert chain
-	baseEntries int
+	replica   *dictionary.Replica
+	pub       []byte
+	present   []serial.Number // revoked serials (presence proofs)
+	absent    []serial.Number // unrevoked serials (absence proofs)
+	recordHdr []byte
+	chainBody []byte // Certificate handshake body with a 3-cert chain
 }
 
 // Tab3 reproduces Table III: per-operation processing time in µs (max /
@@ -309,13 +308,12 @@ func buildTab3Env(quick bool) (*tab3Env, error) {
 		absent[i] = gen.Next() // same generator: unique vs every revoked serial
 	}
 	return &tab3Env{
-		replica:     replica,
-		pub:         auth.PublicKey(),
-		present:     present,
-		absent:      absent,
-		recordHdr:   []byte{22, 3, 3, 0x01, 0x40}, // a 320-byte handshake record
-		chainBody:   chainBody,
-		baseEntries: entries,
+		replica:   replica,
+		pub:       auth.PublicKey(),
+		present:   present,
+		absent:    absent,
+		recordHdr: []byte{22, 3, 3, 0x01, 0x40}, // a 320-byte handshake record
+		chainBody: chainBody,
 	}, nil
 }
 

@@ -53,21 +53,10 @@ func (b *BypassList) Add(entry string) {
 	b.exact[entry] = struct{}{}
 }
 
-// Len reports the number of entries.
-func (b *BypassList) Len() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.exact) + len(b.suffixes)
-}
-
-// Match reports whether host hits the list.
-func (b *BypassList) Match(host string) bool {
-	return b.MatchBytes([]byte(host))
-}
-
-// MatchBytes is Match on a raw SNI slice without allocating: the lookup key
-// is lowercased in a stack buffer and map-indexed via the compiler's
-// string(b) lookup optimization. It sits on the per-ClientHello path.
+// MatchBytes reports whether the SNI host hits the list, without
+// allocating: the lookup key is lowercased in a stack buffer and
+// map-indexed via the compiler's string(b) lookup optimization. It sits on
+// the per-ClientHello path.
 func (b *BypassList) MatchBytes(host []byte) bool {
 	if len(host) == 0 {
 		return false

@@ -26,12 +26,12 @@ func TestBypassListForms(t *testing.T) {
 		{"unrelated.test", false},
 	}
 	for _, tc := range cases {
-		if got := b.Match(tc.host); got != tc.want {
+		if got := b.MatchBytes([]byte(tc.host)); got != tc.want {
 			t.Errorf("Match(%q) = %v, want %v", tc.host, got, tc.want)
 		}
 	}
-	if b.Len() != 4 {
-		t.Fatalf("Len = %d, want 4 (empty entries dropped)", b.Len())
+	if n := len(b.exact) + len(b.suffixes); n != 4 {
+		t.Fatalf("entries = %d, want 4 (empty entries dropped)", n)
 	}
 }
 
@@ -46,11 +46,11 @@ func TestLoadBypassFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, host := range []string{"bank.example", "intra.corp", "x.intra.corp", "a.mtls.example"} {
-		if !b.Match(host) {
+		if !b.MatchBytes([]byte(host)) {
 			t.Errorf("Match(%q) = false after load", host)
 		}
 	}
-	if b.Match("comment") || b.Match("pinned") {
+	if b.MatchBytes([]byte("comment")) || b.MatchBytes([]byte("pinned")) {
 		t.Fatal("comment text leaked into the list")
 	}
 	if _, err := LoadBypassFile(filepath.Join(t.TempDir(), "absent")); err == nil {

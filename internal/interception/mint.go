@@ -12,7 +12,6 @@ import (
 	"crypto/x509"
 	"crypto/x509/pkix"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/pem"
 	"errors"
 	"fmt"
@@ -118,10 +117,6 @@ func newMintingRootFrom(der []byte, key crypto.Signer) (*MintingRoot, error) {
 // Certificate returns the root certificate clients must install.
 func (r *MintingRoot) Certificate() *x509.Certificate { return r.cert }
 
-// DER returns the root certificate's DER encoding (serve it at a
-// /cert.der-style install endpoint).
-func (r *MintingRoot) DER() []byte { return r.certDER }
-
 // CertPEM returns the root certificate as PEM, for trust-store install.
 func (r *MintingRoot) CertPEM() []byte {
 	return pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: r.certDER})
@@ -202,7 +197,7 @@ func parseRootPEM(data []byte) (*MintingRoot, error) {
 const DefaultMintCacheCap = 1024
 
 // Minter mints per-site leaves under a MintingRoot, memoized in an LRU
-// keyed by (root, host, upstream identity) with singleflight so N
+// keyed by (host, upstream identity) with singleflight so N
 // concurrent first hits on one site mint exactly once.
 type Minter struct {
 	mu    sync.Mutex
@@ -242,35 +237,16 @@ func NewMinter(root *MintingRoot, cacheCap int) *Minter {
 	}
 }
 
-// Root returns the current minting root.
-func (m *Minter) Root() *MintingRoot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.root
-}
-
-// SetRoot rotates the minting root: every cached mint is dropped (their
-// keys embed the old root's digest, so they could never be served again
-// anyway) and subsequent mints chain to the new root.
-func (m *Minter) SetRoot(root *MintingRoot) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.root = root
-	m.lru.Init()
-	m.cache = make(map[string]*list.Element)
-}
-
 // CacheStats returns the mint cache's hit and miss counts.
 func (m *Minter) CacheStats() (hits, misses uint64) {
 	return m.hits.Load(), m.misses.Load()
 }
 
-// cacheKey identifies one mintable leaf: root epoch, host, and the fields
-// of the upstream leaf the mint derives from — a renewed upstream
-// certificate (new serial or validity) re-mints.
-func cacheKey(root *MintingRoot, host string, upstream *x509.Certificate) string {
-	return hex.EncodeToString(root.id[:]) + "|" + host + "|" +
-		upstream.SerialNumber.Text(16) + "|" + upstream.NotAfter.UTC().Format(time.RFC3339)
+// cacheKey identifies one mintable leaf under the Minter's root: host and
+// the fields of the upstream leaf the mint derives from — a renewed
+// upstream certificate (new serial or validity) re-mints.
+func cacheKey(host string, upstream *x509.Certificate) string {
+	return host + "|" + upstream.SerialNumber.Text(16) + "|" + upstream.NotAfter.UTC().Format(time.RFC3339)
 }
 
 // CertFor returns the minted leaf for host, derived from the upstream
@@ -281,9 +257,8 @@ func (m *Minter) CertFor(host string, upstream *x509.Certificate) (*tls.Certific
 	if upstream == nil {
 		return nil, errors.New("interception: mint: nil upstream leaf")
 	}
+	key := cacheKey(host, upstream)
 	m.mu.Lock()
-	root := m.root
-	key := cacheKey(root, host, upstream)
 	if el, ok := m.cache[key]; ok {
 		m.lru.MoveToFront(el)
 		m.mu.Unlock()
@@ -302,12 +277,12 @@ func (m *Minter) CertFor(host string, upstream *x509.Certificate) (*tls.Certific
 	m.mu.Unlock()
 	m.misses.Add(1)
 
-	c.cert, c.err = mintLeaf(root, host, upstream)
+	c.cert, c.err = mintLeaf(m.root, host, upstream)
 	close(c.done)
 
 	m.mu.Lock()
 	delete(m.calls, key)
-	if c.err == nil && m.root == root { // a concurrent SetRoot wins
+	if c.err == nil {
 		el := m.lru.PushFront(&mintEntry{key: key, cert: c.cert})
 		m.cache[key] = el
 		if m.lru.Len() > m.cap {

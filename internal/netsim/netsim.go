@@ -71,9 +71,6 @@ func NewNetwork(seed uint64) *Network {
 // Nodes returns the number of vantage points.
 func (n *Network) Nodes() int { return len(n.byNode) }
 
-// Region returns the region name of a vantage point.
-func (n *Network) Region(node int) string { return n.byNode[node].name }
-
 // lognormal draws a multiplicative jitter factor with the given sigma:
 // median 1, right-skewed — the canonical shape of wide-area latency noise.
 func lognormal(rng *rand.Rand, sigma float64) float64 {
@@ -101,74 +98,6 @@ func (n *Network) DownloadTime(node, trial, bytes int) (time.Duration, error) {
 	// Edge→origin (TTL=0 miss): another connection + fetch = 2 RTT.
 	// Transfer is paid on both legs (store-and-forward at the edge).
 	total := 2*edgeRTT + 2*originRTT + 2*transfer
-	return total, nil
-}
-
-// RegionInfo describes one region's network profile; scenario harnesses
-// read it to inject realistic per-link latencies into wired hierarchies.
-type RegionInfo struct {
-	Name string
-	// Nodes is the region's share of the VantagePoints.
-	Nodes int
-	// EdgeRTT is the median client→PoP round trip.
-	EdgeRTT time.Duration
-	// OriginRTT is the median edge→origin round trip.
-	OriginRTT time.Duration
-	// Bandwidth is the median bottleneck bandwidth in bits/s.
-	Bandwidth float64
-}
-
-// Regions lists the model's region profiles in declaration order.
-func Regions() []RegionInfo {
-	out := make([]RegionInfo, len(profiles))
-	for i, p := range profiles {
-		out[i] = RegionInfo{Name: p.name, Nodes: p.nodes, EdgeRTT: p.edgeRTT, OriginRTT: p.originRTT, Bandwidth: p.bandwidth}
-	}
-	return out
-}
-
-// hierarchySeedSalt decorrelates the hierarchy jitter stream from
-// DownloadTime's: the same (node, trial) must not reuse the TTL=0 draw.
-const hierarchySeedSalt = 0x484945524152 // "HIERAR"
-
-// HierarchyDownloadTime models one download of size bytes through the
-// two-tier hierarchy (client → PoP → regional edge → origin) as a
-// function of where the request was answered. A PoP hit costs the
-// client→PoP leg only; a PoP miss adds the PoP→regional leg (the regional
-// edge shares the region, so its RTT is a fraction of the origin's); a
-// regional miss adds the full edge→origin leg. Transfer time is paid
-// store-and-forward on every leg traversed, as in DownloadTime. The
-// (node, trial) pair seeds the jitter, so repeated calls reproduce the
-// same sample. Note the full-miss path costs MORE than DownloadTime's
-// flat TTL=0 path: it adds the PoP→regional hop and a third
-// store-and-forward transfer leg (and the two models draw decorrelated
-// jitter, so no per-sample relation holds) — the hierarchy pays for its
-// fan-out with a deeper worst case and wins on the hit-rate-weighted
-// distribution, not on the tail of a single cold miss.
-func (n *Network) HierarchyDownloadTime(node, trial, bytes int, popHit, regionalHit bool) (time.Duration, error) {
-	if node < 0 || node >= len(n.byNode) {
-		return 0, fmt.Errorf("netsim: vantage point %d of %d", node, len(n.byNode))
-	}
-	p := n.byNode[node]
-	rng := rand.New(rand.NewPCG(n.seed^hierarchySeedSalt, uint64(node)<<32|uint64(trial)))
-
-	popRTT := time.Duration(float64(p.edgeRTT) * lognormal(rng, 0.25))
-	// Regional edges sit inside the region, between the PoPs and the
-	// origin: model their RTT as a third of the origin's.
-	regionalRTT := time.Duration(float64(p.originRTT) / 3 * lognormal(rng, 0.25))
-	originRTT := time.Duration(float64(p.originRTT) * lognormal(rng, 0.25))
-	bw := p.bandwidth * lognormal(rng, 0.35)
-	transfer := time.Duration(float64(bytes) * 8 / bw * float64(time.Second))
-
-	total := 2*popRTT + transfer // TCP+request to the PoP, PoP→client transfer
-	if popHit {
-		return total, nil
-	}
-	total += 2*regionalRTT + transfer // PoP's miss fetch, store-and-forward
-	if regionalHit {
-		return total, nil
-	}
-	total += 2*originRTT + transfer // regional's miss fetch from the origin
 	return total, nil
 }
 
@@ -202,32 +131,4 @@ func Quantile(sorted []time.Duration, q float64) time.Duration {
 	}
 	idx := int(q * float64(len(sorted)-1))
 	return sorted[idx]
-}
-
-// CDFPoint is one (x, F(x)) point of an empirical CDF.
-type CDFPoint struct {
-	Time     time.Duration
-	Fraction float64
-}
-
-// CDF reduces sorted samples to at most points CDF points for plotting.
-func CDF(sorted []time.Duration, points int) []CDFPoint {
-	if len(sorted) == 0 || points <= 0 {
-		return nil
-	}
-	if points > len(sorted) {
-		points = len(sorted)
-	}
-	out := make([]CDFPoint, points)
-	for i := 0; i < points; i++ {
-		idx := (i + 1) * len(sorted) / points
-		if idx > len(sorted) {
-			idx = len(sorted)
-		}
-		out[i] = CDFPoint{
-			Time:     sorted[idx-1],
-			Fraction: float64(idx) / float64(len(sorted)),
-		}
-	}
-	return out
 }

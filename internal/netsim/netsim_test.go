@@ -12,7 +12,7 @@ func TestNetworkHas80VantagePoints(t *testing.T) {
 	}
 	regions := map[string]int{}
 	for i := 0; i < n.Nodes(); i++ {
-		regions[n.Region(i)]++
+		regions[n.byNode[i].name]++
 	}
 	// PlanetLab was NA/EU-heavy.
 	if regions["North America"] < regions["East Asia"] {
@@ -20,6 +20,14 @@ func TestNetworkHas80VantagePoints(t *testing.T) {
 	}
 	if len(regions) < 5 {
 		t.Errorf("only %d regions represented", len(regions))
+	}
+	for _, p := range profiles {
+		if p.name == "" || p.edgeRTT <= 0 || p.originRTT <= 0 || p.bandwidth <= 0 {
+			t.Errorf("malformed region %+v", p)
+		}
+		if p.edgeRTT >= p.originRTT {
+			t.Errorf("region %s: edge RTT %v ≥ origin RTT %v (edges must be nearer)", p.name, p.edgeRTT, p.originRTT)
+		}
 	}
 }
 
@@ -85,7 +93,7 @@ func TestFig5Property90PercentUnderOneSecond(t *testing.T) {
 	}
 }
 
-func TestQuantileAndCDF(t *testing.T) {
+func TestQuantile(t *testing.T) {
 	samples := []time.Duration{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	if got := Quantile(samples, 0); got != 1 {
 		t.Errorf("q0 = %v", got)
@@ -95,79 +103,5 @@ func TestQuantileAndCDF(t *testing.T) {
 	}
 	if got := Quantile(samples, 0.5); got != 5 || got != samples[4] {
 		t.Errorf("median = %v", got)
-	}
-
-	cdf := CDF(samples, 5)
-	if len(cdf) != 5 {
-		t.Fatalf("CDF points = %d", len(cdf))
-	}
-	if cdf[4].Fraction != 1.0 || cdf[4].Time != 10 {
-		t.Errorf("last CDF point = %+v", cdf[4])
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i].Time < cdf[i-1].Time || cdf[i].Fraction <= cdf[i-1].Fraction {
-			t.Errorf("CDF not monotone at %d", i)
-		}
-	}
-	if CDF(nil, 5) != nil {
-		t.Error("empty CDF not nil")
-	}
-}
-
-func TestHierarchyDownloadTimeOrdering(t *testing.T) {
-	n := NewNetwork(42)
-	const bytes = 12 * 1024
-	for node := 0; node < n.Nodes(); node += 7 {
-		for trial := 0; trial < 5; trial++ {
-			popHit, err := n.HierarchyDownloadTime(node, trial, bytes, true, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			regionalHit, err := n.HierarchyDownloadTime(node, trial, bytes, false, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			miss, err := n.HierarchyDownloadTime(node, trial, bytes, false, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Deeper misses strictly cost more: each tier adds a round
-			// trip and a store-and-forward transfer.
-			if !(popHit < regionalHit && regionalHit < miss) {
-				t.Fatalf("node %d trial %d: popHit=%v regionalHit=%v miss=%v — not increasing",
-					node, trial, popHit, regionalHit, miss)
-			}
-			// Determinism: the same (node, trial) reproduces its sample.
-			again, err := n.HierarchyDownloadTime(node, trial, bytes, false, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if again != miss {
-				t.Fatalf("node %d trial %d: non-deterministic sample", node, trial)
-			}
-		}
-	}
-	if _, err := n.HierarchyDownloadTime(n.Nodes(), 0, bytes, true, true); err == nil {
-		t.Error("out-of-range vantage point accepted")
-	}
-}
-
-func TestRegionsAccessor(t *testing.T) {
-	regions := Regions()
-	if len(regions) == 0 {
-		t.Fatal("no regions")
-	}
-	total := 0
-	for _, r := range regions {
-		if r.Name == "" || r.EdgeRTT <= 0 || r.OriginRTT <= 0 || r.Bandwidth <= 0 {
-			t.Errorf("malformed region %+v", r)
-		}
-		if r.EdgeRTT >= r.OriginRTT {
-			t.Errorf("region %s: edge RTT %v ≥ origin RTT %v (edges must be nearer)", r.Name, r.EdgeRTT, r.OriginRTT)
-		}
-		total += r.Nodes
-	}
-	if total != VantagePoints {
-		t.Errorf("region nodes sum to %d, want %d", total, VantagePoints)
 	}
 }

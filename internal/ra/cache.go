@@ -302,15 +302,6 @@ type CacheStats struct {
 	Bytes int64
 }
 
-// HitRate returns Hits / (Hits + Misses), or 0 before any lookup.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 func (c *statusCache) stats() CacheStats {
 	var out CacheStats
 	for i := range c.shards {

@@ -160,11 +160,16 @@ func TestProxySurvivesMidHandshakePeerDisappearance(t *testing.T) {
 	conn.Close()
 	// Teardown runs asynchronously after the close; wait for the table to
 	// drain rather than racing it.
+	tableLen := func() int {
+		e.ra.table.mu.RLock()
+		defer e.ra.table.mu.RUnlock()
+		return len(e.ra.table.conns)
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for e.ra.Table().Len() != 0 && time.Now().Before(deadline) {
+	for tableLen() != 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if n := e.ra.Table().Len(); n != 0 {
+	if n := tableLen(); n != 0 {
 		t.Errorf("connection table leaked %d entries", n)
 	}
 }

@@ -113,6 +113,11 @@ func (p *Proxy) handle(client net.Conn) error {
 	client.Close()
 	server.Close()
 	c2sErr := <-errCh
+	if sess.clientAlerted && middlebox.Benign(c2sErr) && isWrite(s2cErr) {
+		// The client refused the connection with an alert and closed its
+		// half: writes toward it failing is the teardown it asked for.
+		s2cErr = nil
+	}
 	for _, err := range []error{s2cErr, c2sErr} {
 		if err != nil && !middlebox.Benign(err) {
 			p.ra.stats.spliceErrors.Add(1)
@@ -125,6 +130,12 @@ func (p *Proxy) handle(client net.Conn) error {
 func isRecord(hdr []byte) bool {
 	_, _, ok := DetectRecord(hdr)
 	return ok
+}
+
+// isWrite reports whether err is a failed socket write.
+func isWrite(err error) bool {
+	var op *net.OpError
+	return errors.As(err, &op) && op.Op == "write"
 }
 
 // recordPump re-frames one direction of a proxied connection. Records go
@@ -212,6 +223,10 @@ type proxySession struct {
 	// handshake; once the certificate identity is known it is remembered
 	// for future resumptions.
 	pendingSessionID []byte
+	// clientAlerted records that the client sent an alert (a refusal,
+	// such as the RITM policy alert). Only clientToServer writes it; handle
+	// reads it after that pump has returned.
+	clientAlerted bool
 }
 
 // setIdents records the identities to serve statuses for; the first one is
@@ -260,10 +275,13 @@ func (s *proxySession) clientToServer() error {
 			return err
 		}
 		s.ra.stats.recordsInspected.Add(1)
-		if rec.Type == tlssim.ContentHandshake {
+		switch rec.Type {
+		case tlssim.ContentHandshake:
 			if msg, err := ParseHandshakeRecord(rec.Payload); err == nil && msg.Type == tlssim.TypeClientHello {
 				s.onClientHello(msg.Body)
 			}
+		case tlssim.ContentAlert:
+			s.clientAlerted = true
 		}
 		if err := s.up.write(rec); err != nil {
 			return err

@@ -128,7 +128,7 @@ func TestOneWritePerFlight(t *testing.T) {
 	serve(t, &recordingListener{Listener: ln, accepted: servers},
 		&tlssim.Config{Chain: e.chain, Key: e.key, TicketKey: &ticketKey})
 	proxy, toClient, toServer := newRecordingProxy(t, e.ra, ln.Addr().String())
-	cache := tlssim.NewClientSessionCache()
+	cache := &tlssim.ClientSessionCache{}
 
 	cases := []struct {
 		name                       string

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"ritm/internal/tlssim"
 )
 
 // TestProxySpliceErrorSurfaced regresses the raw-pipe error handling: an
@@ -138,5 +141,84 @@ func TestProxyNonTLSServerFirst(t *testing.T) {
 	}
 	if st := e.ra.Stats(); st.NonTLSConnections != 1 {
 		t.Errorf("NonTLSConnections = %d, want 1", st.NonTLSConnections)
+	}
+}
+
+// TestProxyClientAlertTeardownNotAnError: a client that refuses the
+// connection sends a fatal alert and closes, and the server's next records
+// then hit a closed socket. That write error is the teardown the client
+// asked for, so it reaches neither SetOnError nor SpliceErrors. A client
+// that closes without an alert, and whose socket then fails the same
+// write, is still reported.
+func TestProxyClientAlertTeardownNotAnError(t *testing.T) {
+	alert := tlssim.Record{Type: tlssim.ContentAlert, Payload: []byte{2, 120}} // fatal RITM-policy alert
+	data := tlssim.Record{Type: tlssim.ContentApplicationData, Payload: []byte("bye")}
+	for _, tc := range []struct {
+		name       string
+		last       tlssim.Record // the client's only record before it closes
+		wantReport bool
+	}{
+		{"alert then close", alert, false},
+		{"close without alert", data, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t, time.Hour)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			upstreamDone := make(chan struct{})
+			go func() {
+				defer close(upstreamDone)
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer c.Close()
+				// Once the proxy has relayed the client's end of stream,
+				// keep sending until the proxy drops this leg.
+				io.Copy(io.Discard, c) //nolint:errcheck // until the client's FIN arrives
+				rec, _ := tlssim.AppendRecord(nil, tlssim.Record{Type: tlssim.ContentApplicationData, Payload: bytes.Repeat([]byte{'s'}, 1024)})
+				c.SetWriteDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck // test bound
+				for {
+					if _, err := c.Write(rec); err != nil {
+						return
+					}
+				}
+			}()
+
+			proxy, err := e.ra.NewProxy("127.0.0.1:0", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reported atomic.Int64
+			proxy.SetOnError(func(error) { reported.Add(1) })
+
+			conn, err := net.Dial("tcp", proxy.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tlssim.WriteRecord(conn, tc.last); err != nil {
+				t.Fatal(err)
+			}
+			conn.Close()
+
+			// The upstream writer stops when the handler drops its leg, after
+			// the server→client pump has failed; Close then waits for the
+			// handler to count and report.
+			select {
+			case <-upstreamDone:
+			case <-time.After(15 * time.Second):
+				t.Fatal("upstream still writing: the proxy never dropped its leg")
+			}
+			proxy.Close()
+			if got := reported.Load() > 0; got != tc.wantReport {
+				t.Errorf("reported = %d, want reported %v", reported.Load(), tc.wantReport)
+			}
+			if got := e.ra.Stats().SpliceErrors > 0; got != tc.wantReport {
+				t.Errorf("SpliceErrors = %d, want counted %v", e.ra.Stats().SpliceErrors, tc.wantReport)
+			}
+		})
 	}
 }

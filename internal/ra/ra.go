@@ -23,8 +23,8 @@ type Config struct {
 	// Origin is the dissemination endpoint the RA pulls from (normally an
 	// edge server; cdn.HTTPClient for a remote one). Several candidates —
 	// the nearest edge, a follower origin, a remote region — go behind
-	// one cdn.NewFailoverOrigin, which demotes dead or behind candidates;
-	// with the ErrAhead→Resync recovery that survives a leader crash plus
+	// one single-shard cdn.NewShardedOrigin, which demotes dead or behind
+	// candidates; with the ErrAhead→Resync recovery that survives a leader crash plus
 	// follower promotion without operator action.
 	Origin cdn.Origin
 	// Delta is the RA's ∆: its pull cadence until a CA's first signed root
@@ -147,9 +147,6 @@ func New(cfg Config) (*RA, error) {
 
 // Store exposes the RA's dictionary store.
 func (ra *RA) Store() *Store { return ra.store }
-
-// Table exposes the RA's DPI connection table.
-func (ra *RA) Table() *Table { return ra.table }
 
 // SyncOnce performs one pull cycle over every replicated CA: it requests
 // the suffix after its local count, applies the issuance message and the

@@ -196,11 +196,10 @@ func TestTableLifecycle(t *testing.T) {
 	tuple := FourTuple{SrcIP: "12.34.56.78", SrcPort: "9012", DstIP: "98.76.54.32", DstPort: "443"}
 	cs := tbl.Create(tuple)
 
-	snap := cs.Snapshot()
-	if snap.Stage != StageClientHello || snap.CA != "" || snap.LastStatus != 0 {
-		t.Errorf("initial state = %+v, want Eq (4) zero state", snap)
+	if cs.stage != StageClientHello || cs.ca != "" || cs.lastStatus != 0 {
+		t.Errorf("initial state = %+v, want Eq (4) zero state", cs)
 	}
-	if _, ok := tbl.Lookup(tuple); !ok {
+	if _, ok := tbl.conns[tuple]; !ok {
 		t.Fatal("created state not found")
 	}
 
@@ -214,11 +213,8 @@ func TestTableLifecycle(t *testing.T) {
 		t.Error("needsStatus = true before ∆ elapsed")
 	}
 
-	if got := len(tbl.Snapshots()); got != 1 {
-		t.Errorf("Snapshots len = %d", got)
-	}
 	tbl.Remove(tuple)
-	if tbl.Len() != 0 {
+	if len(tbl.conns) != 0 {
 		t.Error("state not removed")
 	}
 }
@@ -485,7 +481,7 @@ func TestProxySessionResumptionStatus(t *testing.T) {
 	}
 	defer proxy.Close()
 
-	cache := tlssim.NewClientSessionCache()
+	cache := &tlssim.ClientSessionCache{}
 	dial := func(sc *statusCollector) *tlssim.Conn {
 		t.Helper()
 		conn, err := tlssim.Dial("tcp", proxy.Addr().String(), &tlssim.Config{
@@ -603,7 +599,7 @@ func TestStoreRemoveFreesReplica(t *testing.T) {
 		t.Errorf("removed dictionary still served: %v", err)
 	}
 	// The trust anchor survives removal: the CA can be re-added.
-	if _, ok := e.ra.Store().CAKey("CA1"); !ok {
+	if _, ok := e.ra.Store().view.Load().pool.CAKey("CA1"); !ok {
 		t.Error("trust anchor dropped with the replica")
 	}
 }

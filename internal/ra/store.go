@@ -17,7 +17,6 @@
 package ra
 
 import (
-	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"sort"
@@ -393,16 +392,6 @@ func (s *Store) CAs() []dictionary.CAID {
 	return s.view.Load().cas
 }
 
-// Pool returns the trust anchor pool (shared, read-only use).
-func (s *Store) Pool() *cert.Pool {
-	return s.view.Load().pool
-}
-
-// CAKey returns the trusted public key for ca.
-func (s *Store) CAKey(ca dictionary.CAID) (ed25519.PublicKey, bool) {
-	return s.view.Load().pool.CAKey(ca)
-}
-
 // Prove produces the revocation status for (ca, sn) from the RA's replica
 // (Fig 2, prove; Fig 3 step 4), bypassing the status cache — each call
 // constructs a fresh proof. The data path uses Status instead.
@@ -514,18 +503,6 @@ func (s *Store) MappedBytes() int {
 	for _, d := range s.view.Load().dicts {
 		if d.shared != nil {
 			total += d.shared.mappedBytes()
-		}
-	}
-	return total
-}
-
-// SerializedSize sums the canonical serialized sizes of all replicas
-// (§VII-D storage overhead).
-func (s *Store) SerializedSize() int {
-	total := 0
-	for _, d := range s.view.Load().dicts {
-		if d.replica != nil {
-			total += d.replica.SerializedSize()
 		}
 	}
 	return total

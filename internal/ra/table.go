@@ -53,48 +53,20 @@ func (ft FourTuple) String() string {
 	return fmt.Sprintf("%s:%s→%s:%s", ft.SrcIP, ft.SrcPort, ft.DstIP, ft.DstPort)
 }
 
-// StateSnapshot is one consistent view of a connection's Eq (4) state:
+// ConnState is the live Eq (4) state an RA keeps per supported connection:
 //
 //	sIP, dIP, sPort, dPort, lastStatus, stage, CA, SN
 //
-// LastStatus is the Unix time the last revocation status was sent to the
-// client (0 until the first one); CA selects the dictionary; SN is the
-// server certificate's serial number.
-type StateSnapshot struct {
-	Tuple      FourTuple
-	LastStatus int64
-	Stage      Stage
-	CA         dictionary.CAID
-	SN         serial.Number
-}
-
-// ConnState is the live Eq (4) state an RA keeps per supported connection.
-// The proxy's data-path goroutines mutate it; observers read it through
-// Snapshot.
+// The four-tuple is the connection's key in the Table. lastStatus is the
+// Unix time the last revocation status was sent to the client (0 until the
+// first one); ca selects the dictionary; sn is the server certificate's
+// serial number. The proxy's data-path goroutines mutate it.
 type ConnState struct {
-	tuple FourTuple
-
 	mu         sync.Mutex
 	lastStatus int64
 	stage      Stage
 	ca         dictionary.CAID
 	sn         serial.Number
-}
-
-// Tuple returns the connection's four-tuple (immutable).
-func (cs *ConnState) Tuple() FourTuple { return cs.tuple }
-
-// Snapshot returns a consistent copy of the state.
-func (cs *ConnState) Snapshot() StateSnapshot {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return StateSnapshot{
-		Tuple:      cs.tuple,
-		LastStatus: cs.lastStatus,
-		Stage:      cs.stage,
-		CA:         cs.ca,
-		SN:         cs.sn,
-	}
 }
 
 // setStage advances the handshake stage.
@@ -152,19 +124,11 @@ func NewTable() *Table {
 // stage=ClientHello, lastStatus=0, CA=∅, SN=∅). It replaces any stale entry
 // for the same tuple (a previous connection on reused ports).
 func (t *Table) Create(tuple FourTuple) *ConnState {
-	cs := &ConnState{tuple: tuple, stage: StageClientHello}
+	cs := &ConnState{stage: StageClientHello}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.conns[tuple] = cs
 	return cs
-}
-
-// Lookup returns the state for a tuple.
-func (t *Table) Lookup(tuple FourTuple) (*ConnState, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	cs, ok := t.conns[tuple]
-	return cs, ok
 }
 
 // Remove drops a connection's state (connection finished or timed out,
@@ -173,26 +137,4 @@ func (t *Table) Remove(tuple FourTuple) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	delete(t.conns, tuple)
-}
-
-// Len returns the number of tracked connections.
-func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.conns)
-}
-
-// Snapshots returns a consistent copy of every tracked connection's state.
-func (t *Table) Snapshots() []StateSnapshot {
-	t.mu.RLock()
-	states := make([]*ConnState, 0, len(t.conns))
-	for _, cs := range t.conns {
-		states = append(states, cs)
-	}
-	t.mu.RUnlock()
-	out := make([]StateSnapshot, len(states))
-	for i, cs := range states {
-		out[i] = cs.Snapshot()
-	}
-	return out
 }

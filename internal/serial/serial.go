@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"slices"
 )
 
 // MaxLen is the maximum serial length in bytes (RFC 5280 §4.1.2.2).
@@ -165,19 +164,6 @@ func PaperSizeDistribution() SizeDistribution {
 	}
 }
 
-// MeanBytes returns the expected serial length under the distribution.
-func (d SizeDistribution) MeanBytes() float64 {
-	var total, acc float64
-	for _, sw := range d {
-		total += sw.Weight
-		acc += sw.Weight * float64(sw.Bytes)
-	}
-	if total == 0 {
-		return 0
-	}
-	return acc / total
-}
-
 // Generator produces unique serial numbers with a configurable size
 // distribution, deterministically from a seed. Each generator models one
 // CA's serial space: serials are unique per generator.
@@ -250,9 +236,4 @@ func (g *Generator) candidate() Number {
 		b[0] = byte(1 + g.rng.UintN(255))
 	}
 	return Number{b: b}
-}
-
-// Sort sorts serials in place in the dictionary's canonical order.
-func Sort(serials []Number) {
-	slices.SortFunc(serials, Number.Compare)
 }

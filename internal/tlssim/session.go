@@ -27,8 +27,8 @@ type Session struct {
 	ServerSerial serial.Number
 }
 
-// ClientSessionCache stores resumable sessions per server name. It is safe
-// for concurrent use.
+// ClientSessionCache stores resumable sessions per server name. The zero
+// value is an empty cache; it is safe for concurrent use.
 type ClientSessionCache struct {
 	mu sync.Mutex
 	m  map[string]*clientSession
@@ -40,17 +40,15 @@ type clientSession struct {
 	ticket    []byte
 }
 
-// NewClientSessionCache returns an empty cache.
-func NewClientSessionCache() *ClientSessionCache {
-	return &ClientSessionCache{m: make(map[string]*clientSession)}
-}
-
 func (c *ClientSessionCache) put(serverName string, cs *clientSession) {
 	if c == nil || serverName == "" {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.m == nil {
+		c.m = make(map[string]*clientSession)
+	}
 	c.m[serverName] = cs
 }
 

@@ -178,7 +178,7 @@ func TestUntrustedChainRejected(t *testing.T) {
 
 func TestSessionIDResumption(t *testing.T) {
 	env := newTestEnv(t)
-	cache := NewClientSessionCache()
+	cache := &ClientSessionCache{}
 	serverCfg := env.serverConfig()
 
 	// First connection: full handshake populates the cache.
@@ -216,7 +216,7 @@ func TestSessionIDResumption(t *testing.T) {
 
 func TestSessionTicketResumption(t *testing.T) {
 	env := newTestEnv(t)
-	cache := NewClientSessionCache()
+	cache := &ClientSessionCache{}
 	var ticketKey [32]byte
 	copy(ticketKey[:], bytes.Repeat([]byte{7}, 32))
 
@@ -247,7 +247,7 @@ func TestSessionTicketResumption(t *testing.T) {
 
 func TestResumptionDeclinedFallsBackToFull(t *testing.T) {
 	env := newTestEnv(t)
-	cache := NewClientSessionCache()
+	cache := &ClientSessionCache{}
 
 	cfg1 := env.clientConfig()
 	cfg1.SessionCache = cache

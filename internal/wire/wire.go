@@ -61,9 +61,6 @@ func NewEncoder(capacity int) *Encoder {
 // encoder's internal buffer; callers that keep encoding must copy it first.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Len returns the number of bytes encoded so far.
-func (e *Encoder) Len() int { return len(e.buf) }
-
 // Reset truncates the encoder so the buffer can be reused.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 

@@ -186,8 +186,8 @@ func TestEncoderReset(t *testing.T) {
 	e := NewEncoder(8)
 	e.Uint32(7)
 	e.Reset()
-	if e.Len() != 0 {
-		t.Errorf("Len() after Reset = %d, want 0", e.Len())
+	if len(e.Bytes()) != 0 {
+		t.Errorf("%d bytes after Reset, want 0", len(e.Bytes()))
 	}
 	e.Uint8(9)
 	if !bytes.Equal(e.Bytes(), []byte{9}) {

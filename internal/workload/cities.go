@@ -88,9 +88,8 @@ type City struct {
 
 // Cities is the synthetic city-population dataset.
 type Cities struct {
-	list        []City
-	byRegion    map[Region]int64
-	totalPeople int64
+	list     []City
+	byRegion map[Region]int64
 }
 
 // NewCities builds the dataset deterministically from seed: NumCities
@@ -139,24 +138,8 @@ func NewCities(seed uint64) *Cities {
 	c.list[0].Population += int(TotalPopulation - assigned)
 	for _, city := range c.list {
 		c.byRegion[city.Region] += int64(city.Population)
-		c.totalPeople += int64(city.Population)
 	}
 	return c
-}
-
-// Len returns the number of cities.
-func (c *Cities) Len() int { return len(c.list) }
-
-// TotalPopulation returns the dataset total (pinned).
-func (c *Cities) TotalPopulation() int64 { return c.totalPeople }
-
-// RegionPopulation returns the population served by a pricing region.
-func (c *Cities) RegionPopulation(r Region) int64 { return c.byRegion[r] }
-
-// RAs returns the worldwide RA count at the given clients-per-RA ratio
-// (§VII-C assumes every person is a client: 230 M RAs at 10 clients/RA).
-func (c *Cities) RAs(clientsPerRA int) int64 {
-	return c.totalPeople / int64(clientsPerRA)
 }
 
 // RAsByRegion distributes the RA population over pricing regions

@@ -29,10 +29,6 @@ const (
 	NumCRLs = 254
 	// LargestCRLEntries is the entry count of the largest CRL (CAcert).
 	LargestCRLEntries = 339_557
-	// LargestCRLBytes is that CRL's reported size (7.5 MB).
-	LargestCRLBytes = 7_500_000
-	// AvgCRLEntries is the reported average entries per CRL.
-	AvgCRLEntries = 5_440
 )
 
 // SeriesStart and SeriesEnd bound the revocation time series (Fig 4).
@@ -104,18 +100,6 @@ func NewSeries(seed uint64) *Series {
 	return &Series{start: SeriesStart, daily: daily}
 }
 
-// Days returns the number of days covered.
-func (s *Series) Days() int { return len(s.daily) }
-
-// Total returns the series total (always TotalRevocations).
-func (s *Series) Total() int {
-	total := 0
-	for _, d := range s.daily {
-		total += d
-	}
-	return total
-}
-
 // dayIndex converts a date to a daily index.
 func (s *Series) dayIndex(date time.Time) (int, error) {
 	idx := int(date.UTC().Truncate(24*time.Hour).Sub(s.start).Hours() / 24)
@@ -123,22 +107,6 @@ func (s *Series) dayIndex(date time.Time) (int, error) {
 		return 0, fmt.Errorf("workload: %v outside series range", date)
 	}
 	return idx, nil
-}
-
-// Day returns the revocation count on a calendar day.
-func (s *Series) Day(date time.Time) (int, error) {
-	idx, err := s.dayIndex(date)
-	if err != nil {
-		return 0, err
-	}
-	return s.daily[idx], nil
-}
-
-// Daily returns a copy of all daily counts.
-func (s *Series) Daily() []int {
-	out := make([]int, len(s.daily))
-	copy(out, s.daily)
-	return out
 }
 
 // Weekly aggregates the series into calendar weeks of seven days from the
@@ -230,19 +198,6 @@ func (s *Series) Bins(from, to time.Time, binHours int) ([]int, error) {
 		bins[i/binHours] += h
 	}
 	return bins, nil
-}
-
-// Range sums the daily counts in [from, to).
-func (s *Series) Range(from, to time.Time) (int, error) {
-	total := 0
-	for day := from.UTC().Truncate(24 * time.Hour); day.Before(to); day = day.AddDate(0, 0, 1) {
-		n, err := s.Day(day)
-		if err != nil {
-			return 0, err
-		}
-		total += n
-	}
-	return total, nil
 }
 
 // HeartbleedWeek returns the bounds of the burst week the bandwidth

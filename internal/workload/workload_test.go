@@ -7,17 +7,21 @@ import (
 
 func TestSeriesTotalPinned(t *testing.T) {
 	s := NewSeries(1)
-	if got := s.Total(); got != TotalRevocations {
-		t.Fatalf("total = %d, want %d", got, TotalRevocations)
+	total := 0
+	for _, d := range s.daily {
+		total += d
 	}
-	if got := s.Days(); got != 546 {
+	if total != TotalRevocations {
+		t.Fatalf("total = %d, want %d", total, TotalRevocations)
+	}
+	if got := len(s.daily); got != 546 {
 		t.Errorf("days = %d, want 546 (Jan 2014 – Jun 2015)", got)
 	}
 }
 
 func TestSeriesDeterministic(t *testing.T) {
 	a, b := NewSeries(7), NewSeries(7)
-	da, db := a.Daily(), b.Daily()
+	da, db := a.daily, b.daily
 	for i := range da {
 		if da[i] != db[i] {
 			t.Fatalf("day %d differs: %d vs %d", i, da[i], db[i])
@@ -25,7 +29,7 @@ func TestSeriesDeterministic(t *testing.T) {
 	}
 	c := NewSeries(8)
 	diff := false
-	for i, d := range c.Daily() {
+	for i, d := range c.daily {
 		if d != da[i] {
 			diff = true
 			break
@@ -49,9 +53,13 @@ func TestSeriesHeartbleedShape(t *testing.T) {
 
 	// The Heartbleed week dominates every other week.
 	hbFrom, hbTo := HeartbleedWeek()
-	hbCount, err := s.Range(hbFrom, hbTo)
-	if err != nil {
-		t.Fatal(err)
+	hbCount := 0
+	for day := hbFrom; day.Before(hbTo); day = day.AddDate(0, 0, 1) {
+		idx, err := s.dayIndex(day)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hbCount += s.daily[idx]
 	}
 	if hbCount < 55_000 || hbCount > 100_000 {
 		t.Errorf("Heartbleed week = %d, want 55k–100k (Fig 4 peak)", hbCount)
@@ -67,11 +75,12 @@ func TestSeriesHeartbleedShape(t *testing.T) {
 	}
 
 	// The peak day is April 16, 2014.
-	peak, err := s.Day(time.Date(2014, time.April, 16, 0, 0, 0, 0, time.UTC))
+	idx, err := s.dayIndex(time.Date(2014, time.April, 16, 0, 0, 0, 0, time.UTC))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range s.Daily() {
+	peak := s.daily[idx]
+	for _, d := range s.daily {
 		if d > peak {
 			t.Fatalf("a day exceeds April 16 (%d > %d)", d, peak)
 		}
@@ -84,10 +93,11 @@ func TestSeriesHourlySumsToDay(t *testing.T) {
 		time.Date(2014, time.February, 3, 0, 0, 0, 0, time.UTC),
 		time.Date(2014, time.April, 16, 0, 0, 0, 0, time.UTC),
 	} {
-		day, err := s.Day(date)
+		idx, err := s.dayIndex(date)
 		if err != nil {
 			t.Fatal(err)
 		}
+		day := s.daily[idx]
 		hourly, err := s.Hourly(date)
 		if err != nil {
 			t.Fatal(err)
@@ -130,16 +140,16 @@ func TestSeriesBinsMatchFig4Bottom(t *testing.T) {
 
 func TestSeriesRangeErrors(t *testing.T) {
 	s := NewSeries(1)
-	if _, err := s.Day(time.Date(2013, time.December, 31, 0, 0, 0, 0, time.UTC)); err == nil {
+	if _, err := s.dayIndex(time.Date(2013, time.December, 31, 0, 0, 0, 0, time.UTC)); err == nil {
 		t.Error("date before series accepted")
 	}
-	if _, err := s.Day(SeriesEnd); err == nil {
+	if _, err := s.dayIndex(SeriesEnd); err == nil {
 		t.Error("date at series end accepted")
 	}
 }
 
 func TestCorpusAggregates(t *testing.T) {
-	c := NewCorpus(1)
+	c := NewCorpus()
 	if c.Len() != NumCRLs {
 		t.Fatalf("len = %d, want %d", c.Len(), NumCRLs)
 	}
@@ -148,11 +158,16 @@ func TestCorpusAggregates(t *testing.T) {
 	}
 	// The ≥1-entry floor may add a handful of entries over the pinned
 	// total; it must stay within NumCRLs of it.
-	if diff := c.Total() - TotalRevocations; diff < 0 || diff > NumCRLs {
-		t.Errorf("total = %d, want %d (+≤%d)", c.Total(), TotalRevocations, NumCRLs)
+	total := 0
+	for _, n := range c.sizes {
+		total += n
 	}
-	if avg := c.Average(); avg < 5_000 || avg > 6_000 {
-		t.Errorf("average = %f, want ≈%d", avg, AvgCRLEntries)
+	if diff := total - TotalRevocations; diff < 0 || diff > NumCRLs {
+		t.Errorf("total = %d, want %d (+≤%d)", total, TotalRevocations, NumCRLs)
+	}
+	// The paper reports 5,440 entries per CRL on average.
+	if avg := float64(total) / float64(c.Len()); avg < 5_000 || avg > 6_000 {
+		t.Errorf("average = %f, want ≈5,440", avg)
 	}
 	// Sizes are descending-ish: the head dominates the tail.
 	if c.Size(1) >= c.Size(0) {
@@ -163,49 +178,20 @@ func TestCorpusAggregates(t *testing.T) {
 	}
 }
 
-func TestCorpusBytes(t *testing.T) {
-	if eb := EntryBytes(); eb < 20 || eb > 25 {
-		t.Errorf("entry bytes = %f, want ≈22 (7.5 MB / 339,557)", eb)
-	}
-}
-
-func TestCorpusSerials(t *testing.T) {
-	c := NewCorpus(1)
-	i := c.Len() - 1 // smallest list: cheap to materialize
-	serials := c.Serials(i)
-	if len(serials) != c.Size(i) {
-		t.Fatalf("materialized %d serials, want %d", len(serials), c.Size(i))
-	}
-	// Deterministic regeneration.
-	again := c.Serials(i)
-	for j := range serials {
-		if !serials[j].Equal(again[j]) {
-			t.Fatal("serial generation not deterministic")
-		}
-	}
-	// Absent samples are really absent.
-	absent := c.SampleAbsent(i, 10)
-	seen := make(map[string]bool)
-	for _, sn := range serials {
-		seen[string(sn.Raw())] = true
-	}
-	for _, sn := range absent {
-		if seen[string(sn.Raw())] {
-			t.Fatalf("sampled 'absent' serial %v is present", sn)
-		}
-	}
-}
-
 func TestCitiesAggregates(t *testing.T) {
 	c := NewCities(1)
-	if c.Len() != NumCities {
-		t.Fatalf("cities = %d, want %d", c.Len(), NumCities)
+	if len(c.list) != NumCities {
+		t.Fatalf("cities = %d, want %d", len(c.list), NumCities)
 	}
-	if c.TotalPopulation() != TotalPopulation {
-		t.Fatalf("population = %d, want %d", c.TotalPopulation(), TotalPopulation)
+	var people int64
+	for _, city := range c.list {
+		people += int64(city.Population)
+	}
+	if people != TotalPopulation {
+		t.Fatalf("population = %d, want %d", people, TotalPopulation)
 	}
 	// §VII-C: 10 clients per RA → 230 M RAs.
-	if ras := c.RAs(10); ras != 230_000_000 {
+	if ras := people / 10; ras != 230_000_000 {
 		t.Errorf("RAs at 10 clients each = %d, want 230,000,000", ras)
 	}
 	// Every pricing region is populated and shares roughly follow the
@@ -222,7 +208,7 @@ func TestCitiesAggregates(t *testing.T) {
 		t.Errorf("regional RAs sum to %d", sum)
 	}
 	// MaxMind's coverage skew: US + Europe carry the majority.
-	west := float64(c.RegionPopulation(RegionUnitedStates)+c.RegionPopulation(RegionEurope)) /
+	west := float64(c.byRegion[RegionUnitedStates]+c.byRegion[RegionEurope]) /
 		float64(TotalPopulation)
 	if west < 0.55 || west > 0.75 {
 		t.Errorf("US+EU share = %f, want ≈0.65", west)

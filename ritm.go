@@ -5,7 +5,11 @@
 // piggyback fresh revocation statuses onto TLS connections, so that clients
 // and servers store and fetch nothing.
 //
-// The package is a facade over the subsystem implementations:
+// The package is the API that the programs under cmd/ and examples/ build
+// on: every exported name here is one those programs use, a type that a
+// kept name's signature or fields expose, or a name whose fate an open
+// ROADMAP item still decides (the §V auditor, the §VIII expiry shards).
+// It re-exports the subsystem implementations:
 //
 //   - certification authorities issuing certificates and maintaining
 //     append-only authenticated dictionaries (internal/ca, internal/dictionary)
@@ -42,20 +46,18 @@
 //		RequireStatus: true,
 //	})
 //
-// See examples/ for complete programs, and DESIGN.md for the map from the
-// paper's sections to packages.
+// See examples/ for complete programs, and the README's "Package map" for
+// the map from the paper's sections to packages.
 package ritm
 
 import (
 	"time"
 
-	"ritm/internal/baseline"
 	"ritm/internal/ca"
 	"ritm/internal/cdn"
 	"ritm/internal/cert"
 	"ritm/internal/cryptoutil"
 	"ritm/internal/dictionary"
-	"ritm/internal/experiments"
 	"ritm/internal/interception"
 	"ritm/internal/monitor"
 	"ritm/internal/ra"
@@ -129,14 +131,6 @@ func NewFileBackend(dir string, fsync bool) *FileBackend {
 // NewMemoryBackend returns an in-process storage backend.
 func NewMemoryBackend() *MemoryBackend { return storage.NewMemory() }
 
-// Status check outcomes.
-const (
-	// CheckValid: the certificate is proven not revoked, freshly.
-	CheckValid = dictionary.CheckValid
-	// CheckRevoked: the certificate is proven revoked.
-	CheckRevoked = dictionary.CheckRevoked
-)
-
 // Dissemination network (§III "Dissemination").
 type (
 	// DistributionPoint is the CDN origin fed by CAs.
@@ -206,17 +200,6 @@ func NewShardedOrigin(shards [][]Origin, opts ShardedOriginOptions) (*ShardedOri
 	return cdn.NewShardedOrigin(shards, opts)
 }
 
-// NewFailoverOrigin builds a single-shard ShardedOrigin: plain failover
-// across candidates without CA-based routing.
-func NewFailoverOrigin(candidates []Origin, opts ShardedOriginOptions) (*ShardedOrigin, error) {
-	return cdn.NewFailoverOrigin(candidates, opts)
-}
-
-// NewShardedTopology wires an edge hierarchy over a sharded origin.
-func NewShardedTopology(shards [][]Origin, opts ShardedOriginOptions, cfg TopologyConfig) (*Topology, *ShardedOrigin, error) {
-	return cdn.NewShardedTopology(shards, opts, cfg)
-}
-
 // NewFollower creates a follower replicating source's WAL streams into dp
 // for every CA registered on dp.
 func NewFollower(dp *DistributionPoint, source Replicator) *Follower {
@@ -231,15 +214,6 @@ var (
 	// ErrAhead reports a pull whose from-count exceeds the origin's —
 	// the origin-regression signal the fetcher's Resync recovery handles.
 	ErrAhead = cdn.ErrAhead
-	// ErrNoOrigin reports a sharded pull whose shard has no live
-	// candidate left.
-	ErrNoOrigin = cdn.ErrNoOrigin
-	// ErrNoReplication reports a replication pull against an origin with
-	// no WAL to ship (no storage backend).
-	ErrNoReplication = cdn.ErrNoReplication
-	// ErrReplicationDiverged reports a replicated record the local signed
-	// root verification rejected — a compromised or split-brain leader.
-	ErrReplicationDiverged = cdn.ErrReplicationDiverged
 )
 
 // EdgeHitRate reduces edge stats to the served-without-upstream fraction.
@@ -274,8 +248,6 @@ type (
 	RA = ra.RA
 	// RAConfig configures an RA.
 	RAConfig = ra.Config
-	// RAProxy is the RA's status-injecting TCP data path.
-	RAProxy = ra.Proxy
 	// Fetcher runs the RA's background pull loops, one per CA.
 	Fetcher = ra.Fetcher
 	// FetcherOptions controls the per-CA pull loops, which run once per
@@ -314,11 +286,8 @@ type (
 	KeyAlg = interception.KeyAlg
 )
 
-// Minting-root key algorithms.
-const (
-	KeyECDSA = interception.KeyECDSA
-	KeyRSA   = interception.KeyRSA
-)
+// KeyECDSA selects a P-256 ECDSA minting root.
+const KeyECDSA = interception.KeyECDSA
 
 // NewMintingRoot generates a fresh self-signed interception root.
 func NewMintingRoot(commonName string, alg KeyAlg) (*MintingRoot, error) {
@@ -412,23 +381,3 @@ func NewMapServer() *MapServer { return monitor.NewMapServer() }
 func CrossCheck(m *MapServer, a *Auditor, caID CAID) *monitor.CrossCheckResult {
 	return monitor.CrossCheck(m, a, caID)
 }
-
-// Baseline schemes and the Table IV comparison model (§II, §VII-E).
-type (
-	// BaselineScheme is one Table IV row.
-	BaselineScheme = baseline.Scheme
-	// BaselineParams instantiates the Table IV symbols.
-	BaselineParams = baseline.Params
-)
-
-// BaselineSchemes returns every Table IV row.
-func BaselineSchemes() []BaselineScheme { return baseline.Schemes() }
-
-// RunExperiment regenerates one of the paper's tables/figures by id (see
-// internal/experiments for the registry).
-func RunExperiment(id string, quick bool) (*experiments.Table, error) {
-	return experiments.Run(id, quick)
-}
-
-// ExperimentIDs lists the available experiment identifiers.
-func ExperimentIDs() []string { return experiments.IDs() }

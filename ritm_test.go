@@ -25,7 +25,7 @@ type deployment struct {
 	chain  ritm.Chain
 	key    *ritm.Signer
 	server net.Listener
-	proxy  *ritm.RAProxy
+	proxy  string // the RA proxy's listen address
 	wg     sync.WaitGroup
 }
 
@@ -46,7 +46,7 @@ func newDeployment(t *testing.T, delta time.Duration) *deployment {
 	}
 
 	// The RA pulls over real HTTP, as a production RA would.
-	cdnSrv := httptest.NewServer(cdn.Handler(ritm.NewEdgeServer(d.dp, 0, nil)))
+	cdnSrv := httptest.NewServer(cdn.NewHandler(ritm.NewEdgeServer(d.dp, 0, nil), cdn.HandlerOptions{}))
 	t.Cleanup(cdnSrv.Close)
 	d.agent, err = ritm.NewRA(ritm.RAConfig{
 		Roots:  []*ritm.Certificate{d.ca.RootCertificate()},
@@ -106,12 +106,13 @@ func newDeployment(t *testing.T, delta time.Duration) *deployment {
 			}()
 		}
 	}()
-	d.proxy, err = d.agent.NewProxy("127.0.0.1:0", d.server.Addr().String())
+	proxy, err := d.agent.NewProxy("127.0.0.1:0", d.server.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.proxy = proxy.Addr().String()
 	t.Cleanup(func() {
-		d.proxy.Close()
+		proxy.Close()
 		d.server.Close()
 		d.wg.Wait()
 	})
@@ -122,7 +123,7 @@ func TestEndToEndThroughPublicAPI(t *testing.T) {
 	t.Run("sorted", func(t *testing.T) {
 		d := newDeployment(t, 10*time.Second)
 
-		conn, err := ritm.Dial("tcp", d.proxy.Addr().String(), "integration.example", &ritm.ClientConfig{
+		conn, err := ritm.Dial("tcp", d.proxy, "integration.example", &ritm.ClientConfig{
 			Pool:          d.pool,
 			Delta:         10 * time.Second,
 			RequireStatus: true,
@@ -155,7 +156,7 @@ func TestEndToEndRevocationBlocksHandshake(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err := ritm.Dial("tcp", d.proxy.Addr().String(), "integration.example", &ritm.ClientConfig{
+	_, err := ritm.Dial("tcp", d.proxy, "integration.example", &ritm.ClientConfig{
 		Pool:          d.pool,
 		Delta:         10 * time.Second,
 		RequireStatus: true,
@@ -184,22 +185,5 @@ func TestEndToEndConsistencyChecking(t *testing.T) {
 	}
 	if res.RootsCompared != 2 {
 		t.Errorf("compared %d roots", res.RootsCompared)
-	}
-}
-
-func TestExperimentRegistryThroughFacade(t *testing.T) {
-	ids := ritm.ExperimentIDs()
-	if len(ids) != 12 {
-		t.Fatalf("experiments = %v", ids)
-	}
-	tbl, err := ritm.RunExperiment("tab4", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 8 {
-		t.Errorf("tab4 rows = %d", len(tbl.Rows))
-	}
-	if len(ritm.BaselineSchemes()) != 8 {
-		t.Error("baseline schemes incomplete")
 	}
 }
