@@ -365,16 +365,23 @@ func (c *CA) IssueCACertificate(subject string, pub ed25519.PublicKey, delta tim
 // Revoke revokes the given serials as one batch: it inserts them into the
 // dictionary (Fig 2, insert), makes the batch durable (when a storage
 // backend is configured — write-ahead, so nothing the network sees can be
-// lost by a crash), and publishes the issuance message.
+// lost by a crash), and publishes the issuance message. The authority's
+// message goes to the publisher, so that an in-process distribution point
+// can adopt the tree it offers; the caller gets a copy without the offer,
+// which holds nothing of the tree however long it is kept.
 func (c *CA) Revoke(serials ...serial.Number) (*dictionary.IssuanceMessage, error) {
-	var msg *dictionary.IssuanceMessage
+	var built *dictionary.IssuanceMessage
 	err := c.journal.Apply(func(a *dictionary.Authority) (dictionary.Record, error) {
 		var err error
-		if msg, err = a.Insert(serials, c.now().Unix()); err != nil {
+		if built, err = a.Insert(serials, c.now().Unix()); err != nil {
 			return nil, err
 		}
-		return updateRecord(a, msg), nil
+		return updateRecord(a, built), nil
 	})
+	if built == nil {
+		return nil, fmt.Errorf("ca %s: revoke: %w", c.id, err)
+	}
+	msg := &dictionary.IssuanceMessage{Serials: built.Serials, Root: built.Root}
 	if err != nil {
 		// A failed append leaves the revocation in effect in memory but not
 		// on disk. Surface it without publishing: disseminating state that a
@@ -382,7 +389,7 @@ func (c *CA) Revoke(serials ...serial.Number) (*dictionary.IssuanceMessage, erro
 		return msg, fmt.Errorf("ca %s: revoke: %w", c.id, err)
 	}
 	if c.publisher != nil {
-		if err := c.publisher.PublishIssuance(msg); err != nil {
+		if err := c.publisher.PublishIssuance(built); err != nil {
 			return msg, fmt.Errorf("ca %s: publish issuance: %w", c.id, err)
 		}
 	}

@@ -182,9 +182,16 @@ type Origin interface {
 // from it. Each CA's record is a dictionary.Replica: the full issuance log
 // (to serve any suffix), the latest signed root, and the latest freshness
 // statement, all carried by the replica's immutable snapshots — and every
-// ingested message is verified by replaying it through the replica, so a
-// distribution point never propagates a message whose root does not match
-// its content.
+// ingested message is verified against the replica, so a distribution point
+// never propagates a message whose root does not match its content. A
+// message is replayed through the replica, except the one case where there
+// is nothing to replay: the message comes unaltered from Authority.Insert of
+// a CA in this process (the usual origin, which ritm-ca runs beside its CA),
+// and the replica holds exactly the state the authority inserted the batch
+// into. The replica then adopts the tree the authority rebuilt, after
+// checking the signature and that the tree's root and count are the signed
+// ones (dictionary.Replica.Update). Messages over HTTP, from a leader origin,
+// from a log, or altered in any way are replayed.
 //
 // It is safe for concurrent use; the read path (Pull, LatestRoot) takes
 // only a brief read lock on the CA map — counters are atomics and
@@ -249,7 +256,10 @@ func NewDistributionPointWithStorage(now func() time.Time, backend storage.Backe
 // RegisterCA announces a CA to the distribution point, providing the trust
 // anchor used to verify everything the CA publishes. This models the
 // CA-bootstrapping manifest of §VIII. The distribution point verifies every
-// ingested message by replaying it through its own replica.
+// ingested message against its own replica: by replaying it, or, for the
+// unaltered message of an authority in this process that the replica is
+// level with, by adopting the tree that authority rebuilt once its root and
+// count match the signed ones.
 func (dp *DistributionPoint) RegisterCA(ca dictionary.CAID, pub []byte) error {
 	if ca == "" {
 		return fmt.Errorf("cdn: empty CA id")
@@ -339,7 +349,9 @@ func (dp *DistributionPoint) Close() error {
 // PublishIssuance ingests a CA's revocation issuance message: the
 // distribution point verifies it against its own replica (so that a
 // corrupted or equivocating message is rejected at the origin) and stores
-// it for pulls. A message coalescing several insertion batches re-feeds a
+// it for pulls. The message a CA in this process publishes on Revoke is
+// adopted rather than replayed when the replica is level with the CA (see
+// DistributionPoint). A message coalescing several insertion batches re-feeds a
 // distribution point that fell behind its CA — for example after a crash
 // window in which the CA's write-ahead log committed a batch the origin
 // never saw. Implements ca.Publisher.

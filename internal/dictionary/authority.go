@@ -5,7 +5,9 @@ import (
 	"crypto/rand"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ritm/internal/cryptoutil"
@@ -60,6 +62,53 @@ type Authority struct {
 	tree  *Tree
 	chain *cryptoutil.Chain
 	root  *SignedRoot
+	// offer is the run the last Insert built, offered with its message to
+	// an in-process replica until the next Insert settles it.
+	offer *builtRun
+}
+
+// builtRun is the tree an Authority.Insert rebuilt, offered to replicas in
+// the same process so that they adopt it instead of merging the batch a
+// second time. The authority merges in place while its arrays are private,
+// so the offer is settled once, by whoever comes first: a replica takes it
+// (the arrays are then shared, and the authority's next insert copies on
+// write), or the authority's next insert withdraws it (no replica may take
+// it any more, and the merge stays in place).
+type builtRun struct {
+	state    atomic.Int32    // offerOpen, offerTaken or offerWithdrawn
+	prevN    uint64          // the authority's count before the insert
+	prevRoot cryptoutil.Hash // and its root
+	batch    []serial.Number // the authority's log entries for the batch
+	run      run             // read only once taken; cleared on withdrawal
+}
+
+const (
+	offerOpen int32 = iota
+	offerTaken
+	offerWithdrawn
+)
+
+// take claims the offered run for a replica. Any number of replicas may
+// take it; none can once the authority withdrew it.
+func (b *builtRun) take() bool {
+	return b.state.CompareAndSwap(offerOpen, offerTaken) || b.state.Load() == offerTaken
+}
+
+// settleOffer ends the last insert's offer before the tree changes again:
+// withdrawn while nobody took it, the arrays stay private and the next merge
+// may write them in place; taken, a replica proves from them, so they are
+// exposed. Caller holds mu.
+func (a *Authority) settleOffer() {
+	o := a.offer
+	if o == nil {
+		return
+	}
+	a.offer = nil
+	if o.state.CompareAndSwap(offerOpen, offerWithdrawn) {
+		o.run = run{} // a message somebody keeps must not keep the arrays
+	} else {
+		a.tree.view()
+	}
 }
 
 // NewAuthority creates a CA-side dictionary, signing an initial (empty)
@@ -134,22 +183,31 @@ func (a *Authority) rotateChainAndSign(now int64) error {
 
 // Insert revokes the given serials as one batch (Fig 2, insert): it inserts
 // them into the tree, rebuilds it, rotates the freshness chain, and returns
-// the issuance message (serials + new signed root) for dissemination.
+// the issuance message (serials + new signed root) for dissemination. The
+// message offers the rebuilt tree to a replica in the same process until the
+// next Insert (see Replica.Update); callers that keep or hand on the message
+// itself should keep a copy of its exported fields.
 func (a *Authority) Insert(serials []serial.Number, now int64) (*IssuanceMessage, error) {
 	if len(serials) == 0 {
 		return nil, fmt.Errorf("dictionary: empty revocation batch")
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.settleOffer()
+	prevN, prevRoot := a.tree.Count(), a.tree.Root()
 	if err := a.tree.InsertBatch(serials); err != nil {
 		return nil, err
 	}
 	if err := a.rotateChainAndSign(now); err != nil {
 		return nil, err
 	}
-	batch := make([]serial.Number, len(serials))
-	copy(batch, serials)
-	return &IssuanceMessage{Serials: batch, Root: a.root}, nil
+	a.offer = &builtRun{
+		prevN:    prevN,
+		prevRoot: prevRoot,
+		batch:    slices.Clip(a.tree.log[len(a.tree.log)-len(serials):]),
+		run:      a.tree.commit,
+	}
+	return &IssuanceMessage{Serials: slices.Clone(serials), Root: a.root, built: a.offer}, nil
 }
 
 // Refresh is Fig 2's refresh operation, executed at least every ∆ when no

@@ -36,7 +36,8 @@ func TestParseLayout(t *testing.T) {
 // copy-on-write): a uniform batch of k into n sorted leaves moves every node
 // but rehashes only those whose alignment the shift breaks, about two thirds
 // of n+k where the dense rebuild hashed all of them; and a right-edge batch
-// still costs O(k·log n).
+// still costs O(k·log n). The replica is fed the wire-decoded message, as an
+// RA receives it: the authority's own message would be adopted, not replayed.
 func TestUniformBatchHashedNodes(t *testing.T) {
 	const n, k = 100_000, 1_000
 	gen := serial.NewGenerator(0x0B5E55ED, nil)
@@ -44,7 +45,11 @@ func TestUniformBatchHashedNodes(t *testing.T) {
 	r := NewReplica(a.CA(), a.PublicKey())
 	feed := func(serials []serial.Number) uint64 {
 		t.Helper()
-		msg, err := a.Insert(serials, 1)
+		built, err := a.Insert(serials, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := DecodeIssuanceMessage(built.Encode())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -200,6 +200,11 @@ func decodeFreshnessFrom(d *wire.Decoder) (*FreshnessStatement, error) {
 type IssuanceMessage struct {
 	Serials []serial.Number
 	Root    *SignedRoot
+	// built offers the tree the authority rebuilt for this message to a
+	// replica in the same process (see Replica.Update). Only
+	// Authority.Insert sets it, and no encoding carries it: a message that
+	// crossed a wire or a log is replayed.
+	built *builtRun
 }
 
 // Encode serializes the issuance message.

@@ -3,6 +3,7 @@ package dictionary
 import (
 	"crypto/ed25519"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -82,7 +83,11 @@ func (r *Replica) Root() *SignedRoot { return r.snap.Load().Root() }
 // Update applies an issuance message (Fig 2, update): it verifies the
 // signature, checks that the batch extends the local count contiguously,
 // replays the insertions, and commits only if the rebuilt root and count
-// equal the signed values. On any failure the replica is left unchanged.
+// equal the signed values. A message straight from Authority.Insert in this
+// process skips the replay when the replica holds the state the authority
+// inserted into: it adopts the authority's rebuilt tree, whose root and
+// count it checks against the signed ones (see adopt). On any failure the
+// replica is left unchanged.
 // On success the new version is published atomically; in-flight Prove
 // calls keep using the previous snapshot, which stays valid.
 //
@@ -118,7 +123,7 @@ func (r *Replica) Update(msg *IssuanceMessage) error {
 			// current snapshot.
 			return nil
 		}
-	} else {
+	} else if !r.adopt(msg) {
 		// The checkpoint is the state of the last published snapshot, so
 		// restoring it costs O(batch).
 		cp := r.tree.checkpoint()
@@ -140,6 +145,26 @@ func (r *Replica) Update(msg *IssuanceMessage) error {
 	r.freshPer = 0
 	r.publish()
 	return nil
+}
+
+// adopt installs the tree the authority rebuilt for msg, when msg is the
+// unaltered message of an authority in this process and this replica holds
+// exactly the state that authority inserted the batch into: its count and
+// root before the insert, the batch as the authority logged it, and a
+// rebuilt root and count equal to the signed ones — the state a replay would
+// reach and accept. Anything else, including every message that was encoded
+// on the way, returns false and is replayed. Caller holds mu; the signature
+// is already verified.
+func (r *Replica) adopt(msg *IssuanceMessage) bool {
+	b := msg.built
+	if b == nil || r.tree.Count() != b.prevN || !r.tree.Root().Equal(b.prevRoot) ||
+		msg.Root.N != b.prevN+uint64(len(b.batch)) ||
+		!slices.EqualFunc(msg.Serials, b.batch, serial.Number.Equal) || !b.take() ||
+		!b.run.root().Equal(msg.Root.Root) {
+		return false
+	}
+	r.tree.adopt(b.run, msg.Serials)
+	return true
 }
 
 // ApplyFreshness verifies a freshness statement against the chain and,

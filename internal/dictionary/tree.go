@@ -91,9 +91,10 @@ func (l Leaf) hash() cryptoutil.Hash {
 // (see Snapshot) stays valid and immutable forever. Copy-on-write only
 // requires fresh arrays for what somebody else can still reach, so exposure
 // is tracked exactly: arrays an insert built are private until view or
-// checkpoint hands them out, and a second insert in the same private window
-// (a replayed WAL between one publish and the next) merges into them in
-// place with zero reallocation.
+// checkpoint hands them out — or a replica adopts them from the authority
+// that built them (Replica.Update) — and a second insert in the same private
+// window (a replayed WAL between one publish and the next, or an authority's
+// next batch) merges into them in place with zero reallocation.
 type Tree struct {
 	rebuilder
 	// commit is the whole dictionary as one run: arrays an insert built, or
@@ -231,6 +232,16 @@ func (t *Tree) extend(serials []serial.Number, n uint64) error {
 		return fmt.Errorf("%w: count %d does not extend local count %d by %d", ErrCount, n, have, len(serials))
 	}
 	return t.InsertBatch(serials)
+}
+
+// adopt appends serials to the tree as one batch without merging them:
+// built is the run another tree already rebuilt over this tree's state plus
+// serials (an authority in this process; see Replica.adopt). That tree still
+// holds the run, so it is exposed from the start.
+func (t *Tree) adopt(built run, serials []serial.Number) {
+	t.log = append(t.log, serials...)
+	t.commit, t.owned = built, false
+	t.bounds = append(t.bounds, t.Count())
 }
 
 // treeCheckpoint captures one version of the tree for O(batch) rollback.

@@ -197,6 +197,7 @@ func dictOpsAt(t *Table, entries, iters int) error {
 		insertT.Max = max(insertT.Max, d)
 		insertT.Min = min(insertT.Min, d)
 
+		msg = received(msg)
 		start = time.Now()
 		if err := replica.Update(msg); err != nil {
 			return err

@@ -131,7 +131,6 @@ type Conn struct {
 	state  ConnectionState
 
 	in, out *aeadState
-	master  [masterSecretLen]byte
 
 	readMu  sync.Mutex
 	readBuf []byte // undelivered plaintext
@@ -410,7 +409,6 @@ func (c *Conn) setKeys(master [masterSecretLen]byte, clientRandom, serverRandom 
 		return err
 	}
 	c.in, c.out = in, out
-	c.master = master
 	return nil
 }
 
