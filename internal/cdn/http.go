@@ -2,6 +2,7 @@ package cdn
 
 import (
 	"compress/gzip"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -539,6 +540,11 @@ func setNegativeCacheHeader(w http.ResponseWriter, err error, negTTL time.Durati
 // If-Modified-Since — so an unchanged root costs a 304 with no body; the
 // polling-heavy monitor workload stops re-downloading identical signed
 // roots every cycle even through ETag-hostile caches.
+//
+// Every attempt carries a deadline of one ∆ — the period of the newest root
+// of the CA this client decoded, or defaultAttemptDeadline before one — so
+// an origin that accepts a request and never answers fails it like a dead
+// one: a ring fails over, and the fetcher's schedule and Shutdown move on.
 type HTTPClient struct {
 	// BaseURL is the edge server's root, e.g. "http://edge1.example:8080".
 	BaseURL string
@@ -557,9 +563,15 @@ type HTTPClient struct {
 	// edge hiccups does not re-stampede it in lockstep.
 	RetryBackoff time.Duration
 
-	mu    sync.Mutex
-	roots map[dictionary.CAID]*cachedRoot
+	mu     sync.Mutex
+	roots  map[dictionary.CAID]*cachedRoot
+	deltas map[dictionary.CAID]time.Duration // ∆ of the newest root decoded per CA
 }
+
+// defaultAttemptDeadline bounds an attempt for a CA the client has decoded
+// no signed root of yet, and one naming no CA: the default ∆ of a CA and an
+// RA.
+const defaultAttemptDeadline = 10 * time.Second
 
 // DefaultMaxAttempts is the default total tries per request (one initial
 // attempt plus two retries).
@@ -611,6 +623,29 @@ func (h *HTTPClient) client() *http.Client {
 	return defaultHTTPClient
 }
 
+// deadline returns how long one attempt of a request for ca may take.
+func (h *HTTPClient) deadline(ca dictionary.CAID) time.Duration {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if d, ok := h.deltas[ca]; ok {
+		return d
+	}
+	return defaultAttemptDeadline
+}
+
+// learnDelta makes root's ∆ the attempt deadline of its CA's requests.
+func (h *HTTPClient) learnDelta(root *dictionary.SignedRoot) {
+	if root == nil || root.DeltaSecs == 0 {
+		return
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.deltas == nil {
+		h.deltas = make(map[dictionary.CAID]time.Duration)
+	}
+	h.deltas[root.CA] = root.Delta()
+}
+
 // httpResult is one response, decoded enough to map errors and validators.
 type httpResult struct {
 	status       int
@@ -626,7 +661,10 @@ type httpResult struct {
 // transport erroring before a response, a read cut mid-body, a
 // gateway-class 5xx carrying no typed error header — are retried; every
 // typed protocol answer passes through untouched on the first attempt.
-func (h *HTTPClient) get(path, ifNoneMatch, ifModifiedSince string) (*httpResult, error) {
+// Each attempt must answer within ca's deadline; one that does not is not
+// retried either: an origin that hangs once hangs again, and the caller's
+// failover or next pull is the better recovery.
+func (h *HTTPClient) get(ca dictionary.CAID, path, ifNoneMatch, ifModifiedSince string) (*httpResult, error) {
 	attempts := h.MaxAttempts
 	if attempts <= 0 {
 		attempts = DefaultMaxAttempts
@@ -635,11 +673,12 @@ func (h *HTTPClient) get(path, ifNoneMatch, ifModifiedSince string) (*httpResult
 	if backoff <= 0 {
 		backoff = DefaultRetryBackoff
 	}
+	deadline := h.deadline(ca)
 	var res *httpResult
 	var retryable bool
 	var err error
 	for attempt := 0; ; attempt++ {
-		res, retryable, err = h.getOnce(path, ifNoneMatch, ifModifiedSince)
+		res, retryable, err = h.getOnce(deadline, path, ifNoneMatch, ifModifiedSince)
 		if err == nil || !retryable || attempt+1 >= attempts {
 			return res, err
 		}
@@ -649,10 +688,13 @@ func (h *HTTPClient) get(path, ifNoneMatch, ifModifiedSince string) (*httpResult
 	}
 }
 
-// getOnce performs one attempt; retryable reports whether the failure is
-// transient (worth another attempt) rather than authoritative.
-func (h *HTTPClient) getOnce(path, ifNoneMatch, ifModifiedSince string) (*httpResult, bool, error) {
-	req, err := http.NewRequest(http.MethodGet, h.BaseURL+path, nil)
+// getOnce performs one attempt, answered within deadline; retryable reports
+// whether the failure is transient (worth another attempt) rather than
+// authoritative or a missed deadline.
+func (h *HTTPClient) getOnce(deadline time.Duration, path, ifNoneMatch, ifModifiedSince string) (*httpResult, bool, error) {
+	ctx, cancel := context.WithTimeout(context.TODO(), deadline)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, h.BaseURL+path, nil)
 	if err != nil {
 		return nil, false, fmt.Errorf("cdn http: %w", err)
 	}
@@ -664,7 +706,7 @@ func (h *HTTPClient) getOnce(path, ifNoneMatch, ifModifiedSince string) (*httpRe
 	}
 	resp, err := h.client().Do(req)
 	if err != nil {
-		return nil, true, fmt.Errorf("cdn http: %w", err)
+		return nil, ctx.Err() == nil, fmt.Errorf("cdn http: %w", err)
 	}
 	defer resp.Body.Close()
 	// Read one byte past the cap: len(body) > bodyLimit distinguishes
@@ -674,7 +716,7 @@ func (h *HTTPClient) getOnce(path, ifNoneMatch, ifModifiedSince string) (*httpRe
 	if err != nil {
 		// A connection cut mid-body is as transient as one cut before the
 		// response; the next attempt re-requests the whole body.
-		return nil, true, fmt.Errorf("cdn http: read body: %w", err)
+		return nil, ctx.Err() == nil, fmt.Errorf("cdn http: read body: %w", err)
 	}
 	if len(body) > bodyLimit {
 		// Client-side cap: deterministic, retrying would re-download the
@@ -721,11 +763,15 @@ func (h *HTTPClient) Pull(ca dictionary.CAID, from uint64) (*PullResponse, error
 		"ca":   {string(ca)},
 		"from": {strconv.FormatUint(from, 10)},
 	}
-	res, err := h.get("/v1/pull?"+q.Encode(), "", "")
+	res, err := h.get(ca, "/v1/pull?"+q.Encode(), "", "")
 	if err != nil {
 		return nil, err
 	}
-	return DecodePullResponse(res.body)
+	resp, err := DecodePullResponse(res.body)
+	if err == nil && resp.Issuance != nil {
+		h.learnDelta(resp.Issuance.Root)
+	}
+	return resp, err
 }
 
 // LatestRoot implements Origin. The fetch is conditional when a previous
@@ -750,7 +796,7 @@ func (h *HTTPClient) LatestRoot(ca dictionary.CAID) (*dictionary.SignedRoot, err
 	} else {
 		path = "/v1/root?" + url.Values{"ca": {string(ca)}}.Encode()
 	}
-	res, err := h.get(path, inm, ims)
+	res, err := h.get(ca, path, inm, ims)
 	if err != nil {
 		return nil, err
 	}
@@ -765,6 +811,7 @@ func (h *HTTPClient) LatestRoot(ca dictionary.CAID) (*dictionary.SignedRoot, err
 	if err != nil {
 		return nil, err
 	}
+	h.learnDelta(root)
 	if res.etag != "" || res.lastModified != "" {
 		h.mu.Lock()
 		if h.roots == nil {
@@ -784,7 +831,7 @@ func (h *HTTPClient) Replicate(ca dictionary.CAID, fromLSN uint64) (*Replication
 		"ca":       {string(ca)},
 		"from_lsn": {strconv.FormatUint(fromLSN, 10)},
 	}
-	res, err := h.get("/v1/replicate?"+q.Encode(), "", "")
+	res, err := h.get(ca, "/v1/replicate?"+q.Encode(), "", "")
 	if err != nil {
 		return nil, err
 	}
@@ -795,7 +842,7 @@ var _ Replicator = (*HTTPClient)(nil)
 
 // CAs implements Origin.
 func (h *HTTPClient) CAs() ([]dictionary.CAID, error) {
-	res, err := h.get("/v1/cas", "", "")
+	res, err := h.get("", "/v1/cas", "", "")
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
+	"sync"
 
 	"ritm/internal/cryptoutil"
 	"ritm/internal/serial"
@@ -18,8 +20,10 @@ import (
 // fixed-width, offset-computable records — the very byte layout a run keeps
 // in memory (run.go) — so that:
 //
-//   - encoding is one memmove per section (per level, for hash levels) plus
-//     the CRCs, with nothing converted;
+//   - a replica encodes nothing: its rebuild writes the run into the image
+//     it checkpoints (image), and the checkpoint only adds the small
+//     sections and the CRCs in place; any other run is copied in, one
+//     memmove per section (per level, for hash levels), nothing converted;
 //   - a restart keeps the checkpoint buffer as the tree it serves and
 //     inserts into (map-don't-replay), copying and rehashing nothing, and
 //   - a co-located reader (OpenMappedReplica) serves Prove/Status straight
@@ -130,52 +134,76 @@ func splitLevels(section []byte, n int) [][]byte {
 
 func align8(n int) int { return (n + 7) &^ 7 }
 
-// v2Section is one section to lay out: its encoded size, known up front,
-// and the function that writes it into its place in the payload.
+// v2Section is one section of a payload: the byte runs it holds, back to
+// back — a run's leaf records or hash levels as the run keeps them, or a
+// small section built for the occasion.
 type v2Section struct {
-	id   uint32
-	size int
-	fill func(dst []byte)
+	id    uint32
+	parts [][]byte
 }
 
-// encodeV2Sections assembles the payload: magic, table, and 8-byte-aligned
-// CRC-framed sections. The payload is allocated once, at its final size, and
-// every section is written and checksummed where it lies — a checkpoint is
-// the dictionary's whole image, tens of megabytes per ∆ on every writer, and
-// is not staged through per-section buffers.
-func encodeV2Sections(secs []v2Section) []byte {
-	le := binary.LittleEndian
-	off := v2HeaderLen + v2TableEntry*len(secs)
-	offs := make([]int, len(secs))
-	for i, s := range secs {
+// layoutV2 returns where each section of the given sizes starts in a
+// payload — after the magic and the table, each at an 8-byte-aligned
+// offset — and the payload's size.
+func layoutV2(sizes []int) (offs []int, size int) {
+	off := v2HeaderLen + v2TableEntry*len(sizes)
+	offs = make([]int, len(sizes))
+	for i, s := range sizes {
 		off = align8(off)
 		offs[i] = off
-		off += s.size
+		off += s
 	}
-	buf := make([]byte, align8(off))
+	return offs, align8(off)
+}
+
+// sectionSizes returns the encoded size of each section.
+func sectionSizes(secs []v2Section) []int {
+	sizes := make([]int, len(secs))
+	for i, s := range secs {
+		for _, p := range s.parts {
+			sizes[i] += len(p)
+		}
+	}
+	return sizes
+}
+
+// lies reports whether src already lies at the front of dst: then there is
+// nothing to copy or compare.
+func lies(dst, src []byte) bool { return len(src) == 0 || &dst[0] == &src[0] }
+
+// encodeV2Sections writes the payload of secs — magic, table, and
+// 8-byte-aligned CRC-framed sections — into buf and returns it. buf is nil
+// for a fresh payload, allocated once at its final size, or an image laid
+// out for secs already (see image). A part is copied only when it does not
+// already lie at its destination, as a replica's run lies in its image, and
+// every section is checksummed where it lies: a checkpoint is the
+// dictionary's whole image, tens of megabytes per ∆ on every writer, and is
+// not staged through per-section buffers.
+func encodeV2Sections(buf []byte, secs []v2Section) []byte {
+	le := binary.LittleEndian
+	sizes := sectionSizes(secs)
+	offs, size := layoutV2(sizes)
+	if buf == nil {
+		buf = make([]byte, size)
+	}
 	copy(buf, stateV2Magic)
 	le.PutUint32(buf[8:], uint32(len(secs)))
 	for i, s := range secs {
-		data := buf[offs[i] : offs[i]+s.size]
-		s.fill(data)
+		data := buf[offs[i] : offs[i]+sizes[i]]
+		at := 0
+		for _, p := range s.parts {
+			if !lies(data[at:], p) {
+				copy(data[at:], p)
+			}
+			at += len(p)
+		}
 		e := v2HeaderLen + v2TableEntry*i
 		le.PutUint32(buf[e:], s.id)
 		le.PutUint32(buf[e+4:], crc32.ChecksumIEEE(data))
 		le.PutUint64(buf[e+8:], uint64(offs[i]))
-		le.PutUint64(buf[e+16:], uint64(s.size))
+		le.PutUint64(buf[e+16:], uint64(sizes[i]))
 	}
 	return buf
-}
-
-// putBytes copies byte runs — records or hash levels, in the layout the
-// section stores them in already — back to back into dst, one memmove each,
-// and returns the bytes written.
-func putBytes(dst []byte, runs ...[]byte) int {
-	n := 0
-	for _, r := range runs {
-		n += copy(dst[n:], r)
-	}
-	return n
 }
 
 // encodeRootSection writes the root/freshness/seed section.
@@ -201,32 +229,116 @@ func encodeRootSection(treeRoot, freshness cryptoutil.Hash, root *SignedRoot, se
 	return buf
 }
 
+// rootSectionLen returns the size of a replica's root section under root:
+// what encodeRootSection writes for it with no chain seed.
+func rootSectionLen(root *SignedRoot) int { return 48 + len(root.Encode()) }
+
+// stateSizes returns the section sizes, in section order, of a state over
+// count leaves with nbounds batch bounds and a rootLen-byte root section.
+func stateSizes(count, nbounds, rootLen int) []int {
+	return []int{16, count * v2LeafRecSize, totalLevelNodes(count) * cryptoutil.HashSize, nbounds * 8, rootLen}
+}
+
 // encodeStateV2 serializes one committed dictionary version in checkpoint
 // format v2. v must be the frozen run the other arguments are consistent
-// with (same publication).
+// with (same publication). A run laid out in an image (a replica's) is
+// checkpointed as that image; any other is copied into a fresh payload.
 func encodeStateV2(v run, bounds []uint64, root *SignedRoot, freshness cryptoutil.Hash, seed *cryptoutil.Hash) []byte {
 	le := binary.LittleEndian
-	count := v.count()
-	rootSec := encodeRootSection(v.root(), freshness, root, seed)
-	return encodeV2Sections([]v2Section{
-		// The layout field stays 0, the sorted tree.
-		{v2SecHeader, 16, func(dst []byte) { le.PutUint64(dst[8:], uint64(count)) }},
-		{v2SecLeaves, len(v.recs), func(dst []byte) { copy(dst, v.recs) }},
-		{v2SecLevels, totalLevelNodes(count) * cryptoutil.HashSize, func(dst []byte) { putBytes(dst, v.levels...) }},
-		{v2SecBatches, len(bounds) * 8, func(dst []byte) {
-			for i, b := range bounds {
-				le.PutUint64(dst[i*8:], b)
+	header := make([]byte, 16) // the layout field stays 0, the sorted tree
+	le.PutUint64(header[8:], uint64(v.count()))
+	batches := make([]byte, len(bounds)*8)
+	for i, b := range bounds {
+		le.PutUint64(batches[i*8:], b)
+	}
+	secs := []v2Section{
+		{v2SecHeader, [][]byte{header}},
+		{v2SecLeaves, [][]byte{v.recs}},
+		{v2SecLevels, v.levels},
+		{v2SecBatches, [][]byte{batches}},
+		{v2SecRoot, [][]byte{encodeRootSection(v.root(), freshness, root, seed)}},
+	}
+	if buf := v.img.seal(v, secs); buf != nil {
+		return buf
+	}
+	return encodeV2Sections(nil, secs)
+}
+
+// image is the checkpoint payload a replica's rebuild lays its run out in
+// (newImage): the run's leaf records and levels are the payload's leaves and
+// levels sections, and the header, batches and root sections are reserved at
+// their exact sizes — the signed root is known before the replay. The
+// tree, its snapshots, the storage log the journal hands the image to and a
+// reader mapping it then share one copy of the dictionary, and checkpointing
+// the run encodes nothing: seal writes the small sections and computes the
+// CRCs where they lie. Once sealed the image is handed over, and nothing
+// writes it again.
+type image struct {
+	buf   []byte
+	sizes []int // the section sizes buf is laid out for
+
+	mu     sync.Mutex
+	sealed bool
+}
+
+// newImage allocates the image of a state over n ≥ 1 leaves with nbounds
+// batch bounds and a rootLen-byte root section, and returns the run laid out
+// in it, its records and levels capped sub-slices of the image: a rebuild
+// into it fills them where they lie and grows none of them.
+func newImage(n, nbounds, rootLen int) run {
+	sizes := stateSizes(n, nbounds, rootLen)
+	offs, size := layoutV2(sizes)
+	img := &image{buf: make([]byte, size), sizes: sizes}
+	leaves, levels := offs[1], offs[2]
+	return run{
+		recs:   img.buf[leaves : leaves+sizes[1] : leaves+sizes[1]],
+		levels: splitLevels(img.buf[levels:levels+sizes[2]], n),
+		img:    img,
+	}
+}
+
+// seal returns the image as the payload of secs, v's sections: the first
+// time by writing the sections v does not hold and every CRC into it, later
+// only if those sections would come out byte for byte as sealed — a
+// handed-over image is never written again, so a checkpoint under another
+// root or freshness value is copied instead. It returns nil when there is no
+// image, or when v does not lie in it as secs lay it out.
+func (img *image) seal(v run, secs []v2Section) []byte {
+	if img == nil {
+		return nil
+	}
+	sizes := sectionSizes(secs)
+	offs, _ := layoutV2(sizes)
+	// v's records, section 1, bring its levels along: a rebuild writes both.
+	if !slices.Equal(sizes, img.sizes) || !lies(img.buf[offs[1]:], v.recs) {
+		return nil
+	}
+	img.mu.Lock()
+	defer img.mu.Unlock()
+	if !img.sealed {
+		img.sealed = true
+		return encodeV2Sections(img.buf, secs)
+	}
+	for i, s := range secs {
+		at := offs[i]
+		for _, p := range s.parts {
+			if !lies(img.buf[at:], p) && !bytes.Equal(img.buf[at:at+len(p)], p) {
+				return nil
 			}
-		}},
-		{v2SecRoot, len(rootSec), func(dst []byte) { copy(dst, rootSec) }},
-	})
+			at += len(p)
+		}
+	}
+	return img.buf
 }
 
 // PersistentStateV2 exports the replica's current committed state encoded
 // in checkpoint format v2. Like PersistentState it reads one published
 // snapshot, so log, root, and freshness are mutually consistent; it
 // persists the commitment structure itself, making the checkpoint
-// mappable (OpenMappedReplica) and the restart replay-free.
+// mappable (OpenMappedReplica) and the restart replay-free. The payload is
+// normally the image the snapshot proves from (see image), shared and
+// read-only: repeated calls on one snapshot return the same bytes, and
+// nothing may write them.
 func (r *Replica) PersistentStateV2() []byte {
 	snap := r.Snapshot()
 	return encodeStateV2(snap.view, snap.bounds, snap.root, snap.freshness, nil)

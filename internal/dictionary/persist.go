@@ -421,7 +421,7 @@ func (a *Authority) adoptState(st *PersistentState) error {
 	if st.Root == nil || st.ChainSeed == nil {
 		return fmt.Errorf("dictionary: restore authority %s: checkpoint missing root or chain seed", a.cfg.CA)
 	}
-	if err := a.tree.extend(st.Log, uint64(len(st.Log))); err != nil {
+	if err := a.tree.extend(st.Log, uint64(len(st.Log)), 0); err != nil {
 		return fmt.Errorf("dictionary: restore authority %s: %w", a.cfg.CA, err)
 	}
 	return a.install(st.Root, *st.ChainSeed)
@@ -440,7 +440,7 @@ func (a *Authority) applyRecord(rec *UpdateRecord) error {
 	if msg == nil {
 		return nil // covered by the checkpoint
 	}
-	if err := a.tree.extend(msg.Serials, msg.Root.N); err != nil {
+	if err := a.tree.extend(msg.Serials, msg.Root.N, 0); err != nil {
 		return err
 	}
 	return a.install(msg.Root, *rec.Seed)

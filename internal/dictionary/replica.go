@@ -125,9 +125,11 @@ func (r *Replica) Update(msg *IssuanceMessage) error {
 		}
 	} else if !r.adopt(msg) {
 		// The checkpoint is the state of the last published snapshot, so
-		// restoring it costs O(batch).
+		// restoring it costs O(batch). The replay lays the new version out
+		// in its own checkpoint image, which PersistentStateV2 hands over
+		// as it is.
 		cp := r.tree.checkpoint()
-		err := r.tree.extend(msg.Serials, msg.Root.N)
+		err := r.tree.extend(msg.Serials, msg.Root.N, rootSectionLen(msg.Root))
 		if err == nil && !r.tree.Root().Equal(msg.Root.Root) {
 			// The signed root does not match what an honest replay
 			// produces (update step 3).

@@ -22,6 +22,7 @@ import (
 type run struct {
 	recs   []byte   // count() leaf records of v2LeafRecSize bytes
 	levels [][]byte // levels[l] holds ⌈n/2ˡ⌉ nodes of cryptoutil.HashSize bytes
+	img    *image   // the checkpoint image recs and levels lie in; nil for separate arrays
 }
 
 // nodeAt returns node i of a level, in place.
@@ -228,13 +229,14 @@ func (r *run) prove(s serial.Number) *Proof {
 // arenaHeadroom returns the extra bytes a fresh rebuild array carries beyond
 // its content so that follow-up merges within the same private window
 // (before the next view/checkpoint exposes the arrays) can extend it in
-// place instead of reallocating.
+// place instead of reallocating. Only an authority has such a window: a
+// replica exposes every rebuild it keeps, and lays it out in an image.
 func arenaHeadroom(n int) int { return n/8 + 4*v2LeafRecSize }
 
 // grow returns s resized to n bytes: in place when its capacity allows — a
-// private arena being extended — and otherwise, always for the nil
-// destination of a copy-on-write rebuild, a fresh array with arenaHeadroom
-// slack.
+// private arena being extended, or the exact-sized arrays of an image — and
+// otherwise, always for the nil destination of a copy-on-write rebuild, a
+// fresh array with arenaHeadroom slack.
 func grow(s []byte, n int) []byte {
 	if cap(s) >= n {
 		return s[:n]
@@ -276,8 +278,15 @@ func (rb *rebuilder) rebuild(old run, batch []Leaf, inPlace bool) run {
 	if inPlace {
 		dst = old
 	}
+	return rb.rebuildInto(dst, old, batch)
+}
+
+// rebuildInto is rebuild into the arrays dst offers: old's own for an
+// in-place merge, an image's exact-sized ones (newImage), or none. The
+// result lies in dst's image, if it has one.
+func (rb *rebuilder) rebuildInto(dst, old run, batch []Leaf) run {
 	recs, hashes, keep := rb.mergeLeaves(dst, old, batch)
-	return run{recs: recs, levels: rb.buildLevels(dst.levels, old.levels, hashes, keep)}
+	return run{recs: recs, levels: rb.buildLevels(dst.levels, old.levels, hashes, keep), img: dst.img}
 }
 
 // mergeLeaves merges a sorted batch of new leaves, carrying their final

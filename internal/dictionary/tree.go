@@ -93,8 +93,10 @@ func (l Leaf) hash() cryptoutil.Hash {
 // is tracked exactly: arrays an insert built are private until view or
 // checkpoint hands them out — or a replica adopts them from the authority
 // that built them (Replica.Update) — and a second insert in the same private
-// window (a replayed WAL between one publish and the next, or an authority's
-// next batch) merges into them in place with zero reallocation.
+// window (an authority's replayed WAL, or its next batch) merges into them in
+// place with zero reallocation. A replica publishes every insert it keeps,
+// so it has no such window: its copy-on-write destination is instead a
+// fresh checkpoint image (newImage), which its checkpoint hands over as is.
 type Tree struct {
 	rebuilder
 	// commit is the whole dictionary as one run: arrays an insert built, or
@@ -179,7 +181,12 @@ func logSuffix(log []serial.Number, base, from, to uint64) ([]serial.Number, err
 // InsertBatch revokes the given serials, assigning consecutive revocation
 // numbers in slice order, and rebuilds the tree. It validates the whole
 // batch before mutating anything, so on error the tree is unchanged.
-func (t *Tree) InsertBatch(serials []serial.Number) error {
+func (t *Tree) InsertBatch(serials []serial.Number) error { return t.insert(serials, 0) }
+
+// insert is InsertBatch. A positive rootLen lays a copy-on-write rebuild out
+// in a fresh checkpoint image (newImage) whose root section has that many
+// bytes, the replica's destination; otherwise the rebuild writes arenas.
+func (t *Tree) insert(serials []serial.Number, rootLen int) error {
 	if len(serials) == 0 {
 		return nil
 	}
@@ -212,7 +219,11 @@ func (t *Tree) InsertBatch(serials []serial.Number) error {
 	for _, s := range serials {
 		t.log = append(t.log, s)
 	}
-	t.commit = t.rebuild(t.commit, newLeaves, t.owned)
+	if t.owned || rootLen == 0 {
+		t.commit = t.rebuild(t.commit, newLeaves, t.owned)
+	} else {
+		t.commit = t.rebuildInto(newImage(int(t.Count()), len(t.bounds)+1, rootLen), t.commit, newLeaves)
+	}
 	t.owned = true
 	t.bounds = append(t.bounds, t.Count())
 	return nil
@@ -223,15 +234,15 @@ func (t *Tree) InsertBatch(serials []serial.Number) error {
 // starts beyond it, ErrCount when it does not add up to n — and is inserted
 // as one batch however many of the authority's batches it coalesces: a
 // sorted root depends on content alone, so a lagging replica's catch-up is a
-// single O(n) merge, not one per original ∆ batch.
-func (t *Tree) extend(serials []serial.Number, n uint64) error {
+// single O(n) merge, not one per original ∆ batch. rootLen is insert's.
+func (t *Tree) extend(serials []serial.Number, n uint64, rootLen int) error {
 	have := t.Count()
 	if end := have + uint64(len(serials)); n > end {
 		return fmt.Errorf("%w: have %d revocations, batch of %d covers up to %d", ErrDesynchronized, have, len(serials), n)
 	} else if n < end {
 		return fmt.Errorf("%w: count %d does not extend local count %d by %d", ErrCount, n, have, len(serials))
 	}
-	return t.InsertBatch(serials)
+	return t.insert(serials, rootLen)
 }
 
 // adopt appends serials to the tree as one batch without merging them:

@@ -512,7 +512,9 @@ func expiredShard(ca dictionary.CAID, now int64, width time.Duration) bool {
 }
 
 // Shutdown stops every pull loop and waits for them to exit. A pull in
-// flight is not interrupted: Shutdown returns once it does.
+// flight is not interrupted: Shutdown returns once it does, which over
+// cdn.HTTPClient is within one attempt deadline (one ∆) of an origin that
+// never answers.
 func (f *Fetcher) Shutdown() {
 	close(f.stop)
 	f.wg.Wait()

@@ -368,18 +368,19 @@ func (l *fileLog) Checkpoint(state []byte) error {
 	// The checkpoint covers every record appended so far.
 	lsn := l.nextLSN - 1
 
-	buf := make([]byte, 0, len(checkpointMagic)+12+len(state)+4)
-	buf = append(buf, checkpointMagic...)
-	buf = binary.BigEndian.AppendUint64(buf, lsn)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(state)))
-	buf = append(buf, state...)
-	crc := crc32.ChecksumIEEE(buf[len(checkpointMagic):])
-	buf = binary.BigEndian.AppendUint32(buf, crc)
+	// The frame is written around the state, not staged with it: the state
+	// is the dictionary's whole image.
+	header := make([]byte, 0, len(checkpointMagic)+12)
+	header = append(header, checkpointMagic...)
+	header = binary.BigEndian.AppendUint64(header, lsn)
+	header = binary.BigEndian.AppendUint32(header, uint32(len(state)))
+	crc := crc32.Update(crc32.ChecksumIEEE(header[len(checkpointMagic):]), crc32.IEEETable, state)
+	trailer := binary.BigEndian.AppendUint32(nil, crc)
 
 	tmp := filepath.Join(l.dir, ckptTmpName)
 	cur := filepath.Join(l.dir, ckptName)
 	prev := filepath.Join(l.dir, ckptPrevName)
-	if err := writeFileSync(tmp, buf); err != nil {
+	if err := writeFileSync(tmp, header, state, trailer); err != nil {
 		return fmt.Errorf("storage: checkpoint %q: %w", l.name, err)
 	}
 	// Retain the current checkpoint as the fallback, then activate the new
@@ -430,15 +431,18 @@ func (l *fileLog) Destroy() error {
 	return os.RemoveAll(l.dir)
 }
 
-// writeFileSync writes data to path and syncs it to stable storage.
-func writeFileSync(path string, data []byte) error {
+// writeFileSync writes parts back to back to path and syncs it to stable
+// storage.
+func writeFileSync(path string, parts ...[]byte) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	for _, p := range parts {
+		if _, err := f.Write(p); err != nil {
+			f.Close()
+			return err
+		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()

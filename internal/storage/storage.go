@@ -67,9 +67,9 @@ type Log interface {
 	// discards the WAL records it covers. A crash at any point leaves
 	// either the previous checkpoint plus the full WAL or the new
 	// checkpoint recoverable. The state is handed over, not copied: the
-	// log may keep the buffer and hand it to Load and Map, so the caller
-	// must not modify it afterwards (every caller passes a freshly encoded
-	// checkpoint).
+	// log may keep the buffer and hand it to Load and Map, so nothing may
+	// write it afterwards (a replica's checkpoint is the image its tree
+	// and snapshots read, and they never write it again).
 	Checkpoint(state []byte) error
 	// Close releases the log's resources. The log must not be used after.
 	Close() error
